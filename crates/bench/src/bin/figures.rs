@@ -11,8 +11,8 @@
 //! ```
 //!
 //! `--threads N` spreads each sweep point's query instances over N
-//! workers (default: `VIEWPLAN_THREADS` or 1). The accepted queries and
-//! all averaged stats are identical for any N; only wall-clock changes.
+//! workers (default 1). The accepted queries and all averaged stats are
+//! identical for any N; only wall-clock changes.
 
 use std::fs;
 use std::time::Instant;
@@ -29,7 +29,7 @@ use viewplan_workload::{generate, WorkloadConfig};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "quick");
-    let mut threads = viewplan_core::default_threads();
+    let mut threads = 1;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {

@@ -1,6 +1,7 @@
-//! The experiment harness: reusable sweep machinery shared by the
-//! `figures` binary (which regenerates every figure of §7 as CSV) and the
-//! Criterion benchmarks.
+//! The experiment harness: the sweep machinery behind the `figures`
+//! binary (which regenerates every figure of §7 as CSV), plus the
+//! closed-loop [`loadgen`] client the CLI and the CI chaos job drive.
+//! Timing the program is `benchmark/`'s job, not this crate's.
 //!
 //! A *sweep* fixes a workload family (star/chain, number of
 //! nondistinguished variables) and, for each view count, generates
@@ -9,12 +10,11 @@
 //! quantities Figures 6–9 plot.
 
 use std::time::Instant;
-use viewplan_core::{default_threads, parallel_map, CoreCover, CoreCoverConfig};
+use viewplan_core::{parallel_map, CoreCover, CoreCoverConfig};
 use viewplan_obs as obs;
 use viewplan_workload::{generate, WorkloadConfig};
 
 pub mod loadgen;
-pub mod trajectory;
 
 /// Which §7 workload family a sweep runs.
 #[derive(Clone, Copy, Debug)]
@@ -74,8 +74,8 @@ pub struct SweepConfig {
     pub queries_per_point: usize,
     /// Base RNG seed.
     pub base_seed: u64,
-    /// CoreCover configuration (grouping on by default; the ablation bench
-    /// turns it off).
+    /// CoreCover configuration (grouping on by default; the ablation
+    /// series turns it off).
     pub corecover: CoreCoverConfig,
     /// Worker threads for the harness itself: query instances of a point
     /// run concurrently. The accepted query set, per-query stats, and GMR
@@ -95,15 +95,12 @@ impl SweepConfig {
             view_counts: (1..=10).map(|k| k * 100).collect(),
             queries_per_point: 40,
             base_seed: 20010521, // SIGMOD 2001, May 21
-            corecover: CoreCoverConfig {
-                threads: 1,
-                ..CoreCoverConfig::default()
-            },
-            threads: default_threads(),
+            corecover: CoreCoverConfig::default(),
+            threads: 1,
         }
     }
 
-    /// A scaled-down variant for quick runs and Criterion.
+    /// A scaled-down variant for quick runs.
     pub fn quick(family: Family, nondistinguished: usize) -> SweepConfig {
         SweepConfig {
             queries_per_point: 8,

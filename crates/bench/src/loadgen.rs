@@ -25,7 +25,7 @@
 //! regression is counted in `stale_epoch` and asserted zero by the DDL
 //! soak.
 
-use std::io::{self, Write as _};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 use viewplan_obs as obs;
@@ -288,50 +288,6 @@ pub fn run_loadgen(addr: SocketAddr, queries: &[String], config: &LoadgenConfig)
     total
 }
 
-/// Drives DDL churn over its own control connection: alternating
-/// `add-view`/`drop-view` of `view_src` every `every`, `swaps` times.
-/// Returns the number of acknowledged swaps. A transport failure
-/// retries once on a fresh connection; an `already exists` /
-/// `unknown view` error after a retry counts as acknowledged (the
-/// earlier attempt landed — exactly the idempotency reasoning a retrying
-/// client needs).
-pub fn ddl_churn(
-    addr: SocketAddr,
-    view_src: &str,
-    view_name: &str,
-    swaps: usize,
-    every: Duration,
-) -> io::Result<u64> {
-    let mut conn: Option<TcpStream> = None;
-    let mut acknowledged = 0u64;
-    for i in 0..swaps {
-        let payload = if i % 2 == 0 {
-            format!("add-view {view_src}")
-        } else {
-            format!("drop-view {view_name}")
-        };
-        let response = match attempt(&mut conn, addr, &payload) {
-            Ok(r) => r,
-            Err(_) => attempt(&mut conn, addr, &payload)?,
-        };
-        if response.starts_with("ok ")
-            || response.contains("already exists")
-            || response.contains("unknown view")
-        {
-            acknowledged += 1;
-        }
-        thread::sleep(every);
-    }
-    // Leave the catalog as we found it: a trailing add is dropped.
-    if swaps % 2 == 1 {
-        let _ = attempt(&mut conn, addr, &format!("drop-view {view_name}"));
-    }
-    if let Some(stream) = conn.as_mut() {
-        let _ = stream.flush();
-    }
-    Ok(acknowledged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,26 +326,6 @@ mod tests {
         assert!(report.cached > 0, "repeats hit the cache");
         assert!(report.latency_percentile(0.5) <= report.latency_percentile(0.99));
         assert!(report.throughput_rps() > 0.0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn ddl_churn_swaps_and_restores_the_catalog() {
-        let mut server = start();
-        let addr = server.local_addr();
-        let acknowledged = ddl_churn(
-            addr,
-            "vddl(A, B) :- b(A, B)",
-            "vddl",
-            4,
-            Duration::from_millis(1),
-        )
-        .unwrap();
-        assert_eq!(acknowledged, 4);
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write_frame(&mut conn, "epoch").unwrap();
-        let response = read_frame(&mut conn, 1024).unwrap().unwrap();
-        assert_eq!(response, "ok epoch=4 views=2", "catalog restored");
         server.shutdown();
     }
 

@@ -34,7 +34,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 use viewplan_cq::{Atom, ConjunctiveQuery, Constant, Substitution, Symbol, Term};
 use viewplan_obs as obs;
-use viewplan_sync::{AtomicBool, Ordering, RwLock};
+use viewplan_sync::RwLock;
 
 /// Number of independent lock shards (power of two).
 const SHARDS: usize = 16;
@@ -184,23 +184,6 @@ fn shards() -> &'static Vec<Shard> {
     CACHE.get_or_init(|| (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect())
 }
 
-static CACHE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns the containment cache on or off process-wide (on by default).
-/// Disabling does not clear existing entries; use
-/// [`clear_containment_cache`] for that.
-pub fn set_cache_enabled(enabled: bool) {
-    // ordering: standalone switch; probes that see it late merely hit or
-    // skip the cache one more time, both of which are correct.
-    CACHE_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether memoization is currently on.
-pub fn cache_enabled() -> bool {
-    // ordering: standalone switch read; see set_cache_enabled.
-    CACHE_ENABLED.load(Ordering::Relaxed)
-}
-
 /// Drops every cached verdict (all shards).
 pub fn clear_containment_cache() {
     for shard in shards() {
@@ -239,7 +222,7 @@ pub(crate) fn cached_verdict_complete(
     q2: &ConjunctiveQuery,
     compute: impl FnOnce() -> (bool, bool),
 ) -> bool {
-    if !cache_enabled() || q1.body.len() + q2.body.len() < MIN_CACHED_SUBGOALS {
+    if q1.body.len() + q2.body.len() < MIN_CACHED_SUBGOALS {
         return compute().0;
     }
     let key = (canonical_key(q1), canonical_key(q2));
@@ -348,9 +331,7 @@ mod tests {
         for (s1, s2) in &pairs {
             let q1 = parse_query(s1).unwrap();
             let q2 = parse_query(s2).unwrap();
-            set_cache_enabled(false);
-            let fresh = containment_mapping(&q2, &q1).is_some();
-            set_cache_enabled(true);
+            let fresh = containment_mapping(&q2, &q1).is_some(); // never memoized
             clear_containment_cache();
             let first = is_contained_in(&q1, &q2); // populates the cache
             assert!(containment_cache_len() > 0, "check was not memoized");
@@ -364,7 +345,6 @@ mod tests {
     fn variant_pair_is_answered_from_the_same_entry() {
         let _guard = state_lock();
         clear_containment_cache();
-        set_cache_enabled(true);
         let q1 = parse_query(&chain("X", 8)).unwrap();
         let q2 = parse_query(&chain("X", 6)).unwrap();
         let before = containment_cache_len();
@@ -384,7 +364,6 @@ mod tests {
         // Below the size gate a fresh search is cheaper than a probe, so
         // tiny checks must leave no trace in the cache.
         clear_containment_cache();
-        set_cache_enabled(true);
         let q1 = parse_query("q(X) :- p(X, Y), r(Y)").unwrap();
         let q2 = parse_query("q(X) :- p(X, Y)").unwrap();
         assert!(is_contained_in(&q1, &q2));
@@ -395,13 +374,12 @@ mod tests {
     fn truncated_verdicts_are_not_cached() {
         let _guard = state_lock();
         clear_containment_cache();
-        set_cache_enabled(true);
         let q1 = parse_query(&chain("X", 8)).unwrap();
         let q2 = parse_query(&chain("Y", 6)).unwrap();
         // Chains are acyclic, so the semijoin fast path would decide
         // them completely regardless of budget — force the DFS here to
         // exercise the truncation path this test is about.
-        let _acyclic_off = viewplan_cq::install_acyclic(false);
+        let _acyclic_off = crate::install_acyclic(false);
         // Under a 1-node hom budget the check truncates: conservative
         // `false`, and nothing may be written to the cache.
         let truncated = {
@@ -423,13 +401,12 @@ mod tests {
     fn acyclic_fast_path_verdicts_are_complete_under_budget_and_cached() {
         let _guard = state_lock();
         clear_containment_cache();
-        set_cache_enabled(true);
         let q1 = parse_query(&chain("X", 8)).unwrap();
         let q2 = parse_query(&chain("Y", 6)).unwrap();
         // Truncation is impossible on the semijoin route: even a 1-node
         // hom budget leaves the verdict complete — correct, and written
         // to the cache (unlike the truncated DFS above).
-        let _acyclic_on = viewplan_cq::install_acyclic(true);
+        let _acyclic_on = crate::install_acyclic(true);
         let _b = obs::budget::install(
             obs::budget::BudgetSpec::new()
                 .phase_nodes(obs::Phase::Hom, 1)
@@ -443,17 +420,5 @@ mod tests {
             containment_cache_len() > 0,
             "complete verdict must be cached"
         );
-    }
-
-    #[test]
-    fn disabling_bypasses_memoization() {
-        let _guard = state_lock();
-        clear_containment_cache();
-        set_cache_enabled(false);
-        let q1 = parse_query("q(X) :- zz_cache_off(X, Y)").unwrap();
-        let q2 = parse_query("q(X) :- zz_cache_off(X, Y)").unwrap();
-        assert!(is_contained_in(&q1, &q2));
-        assert_eq!(containment_cache_len(), 0);
-        set_cache_enabled(true);
     }
 }

@@ -1,8 +1,41 @@
 //! Query containment and equivalence (Definition 2.1).
 
 use crate::homomorphism::HomomorphismSearch;
-use viewplan_cq::{acyclic_enabled, ConjunctiveQuery, Substitution, Term};
+use std::cell::Cell;
+use viewplan_cq::{ConjunctiveQuery, Substitution, Term};
 use viewplan_obs as obs;
+
+thread_local! {
+    static ACYCLIC_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Whether [`is_contained_in`] routes acyclic patterns through the
+/// semijoin fast path on this thread: the innermost [`install_acyclic`],
+/// else on.
+pub fn acyclic_enabled() -> bool {
+    ACYCLIC_OVERRIDE.with(|o| o.get()).unwrap_or(true)
+}
+
+/// Forces the fast path on or off for the current thread until the
+/// returned guard drops — the reference switch the differential tests
+/// use to run the homomorphism DFS beside the semijoin route. The worker
+/// pool re-installs the spawning thread's setting on every worker.
+pub fn install_acyclic(on: bool) -> AcyclicGuard {
+    let previous = ACYCLIC_OVERRIDE.with(|o| o.replace(Some(on)));
+    AcyclicGuard { previous }
+}
+
+/// Restores the previous [`install_acyclic`] state on drop.
+#[must_use = "dropping the guard immediately uninstalls the acyclic override"]
+pub struct AcyclicGuard {
+    previous: Option<bool>,
+}
+
+impl Drop for AcyclicGuard {
+    fn drop(&mut self) {
+        ACYCLIC_OVERRIDE.with(|o| o.set(self.previous));
+    }
+}
 
 // Single registration site for `containment.checks` (the xtask lint):
 // both the homomorphism DFS and the acyclic semijoin route count here.
@@ -67,10 +100,10 @@ pub fn containment_mapping_complete(
 
 /// The boolean verdict for `onto ⊑ from`, with completeness. Routes
 /// acyclic patterns (after head pinning) through the polynomial
-/// semijoin decision of [`crate::acyclic`] when the `VIEWPLAN_ACYCLIC`
-/// switch is on; the fast path never consumes budget, so its verdicts
-/// are always complete. Cyclic patterns (and disabled switch) take the
-/// homomorphism DFS.
+/// semijoin decision of [`crate::acyclic`] unless [`install_acyclic`]
+/// turned it off; the fast path never consumes budget, so its verdicts
+/// are always complete. Cyclic patterns (and a disabled fast path) take
+/// the homomorphism DFS.
 fn contains_complete(from: &ConjunctiveQuery, onto: &ConjunctiveQuery) -> (bool, bool) {
     note_check();
     let Some(initial) = head_bindings(from, onto) else {
@@ -111,6 +144,21 @@ pub fn are_equivalent(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
 mod tests {
     use super::*;
     use viewplan_cq::parse_query;
+
+    #[test]
+    fn acyclic_override_nests_and_restores() {
+        assert!(acyclic_enabled(), "the fast path is on by default");
+        {
+            let _g = install_acyclic(false);
+            assert!(!acyclic_enabled());
+            {
+                let _g2 = install_acyclic(true);
+                assert!(acyclic_enabled());
+            }
+            assert!(!acyclic_enabled());
+        }
+        assert!(acyclic_enabled());
+    }
 
     #[test]
     fn longer_path_is_contained_in_shorter() {

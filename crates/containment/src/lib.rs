@@ -19,8 +19,8 @@
 //!   variable renamings", §3.3).
 //! * **Acyclic fast path** — a containment check whose pattern is
 //!   acyclic after head pinning is decided by polynomial semijoins over
-//!   its GYO join forest ([`acyclic`]) instead of the exponential DFS,
-//!   gated by the `VIEWPLAN_ACYCLIC` switch.
+//!   its GYO join forest ([`acyclic`]) instead of the exponential DFS;
+//!   [`install_acyclic`] turns it off in scope for reference comparisons.
 //! * **Memoization** — a process-global, lock-sharded cache of containment
 //!   verdicts keyed on canonicalized query pairs ([`cache`]), shared by
 //!   containment, minimization, view-class grouping, and the M3 dropping
@@ -51,10 +51,13 @@ pub mod minimize;
 pub mod variant;
 
 pub use cache::{
-    cache_enabled, canonical_key, canonical_variable, canonicalize, clear_containment_cache,
-    containment_cache_len, set_cache_enabled, CanonicalQuery, Canonicalization,
+    canonical_key, canonical_variable, canonicalize, clear_containment_cache,
+    containment_cache_len, CanonicalQuery, Canonicalization,
 };
-pub use containment::{are_equivalent, containment_mapping, head_bindings, is_contained_in};
+pub use containment::{
+    acyclic_enabled, are_equivalent, containment_mapping, head_bindings, install_acyclic,
+    is_contained_in, AcyclicGuard,
+};
 pub use expansion::{expand, expand_atom, ExpandError};
 pub use homomorphism::{find_homomorphism, find_homomorphism_with, HomomorphismSearch};
 pub use minimize::minimize;

@@ -25,7 +25,7 @@
 use crate::classes::{view_equivalence_classes, view_tuple_classes};
 use crate::cover::{all_irredundant_covers_counted, all_minimum_covers_counted};
 use crate::error::{CoreError, MAX_SUBGOALS};
-use crate::parallel::{default_threads, parallel_map};
+use crate::parallel::parallel_map;
 use crate::prepared::PreparedViews;
 use crate::rewriting::{dedup_variants_with_map, Rewriting};
 use crate::tuple_core::{tuple_core, TupleCore};
@@ -63,8 +63,7 @@ pub struct CoreCoverConfig {
     pub max_rewritings: usize,
     /// Worker threads for the parallel stages (view tuples, tuple-cores,
     /// verification). `1` runs fully serial; results are identical for
-    /// every thread count. Defaults to the `VIEWPLAN_THREADS` environment
-    /// variable, or 1 when unset.
+    /// every thread count. Default 1.
     pub threads: usize,
     /// Record per-candidate provenance — which views the VP006 prune
     /// dropped, every candidate cover with its fate (accepted, duplicate
@@ -84,7 +83,7 @@ impl Default for CoreCoverConfig {
             prune_unusable_views: true,
             verify_rewritings: false,
             max_rewritings: 10_000,
-            threads: default_threads(),
+            threads: 1,
             collect_provenance: false,
         }
     }

@@ -71,7 +71,7 @@ pub use lattice::{
 };
 pub use minicon::{minicon_rewritings, Mcd, MiniCon};
 pub use naive::naive_gmrs;
-pub use parallel::{default_threads, parallel_map};
+pub use parallel::parallel_map;
 pub use prepared::PreparedViews;
 pub use prune::{body_signature, view_is_unusable};
 pub use rewriting::{dedup_variants, dedup_variants_with_map, Rewriting};

@@ -15,34 +15,28 @@
 //! tentpole guarantee that parallel CoreCover results are byte-identical
 //! to serial ones.
 //!
-//! Phase attribution: the spawning thread's open span path is captured
-//! and re-attached on every worker ([`obs::attach_path`]), so spans
-//! opened inside `f` aggregate under the same phase-tree node a serial
-//! run would use instead of dangling at the root. The spawning thread's
-//! request trace (if one is installed) is carried the same way
-//! ([`obs::trace::attach`]), so worker-side spans and events land under
-//! the request span that spawned them.
+//! Ambient context: everything thread-scoped on the spawning thread is
+//! captured once and re-attached on every worker, so `f` cannot tell
+//! which thread it runs on —
 //!
-//! Budget propagation: likewise, the spawning thread's ambient
-//! [`obs::Budget`] (if any) is attached on every worker, so the whole
-//! pool shares one deadline/cancellation flag and stops promptly when
-//! it fires. Node caps are per-search, so budgeted results keep the
-//! byte-identical-to-serial guarantee; only wall-clock deadlines are
-//! nondeterministic.
+//! * the open span path ([`obs::attach_path`]), so spans opened inside
+//!   `f` aggregate under the same phase-tree node a serial run would use
+//!   instead of dangling at the root;
+//! * the request trace ([`obs::trace::attach`]), so worker-side spans
+//!   and events land under the request span that spawned them;
+//! * the [`obs::Budget`], so the whole pool shares one
+//!   deadline/cancellation flag and stops promptly when it fires (node
+//!   caps are per-search, so budgeted results keep the
+//!   byte-identical-to-serial guarantee; only wall-clock deadlines are
+//!   nondeterministic);
+//! * the two reference overrides — the execution engine
+//!   ([`viewplan_engine::install`]) and the acyclic containment route
+//!   ([`viewplan_containment::install_acyclic`]) — so a differential
+//!   test that pins the row engine or the homomorphism DFS gets it on
+//!   every worker, not just on the thread that asked.
 
 use viewplan_obs as obs;
 use viewplan_sync::{thread, AtomicUsize, Mutex, Ordering};
-
-/// The default thread count: the `VIEWPLAN_THREADS` environment variable
-/// when set to a positive integer, otherwise 1 (serial). The CLI's
-/// `--threads` flag and explicit config fields override it.
-pub fn default_threads() -> usize {
-    std::env::var("VIEWPLAN_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
 
 /// Maps `f` over `items` on up to `threads` scoped workers, returning
 /// results in input order. With `threads <= 1` (or fewer than two items)
@@ -69,6 +63,8 @@ where
     let parent_path = obs::current_path();
     let parent_budget = obs::budget::current();
     let parent_trace = obs::trace::current_context();
+    let parent_engine = viewplan_engine::current_engine();
+    let parent_acyclic = viewplan_containment::acyclic_enabled();
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
     // Workers catch panics from `f` so the original payload (not the
@@ -80,6 +76,8 @@ where
                 let _phase = obs::attach_path(&parent_path);
                 let _budget = obs::budget::attach(parent_budget.clone());
                 let _trace = obs::trace::attach(parent_trace.as_ref());
+                let _engine = viewplan_engine::install(parent_engine);
+                let _acyclic = viewplan_containment::install_acyclic(parent_acyclic);
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
                     // ordering: work-stealing index; only atomicity of
@@ -141,11 +139,6 @@ mod tests {
             x
         });
         assert_eq!(out, items);
-    }
-
-    #[test]
-    fn default_threads_is_at_least_one() {
-        assert!(default_threads() >= 1);
     }
 
     #[test]

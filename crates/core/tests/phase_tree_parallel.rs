@@ -7,13 +7,24 @@
 //! the trace span tree (the multiset of root-to-leaf name paths) of a
 //! CoreCover run are identical at `threads = 1` and `threads = 8`.
 //!
+//! The pool carries the two reference overrides the same way — the
+//! execution engine and the acyclic containment route — pinned here by
+//! counters that must stay at zero when the spawning thread asked for
+//! the row engine or the homomorphism DFS.
+//!
 //! This file holds these tests alone in their own integration binary
-//! because the span aggregate is process-global: another test's spans
-//! interleaving mid-run would perturb the shapes compared here.
+//! because the span aggregate and the counters are process-global:
+//! another test's work interleaving mid-run would perturb what is
+//! compared here. The two tests take turns through [`serial`].
 
-use viewplan_core::{CoreCover, CoreCoverConfig};
+use viewplan_core::{view_tuples_with_threads, CoreCover, CoreCoverConfig};
 use viewplan_cq::{parse_query, parse_views};
 use viewplan_obs as obs;
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn fixture() -> (viewplan_cq::ConjunctiveQuery, viewplan_cq::ViewSet) {
     // Example 1.1: four view tuples and several covers, so the parallel
@@ -82,6 +93,7 @@ fn run_at(threads: usize) -> (Vec<(String, u64)>, Vec<String>) {
 
 #[test]
 fn phase_tree_and_trace_paths_match_between_serial_and_parallel_runs() {
+    let _turn = serial();
     obs::set_enabled(true);
     let (serial_shape, serial_paths) = run_at(1);
     let (parallel_shape, parallel_paths) = run_at(8);
@@ -100,6 +112,55 @@ fn phase_tree_and_trace_paths_match_between_serial_and_parallel_runs() {
     assert_eq!(
         serial_paths, parallel_paths,
         "trace span paths differ between threads=1 and threads=8"
+    );
+    obs::set_enabled(false);
+}
+
+#[test]
+fn engine_and_acyclic_overrides_reach_every_worker() {
+    let _turn = serial();
+    let (query, views) = fixture();
+    obs::set_enabled(true);
+
+    // Row engine pinned by the caller: the per-view evaluations on the
+    // eight workers must not touch the columnar batch join.
+    obs::reset();
+    let tuples = {
+        let _row = viewplan_engine::install(viewplan_engine::Engine::Row);
+        view_tuples_with_threads(&query, &views, 8)
+    };
+    assert!(!tuples.is_empty());
+    assert_eq!(
+        obs::counter_value("engine.batch_joins"),
+        0,
+        "workers evaluated view tuples on the columnar engine under install(Engine::Row)"
+    );
+
+    // Homomorphism DFS pinned by the caller: the per-rewriting
+    // equivalence checks on the workers must not take the semijoin
+    // route. (Cleared memo: a cached verdict would skip both routes.)
+    viewplan_containment::clear_containment_cache();
+    obs::reset();
+    let config = CoreCoverConfig {
+        threads: 8,
+        verify_rewritings: true,
+        ..CoreCoverConfig::default()
+    };
+    let result = {
+        let _dfs = viewplan_containment::install_acyclic(false);
+        CoreCover::new(&query, &views)
+            .with_config(config)
+            .run_all_minimal()
+    };
+    assert!(
+        result.rewritings().len() > 1,
+        "verification needs several rewritings to fan out"
+    );
+    assert!(obs::counter_value("containment.checks") > 0);
+    assert_eq!(
+        obs::counter_value("containment.acyclic_fast_path"),
+        0,
+        "workers took the semijoin fast path under install_acyclic(false)"
     );
     obs::set_enabled(false);
 }

@@ -20,17 +20,10 @@
 //! upper-bound proxy for the hypertree width (1 iff acyclic). The
 //! blowup predictor (VP007) and the cost estimators consult it: width 1
 //! means intermediate results can be kept linear in the input.
-//!
-//! The module also hosts the `VIEWPLAN_ACYCLIC` switch that gates the
-//! containment fast path, mirroring the engine-selection switch: a
-//! process default (env or [`set_acyclic_default`]) plus a thread-local
-//! override ([`install_acyclic`]) for scoped experiments and tests.
 
 use crate::atom::Atom;
 use crate::symbol::Symbol;
-use std::cell::Cell;
 use std::collections::BTreeSet;
-use viewplan_sync::{AtomicU8, Ordering};
 
 /// The witness structure GYO leaves behind on an acyclic hypergraph.
 ///
@@ -182,77 +175,6 @@ pub fn hypertree_width_estimate(body: &[Atom]) -> usize {
     width
 }
 
-// ---------------------------------------------------------------------
-// The `VIEWPLAN_ACYCLIC` switch gating the containment fast path.
-//
-// Same shape as the engine selector: a process-wide default settable
-// programmatically or via the environment, plus a thread-local override
-// with RAII restore for scoped use in tests and differential harnesses.
-
-/// Process default: 0 = unset (consult `VIEWPLAN_ACYCLIC`, then on),
-/// 1 = on, 2 = off.
-static DEFAULT_ACYCLIC: AtomicU8 = AtomicU8::new(0);
-
-thread_local! {
-    static ACYCLIC_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Sets the process-wide default for the acyclic containment fast path
-/// (overridden per-thread by [`install_acyclic`]).
-pub fn set_acyclic_default(on: bool) {
-    // ordering: standalone flag, no other memory published alongside it.
-    DEFAULT_ACYCLIC.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// The process-wide default: an explicit [`set_acyclic_default`] wins,
-/// then `VIEWPLAN_ACYCLIC` (`off`/`0`/`false` disable), then on.
-pub fn acyclic_default() -> bool {
-    // ordering: standalone flag; racing initializers write the same value.
-    match DEFAULT_ACYCLIC.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = match std::env::var("VIEWPLAN_ACYCLIC") {
-                Ok(v) => !matches!(
-                    v.trim().to_ascii_lowercase().as_str(),
-                    "off" | "0" | "false"
-                ),
-                Err(_) => true,
-            };
-            // Cache so the env var is consulted once per process.
-            // ordering: standalone flag, idempotent write.
-            DEFAULT_ACYCLIC.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Whether the acyclic containment fast path is enabled on this thread.
-pub fn acyclic_enabled() -> bool {
-    ACYCLIC_OVERRIDE
-        .with(|o| o.get())
-        .unwrap_or_else(acyclic_default)
-}
-
-/// Restores the previous thread-local switch state on drop.
-pub struct AcyclicGuard {
-    previous: Option<bool>,
-}
-
-/// Forces the fast path on or off for the current thread until the
-/// returned guard drops.
-pub fn install_acyclic(on: bool) -> AcyclicGuard {
-    let previous = ACYCLIC_OVERRIDE.with(|o| o.replace(Some(on)));
-    AcyclicGuard { previous }
-}
-
-impl Drop for AcyclicGuard {
-    fn drop(&mut self) {
-        let previous = self.previous;
-        ACYCLIC_OVERRIDE.with(|o| o.set(previous));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,22 +255,5 @@ mod tests {
         let b = body("q(A) :- r(A, B), r(B, C), r(C, D), r(D, A)");
         assert!(!is_acyclic(&b));
         assert!(hypertree_width_estimate(&b) >= 2);
-    }
-
-    #[test]
-    fn switch_default_and_override_nest() {
-        // The default is on (no env in tests, or whatever the harness
-        // set) — the override must win and restore.
-        let outer = acyclic_enabled();
-        {
-            let _g = install_acyclic(false);
-            assert!(!acyclic_enabled());
-            {
-                let _g2 = install_acyclic(true);
-                assert!(acyclic_enabled());
-            }
-            assert!(!acyclic_enabled());
-        }
-        assert_eq!(acyclic_enabled(), outer);
     }
 }

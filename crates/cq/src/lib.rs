@@ -42,10 +42,7 @@ pub mod view;
 
 pub use atom::Atom;
 pub use error::ParseError;
-pub use hypergraph::{
-    acyclic_default, acyclic_enabled, hypertree_width_estimate, install_acyclic, is_acyclic,
-    join_forest, set_acyclic_default, AcyclicGuard, JoinForest,
-};
+pub use hypergraph::{hypertree_width_estimate, is_acyclic, join_forest, JoinForest};
 pub use parser::{parse_atom, parse_program, parse_query, parse_views, Program, RuleSpans};
 pub use query::ConjunctiveQuery;
 pub use span::Span;

@@ -1,31 +1,30 @@
 //! Engine selection: the row-at-a-time executor vs. the columnar batch
 //! executor.
 //!
-//! Both engines compute identical results — answer relations in the same
+//! All engines compute identical results — answer relations in the same
 //! insertion order, [`crate::ExecutionTrace`]s with the same per-step
 //! sizes, the same `engine.*` counters — which the differential suite at
 //! the workspace root enforces. Selection is therefore purely a
-//! performance knob:
-//!
-//! * the **process default** comes from [`set_default_engine`] (the CLI
-//!   `--engine` flag) or the `VIEWPLAN_ENGINE` environment variable
-//!   (`row` | `columnar`), falling back to [`Engine::Columnar`];
-//! * a **thread-scoped override** ([`install`]) pins the engine for one
-//!   call stack — the serving layer uses it so each request honors its
-//!   [`ServeConfig`](../../viewplan_serve/struct.ServeConfig.html), and
-//!   the differential tests use it to run both engines side by side.
+//! performance knob with exactly one source: the innermost
+//! thread-scoped [`install`], else [`Engine::default`] (columnar).
+//! Callers that select an engine say so explicitly — the CLI installs
+//! its `--engine` value around the command, the serving layer installs
+//! [`ServeConfig::engine`](../../viewplan_serve/struct.ServeConfig.html)
+//! per request, the differential tests install each engine in turn —
+//! and the worker pool re-installs the spawning thread's choice on
+//! every worker.
 
 use std::cell::Cell;
-use viewplan_sync::{AtomicU8, Ordering};
 
 /// Which executor [`crate::evaluate`] and the `execute_*` entry points
 /// run on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
     /// The original tuple-at-a-time multiway hash join.
     Row,
     /// Struct-of-arrays batch execution: selection vectors, columnar
     /// hash join build/probe, column-wise gathers.
+    #[default]
     Columnar,
     /// Yannakakis evaluation for acyclic queries: semijoin-reduce the
     /// stored relations along the GYO join forest, then join with no
@@ -35,7 +34,7 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Parses an engine name as used by `--engine` / `VIEWPLAN_ENGINE`.
+    /// Parses an engine name as used by the CLI's `--engine` flag.
     pub fn from_name(name: &str) -> Option<Engine> {
         match name {
             "row" => Some(Engine::Row),
@@ -61,47 +60,14 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// 0 = unset (consult `VIEWPLAN_ENGINE`), 1 = row, 2 = columnar,
-/// 3 = yannakakis.
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(0);
-
 thread_local! {
     static OVERRIDE: Cell<Option<Engine>> = const { Cell::new(None) };
 }
 
-/// Sets the process-wide default engine (what the CLI `--engine` flag
-/// does). Thread-scoped [`install`] overrides still win.
-pub fn set_default_engine(engine: Engine) {
-    let code = match engine {
-        Engine::Row => 1,
-        Engine::Columnar => 2,
-        Engine::Yannakakis => 3,
-    };
-    // ordering: standalone configuration flag set before workers spawn.
-    DEFAULT_ENGINE.store(code, Ordering::Relaxed);
-}
-
-/// The process-wide default engine: the value of [`set_default_engine`]
-/// if called, else `VIEWPLAN_ENGINE` (`row` | `columnar` | `yannakakis`),
-/// else [`Engine::Columnar`].
-pub fn default_engine() -> Engine {
-    // ordering: standalone configuration flag; stale reads only see the
-    // previous default, never a torn value.
-    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        1 => Engine::Row,
-        2 => Engine::Columnar,
-        3 => Engine::Yannakakis,
-        _ => std::env::var("VIEWPLAN_ENGINE")
-            .ok()
-            .and_then(|s| Engine::from_name(&s))
-            .unwrap_or(Engine::Columnar),
-    }
-}
-
 /// The engine the current thread's evaluations run on: the innermost
-/// [`install`]ed override, else the process default.
+/// [`install`]ed override, else [`Engine::default`].
 pub fn current_engine() -> Engine {
-    OVERRIDE.with(|o| o.get()).unwrap_or_else(default_engine)
+    OVERRIDE.with(|o| o.get()).unwrap_or_default()
 }
 
 /// Pins `engine` for the current thread until the returned guard drops.

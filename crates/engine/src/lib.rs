@@ -8,9 +8,9 @@
 //! * [`Relation`], [`Database`] — set-semantics relations over [`Value`]s,
 //!   with a lazily-cached columnar ([`ColumnarRelation`]) twin;
 //! * [`evaluate`] — multiway hash-join evaluation of a conjunctive query,
-//!   on either the row-at-a-time executor or the columnar batch executor
-//!   ([`Engine`], selected by `--engine` / `VIEWPLAN_ENGINE`; both produce
-//!   byte-identical answers and traces);
+//!   on the row-at-a-time, columnar batch, or Yannakakis executor
+//!   ([`Engine`], columnar unless a scoped [`install`] says otherwise; all
+//!   produce byte-identical answers and traces);
 //! * [`materialize_views`] — compute view relations from base relations
 //!   (the closed-world assumption: views hold *exactly* these tuples);
 //! * [`canonical_database`] — the frozen database `D_Q` of §3.3, with
@@ -48,9 +48,7 @@ pub mod yannakakis;
 pub use canonical::{canonical_database, freeze_term, unfreeze_value};
 pub use columnar::{Column, ColumnarRelation};
 pub use database::Database;
-pub use engine::{
-    current_engine, default_engine, install, set_default_engine, Engine, EngineGuard,
-};
+pub use engine::{current_engine, install, Engine, EngineGuard};
 pub use error::EngineError;
 pub use eval::{
     evaluate, execute_annotated, execute_ordered, try_evaluate, try_execute_annotated,

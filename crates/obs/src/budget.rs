@@ -174,7 +174,7 @@ impl FaultPoint {
 }
 
 /// A deterministic injected fault: at the `nth` (1-based) search of the
-/// chosen point, force budget exhaustion. Parsed from
+/// chosen point, force budget exhaustion. Parsed by the CLI from
 /// `VIEWPLAN_FAULT=phase:nth` (e.g. `hom:3`, `deadline:1`) or built
 /// programmatically for tests. Deterministic at 1 thread; with more
 /// workers the trigger ordering races (the *effects* stay well-formed).
@@ -215,17 +215,6 @@ impl Fault {
             .filter(|&n| n >= 1)
             .ok_or_else(|| format!("fault index must be a positive integer, got `{nth}`"))?;
         Ok(Fault { point, nth })
-    }
-
-    /// Reads `VIEWPLAN_FAULT` from the environment; `Ok(None)` when
-    /// unset or empty.
-    pub fn from_env() -> Result<Option<Fault>, String> {
-        match std::env::var("VIEWPLAN_FAULT") {
-            Ok(s) if !s.is_empty() => Fault::parse(&s)
-                .map(Some)
-                .map_err(|e| format!("VIEWPLAN_FAULT: {e}")),
-            _ => Ok(None),
-        }
     }
 }
 

@@ -175,21 +175,21 @@ impl std::error::Error for ParseError {}
 
 /// Parses a complete JSON document.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { input, pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.error("trailing characters after document"));
     }
     Ok(value)
 }
 
+/// `pos` is a byte offset into `input` and always sits on a character
+/// boundary: it only ever steps over whole ASCII bytes or whole runs that
+/// end at an ASCII delimiter.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
@@ -202,7 +202,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -221,7 +221,7 @@ impl Parser<'_> {
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.input[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             true
         } else {
@@ -316,11 +316,9 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .input
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.error("non-ASCII \\u escape"))?;
+                                .ok_or_else(|| self.error("truncated or non-ASCII \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.error("bad \\u escape"))?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -331,14 +329,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so neither can sit inside a
+                    // multi-byte character: the run ends on a boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.input[start..self.pos]);
                 }
             }
         }
@@ -355,7 +353,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        let text = &self.input[start..self.pos];
         text.parse::<f64>()
             .map(Json::Number)
             .map_err(|_| self.error(format!("bad number {text:?}")))
@@ -419,6 +417,40 @@ mod tests {
         let v = parse(doc).unwrap();
         assert_eq!(v.render(), doc);
         assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    /// Parsing is linear in the document: a string-heavy document the
+    /// size of a Chrome trace export round-trips in milliseconds. (The
+    /// per-character decode once re-validated the whole remaining input,
+    /// which made this document take minutes; the bound is ~1000× slack.)
+    #[test]
+    fn large_string_heavy_document_round_trips_quickly() {
+        let entry = |i: u64| {
+            Json::Object(BTreeMap::from([
+                (
+                    "name".to_string(),
+                    Json::str(format!("span·{i} “é𐍈” a\\b\"c\n")),
+                ),
+                (
+                    "cat".to_string(),
+                    Json::str("corecover.tuple_cores ".repeat(4)),
+                ),
+                ("ts".to_string(), Json::num(i)),
+            ]))
+        };
+        let doc = Json::Array((0..14_000).map(entry).collect());
+        let text = doc.render();
+        assert!(text.len() >= 2 << 20, "only {} bytes", text.len());
+        let started = std::time::Instant::now();
+        let parsed = parse(&text).unwrap();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "parse took {:?} for {} bytes",
+            started.elapsed(),
+            text.len()
+        );
+        assert_eq!(parsed, doc);
+        assert_eq!(parsed.render(), text);
     }
 
     #[test]

@@ -366,7 +366,7 @@ impl Trace {
 /// array as [`Trace::chrome_json`] emits it: every entry carries
 /// `pid`/`tid`/`ts` and a phase in {`B`, `E`, `i`}, `B`/`E` pairs
 /// balance per thread (never dipping below zero), and `B`/`i` entries
-/// are named. Used by `viewplan bench --validate-trace` and CI to keep
+/// are named. Used by the CLI integration tests and `benchmark/` to keep
 /// the export loadable by `chrome://tracing` / Perfetto.
 pub fn validate_chrome_trace(doc: &Json) -> Result<(), String> {
     let entries = doc

@@ -2,7 +2,7 @@
 //! [`viewplan_obs::MetricsSnapshot`]s taken around a burst of recording
 //! equals exactly the events recorded in between — **including events
 //! from concurrent threads**, which is the contract the serving layer's
-//! per-pass attribution (and `viewplan bench`'s warm/cold split) relies
+//! per-pass attribution (and `benchmark/`'s per-layer counters) relies
 //! on.
 //!
 //! Both properties join all recording threads before the second

@@ -59,9 +59,8 @@ pub struct ServeConfig {
     /// Rewriting-cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
     /// Which execution engine the server installs while preparing views
-    /// and serving requests. Defaults to the process-wide
-    /// [`viewplan_engine::default_engine`] (columnar unless overridden
-    /// via `VIEWPLAN_ENGINE` or the CLI's `--engine` flag).
+    /// and serving requests ([`Engine::default`] — columnar — unless the
+    /// caller says otherwise; the CLI passes its `--engine` flag here).
     pub engine: Engine,
 }
 
@@ -72,7 +71,7 @@ impl Default for ServeConfig {
             corecover: CoreCoverConfig::default(),
             budget: BudgetSpec::new(),
             cache_capacity: 4096,
-            engine: viewplan_engine::default_engine(),
+            engine: Engine::default(),
         }
     }
 }

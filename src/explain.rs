@@ -86,7 +86,7 @@ pub struct Explanation {
     /// Whether the minimized query's hypergraph is acyclic (GYO reduces
     /// it fully) — when true, containment checks against it are
     /// fast-path eligible and Yannakakis evaluation applies. Structural:
-    /// independent of the `VIEWPLAN_ACYCLIC` switch.
+    /// independent of which containment route actually runs.
     pub acyclic: bool,
     /// Hypertree-width estimate of the minimized query (1 iff acyclic).
     pub hypertree_width: usize,
@@ -619,7 +619,7 @@ mod tests {
         assert_eq!(parsed.get("model").unwrap().as_str(), Some("m1"));
         assert!(parsed.get("winner").unwrap().get("cost").is_some());
         // Structural acyclicity provenance (independent of the
-        // VIEWPLAN_ACYCLIC switch, so goldens hold under both settings).
+        // containment route, so goldens hold with the fast path on or off).
         let structure = parsed.get("structure").unwrap();
         assert_eq!(structure.get("hypertree_width").unwrap().as_u64(), Some(1));
         // Deterministic: a second run renders the identical document.

@@ -23,7 +23,8 @@
 //!   sets shared across workers and the canonical-key rewriting cache;
 //! * [`workload`] — the §7 star/chain/random generators;
 //! * [`obs`] — the metrics registry, span timers, and stats reporters
-//!   behind the CLI's `--stats` / `--stats-json` flags.
+//!   behind the CLI's `--stats` / `--stats-json` flags;
+//! * [`cli`] — the `viewplan` command line itself, callable in process.
 //!
 //! # Quickstart
 //!
@@ -51,6 +52,7 @@
 //! );
 //! ```
 
+pub mod cli;
 pub mod explain;
 
 pub use viewplan_analyze as analyze;
@@ -66,7 +68,9 @@ pub use viewplan_workload as workload;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use viewplan_containment::{are_equivalent, expand, is_contained_in, is_variant, minimize};
+    pub use viewplan_containment::{
+        are_equivalent, expand, install_acyclic, is_contained_in, is_variant, minimize,
+    };
     pub use viewplan_core::{
         is_locally_minimal, minicon_rewritings, naive_gmrs, tuple_core, view_tuples, CoreCover,
         CoreCoverConfig, MiniCon,
@@ -76,14 +80,13 @@ pub mod prelude {
         ExactOracle, Optimizer, OptimizerConfig, PhysicalPlan, SizeOracle,
     };
     pub use viewplan_cq::{
-        acyclic_enabled, hypertree_width_estimate, install_acyclic, is_acyclic, join_forest,
-        parse_atom, parse_query, parse_views, set_acyclic_default, Atom, ConjunctiveQuery,
-        Substitution, Symbol, Term, View, ViewSet,
+        hypertree_width_estimate, is_acyclic, join_forest, parse_atom, parse_query, parse_views,
+        Atom, ConjunctiveQuery, Substitution, Symbol, Term, View, ViewSet,
     };
     pub use viewplan_engine::{
         canonical_database, evaluate, execute_annotated, execute_ordered, materialize_views,
-        set_default_engine, try_evaluate, try_execute_annotated, try_execute_ordered, Database,
-        Engine, EngineError, Relation, Value,
+        try_evaluate, try_execute_annotated, try_execute_ordered, Database, Engine, EngineError,
+        Relation, Value,
     };
     pub use viewplan_serve::{BatchServer, ServeConfig, ServedAnswer};
     pub use viewplan_workload::{generate, random_database, Shape, Workload, WorkloadConfig};

@@ -180,10 +180,9 @@ fn counters_prove_routing() {
 }
 
 // ---------------------------------------------------------------------
-// Worker threads. Thread-local switch overrides do not propagate into
-// spawned threads, so the multi-threaded run steers routing through the
-// process-wide default — exactly how `VIEWPLAN_THREADS=8` serving
-// workers see the switch.
+// Worker threads. The pool re-installs the spawning thread's override on
+// every worker, so the multi-threaded run steers routing with the same
+// scoped switch as the serial one.
 
 /// A fixed corpus with known mixed verdicts, each checked both ways.
 fn corpus() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {
@@ -205,35 +204,17 @@ fn corpus() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {
 #[test]
 fn verdicts_agree_across_eight_worker_threads() {
     let pairs = corpus();
-    // Ground truth: the DFS, serially, via the thread-local override.
-    let truth: Vec<(bool, bool)> = pairs
-        .iter()
-        .map(|(a, b)| {
-            let _g = install_acyclic(false);
-            (is_contained_in(a, b), is_contained_in(b, a))
-        })
-        .collect();
-    let restore = viewplan::cq::acyclic_default();
+    let both_ways = |(a, b): &(ConjunctiveQuery, ConjunctiveQuery)| {
+        (is_contained_in(a, b), is_contained_in(b, a))
+    };
+    // Ground truth: the DFS, serially.
+    let truth: Vec<(bool, bool)> = {
+        let _g = install_acyclic(false);
+        pairs.iter().map(both_ways).collect()
+    };
     for on in [true, false] {
-        set_acyclic_default(on);
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let pairs = corpus();
-                let truth = truth.clone();
-                std::thread::spawn(move || {
-                    for ((a, b), expected) in pairs.iter().zip(&truth) {
-                        let got = (is_contained_in(a, b), is_contained_in(b, a));
-                        assert_eq!(
-                            got, *expected,
-                            "default={on}: verdict diverged on {a} / {b}"
-                        );
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let _g = install_acyclic(on);
+        let got = viewplan::core::parallel_map(8, &pairs, both_ways);
+        assert_eq!(got, truth, "acyclic={on}: a worker's verdict diverged");
     }
-    set_acyclic_default(restore);
 }

@@ -3,6 +3,13 @@
 //! binary, with stdout compared byte-for-byte against checked-in
 //! expectations under `tests/golden/expected/`.
 //!
+//! Every golden then runs again **in process** at each behaviour setting
+//! — threads {1, 8} × engine {row, columnar, yannakakis} × acyclic
+//! containment route {on, off} — against the same expectation: the three
+//! axes are performance knobs, so none may change a byte of stdout or
+//! the exit code. (This replaces fanning the whole suite out over
+//! environment switches in CI.)
+//!
 //! Only stdout is golden — stderr carries timings and cache counters,
 //! which are deliberately nondeterministic. To accept new output after
 //! an intentional change:
@@ -13,9 +20,11 @@
 
 use std::path::Path;
 use std::process::Command;
+use viewplan::containment::{clear_containment_cache, install_acyclic};
 
 /// Runs `viewplan <args>` from the repo root and compares its stdout to
-/// `tests/golden/expected/<name>.txt`.
+/// `tests/golden/expected/<name>.txt` — once through the executable at
+/// the defaults, then in process at every behaviour setting.
 fn check(name: &str, args: &[&str]) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let out = Command::new(env!("CARGO_BIN_EXE_viewplan"))
@@ -54,6 +63,32 @@ fn check(name: &str, args: &[&str]) {
             first_divergence(&expected, &actual)
         );
     }
+
+    for threads in ["1", "8"] {
+        for engine in ["row", "columnar", "yannakakis"] {
+            for acyclic in [true, false] {
+                let setting = format!("threads={threads} engine={engine} acyclic={acyclic}");
+                // The matrix flags go first so they win over any the
+                // golden itself passes (the first occurrence counts).
+                let mut argv = vec![args[0], "--threads", threads, "--engine", engine];
+                argv.extend(&args[1..]);
+                let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+                let _route = install_acyclic(acyclic);
+                // A verdict memoized under the other route would be
+                // replayed instead of recomputed.
+                clear_containment_cache();
+                let mut stdout = Vec::new();
+                let code = viewplan::cli::run(&argv, &viewplan::cli::Env::default(), &mut stdout);
+                assert_eq!(code, 0, "{name} [{setting}]: exit code {code}");
+                let actual = String::from_utf8(stdout).expect("stdout must be UTF-8");
+                assert!(
+                    actual == expected,
+                    "golden mismatch for {name} [{setting}]:\n{}",
+                    first_divergence(&expected, &actual)
+                );
+            }
+        }
+    }
 }
 
 /// The first line where expected and actual output disagree, for a diff
@@ -77,28 +112,18 @@ fn first_divergence(expected: &str, actual: &str) -> String {
     }
 }
 
-/// Goldens the `--stats-json` *counters* of a serial `rewrite` run —
-/// counter values are deterministic for a serial pipeline; the span
-/// timings in the rest of the report are not, so only this section is
-/// snapshotted (rendered as sorted `key = value` lines).
+/// Goldens the `--stats-json` *counters* of a `rewrite` run at the
+/// defaults (serial, columnar, acyclic fast path on) — counter values
+/// are deterministic for a serial pipeline; the span timings in the rest
+/// of the report are not, so only this section is snapshotted (rendered
+/// as sorted `key = value` lines). Unlike stdout, the counters *do* name
+/// the engine and the containment route, so this snapshot stays out of
+/// the in-process matrix.
 fn check_stats_counters(name: &str, problem: &str) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let json_path = std::env::temp_dir().join(format!("viewplan_golden_{name}.json"));
     let out = Command::new(env!("CARGO_BIN_EXE_viewplan"))
         .current_dir(root)
-        // Pin the serial pipeline regardless of the ambient
-        // VIEWPLAN_THREADS: parallel runs add scheduler counters
-        // (parallel.batches/tasks) that are not part of this snapshot.
-        .env("VIEWPLAN_THREADS", "1")
-        // Pin the execution engine too: the row and columnar engines
-        // register the same shared counters, but the columnar engine
-        // adds engine.batch_* counters this snapshot includes.
-        .env("VIEWPLAN_ENGINE", "columnar")
-        // And pin the acyclic fast path on: routing decides whether
-        // containment bumps `containment.acyclic_fast_path` or the
-        // homomorphism-search counters, so the snapshot must not float
-        // with the ambient VIEWPLAN_ACYCLIC matrix dimension.
-        .env("VIEWPLAN_ACYCLIC", "on")
         .args([
             "rewrite",
             problem,
@@ -235,7 +260,7 @@ golden! {
     // The acyclic fixtures: structural provenance (the `structure` line
     // and VP007's hypertree-width annotation) is a property of the
     // hypergraph, not of the routing switch, so these snapshots are
-    // byte-identical under VIEWPLAN_ACYCLIC=on and =off — CI runs both.
+    // byte-identical with the fast path on and off.
     // The star's winner is a single bundled-view access; the chain's
     // twelve hops tile into exactly three v4 accesses, and its VP007
     // candidate estimate crosses the blowup threshold with the width

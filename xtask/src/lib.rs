@@ -1,7 +1,7 @@
 //! Repo-level lints for the `viewplan` workspace, run as
 //! `cargo run -p xtask -- lint` (and in CI).
 //!
-//! Nine checks, all offline and purely textual:
+//! Ten checks, all offline and purely textual:
 //!
 //! 1. **Panic ban** — no `.unwrap()` / `.expect(` / `panic!(` in library
 //!    crates (`crates/*/src`) outside `#[cfg(test)]` code. Audited
@@ -31,7 +31,7 @@
 //!    consecutive atomic operations). Unjustified remainders live in
 //!    `xtask/sync-allowlist.txt` under the same ratchet discipline as
 //!    the panic ban, so the audit debt can only shrink.
-//! 8. **Raw-sync ban** — `std::thread`, `parking_lot`, and the blocking
+//! 8. **Raw-sync ban** — `std::thread` and the blocking
 //!    `std::sync` primitives (`Mutex`, `RwLock`, `Condvar`, `mpsc`,
 //!    `atomic`, …) are banned outside `crates/sync/src` and test code:
 //!    all synchronization goes through the `viewplan-sync` facade so the
@@ -42,6 +42,11 @@
 //!    locks (`.lock()` / `.read()` / `.write()`) must carry a
 //!    `// lock-order:` comment documenting the acquisition order, so
 //!    every potential nesting has a written deadlock argument.
+//! 10. **Environment ban** — `std::env::var` / `var_os` / `vars` are
+//!     banned in library crates (`crates/*/src`) outside `#[cfg(test)]`
+//!     code: behaviour is selected by explicit configuration the binary
+//!     (`src/bin`) builds from its flags and environment, never by a
+//!     library consulting the process environment on its own.
 //!
 //! The scans work on a *stripped* view of each file: comment and string
 //! contents are blanked (structure and braces preserved), so `"panic!"`
@@ -759,9 +764,7 @@ fn check_raw_sync_ban(root: &Path, report: &mut LintReport) {
                     continue;
                 }
                 let mut offending = None;
-                if line.contains("parking_lot") {
-                    offending = Some("parking_lot");
-                } else if line.contains("std::thread") {
+                if line.contains("std::thread") {
                     offending = Some("std::thread");
                 } else {
                     let mut rest = line;
@@ -865,6 +868,32 @@ fn check_lock_order(root: &Path, report: &mut LintReport) {
     }
 }
 
+/// Check 10: library crates never read the process environment. Matches
+/// `env::var`, which also covers `var_os`, `vars` and `vars_os`;
+/// `env::args`, `env::temp_dir` and the `env!` macro are not reads of
+/// caller-controlled switches and stay legal.
+fn check_env_ban(root: &Path, report: &mut LintReport) {
+    for src_root in library_roots(root) {
+        for file in rust_files(&src_root) {
+            let Ok(text) = std::fs::read_to_string(&file) else {
+                continue;
+            };
+            let stripped = strip_code(&text);
+            let mask = test_region_mask(&stripped);
+            for (line_no, (line, &in_test)) in stripped.lines().zip(&mask).enumerate() {
+                if !in_test && line.contains("env::var") {
+                    report.violations.push(format!(
+                        "{}:{}: library code reads the process environment — take the value \
+                         as explicit configuration; only the binary parses flags and env",
+                        rel(root, &file),
+                        line_no + 1
+                    ));
+                }
+            }
+        }
+    }
+}
+
 /// Runs every lint over the workspace at `root`.
 pub fn run_lint(root: &Path) -> LintReport {
     let mut report = LintReport::default();
@@ -877,6 +906,7 @@ pub fn run_lint(root: &Path) -> LintReport {
     check_ordering_justifications(root, &mut report);
     check_raw_sync_ban(root, &mut report);
     check_lock_order(root, &mut report);
+    check_env_ban(root, &mut report);
     report
 }
 
@@ -1182,6 +1212,31 @@ real.unwrap();"##;
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert!(report.violations[0].contains("lib.rs:7"));
         assert!(report.violations[0].contains("lock-order"));
+    }
+
+    #[test]
+    fn lint_bans_environment_reads_in_library_crates() {
+        let repo = TempRepo::new("env-ban");
+        // Two reads in a library crate: banned. Doc comments, strings,
+        // test code, `env::args`/`env!`, and the binary: allowed.
+        repo.write(
+            "crates/demo/src/lib.rs",
+            "/// Once read `std::env::var(\"DEMO\")` (doc comment: not a site).\n\
+             pub fn a() -> bool { std::env::var(\"DEMO_THREADS\").is_ok() }\n\
+             pub fn b() -> bool { env::var_os(\"DEMO_ENGINE\").is_some() }\n\
+             pub fn ok() -> usize { std::env::args().count() + env!(\"CARGO\").len() }\n\
+             #[cfg(test)]\n\
+             mod tests { fn t() { std::env::var(\"SEED\").ok(); } }\n",
+        );
+        repo.write(
+            "src/bin/demo.rs",
+            "fn main() { let _ = std::env::var(\"DEMO_FAULT\"); }\n",
+        );
+        let report = run_lint(&repo.root);
+        assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
+        assert!(report.violations[0].contains("crates/demo/src/lib.rs:2"));
+        assert!(report.violations[1].contains("crates/demo/src/lib.rs:3"));
+        assert!(report.violations[0].contains("process environment"));
     }
 
     #[test]
