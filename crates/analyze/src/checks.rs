@@ -21,7 +21,7 @@
 use crate::diagnostics::{Analysis, Diagnostic};
 use std::collections::{HashMap, HashSet};
 use viewplan_containment::minimize;
-use viewplan_core::{body_signature, view_is_unusable, MAX_SUBGOALS};
+use viewplan_core::{body_signature, view_is_unusable, CatalogIndex, MAX_SUBGOALS};
 use viewplan_cq::{
     hypertree_width_estimate, Atom, ConjunctiveQuery, Program, RuleSpans, Span, Symbol, Term, View,
     ViewSet,
@@ -109,20 +109,16 @@ pub fn analyze_errors(program: &Program, layout: Layout) -> Analysis {
 
 /// Cheap arity validation of one ad-hoc query against a fixed view set —
 /// the `serve` reject-before-cache path, where queries come from stdin
-/// and carry no spans. Returns the first conflict as an error message.
-pub fn validate_query_against_views(
+/// and carry no spans. Returns the first conflict (body atoms in order,
+/// then the head) as an error message. O(|query|): the arities come from
+/// the view set's [`CatalogIndex`], which a serving snapshot already
+/// holds.
+pub fn validate_query_arities(
     query: &ConjunctiveQuery,
-    views: &ViewSet,
+    index: &CatalogIndex,
 ) -> Result<(), String> {
-    let mut arity: HashMap<Symbol, usize> = HashMap::new();
-    for v in views.iter() {
-        arity.insert(v.name(), v.arity());
-        for a in &v.definition.body {
-            arity.entry(a.predicate).or_insert(a.terms.len());
-        }
-    }
     for a in query.body.iter().chain(std::iter::once(&query.head)) {
-        if let Some(&expected) = arity.get(&a.predicate) {
+        if let Some(expected) = index.arity_of(a.predicate) {
             if expected != a.terms.len() {
                 return Err(format!(
                     "[VP001] arity mismatch: '{}' is used with {} arguments, but the view set \
@@ -135,6 +131,15 @@ pub fn validate_query_against_views(
         }
     }
     Ok(())
+}
+
+/// [`validate_query_arities`] for a caller that holds only the views:
+/// indexes them for this one check.
+pub fn validate_query_against_views(
+    query: &ConjunctiveQuery,
+    views: &ViewSet,
+) -> Result<(), String> {
+    validate_query_arities(query, &CatalogIndex::build(views, &[]))
 }
 
 /// VP001: every use of a predicate must agree on arity. The first

@@ -36,6 +36,9 @@ pub mod checks;
 pub mod diagnostics;
 pub mod render;
 
-pub use checks::{analyze, analyze_errors, validate_query_against_views, Layout, BLOWUP_THRESHOLD};
+pub use checks::{
+    analyze, analyze_errors, validate_query_against_views, validate_query_arities, Layout,
+    BLOWUP_THRESHOLD,
+};
 pub use diagnostics::{Analysis, Diagnostic, Severity};
 pub use render::{render_human, render_json, render_summary};

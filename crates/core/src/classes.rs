@@ -14,6 +14,7 @@
 //! of distinct subgoal subsets, which depends only on the query — the
 //! experiments show it is essentially constant in the number of views.
 
+use crate::catalog_index::body_pairs;
 use crate::tuple_core::TupleCore;
 use std::collections::HashMap;
 use viewplan_containment::are_equivalent;
@@ -21,7 +22,7 @@ use viewplan_cq::{ConjunctiveQuery, Symbol, View, ViewSet};
 
 /// Renames a view definition's head predicate to a fixed marker so two
 /// views can be compared as queries regardless of their names.
-fn normalized(view: &View) -> ConjunctiveQuery {
+pub(crate) fn normalized(view: &View) -> ConjunctiveQuery {
     let mut def = view.definition.clone();
     def.head.predicate = Symbol::new("__viewclass__");
     def
@@ -36,15 +37,7 @@ fn normalized(view: &View) -> ConjunctiveQuery {
 type ViewSignature = (usize, Vec<(Symbol, usize)>);
 
 fn signature(view: &View) -> ViewSignature {
-    let mut preds: Vec<(Symbol, usize)> = view
-        .definition
-        .body
-        .iter()
-        .map(|a| (a.predicate, a.arity()))
-        .collect();
-    preds.sort();
-    preds.dedup();
-    (view.arity(), preds)
+    (view.arity(), body_pairs(view))
 }
 
 /// Partitions the views into classes equivalent as queries (ignoring the

@@ -22,6 +22,7 @@
 //! default and is what makes the algorithm scale to a thousand views
 //! (Figures 6–9).
 
+use crate::catalog_index::CatalogIndex;
 use crate::classes::{view_equivalence_classes, view_tuple_classes};
 use crate::cover::{all_irredundant_covers_counted, all_minimum_covers_counted};
 use crate::error::{CoreError, MAX_SUBGOALS};
@@ -341,53 +342,66 @@ impl<'a> CoreCover<'a> {
             });
         }
 
-        // Step 1b (§5.2): group views into equivalence classes — or reuse
-        // the classes a PreparedViews set computed once for the whole
-        // query stream (identical by determinism of the grouping).
-        let (active_views, view_classes) = {
-            let _span = obs::span("corecover.group_views");
-            if !self.config.group_equivalent_views {
-                (self.views.clone(), self.views.len())
-            } else if let Some(p) = self.prepared {
-                (p.representatives().clone(), p.class_count())
-            } else {
-                let classes = view_equivalence_classes(self.views);
-                let reps = ViewSet::from_views(
-                    classes.iter().map(|c| self.views.as_slice()[c[0]].clone()),
-                );
-                (reps, classes.len())
-            }
-        };
-
-        // Step 1c: analyzer-driven pruning (VP006). A view whose body
-        // mentions a (predicate, arity) pair absent from the minimized
-        // query admits no homomorphism into the canonical database and
-        // therefore yields zero view tuples — dropping it here skips its
-        // share of the tuple/core work without changing any output.
+        // Step 1b (§5.2) and 1c (VP006), through the catalog index — the
+        // one a PreparedViews set built once for the whole query stream,
+        // or one built here (identical by determinism of the grouping).
+        // Grouping restricts the run to one representative per class.
+        // Pruning drops views whose body mentions a (predicate, arity)
+        // pair absent from the minimized query: such a view admits no
+        // homomorphism into the canonical database and therefore yields
+        // zero view tuples, so skipping it changes no output. The
+        // survivors come from the postings of the query's own pairs.
         // `stats.views`/`stats.view_classes` stay at their pre-pruning
         // values: pruning is an execution shortcut, not a semantic change.
-        let active_views = if self.config.prune_unusable_views {
-            let needed = crate::prune::body_signature(&qm);
-            let mut kept: Vec<_> = Vec::with_capacity(active_views.len());
-            for v in active_views.iter() {
-                if crate::prune::view_is_unusable(&needed, v) {
-                    obs::trace_event!("analyze.view_pruned", ("view", v.name().as_str()));
-                    if let Some(p) = provenance.as_mut() {
-                        p.pruned_views.push(v.name().as_str());
+        let group = self.config.group_equivalent_views;
+        let views = self.views.as_slice();
+        let unprepared;
+        let (index, selected, view_classes) = {
+            let _span = obs::span("corecover.group_views");
+            let (index, class_count) = match self.prepared {
+                Some(p) => (p.index(), p.class_count()),
+                None => {
+                    let classes = if group {
+                        view_equivalence_classes(self.views)
+                    } else {
+                        Vec::new()
+                    };
+                    unprepared = CatalogIndex::build(self.views, &classes);
+                    (&unprepared, classes.len())
+                }
+            };
+            let selected: Vec<usize> = if self.config.prune_unusable_views {
+                index.usable_views(&crate::prune::body_signature(&qm), group)
+            } else {
+                (0..views.len())
+                    .filter(|&i| !group || index.is_representative(i))
+                    .collect()
+            };
+            let view_classes = if group { class_count } else { views.len() };
+            (index, selected, view_classes)
+        };
+        if selected.len() < view_classes {
+            obs::counter!("analyze.views_pruned").add((view_classes - selected.len()) as u64);
+            // Naming the pruned views means walking the catalog, so only
+            // a traced or explained run does it.
+            if provenance.is_some() || (obs::enabled() && obs::trace::active()) {
+                let mut survivors = selected.iter().peekable();
+                for (i, view) in views.iter().enumerate() {
+                    if (group && !index.is_representative(i)) || survivors.next_if_eq(&&i).is_some()
+                    {
+                        continue;
                     }
-                } else {
-                    kept.push(v.clone());
+                    obs::trace_event!("analyze.view_pruned", ("view", view.name().as_str()));
+                    if let Some(p) = provenance.as_mut() {
+                        p.pruned_views.push(view.name().as_str());
+                    }
                 }
             }
-            let pruned = active_views.len() - kept.len();
-            if pruned > 0 {
-                obs::counter!("analyze.views_pruned").add(pruned as u64);
-            }
-            ViewSet::from_views(kept)
-        } else {
-            active_views
-        };
+        }
 
+        // Only the selected views are copied: everything after this point
+        // works on the active set alone.
+        let active_views = ViewSet::from_views(selected.iter().map(|&i| views[i].clone()));
         if let Some(p) = provenance.as_mut() {
             p.surviving_views = active_views.iter().map(|v| v.name().as_str()).collect();
         }
@@ -860,17 +874,6 @@ mod pruning_tests {
             assert_eq!(with.stats, without.stats);
             assert_eq!(with.minimized_query, without.minimized_query);
         }
-    }
-
-    #[test]
-    fn pruning_counts_dropped_views() {
-        let (q, views) = mixed_problem();
-        obs::set_enabled(true);
-        let before = obs::counter_value("analyze.views_pruned");
-        let _ = CoreCover::new(&q, &views).run();
-        let after = obs::counter_value("analyze.views_pruned");
-        // vg, vmix, and varity are provably tuple-free.
-        assert_eq!(after - before, 3);
     }
 
     #[test]

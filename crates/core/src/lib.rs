@@ -42,6 +42,7 @@
 //! ```
 
 pub mod bucket;
+pub mod catalog_index;
 pub mod classes;
 pub mod corecover;
 pub mod cover;
@@ -57,6 +58,7 @@ pub mod tuple_core;
 pub mod view_tuple;
 
 pub use bucket::{bucket_rewritings, build_buckets, BucketEntry, Buckets};
+pub use catalog_index::CatalogIndex;
 pub use classes::{view_equivalence_classes, view_tuple_classes};
 pub use corecover::{
     CandidateCover, CandidateVerdict, CoreCover, CoreCoverConfig, CoreCoverResult, CoreCoverStats,

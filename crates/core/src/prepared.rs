@@ -16,14 +16,26 @@
 //! prepared run's output is byte-identical to an unprepared one — the
 //! serving layer's correctness story depends on this, and
 //! `prepared_runs_match_fresh_runs` below pins it.
+//!
+//! A prepared set also holds the [`CatalogIndex`] of its views, so that
+//! the two per-request lookups — predicate arities for the VP001 gate,
+//! usable views for the VP006 prefilter — do not walk the catalog either,
+//! and online DDL derives the next snapshot from the current one
+//! ([`PreparedViews::with_view_added`],
+//! [`PreparedViews::with_views_dropped`]) instead of regrouping it.
 
-use crate::classes::view_equivalence_classes;
-use viewplan_cq::ViewSet;
+use crate::catalog_index::{body_pairs, CatalogIndex};
+use crate::classes::{normalized, view_equivalence_classes};
+use std::sync::OnceLock;
+use viewplan_containment::are_equivalent;
+use viewplan_cq::{Symbol, View, ViewSet};
 use viewplan_obs as obs;
 
 /// A view set with its query-independent preprocessing done: view
-/// equivalence classes and the representative view per class. Immutable
-/// after construction; share by reference across threads.
+/// equivalence classes and the [`CatalogIndex`] (predicate arities,
+/// `(predicate, arity)` postings, body signatures, representative bits).
+/// Immutable after construction; share by reference across threads.
+/// Nothing a request does needs to iterate [`PreparedViews::views`].
 ///
 /// Each snapshot carries an **epoch** — a monotone version number the
 /// live-catalog layer in `viewplan-serve` bumps on every online
@@ -35,7 +47,10 @@ use viewplan_obs as obs;
 pub struct PreparedViews {
     views: ViewSet,
     classes: Vec<Vec<usize>>,
-    representatives: ViewSet,
+    index: CatalogIndex,
+    /// Built on first use: the request path selects representatives
+    /// through the index, so a snapshot swap does not pay for the copy.
+    representatives: OnceLock<ViewSet>,
     epoch: u64,
 }
 
@@ -53,15 +68,79 @@ impl PreparedViews {
     pub fn prepare_with_epoch(views: &ViewSet, epoch: u64) -> PreparedViews {
         let _span = obs::span("serve.prepare_views");
         let classes = view_equivalence_classes(views);
-        let representatives =
-            ViewSet::from_views(classes.iter().map(|c| views.as_slice()[c[0]].clone()));
         obs::counter!("serve.prepared_view_sets").incr();
+        PreparedViews::assemble(views.clone(), classes, epoch)
+    }
+
+    /// The one place a snapshot's index is built: once per snapshot,
+    /// never per request (`serve.catalog_index_builds` counts it).
+    fn assemble(views: ViewSet, classes: Vec<Vec<usize>>, epoch: u64) -> PreparedViews {
+        obs::counter!("serve.catalog_index_builds").incr();
+        let index = CatalogIndex::build(&views, &classes);
         PreparedViews {
-            views: views.clone(),
+            views,
             classes,
-            representatives,
+            index,
+            representatives: OnceLock::new(),
             epoch,
         }
+    }
+
+    /// The snapshot of this view set plus `view` (appended last), at
+    /// `epoch` — equal to [`PreparedViews::prepare_with_epoch`] over the
+    /// extended set, without regrouping it: the new view is tested only
+    /// against the class representatives of its own signature bucket
+    /// (same head arity, same body `(predicate, arity)` pairs) and joins
+    /// the first equivalent one's class or opens a new last class, which
+    /// is what the from-scratch pass does when it reaches the last view.
+    pub fn with_view_added(&self, view: View, epoch: u64) -> PreparedViews {
+        let signature = body_pairs(&view);
+        let norm = normalized(&view);
+        let bucket = self.index.views_with_signature(&signature);
+        let joined = bucket.iter().copied().find(|&i| {
+            let candidate = &self.views.as_slice()[i];
+            self.index.is_representative(i)
+                && candidate.arity() == view.arity()
+                && are_equivalent(&normalized(candidate), &norm)
+        });
+        let mut classes = self.classes.clone();
+        let added = self.views.len();
+        match joined.and_then(|rep| classes.binary_search_by_key(&rep, |class| class[0]).ok()) {
+            Some(class) => classes[class].push(added),
+            None => classes.push(vec![added]),
+        }
+        let mut views = self.views.clone();
+        views.push(view);
+        PreparedViews::assemble(views, classes, epoch)
+    }
+
+    /// The snapshot of this view set without the views named `name`, at
+    /// `epoch` — equal to [`PreparedViews::prepare_with_epoch`] over the
+    /// remaining views: membership is query equivalence, which removing
+    /// a view does not change, so each class keeps its surviving members
+    /// under their new indices, empty classes go, and classes are again
+    /// ordered by their first member.
+    pub fn with_views_dropped(&self, name: Symbol, epoch: u64) -> PreparedViews {
+        let mut kept = 0usize;
+        let renumbered: Vec<Option<usize>> = self
+            .views
+            .iter()
+            .map(|view| {
+                (view.name() != name).then(|| {
+                    kept += 1;
+                    kept - 1
+                })
+            })
+            .collect();
+        let mut classes: Vec<Vec<usize>> = self
+            .classes
+            .iter()
+            .map(|class| class.iter().filter_map(|&i| renumbered[i]).collect())
+            .filter(|class: &Vec<usize>| !class.is_empty())
+            .collect();
+        classes.sort_by_key(|class| class[0]);
+        let views = ViewSet::from_views(self.views.iter().filter(|v| v.name() != name).cloned());
+        PreparedViews::assemble(views, classes, epoch)
     }
 
     /// The catalog epoch this snapshot was prepared at (0 for static
@@ -82,9 +161,20 @@ impl PreparedViews {
         &self.classes
     }
 
+    /// The arity map, postings and signatures of this view set.
+    pub fn index(&self) -> &CatalogIndex {
+        &self.index
+    }
+
     /// One representative view per class, in class order.
     pub fn representatives(&self) -> &ViewSet {
-        &self.representatives
+        self.representatives.get_or_init(|| {
+            ViewSet::from_views(
+                self.classes
+                    .iter()
+                    .map(|c| self.views.as_slice()[c[0]].clone()),
+            )
+        })
     }
 
     /// Number of equivalence classes.

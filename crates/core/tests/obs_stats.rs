@@ -86,4 +86,24 @@ fn counters_agree_with_corecover_stats() {
     ] {
         assert!(child_names.contains(&phase), "missing phase {phase}");
     }
+
+    // `analyze.views_pruned` counts the views the VP006 prune dropped:
+    // here vg (foreign predicate), vmix (one foreign atom) and varity
+    // (same predicate, other arity).
+    let query = parse_query("q(X, Y) :- e(X, Z), f(Z, Y)").unwrap();
+    let views = parse_views(
+        "vall(X, Y) :- e(X, Z), f(Z, Y).\n\
+         ve(X, Z) :- e(X, Z).\n\
+         vf(Z, Y) :- f(Z, Y).\n\
+         vg(A, B) :- g(A, B).\n\
+         vmix(A) :- e(A, B), h(B).\n\
+         varity(A) :- e(A, B, B).",
+    )
+    .unwrap();
+    let pruned_before = obs::counter_value("analyze.views_pruned");
+    let _ = CoreCover::new(&query, &views).run();
+    assert_eq!(
+        obs::counter_value("analyze.views_pruned") - pruned_before,
+        3
+    );
 }

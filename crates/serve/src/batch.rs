@@ -169,8 +169,7 @@ impl BatchServer {
     /// A server with explicit configuration. The per-view-set
     /// preprocessing runs here, once.
     pub fn with_config(views: &ViewSet, config: ServeConfig) -> BatchServer {
-        let _engine = viewplan_engine::install(config.engine);
-        let prepared = Arc::new(PreparedViews::prepare(views));
+        let prepared = prepare_snapshot(config.engine, || PreparedViews::prepare(views));
         let cache = (config.cache_capacity > 0)
             .then(|| Arc::new(RewritingCache::new(config.cache_capacity)));
         BatchServer {
@@ -235,8 +234,10 @@ impl BatchServer {
     /// space with entries that can only ever answer "no rewriting" (and,
     /// worse, teach callers that the mismatch was meaningful). Callers
     /// should gate [`BatchServer::serve`] on this for untrusted input.
+    /// Reads the snapshot's arity map, so the cost does not depend on the
+    /// size of the catalog.
     pub fn validate(&self, query: &ConjunctiveQuery) -> Result<(), String> {
-        viewplan_analyze::validate_query_against_views(query, self.views())
+        viewplan_analyze::validate_query_arities(query, self.prepared.index())
     }
 
     /// Answers one query: canonicalize, hit the cache or run the
@@ -342,6 +343,17 @@ impl BatchServer {
             completeness: outcome.completeness,
         })
     }
+}
+
+/// Builds a snapshot with `engine` installed — the engine the server
+/// installs per request: the grouping pass may evaluate views, and the
+/// override is thread-local.
+pub(crate) fn prepare_snapshot(
+    engine: Engine,
+    build: impl FnOnce() -> PreparedViews,
+) -> Arc<PreparedViews> {
+    let _engine = viewplan_engine::install(engine);
+    Arc::new(build())
 }
 
 /// Renames a canonical-space answer into the request's variable names —

@@ -4,10 +4,15 @@
 //! A [`LiveCatalog`] wraps one [`BatchServer`] behind an epoch-versioned
 //! `Arc` snapshot: readers grab the current server with a brief
 //! read-lock clone and then serve entirely lock-free against it, while
-//! the single DDL writer (serialized by its own mutex) builds the next
-//! [`PreparedViews`] snapshot **off the hot path** — the quadratic §5.2
-//! view-equivalence grouping runs before any lock that readers contend
-//! on — and publishes it with one pointer swap. In-flight requests keep
+//! the single DDL writer (serialized by its own mutex) derives the next
+//! [`PreparedViews`] snapshot from the current one **off the hot path**
+//! — before any lock that readers contend on — and publishes it with one
+//! pointer swap. The derivation does not regroup the catalog: an added
+//! view is compared with the class representatives of its own signature
+//! bucket only, a drop renumbers the surviving class members, and the
+//! snapshot's catalog index is rebuilt in one linear pass
+//! ([`PreparedViews::with_view_added`],
+//! [`PreparedViews::with_views_dropped`]). In-flight requests keep
 //! the snapshot they started with alive through their `Arc`; new
 //! requests see the new epoch immediately. There is no drain, no pause,
 //! no request that observes a half-applied catalog.
@@ -52,7 +57,7 @@ use viewplan_obs as obs;
 use viewplan_obs::budget::FaultPoint;
 use viewplan_sync::{Mutex, RwLock};
 
-use crate::batch::{BatchServer, CachedAnswer, ServeConfig};
+use crate::batch::{prepare_snapshot, BatchServer, CachedAnswer, ServeConfig};
 use crate::cache::RetargetOutcome;
 use crate::fault::ServeFaults;
 
@@ -129,16 +134,18 @@ impl LiveCatalog {
         current
             .validate(&view.definition)
             .map_err(|e| format!("invalid view definition: {e}"))?;
-        let mut views = current.views().clone();
-        views.push(view.clone());
         let body_preds: HashSet<Symbol> =
             view.definition.body.iter().map(|a| a.predicate).collect();
-        self.swap_to(&current, views, move |canonical, _| {
-            canonical
-                .body
-                .iter()
-                .any(|a| a.predicate == name || body_preds.contains(&a.predicate))
-        })
+        self.swap_to(
+            &current,
+            |snapshot, epoch| snapshot.with_view_added(view, epoch),
+            move |canonical, _| {
+                canonical
+                    .body
+                    .iter()
+                    .any(|a| a.predicate == name || body_preds.contains(&a.predicate))
+            },
+        )
     }
 
     /// Drops every view named `name` under a fresh epoch.
@@ -148,37 +155,37 @@ impl LiveCatalog {
         if current.views().get(name).is_none() {
             return Err(format!("unknown view `{name}`"));
         }
-        let views =
-            ViewSet::from_views(current.views().iter().filter(|v| v.name() != name).cloned());
-        self.swap_to(&current, views, move |canonical, answer| {
-            mentions(canonical, name)
-                || answer.rewritings.iter().any(|r| mentions(r, name))
-                || answer.best.as_ref().is_some_and(|b| {
-                    mentions(&b.rewriting, name)
-                        || b.plan.steps.iter().any(|s| s.atom.predicate == name)
-                })
-        })
+        self.swap_to(
+            &current,
+            |snapshot, epoch| snapshot.with_views_dropped(name, epoch),
+            move |canonical, answer| {
+                mentions(canonical, name)
+                    || answer.rewritings.iter().any(|r| mentions(r, name))
+                    || answer.best.as_ref().is_some_and(|b| {
+                        mentions(&b.rewriting, name)
+                            || b.plan.steps.iter().any(|s| s.atom.predicate == name)
+                    })
+            },
+        )
     }
 
-    /// The common swap tail (DDL lock held): prepare the new snapshot
-    /// off the hot path, publish it, then settle the shared cache.
+    /// The common swap tail (DDL lock held): derive the next snapshot
+    /// from the current one off the hot path, publish it, then settle the
+    /// shared cache.
     // lock-order: the `ddl` mutex (held by the caller) is always taken
     // before the `server` write lock, and the write lock is released
     // before the cache's shard locks (inside retarget) are touched.
     fn swap_to(
         &self,
         current: &Arc<BatchServer>,
-        views: ViewSet,
+        next_snapshot: impl FnOnce(&PreparedViews, u64) -> PreparedViews,
         affected: impl Fn(&ConjunctiveQuery, &CachedAnswer) -> bool,
     ) -> Result<DdlOutcome, String> {
         let old_epoch = current.epoch();
         let new_epoch = old_epoch + 1;
-        let prepared = {
-            // Same engine the server installs per request: the grouping
-            // pass may evaluate views, and the override is thread-local.
-            let _engine = viewplan_engine::install(current.config().engine);
-            Arc::new(PreparedViews::prepare_with_epoch(&views, new_epoch))
-        };
+        let prepared = prepare_snapshot(current.config().engine, || {
+            next_snapshot(current.prepared(), new_epoch)
+        });
         if self.faults.fires(FaultPoint::Swap) {
             return Err(format!(
                 "injected swap fault: catalog stays at epoch {old_epoch}"

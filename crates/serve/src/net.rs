@@ -51,7 +51,7 @@
 //! every request is still accounted for (answered, shed, or failed
 //! loudly at the client; never silently dropped).
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -315,6 +315,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     drop(stream);
                     continue;
                 }
+                // Every response is one complete frame in one write, so
+                // Nagle's algorithm could only delay it.
+                let _ = stream.set_nodelay(true);
                 let shared2 = shared.clone();
                 let spawned = thread::Builder::new()
                     .name("viewplan-conn".to_string())
@@ -343,26 +346,33 @@ enum Waited {
     Shutdown,
 }
 
-/// Polls for the first byte of the next frame, enforcing the idle
-/// timeout in short slices so the shutdown flag is honored promptly.
-fn wait_for_frame(stream: &TcpStream, shared: &Shared) -> Waited {
-    let slice =
-        Duration::from_millis(50).min(shared.config.idle_timeout.max(Duration::from_millis(1)));
-    if stream.set_read_timeout(Some(slice)).is_err() {
-        return Waited::Eof;
+/// The poll slice the socket's read timeout is armed with, once per
+/// connection: short enough that the shutdown flag is honored promptly
+/// while a handler waits for a frame.
+fn poll_slice(config: &NetConfig) -> Duration {
+    Duration::from_millis(50).min(config.idle_timeout.max(Duration::from_millis(1)))
+}
+
+/// Waits for the next frame to start, enforcing the idle timeout in
+/// [`poll_slice`] steps. Bytes already buffered are a frame that has
+/// started — a client may send its next frame in the same segment as
+/// the previous one — so the socket is only polled when the buffer is
+/// empty.
+fn wait_for_frame(reader: &BufReader<TcpStream>, shared: &Shared) -> Waited {
+    if !reader.buffer().is_empty() {
+        return Waited::Data;
     }
+    let slice = poll_slice(&shared.config);
     let mut waited = Duration::ZERO;
     let mut byte = [0u8; 1];
     loop {
         if shared.shutting_down() {
             return Waited::Shutdown;
         }
-        match stream.peek(&mut byte) {
+        match reader.get_ref().peek(&mut byte) {
             Ok(0) => return Waited::Eof,
             Ok(_) => return Waited::Data,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
+            Err(e) if is_timeout(&e) => {
                 waited += slice;
                 if waited >= shared.config.idle_timeout {
                     return Waited::Idle;
@@ -373,9 +383,44 @@ fn wait_for_frame(stream: &TcpStream, shared: &Shared) -> Waited {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn is_timeout(e: &io::Error) -> bool {
+    e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut
+}
+
+/// Reads a started frame under `read_timeout` for the frame as a whole:
+/// the socket keeps its [`poll_slice`] timeout, and a read that times
+/// out is retried until the frame's deadline.
+struct FrameReader<'a> {
+    inner: &'a mut BufReader<TcpStream>,
+    deadline: Instant,
+}
+
+impl Read for FrameReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.inner.read(buf) {
+                Err(e) if is_timeout(&e) && Instant::now() < self.deadline => {}
+                other => return other,
+            }
+        }
+    }
+}
+
+fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    // Both timeouts are armed once: neither value changes over the
+    // connection's life. Reads go through a buffer (unbuffered, a frame
+    // header costs one `read` per digit); `write_frame` assembles the
+    // whole frame, so writes go straight to the socket.
+    if stream
+        .set_read_timeout(Some(poll_slice(&shared.config)))
+        .and_then(|()| stream.set_write_timeout(Some(shared.config.write_timeout)))
+        .is_err()
+    {
+        return;
+    }
+    let mut reader = BufReader::new(stream);
     loop {
-        match wait_for_frame(&stream, shared) {
+        match wait_for_frame(&reader, shared) {
             Waited::Data => {}
             Waited::Idle => {
                 // ordering: monotone tally; readers only want a recent
@@ -386,20 +431,17 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             }
             Waited::Eof | Waited::Shutdown => return,
         }
-        if stream
-            .set_read_timeout(Some(shared.config.read_timeout))
-            .is_err()
-        {
-            return;
-        }
-        let frame = match read_frame(&mut stream, shared.config.max_frame) {
+        let mut frame_reader = FrameReader {
+            deadline: Instant::now() + shared.config.read_timeout,
+            inner: &mut reader,
+        };
+        let frame = match read_frame(&mut frame_reader, shared.config.max_frame) {
             Ok(Some(payload)) => payload,
             Ok(None) => return,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // A malformed header is answered before closing — the
                 // client learns why instead of seeing a bare hangup.
-                let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                let _ = write_frame(&mut stream, &format!("error code=2 {e}"));
+                let _ = write_frame(reader.get_mut(), &format!("error code=2 {e}"));
                 return;
             }
             Err(_) => return,
@@ -414,8 +456,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         let response = match dispatch(&frame, shared) {
             Dispatch::Reply(r) => r,
             Dispatch::Shutdown => {
-                let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                let _ = write_frame(&mut stream, "bye");
+                let _ = write_frame(reader.get_mut(), "bye");
                 shared.request_shutdown();
                 return;
             }
@@ -425,13 +466,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             // delivered.
             return;
         }
-        if stream
-            .set_write_timeout(Some(shared.config.write_timeout))
-            .is_err()
-        {
-            return;
-        }
-        if write_frame(&mut stream, &response).is_err() {
+        if write_frame(reader.get_mut(), &response).is_err() {
             return;
         }
     }

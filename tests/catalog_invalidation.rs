@@ -4,9 +4,15 @@
 //! cold recompute under the catalog's current view set — i.e. the
 //! epoch-tagged retargeting kept exactly the entries it was allowed to
 //! keep, at every worker thread count.
+//!
+//! A second property covers the snapshot itself: DDL derives each epoch's
+//! view classes from the previous epoch's instead of regrouping the
+//! catalog, and that must be indistinguishable from preparing the new
+//! view set from scratch.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use viewplan::core::PreparedViews;
 use viewplan::prelude::*;
 use viewplan::serve::{BatchServer, LiveCatalog, ServeConfig};
 
@@ -99,8 +105,63 @@ fn check_sequence(ops: &[(u32, u32)], threads: usize) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// A base set with a two-member class (`v0` ≡ `v1`, so dropping `v0`
+/// drops a representative that has other members) and a shadowed name
+/// (`dup` twice, at two arities).
+const SNAPSHOT_BASE: &str = "v0(A, B) :- a(A, B).\n\
+     v1(A, B) :- a(A, B).\n\
+     dup(A) :- a(A, A).\n\
+     dup(A, B) :- b(A, B).";
+
+/// Views the snapshot property adds: some open a class, some join one
+/// (`w5`/`w7` ≡ `v0`, `w6` ≡ `w2`; `w7` only semantically), and the base
+/// names can come back after a drop.
+const SNAPSHOT_CANDIDATES: [&str; 10] = [
+    "w1(A, B) :- a(A, B), a(B, B)",
+    "w2(C, D) :- a(C, E), b(C, D)",
+    "w3(A, B) :- b(A, B)",
+    "w4(A, B) :- a(A, B), c(B, B)",
+    "w5(X, Y) :- a(X, Y)",
+    "w6(X, Y) :- b(X, Y), a(X, Z)",
+    "w7(A, B) :- a(A, B), a(A, C)",
+    "v0(A, B) :- a(A, B)",
+    "v1(A, B) :- a(A, B)",
+    "dup(A) :- a(A, A)",
+];
+
+/// After every DDL step, the snapshot the catalog derived incrementally
+/// equals the one prepared from scratch over the same views and epoch.
+fn check_snapshots(ops: &[(u32, u32)]) -> Result<(), TestCaseError> {
+    let catalog = LiveCatalog::new(&parse_views(SNAPSHOT_BASE).unwrap(), config(1));
+    for &(kind, idx) in ops {
+        let src = SNAPSHOT_CANDIDATES[idx as usize % SNAPSHOT_CANDIDATES.len()];
+        let definition = parse_query(src).unwrap();
+        // Rejected steps (duplicate add, unknown drop) do not swap.
+        let _ = if kind % 2 == 0 {
+            catalog.add_view(View { definition })
+        } else {
+            catalog.drop_view(definition.head.predicate)
+        };
+        let server = catalog.server();
+        let incremental = server.prepared();
+        let scratch = PreparedViews::prepare_with_epoch(server.views(), server.epoch());
+        prop_assert_eq!(incremental.classes(), scratch.classes(), "after {:?}", ops);
+        prop_assert_eq!(incremental.representatives(), scratch.representatives());
+        prop_assert_eq!(incremental.index(), scratch.index(), "after {:?}", ops);
+        prop_assert_eq!(incremental.epoch(), scratch.epoch());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn incremental_snapshots_equal_from_scratch(
+        ops in proptest::collection::vec((0u32..2, 0u32..10), 1..16),
+    ) {
+        check_snapshots(&ops)?;
+    }
 
     #[test]
     fn residents_always_match_cold_recompute(

@@ -151,6 +151,29 @@ fn socket_serves_queries_and_ddl_end_to_end() {
 }
 
 #[test]
+fn two_frames_in_one_write_are_both_answered() {
+    // The server reads through a buffer, so the second frame may already
+    // sit in user space when the handler goes back to waiting on the
+    // socket: it must be served from the buffer, not left until the idle
+    // timeout reaps the connection.
+    let views = temp_file("viewplan_net_pipelined_views.vp", VIEWS);
+    let server = Server::start(&views, None, &["--idle-timeout-ms", "2000"]);
+    let mut conn = server.connect();
+
+    let query = format!("query {QUERY}");
+    let both = format!("4\nping{}\n{query}", query.len());
+    conn.write_all(both.as_bytes()).unwrap();
+    conn.flush().unwrap();
+    assert_eq!(recv(&mut conn).as_deref(), Some("pong epoch=0"));
+    let answer = recv(&mut conn).expect("the pipelined frame is answered");
+    assert!(answer.starts_with("ok epoch=0 "), "{answer}");
+    // The connection is still in frame sync afterwards.
+    assert_eq!(roundtrip(&mut conn, "ping"), "pong epoch=0");
+
+    server.shutdown();
+}
+
+#[test]
 fn socket_errors_are_structured_and_never_drop_the_connection() {
     let views = temp_file("viewplan_net_err_views.vp", VIEWS);
     let server = Server::start(&views, None, &[]);
