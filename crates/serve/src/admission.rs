@@ -1,39 +1,50 @@
 //! Bounded, deadline-aware admission control with honest load shedding.
 //!
-//! The network front-end does not hand requests straight to workers — it
-//! offers them to an [`AdmissionQueue`], which admits or *sheds* at
-//! arrival time. Shedding is never silent: every shed carries a
-//! [`ShedReason`], and the wire layer answers it with an explicit `shed`
-//! response whose completeness marker is the honest
+//! A connection thread runs its own request, but only after it has
+//! *entered* the [`AdmissionGate`]: `permits` requests run their
+//! pipelines at once, at most `capacity` more wait their turn, and
+//! everything beyond that is *shed* on arrival. Shedding is never
+//! silent: every shed carries a [`ShedReason`], and the wire layer
+//! answers it with an explicit `shed` response whose completeness marker
+//! is the honest
 //! [`Completeness::DeadlineExceeded`](viewplan_obs::Completeness) — the
 //! client learns its request did no work, rather than timing out against
-//! a queue that was never going to reach it.
+//! a server that was never going to reach it.
 //!
-//! Three admission verdicts:
+//! Three verdicts on arrival:
 //!
-//! * **queue full** — the bounded queue is at capacity. Admitting more
-//!   would only move the failure from an instant, cheap rejection to a
-//!   slow, expensive timeout (and take every other request's latency
-//!   down with it).
-//! * **deadline unmeetable** — reject-on-arrival: the queue projects its
-//!   wait as `queue length × EWMA service time` and sheds any request
-//!   whose deadline falls inside that projection. This is the classic
-//!   overload stabilizer: work that would be dead on arrival is never
-//!   admitted, so the server's effort goes only to requests that can
-//!   still make their deadlines.
-//! * **shutting down** — the queue is closed; drain-in-progress.
+//! * **queue full** — `capacity` requests are already waiting. Admitting
+//!   more would only move the failure from an instant, cheap rejection
+//!   to a slow, expensive timeout (and take every other request's
+//!   latency down with it).
+//! * **deadline unmeetable** — the gate projects the wait as `waiting
+//!   requests × EWMA service time` and sheds any request whose deadline
+//!   falls inside that projection. This is the classic overload
+//!   stabilizer: work that would be dead on arrival is never admitted. A
+//!   waiter whose deadline lapsed anyway is shed with the same reason
+//!   when its turn comes — no work is done for an answer nobody is
+//!   waiting for.
+//! * **shutting down** — the gate is closed; drain in progress.
+//!
+//! Turns are taken in arrival order: an arrival that finds every permit
+//! held draws a ticket and sleeps on a condvar of its own, and a
+//! finishing request passes its permit straight to the oldest ticket —
+//! waking that one thread and no other — so a new arrival can never
+//! overtake a waiter, and a saturated gate costs one wake-up per
+//! request however many are waiting.
 //!
 //! The service-time estimate is an exponentially weighted moving average
-//! (`new = old·7/8 + sample/8`) updated by workers on completion —
+//! (`new = old·7/8 + sample/8`) folded in when a [`Permit`] drops —
 //! cheap, lock-free, and deliberately coarse: admission needs the right
 //! order of magnitude, not a forecast.
 //!
-//! Shutdown semantics support graceful drain: after [`AdmissionQueue::
-//! close`], offers shed with [`ShedReason::ShuttingDown`] but
-//! [`AdmissionQueue::take`] keeps returning already-admitted work until
-//! the queue is empty — an admitted request is a promise.
+//! Shutdown semantics support graceful drain: after
+//! [`AdmissionGate::close`], arrivals shed with
+//! [`ShedReason::ShuttingDown`] but requests already waiting keep their
+//! turn — an admitted request is a promise.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viewplan_obs as obs;
 use viewplan_sync::{AtomicU64, Condvar, Mutex, Ordering};
@@ -41,9 +52,9 @@ use viewplan_sync::{AtomicU64, Condvar, Mutex, Ordering};
 /// Why a request was refused at admission.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ShedReason {
-    /// The bounded queue is at capacity.
+    /// As many requests as the gate lets wait are already waiting.
     QueueFull,
-    /// Projected queue wait exceeds the request's deadline.
+    /// Projected (or actual) wait exceeds the request's deadline.
     DeadlineUnmeetable,
     /// The server is draining for shutdown.
     ShuttingDown,
@@ -60,46 +71,29 @@ impl ShedReason {
     }
 }
 
-/// One admitted request, stamped with its arrival time and deadline.
-pub struct Admitted<T> {
-    /// The caller's payload.
-    pub item: T,
-    /// Absolute deadline, if the request carried one.
-    pub deadline: Option<Instant>,
-    enqueued: Instant,
-}
-
-impl<T> Admitted<T> {
-    /// Time this request spent queued so far.
-    pub fn queue_wait(&self) -> Duration {
-        self.enqueued.elapsed()
-    }
-
-    /// True when the deadline passed while the request sat in the queue
-    /// — the worker should answer with an honest shed instead of doing
-    /// work whose result nobody is waiting for.
-    pub fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Time remaining until the deadline (None = unbounded).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-}
-
-struct State<T> {
-    queue: VecDeque<Admitted<T>>,
+struct State {
+    /// Permits currently held. A waiter exists only while every permit
+    /// is held: a finishing request passes its permit straight to the
+    /// oldest waiter instead of freeing it.
+    running: usize,
+    /// Tickets below this one have been passed a permit; the waiting
+    /// ones follow it, one per sleeper.
+    granted: u64,
+    /// Where each waiting ticket sleeps, oldest first — one condvar per
+    /// waiter, so passing a permit on wakes exactly the thread it is
+    /// for.
+    sleepers: VecDeque<Arc<Condvar>>,
     closed: bool,
 }
 
-/// A bounded MPMC queue with deadline-aware admission (see the module
-/// docs). `offer` never blocks; `take` blocks until work arrives or the
-/// queue is closed and drained.
-pub struct AdmissionQueue<T> {
-    state: Mutex<State<T>>,
-    ready: Condvar,
+/// A counting gate with a bounded FIFO of waiters and deadline-aware
+/// admission (see the module docs). [`AdmissionGate::enter`] blocks the
+/// calling thread until its turn, or sheds it.
+pub struct AdmissionGate {
+    // lock-order: leaf — nothing else is locked while it is held (the
+    // waiters' condvars all pair with it).
+    state: Mutex<State>,
+    permits: usize,
     capacity: usize,
     /// EWMA of per-request service time, microseconds. Zero until the
     /// first completion — projection starts optimistic, which only
@@ -108,134 +102,137 @@ pub struct AdmissionQueue<T> {
     shed: AtomicU64,
 }
 
-impl<T> AdmissionQueue<T> {
-    /// A queue admitting at most `capacity` waiting requests (clamped to
-    /// at least 1).
-    pub fn new(capacity: usize) -> AdmissionQueue<T> {
-        AdmissionQueue {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-            service_ewma_us: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-        }
-    }
+/// The right to run one request's pipeline. Dropping it passes the slot
+/// to the next waiter and folds the time it was held into the gate's
+/// service-time estimate.
+pub struct Permit<'a> {
+    gate: &'a AdmissionGate,
+    admitted: Instant,
+}
 
-    /// Offers a request. Returns the payload back with a [`ShedReason`]
-    /// when admission refuses it, so the caller can answer honestly.
-    pub fn offer(&self, item: T, deadline: Option<Instant>) -> Result<(), (T, ShedReason)> {
-        let mut state = self.state.lock();
-        let reason = if state.closed {
-            Some(ShedReason::ShuttingDown)
-        } else if state.queue.len() >= self.capacity {
-            Some(ShedReason::QueueFull)
-        } else if deadline
-            .is_some_and(|d| Instant::now() + self.projected_wait_for(state.queue.len()) >= d)
-        {
-            Some(ShedReason::DeadlineUnmeetable)
-        } else {
-            None
-        };
-        match reason {
-            Some(reason) => {
-                drop(state);
-                self.shed_with(item, reason)
-            }
-            None => {
-                state.queue.push_back(Admitted {
-                    item,
-                    deadline,
-                    enqueued: Instant::now(),
-                });
-                drop(state);
-                self.ready.notify_one();
-                Ok(())
-            }
-        }
-    }
-
-    fn shed_with(&self, item: T, reason: ShedReason) -> Result<(), (T, ShedReason)> {
-        self.record_shed();
-        Err((item, reason))
-    }
-
-    /// Records a shed that happened past admission (a deadline expiring
-    /// *inside* the queue), so `serve.shed` counts every shed request
-    /// regardless of where it was refused.
-    pub fn record_shed(&self) {
-        // ordering: monotone tally; readers only want a recent count,
-        // not synchronization with the shed request itself.
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        obs::counter!("serve.shed").incr();
-    }
-
-    /// Blocks for the next admitted request; `None` once the queue is
-    /// closed *and* drained. Records the queue-wait histogram.
-    pub fn take(&self) -> Option<Admitted<T>> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(job) = state.queue.pop_front() {
-                drop(state);
-                obs::histogram!("serve.queue_wait_us").record(job.queue_wait().as_micros() as u64);
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state);
-        }
-    }
-
-    /// Worker-side completion report: folds one measured service time
-    /// into the EWMA the admission projection uses.
-    pub fn complete(&self, service: Duration) {
-        let sample = service.as_micros() as u64;
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let sample = self.admitted.elapsed().as_micros() as u64;
+        let ewma = &self.gate.service_ewma_us;
         // ordering: deliberately racy read-modify-write — concurrent
         // completions may drop a sample, which only coarsens an estimate
         // that is already an order-of-magnitude heuristic.
-        let old = self.service_ewma_us.load(Ordering::Relaxed);
+        let old = ewma.load(Ordering::Relaxed);
         let new = if old == 0 {
             sample
         } else {
             old - old / 8 + sample / 8
         };
         // ordering: see the load above; admission tolerates stale EWMAs.
-        self.service_ewma_us.store(new, Ordering::Relaxed);
+        ewma.store(new, Ordering::Relaxed);
+        self.gate.release();
+    }
+}
+
+impl AdmissionGate {
+    /// A gate running at most `permits` requests at once with at most
+    /// `capacity` more waiting (both clamped to at least 1).
+    pub fn new(permits: usize, capacity: usize) -> AdmissionGate {
+        AdmissionGate {
+            state: Mutex::new(State {
+                running: 0,
+                granted: 0,
+                sleepers: VecDeque::new(),
+                closed: false,
+            }),
+            permits: permits.max(1),
+            capacity: capacity.max(1),
+            service_ewma_us: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+        }
     }
 
-    /// The wait admission currently projects for a request arriving at
-    /// the given queue depth.
-    fn projected_wait_for(&self, depth: usize) -> Duration {
+    /// Blocks until this request may run, in arrival order; the error is
+    /// the honest reason it will not.
+    pub fn enter(&self, deadline: Option<Instant>) -> Result<Permit<'_>, ShedReason> {
+        let arrived = Instant::now();
+        let mut state = self.state.lock();
+        let waiting = state.sleepers.len();
         // ordering: heuristic estimate; a stale EWMA only shifts the
-        // admission projection by one sample.
-        Duration::from_micros(self.service_ewma_us.load(Ordering::Relaxed) * depth as u64)
+        // projection (requests ahead x service time) by one sample.
+        let ewma_us = self.service_ewma_us.load(Ordering::Relaxed);
+        let projected_wait = Duration::from_micros(ewma_us * waiting as u64);
+        let refused = if state.closed {
+            Some(ShedReason::ShuttingDown)
+        } else if waiting >= self.capacity {
+            Some(ShedReason::QueueFull)
+        } else if deadline.is_some_and(|d| arrived + projected_wait >= d) {
+            Some(ShedReason::DeadlineUnmeetable)
+        } else {
+            None
+        };
+        if let Some(reason) = refused {
+            drop(state);
+            return Err(self.shed_with(reason));
+        }
+        let mut admitted = arrived;
+        if state.running < self.permits {
+            // A free permit means nobody is waiting for one.
+            state.running += 1;
+        } else {
+            let ticket = state.granted + waiting as u64;
+            let wake = Arc::new(Condvar::new());
+            state.sleepers.push_back(wake.clone());
+            while state.granted <= ticket {
+                state = wake.wait(state);
+            }
+            admitted = Instant::now();
+            if deadline.is_some_and(|d| admitted >= d) {
+                // The deadline lapsed while waiting: honest shed, no
+                // work — the permit goes to whoever is next.
+                drop(state);
+                self.release();
+                return Err(self.shed_with(ShedReason::DeadlineUnmeetable));
+            }
+        }
+        drop(state);
+        let waited = admitted.duration_since(arrived);
+        obs::histogram!("serve.queue_wait_us").record(waited.as_micros() as u64);
+        Ok(Permit {
+            gate: self,
+            admitted,
+        })
     }
 
-    /// The wait admission currently projects for a request arriving now.
-    pub fn projected_wait(&self) -> Duration {
-        let depth = self.state.lock().queue.len();
-        self.projected_wait_for(depth)
+    /// Gives up one held permit: to the oldest waiter when there is one
+    /// (woken once the lock is released, so that it does not run
+    /// straight into it), else back to the gate.
+    fn release(&self) {
+        let mut state = self.state.lock();
+        let oldest = state.sleepers.pop_front();
+        match oldest {
+            Some(_) => state.granted += 1,
+            None => state.running -= 1,
+        }
+        drop(state);
+        if let Some(oldest) = oldest {
+            oldest.notify_one();
+        }
     }
 
-    /// Closes the queue: future offers shed with
-    /// [`ShedReason::ShuttingDown`]; already-admitted requests continue
-    /// to drain through [`AdmissionQueue::take`].
+    fn shed_with(&self, reason: ShedReason) -> ShedReason {
+        // ordering: monotone tally; readers only want a recent count,
+        // not synchronization with the shed request itself.
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        obs::counter!("serve.shed").incr();
+        reason
+    }
+
+    /// Closes the gate: arrivals from now on shed with
+    /// [`ShedReason::ShuttingDown`]; requests already waiting keep their
+    /// turn.
     pub fn close(&self) {
         self.state.lock().closed = true;
-        self.ready.notify_all();
     }
 
-    /// Requests currently waiting.
-    pub fn len(&self) -> usize {
-        self.state.lock().queue.len()
-    }
-
-    /// True when no request is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Requests currently waiting for a permit.
+    pub fn waiting(&self) -> usize {
+        self.state.lock().sleepers.len()
     }
 
     /// Total requests shed since construction.
@@ -248,72 +245,141 @@ impl<T> AdmissionQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use std::thread;
+
+    type Log = Arc<Mutex<Vec<(&'static str, Result<(), ShedReason>)>>>;
+
+    /// Spawns a thread that enters `gate` and, before giving its permit
+    /// back, appends the verdict to `log` tagged with `tag`.
+    fn waiter(
+        gate: &Arc<AdmissionGate>,
+        tag: &'static str,
+        deadline: Option<Instant>,
+        log: &Log,
+    ) -> thread::JoinHandle<()> {
+        let (gate, log) = (gate.clone(), log.clone());
+        thread::spawn(move || {
+            let verdict = gate.enter(deadline);
+            let verdict = verdict.as_ref().map(drop).map_err(|r| *r);
+            log.lock().unwrap().push((tag, verdict));
+        })
+    }
+
+    /// Blocks until `n` requests wait at the gate (arrival is the only
+    /// thing that can raise the count, so this cannot miss it).
+    fn until_waiting(gate: &AdmissionGate, n: usize) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while gate.waiting() != n {
+            assert!(Instant::now() < give_up, "never saw {n} waiter(s)");
+            thread::yield_now();
+        }
+    }
 
     #[test]
     fn full_queue_sheds_with_queue_full() {
-        let q = AdmissionQueue::new(2);
-        assert!(q.offer(1, None).is_ok());
-        assert!(q.offer(2, None).is_ok());
-        let (item, reason) = q.offer(3, None).unwrap_err();
-        assert_eq!((item, reason), (3, ShedReason::QueueFull));
-        assert_eq!(q.shed_count(), 1);
-        assert_eq!(q.len(), 2);
+        let gate = Arc::new(AdmissionGate::new(1, 2));
+        let log = Log::default();
+        let running = gate.enter(None).expect("first arrival runs");
+        let a = waiter(&gate, "a", None, &log);
+        until_waiting(&gate, 1);
+        let b = waiter(&gate, "b", None, &log);
+        until_waiting(&gate, 2);
+        assert_eq!(gate.enter(None).err(), Some(ShedReason::QueueFull));
+        assert_eq!(gate.shed_count(), 1);
+        assert_eq!(gate.waiting(), 2);
+        drop(running);
+        a.join().unwrap();
+        b.join().unwrap();
+        assert_eq!(
+            *log.lock().unwrap(),
+            [("a", Ok(())), ("b", Ok(()))],
+            "arrival order"
+        );
     }
 
     #[test]
     fn unmeetable_deadlines_are_shed_on_arrival() {
-        let q = AdmissionQueue::new(64);
+        let gate = Arc::new(AdmissionGate::new(1, 64));
         // Teach the EWMA that a request takes ~10ms.
-        q.complete(Duration::from_millis(10));
-        assert!(q.offer(0, None).is_ok());
-        assert!(q.offer(1, None).is_ok());
-        // Projected wait at depth 2 is ~20ms; a 5ms deadline is dead on
-        // arrival.
-        let (_, reason) = q
-            .offer(2, Some(Instant::now() + Duration::from_millis(5)))
-            .unwrap_err();
-        assert_eq!(reason, ShedReason::DeadlineUnmeetable);
-        // A roomy deadline is admitted.
-        assert!(q
-            .offer(3, Some(Instant::now() + Duration::from_secs(5)))
-            .is_ok());
+        let first = gate.enter(None).unwrap();
+        thread::sleep(Duration::from_millis(10));
+        drop(first);
+        let log = Log::default();
+        let running = gate.enter(None).unwrap();
+        let a = waiter(&gate, "a", None, &log);
+        until_waiting(&gate, 1);
+        let b = waiter(&gate, "b", None, &log);
+        until_waiting(&gate, 2);
+        // Projected wait behind two waiters is ~20ms; a 5ms deadline is
+        // dead on arrival.
+        let tight = Instant::now() + Duration::from_millis(5);
+        assert_eq!(
+            gate.enter(Some(tight)).err(),
+            Some(ShedReason::DeadlineUnmeetable)
+        );
+        // A roomy deadline is admitted (and takes its turn behind them).
+        let roomy = Instant::now() + Duration::from_secs(60);
+        let c = waiter(&gate, "c", Some(roomy), &log);
+        until_waiting(&gate, 3);
+        drop(running);
+        for t in [a, b, c] {
+            t.join().unwrap();
+        }
+        assert!(log
+            .lock()
+            .unwrap()
+            .iter()
+            .all(|(_, verdict)| verdict.is_ok()));
+        assert_eq!(gate.shed_count(), 1);
     }
 
     #[test]
-    fn close_drains_admitted_work_then_returns_none() {
-        let q = Arc::new(AdmissionQueue::new(8));
-        assert!(q.offer("a", None).is_ok());
-        assert!(q.offer("b", None).is_ok());
-        q.close();
-        let (_, reason) = q.offer("c", None).unwrap_err();
-        assert_eq!(reason, ShedReason::ShuttingDown);
-        assert_eq!(q.take().map(|j| j.item), Some("a"));
-        assert_eq!(q.take().map(|j| j.item), Some("b"));
-        assert!(q.take().is_none(), "closed + drained");
-
-        // A parked taker wakes up on close instead of hanging.
-        let q2: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(8));
-        let taker = {
-            let q2 = q2.clone();
-            thread::spawn(move || q2.take().map(|j| j.item))
-        };
-        thread::sleep(Duration::from_millis(20));
-        q2.close();
-        assert_eq!(taker.join().ok().flatten(), None);
+    fn close_sheds_arrivals_but_waiters_keep_their_turn() {
+        let gate = Arc::new(AdmissionGate::new(1, 8));
+        let log = Log::default();
+        let running = gate.enter(None).unwrap();
+        let a = waiter(&gate, "a", None, &log);
+        until_waiting(&gate, 1);
+        let b = waiter(&gate, "b", None, &log);
+        until_waiting(&gate, 2);
+        gate.close();
+        assert_eq!(gate.enter(None).err(), Some(ShedReason::ShuttingDown));
+        drop(running);
+        a.join().unwrap();
+        b.join().unwrap();
+        assert_eq!(
+            *log.lock().unwrap(),
+            [("a", Ok(())), ("b", Ok(()))],
+            "admitted is a promise"
+        );
+        assert_eq!(gate.waiting(), 0, "closed + drained");
     }
 
     #[test]
+    // The wait itself is recorded in `serve.queue_wait_us`, a process
+    // global: `tests/model_gate_accounting.rs` reads it, alone in its
+    // binary.
     fn queue_wait_and_expiry_are_observable() {
-        let q = AdmissionQueue::new(8);
-        assert!(q
-            .offer((), Some(Instant::now() + Duration::from_millis(1)))
-            .is_ok());
+        let gate = Arc::new(AdmissionGate::new(1, 8));
+        let log = Log::default();
+        let running = gate.enter(None).unwrap();
+        let soon = Instant::now() + Duration::from_millis(1);
+        let doomed = waiter(&gate, "doomed", Some(soon), &log);
+        until_waiting(&gate, 1);
+        let patient = waiter(&gate, "patient", None, &log);
+        until_waiting(&gate, 2);
         thread::sleep(Duration::from_millis(5));
-        let job = q.take().expect("admitted");
-        assert!(job.expired(), "deadline passed while queued");
-        assert!(job.queue_wait() >= Duration::from_millis(5));
-        assert_eq!(job.remaining(), Some(Duration::ZERO));
+        drop(running);
+        doomed.join().unwrap();
+        patient.join().unwrap();
+        let verdicts = log.lock().unwrap();
+        assert_eq!(
+            verdicts[0],
+            ("doomed", Err(ShedReason::DeadlineUnmeetable)),
+            "deadline passed while waiting: shed at the head, no permit"
+        );
+        assert_eq!(verdicts[1], ("patient", Ok(())), "the next waiter runs");
+        assert_eq!(gate.shed_count(), 1);
     }
 }

@@ -17,12 +17,15 @@
 //! * [`LiveCatalog`] — online `add-view`/`drop-view` via epoch-versioned
 //!   `Arc` snapshot swaps (one writer, many lock-free readers) with
 //!   principled cache invalidation;
-//! * [`AdmissionQueue`] — bounded, deadline-aware admission with honest
+//! * [`AdmissionGate`] — bounded, deadline-aware admission with honest
 //!   load shedding ([`Completeness`](viewplan_obs::Completeness) on
 //!   every shed, never silence);
-//! * [`NetServer`] — a thread-per-core TCP front-end speaking the
-//!   length-prefixed [`net`] protocol, with read/write timeouts,
-//!   idle-connection reaping, graceful drain on shutdown, and
+//! * [`command`] — the one command grammar (`query` / `add-view` /
+//!   `drop-view` / `epoch` / `ping` / `shutdown`), parsed and run in one
+//!   place for the TCP and stdin front-ends;
+//! * [`NetServer`] — a thread-per-connection TCP front-end framing that
+//!   grammar in the length-prefixed [`net`] protocol, with read/write
+//!   timeouts, idle-connection reaping, graceful drain on shutdown, and
 //!   serving-layer fault injection ([`fault`]).
 //!
 //! The correctness contract — a cached/batched answer is byte-identical
@@ -35,12 +38,14 @@ pub mod admission;
 pub mod batch;
 pub mod cache;
 pub mod catalog;
+pub mod command;
 pub mod fault;
 pub mod net;
 
-pub use admission::{AdmissionQueue, ShedReason};
+pub use admission::{AdmissionGate, ShedReason};
 pub use batch::{BatchServer, CachedAnswer, ServeConfig, ServedAnswer};
 pub use cache::{CacheProbe, CacheStats, FlightGuard, RetargetOutcome, RewritingCache};
 pub use catalog::{DdlOutcome, LiveCatalog};
+pub use command::{respond, Reply};
 pub use fault::ServeFaults;
 pub use net::{NetConfig, NetServer};

@@ -9,7 +9,7 @@
 //! bytes. Commands (client → server), one per frame:
 //!
 //! * `query [deadline-ms=N] <rule>` — answer a query; the optional
-//!   deadline bounds queue wait + compute.
+//!   deadline bounds gate wait + compute.
 //! * `add-view <rule>` / `drop-view <name>` — online DDL.
 //! * `epoch` — current catalog epoch and view count.
 //! * `ping` — liveness probe.
@@ -22,8 +22,8 @@
 //!   (queries), or `ok epoch=E views=N invalidated=K revalidated=K`
 //!   (DDL), or `ok epoch=E views=N` (`epoch`), or `pong epoch=E`;
 //! * `shed reason=R completeness=deadline_exceeded` — admission refused
-//!   or the deadline expired in the queue; the request did no work and
-//!   the completeness marker says so honestly;
+//!   or the deadline expired waiting at the gate; the request did no
+//!   work and the completeness marker says so honestly;
 //! * `error code=2 [vp=VPnnn] <message>` — malformed input or an
 //!   ill-typed query/view; code mirrors the CLI's exit code for the
 //!   same input, and `vp=` carries the diagnostic id when static
@@ -32,16 +32,20 @@
 //!   frame is written.
 //! * `bye` — acknowledging `shutdown`.
 //!
+//! The grammar and its executor live in [`crate::command`]; this module
+//! only frames them.
+//!
 //! # Threads
 //!
-//! `accept_threads` acceptors share the listener (nonblocking accept +
-//! short poll, so shutdown never waits on a blocking `accept`); each
-//! connection gets a handler thread that parses frames and *offers*
-//! query work to the [`AdmissionQueue`](crate::admission); `workers`
-//! pipeline workers drain the queue against the catalog's current
-//! snapshot. Handlers apply three timeouts: `idle_timeout` (no frame
-//! starts — the connection is reaped), `read_timeout` (a started frame
-//! stalls), `write_timeout` (a response write stalls).
+//! Thread-per-connection, two kinds: one acceptor blocks in `accept`
+//! (shutdown wakes it with a throw-away connection to its own address),
+//! and each connection gets a handler thread that decodes a frame, runs
+//! the command itself and writes the reply — a query first *enters* the
+//! [`AdmissionGate`], so at most `workers` pipelines run at once and at
+//! most `queue_capacity` requests wait for a turn. Handlers apply three
+//! timeouts: `idle_timeout` (no frame starts — the connection is
+//! reaped), `read_timeout` (a started frame stalls), `write_timeout` (a
+//! response write stalls).
 //!
 //! # Fault injection
 //!
@@ -52,26 +56,24 @@
 //! loudly at the client; never silently dropped).
 
 use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use viewplan_cq::{parse_query, ConjunctiveQuery, Symbol, View};
 use viewplan_obs as obs;
 use viewplan_obs::budget::FaultPoint;
 use viewplan_sync::thread::{self, JoinHandle};
-use viewplan_sync::{mpsc, AtomicBool, AtomicU64, Mutex, Ordering};
+use viewplan_sync::{AtomicBool, Mutex, Ordering};
 
-use crate::admission::AdmissionQueue;
+use crate::admission::AdmissionGate;
 use crate::catalog::LiveCatalog;
+use crate::command::{respond, Reply};
 
 /// Network front-end knobs.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Acceptor threads sharing the listener.
-    pub accept_threads: usize,
-    /// Pipeline workers draining the admission queue.
+    /// Requests running their pipelines at once (admission permits).
     pub workers: usize,
-    /// Admission queue capacity (waiting requests).
+    /// Requests allowed to wait for a permit; arrivals beyond are shed.
     pub queue_capacity: usize,
     /// A started frame must complete within this.
     pub read_timeout: Duration,
@@ -88,7 +90,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
-            accept_threads: 1,
             workers: 4,
             queue_capacity: 64,
             read_timeout: Duration::from_secs(5),
@@ -153,37 +154,58 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> io::Result<Option<Stri
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not utf-8"))
 }
 
-/// One admitted query: the parsed rule plus the channel its handler is
-/// blocked on.
-struct QueryJob {
-    query: ConjunctiveQuery,
-    reply: mpsc::Sender<String>,
-}
-
 struct Shared {
     catalog: Arc<LiveCatalog>,
     config: NetConfig,
-    queue: AdmissionQueue<QueryJob>,
+    gate: AdmissionGate,
+    addr: SocketAddr,
     shutdown: AtomicBool,
-    accepted: AtomicU64,
-    reaped_idle: AtomicU64,
+    /// Handler threads that may still be running; finished ones are
+    /// reaped whenever a new one is pushed.
     handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
     fn shutting_down(&self) -> bool {
-        // ordering: cross-thread stop flag polled by acceptors, workers,
-        // and handlers; SeqCst so a shutdown request is totally ordered
-        // against the queue close that follows it.
+        // ordering: cross-thread stop flag polled by the acceptor and
+        // the handlers; SeqCst so a shutdown request is totally ordered
+        // against the gate close that follows it.
         self.shutdown.load(Ordering::SeqCst)
     }
 
     fn request_shutdown(&self) {
         // ordering: see shutting_down — the store must not be reordered
-        // after queue.close(), or a worker could observe a closed queue
+        // after gate.close(), or a handler could be shed `shutting_down`
         // while still believing the server is live.
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.close();
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.gate.close();
+        // The acceptor blocks in `accept`: a throw-away connection makes
+        // it look at the flag. A wildcard bind address is not
+        // connectable everywhere; its loopback is.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // A failed connect would leave the acceptor blocked and `wait`
+        // hanging, so it is retried: descriptor or port exhaustion
+        // clears as the handlers exit on the flag. `ConnectionRefused`
+        // means the listener is already gone.
+        for _ in 0..40 {
+            match TcpStream::connect_timeout(&wake, Duration::from_millis(250)) {
+                Err(e) if e.kind() != io::ErrorKind::ConnectionRefused => {
+                    thread::sleep(Duration::from_millis(25));
+                }
+                _ => return,
+            }
+        }
+        eprintln!(
+            "viewplan serve: cannot wake the acceptor at {wake}; it stops at the next connection"
+        );
     }
 }
 
@@ -192,107 +214,66 @@ impl Shared {
 /// [`NetServer::wait`]).
 pub struct NetServer {
     shared: Arc<Shared>,
-    acceptors: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    addr: SocketAddr,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl NetServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// starts the acceptor and worker threads.
+    /// starts the acceptor thread.
     pub fn start(
         catalog: Arc<LiveCatalog>,
         addr: impl ToSocketAddrs,
         config: NetConfig,
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            queue: AdmissionQueue::new(config.queue_capacity),
+            gate: AdmissionGate::new(config.workers, config.queue_capacity),
             catalog,
-            config: config.clone(),
+            config,
+            addr: listener.local_addr()?,
             shutdown: AtomicBool::new(false),
-            accepted: AtomicU64::new(0),
-            reaped_idle: AtomicU64::new(0),
             handlers: Mutex::new(Vec::new()),
         });
-        let mut acceptors = Vec::new();
-        for i in 0..config.accept_threads.max(1) {
-            let listener = listener.try_clone()?;
+        let acceptor = {
             let shared = shared.clone();
-            acceptors.push(
-                thread::Builder::new()
-                    .name(format!("viewplan-accept-{i}"))
-                    .spawn(move || accept_loop(&listener, &shared))?,
-            );
-        }
-        let mut workers = Vec::new();
-        for i in 0..config.workers.max(1) {
-            let shared = shared.clone();
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("viewplan-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
-        }
+            thread::Builder::new()
+                .name("viewplan-accept".to_string())
+                .spawn(move || accept_loop(&listener, &shared))?
+        };
         Ok(NetServer {
             shared,
-            acceptors,
-            workers,
-            addr,
+            acceptor: Some(acceptor),
         })
     }
 
     /// The bound address (resolves `:0` to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
-    /// Connections accepted so far.
-    pub fn accepted(&self) -> u64 {
-        // ordering: monotone tally read for reporting; no other state
-        // hangs off its value.
-        self.shared.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Idle connections reaped so far.
-    pub fn reaped_idle(&self) -> u64 {
-        // ordering: monotone tally read for reporting; no other state
-        // hangs off its value.
-        self.shared.reaped_idle.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed so far (admission refusals + queue expiries).
+    /// Requests shed so far (admission refusals + deadlines that lapsed
+    /// waiting at the gate).
     pub fn shed(&self) -> u64 {
-        self.shared.queue.shed_count()
+        self.shared.gate.shed_count()
     }
 
-    /// Graceful shutdown: stop accepting, drain admitted work, join
-    /// every thread. Idempotent.
+    /// Graceful shutdown: stop accepting, let admitted requests finish,
+    /// join every thread. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.request_shutdown();
-        self.join_all();
+        self.wait();
     }
 
     /// Blocks until a `shutdown` frame (or [`NetServer::shutdown`] from
     /// another thread) stops the server, then joins every thread.
     pub fn wait(&mut self) {
-        while !self.shared.shutting_down() {
-            thread::sleep(Duration::from_millis(25));
-        }
-        self.join_all();
-    }
-
-    fn join_all(&mut self) {
-        for t in self.acceptors.drain(..) {
-            let _ = t.join();
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
+        // The acceptor returns only once shutdown was requested.
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
         // Handlers exit on their own once they see the shutdown flag
-        // (their reads poll it); collect them last.
+        // (their reads poll it) — after answering the request they are
+        // running or waiting at the gate with.
         let handlers: Vec<_> = self.shared.handlers.lock().drain(..).collect();
         for t in handlers {
             let _ = t.join();
@@ -301,49 +282,38 @@ impl NetServer {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // ordering: monotone tally; readers only want a recent
-                // count, not synchronization.
-                shared.accepted.fetch_add(1, Ordering::Relaxed);
-                obs::counter!("serve.net_accepted").incr();
-                if shared.catalog.faults().fires(FaultPoint::Accept) {
-                    // Injected accept fault: the connection dies before
-                    // its first frame — clients must see a clean EOF and
-                    // retry, never a hang.
-                    drop(stream);
-                    continue;
-                }
-                // Every response is one complete frame in one write, so
-                // Nagle's algorithm could only delay it.
-                let _ = stream.set_nodelay(true);
-                let shared2 = shared.clone();
-                let spawned = thread::Builder::new()
-                    .name("viewplan-conn".to_string())
-                    .spawn(move || handle_connection(stream, &shared2));
-                match spawned {
-                    Ok(handle) => shared.handlers.lock().push(handle),
-                    Err(_) => {
-                        // Thread exhaustion: shedding the connection is
-                        // the only honest option left.
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(25)),
+    loop {
+        let accepted = listener.accept();
+        if shared.shutting_down() {
+            return;
+        }
+        let Ok((stream, _peer)) = accepted else {
+            // Descriptor exhaustion and the like: back off, do not spin.
+            thread::sleep(Duration::from_millis(25));
+            continue;
+        };
+        obs::counter!("serve.net_accepted").incr();
+        if shared.catalog.faults().fires(FaultPoint::Accept) {
+            // Injected accept fault: the connection dies before its
+            // first frame — clients must see a clean EOF and retry,
+            // never a hang.
+            continue;
+        }
+        // Every response is one complete frame in one write, so Nagle's
+        // algorithm could only delay it.
+        let _ = stream.set_nodelay(true);
+        let shared2 = shared.clone();
+        let spawned = thread::Builder::new()
+            .name("viewplan-conn".to_string())
+            .spawn(move || handle_connection(stream, &shared2));
+        // On thread exhaustion, shedding the connection (dropped with
+        // the closure) is the only honest option left.
+        if let Ok(handle) = spawned {
+            let mut handlers = shared.handlers.lock();
+            handlers.retain(|h| !h.is_finished());
+            handlers.push(handle);
         }
     }
-}
-
-/// Outcome of waiting for the next frame to start.
-enum Waited {
-    Data,
-    Eof,
-    Idle,
-    Shutdown,
 }
 
 /// The poll slice the socket's read timeout is armed with, once per
@@ -354,33 +324,32 @@ fn poll_slice(config: &NetConfig) -> Duration {
 }
 
 /// Waits for the next frame to start, enforcing the idle timeout in
-/// [`poll_slice`] steps. Bytes already buffered are a frame that has
-/// started — a client may send its next frame in the same segment as
-/// the previous one — so the socket is only polled when the buffer is
-/// empty.
-fn wait_for_frame(reader: &BufReader<TcpStream>, shared: &Shared) -> Waited {
+/// [`poll_slice`] steps; false when the connection is over instead (the
+/// peer hung up, the server is shutting down, or it sat idle and is
+/// reaped). Bytes already buffered are a frame that has started — a
+/// client may send its next frame in the same segment as the previous
+/// one — so the socket is only polled when the buffer is empty.
+fn frame_started(reader: &BufReader<TcpStream>, shared: &Shared) -> bool {
     if !reader.buffer().is_empty() {
-        return Waited::Data;
+        return true;
     }
     let slice = poll_slice(&shared.config);
     let mut waited = Duration::ZERO;
     let mut byte = [0u8; 1];
-    loop {
-        if shared.shutting_down() {
-            return Waited::Shutdown;
-        }
+    while !shared.shutting_down() {
         match reader.get_ref().peek(&mut byte) {
-            Ok(0) => return Waited::Eof,
-            Ok(_) => return Waited::Data,
+            Ok(n) => return n > 0,
             Err(e) if is_timeout(&e) => {
                 waited += slice;
                 if waited >= shared.config.idle_timeout {
-                    return Waited::Idle;
+                    obs::counter!("serve.net_reaped_idle").incr();
+                    return false;
                 }
             }
-            Err(_) => return Waited::Eof,
+            Err(_) => return false,
         }
     }
+    false
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -406,7 +375,7 @@ impl Read for FrameReader<'_> {
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+fn handle_connection(stream: TcpStream, shared: &Shared) {
     // Both timeouts are armed once: neither value changes over the
     // connection's life. Reads go through a buffer (unbuffered, a frame
     // header costs one `read` per digit); `write_frame` assembles the
@@ -420,16 +389,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
     let mut reader = BufReader::new(stream);
     loop {
-        match wait_for_frame(&reader, shared) {
-            Waited::Data => {}
-            Waited::Idle => {
-                // ordering: monotone tally; readers only want a recent
-                // count, not synchronization.
-                shared.reaped_idle.fetch_add(1, Ordering::Relaxed);
-                obs::counter!("serve.net_reaped_idle").incr();
-                return;
-            }
-            Waited::Eof | Waited::Shutdown => return,
+        if !frame_started(&reader, shared) {
+            return;
         }
         let mut frame_reader = FrameReader {
             deadline: Instant::now() + shared.config.read_timeout,
@@ -441,7 +402,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // A malformed header is answered before closing — the
                 // client learns why instead of seeing a bare hangup.
-                let _ = write_frame(reader.get_mut(), &format!("error code=2 {e}"));
+                let _ = write_frame(reader.get_mut(), &Reply::Error(e.to_string()).to_string());
                 return;
             }
             Err(_) => return,
@@ -453,168 +414,25 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             // the chaos accounting must cover.
             return;
         }
-        let response = match dispatch(&frame, shared) {
-            Dispatch::Reply(r) => r,
-            Dispatch::Shutdown => {
-                let _ = write_frame(reader.get_mut(), "bye");
-                shared.request_shutdown();
-                return;
-            }
-        };
+        let reply = respond(
+            &frame,
+            &shared.catalog,
+            Some(&shared.gate),
+            shared.config.default_deadline,
+        );
+        if matches!(reply, Reply::Bye) {
+            let _ = write_frame(reader.get_mut(), &reply.to_string());
+            shared.request_shutdown();
+            return;
+        }
         if shared.catalog.faults().fires(FaultPoint::Write) {
             // Injected write fault: the answer was computed but never
             // delivered.
             return;
         }
-        if write_frame(reader.get_mut(), &response).is_err() {
+        if write_frame(reader.get_mut(), &reply.to_string()).is_err() {
             return;
         }
-    }
-}
-
-enum Dispatch {
-    Reply(String),
-    Shutdown,
-}
-
-fn dispatch(frame: &str, shared: &Arc<Shared>) -> Dispatch {
-    let trimmed = frame.trim();
-    let (command, rest) = match trimmed.split_once(char::is_whitespace) {
-        Some((c, r)) => (c, r.trim()),
-        None => (trimmed, ""),
-    };
-    let reply = match command {
-        "ping" => format!("pong epoch={}", shared.catalog.epoch()),
-        "epoch" => {
-            let server = shared.catalog.server();
-            format!("ok epoch={} views={}", server.epoch(), server.views().len())
-        }
-        "query" => return Dispatch::Reply(handle_query(rest, shared)),
-        "add-view" => match parse_query(rest) {
-            Ok(rule) => match shared.catalog.add_view(View { definition: rule }) {
-                Ok(outcome) => format!(
-                    "ok epoch={} views={} invalidated={} revalidated={}",
-                    outcome.epoch, outcome.views, outcome.invalidated, outcome.revalidated
-                ),
-                Err(msg) => structured_error(&msg),
-            },
-            Err(e) => format!("error code=2 parse error: {e}"),
-        },
-        "drop-view" => {
-            if rest.is_empty() || rest.contains(char::is_whitespace) {
-                "error code=2 usage: drop-view <name>".to_string()
-            } else {
-                match shared.catalog.drop_view(Symbol::new(rest)) {
-                    Ok(outcome) => format!(
-                        "ok epoch={} views={} invalidated={} revalidated={}",
-                        outcome.epoch, outcome.views, outcome.invalidated, outcome.revalidated
-                    ),
-                    Err(msg) => structured_error(&msg),
-                }
-            }
-        }
-        "shutdown" => return Dispatch::Shutdown,
-        other => format!("error code=2 unknown command `{other}`"),
-    };
-    Dispatch::Reply(reply)
-}
-
-/// Parses and validates a `query` payload on the handler thread (cheap;
-/// malformed input must never consume a queue slot), then offers it to
-/// admission and blocks for the worker's reply.
-fn handle_query(rest: &str, shared: &Arc<Shared>) -> String {
-    let (deadline_ms, src) = match rest.strip_prefix("deadline-ms=") {
-        Some(tail) => match tail.split_once(char::is_whitespace) {
-            Some((n, q)) => match n.parse::<u64>() {
-                Ok(ms) => (Some(ms), q.trim()),
-                Err(_) => return format!("error code=2 bad deadline `{n}`"),
-            },
-            None => return "error code=2 usage: query [deadline-ms=N] <rule>".to_string(),
-        },
-        None => (None, rest),
-    };
-    if src.is_empty() {
-        return "error code=2 usage: query [deadline-ms=N] <rule>".to_string();
-    }
-    let query = match parse_query(src) {
-        Ok(q) => q,
-        Err(e) => return format!("error code=2 parse error: {e}"),
-    };
-    if let Err(msg) = shared.catalog.server().validate(&query) {
-        return structured_error(&msg);
-    }
-    let deadline = deadline_ms
-        .map(Duration::from_millis)
-        .or(shared.config.default_deadline)
-        .map(|d| Instant::now() + d);
-    let (tx, rx) = mpsc::channel();
-    let job = QueryJob { query, reply: tx };
-    if let Err((_, reason)) = shared.queue.offer(job, deadline) {
-        return format!(
-            "shed reason={} completeness=deadline_exceeded",
-            reason.label()
-        );
-    }
-    match rx.recv() {
-        Ok(reply) => reply,
-        // Unreachable by design (an admitted job is always answered —
-        // the queue drains after close), kept as an honest failure
-        // rather than a hang.
-        Err(_) => "error code=3 internal: worker abandoned the request".to_string(),
-    }
-}
-
-/// Wraps a validation/DDL error message as a structured wire error,
-/// surfacing the `[VPnnn]` diagnostic id as a dedicated field when
-/// present.
-fn structured_error(msg: &str) -> String {
-    if let Some(tail) = msg.strip_prefix('[') {
-        if let Some((vp, rest)) = tail.split_once("] ") {
-            if vp.starts_with("VP") {
-                return format!("error code=2 vp={vp} {rest}");
-            }
-        }
-    }
-    // DDL errors carry the same nested shape from the validate gate.
-    if let Some((head, tail)) = msg.split_once("[") {
-        if let Some((vp, rest)) = tail.split_once("] ") {
-            if vp.starts_with("VP") {
-                return format!("error code=2 vp={vp} {head}{rest}");
-            }
-        }
-    }
-    format!("error code=2 {msg}")
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.take() {
-        let reply = if job.expired() {
-            // The deadline lapsed in the queue: honest shed, no work.
-            shared.queue.record_shed();
-            "shed reason=deadline_unmeetable completeness=deadline_exceeded".to_string()
-        } else {
-            let started = Instant::now();
-            let server = shared.catalog.server();
-            let mut spec = server.config().budget;
-            if let Some(remaining) = job.remaining() {
-                spec = spec.clamp_timeout(remaining);
-            }
-            let out = match server.serve_with_spec(&job.item.query, &spec) {
-                Ok(answer) => format!(
-                    "ok epoch={} completeness={} cached={}\n{}",
-                    answer.epoch,
-                    answer.completeness.label(),
-                    answer.from_cache,
-                    answer.render()
-                ),
-                Err(e) => format!("error code=2 {e}"),
-            };
-            shared.queue.complete(started.elapsed());
-            out
-        };
-        // A closed reply channel means the handler's connection died
-        // mid-request; the work is simply discarded.
-        let _ = job.item.reply.send(reply);
     }
 }
 
@@ -736,25 +554,77 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_answers_a_request_already_waiting_at_the_gate() {
+        let mut server = start_server(NetConfig {
+            workers: 1,
+            ..NetConfig::default()
+        });
+        let shared = server.shared.clone();
+        let held = shared.gate.enter(None).expect("an empty gate admits");
+        let mut waiting = TcpStream::connect(server.local_addr()).unwrap();
+        write_frame(&mut waiting, "query q(X, Y) :- a(X, Z), a(Z, Z), b(Z, Y)").unwrap();
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while shared.gate.waiting() != 1 {
+            assert!(
+                Instant::now() < give_up,
+                "the request never reached the gate"
+            );
+            std::thread::yield_now();
+        }
+        let mut control = TcpStream::connect(server.local_addr()).unwrap();
+        assert_eq!(roundtrip(&mut control, "shutdown"), "bye");
+        assert_eq!(
+            shared.gate.waiting(),
+            1,
+            "still waiting: the close shed nothing"
+        );
+        drop(held);
+        // Admitted before the close: a promise, even though the server
+        // is draining when its turn comes.
+        let answer = read_frame(&mut waiting, 1 << 20)
+            .unwrap()
+            .expect("answered");
+        assert!(
+            answer.starts_with("ok epoch=0 completeness=complete "),
+            "{answer}"
+        );
+        server.wait();
+    }
+
+    #[test]
+    fn finished_handlers_are_reaped_under_connection_churn() {
+        let mut server = start_server(NetConfig::default());
+        for _ in 0..300 {
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            assert_eq!(roundtrip(&mut conn, "ping"), "pong epoch=0");
+        }
+        // Each accept reaps the handlers that finished before it; only
+        // the last few connections can still be winding down.
+        let tracked = server.shared.handlers.lock().len();
+        assert!(
+            tracked <= 8,
+            "{tracked} handler handles tracked after 300 connections"
+        );
+        server.shutdown();
+    }
+
+    #[test]
     fn idle_connections_are_reaped() {
+        obs::set_enabled(true);
+        let reaped = || obs::counter_value("serve.net_reaped_idle");
+        let reaped_before = reaped();
         let mut server = start_server(NetConfig {
             idle_timeout: Duration::from_millis(120),
             ..NetConfig::default()
         });
-        let conn = TcpStream::connect(server.local_addr()).unwrap();
-        let mut deadline = Instant::now() + Duration::from_secs(5);
-        while server.reaped_idle() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert_eq!(server.reaped_idle(), 1, "idle connection reaped");
+        let mut idle = TcpStream::connect(server.local_addr()).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // The server hangs up on a connection that never starts a frame.
+        assert_eq!(idle.read(&mut [0u8; 1]).unwrap(), 0, "hung up on");
+        assert_eq!(reaped() - reaped_before, 1, "idle connection reaped");
         // The server itself is still healthy.
         let mut fresh = TcpStream::connect(server.local_addr()).unwrap();
         assert_eq!(roundtrip(&mut fresh, "ping"), "pong epoch=0");
-        drop(conn);
-        deadline = Instant::now() + Duration::from_secs(1);
-        while Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
         server.shutdown();
     }
 

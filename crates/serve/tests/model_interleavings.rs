@@ -1,4 +1,4 @@
-//! Interleaving regression tests for the serving layer's two core
+//! Interleaving regression tests for the serving layer's three core
 //! concurrency protocols, pinned by the `viewplan-sync` model checker:
 //!
 //! 1. **Cache contention / single-flight coalescing** — concurrent
@@ -11,6 +11,14 @@
 //!    reader never observes a cache hit whose answer belongs to a
 //!    different catalog version than its snapshot (no stale-epoch
 //!    answer).
+//! 3. **The admission gate** — the real `AdmissionGate` every served
+//!    query passes: never more than `permits` running or `capacity`
+//!    waiting, turns in arrival order, `close()` racing waiters and
+//!    arrivals without losing or double-resolving anyone. (The
+//!    accounting model — one permit or one shed per `enter`, one
+//!    `serve.queue_wait_us` sample per permit — turns the process-wide
+//!    obs switch on, which would change the code the models above run
+//!    mid-exploration; it has `model_gate_accounting.rs` to itself.)
 //!
 //! These run in the standard suite at bounded budgets (small DFS
 //! preemption bounds), so `cargo test` exhaustively re-explores every
@@ -21,7 +29,7 @@ use std::sync::Arc;
 use viewplan_containment::{canonicalize, CanonicalQuery};
 use viewplan_cq::{parse_query, ConjunctiveQuery};
 use viewplan_obs::Completeness;
-use viewplan_serve::{CacheProbe, CachedAnswer, RewritingCache};
+use viewplan_serve::{AdmissionGate, CacheProbe, CachedAnswer, RewritingCache, ShedReason};
 use viewplan_sync::model;
 use viewplan_sync::{AtomicU64, AtomicUsize, Ordering, RwLock};
 
@@ -249,5 +257,162 @@ fn three_way_contention_random_walk() {
         assert_eq!(stats.misses, 1);
     });
     eprintln!("model cache_3way: {}", report.summary());
+    assert!(report.ok(), "{}", report.summary());
+}
+
+// ---------------------------------------------------------------------
+// The admission gate
+// ---------------------------------------------------------------------
+
+/// (i) Three requests at a one-permit, one-waiter gate — the main
+/// thread's, which holds the permit, and two arrivals behind it: in
+/// every schedule at most one runs, at most one waits, and whoever finds
+/// the waiting slot taken is shed `queue_full` on arrival.
+#[test]
+fn gate_never_exceeds_its_permits_or_its_capacity() {
+    let report = model::check(&model::Config::dfs(2), || {
+        let gate = Arc::new(AdmissionGate::new(1, 1));
+        let running = Arc::new(AtomicUsize::new(1));
+        let held = gate.enter(None).expect("an empty gate admits");
+        let arrivals: Vec<_> = (0..2)
+            .map(|_| {
+                let (gate, running) = (gate.clone(), running.clone());
+                model::spawn(move || {
+                    let verdict = gate.enter(None);
+                    if verdict.is_ok() {
+                        let others = running.fetch_add(1, Ordering::SeqCst);
+                        assert_eq!(others, 0, "more pipelines running than permits");
+                        assert!(gate.waiting() <= 1, "more waiters than capacity");
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    verdict.err()
+                })
+            })
+            .collect();
+        assert!(gate.waiting() <= 1, "more waiters than capacity");
+        running.fetch_sub(1, Ordering::SeqCst);
+        drop(held);
+        let sheds: Vec<_> = arrivals
+            .into_iter()
+            .filter_map(|a| a.join().expect("each enter resolves"))
+            .collect();
+        assert!(sheds.len() <= 1, "one runs, one waits: at most one is shed");
+        assert!(sheds.iter().all(|&r| r == ShedReason::QueueFull));
+        assert_eq!(gate.waiting(), 0);
+    });
+    eprintln!("model gate_bounds: {}", report.summary());
+    assert!(report.ok(), "{}", report.summary());
+    assert!(report.exhaustive, "DFS must exhaust the bounded schedules");
+}
+
+/// (ii) `close()` racing two requests that wait behind a held permit,
+/// then one more arrival: every `enter` resolves exactly once — a
+/// request that reached the gate before the close runs ("an admitted
+/// request is a promise"), one that lost the race is shed
+/// `shutting_down`, the arrival after the close always is — and nothing
+/// deadlocks.
+#[test]
+fn close_racing_waiters_and_an_arrival_resolves_each_enter_once() {
+    let report = model::check(&model::Config::dfs(2), || {
+        let gate = Arc::new(AdmissionGate::new(1, 2));
+        let held = gate.enter(None).expect("an empty gate admits");
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let gate = gate.clone();
+                model::spawn(move || gate.enter(None).map(drop))
+            })
+            .collect();
+        gate.close();
+        let queued = gate.waiting();
+        assert_eq!(gate.enter(None).err(), Some(ShedReason::ShuttingDown));
+        drop(held);
+        let ran = waiters
+            .into_iter()
+            .map(|w| w.join().expect("each enter resolves"))
+            .inspect(|verdict| {
+                assert!(
+                    matches!(verdict, Ok(()) | Err(ShedReason::ShuttingDown)),
+                    "{verdict:?}"
+                )
+            })
+            .filter(Result::is_ok)
+            .count();
+        assert_eq!(ran, queued, "exactly the requests queued at the close run");
+        assert_eq!(gate.waiting(), 0, "closed and drained");
+    });
+    eprintln!("model gate_close: {}", report.summary());
+    assert!(report.ok(), "{}", report.summary());
+    assert!(report.exhaustive, "DFS must exhaust the bounded schedules");
+}
+
+/// (iii) No overtaking: with the one permit held and A seen waiting, a
+/// later arrival B never runs before A — even when the permit is
+/// released, and B arrives, before A has woken up to take it.
+#[test]
+fn a_new_arrival_never_overtakes_a_waiter() {
+    let report = model::check(&model::Config::dfs(2), || {
+        let gate = Arc::new(AdmissionGate::new(1, 2));
+        let order = Arc::new(AtomicUsize::new(0));
+        let held = gate.enter(None).expect("an empty gate admits");
+        let arrival = |gate: &Arc<AdmissionGate>| {
+            let (gate, order) = (gate.clone(), order.clone());
+            model::spawn(move || {
+                let _permit = gate.enter(None).expect("capacity 2 admits both");
+                order.fetch_add(1, Ordering::SeqCst)
+            })
+        };
+        let a = arrival(&gate);
+        // Only schedules in which A already waits pin the order; in the
+        // others B may legitimately arrive first.
+        let a_waits = gate.waiting() == 1;
+        let b = arrival(&gate);
+        drop(held);
+        let (a_ran, b_ran) = (a.join().unwrap(), b.join().unwrap());
+        assert_eq!(a_ran + b_ran, 1, "both ran, one after the other");
+        if a_waits {
+            assert!(a_ran < b_ran, "B overtook the waiting A");
+        }
+    });
+    eprintln!("model gate_fifo: {}", report.summary());
+    assert!(report.ok(), "{}", report.summary());
+    assert!(report.exhaustive, "DFS must exhaust the bounded schedules");
+}
+
+/// The seeded-random fallback: four arrivals and a close at a two-permit
+/// gate — too many schedules to exhaust in the standard suite — checked
+/// for the same bounds and accounting over a fixed pseudo-random slice.
+#[test]
+fn gate_four_way_contention_random_walk() {
+    let report = model::check(&model::Config::random(400, 0x6A7E_CA11), || {
+        let gate = Arc::new(AdmissionGate::new(2, 1));
+        let running = Arc::new(AtomicUsize::new(0));
+        let arrivals: Vec<_> = (0..4)
+            .map(|_| {
+                let (gate, running) = (gate.clone(), running.clone());
+                model::spawn(move || {
+                    let verdict = gate.enter(None);
+                    if verdict.is_ok() {
+                        assert!(running.fetch_add(1, Ordering::SeqCst) < 2);
+                        assert!(gate.waiting() <= 1);
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    verdict.is_ok()
+                })
+            })
+            .collect();
+        let closer = {
+            let gate = gate.clone();
+            model::spawn(move || gate.close())
+        };
+        let granted = arrivals
+            .into_iter()
+            .map(|a| a.join().expect("each enter resolves"))
+            .filter(|&admitted| admitted)
+            .count() as u64;
+        closer.join();
+        assert_eq!(gate.shed_count() + granted, 4);
+        assert_eq!(gate.waiting(), 0);
+    });
+    eprintln!("model gate_4way: {}", report.summary());
     assert!(report.ok(), "{}", report.summary());
 }

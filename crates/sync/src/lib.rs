@@ -28,18 +28,12 @@
 //! are for). Spurious condvar wakeups are not injected, and `notify_one`
 //! deterministically wakes the lowest-id waiter.
 //!
-//! The `thread` and `mpsc` modules are plain passthroughs: they exist so
-//! the raw-sync ban has a single funnel, but they are **not**
+//! The `thread` module is a plain passthrough: it exists so the
+//! raw-sync ban has a single funnel, but it is **not**
 //! model-instrumented. Model programs spawn threads with
 //! [`model::spawn`] and communicate through facade locks and atomics.
 
 pub use std::sync::atomic::Ordering;
-
-/// Channel passthrough (not model-instrumented): models communicate
-/// through facade locks/atomics, production code may use channels.
-pub mod mpsc {
-    pub use std::sync::mpsc::*;
-}
 
 /// Thread passthrough (not model-instrumented): inside [`model::check`]
 /// use [`model::spawn`] instead.

@@ -28,9 +28,11 @@
 //! `serve` is the interactive form: views from a file, requests on stdin
 //! (or over TCP with `--listen ADDR`, speaking a length-prefixed frame
 //! protocol with admission control and load shedding). Both front-ends
-//! accept `add-view <rule>` / `drop-view <name>` DDL: the catalog swaps
-//! to a new epoch without stopping traffic, invalidating exactly the
-//! cached answers the change can touch. `loadgen` is the matching
+//! take the commands of `viewplan_serve::command` (stdin also reads a
+//! bare rule as a `query`), among them `add-view <rule>` / `drop-view
+//! <name>` DDL: the catalog swaps to a new epoch without stopping
+//! traffic, invalidating exactly the cached answers the change can
+//! touch. `loadgen` is the matching
 //! closed-loop client: it hammers a `--listen` endpoint, retries shed
 //! responses with jittered exponential backoff, and fails loudly if any
 //! request goes unaccounted or an answer regresses to an older epoch.
@@ -156,9 +158,13 @@ fn dispatch(args: &[String], env: &Env, out: &mut dyn Write) -> Result<(), CliEr
         return Err(CliError::input("missing command"));
     };
     let rest = &args[1..];
-    let command: Command = match command.as_str() {
+    let name = command.as_str();
+    let command: Command = match name {
         "help" | "--help" | "-h" => return print_help(out),
-        "check" => return check(rest, env.color, out),
+        "check" => {
+            check_options(name, rest)?;
+            return check(rest, env.color, out);
+        }
         "rewrite" => rewrite,
         "plan" => plan,
         "explain" => explain_cmd,
@@ -169,6 +175,7 @@ fn dispatch(args: &[String], env: &Env, out: &mut dyn Write) -> Result<(), CliEr
         "soak" => soak,
         other => return Err(CliError::Input(format!("unknown command {other:?}"))),
     };
+    check_options(name, rest)?;
     let common = Common::parse(rest, env)?;
     // One scoped install around the whole command; the worker pool
     // carries it onto its threads, and `serve_config` hands the same
@@ -252,12 +259,14 @@ fn print_help(out: &mut dyn Write) -> Result<(), CliError> {
          \n\
          `serve --listen ADDR` turns the interactive server into a TCP\n\
          endpoint (length-prefixed frames; `127.0.0.1:0` picks a port,\n\
-         printed to stderr). Requests pass admission control: a bounded\n\
-         queue (--queue-capacity) feeding --workers threads, shedding\n\
-         on overflow or when the projected wait exceeds the request's\n\
-         deadline (`query deadline-ms=N <rule>` or --deadline-ms).\n\
-         `add-view <rule>` / `drop-view <name>` — on either front-end —\n\
-         swap the catalog to a new epoch without stopping traffic.\n\
+         printed to stderr). A connection's thread runs its own requests\n\
+         behind an admission gate: --workers pipelines at once,\n\
+         --queue-capacity requests waiting their turn, the rest shed — on\n\
+         overflow or when the projected wait exceeds the request's\n\
+         deadline (`query deadline-ms=N <rule>` or --deadline-ms). Both\n\
+         front-ends take the same commands: `query <rule>` (on stdin a\n\
+         bare rule too), `add-view <rule>` / `drop-view <name>` (a new\n\
+         catalog epoch without stopping traffic), `epoch`, `ping`, `shutdown`.\n\
          `loadgen` drives a listening server closed-loop: --clients\n\
          connections each offering --requests queries from FILE,\n\
          retrying shed responses with jittered exponential backoff\n\
@@ -448,37 +457,87 @@ fn check(args: &[String], color: bool, out: &mut dyn Write) -> Result<(), CliErr
     Ok(())
 }
 
-/// Options that consume the following argument as their value.
-const VALUE_OPTIONS: &[&str] = &[
-    "--model",
-    "--baseline",
-    "--engine",
-    "--stats-json",
-    "--threads",
-    "--timeout-ms",
-    "--node-budget",
-    "--queries",
-    "--views",
-    "--seed",
-    "--cache-capacity",
-    "--csv",
-    "--workload",
-    "--repeat",
-    "--trace-json",
-    "--metrics-out",
-    "--listen",
-    "--connect",
-    "--clients",
-    "--requests",
-    "--workers",
-    "--accept-threads",
-    "--queue-capacity",
-    "--deadline-ms",
-    "--max-retries",
-    "--idle-timeout-ms",
-    "--read-timeout-ms",
-    "--write-timeout-ms",
+/// Every command (`check` takes the common flags too, and ignores them).
+const ALL: &[&str] = &[
+    "check", "rewrite", "plan", "explain", "eval", "batch", "serve", "loadgen", "soak",
 ];
+/// The commands that run the pipeline under an anytime budget.
+const BUDGETED: &[&str] = &[
+    "rewrite", "plan", "explain", "eval", "batch", "serve", "soak",
+];
+const SERVING: &[&str] = &["batch", "serve"];
+const GENERATED: &[&str] = &["batch", "soak"];
+
+/// Every option: its name, whether it consumes the following argument
+/// as its value, and the commands that accept it.
+const OPTIONS: &[(&str, bool, &[&str])] = &[
+    ("--engine", true, ALL),
+    ("--threads", true, ALL),
+    ("--stats", false, ALL),
+    ("--stats-json", true, ALL),
+    ("--metrics-out", true, ALL),
+    ("--trace", false, ALL),
+    ("--trace-json", true, ALL),
+    ("--timeout-ms", true, BUDGETED),
+    ("--node-budget", true, BUDGETED),
+    (
+        "--all-minimal",
+        false,
+        &["rewrite", "explain", "batch", "serve"],
+    ),
+    ("--no-grouping", false, &["rewrite", "batch", "serve"]),
+    ("--no-prune", false, &["rewrite"]),
+    ("--baseline", true, &["rewrite"]),
+    ("--model", true, &["plan", "explain"]),
+    ("--json", false, &["explain", "check"]),
+    ("--no-cache", false, SERVING),
+    ("--cache-capacity", true, SERVING),
+    ("--csv", true, &["batch"]),
+    ("--workload", true, &["batch"]),
+    ("--repeat", true, &["batch"]),
+    ("--queries", true, GENERATED),
+    ("--views", true, GENERATED),
+    ("--seed", true, &["batch", "soak", "loadgen"]),
+    ("--listen", true, &["serve"]),
+    ("--workers", true, &["serve"]),
+    ("--queue-capacity", true, &["serve"]),
+    ("--idle-timeout-ms", true, &["serve"]),
+    ("--read-timeout-ms", true, &["serve"]),
+    ("--write-timeout-ms", true, &["serve"]),
+    ("--deadline-ms", true, &["serve", "loadgen"]),
+    ("--connect", true, &["loadgen"]),
+    ("--clients", true, &["loadgen"]),
+    ("--requests", true, &["loadgen"]),
+    ("--max-retries", true, &["loadgen"]),
+];
+
+/// Refuses an option `command` does not take, and a value option with
+/// nothing after it, before the command runs — a typo must not silently
+/// select the default behaviour.
+fn check_options(command: &str, args: &[String]) -> Result<(), CliError> {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        i += 1;
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let takes_value = OPTIONS
+            .iter()
+            .find(|(name, _, commands)| *name == arg && commands.contains(&command))
+            .map(|&(_, takes_value, _)| takes_value)
+            .ok_or_else(|| {
+                CliError::Input(format!("unknown option {arg:?} for `viewplan {command}`"))
+            })?;
+        if takes_value {
+            if i == args.len() {
+                return Err(CliError::Input(format!("option {arg} expects a value")));
+            }
+            i += 1;
+        }
+    }
+    Ok(())
+}
 
 fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
@@ -501,7 +560,10 @@ fn positional_args(args: &[String]) -> Vec<&str> {
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
-        if VALUE_OPTIONS.contains(&a) {
+        if OPTIONS
+            .iter()
+            .any(|&(name, takes_value, _)| takes_value && name == a)
+        {
             i += 2; // skip the option and its value
         } else if a.starts_with("--") {
             i += 1; // boolean flag
@@ -527,12 +589,7 @@ fn file_arg(args: &[String]) -> Result<&str, CliError> {
 /// The `--threads` value: a positive integer, 1 (serial) when the flag
 /// is absent.
 fn threads_arg(args: &[String]) -> Result<usize, CliError> {
-    match option(args, "--threads") {
-        None => Ok(1),
-        Some(v) => v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError::Input(format!("--threads expects a positive integer, got {v:?}"))
-        }),
-    }
+    u64_arg(args, "--threads", 1).map(|n| n as usize)
 }
 
 /// A `--name N` option holding a positive integer, with a default when
@@ -550,21 +607,11 @@ fn u64_arg(args: &[String], name: &str, default: u64) -> Result<u64, CliError> {
 /// combined into a [`BudgetSpec`] (unlimited when none are given).
 fn budget_arg(args: &[String], fault: Option<Fault>) -> Result<BudgetSpec, CliError> {
     let mut spec = BudgetSpec::new();
-    if let Some(v) = option(args, "--timeout-ms") {
-        let ms = v.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError::Input(format!(
-                "--timeout-ms expects a positive integer, got {v:?}"
-            ))
-        })?;
-        spec = spec.timeout_ms(ms);
+    if option(args, "--timeout-ms").is_some() {
+        spec = spec.timeout_ms(u64_arg(args, "--timeout-ms", 1)?);
     }
-    if let Some(v) = option(args, "--node-budget") {
-        let n = v.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError::Input(format!(
-                "--node-budget expects a positive integer, got {v:?}"
-            ))
-        })?;
-        spec = spec.node_budget(n);
+    if option(args, "--node-budget").is_some() {
+        spec = spec.node_budget(u64_arg(args, "--node-budget", 1)?);
     }
     if let Some(fault) = fault {
         spec = spec.fault(fault);
@@ -1134,24 +1181,13 @@ fn duration_arg(
     name: &str,
     default: std::time::Duration,
 ) -> Result<std::time::Duration, CliError> {
-    match option(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse::<u64>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .map(std::time::Duration::from_millis)
-            .ok_or_else(|| {
-                CliError::Input(format!("{name} expects a positive integer, got {v:?}"))
-            }),
-    }
+    u64_arg(args, name, default.as_millis() as u64).map(std::time::Duration::from_millis)
 }
 
 /// The network front-end flags, collected into a [`NetConfig`].
 fn net_config(args: &[String]) -> Result<crate::serve::NetConfig, CliError> {
     let defaults = crate::serve::NetConfig::default();
     Ok(crate::serve::NetConfig {
-        accept_threads: u64_arg(args, "--accept-threads", defaults.accept_threads as u64)? as usize,
         workers: u64_arg(args, "--workers", defaults.workers as u64)? as usize,
         queue_capacity: u64_arg(args, "--queue-capacity", defaults.queue_capacity as u64)? as usize,
         read_timeout: duration_arg(args, "--read-timeout-ms", defaults.read_timeout)?,
@@ -1165,15 +1201,17 @@ fn net_config(args: &[String]) -> Result<crate::serve::NetConfig, CliError> {
 }
 
 /// Interactive serving: views from a file, requests on stdin (or, with
-/// `--listen ADDR`, over TCP). Both paths run the same [`LiveCatalog`],
-/// so `add-view` / `drop-view` swap the serving snapshot without
-/// stopping traffic, with identical response lines.
+/// `--listen ADDR`, over TCP). Both front-ends hand each line or frame to
+/// `viewplan_serve::command`, so they accept the same commands and print
+/// the same replies; stdin differs only in reading a bare rule as a
+/// `query`, skipping admission, and printing an answer as its rendering
+/// plus a blank line (errors go to stderr).
 fn serve(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), CliError> {
-    use crate::serve::{LiveCatalog, NetServer, ServeFaults};
+    use crate::serve::{command, LiveCatalog, NetServer, Reply, ServeFaults};
     let path = file_arg(args)?;
     let mut config = serve_config(args, common)?;
-    // Requests arrive one at a time per worker, so here `--threads`
-    // parallelizes inside each request's pipeline.
+    // A request's pipeline runs on the one thread that read it, so here
+    // `--threads` parallelizes inside each request's pipeline.
     config.corecover.threads = common.threads;
     let views = load_views_file(path)?;
     let faults = std::sync::Arc::new(ServeFaults::new(common.fault));
@@ -1202,52 +1240,23 @@ fn serve(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cl
         if src.is_empty() {
             continue;
         }
-        // DDL lines print the same `ok epoch=…` acknowledgement as the
-        // socket protocol, so the two front-ends stay script-compatible.
-        if let Some(rule) = src.strip_prefix("add-view ") {
-            match parse_query(rule.trim()) {
-                Err(e) => eprintln!("error: bad view {rule:?}: {e}"),
-                Ok(definition) => match catalog.add_view(View { definition }) {
-                    Err(e) => eprintln!("error: {e}"),
-                    Ok(o) => writeln!(
-                        out,
-                        "ok epoch={} views={} invalidated={} revalidated={}",
-                        o.epoch, o.views, o.invalidated, o.revalidated
-                    )?,
-                },
+        let reply = match command::respond(src, &catalog, None, None) {
+            Reply::Unknown(_) => command::respond(&format!("query {src}"), &catalog, None, None),
+            reply => reply,
+        };
+        match reply {
+            Reply::Answer(answer) => {
+                answered += 1;
+                write!(out, "{}", answer.render())?;
+                writeln!(out)?;
             }
-            continue;
-        }
-        if let Some(name) = src.strip_prefix("drop-view ") {
-            match catalog.drop_view(Symbol::new(name.trim())) {
-                Err(e) => eprintln!("error: {e}"),
-                Ok(o) => writeln!(
-                    out,
-                    "ok epoch={} views={} invalidated={} revalidated={}",
-                    o.epoch, o.views, o.invalidated, o.revalidated
-                )?,
+            Reply::Error(message) => eprintln!("error: {message}"),
+            ack => {
+                writeln!(out, "{ack}")?;
+                if matches!(ack, Reply::Bye) {
+                    break;
+                }
             }
-            continue;
-        }
-        // Pin this request's snapshot: a concurrent swap (impossible on
-        // stdin, routine over TCP) never changes an in-flight answer.
-        let server = catalog.server();
-        match parse_query(src) {
-            Err(e) => eprintln!("error: bad query {src:?}: {e}"),
-            // Reject ill-typed queries *before* the cache sees them: an
-            // arity-mismatched query would otherwise burn a canonical
-            // cache entry that can only ever answer "no rewriting".
-            Ok(q) => match server.validate(&q) {
-                Err(e) => eprintln!("error: {e}"),
-                Ok(()) => match server.serve(&q) {
-                    Err(e) => eprintln!("error: {e}"),
-                    Ok(a) => {
-                        answered += 1;
-                        write!(out, "{}", a.render())?;
-                        writeln!(out)?;
-                    }
-                },
-            },
         }
     }
     let stats = catalog

@@ -67,6 +67,48 @@ fn unknown_subcommand_fails() {
     assert!(stderr(&out).contains("unknown command"));
 }
 
+#[test]
+fn unknown_misplaced_and_valueless_options_fail_with_exit_code_2() {
+    for (args, complaint) in [
+        // A typo must not silently run with the default behaviour.
+        (
+            &["rewrite", PROBLEM, "--no-prnue"][..],
+            "unknown option \"--no-prnue\"",
+        ),
+        (
+            &["rewrite", PROBLEM, "--thread", "8"],
+            "unknown option \"--thread\"",
+        ),
+        // A real option, on a command that does not take it.
+        (
+            &["eval", PROBLEM, "--model", "m2"],
+            "unknown option \"--model\" for `viewplan eval`",
+        ),
+        (
+            &["rewrite", PROBLEM, "--workers", "2"],
+            "unknown option \"--workers\"",
+        ),
+        // A value option with nothing after it.
+        (
+            &["plan", PROBLEM, "--model"],
+            "option --model expects a value",
+        ),
+    ] {
+        let out = viewplan(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(complaint),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(
+            stdout(&out).is_empty(),
+            "{args:?} ran anyway: {}",
+            stdout(&out)
+        );
+    }
+}
+
 /// Writes a throwaway problem file and returns its path.
 fn temp_problem(name: &str, contents: &str) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(name);

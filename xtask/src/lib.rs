@@ -780,8 +780,8 @@ fn check_raw_sync_ban(root: &Path, report: &mut LintReport) {
                 if let Some(what) = offending {
                     report.violations.push(format!(
                         "{}:{}: raw {what} primitive outside the viewplan-sync facade — \
-                         use viewplan_sync::{{Mutex, RwLock, Condvar, thread, mpsc, \
-                         atomics}} so the interleaving model checker sees every yield point",
+                         use viewplan_sync::{{Mutex, RwLock, Condvar, thread, atomics}} \
+                         so the interleaving model checker sees every yield point",
                         rel(root, &file),
                         line_no + 1
                     ));
