@@ -147,6 +147,7 @@ mod tests {
         let mk = |subgoals: &[usize]| TupleCore {
             subgoals: subgoals.iter().copied().collect::<BTreeSet<_>>(),
             mapping: Default::default(),
+            parts: Vec::new(),
         };
         let cores = vec![mk(&[0, 1]), mk(&[2]), mk(&[0, 1]), mk(&[]), mk(&[])];
         let classes = view_tuple_classes(&cores);

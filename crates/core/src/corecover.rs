@@ -17,22 +17,37 @@
 //! running example), which the downstream optimizer may graft onto a
 //! rewriting when a selective view relation pays for itself.
 //!
+//! # Certified covers
+//!
+//! A cover of tuple-cores is a rewriting only if the members' mappings
+//! agree on the variables they share (the three-line counterexample is
+//! in [`crate::certificate`]). Every deduplicated cover is therefore
+//! decided before it is returned, the same way in every build profile:
+//! first by the bitmask [certificate](crate::certificate::certify) — no
+//! expansion, no containment search — and, when the certificate cannot
+//! vouch for it, by the oracle (expand the rewriting and test
+//! equivalence with the query). A cover of class representatives that
+//! fails both is retried with class-mates that expose different
+//! variables before it is dropped.
+//!
 //! The §5.2 concise representation — views grouped into classes
 //! equivalent as queries, view tuples grouped by tuple-core — is on by
 //! default and is what makes the algorithm scale to a thousand views
 //! (Figures 6–9).
 
 use crate::catalog_index::CatalogIndex;
+use crate::certificate::certify;
 use crate::classes::{view_equivalence_classes, view_tuple_classes};
 use crate::cover::{all_irredundant_covers_counted, all_minimum_covers_counted};
 use crate::error::{CoreError, MAX_SUBGOALS};
+use crate::lattice::is_equivalent_rewriting;
 use crate::parallel::parallel_map;
 use crate::prepared::PreparedViews;
 use crate::rewriting::{dedup_variants_with_map, Rewriting};
 use crate::tuple_core::{tuple_core, TupleCore};
 use crate::view_tuple::{view_tuples_with_threads, ViewTuple};
-use viewplan_containment::{are_equivalent, expand, minimize};
-use viewplan_cq::{ConjunctiveQuery, ViewSet};
+use viewplan_containment::minimize;
+use viewplan_cq::{ConjunctiveQuery, Symbol, Term, ViewSet};
 use viewplan_obs as obs;
 use viewplan_obs::Completeness;
 
@@ -52,27 +67,24 @@ pub struct CoreCoverConfig {
     /// views contribute nothing to any later step. Counted under
     /// `analyze.views_pruned`. Default `true`.
     pub prune_unusable_views: bool,
-    /// Verify each produced rewriting by expanding it and checking
-    /// equivalence with the query; candidates that fail are dropped
-    /// (counted under `corecover.nonequivalent_covers`, or marked
-    /// `Truncated` when a budget may have cut the equivalence search
-    /// short). Covers whose overlapping tuple-cores disagree on a shared
-    /// variable are not rewritings, so this defaults to `false` only for
-    /// speed; debug builds always verify.
+    /// Inert: nothing reads it. Every cover is decided by the
+    /// certificate or the oracle whatever this says (module docs,
+    /// "Certified covers"). The field survives only because
+    /// `benchmark/src/workloads/mod.rs` names it and the PR that made it
+    /// inert could not edit `benchmark/`; remove both together.
     pub verify_rewritings: bool,
     /// Cap on the number of rewritings enumerated by `CoreCover*`.
     pub max_rewritings: usize,
     /// Worker threads for the parallel stages (view tuples, tuple-cores,
-    /// verification). `1` runs fully serial; results are identical for
-    /// every thread count. Default 1.
+    /// oracle checks of uncertified covers). `1` runs fully serial;
+    /// results are identical for every thread count. Default 1.
     pub threads: usize,
     /// Record per-candidate provenance — which views the VP006 prune
     /// dropped, every candidate cover with its fate (accepted, duplicate
-    /// variant, nonequivalent, unverified) — in
-    /// [`CoreCoverResult::provenance`]. Forces verification (a verdict
-    /// is only meaningful when the equivalence check ran) and keeps a
-    /// copy of every pre-dedup candidate, so leave it off outside
-    /// `viewplan explain`. Default `false`.
+    /// variant, nonequivalent, unverified) and the check that decided it
+    /// — in [`CoreCoverResult::provenance`]. Keeps a copy of every
+    /// pre-dedup candidate, so leave it off outside `viewplan explain`.
+    /// Default `false`.
     pub collect_provenance: bool,
 }
 
@@ -109,12 +121,41 @@ pub struct CoverProvenance {
 /// One candidate cover and what became of it.
 #[derive(Clone, Debug)]
 pub struct CandidateCover {
-    /// The candidate rewriting built from the cover.
+    /// The candidate rewriting built from the cover — after a
+    /// successful class-mate retry, the rewriting that passed.
     pub rewriting: Rewriting,
     /// View names used by the cover (body predicates, in body order).
     pub views_used: Vec<String>,
     /// The candidate's fate.
     pub verdict: CandidateVerdict,
+    /// The check that decided the verdict; `None` for a duplicate
+    /// variant, which is dropped before any check runs.
+    pub decided_by: Option<DecidedBy>,
+    /// True iff the cover of class representatives failed both checks
+    /// and `rewriting` is the first class-mate combination that passed.
+    pub retried: bool,
+}
+
+/// Which check decided a cover (module docs, "Certified covers").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DecidedBy {
+    /// The bitmask certificate vouched for it: a rewriting by
+    /// construction.
+    Certificate,
+    /// The certificate could not vouch for it; expansion and the
+    /// equivalence test decided.
+    Oracle,
+}
+
+impl DecidedBy {
+    /// `certificate` or `oracle` — the `by` field of the
+    /// `corecover.cover_verified` trace event and of `explain --json`.
+    pub fn label(self) -> &'static str {
+        match self {
+            DecidedBy::Certificate => "certificate",
+            DecidedBy::Oracle => "oracle",
+        }
+    }
 }
 
 /// The fate of one candidate cover.
@@ -209,31 +250,41 @@ impl CoreCoverResult {
             .collect()
     }
 
-    /// The §5.2 advantage (4): view tuples interchangeable with `tuple`
-    /// (same tuple-core class). Substituting any of them for `tuple` in a
-    /// rewriting yields another rewriting of the query, letting the
-    /// optimizer pick the class member with the cheapest view relation.
+    /// The §5.2 advantage (4): view tuples interchangeable with `tuple` —
+    /// same tuple-core class **and** the same variables of the core
+    /// exposed as arguments. Class-mates can differ in what they expose
+    /// (`va(P, Y)` and `va2(P, X, Y)` over `e(P, X), g(X, Y)`), and a
+    /// rewriting that joins on `X` does not survive that swap, so those
+    /// are left out. Lets the optimizer pick the member with the
+    /// cheapest view relation.
     pub fn interchangeable_tuples(&self, tuple: &ViewTuple) -> Vec<&ViewTuple> {
         let Some(idx) = self.view_tuples.iter().position(|t| t == tuple) else {
             return Vec::new();
         };
+        let exposed = |i: usize| {
+            exposed_variables(&self.minimized_query, &self.view_tuples[i], &self.cores[i])
+        };
+        let signature = exposed(idx);
         self.tuple_classes
             .iter()
             .find(|class| class.contains(&idx))
             .map(|class| {
                 class
                     .iter()
-                    .filter(|&&i| i != idx)
+                    .filter(|&&i| i != idx && exposed(i) == signature)
                     .map(|&i| &self.view_tuples[i])
                     .collect()
             })
             .unwrap_or_default()
     }
 
-    /// Substitutes `from` with `to` in a rewriting's body (both must be in
-    /// the same tuple-core class for the result to stay a rewriting —
-    /// debug builds assert nothing here; the caller chooses from
-    /// [`CoreCoverResult::interchangeable_tuples`]).
+    /// Substitutes `from` with `to` in a rewriting's body. With `to`
+    /// taken from [`CoreCoverResult::interchangeable_tuples`] the result
+    /// is again a rewriting whenever the original's cover holds a
+    /// certificate, which depends only on the cores and what they
+    /// expose. A cover only the oracle accepted can rest on parts of a
+    /// view outside its tuple-core; re-check such a swap with
+    /// [`crate::is_equivalent_rewriting`].
     pub fn swap_tuple(&self, rewriting: &Rewriting, from: &ViewTuple, to: &ViewTuple) -> Rewriting {
         let mut out = rewriting.clone();
         for atom in &mut out.body {
@@ -458,104 +509,166 @@ impl<'a> CoreCover<'a> {
             }
         };
 
-        let mut rewritings: Vec<Rewriting> = covers
+        let rewriting_of = |members: &[usize]| -> Rewriting {
+            ConjunctiveQuery::new(
+                qm.head.clone(),
+                members.iter().map(|&i| tuples[i].atom.clone()).collect(),
+            )
+        };
+        // Covers as view-tuple indices from here on.
+        let covers: Vec<Vec<usize>> = covers
             .iter()
-            .map(|cover| {
-                ConjunctiveQuery::new(
-                    qm.head.clone(),
-                    cover
-                        .iter()
-                        .map(|&k| tuples[candidate_indices[k]].atom.clone())
-                        .collect(),
-                )
-            })
+            .map(|cover| cover.iter().map(|&k| candidate_indices[k]).collect())
             .collect();
+        let candidates: Vec<Rewriting> = covers.iter().map(|c| rewriting_of(c)).collect();
         // Pre-dedup candidates are kept only when provenance is on: the
         // explain path wants to say "this cover was a renaming of that
         // one", which requires remembering the dropped ones.
         let all_candidates: Option<Vec<Rewriting>> =
-            provenance.is_some().then(|| rewritings.clone());
-        let (deduped, variant_of) = dedup_variants_with_map(rewritings);
-        rewritings = deduped;
+            provenance.is_some().then(|| candidates.clone());
+        let (mut candidates, variant_of) = dedup_variants_with_map(candidates);
+        let covers: Vec<&[usize]> = covers
+            .iter()
+            .zip(&variant_of)
+            .filter_map(|(cover, variant)| variant.is_none().then_some(cover.as_slice()))
+            .collect();
 
-        let mut unverified_dropped = false;
-        // Indexed like post-dedup `rewritings` before filtering; `Some`
-        // iff verification ran.
-        let mut verified_flags: Option<Vec<bool>> = None;
-        if self.config.verify_rewritings || provenance.is_some() || cfg!(debug_assertions) {
+        // Step 5: decide every cover (module docs, "Certified covers").
+        // `decisions` lines up with `candidates` and `covers`.
+        let decisions: Vec<Decision> = {
             let _span = obs::span("corecover.verify");
-            // One parallel verification task per cover; verdicts line up
-            // with `rewritings` by index.
-            let verified: Vec<bool> = parallel_map(threads, &rewritings, |r| {
-                // Covers are built from view tuples of known views, so
-                // expansion cannot fail; if that invariant ever broke,
-                // the candidate is not a rewriting — shed it like any
-                // other failed verification rather than aborting.
-                let equivalent = match expand(r, &active_views) {
-                    Ok(exp) => are_equivalent(&exp, &qm),
-                    Err(_) => false,
+            let certified = |members: &[usize]| {
+                let parts: Vec<&[u64]> =
+                    members.iter().map(|&i| cores[i].parts.as_slice()).collect();
+                certify(universe, &parts)
+            };
+            let oracle = |r: &Rewriting| is_equivalent_rewriting(r, &qm, &active_views);
+            let mut decisions: Vec<Decision> = covers
+                .iter()
+                .map(|cover| Decision {
+                    accepted: certified(cover),
+                    by: DecidedBy::Certificate,
+                    retried: false,
+                })
+                .collect();
+            // One parallel task per cover the certificate left open; a
+            // task that had to swap class-mates in returns the rewriting
+            // that passed.
+            let open: Vec<usize> = (0..covers.len())
+                .filter(|&i| !decisions[i].accepted)
+                .collect();
+            let fallback = parallel_map(threads, &open, |&i| {
+                if oracle(&candidates[i]) {
+                    return (true, DecidedBy::Oracle, None);
+                }
+                // The cover of representatives is not a rewriting; a
+                // class-mate that exposes other variables may make it
+                // one. Without tuple grouping every mate is a candidate
+                // in its own right and its covers are enumerated anyway.
+                let alternatives: Vec<Vec<usize>> = if self.config.group_view_tuples {
+                    covers[i]
+                        .iter()
+                        .map(|&rep| {
+                            let class = tuple_classes.iter().find(|class| class[0] == rep);
+                            class.map_or_else(
+                                || vec![rep],
+                                |class| mates_by_exposure(&qm, &tuples, &cores, class),
+                            )
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
                 };
+                let passed = first_other_combination(&alternatives, &mut |members| {
+                    if certified(members) {
+                        Some(DecidedBy::Certificate)
+                    } else {
+                        oracle(&rewriting_of(members)).then_some(DecidedBy::Oracle)
+                    }
+                });
+                match passed {
+                    Some((members, by)) => (true, by, Some(rewriting_of(&members))),
+                    None => (false, DecidedBy::Oracle, None),
+                }
+            });
+            obs::counter!("corecover.covers_certified").add((covers.len() - open.len()) as u64);
+            obs::counter!("corecover.covers_oracle_checked").add(open.len() as u64);
+            for (i, (accepted, by, swapped)) in open.into_iter().zip(fallback) {
+                decisions[i] = Decision {
+                    accepted,
+                    by,
+                    retried: swapped.is_some(),
+                };
+                if let Some(rewriting) = swapped {
+                    candidates[i] = rewriting;
+                }
+            }
+            for (decision, r) in decisions.iter().zip(&candidates) {
                 obs::trace_event!(
                     "corecover.cover_verified",
                     ("subgoals", r.body.len()),
-                    ("equivalent", equivalent)
+                    ("equivalent", decision.accepted),
+                    ("by", decision.by.label())
                 );
-                equivalent
-            });
-            // Candidates that fail the check are dropped, never
-            // asserted on: a cover whose overlapping tuple-cores treat
-            // a shared variable inconsistently (identity in one core,
-            // existential image in the other) is not a rewriting, and a
-            // production pipeline must shed it, not abort. Under a
-            // budget a failed check can also mean the equivalence
-            // search itself was truncated — a possibly-valid rewriting
-            // dropped for lack of proof — so the run is additionally
-            // marked truncated.
-            let kept: Vec<Rewriting> = rewritings
-                .into_iter()
-                .zip(&verified)
-                .filter_map(|(r, &ok)| ok.then_some(r))
-                .collect();
-            let dropped = verified.len() - kept.len();
-            if dropped > 0 {
-                if budget_active {
-                    unverified_dropped = true;
-                    obs::counter!("budget.unverified_dropped").add(dropped as u64);
-                } else {
-                    obs::counter!("corecover.nonequivalent_covers").add(dropped as u64);
-                }
             }
-            rewritings = kept;
-            verified_flags = Some(verified);
+            decisions
+        };
+        // Covers no check vouches for are dropped, never asserted on: a
+        // production pipeline must shed them, not abort. Under a budget
+        // a failed oracle check can also mean the equivalence search
+        // itself was cut short — a possibly-valid rewriting dropped for
+        // lack of proof — so the run is additionally marked truncated.
+        let dropped = decisions.iter().filter(|d| !d.accepted).count();
+        let unverified_dropped = dropped > 0 && budget_active;
+        if unverified_dropped {
+            obs::counter!("budget.unverified_dropped").add(dropped as u64);
+        } else if dropped > 0 {
+            obs::counter!("corecover.nonequivalent_covers").add(dropped as u64);
         }
 
-        if let (Some(p), Some(candidates)) = (provenance.as_mut(), all_candidates) {
+        if let (Some(p), Some(all)) = (provenance.as_mut(), all_candidates) {
             // Walk candidates in enumeration order; kept ones consume
-            // the next verification verdict.
-            let mut kept_pos = 0usize;
-            for (idx, r) in candidates.into_iter().enumerate() {
-                let verdict = match variant_of[idx] {
-                    Some(of) => CandidateVerdict::DuplicateVariant { of },
+            // the next decision.
+            let mut decided = candidates.iter().zip(&decisions);
+            for (idx, candidate) in all.into_iter().enumerate() {
+                let (rewriting, verdict, decided_by, retried) = match variant_of[idx] {
+                    Some(of) => (
+                        candidate,
+                        CandidateVerdict::DuplicateVariant { of },
+                        None,
+                        false,
+                    ),
                     None => {
-                        let ok = verified_flags.as_ref().map(|v| v[kept_pos]).unwrap_or(true);
-                        kept_pos += 1;
-                        if ok {
+                        let Some((r, d)) = decided.next() else { break };
+                        let verdict = if d.accepted {
                             CandidateVerdict::Accepted
                         } else if budget_active {
                             CandidateVerdict::Unverified
                         } else {
                             CandidateVerdict::NotEquivalent
-                        }
+                        };
+                        (r.clone(), verdict, Some(d.by), d.retried)
                     }
                 };
-                let views_used = r.body.iter().map(|a| a.predicate.as_str()).collect();
+                let views_used = rewriting
+                    .body
+                    .iter()
+                    .map(|a| a.predicate.as_str())
+                    .collect();
                 p.candidates.push(CandidateCover {
-                    rewriting: r,
+                    rewriting,
                     views_used,
                     verdict,
+                    decided_by,
+                    retried,
                 });
             }
         }
+        let rewritings: Vec<Rewriting> = candidates
+            .into_iter()
+            .zip(&decisions)
+            .filter_map(|(r, d)| d.accepted.then_some(r))
+            .collect();
 
         let truncated = truncated || unverified_dropped;
         let completeness = obs::budget::completeness_since(budget_before).worst(if truncated {
@@ -600,9 +713,94 @@ impl<'a> CoreCover<'a> {
     }
 }
 
+/// What step 5 found out about one deduplicated cover.
+struct Decision {
+    /// Some check vouched for the cover.
+    accepted: bool,
+    /// The last check that ran on it.
+    by: DecidedBy,
+    /// The cover of representatives failed both checks and a class-mate
+    /// combination was accepted in its place.
+    retried: bool,
+}
+
+/// The variables of `core`'s subgoals that `tuple` exposes as arguments,
+/// sorted. Two view tuples with the same core and the same exposed
+/// variables have the same [`TupleCore::parts`], so a certificate cannot
+/// tell them apart.
+fn exposed_variables(qm: &ConjunctiveQuery, tuple: &ViewTuple, core: &TupleCore) -> Vec<Symbol> {
+    let mut exposed: Vec<Symbol> = tuple
+        .atom
+        .variables()
+        .filter(|&v| {
+            core.subgoals
+                .iter()
+                .any(|&g| qm.body[g].terms.contains(&Term::Var(v)))
+        })
+        .collect();
+    exposed.sort();
+    exposed.dedup();
+    exposed
+}
+
+/// The members of one tuple-core class worth trying in a cover: the
+/// representative, then the first mate for every other set of exposed
+/// variables.
+fn mates_by_exposure(
+    qm: &ConjunctiveQuery,
+    tuples: &[ViewTuple],
+    cores: &[TupleCore],
+    class: &[usize],
+) -> Vec<usize> {
+    let mut seen: Vec<Vec<Symbol>> = Vec::new();
+    let mut mates = Vec::new();
+    for &i in class {
+        let exposed = exposed_variables(qm, &tuples[i], &cores[i]);
+        if !seen.contains(&exposed) {
+            seen.push(exposed);
+            mates.push(i);
+        }
+    }
+    mates
+}
+
+/// The first combination of one pick per list that `check` passes, with
+/// what it returned. The last list varies fastest; the combination of
+/// every list's first entry — the cover that already failed — is
+/// skipped. Gives up when the ambient budget's cover meter runs out.
+fn first_other_combination<T>(
+    alternatives: &[Vec<usize>],
+    check: &mut dyn FnMut(&[usize]) -> Option<T>,
+) -> Option<(Vec<usize>, T)> {
+    let mut meter = obs::Meter::start(obs::Phase::Cover);
+    let mut pick = vec![0usize; alternatives.len()];
+    loop {
+        let mut pos = pick.len();
+        loop {
+            if pos == 0 {
+                return None;
+            }
+            pos -= 1;
+            pick[pos] += 1;
+            if pick[pos] < alternatives[pos].len() {
+                break;
+            }
+            pick[pos] = 0;
+        }
+        if !meter.tick() {
+            return None;
+        }
+        let members: Vec<usize> = pick.iter().zip(alternatives).map(|(&p, a)| a[p]).collect();
+        if let Some(passed) = check(&members) {
+            return Some((members, passed));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use viewplan_containment::{are_equivalent, expand};
     use viewplan_cq::{parse_query, parse_views};
 
     fn carlocpart() -> (ConjunctiveQuery, ViewSet) {
@@ -806,14 +1004,34 @@ mod tests {
     }
 
     #[test]
-    fn verification_mode_accepts_valid_rewritings() {
-        let (q, views) = carlocpart();
-        let config = CoreCoverConfig {
-            verify_rewritings: true,
-            ..CoreCoverConfig::default()
+    fn class_mates_that_expose_different_variables_are_not_interchangeable() {
+        // va, va2 and va3 share the core {e, g}; va hides X. Swapping va
+        // in for va2 would turn the rewriting into a Cartesian product.
+        let q = parse_query("q(P, R) :- e(P, X), g(X, Y), f(Y, R)").unwrap();
+        let views = parse_views(
+            "va2(P, X, Y) :- e(P, X), g(X, Y).\n\
+             va(P, Y) :- e(P, X), g(X, Y).\n\
+             va3(Y, X, P) :- e(P, X), g(X, Y).\n\
+             vb(X, R) :- g(X, Y), f(Y, R).",
+        )
+        .unwrap();
+        let result = CoreCover::new(&q, &views).run();
+        assert_eq!(result.tuple_classes[0], [0, 1, 2]);
+        let mates = |i: usize| -> Vec<String> {
+            result
+                .interchangeable_tuples(&result.view_tuples[i])
+                .iter()
+                .map(|t| t.to_string())
+                .collect()
         };
-        let result = CoreCover::new(&q, &views).with_config(config).run();
-        assert_eq!(result.rewritings().len(), 1);
+        assert_eq!(mates(0), ["va3(Y, X, P)"]);
+        assert!(mates(1).is_empty());
+        let rewriting = &result.rewritings()[0];
+        assert_eq!(rewriting.to_string(), "q(P, R) :- va2(P, X, Y), vb(X, R)");
+        let swapped = result.swap_tuple(rewriting, &result.view_tuples[0], &result.view_tuples[2]);
+        assert!(is_equivalent_rewriting(&swapped, &q, &views));
+        let unsound = result.swap_tuple(rewriting, &result.view_tuples[0], &result.view_tuples[1]);
+        assert!(!is_equivalent_rewriting(&unsound, &q, &views));
     }
 }
 
@@ -980,6 +1198,7 @@ mod wide_query_tests {
 mod budget_tests {
     use super::*;
     use obs::budget::{BudgetSpec, Fault, FaultPoint};
+    use viewplan_containment::{are_equivalent, expand};
     use viewplan_cq::{parse_query, parse_views};
 
     fn chain_problem() -> (ConjunctiveQuery, ViewSet) {

@@ -13,6 +13,9 @@
 //!   set covers of the query subgoals by tuple-cores (§4, Theorem 4.1,
 //!   Corollary 4.1), and all minimal rewritings for cost model M2 via
 //!   `CoreCover*` (§5, Theorem 5.1);
+//! * [`certificate`] — the shared-variable condition Theorem 4.1 needs
+//!   for overlapping cores, checked on bitmasks at cover assembly so a
+//!   certified cover is a rewriting by construction;
 //! * [`classes`] — the concise representation of §5.2: equivalence classes
 //!   of views (equivalent as queries) and of view tuples (same
 //!   tuple-core), the key to the paper's scalability results;
@@ -43,6 +46,7 @@
 
 pub mod bucket;
 pub mod catalog_index;
+pub mod certificate;
 pub mod classes;
 pub mod corecover;
 pub mod cover;
@@ -62,7 +66,7 @@ pub use catalog_index::CatalogIndex;
 pub use classes::{view_equivalence_classes, view_tuple_classes};
 pub use corecover::{
     CandidateCover, CandidateVerdict, CoreCover, CoreCoverConfig, CoreCoverResult, CoreCoverStats,
-    CoverProvenance,
+    CoverProvenance, DecidedBy,
 };
 pub use cover::{
     all_irredundant_covers, all_irredundant_covers_counted, all_minimum_covers, CoverEnumeration,

@@ -28,6 +28,10 @@
 //!   send different local variables to the same existential), maximizing
 //!   the number of covered subgoals.
 //!
+//! The components that make it into the core are kept as
+//! [`TupleCore::parts`]: [`crate::certificate`] needs them to tell
+//! whether the cores of a cover glue into one containment mapping.
+//!
 //! Lemma 4.2 (uniqueness of the maximal core) is asserted in debug builds.
 
 use crate::view_tuple::ViewTuple;
@@ -45,6 +49,11 @@ pub struct TupleCore {
     /// Images of the query's local variables in the tuple expansion
     /// (non-local variables map to themselves and are omitted).
     pub mapping: BTreeMap<Symbol, Term>,
+    /// The covered subgoals as bitmasks, one per component linked by
+    /// shared local variables (see the module docs): the all-or-nothing
+    /// units of property (3). They partition `subgoals`, and they are
+    /// what a [cover certificate](crate::certificate) deals out.
+    pub parts: Vec<u64>,
 }
 
 impl TupleCore {
@@ -53,7 +62,18 @@ impl TupleCore {
         TupleCore {
             subgoals: BTreeSet::new(),
             mapping: BTreeMap::new(),
+            parts: Vec::new(),
         }
+    }
+
+    /// Adds one whole component, mapped by `mapping`, to the core.
+    fn absorb(&mut self, component: &[usize], mapping: &ComponentMapping) {
+        self.subgoals.extend(component.iter().copied());
+        self.mapping
+            .extend(mapping.iter().map(|(&v, &image)| (v, image)));
+        // Indices are below 64: `tuple_core` asserts the body length.
+        self.parts
+            .push(component.iter().fold(0u64, |m, &i| m | (1 << i)));
     }
 
     /// True iff no subgoal is covered.
@@ -167,8 +187,7 @@ pub fn tuple_core(min_query: &ConjunctiveQuery, tv: &ViewTuple, views: &ViewSet)
         let mut core = TupleCore::empty();
         for (comp, mappings) in &per_component {
             if let Some(m) = mappings.first() {
-                core.subgoals.extend(comp.iter().copied());
-                core.mapping.extend(m.clone());
+                core.absorb(comp, m);
             }
         }
         return core;
@@ -361,8 +380,7 @@ fn resolve(
         let mut core = TupleCore::empty();
         for (c, pick) in per_component.iter().zip(chosen.iter()) {
             if let Some(m) = pick {
-                core.subgoals.extend(c.0.iter().copied());
-                core.mapping.extend(c.1[*m].clone());
+                core.absorb(&c.0, &c.1[*m]);
             }
         }
         let size = core.subgoals.len();
@@ -536,6 +554,23 @@ mod tests {
         // (frozen y ≠ c). So no view tuples. The subtlety: the *tuple* can
         // never exist unless the canonical database contains the constant.
         assert!(cores.is_empty());
+    }
+
+    #[test]
+    fn parts_follow_the_hidden_variables() {
+        // va hides X, so e(P, X) and g(X, Y) stand or fall together;
+        // va2 exposes it and they are separate units.
+        let q = minimize(&parse_query("q(P, R) :- e(P, X), g(X, Y), f(Y, R)").unwrap());
+        let views = parse_views(
+            "va(P, Y) :- e(P, X), g(X, Y).\n\
+             va2(P, X, Y) :- e(P, X), g(X, Y).",
+        )
+        .unwrap();
+        let parts: Vec<Vec<u64>> = view_tuples(&q, &views)
+            .iter()
+            .map(|t| tuple_core(&q, t, &views).parts)
+            .collect();
+        assert_eq!(parts, [vec![0b011], vec![0b001, 0b010]]);
     }
 
     #[test]

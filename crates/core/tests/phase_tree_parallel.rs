@@ -27,8 +27,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn fixture() -> (viewplan_cq::ConjunctiveQuery, viewplan_cq::ViewSet) {
-    // Example 1.1: four view tuples and several covers, so the parallel
-    // stages (view tuples, tuple-cores, verification) all see real work.
+    // Example 1.1: four view tuples, so the parallel stages (view
+    // tuples, tuple-cores) see real work.
     let query =
         parse_query("q1(S, C) :- car(M, anderson), loc(anderson, C), part(S, M, C)").unwrap();
     let views = parse_views(
@@ -136,14 +136,26 @@ fn engine_and_acyclic_overrides_reach_every_worker() {
         "workers evaluated view tuples on the columnar engine under install(Engine::Row)"
     );
 
-    // Homomorphism DFS pinned by the caller: the per-rewriting
-    // equivalence checks on the workers must not take the semijoin
-    // route. (Cleared memo: a cached verdict would skip both routes.)
+    // Homomorphism DFS pinned by the caller: the oracle checks on the
+    // workers must not take the semijoin route. Covers the certificate
+    // vouches for never reach a worker, so this needs covers it cannot
+    // vouch for: every `vb*` joins `va` through its own copy of `X`.
+    // (Cleared memo: a cached verdict would skip both routes.)
+    let query = parse_query("q(P, R) :- e(P, X), g(X, Y), f(Y, R)").unwrap();
+    let views = parse_views(
+        "
+        va(P, Y)     :- e(P, X), g(X, Y).
+        vb1(X, R, P) :- e(P, X2), g(X2, Y2), f(Y2, R), g(X, Y2).
+        vb2(R, X, P) :- e(P, X2), g(X2, Y2), f(Y2, R), g(X, Y2).
+        vb3(P, R, X) :- e(P, X2), g(X2, Y2), f(Y2, R), g(X, Y2).
+        ",
+    )
+    .unwrap();
     viewplan_containment::clear_containment_cache();
     obs::reset();
     let config = CoreCoverConfig {
         threads: 8,
-        verify_rewritings: true,
+        group_view_tuples: false,
         ..CoreCoverConfig::default()
     };
     let result = {
@@ -152,9 +164,11 @@ fn engine_and_acyclic_overrides_reach_every_worker() {
             .with_config(config)
             .run_all_minimal()
     };
-    assert!(
-        result.rewritings().len() > 1,
-        "verification needs several rewritings to fan out"
+    assert_eq!(result.rewritings().len(), 3);
+    assert_eq!(
+        obs::counter_value("corecover.covers_oracle_checked"),
+        3,
+        "the oracle needs several covers to fan out"
     );
     assert!(obs::counter_value("containment.checks") > 0);
     assert_eq!(

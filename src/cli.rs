@@ -39,7 +39,8 @@
 //!
 //! `explain` replays a rewrite/plan with full provenance: which views the
 //! VP006 pre-pass pruned, every candidate cover with its accept/reject
-//! verdict, and the per-term cost breakdown of the winning plan vs. the
+//! verdict and the check that decided it (certified covers are put to
+//! the oracle again), and the per-term cost breakdown of the winning plan vs. the
 //! runner-up — human-readable by default, a stable JSON document with
 //! `--json`. (Timing the program is the job of the standalone harness
 //! under `benchmark/`, not of a subcommand.)
@@ -276,7 +277,9 @@ fn print_help(out: &mut dyn Write) -> Result<(), CliError> {
          \n\
          `explain` replays a rewrite/plan with provenance: views pruned\n\
          by the VP006 pre-pass, every candidate cover with its verdict\n\
-         (accepted / duplicate variant / not equivalent), and per-term\n\
+         (accepted / duplicate variant / not equivalent) and the check\n\
+         that decided it (certificate / oracle; certified covers are\n\
+         re-checked against the oracle), and per-term\n\
          cost breakdowns of the winning plan vs. the runner-up. Without\n\
          ground facts the default model is m1; --json emits a stable\n\
          machine-readable document (golden-tested).\n\

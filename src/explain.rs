@@ -5,7 +5,11 @@
 //! before the search started, every candidate cover `CoreCover` built
 //! with the verdict that kept or rejected it (accepted, renaming variant
 //! of an earlier cover, failed the equivalence check, or left unverified
-//! by an exhausted budget), and — when the input carries ground facts —
+//! by an exhausted budget) and the check that decided it (the cover
+//! certificate or the expansion-equivalence oracle — and every cover
+//! the certificate vouched for is put to the oracle again here, a
+//! disagreement being a bug this report shouts about), and — when the
+//! input carries ground facts —
 //! the per-term cost breakdown of the winning plan against the runner-up
 //! under the chosen cost model.
 //!
@@ -21,7 +25,9 @@
 
 use std::collections::BTreeMap;
 
-use viewplan_core::{CandidateVerdict, CoreCover, CoreCoverConfig};
+use viewplan_core::{
+    is_equivalent_rewriting, CandidateVerdict, CoreCover, CoreCoverConfig, DecidedBy,
+};
 use viewplan_cost::{
     try_optimal_m2_order, try_optimal_m3_plan, CostModel, DropPolicy, ExactOracle, PhysicalPlan,
     PlanError,
@@ -43,6 +49,16 @@ pub struct CandidateReport {
     /// For `duplicate_variant`: index (into this list) of the candidate
     /// this one renames.
     pub variant_of: Option<usize>,
+    /// The check that decided the verdict: `certificate` or `oracle`;
+    /// absent for a duplicate variant.
+    pub decided_by: Option<&'static str>,
+    /// True iff the cover of tuple-class representatives failed and
+    /// `rewriting` is the class-mate combination that passed instead.
+    pub retried: bool,
+    /// For a cover the certificate vouched for: whether the oracle, run
+    /// on it here without a budget, agrees. `Some(false)` is a bug in
+    /// the certificate.
+    pub oracle_agrees: Option<bool>,
 }
 
 /// One step of an explained plan with its measured sizes.
@@ -259,19 +275,28 @@ pub fn explain(
         .as_ref()
         .expect("collect_provenance was set");
 
-    let candidates: Vec<CandidateReport> = provenance
-        .candidates
-        .iter()
-        .map(|c| CandidateReport {
-            rewriting: c.rewriting.to_string(),
-            views_used: c.views_used.clone(),
-            verdict: verdict_tag(&c.verdict),
-            variant_of: match c.verdict {
-                CandidateVerdict::DuplicateVariant { of } => Some(of),
-                _ => None,
-            },
-        })
-        .collect();
+    let candidates: Vec<CandidateReport> = {
+        // The cross-check must not inherit the request's budget: an
+        // oracle cut short would read as a disagreement.
+        let _unbudgeted = viewplan_obs::budget::attach(None);
+        provenance
+            .candidates
+            .iter()
+            .map(|c| CandidateReport {
+                rewriting: c.rewriting.to_string(),
+                views_used: c.views_used.clone(),
+                verdict: verdict_tag(&c.verdict),
+                variant_of: match c.verdict {
+                    CandidateVerdict::DuplicateVariant { of } => Some(of),
+                    _ => None,
+                },
+                decided_by: c.decided_by.map(DecidedBy::label),
+                retried: c.retried,
+                oracle_agrees: (c.decided_by == Some(DecidedBy::Certificate))
+                    .then(|| is_equivalent_rewriting(&c.rewriting, query, views)),
+            })
+            .collect()
+    };
 
     // Rank every accepted candidate by its best plan cost under the
     // model; ties break on candidate order, so the report is stable.
@@ -425,6 +450,15 @@ impl Explanation {
                         if let Some(of) = c.variant_of {
                             cand.insert("variant_of".into(), Json::num(of as u64));
                         }
+                        if let Some(by) = c.decided_by {
+                            cand.insert("decided_by".into(), Json::str(by));
+                        }
+                        if c.retried {
+                            cand.insert("retried".into(), Json::Bool(true));
+                        }
+                        if let Some(agrees) = c.oracle_agrees {
+                            cand.insert("oracle_agrees".into(), Json::Bool(agrees));
+                        }
                         Json::Object(cand)
                     })
                     .collect(),
@@ -512,12 +546,40 @@ impl Explanation {
                 (other, _) => other.into(),
             };
             let _ = writeln!(out, "  #{i} {}", c.rewriting);
+            let decided = match (c.decided_by, c.retried) {
+                (Some(by), true) => format!("  decided by: {by}, after swapping in class-mates"),
+                (Some(by), false) => format!("  decided by: {by}"),
+                (None, _) => String::new(),
+            };
             let _ = writeln!(
                 out,
-                "      views: [{}]  verdict: {verdict}",
+                "      views: [{}]  verdict: {verdict}{decided}",
                 c.views_used.join(", ")
             );
+            if c.oracle_agrees == Some(false) {
+                let _ = writeln!(
+                    out,
+                    "      !!! CERTIFICATE AND ORACLE DISAGREE: the certificate vouched for \
+                     this cover, but its expansion is not equivalent to the query — this \
+                     is a bug"
+                );
+            }
         }
+        let rechecked = self
+            .candidates
+            .iter()
+            .filter(|c| c.oracle_agrees.is_some())
+            .count();
+        let disagreements = self
+            .candidates
+            .iter()
+            .filter(|c| c.oracle_agrees == Some(false))
+            .count();
+        let _ = writeln!(
+            out,
+            "cross-check: {rechecked} certified cover(s) re-checked against the oracle, \
+             {disagreements} disagreement(s)"
+        );
 
         let mut plan_section = |title: &str, p: &PlanReport| {
             let _ = writeln!(out, "\n{title} (candidate #{}):", p.candidate);
@@ -594,6 +656,41 @@ mod tests {
                 "accepted" | "duplicate_variant" | "not_equivalent" | "unverified"
             ));
         }
+    }
+
+    #[test]
+    fn candidates_name_the_deciding_check_and_certified_ones_are_rechecked() {
+        // va hides X, so {va, vb} goes to the oracle and fails; the
+        // class-mate va2 exposes X and the certificate vouches for it.
+        let query = parse_query("q(P, R) :- e(P, X), g(X, Y), f(Y, R)").unwrap();
+        let views = parse_views(
+            "va(P, Y) :- e(P, X), g(X, Y).
+             va2(P, X, Y) :- e(P, X), g(X, Y).
+             vb(X, R) :- g(X, Y), f(Y, R).",
+        )
+        .unwrap();
+        let mut e = explain(&query, &views, &Database::new(), CostModel::M1, false, 1).unwrap();
+        let c = &e.candidates[0];
+        assert_eq!(c.rewriting, "q(P, R) :- va2(P, X, Y), vb(X, R)");
+        assert_eq!(
+            (c.verdict, c.decided_by, c.retried, c.oracle_agrees),
+            ("accepted", Some("certificate"), true, Some(true))
+        );
+        let human = e.render_human();
+        assert!(human.contains("decided by: certificate, after swapping in class-mates"));
+        assert!(human.contains("1 certified cover(s) re-checked against the oracle, 0 disag"));
+        assert!(!human.contains("DISAGREE"));
+        // A certificate the oracle contradicts cannot be produced from
+        // outside, so forge the report: it must not pass quietly.
+        e.candidates[0].oracle_agrees = Some(false);
+        assert!(e
+            .render_human()
+            .contains("!!! CERTIFICATE AND ORACLE DISAGREE"));
+        let doc = viewplan_obs::parse_json(&e.to_json().render()).unwrap();
+        let Json::Array(candidates) = doc.get("candidates").unwrap() else {
+            panic!("candidates must be an array");
+        };
+        assert_eq!(candidates[0].get("oracle_agrees"), Some(&Json::Bool(false)));
     }
 
     #[test]

@@ -227,3 +227,121 @@ fn section_8_shape_check() {
     let m = minimize(&q);
     assert_eq!(m.body.len(), 3, "r(U,W), r(W,U) must not fold");
 }
+
+// ---- Theorem 4.1 and overlapping tuple-cores (ROADMAP item 1(a)) ----
+//
+// Theorem 4.1 says a cover of the query's subgoals by tuple-cores is an
+// equivalent rewriting. With Definition 4.1 as written (and as
+// `tuple_core` implements it) that needs one more condition when cores
+// overlap: the members' mappings must agree on the variables they
+// share. The instances below are the minimal witnesses; what CoreCover
+// does about them is in `viewplan_core::certificate`.
+
+const OVERLAP_QUERY: &str = "q(P, R) :- e(P, X), g(X, Y), f(Y, R)";
+
+fn decided(query: &str, views: &str) -> viewplan::core::CoreCoverResult {
+    let q = parse_query(query).unwrap();
+    let views = parse_views(views).unwrap();
+    let config = CoreCoverConfig {
+        collect_provenance: true,
+        ..CoreCoverConfig::default()
+    };
+    CoreCover::new(&q, &views).with_config(config).run()
+}
+
+/// A cover of tuple-cores that is not a rewriting: `va(P, Y)` hides `X`,
+/// `vb(X, R)` joins on it, and `va(P, Y), vb(X, R)` is a Cartesian
+/// product. The cores {e, g} and {g, f} cover the query all the same.
+#[test]
+fn theorem_41_needs_agreement_on_shared_variables() {
+    use viewplan::core::{CandidateVerdict, DecidedBy};
+    let views = "va(P, Y) :- e(P, X), g(X, Y).\n\
+                 vb(X, R) :- g(X, Y), f(Y, R).";
+    viewplan::obs::set_enabled(true);
+    let before = viewplan::obs::counter_value("corecover.nonequivalent_covers");
+    let result = decided(OVERLAP_QUERY, views);
+    let rejected = viewplan::obs::counter_value("corecover.nonequivalent_covers") - before;
+    viewplan::obs::set_enabled(false);
+
+    let cores: Vec<Vec<usize>> = result
+        .cores
+        .iter()
+        .map(|c| c.subgoals.iter().copied().collect())
+        .collect();
+    assert_eq!(cores, [vec![0, 1], vec![1, 2]], "the cores do cover q");
+    assert!(result.rewritings().is_empty(), "{:?}", result.rewritings());
+    // Nothing else in this test binary produces a non-equivalent cover.
+    assert_eq!(rejected, 1);
+    let candidates = &result.provenance.as_ref().unwrap().candidates;
+    assert_eq!(candidates.len(), 1);
+    assert_eq!(
+        candidates[0].rewriting.to_string(),
+        "q(P, R) :- va(P, Y), vb(X, R)"
+    );
+    assert_eq!(candidates[0].verdict, CandidateVerdict::NotEquivalent);
+    assert_eq!(candidates[0].decided_by, Some(DecidedBy::Oracle));
+    // And it really is not one: four facts tell the two apart.
+    let q = parse_query(OVERLAP_QUERY).unwrap();
+    let view_set = parse_views(views).unwrap();
+    assert!(!viewplan::core::is_equivalent_rewriting(
+        &candidates[0].rewriting,
+        &q,
+        &view_set
+    ));
+    let mut base = Database::new();
+    base.insert_int("e", &[&[1, 2]]);
+    base.insert_int("g", &[&[2, 3], &[5, 6]]);
+    base.insert_int("f", &[&[6, 7]]);
+    let vdb = materialize_views(&view_set, &base);
+    assert!(evaluate(&q, &base).is_empty());
+    assert_eq!(evaluate(&candidates[0].rewriting, &vdb).len(), 1);
+}
+
+/// The certificate is sufficient, not necessary. With this `vb` the
+/// cover {va, vb} *is* a rewriting, through a mapping that sends the
+/// exposed `X` to `vb`'s own copy of it — nothing a per-member check can
+/// see, so the oracle decides. Also pinned: the true GMR
+/// `q(P, R) :- vb(X, R, P)` is in no cover, because `e(P, X)` can only
+/// join `vb(X, R, P)`'s core by mapping `X` — an argument of the tuple
+/// — away from itself, which Definition 4.1 property (1) forbids.
+#[test]
+fn a_cover_only_the_oracle_accepts() {
+    use viewplan::core::{CandidateVerdict, DecidedBy};
+    let views = "va(P, Y) :- e(P, X), g(X, Y).\n\
+                 vb(X, R, P) :- e(P, X2), g(X2, Y2), f(Y2, R), g(X, Y2).";
+    let result = decided(OVERLAP_QUERY, views);
+    let printed: Vec<String> = result.rewritings().iter().map(|r| r.to_string()).collect();
+    assert_eq!(printed, ["q(P, R) :- va(P, Y), vb(X, R, P)"]);
+    let candidates = &result.provenance.as_ref().unwrap().candidates;
+    assert_eq!(candidates[0].verdict, CandidateVerdict::Accepted);
+    assert_eq!(candidates[0].decided_by, Some(DecidedBy::Oracle));
+
+    let q = parse_query(OVERLAP_QUERY).unwrap();
+    let view_set = parse_views(views).unwrap();
+    let gmr = parse_query("q(P, R) :- vb(X, R, P)").unwrap();
+    assert!(viewplan::core::is_equivalent_rewriting(&gmr, &q, &view_set));
+    let vb_core: Vec<usize> = result.cores[1].subgoals.iter().copied().collect();
+    assert_eq!(vb_core, [1, 2], "known gap: e(P, X) is not in vb's core");
+}
+
+/// §5.2 groups view tuples by covered subgoals alone, so class-mates can
+/// differ in what they expose: `va(P, Y)` and `va2(P, X, Y)` both cover
+/// {e, g}, and only `va2` joins with `vb(X, R)`. Whichever is declared
+/// first represents the class; the answer must not depend on that.
+#[test]
+fn tuple_class_representatives_do_not_depend_on_declaration_order() {
+    let va = "va(P, Y) :- e(P, X), g(X, Y).";
+    let va2 = "va2(P, X, Y) :- e(P, X), g(X, Y).";
+    let vb = "vb(X, R) :- g(X, Y), f(Y, R).";
+    for (order, retried) in [([va, va2, vb], true), ([va2, va, vb], false)] {
+        let result = decided(OVERLAP_QUERY, &order.join("\n"));
+        assert_eq!(
+            result.stats.representative_tuples, 2,
+            "classes are not split"
+        );
+        let printed: Vec<String> = result.rewritings().iter().map(|r| r.to_string()).collect();
+        assert_eq!(printed, ["q(P, R) :- va2(P, X, Y), vb(X, R)"], "{order:?}");
+        let candidates = &result.provenance.as_ref().unwrap().candidates;
+        assert_eq!(candidates[0].retried, retried, "{order:?}");
+    }
+}
