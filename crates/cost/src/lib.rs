@@ -11,17 +11,24 @@
 //! | **M2** | a *list* of subgoals | `Σ size(gᵢ) + size(IRᵢ)` |
 //! | **M3** | a list of subgoals annotated with dropped attributes | `Σ size(gᵢ) + size(GSRᵢ)` |
 //!
-//! * [`catalog`] — relation statistics and the Selinger-style cardinality
-//!   estimator; [`oracle`] — a common size interface with an *exact*
-//!   implementation (measuring a materialized view database through the
-//!   engine) and an *estimated* one (catalog + independence assumption).
+//! * [`catalog`] — relation statistics; [`oracle`] — a common size
+//!   interface with an *exact* implementation (measuring a materialized
+//!   view database through the engine) and an *estimated* one (catalog +
+//!   independence assumption).
+//! * [`subsets`] — a rewriting body as an indexed space of subgoal
+//!   subsets: subgoal `i` is bit `i`, the Selinger-style estimate is
+//!   tabulated by mask in flat arrays, one join per subset. The M2
+//!   search walks it; the estimating oracle tabulates into it, and folds
+//!   the M3 search's prefixes with the same arithmetic.
 //! * [`m2`] — optimal join orders by dynamic programming over subgoal
 //!   subsets (the all-attributes-retained IR size depends only on the
-//!   prefix *set*, so Selinger DP is exact here).
+//!   prefix *set*, so Selinger DP is exact here); a filter grafted onto a
+//!   solved body reuses the solved half of the table.
 //! * [`m3`] — attribute dropping: the classic supplementary-relation rule
 //!   \[4\] plus the paper's §6.2 renaming heuristic, which drops a
 //!   variable that still occurs in later subgoals whenever renaming its
-//!   prefix occurrences preserves equivalence to the query (Example 6.1).
+//!   prefix occurrences preserves equivalence to the query (Example 6.1);
+//!   one bounded depth-first search over orders and drop decisions.
 //! * [`optimizer`] — the facade: generate rewritings with
 //!   `CoreCover`/`CoreCover*`, search plans under a chosen model, and
 //!   optionally graft empty-core **filter subgoals** onto a rewriting when
@@ -35,6 +42,7 @@ pub mod m3;
 pub mod optimizer;
 pub mod oracle;
 pub mod plan;
+pub mod subsets;
 
 pub use catalog::{Catalog, RelationStats};
 pub use error::{CostError, PlanError};

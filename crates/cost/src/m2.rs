@@ -9,11 +9,17 @@
 //! ```text
 //! cost(S) = min over g ∈ S of  cost(S \ {g}) + size(g) + size(IR(S))
 //! ```
+//!
+//! The table is indexed by subgoal bitmask and filled in mask order, so
+//! a subgoal added *on top* of a solved body — a grafted filter (§5.1)
+//! — leaves the solved half in place: [`M2Table::graft`] fills only the
+//! subsets that contain the newcomer. Ties go to the lowest subgoal
+//! index, which the fill order gives for free.
 
 use crate::error::CostError;
-use crate::oracle::SizeOracle;
-use std::collections::BTreeSet;
-use viewplan_cq::{Atom, Symbol};
+use crate::oracle::{note_oracle_calls, SizeOracle};
+use crate::subsets::Subsets;
+use viewplan_cq::Atom;
 use viewplan_obs as obs;
 
 /// The widest rewriting [`optimal_m2_order`] accepts: the DP visits
@@ -49,77 +55,143 @@ pub fn try_optimal_m2_order(
     body: &[Atom],
     oracle: &mut dyn SizeOracle,
 ) -> Result<Option<M2Order>, CostError> {
-    let n = body.len();
-    if n == 0 {
-        return Ok(None);
+    Ok(M2Table::solve(body, oracle)?.map(|table| table.order()))
+}
+
+/// The solved dynamic program for one body: `IR` size, cheapest cost and
+/// the last subgoal of a cheapest order, per subset.
+pub struct M2Table {
+    subsets: Subsets,
+    /// `size(g)` per subgoal.
+    sizes: Vec<f64>,
+    ir: Vec<f64>,
+    best: Vec<f64>,
+    last: Vec<u8>,
+}
+
+impl M2Table {
+    /// Solves the DP for `body`. `Ok(None)` for an empty body, or when
+    /// the plan budget ran out before the table was complete.
+    pub fn solve(body: &[Atom], oracle: &mut dyn SizeOracle) -> Result<Option<M2Table>, CostError> {
+        check_width(body.len())?;
+        let mut table = M2Table {
+            subsets: Subsets::new(body),
+            sizes: body.iter().map(|g| oracle.relation_size(g)).collect(),
+            ir: vec![0.0],
+            best: vec![0.0],
+            last: vec![0],
+        };
+        Ok((!body.is_empty() && table.fill(oracle)).then_some(table))
     }
-    if n > M2_MAX_SUBGOALS {
+
+    /// Extends the solved body with `filter` as its top subgoal and
+    /// solves the subsets that contain it; the rest of the table is
+    /// reused as it stands. `Ok(false)` — and the table unchanged — when
+    /// the plan budget ran out first (each graft is metered as a search
+    /// of its own).
+    pub fn graft(&mut self, filter: &Atom, oracle: &mut dyn SizeOracle) -> Result<bool, CostError> {
+        check_width(self.sizes.len() + 1)?;
+        // The half a from-scratch DP of `body + filter` would ask for
+        // again: requested, and answered without a join.
+        let reused = self.ir.len() as u64 - 1;
+        note_oracle_calls(reused, reused);
+        self.subsets.push(filter.clone());
+        self.sizes.push(oracle.relation_size(filter));
+        let solved = self.fill(oracle);
+        if !solved {
+            self.ungraft();
+        }
+        Ok(solved)
+    }
+
+    /// Removes the top subgoal again (a graft that did not pay).
+    pub fn ungraft(&mut self) {
+        self.subsets.pop();
+        self.sizes.pop();
+        let subsets = 1 << self.sizes.len();
+        self.ir.truncate(subsets);
+        self.best.truncate(subsets);
+        self.last.truncate(subsets);
+    }
+
+    /// The body solved so far: the original subgoals, then the grafted
+    /// filters.
+    pub fn body(&self) -> &[Atom] {
+        self.subsets.body()
+    }
+
+    /// The cost of an optimal order of the whole body.
+    pub fn cost(&self) -> f64 {
+        self.best[self.best.len() - 1]
+    }
+
+    /// An optimal order, its per-prefix `IR` sizes, and its cost.
+    pub fn order(&self) -> M2Order {
+        let mut order = Vec::with_capacity(self.sizes.len());
+        let mut mask = self.best.len() - 1;
+        while mask != 0 {
+            // `fill` records a last subgoal for every nonempty subset.
+            let g = self.last[mask] as usize;
+            order.push(g);
+            mask &= !(1 << g);
+        }
+        order.reverse();
+        let mut prefix = 0;
+        let ir_sizes = order
+            .iter()
+            .map(|&g| {
+                prefix |= 1 << g;
+                self.ir[prefix]
+            })
+            .collect();
+        (order, ir_sizes, self.cost())
+    }
+
+    /// Solves every subset not in the table yet, in mask order, against
+    /// a fresh `Phase::Plan` meter. False if the budget ran out.
+    fn fill(&mut self, oracle: &mut dyn SizeOracle) -> bool {
+        let mut meter = obs::Meter::start(obs::Phase::Plan);
+        let subsets = 1 << self.sizes.len();
+        let unsolved = subsets - self.ir.len();
+        self.ir.reserve(unsolved);
+        self.best.reserve(unsolved);
+        self.last.reserve(unsolved);
+        for mask in self.ir.len()..subsets {
+            if !meter.tick() {
+                return false;
+            }
+            let ir = oracle.subset_size(&mut self.subsets, mask as u32);
+            let mut best = f64::INFINITY;
+            // Overwritten by the first finite candidate; a member of
+            // the subset either way, so `order` always terminates.
+            let mut last = mask.trailing_zeros() as u8;
+            for (g, &gsize) in self.sizes.iter().enumerate() {
+                if mask & (1 << g) == 0 {
+                    continue;
+                }
+                let cost = self.best[mask & !(1 << g)] + gsize + ir;
+                if cost < best {
+                    best = cost;
+                    last = g as u8;
+                }
+            }
+            self.ir.push(ir);
+            self.best.push(best);
+            self.last.push(last);
+        }
+        true
+    }
+}
+
+fn check_width(subgoals: usize) -> Result<(), CostError> {
+    if subgoals > M2_MAX_SUBGOALS {
         return Err(CostError::TooManySubgoals {
-            subgoals: n,
+            subgoals,
             limit: M2_MAX_SUBGOALS,
             model: "M2",
         });
     }
-    let mut meter = obs::Meter::start(obs::Phase::Plan);
-    let full: u32 = (1u32 << n) - 1;
-
-    // Per-subset variable sets (all attributes retained).
-    let vars_of = |mask: u32| -> BTreeSet<Symbol> {
-        (0..n)
-            .filter(|i| mask & (1 << i) != 0)
-            .flat_map(|i| body[i].variables())
-            .collect()
-    };
-
-    let sizes: Vec<f64> = body.iter().map(|g| oracle.relation_size(g)).collect();
-    let mut ir = vec![0.0f64; (full as usize) + 1];
-    let mut best = vec![f64::INFINITY; (full as usize) + 1];
-    let mut last: Vec<Option<usize>> = vec![None; (full as usize) + 1];
-    best[0] = 0.0;
-    for mask in 1..=full {
-        if !meter.tick() {
-            return Ok(None);
-        }
-        let retained = vars_of(mask);
-        ir[mask as usize] = oracle.intermediate_size(body, mask, &retained);
-        for (g, &gsize) in sizes.iter().enumerate() {
-            if mask & (1 << g) == 0 {
-                continue;
-            }
-            let prev = mask & !(1 << g);
-            let cost = best[prev as usize] + gsize + ir[mask as usize];
-            if cost < best[mask as usize] {
-                best[mask as usize] = cost;
-                last[mask as usize] = Some(g);
-            }
-        }
-    }
-
-    // Reconstruct the order.
-    let mut order = Vec::with_capacity(n);
-    let mut mask = full;
-    while mask != 0 {
-        // The DP seeds best[∅] = 0, so by induction every nonempty
-        // subset received a finite candidate and recorded a last
-        // subgoal; a `None` here would mean the table is corrupt, in
-        // which case we stop reconstructing rather than spin forever.
-        debug_assert!(last[mask as usize].is_some());
-        let Some(g) = last[mask as usize] else { break };
-        order.push(g);
-        mask &= !(1 << g);
-    }
-    order.reverse();
-    let ir_sizes: Vec<f64> = {
-        let mut acc = 0u32;
-        order
-            .iter()
-            .map(|&g| {
-                acc |= 1 << g;
-                ir[acc as usize]
-            })
-            .collect()
-    };
-    Ok(Some((order, ir_sizes, best[full as usize])))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -21,11 +21,36 @@
 //! keeps the cheaper plan, [`DropPolicy::SmartAggressive`] always renames,
 //! and [`DropPolicy::Supplementary`] reproduces the classic behaviour
 //! (the baseline Example 6.1 beats).
+//!
+//! # The search
+//!
+//! One depth-first search extends a prefix by one subgoal at a time and,
+//! per the policy, by one set of renames at that subgoal. Everything it
+//! decides with is positional: each variable knows the subgoals it
+//! occurs in as a bitmask, so "still needed by the suffix", "dropped
+//! here" and "retained" are mask tests against the prefix set. A prefix
+//! whose cost already exceeds the best complete plan is abandoned
+//! (every term of the cost is non-negative), and the whole search draws
+//! on one `Phase::Plan` allowance, one tick per node.
+//!
+//! A rename closes a *generation* of a variable: the prefix subgoals
+//! whose occurrences are renamed apart together. The renamed rewriting —
+//! and so the §6.2 verdict, which `expand` + `are_equivalent` compute
+//! from the body as a set — is a function of the closed generations
+//! alone, not of the order inside the prefix; verdicts are memoised on
+//! exactly that, and a generation draws its fresh name once.
+//!
+//! Ties break as an enumeration of all orders, each planned in turn,
+//! would break them: lowest cost, then the lexicographically first
+//! order, then the first variant path. The search visits plans in a
+//! different sequence (orders that share a prefix share its nodes), so
+//! equal-cost plans are compared on that key explicitly.
 
 use crate::error::CostError;
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
-use std::collections::{BTreeSet, HashSet};
+use std::cell::OnceCell;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use viewplan_containment::{are_equivalent, expand, minimize};
 use viewplan_cq::{Atom, ConjunctiveQuery, Substitution, Symbol, Term, ViewSet};
 use viewplan_obs as obs;
@@ -41,15 +66,24 @@ pub enum DropPolicy {
     SmartCostBased,
 }
 
+/// The widest rewriting [`optimal_m3_plan`] accepts: the order search is
+/// factorial in the worst case (with per-order drop branching on top),
+/// so wider inputs are rejected as [`CostError::TooManySubgoals`].
+pub const M3_MAX_SUBGOALS: usize = 8;
+
 /// Plans a fixed subgoal order under M3, deciding drops per the policy.
 /// Returns the annotated plan, the per-step `GSR` sizes, and the total
 /// cost. `query` and `views` are needed for the renaming heuristic's
 /// equivalence test; `order` holds indices into `rewriting.body`.
 ///
-/// Each drop-decision node counts as one `Phase::Plan` node against the
+/// Each search node counts as one `Phase::Plan` node against the
 /// ambient [`viewplan_obs::Budget`]; `None` means the budget exhausted
 /// before even the mandatory no-smart-drop plan completed (unbudgeted
 /// callers always get `Some`).
+///
+/// # Panics
+/// Panics if `order` is not a permutation of the body's indices, or if
+/// there are more than 32 of them (subsets are `u32` masks).
 pub fn plan_with_order(
     query: &ConjunctiveQuery,
     views: &ViewSet,
@@ -58,212 +92,20 @@ pub fn plan_with_order(
     policy: DropPolicy,
     oracle: &mut dyn SizeOracle,
 ) -> Option<(PhysicalPlan, Vec<f64>, f64)> {
-    let mut meter = obs::Meter::start(obs::Phase::Plan);
-    plan_with_order_metered(query, views, rewriting, order, policy, oracle, &mut meter)
-}
-
-/// [`plan_with_order`] against a caller-owned meter, so a surrounding
-/// order search shares one `Phase::Plan` allowance across all orders.
-#[allow(clippy::too_many_arguments)]
-fn plan_with_order_metered(
-    query: &ConjunctiveQuery,
-    views: &ViewSet,
-    rewriting: &ConjunctiveQuery,
-    order: &[usize],
-    policy: DropPolicy,
-    oracle: &mut dyn SizeOracle,
-    meter: &mut obs::Meter,
-) -> Option<(PhysicalPlan, Vec<f64>, f64)> {
-    assert_eq!(order.len(), rewriting.body.len(), "order must be complete");
-    let qm = minimize(query);
-    let body: Vec<Atom> = order.iter().map(|&i| rewriting.body[i].clone()).collect();
-    let mut best: Option<(PhysicalPlan, Vec<f64>, f64)> = None;
-    descend(
-        &qm,
-        views,
-        &rewriting.head,
-        body,
-        0,
-        Vec::new(),
-        Vec::new(),
-        0.0,
-        policy,
-        oracle,
-        &mut best,
-        f64::INFINITY,
-        meter,
+    let mut sorted = order.to_vec();
+    sorted.sort_unstable();
+    assert!(
+        sorted.into_iter().eq(0..rewriting.body.len()),
+        "order must be a permutation of the body's indices"
     );
-    best
+    assert!(order.len() <= 32, "at most 32 subgoals fit a subset mask");
+    let test = RenameTest::new(query, views);
+    let best = Search::new(&test, rewriting, Some(order), policy, oracle).run()?;
+    Some((best.plan, best.gsrs, best.cost))
 }
 
-/// Recursive step: process subgoals left to right; at each step apply the
-/// mandatory supplementary drops, and branch on the optional renaming
-/// drops per the policy.
-#[allow(clippy::too_many_arguments)]
-fn descend(
-    qm: &ConjunctiveQuery,
-    views: &ViewSet,
-    head: &Atom,
-    eff_body: Vec<Atom>, // effective body in execution order, renames applied
-    step: usize,
-    steps_so_far: Vec<(Atom, HashSet<Symbol>)>,
-    gsr_so_far: Vec<f64>,
-    cost_so_far: f64,
-    policy: DropPolicy,
-    oracle: &mut dyn SizeOracle,
-    best: &mut Option<(PhysicalPlan, Vec<f64>, f64)>,
-    bound: f64,
-    meter: &mut obs::Meter,
-) {
-    if cost_so_far >= bound {
-        return; // branch-and-bound against the caller-provided bound
-    }
-    if !meter.tick() {
-        return; // budget exhausted: keep whatever `best` holds so far
-    }
-    let n = eff_body.len();
-    if step == n {
-        let plan = PhysicalPlan::annotated(steps_so_far);
-        if best.as_ref().is_none_or(|(_, _, c)| cost_so_far < *c) {
-            *best = Some((plan, gsr_so_far, cost_so_far));
-        }
-        return;
-    }
-
-    // Smart policies: collect the renaming candidates at this step —
-    // variables of the prefix (after this step's atom) that occur in the
-    // suffix, are not head variables, and pass the equivalence test.
-    let mut variants: Vec<Vec<Atom>> = vec![eff_body.clone()];
-    if policy != DropPolicy::Supplementary {
-        let head_vars: HashSet<Symbol> = head.variables().collect();
-        let prefix_vars: BTreeSet<Symbol> = eff_body[..=step]
-            .iter()
-            .flat_map(|a| a.variables())
-            .collect();
-        let suffix_vars: HashSet<Symbol> = eff_body[step + 1..]
-            .iter()
-            .flat_map(|a| a.variables())
-            .collect();
-        for &y in &prefix_vars {
-            if head_vars.contains(&y) || !suffix_vars.contains(&y) {
-                continue;
-            }
-            // Try renaming y in the prefix of each existing variant.
-            let mut new_variants = Vec::new();
-            for variant in &variants {
-                obs::counter!("m3.rename_attempts").incr();
-                let renamed = rename_in_prefix(variant, step, y);
-                if renaming_is_equivalent(qm, views, head, &renamed) {
-                    obs::counter!("m3.rename_drops").incr();
-                    new_variants.push(renamed);
-                }
-            }
-            match policy {
-                DropPolicy::SmartAggressive => {
-                    // Replace: always take the rename when legal.
-                    if !new_variants.is_empty() {
-                        variants = new_variants;
-                    }
-                }
-                DropPolicy::SmartCostBased => variants.extend(new_variants),
-                DropPolicy::Supplementary => unreachable!(),
-            }
-        }
-    }
-
-    for eff in variants {
-        // Supplementary drops for this variant: prefix variables that are
-        // neither head variables nor used by the suffix.
-        let head_vars: HashSet<Symbol> = head.variables().collect();
-        let prefix_vars: BTreeSet<Symbol> =
-            eff[..=step].iter().flat_map(|a| a.variables()).collect();
-        let suffix_vars: HashSet<Symbol> =
-            eff[step + 1..].iter().flat_map(|a| a.variables()).collect();
-        let already_dropped: HashSet<Symbol> = steps_so_far
-            .iter()
-            .flat_map(|(_, d)| d.iter().copied())
-            .collect();
-        let drop_now: HashSet<Symbol> = prefix_vars
-            .iter()
-            .copied()
-            .filter(|v| {
-                !head_vars.contains(v) && !suffix_vars.contains(v) && !already_dropped.contains(v)
-            })
-            .collect();
-        let retained: BTreeSet<Symbol> = prefix_vars
-            .iter()
-            .copied()
-            .filter(|v| !drop_now.contains(v) && !already_dropped.contains(v))
-            .collect();
-        obs::counter!("m3.supplementary_drops").add(drop_now.len() as u64);
-        let mask: u32 = (0..=step).fold(0, |m, i| m | (1 << i));
-        let gsr = oracle.intermediate_size(&eff, mask, &retained);
-        let gsize = oracle.relation_size(&eff[step]);
-        let mut steps = steps_so_far.clone();
-        steps.push((eff[step].clone(), drop_now));
-        let mut gsrs = gsr_so_far.clone();
-        gsrs.push(gsr);
-        let bound_now = best.as_ref().map_or(bound, |(_, _, c)| bound.min(*c));
-        descend(
-            qm,
-            views,
-            head,
-            eff,
-            step + 1,
-            steps,
-            gsrs,
-            cost_so_far + gsize + gsr,
-            policy,
-            oracle,
-            best,
-            bound_now,
-            meter,
-        );
-        if meter.exhausted() {
-            return;
-        }
-    }
-}
-
-/// Renames `y` to a fresh variable in the first `step + 1` atoms.
-fn rename_in_prefix(body: &[Atom], step: usize, y: Symbol) -> Vec<Atom> {
-    let fresh = Term::Var(Symbol::fresh(&y.as_str()));
-    let subst = Substitution::from_pairs([(y, fresh)]);
-    body.iter()
-        .enumerate()
-        .map(|(i, a)| {
-            if i <= step {
-                a.apply(&subst)
-            } else {
-                a.clone()
-            }
-        })
-        .collect()
-}
-
-/// The §6.2 test: is the renamed rewriting still an equivalent rewriting
-/// of the query?
-fn renaming_is_equivalent(
-    qm: &ConjunctiveQuery,
-    views: &ViewSet,
-    head: &Atom,
-    renamed_body: &[Atom],
-) -> bool {
-    let candidate = ConjunctiveQuery::new(head.clone(), renamed_body.to_vec());
-    match expand(&candidate, views) {
-        Ok(exp) => are_equivalent(&exp, qm),
-        Err(_) => false,
-    }
-}
-
-/// The widest rewriting [`optimal_m3_plan`] accepts: the order search is
-/// factorial (with per-order drop branching on top), so wider inputs are
-/// rejected as [`CostError::TooManySubgoals`].
-pub const M3_MAX_SUBGOALS: usize = 8;
-
-/// Searches all subgoal orders (branch-and-bound over permutations) for
-/// the cheapest M3 plan under the policy. Returns `None` for an empty
-/// body.
+/// Searches the subgoal orders and drop decisions for the cheapest M3
+/// plan under the policy. Returns `None` for an empty body.
 ///
 /// # Panics
 /// Panics if the rewriting has more than [`M3_MAX_SUBGOALS`] subgoals;
@@ -279,10 +121,10 @@ pub fn optimal_m3_plan(
 }
 
 /// [`optimal_m3_plan`] returning an error instead of panicking on
-/// too-wide rewritings. The whole order search draws from one
-/// `Phase::Plan` allowance of the ambient [`viewplan_obs::Budget`]; on
-/// exhaustion it returns the best plan found so far (possibly `None`),
-/// and the budget records the abandonment.
+/// too-wide rewritings. The whole search draws from one `Phase::Plan`
+/// allowance of the ambient [`viewplan_obs::Budget`]; on exhaustion it
+/// returns the best plan found so far (possibly `None`), and the budget
+/// records the abandonment.
 pub fn try_optimal_m3_plan(
     query: &ConjunctiveQuery,
     views: &ViewSet,
@@ -290,10 +132,18 @@ pub fn try_optimal_m3_plan(
     policy: DropPolicy,
     oracle: &mut dyn SizeOracle,
 ) -> Result<Option<(PhysicalPlan, f64)>, CostError> {
+    optimal_plan(&RenameTest::new(query, views), rewriting, policy, oracle)
+}
+
+/// [`try_optimal_m3_plan`] for a caller that plans several rewritings of
+/// one query and keeps the [`RenameTest`] across them.
+pub(crate) fn optimal_plan(
+    test: &RenameTest,
+    rewriting: &ConjunctiveQuery,
+    policy: DropPolicy,
+    oracle: &mut dyn SizeOracle,
+) -> Result<Option<(PhysicalPlan, f64)>, CostError> {
     let n = rewriting.body.len();
-    if n == 0 {
-        return Ok(None);
-    }
     if n > M3_MAX_SUBGOALS {
         return Err(CostError::TooManySubgoals {
             subgoals: n,
@@ -301,56 +151,335 @@ pub fn try_optimal_m3_plan(
             model: "M3",
         });
     }
-    let mut meter = obs::Meter::start(obs::Phase::Plan);
-    let mut best: Option<(PhysicalPlan, f64)> = None;
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut used = vec![false; n];
-    permute(
-        query, views, rewriting, policy, oracle, &mut order, &mut used, &mut best, &mut meter,
-    );
-    Ok(best)
+    if n == 0 {
+        return Ok(None);
+    }
+    let best = Search::new(test, rewriting, None, policy, oracle).run();
+    Ok(best.map(|b| (b.plan, b.cost)))
 }
 
-// Recursive permutation search over join orders; state is threaded as
-// parameters to avoid a builder struct for a single call site.
-#[allow(clippy::too_many_arguments)]
-fn permute(
-    query: &ConjunctiveQuery,
-    views: &ViewSet,
-    rewriting: &ConjunctiveQuery,
-    policy: DropPolicy,
-    oracle: &mut dyn SizeOracle,
-    order: &mut Vec<usize>,
-    used: &mut Vec<bool>,
-    best: &mut Option<(PhysicalPlan, f64)>,
-    meter: &mut obs::Meter,
-) {
-    let n = rewriting.body.len();
-    if order.len() == n {
-        let Some((plan, _, cost)) =
-            plan_with_order_metered(query, views, rewriting, order, policy, oracle, meter)
-        else {
-            return; // budget exhausted mid-order; best-so-far stands
-        };
-        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-            *best = Some((plan, cost));
+/// The §6.2 test: is a renamed rewriting still an equivalent rewriting
+/// of the query? Holds what every test of one query shares; the query is
+/// minimised on the first test, so a search that never considers a
+/// rename (every variable distinguished, or the supplementary policy)
+/// never pays for it.
+pub(crate) struct RenameTest<'a> {
+    query: &'a ConjunctiveQuery,
+    views: &'a ViewSet,
+    minimized: OnceCell<ConjunctiveQuery>,
+}
+
+impl<'a> RenameTest<'a> {
+    pub(crate) fn new(query: &'a ConjunctiveQuery, views: &'a ViewSet) -> RenameTest<'a> {
+        RenameTest {
+            query,
+            views,
+            minimized: OnceCell::new(),
         }
-        return;
     }
-    for i in 0..n {
-        if used[i] {
-            continue;
+
+    fn holds(&self, candidate: &ConjunctiveQuery) -> bool {
+        obs::counter!("m3.rename_tests").incr();
+        let minimized = self.minimized.get_or_init(|| minimize(self.query));
+        match expand(candidate, self.views) {
+            Ok(exp) => are_equivalent(&exp, minimized),
+            Err(_) => false,
         }
-        if meter.exhausted() {
+    }
+}
+
+/// A variable of the rewriting, by position.
+struct Var {
+    name: Symbol,
+    /// The subgoals it occurs in.
+    occurs: u32,
+    head: bool,
+}
+
+/// One rename: `.0` indexes the variable, `.1` holds the subgoals whose
+/// occurrences of it were renamed apart together.
+type Generation = (usize, u32);
+
+/// The cheapest complete plan so far, with the key ties are broken on.
+struct Best {
+    cost: f64,
+    order: Vec<usize>,
+    variants: Vec<usize>,
+    plan: PhysicalPlan,
+    gsrs: Vec<f64>,
+}
+
+struct Search<'a> {
+    test: &'a RenameTest<'a>,
+    rewriting: &'a ConjunctiveQuery,
+    /// `Some`: plan this order only.
+    fixed: Option<&'a [usize]>,
+    policy: DropPolicy,
+    oracle: &'a mut dyn SizeOracle,
+    meter: obs::Meter,
+    /// In `Symbol` order, the order rename candidates are tried in.
+    vars: Vec<Var>,
+    /// `size(g)` per subgoal.
+    sizes: Vec<f64>,
+    /// §6.2 verdicts, by the sorted generations of the renamed body.
+    verdicts: HashMap<Vec<Generation>, bool>,
+    names: HashMap<Generation, Symbol>,
+    // The path from the root to the current node, one entry per step:
+    order: Vec<usize>,
+    /// Which of the step's variants (in enumeration order) was taken.
+    variants: Vec<usize>,
+    /// The prefix in execution order, renames applied.
+    prefix: Vec<Atom>,
+    drops: Vec<HashSet<Symbol>>,
+    gsrs: Vec<f64>,
+    /// Every generation closed on the path.
+    closed: Vec<Generation>,
+    best: Option<Best>,
+}
+
+impl<'a> Search<'a> {
+    fn new(
+        test: &'a RenameTest<'a>,
+        rewriting: &'a ConjunctiveQuery,
+        fixed: Option<&'a [usize]>,
+        policy: DropPolicy,
+        oracle: &'a mut dyn SizeOracle,
+    ) -> Search<'a> {
+        let names: BTreeSet<Symbol> = rewriting.body.iter().flat_map(Atom::variables).collect();
+        let vars = names
+            .into_iter()
+            .map(|name| Var {
+                name,
+                occurs: (0..rewriting.body.len())
+                    .filter(|&g| rewriting.body[g].contains_var(name))
+                    .fold(0, |mask, g| mask | 1 << g),
+                head: rewriting.head.contains_var(name),
+            })
+            .collect();
+        Search {
+            test,
+            rewriting,
+            fixed,
+            policy,
+            sizes: rewriting
+                .body
+                .iter()
+                .map(|g| oracle.relation_size(g))
+                .collect(),
+            oracle,
+            meter: obs::Meter::start(obs::Phase::Plan),
+            vars,
+            verdicts: HashMap::new(),
+            names: HashMap::new(),
+            order: Vec::new(),
+            variants: Vec::new(),
+            prefix: Vec::new(),
+            drops: Vec::new(),
+            gsrs: Vec::new(),
+            closed: Vec::new(),
+            best: None,
+        }
+    }
+
+    fn run(mut self) -> Option<Best> {
+        self.extend(0, 0.0);
+        self.best
+    }
+
+    /// Visits the node the path leads to: `used` is the prefix as a set,
+    /// `cost` the plan cost up to here.
+    fn extend(&mut self, used: u32, cost: f64) {
+        if self.cannot_win(cost) {
+            obs::counter!("cost.m3_pruned").incr();
             return;
         }
-        used[i] = true;
-        order.push(i);
-        permute(
-            query, views, rewriting, policy, oracle, order, used, best, meter,
-        );
-        order.pop();
-        used[i] = false;
+        if !self.meter.tick() {
+            return; // budget exhausted: `best` keeps what was found
+        }
+        obs::counter!("cost.m3_nodes").incr();
+        let depth = self.order.len();
+        if depth == self.rewriting.body.len() {
+            self.complete(cost);
+            return;
+        }
+        let candidates = match self.fixed {
+            Some(order) => order[depth]..order[depth] + 1,
+            None => 0..self.rewriting.body.len(),
+        };
+        for g in candidates.filter(|g| used & (1 << g) == 0) {
+            let used = used | 1 << g;
+            self.order.push(g);
+            self.prefix.push(self.rewriting.body[g].clone());
+            for (index, variant) in self.rename_variants(used).into_iter().enumerate() {
+                self.step(used, g, index, &variant, cost);
+                if self.meter.exhausted() {
+                    break;
+                }
+            }
+            self.prefix.pop();
+            self.order.pop();
+            if self.meter.exhausted() {
+                return;
+            }
+        }
+    }
+
+    /// No plan below a node of this cost can replace `best`: it would
+    /// cost more, or the same with an order that sorts after it.
+    fn cannot_win(&self, cost: f64) -> bool {
+        self.best.as_ref().is_some_and(|best| {
+            cost > best.cost
+                || (cost == best.cost && self.order[..] > best.order[..self.order.len()])
+        })
+    }
+
+    fn complete(&mut self, cost: f64) {
+        let wins = self.best.as_ref().is_none_or(|best| {
+            cost < best.cost
+                || (cost == best.cost
+                    && (&self.order, &self.variants) < (&best.order, &best.variants))
+        });
+        if wins {
+            let steps = self.prefix.iter().cloned().zip(self.drops.iter().cloned());
+            self.best = Some(Best {
+                cost,
+                order: self.order.clone(),
+                variants: self.variants.clone(),
+                plan: PhysicalPlan::annotated(steps.collect()),
+                gsrs: self.gsrs.clone(),
+            });
+        }
+    }
+
+    /// The sets of renames the policy considers once the prefix is
+    /// `used`: always the empty one first under the cost-based policy;
+    /// under the aggressive one, only the maximal legal ones. A
+    /// candidate is a variable the prefix names, the suffix still needs,
+    /// and the head does not.
+    fn rename_variants(&mut self, used: u32) -> Vec<Vec<Generation>> {
+        let mut variants = vec![Vec::new()];
+        if self.policy == DropPolicy::Supplementary {
+            return variants;
+        }
+        for v in 0..self.vars.len() {
+            let var = &self.vars[v];
+            let named = var.occurs & used & !self.closed_occurrences(v);
+            if var.head || named == 0 || var.occurs & !used == 0 {
+                continue;
+            }
+            let mut renamed = Vec::new();
+            for variant in &variants {
+                obs::counter!("m3.rename_attempts").incr();
+                let mut with = variant.clone();
+                with.push((v, named));
+                if self.rename_is_equivalent(&with) {
+                    obs::counter!("m3.rename_drops").incr();
+                    renamed.push(with);
+                }
+            }
+            if self.policy == DropPolicy::SmartCostBased {
+                variants.extend(renamed);
+            } else if !renamed.is_empty() {
+                variants = renamed;
+            }
+        }
+        variants
+    }
+
+    /// The occurrences of variable `v` renamed away on the path.
+    fn closed_occurrences(&self, v: usize) -> u32 {
+        self.closed
+            .iter()
+            .filter(|generation| generation.0 == v)
+            .fold(0, |mask, generation| mask | generation.1)
+    }
+
+    /// The §6.2 verdict on the path's renames plus `more`, whose last
+    /// generation is the one being tried.
+    fn rename_is_equivalent(&mut self, more: &[Generation]) -> bool {
+        let mut key: Vec<Generation> = self.closed.iter().chain(more).copied().collect();
+        key.sort_unstable();
+        if let Some(&verdict) = self.verdicts.get(&key) {
+            return verdict;
+        }
+        if let Some(&tried) = more.last() {
+            let base = self.vars[tried.0].name;
+            self.names
+                .entry(tried)
+                .or_insert_with(|| Symbol::fresh(&base.as_str()));
+        }
+        let body = (0..self.rewriting.body.len())
+            .map(|g| self.renamed(g, &key))
+            .collect();
+        let candidate = ConjunctiveQuery::new(self.rewriting.head.clone(), body);
+        let verdict = self.test.holds(&candidate);
+        self.verdicts.insert(key, verdict);
+        verdict
+    }
+
+    /// Subgoal `g` with every generation of `closed` it belongs to
+    /// renamed to that generation's fresh name.
+    fn renamed(&self, g: usize, closed: &[Generation]) -> Atom {
+        let renames = closed
+            .iter()
+            .filter(|generation| generation.1 & (1 << g) != 0)
+            .filter_map(|generation| {
+                let fresh = self.names.get(generation)?;
+                Some((self.vars[generation.0].name, Term::Var(*fresh)))
+            });
+        self.rewriting.body[g].apply(&Substitution::from_pairs(renames))
+    }
+
+    /// Takes `variant` at the step that just put subgoal `g` on the
+    /// path: applies its renames to the prefix, drops what the
+    /// supplementary rule allows, asks the oracle for the step's `GSR`,
+    /// searches on from there, and leaves the path as it found it.
+    fn step(&mut self, used: u32, g: usize, index: usize, variant: &[Generation], cost: f64) {
+        self.closed.extend_from_slice(variant);
+        let unrenamed = (!variant.is_empty()).then(|| {
+            let renamed = self
+                .order
+                .iter()
+                .map(|&g| self.renamed(g, &self.closed))
+                .collect();
+            std::mem::replace(&mut self.prefix, renamed)
+        });
+        // A renamed-away generation is dropped on the spot under its
+        // fresh name; an original variable the prefix still names is
+        // retained while the head or the suffix needs it, and dropped at
+        // the step that brings its last occurrence.
+        let mut dropped: HashSet<Symbol> = variant
+            .iter()
+            .filter_map(|generation| self.names.get(generation).copied())
+            .collect();
+        let mut retained = BTreeSet::new();
+        for (v, var) in self.vars.iter().enumerate() {
+            if var.occurs & used & !self.closed_occurrences(v) == 0 {
+                continue;
+            }
+            if var.head || var.occurs & !used != 0 {
+                retained.insert(var.name);
+            } else if var.occurs & (1 << g) != 0 {
+                dropped.insert(var.name);
+            }
+        }
+        obs::counter!("m3.supplementary_drops").add(dropped.len() as u64);
+        let whole_prefix = u32::MAX >> (32 - self.prefix.len());
+        let gsr = self
+            .oracle
+            .intermediate_size(&self.prefix, whole_prefix, &retained);
+
+        self.variants.push(index);
+        self.drops.push(dropped);
+        self.gsrs.push(gsr);
+        self.extend(used, cost + self.sizes[g] + gsr);
+        self.variants.pop();
+        self.drops.pop();
+        self.gsrs.pop();
+        self.closed.truncate(self.closed.len() - variant.len());
+        if let Some(prefix) = unrenamed {
+            self.prefix = prefix;
+        }
     }
 }
 

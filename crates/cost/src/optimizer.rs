@@ -12,8 +12,8 @@
 //! relations by more than its own size (§5.1, rewriting `P3`).
 
 use crate::error::{CostError, PlanError};
-use crate::m2::try_optimal_m2_order;
-use crate::m3::{try_optimal_m3_plan, DropPolicy};
+use crate::m2::M2Table;
+use crate::m3::{optimal_plan, DropPolicy, RenameTest};
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
 use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult, Rewriting};
@@ -223,10 +223,11 @@ impl<'a> Optimizer<'a> {
             if obs::budget::cancelled() {
                 break; // deadline: keep the cheapest plan found so far
             }
-            // Base plan, then greedy filter grafting.
-            let mut current = r.clone();
-            let mut current_best = match self.m2_plan(&current, oracle) {
-                Ok(Some(p)) => p,
+            // Base plan, then greedy filter grafting: a filter that
+            // lowers the cost stays in the table, the rest come off.
+            note_plan_enumerated();
+            let mut table = match M2Table::solve(&r.body, oracle) {
+                Ok(Some(table)) => table,
                 // Degenerate (empty-body) or budget-abandoned rewriting.
                 Ok(None) => continue,
                 Err(e) => {
@@ -238,18 +239,19 @@ impl<'a> Optimizer<'a> {
             for _ in 0..self.config.max_filters {
                 let mut improved = false;
                 for f in &filters {
-                    if current.body.contains(f) {
+                    if table.body().contains(f) {
                         continue;
                     }
-                    let mut with_f = current.clone();
-                    with_f.body.push(f.clone());
+                    note_plan_enumerated();
                     // Grafting is a heuristic improvement; a filter that
-                    // pushes the body past the DP width is just not taken.
-                    if let Ok(Some(p)) = self.m2_plan(&with_f, oracle) {
-                        if p.cost < current_best.cost {
-                            current = with_f;
-                            current_best = p;
+                    // pushes the body past the DP width, or whose DP the
+                    // budget abandons, is just not taken.
+                    let without = table.cost();
+                    if let Ok(true) = table.graft(f, oracle) {
+                        if table.cost() < without {
                             improved = true;
+                        } else {
+                            table.ungraft();
                         }
                     }
                 }
@@ -257,8 +259,14 @@ impl<'a> Optimizer<'a> {
                     break;
                 }
             }
-            if best.as_ref().is_none_or(|b| current_best.cost < b.cost) {
-                best = Some(current_best);
+            if best.as_ref().is_none_or(|b| table.cost() < b.cost) {
+                let (order, _, cost) = table.order();
+                let body = table.body();
+                best = Some(PlannedRewriting {
+                    rewriting: Rewriting::new(r.head.clone(), body.to_vec()),
+                    plan: PhysicalPlan::ordered(order.iter().map(|&i| body[i].clone()).collect()),
+                    cost,
+                });
             }
         }
         match (best, skipped) {
@@ -276,13 +284,13 @@ impl<'a> Optimizer<'a> {
         let _enum_span = obs::span("optimizer.enumerate");
         let mut best: Option<PlannedRewriting> = None;
         let mut skipped: Option<CostError> = None;
+        let test = RenameTest::new(self.query, self.views);
         for r in result.rewritings() {
             if obs::budget::cancelled() {
                 break; // deadline: keep the cheapest plan found so far
             }
             note_plan_enumerated();
-            let (plan, cost) = match try_optimal_m3_plan(self.query, self.views, r, policy, oracle)
-            {
+            let (plan, cost) = match optimal_plan(&test, r, policy, oracle) {
                 Ok(Some(pc)) => pc,
                 Ok(None) => continue,
                 Err(e) => {
@@ -303,23 +311,6 @@ impl<'a> Optimizer<'a> {
             (None, Some(e)) => Err(e.into()),
             (b, s) => Ok((b, s.is_some())),
         }
-    }
-
-    fn m2_plan(
-        &self,
-        rewriting: &Rewriting,
-        oracle: &mut dyn SizeOracle,
-    ) -> Result<Option<PlannedRewriting>, CostError> {
-        note_plan_enumerated();
-        let Some((order, _, cost)) = try_optimal_m2_order(&rewriting.body, oracle)? else {
-            return Ok(None);
-        };
-        let atoms: Vec<Atom> = order.iter().map(|&i| rewriting.body[i].clone()).collect();
-        Ok(Some(PlannedRewriting {
-            rewriting: rewriting.clone(),
-            plan: PhysicalPlan::ordered(atoms),
-            cost,
-        }))
     }
 }
 

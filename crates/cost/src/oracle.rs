@@ -2,24 +2,27 @@
 //!
 //! [`ExactOracle`] measures sizes by actually evaluating subgoal prefixes
 //! over a (view) database through the engine — the ground truth the
-//! paper's cost measures are defined over. [`EstimateOracle`] predicts the
-//! same quantities from a [`Catalog`] with the independence assumption, as
-//! a real optimizer would. Both memoize per (subset, retained-variables)
-//! key, which is what makes the subset-DP plan search cheap.
+//! paper's cost measures are defined over — and memoizes per (subgoals,
+//! retained-variables) key. [`EstimateOracle`] predicts the same
+//! quantities from a [`Catalog`] with the independence assumption, as a
+//! real optimizer would; its memo is positional, scoped to the body a
+//! search is working on (see [`crate::subsets`]), which is what makes
+//! the subset-DP plan search cheap.
 
 use crate::catalog::Catalog;
+use crate::subsets::{selected, Fold, Subsets};
 use std::collections::{BTreeSet, HashMap};
-use viewplan_cq::{is_acyclic, Atom, ConjunctiveQuery, Symbol, Term};
+use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term};
 use viewplan_engine::{current_engine, evaluate, Database, Engine};
 use viewplan_obs as obs;
 
-// Single registration site per counter name (the xtask lint enforces
-// this): both oracles funnel their memo bookkeeping through here.
-fn note_oracle_call(cache_hit: bool) {
-    obs::counter!("cost.oracle_calls").incr();
-    if cache_hit {
-        obs::counter!("cost.oracle_cache_hits").incr();
-    }
+/// Counts subset sizes a search requested and how many of them were
+/// answered without a join or an evaluation — from a memo, or from the
+/// half of a dynamic program a grafted filter reuses. Single
+/// registration site per counter name (the xtask lint enforces this).
+pub(crate) fn note_oracle_calls(calls: u64, cache_hits: u64) {
+    obs::counter!("cost.oracle_calls").add(calls);
+    obs::counter!("cost.oracle_cache_hits").add(cache_hits);
 }
 
 /// Sizes used by the M2/M3 cost measures.
@@ -31,6 +34,15 @@ pub trait SizeOracle {
     /// `body` selected by `mask`, projected onto `retained` (pass all
     /// variables of the subset for plain `IR`, a subset for `GSR`).
     fn intermediate_size(&mut self, body: &[Atom], mask: u32, retained: &BTreeSet<Symbol>) -> f64;
+
+    /// `size(IR(mask))` with all attributes retained, for a search that
+    /// walks the subsets of one body by mask. The default spells the
+    /// request out for [`intermediate_size`](Self::intermediate_size);
+    /// an oracle that can tabulate per body overrides it.
+    fn subset_size(&mut self, subsets: &mut Subsets, mask: u32) -> f64 {
+        let retained = subsets.variables(mask);
+        self.intermediate_size(subsets.body(), mask, &retained)
+    }
 }
 
 /// Measures sizes against a real database (exact, memoized).
@@ -55,16 +67,13 @@ impl SizeOracle for ExactOracle<'_> {
     }
 
     fn intermediate_size(&mut self, body: &[Atom], mask: u32, retained: &BTreeSet<Symbol>) -> f64 {
-        let atoms: Vec<Atom> = (0..body.len())
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| body[i].clone())
-            .collect();
+        let atoms: Vec<Atom> = selected(body, mask).cloned().collect();
         let key = (atoms.clone(), retained.iter().copied().collect::<Vec<_>>());
         if let Some(&v) = self.memo.get(&key) {
-            note_oracle_call(true);
+            note_oracle_calls(1, 1);
             return v;
         }
-        note_oracle_call(false);
+        note_oracle_calls(1, 0);
         let head = Atom::new("__ir__", retained.iter().map(|&v| Term::Var(v)).collect());
         let q = ConjunctiveQuery::new(head, atoms);
         let size = evaluate(&q, self.db).len() as f64;
@@ -73,17 +82,11 @@ impl SizeOracle for ExactOracle<'_> {
     }
 }
 
-/// Per-variable distinct-count bookkeeping for the estimator.
-#[derive(Clone, Debug)]
-struct Estimate {
-    rows: f64,
-    distinct: HashMap<Symbol, f64>,
-}
-
-/// Predicts sizes from catalog statistics (System-R style).
+/// Predicts sizes from catalog statistics (System-R style). The
+/// arithmetic and both memo shapes live in [`crate::subsets`].
 pub struct EstimateOracle<'a> {
     catalog: &'a Catalog,
-    memo: HashMap<Vec<Atom>, Estimate>,
+    fold: Fold,
 }
 
 impl<'a> EstimateOracle<'a> {
@@ -91,92 +94,8 @@ impl<'a> EstimateOracle<'a> {
     pub fn new(catalog: &'a Catalog) -> EstimateOracle<'a> {
         EstimateOracle {
             catalog,
-            memo: HashMap::new(),
+            fold: Fold::default(),
         }
-    }
-
-    /// Estimated rows and per-variable distincts for one subgoal after its
-    /// local selections (constants, repeated variables).
-    fn atom_estimate(&self, atom: &Atom) -> Estimate {
-        let Some(stats) = self.catalog.get(atom.predicate) else {
-            return Estimate {
-                rows: 0.0,
-                distinct: HashMap::new(),
-            };
-        };
-        let mut rows = stats.cardinality;
-        let mut seen: HashMap<Symbol, f64> = HashMap::new();
-        for (i, t) in atom.terms.iter().enumerate() {
-            let d = stats.distinct.get(i).copied().unwrap_or(1.0).max(1.0);
-            match *t {
-                Term::Const(_) => rows /= d,
-                Term::Var(v) => {
-                    if let Some(prev) = seen.get(&v) {
-                        // Repeated variable: equality selection.
-                        rows /= prev.max(d);
-                    } else {
-                        seen.insert(v, d);
-                    }
-                }
-            }
-        }
-        let rows = rows.max(if stats.cardinality > 0.0 { 1.0 } else { 0.0 });
-        let distinct = seen.into_iter().map(|(v, d)| (v, d.min(rows))).collect();
-        Estimate { rows, distinct }
-    }
-
-    /// Estimated join of two sub-results on their shared variables.
-    fn join(a: &Estimate, b: &Estimate) -> Estimate {
-        let mut rows = a.rows * b.rows;
-        let mut distinct = a.distinct.clone();
-        for (&v, &db) in &b.distinct {
-            match distinct.get_mut(&v) {
-                Some(da) => {
-                    rows /= da.max(db).max(1.0);
-                    *da = da.min(db);
-                }
-                None => {
-                    distinct.insert(v, db);
-                }
-            }
-        }
-        let rows = if a.rows == 0.0 || b.rows == 0.0 {
-            0.0
-        } else {
-            rows.max(1.0)
-        };
-        for d in distinct.values_mut() {
-            *d = d.min(rows.max(1.0));
-        }
-        Estimate { rows, distinct }
-    }
-
-    /// The memoized estimate for a subset, folding subgoals in index order
-    /// (the canonical fold keeps the DP deterministic).
-    fn subset_estimate(&mut self, body: &[Atom], mask: u32) -> Estimate {
-        let atoms: Vec<Atom> = (0..body.len())
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| body[i].clone())
-            .collect();
-        if let Some(e) = self.memo.get(&atoms) {
-            note_oracle_call(true);
-            return e.clone();
-        }
-        note_oracle_call(false);
-        let mut acc: Option<Estimate> = None;
-        for atom in &atoms {
-            let e = self.atom_estimate(atom);
-            acc = Some(match acc {
-                None => e,
-                Some(prev) => Self::join(&prev, &e),
-            });
-        }
-        let e = acc.unwrap_or(Estimate {
-            rows: 1.0,
-            distinct: HashMap::new(),
-        });
-        self.memo.insert(atoms, e.clone());
-        e
     }
 }
 
@@ -187,40 +106,26 @@ impl SizeOracle for EstimateOracle<'_> {
             .map_or(0.0, |s| s.cardinality)
     }
 
+    /// Folds the selected subgoals in index order, then caps the rows by
+    /// the product of the retained distincts (the projection estimate).
+    ///
+    /// Width-aware bound: under the Yannakakis engine an acyclic subset
+    /// is semijoin-reduced before joining, so no intermediate can exceed
+    /// what the reduced inputs support — linear in the total input,
+    /// never the independence-assumption product. The M2/M3 searches
+    /// inherit the tighter bound through this oracle; other engines keep
+    /// the classical estimate.
     fn intermediate_size(&mut self, body: &[Atom], mask: u32, retained: &BTreeSet<Symbol>) -> f64 {
-        let e = self.subset_estimate(body, mask);
-        // Projection estimate: capped product of retained distincts.
-        let mut cap = 1.0f64;
-        let mut all_retained = true;
-        for (v, d) in &e.distinct {
-            if retained.contains(v) {
-                cap *= d.max(1.0);
-            } else {
-                all_retained = false;
-            }
-        }
-        let predicted = if all_retained {
-            e.rows
-        } else {
-            e.rows.min(cap)
-        };
-        // Width-aware bound: under the Yannakakis engine an acyclic
-        // subset is semijoin-reduced before joining, so no intermediate
-        // can exceed what the reduced inputs support — linear in the
-        // total input, never the independence-assumption product. The
-        // M2/M3 searches inherit the tighter bound through this one
-        // method; other engines keep the classical estimate.
-        if current_engine() == Engine::Yannakakis {
-            let atoms: Vec<Atom> = (0..body.len())
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| body[i].clone())
-                .collect();
-            if atoms.len() > 1 && is_acyclic(&atoms) {
-                let input: f64 = atoms.iter().map(|a| self.atom_estimate(a).rows).sum();
-                return predicted.min(input);
-            }
-        }
-        predicted
+        let (len, known) = self.fold.fold(self.catalog, selected(body, mask));
+        note_oracle_calls(1, u64::from(known));
+        let bounded = current_engine() == Engine::Yannakakis;
+        self.fold.projected_size(len, retained, bounded)
+    }
+
+    fn subset_size(&mut self, subsets: &mut Subsets, mask: u32) -> f64 {
+        let (size, known) = subsets.estimated_size(self.catalog, mask);
+        note_oracle_calls(1, u64::from(known));
+        size
     }
 }
 
@@ -304,6 +209,39 @@ mod tests {
         let b = body("q(X) :- r(X, X)");
         let mut o = EstimateOracle::new(&cat);
         assert_eq!(o.intermediate_size(&b, 0b1, &all_vars(&b)), 10.0);
+    }
+
+    /// `HashMap` iteration order differs from one map to the next, and
+    /// five divisions (or four multiplications) of non-integers round
+    /// differently in different orders: an estimate folded in hash order
+    /// differs between two oracles over one catalog in the last place,
+    /// enough to flip a cost tie.
+    #[test]
+    fn estimates_do_not_depend_on_hash_seeds() {
+        let mut cat = Catalog::new();
+        let stats = |cardinality: f64, distinct: [f64; 5]| RelationStats {
+            cardinality,
+            distinct: distinct.to_vec(),
+        };
+        cat.set("r", stats(1_000_003.0, [3.1, 7.3, 11.7, 13.9, 17.3]));
+        cat.set("s", stats(999_983.0, [19.3, 23.9, 29.3, 31.1, 37.7]));
+        let b = body("q(A) :- r(A, B, C, D, E), s(A, B, C, D, E)");
+        let full = all_vars(&b);
+        let mut all_but_e = full.clone();
+        all_but_e.remove(&Symbol::new("E"));
+        let distinct_answers = |mask: u32, retained: &BTreeSet<Symbol>| {
+            (0..64)
+                .map(|_| {
+                    EstimateOracle::new(&cat)
+                        .intermediate_size(&b, mask, retained)
+                        .to_bits()
+                })
+                .collect::<BTreeSet<u64>>()
+                .len()
+        };
+        // Joined on five shared variables; one subgoal projected onto four.
+        assert_eq!(distinct_answers(0b11, &full), 1);
+        assert_eq!(distinct_answers(0b01, &all_but_e), 1);
     }
 
     #[test]
