@@ -67,11 +67,12 @@ pub fn view_tuples_with_threads(
 fn tuples_of_view(view: &View, canonical: &Database) -> Vec<ViewTuple> {
     let rel = evaluate(&view.definition, canonical);
     let mut out: Vec<ViewTuple> = Vec::new();
-    for tuple in &rel {
-        let atom = Atom::new(
-            view.name(),
-            tuple.iter().map(|&v| unfreeze_value(v)).collect(),
-        );
+    for row in 0..rel.len() {
+        // Straight from the answer's columns: no tuple is assembled.
+        let terms = (0..rel.arity())
+            .map(|c| unfreeze_value(rel.column(c).value(row)))
+            .collect();
+        let atom = Atom::new(view.name(), terms);
         let vt = ViewTuple {
             view: view.name(),
             atom,

@@ -583,10 +583,7 @@ mod tests {
         )
         .unwrap();
         let trace = plan.try_execute(&p2.head, &vdb).unwrap();
-        assert_eq!(
-            trace.answer.as_slice(),
-            [vec![viewplan_engine::Value::Int(1)]]
-        );
+        assert_eq!(trace.answer.rows(), [vec![viewplan_engine::Value::Int(1)]]);
     }
 
     #[test]

@@ -379,7 +379,7 @@ mod tests {
         // Direct evaluation of the query over base relations:
         // q1(7777, 102) is the only answer.
         assert_eq!(
-            trace.answer.as_slice(),
+            trace.answer.rows(),
             [vec![Value::Int(7777), Value::Int(102)]]
         );
     }

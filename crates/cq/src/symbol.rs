@@ -66,6 +66,18 @@ impl Symbol {
         self.0 as usize
     }
 
+    /// The inverse of [`Symbol::index`]: the symbol a handle was taken
+    /// from (the engine stores symbols as raw column words).
+    ///
+    /// # Panics
+    /// Panics if `index` does not fit a handle; an index that no symbol
+    /// ever returned from `index()` yields a symbol that panics when
+    /// displayed.
+    pub fn from_index(index: usize) -> Symbol {
+        assert!(index <= u32::MAX as usize, "symbol index out of range");
+        Symbol(index as u32)
+    }
+
     /// A symbol guaranteed distinct from every symbol interned so far,
     /// derived from `base` (used for fresh-variable generation).
     // lock-order: interner read guards only, each dropped before the next
@@ -126,6 +138,12 @@ mod tests {
         let s = Symbol::new("part");
         assert_eq!(format!("{s}"), "part");
         assert_eq!(format!("{s:?}"), "part");
+    }
+
+    #[test]
+    fn from_index_inverts_index() {
+        let s = Symbol::new("round_trip");
+        assert_eq!(Symbol::from_index(s.index()), s);
     }
 
     #[test]

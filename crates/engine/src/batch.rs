@@ -1,155 +1,130 @@
-//! The columnar batch executor.
+//! The columnar batch executor: one join kernel over word columns.
 //!
 //! Implements the same bindings-table pipeline as the row executor in
-//! [`crate::eval`], but batch-at-a-time over struct-of-arrays data
-//! ([`crate::ColumnarRelation`]): a selection vector filters the stored
-//! relation column-by-column, a hash index specialized by key shape is
-//! built over the surviving rows, and probing gathers output *columns*
-//! in tight per-column loops the compiler can auto-vectorize. Output row
-//! order is probe order × build insertion order — exactly the row
-//! engine's order — so traces, answers, and counters are byte-identical
-//! (the differential suite at the workspace root enforces this).
+//! [`crate::eval`], batch-at-a-time over the stored [`Column`]s — the
+//! relation's own storage, not a copy of it. One join is: filters shrink
+//! an ascending selection vector reading words; the selected rows are
+//! chained into an index of two flat arrays; probing emits two row-number
+//! vectors (probe rows, build rows); every output column is one gather.
+//! Nothing allocates per row or per key.
+//!
+//! The chains are linked in *reverse* selection order, so walking one
+//! from its head meets build rows in ascending order: output row order
+//! is probe order × build insertion order — exactly the row engine's — so
+//! traces, answers, and counters are byte-identical (the differential
+//! suite at the workspace root enforces this). Up to [`SCAN_ROWS`]
+//! selected rows (every canonical-database join) there is no index: the
+//! probe compares against each.
 
-use crate::columnar::{Column, ColumnarRelation};
+use crate::column::{mix, table_size, Column, SCAN_ROWS};
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::eval::{head_columns, note_arity_mismatch, note_join, plan_slots, Slot, Table};
-use crate::relation::{Relation, Tuple};
+use crate::relation::Relation;
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use viewplan_cq::{Atom, Symbol};
 use viewplan_obs as obs;
 
-/// Counter funnel for one batch join: build-side rows fed to the hash
-/// index, dictionary-encoded key columns encountered, and output rows.
-fn note_batch_join(build_rows: usize, dict_columns: usize, out_rows: usize) {
+/// Counter funnel for one batch join: build-side rows fed to the index
+/// and output rows.
+fn note_batch_join(build_rows: usize, out_rows: usize) {
     obs::counter!("engine.batch_joins").incr();
     obs::counter!("engine.batch_build_rows").add(build_rows as u64);
-    obs::counter!("engine.batch_dict_columns").add(dict_columns as u64);
     obs::histogram!("engine.batch_output_rows").record(out_rows as u64);
 }
 
-/// The bindings table in columnar form: one `Vec<Value>` per variable,
-/// all of length `len`.
+/// The bindings table in columnar form: one [`Column`] per variable, all
+/// of length `len`.
 pub(crate) struct ColumnarBindings {
     vars: Vec<Symbol>,
     len: usize,
-    cols: Vec<Vec<Value>>,
+    cols: Vec<Column>,
 }
 
-/// The hash index over the build side, specialized by key shape. Bucket
-/// contents are row indices in relation insertion order.
-enum JoinIndex {
-    /// No bound columns: every selected row matches (Cartesian product).
-    Cross(Vec<u32>),
-    /// One bound column, dictionary-encoded: hash interned symbols.
-    Sym(HashMap<Symbol, Vec<u32>>),
-    /// One bound column, mixed values.
-    One(HashMap<Value, Vec<u32>>),
-    /// Several bound columns: composite key.
-    Multi(HashMap<Vec<Value>, Vec<u32>>),
-}
-
-/// Shrinks `sel` to the rows whose column `col` equals the constant `v`.
+/// Shrinks `sel` to the rows whose column `col` holds the constant `v`.
 fn filter_fixed(sel: &mut Vec<u32>, col: &Column, v: Value) {
-    match (col, v) {
-        (Column::Syms(syms), Value::Sym(s)) => sel.retain(|&r| syms[r as usize] == s),
-        // A non-symbol constant never matches an all-symbol column.
-        (Column::Syms(_), _) => sel.clear(),
-        (Column::Values(vals), _) => sel.retain(|&r| vals[r as usize] == v),
-    }
+    sel.retain(|&r| col.holds(r as usize, v));
 }
 
-/// Shrinks `sel` to the rows where columns `a` and `b` hold equal values
+/// Shrinks `sel` to the rows where columns `a` and `b` hold equal cells
 /// (an intra-atom repeated variable).
 fn filter_same(sel: &mut Vec<u32>, a: &Column, b: &Column) {
-    match (a, b) {
-        (Column::Syms(x), Column::Syms(y)) => sel.retain(|&r| x[r as usize] == y[r as usize]),
-        _ => sel.retain(|&r| a.value(r as usize) == b.value(r as usize)),
-    }
+    sel.retain(|&r| a.same_cell(r as usize, b, r as usize));
 }
 
-/// Builds the hash index over the selected rows, keyed by the values at
-/// `key_positions`; buckets keep selection (= insertion) order.
-fn build_index(rel: &ColumnarRelation, sel: Vec<u32>, key_positions: &[usize]) -> JoinIndex {
-    match *key_positions {
-        [] => JoinIndex::Cross(sel),
-        [i] => match rel.column(i) {
-            Column::Syms(syms) => {
-                let mut map: HashMap<Symbol, Vec<u32>> = HashMap::new();
-                for &r in &sel {
-                    map.entry(syms[r as usize]).or_default().push(r);
-                }
-                JoinIndex::Sym(map)
-            }
-            Column::Values(vals) => {
-                let mut map: HashMap<Value, Vec<u32>> = HashMap::new();
-                for &r in &sel {
-                    map.entry(vals[r as usize]).or_default().push(r);
-                }
-                JoinIndex::One(map)
-            }
-        },
-        ref many => {
-            let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-            for &r in &sel {
-                let key: Vec<Value> = many
-                    .iter()
-                    .map(|&i| rel.column(i).value(r as usize))
-                    .collect();
-                map.entry(key).or_default().push(r);
-            }
-            JoinIndex::Multi(map)
-        }
-    }
+/// One equality a join enforces: the stored relation's column against
+/// the bindings column of the same variable.
+struct Key<'a> {
+    build: &'a Column,
+    probe: &'a Column,
 }
 
-impl ColumnarBindings {
-    /// Probes the index with every bindings row in order, producing
-    /// `(probe_row, build_row)` pairs in probe-major order.
-    fn probe(&self, index: &JoinIndex, key_cols: &[usize]) -> Vec<(u32, u32)> {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let mut emit = |p: usize, bucket: &[u32]| {
-            pairs.extend(bucket.iter().map(|&b| (p as u32, b)));
-        };
-        match index {
-            JoinIndex::Cross(rows) => {
-                for p in 0..self.len {
-                    emit(p, rows);
-                }
-            }
-            JoinIndex::Sym(map) => {
-                let col = &self.cols[key_cols[0]];
-                for (p, v) in col.iter().enumerate() {
-                    // Only symbols can match an all-symbol build column.
-                    if let Value::Sym(s) = v {
-                        if let Some(bucket) = map.get(s) {
-                            emit(p, bucket);
-                        }
-                    }
-                }
-            }
-            JoinIndex::One(map) => {
-                let col = &self.cols[key_cols[0]];
-                for (p, v) in col.iter().enumerate() {
-                    if let Some(bucket) = map.get(v) {
-                        emit(p, bucket);
-                    }
-                }
-            }
-            JoinIndex::Multi(map) => {
-                let mut key = Vec::with_capacity(key_cols.len());
-                for p in 0..self.len {
-                    key.clear();
-                    key.extend(key_cols.iter().map(|&c| self.cols[c][p]));
-                    if let Some(bucket) = map.get(&key) {
-                        emit(p, bucket);
-                    }
+fn keys_match(keys: &[Key<'_>], build_row: u32, probe_row: usize) -> bool {
+    keys.iter()
+        .all(|k| k.build.same_cell(build_row as usize, k.probe, probe_row))
+}
+
+const END: u32 = u32::MAX;
+
+/// The join proper: all `(probe row, build row)` pairs agreeing on every
+/// key, as two parallel vectors in probe order × ascending build row.
+/// `sel` is the ascending selection of build rows.
+fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> (Vec<u32>, Vec<u32>) {
+    // Cells of different kinds are never equal: two single-kind columns
+    // of different kinds cannot join, whatever their words.
+    let kinds_clash = keys.iter().any(
+        |k| matches!((k.build.single_kind(), k.probe.single_kind()), (Some(b), Some(p)) if b != p),
+    );
+    if kinds_clash || sel.is_empty() {
+        return (Vec::new(), Vec::new());
+    }
+    let expected = if keys.is_empty() {
+        probe_len * sel.len()
+    } else {
+        probe_len
+    };
+    let mut probe_rows: Vec<u32> = Vec::with_capacity(expected);
+    let mut build_rows: Vec<u32> = Vec::with_capacity(expected);
+
+    if keys.is_empty() || sel.len() <= SCAN_ROWS {
+        // Cartesian product, or a build side too small to index.
+        for p in 0..probe_len {
+            for &b in sel {
+                if keys_match(keys, b, p) {
+                    probe_rows.push(p as u32);
+                    build_rows.push(b);
                 }
             }
         }
-        pairs
+        return (probe_rows, build_rows);
     }
+
+    // Chained index over positions in `sel`: `heads[slot]` starts a
+    // chain, `next[i]` continues it. Linking in reverse makes every
+    // chain ascend.
+    let (size, shift) = table_size(sel.len(), 1);
+    let mut heads = vec![END; size];
+    let mut next = vec![END; sel.len()];
+    for (i, &b) in sel.iter().enumerate().rev() {
+        let hash = keys.iter().fold(0, |h, k| mix(h, k.build.word(b as usize)));
+        let slot = (hash >> shift) as usize;
+        next[i] = heads[slot];
+        heads[slot] = i as u32;
+    }
+    for p in 0..probe_len {
+        let hash = keys.iter().fold(0, |h, k| mix(h, k.probe.word(p)));
+        let mut i = heads[(hash >> shift) as usize];
+        while i != END {
+            let b = sel[i as usize];
+            if keys_match(keys, b, p) {
+                probe_rows.push(p as u32);
+                build_rows.push(b);
+            }
+            i = next[i as usize];
+        }
+    }
+    (probe_rows, build_rows)
 }
 
 impl Table for ColumnarBindings {
@@ -166,170 +141,128 @@ impl Table for ColumnarBindings {
     }
 
     fn join(self, atom: &Atom, db: &Database) -> ColumnarBindings {
-        let empty = Relation::new(atom.arity());
-        let rel = db.get(atom.predicate).unwrap_or(&empty);
         let slots = plan_slots(atom, &self.vars);
 
-        // Same relation-level skip as the row engine: a stored arity that
-        // differs from the atom's matches nothing. Also guards the column
-        // accesses below, which index by atom position.
-        let mismatched = rel.arity() != atom.arity();
-        note_arity_mismatch(if mismatched { rel.len() } else { 0 });
+        // A missing relation is empty (closed world), and — the same
+        // relation-level skip as the row engine — so is one whose stored
+        // arity differs from the atom's: no fact can map onto it. From
+        // here on the columns can be indexed by atom position.
+        let empty;
+        let mut skipped = 0;
+        let rel = match db.get(atom.predicate) {
+            Some(rel) if rel.arity() == atom.arity() => rel,
+            other => {
+                skipped = other.map_or(0, Relation::len);
+                empty = Relation::new(atom.arity());
+                &empty
+            }
+        };
+        note_arity_mismatch(skipped);
 
-        // Bound positions pair the atom-side key position with the
-        // bindings-side column, in slot order (the row engine's key order).
-        let bound: Vec<(usize, usize)> = slots
+        // Selection vector: ascending row numbers surviving the constant
+        // and repeated-variable filters, one column at a time.
+        let mut sel: Vec<u32> = (0..rel.len() as u32).collect();
+        for (i, slot) in slots.iter().enumerate() {
+            match *slot {
+                Slot::Fixed(v) => filter_fixed(&mut sel, rel.column(i), v),
+                Slot::SameAs(j) => filter_same(&mut sel, rel.column(i), rel.column(j)),
+                _ => {}
+            }
+        }
+
+        // Bound positions, in slot order (the row engine's key order).
+        let keys: Vec<Key<'_>> = slots
             .iter()
             .enumerate()
             .filter_map(|(i, s)| match s {
-                Slot::Bound(c) => Some((i, *c)),
+                Slot::Bound(c) => Some(Key {
+                    build: rel.column(i),
+                    probe: &self.cols[*c],
+                }),
                 _ => None,
             })
             .collect();
-        let key_positions: Vec<usize> = bound.iter().map(|&(i, _)| i).collect();
-        let key_cols: Vec<usize> = bound.iter().map(|&(_, c)| c).collect();
+        let (probe_rows, build_rows) = match_rows(&keys, &sel, self.len);
 
-        let (index, build_rows, dict_columns) = if mismatched {
-            (JoinIndex::Cross(Vec::new()), 0, 0)
-        } else {
-            let crel = rel.columnar();
-            // Selection vector: ascending row indices surviving the
-            // constant and repeated-variable filters, one column at a time.
-            let mut sel: Vec<u32> = (0..crel.len() as u32).collect();
-            for (i, slot) in slots.iter().enumerate() {
-                match *slot {
-                    Slot::Fixed(v) => filter_fixed(&mut sel, crel.column(i), v),
-                    Slot::SameAs(j) => filter_same(&mut sel, crel.column(i), crel.column(j)),
-                    _ => {}
-                }
-            }
-            let dict = key_positions
-                .iter()
-                .filter(|&&i| crel.column(i).is_dictionary())
-                .count();
-            let build_rows = sel.len();
-            (build_index(crel, sel, &key_positions), build_rows, dict)
-        };
-
-        let pairs = self.probe(&index, &key_cols);
-
-        // Extend the schema with the new variables in argument order.
-        let mut vars = self.vars.clone();
-        let mut new_positions = Vec::new();
+        // Old columns follow the probe rows; the new variables, in
+        // argument order, follow the build rows.
+        let mut vars = self.vars;
+        let mut cols: Vec<Column> = self.cols.iter().map(|c| c.gather(&probe_rows)).collect();
         for (i, slot) in slots.iter().enumerate() {
             if let Slot::New(v) = slot {
                 vars.push(*v);
-                new_positions.push(i);
+                cols.push(rel.column(i).gather(&build_rows));
             }
         }
 
-        // Column-wise gathers: one tight loop per output column.
-        let mut cols: Vec<Vec<Value>> = Vec::with_capacity(vars.len());
-        for old in &self.cols {
-            cols.push(pairs.iter().map(|&(p, _)| old[p as usize]).collect());
-        }
-        if mismatched {
-            // No pairs exist; the new columns are empty (and the stored
-            // relation's columns cannot be indexed by atom position).
-            cols.extend(new_positions.iter().map(|_| Vec::new()));
-        } else {
-            let crel = rel.columnar();
-            for &i in &new_positions {
-                cols.push(match crel.column(i) {
-                    Column::Syms(syms) => pairs
-                        .iter()
-                        .map(|&(_, b)| Value::Sym(syms[b as usize]))
-                        .collect(),
-                    Column::Values(vals) => pairs.iter().map(|&(_, b)| vals[b as usize]).collect(),
-                });
-            }
-        }
-
-        note_join(self.len, pairs.len());
-        note_batch_join(build_rows, dict_columns, pairs.len());
+        note_join(self.len, probe_rows.len());
+        note_batch_join(sel.len(), probe_rows.len());
         ColumnarBindings {
             vars,
-            len: pairs.len(),
+            len: probe_rows.len(),
             cols,
         }
     }
 
     fn project_away(self, drop: &HashSet<Symbol>) -> ColumnarBindings {
-        let keep: Vec<usize> = (0..self.vars.len())
-            .filter(|&i| !drop.contains(&self.vars[i]))
-            .collect();
-        let vars: Vec<Symbol> = keep.iter().map(|&i| self.vars[i]).collect();
-        // Keep-first dedup over the projected rows, then gather the
-        // survivors column by column.
-        let mut seen = HashSet::new();
-        let mut survivors: Vec<u32> = Vec::new();
-        for row in 0..self.len {
-            let projected: Tuple = keep.iter().map(|&i| self.cols[i][row]).collect();
-            if seen.insert(projected) {
-                survivors.push(row as u32);
-            }
-        }
-        let cols: Vec<Vec<Value>> = keep
-            .iter()
-            .map(|&i| {
-                survivors
-                    .iter()
-                    .map(|&r| self.cols[i][r as usize])
-                    .collect()
-            })
-            .collect();
+        let (vars, cols): (Vec<Symbol>, Vec<Column>) = self
+            .vars
+            .into_iter()
+            .zip(self.cols)
+            .filter(|(v, _)| !drop.contains(v))
+            .unzip();
+        // What is left is a relation over the kept variables: keep-first
+        // dedup, the survivors gathered unless every row survived.
+        let distinct = Relation::from_columns(self.len, cols);
         ColumnarBindings {
             vars,
-            len: survivors.len(),
-            cols,
+            len: distinct.len(),
+            cols: distinct.into_columns(),
         }
     }
 
-    fn project_head(&self, head: &Atom) -> Result<Relation, EngineError> {
+    fn project_head(self, head: &Atom) -> Result<Relation, EngineError> {
         if self.len == 0 {
             return Ok(Relation::new(head.arity()));
         }
-        let cols = head_columns(head, &self.vars)?;
-        let mut out = Relation::new(head.arity());
-        for row in 0..self.len {
-            out.insert(
-                cols.iter()
-                    .map(|c| match c {
-                        Ok(i) => self.cols[*i][row],
-                        Err(v) => *v,
-                    })
-                    .collect(),
-            );
-        }
-        Ok(out)
+        let plan = head_columns(head, &self.vars)?;
+        // Each bindings column moves into the last head position that
+        // names it; a variable the head repeats is cloned before that.
+        let mut source = self.cols;
+        let cols: Vec<Column> = plan
+            .iter()
+            .enumerate()
+            .map(|(at, term)| match *term {
+                Ok(i) if plan[at + 1..].contains(&Ok(i)) => source[i].clone(),
+                Ok(i) => std::mem::take(&mut source[i]),
+                Err(v) => Column::constant(v, self.len),
+            })
+            .collect();
+        Ok(Relation::from_columns(self.len, cols))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use viewplan_cq::parse_query;
 
     #[test]
-    fn filter_fixed_clears_on_kind_mismatch() {
-        let col = Column::Syms(vec![Symbol::new("a"), Symbol::new("b")]);
+    fn filter_fixed_tells_kinds_apart() {
+        let col = Column::from_iter([Value::Int(3), Value::Int(4)]);
+        let mut sel = vec![0, 1];
+        filter_fixed(&mut sel, &col, Value::Skolem(3));
+        assert!(sel.is_empty());
         let mut sel = vec![0, 1];
         filter_fixed(&mut sel, &col, Value::Int(3));
-        assert!(sel.is_empty());
+        assert_eq!(sel, [0]);
     }
 
     #[test]
-    fn filter_fixed_symbol_fast_path() {
-        let col = Column::Syms(vec![Symbol::new("a"), Symbol::new("b"), Symbol::new("a")]);
+    fn filter_same_compares_cells() {
+        let a = Column::from_iter([Value::Int(1), Value::Int(2), Value::Int(3)]);
+        let b = Column::from_iter([Value::Int(1), Value::Int(3), Value::Skolem(3)]);
         let mut sel = vec![0, 1, 2];
-        filter_fixed(&mut sel, &col, Value::sym("a"));
-        assert_eq!(sel, [0, 2]);
-    }
-
-    #[test]
-    fn filter_same_mixed_columns() {
-        let a = Column::Values(vec![Value::Int(1), Value::Int(2)]);
-        let b = Column::Values(vec![Value::Int(1), Value::Int(3)]);
-        let mut sel = vec![0, 1];
         filter_same(&mut sel, &a, &b);
         assert_eq!(sel, [0]);
     }
@@ -339,5 +272,54 @@ mod tests {
         let t = ColumnarBindings::unit();
         assert_eq!(t.row_count(), 1);
         assert!(t.vars.is_empty());
+    }
+
+    /// Both sides of the index threshold give probe order × ascending
+    /// build row, with every build row under one key.
+    #[test]
+    fn matches_come_out_in_probe_then_build_order() {
+        for build_len in [SCAN_ROWS as u32, 3 * SCAN_ROWS as u32] {
+            let build = Column::from_iter(vec![Value::Int(7); build_len as usize]);
+            let probe = Column::from_iter([Value::Int(7), Value::Int(8), Value::Int(7)]);
+            let keys = [Key {
+                build: &build,
+                probe: &probe,
+            }];
+            // Odd rows filtered out beforehand.
+            let sel: Vec<u32> = (0..build_len).filter(|r| r % 2 == 0).collect();
+            let (probe_rows, build_rows) = match_rows(&keys, &sel, 3);
+            let per_probe = sel.len();
+            assert_eq!(probe_rows.len(), 2 * per_probe);
+            assert!(probe_rows[..per_probe].iter().all(|&p| p == 0));
+            assert!(probe_rows[per_probe..].iter().all(|&p| p == 2));
+            assert_eq!(build_rows[..per_probe], sel[..]);
+            assert_eq!(build_rows[per_probe..], sel[..]);
+        }
+    }
+
+    #[test]
+    fn single_kind_keys_of_different_kinds_never_join() {
+        let build = Column::from_iter((0..20).map(Value::Int));
+        let probe = Column::from_iter((0..20).map(Value::Skolem));
+        let keys = [Key {
+            build: &build,
+            probe: &probe,
+        }];
+        let sel: Vec<u32> = (0..20).collect();
+        assert_eq!(match_rows(&keys, &sel, 20), (vec![], vec![]));
+    }
+
+    #[test]
+    fn head_columns_move_clone_and_fill() {
+        let mut db = Database::new();
+        db.insert_int("r", &[&[1, 2], &[3, 4]]);
+        let q = parse_query("q(A, 9, A, B) :- r(A, B)").unwrap();
+        let table = ColumnarBindings::unit().join(&q.body[0], &db);
+        let answer = table.project_head(&q.head).unwrap();
+        let i = Value::Int;
+        assert_eq!(
+            answer.rows(),
+            [vec![i(1), i(9), i(1), i(2)], vec![i(3), i(9), i(3), i(4)]]
+        );
     }
 }

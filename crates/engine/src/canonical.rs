@@ -53,10 +53,10 @@ mod tests {
         let car = db.get("car".into()).unwrap();
         assert_eq!(car.len(), 1);
         assert_eq!(
-            car.as_slice()[0],
+            car.row(0),
             vec![Value::Frozen(Symbol::new("M")), Value::sym("a")]
         );
-        assert_eq!(db.get("part".into()).unwrap().as_slice()[0].len(), 3);
+        assert_eq!(db.get("part".into()).unwrap().row(0).len(), 3);
     }
 
     #[test]
@@ -88,7 +88,7 @@ mod tests {
     fn repeated_variables_freeze_to_equal_values() {
         let q = parse_query("q(X) :- e(X, X)").unwrap();
         let db = canonical_database(&q);
-        let t = &db.get("e".into()).unwrap().as_slice()[0];
+        let t = db.get("e".into()).unwrap().row(0);
         assert_eq!(t[0], t[1]);
     }
 }

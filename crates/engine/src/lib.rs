@@ -6,11 +6,14 @@
 //! storage-and-execution substrate both phases stand on:
 //!
 //! * [`Relation`], [`Database`] — set-semantics relations over [`Value`]s,
-//!   with a lazily-cached columnar ([`ColumnarRelation`]) twin;
-//! * [`evaluate`] — multiway hash-join evaluation of a conjunctive query,
-//!   on the row-at-a-time, columnar batch, or Yannakakis executor
-//!   ([`Engine`], columnar unless a scoped [`install`] says otherwise; all
-//!   produce byte-identical answers and traces);
+//!   stored once: one word [`Column`] per attribute under a set of row
+//!   numbers (no row vector, no second copy for any executor);
+//! * [`evaluate`] — multiway hash-join evaluation of a conjunctive query:
+//!   the columnar batch executor joins the stored columns in place; the
+//!   row-at-a-time executor (the differential oracle, which assembles a
+//!   tuple per stored row it scans) and the Yannakakis executor are
+//!   selected by a scoped [`install`] ([`Engine`]; all produce
+//!   byte-identical answers and traces);
 //! * [`materialize_views`] — compute view relations from base relations
 //!   (the closed-world assumption: views hold *exactly* these tuples);
 //! * [`canonical_database`] — the frozen database `D_Q` of §3.3, with
@@ -35,18 +38,20 @@
 
 mod batch;
 pub mod canonical;
-pub mod columnar;
+pub mod column;
 pub mod database;
 pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod materialize;
 pub mod relation;
+#[cfg(test)]
+mod relation_model;
 pub mod value;
 pub mod yannakakis;
 
 pub use canonical::{canonical_database, freeze_term, unfreeze_value};
-pub use columnar::{Column, ColumnarRelation};
+pub use column::Column;
 pub use database::Database;
 pub use engine::{current_engine, install, Engine, EngineGuard};
 pub use error::EngineError;

@@ -1,10 +1,18 @@
-//! Set-semantics relations.
+//! Set-semantics relations, stored once, as columns.
+//!
+//! A [`Relation`] is its arity, its row count, one [`Column`] per
+//! attribute in insertion order, and a [`RowSet`] of row numbers that
+//! serves `insert`'s deduplication, `contains` and set equality. There is
+//! no second copy of any tuple: no row vector, no hash set of cloned
+//! rows, no cached twin for the columnar executor — the executor reads
+//! these columns, and its answers are built from columns
+//! ([`Relation::from_columns`]) without passing through `insert`.
+//! Relations of at most [`SCAN_ROWS`] rows (every canonical database)
+//! carry no set at all; lookups compare each row.
 
-use crate::columnar::ColumnarRelation;
+use crate::column::{distinct_rows, mix, row_hash, Column, RowSet, SCAN_ROWS};
 use crate::value::Value;
-use std::collections::HashSet;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A database tuple.
 pub type Tuple = Vec<Value>;
@@ -12,24 +20,38 @@ pub type Tuple = Vec<Value>;
 /// A relation: a set of distinct tuples of a fixed arity.
 ///
 /// Conjunctive queries have set semantics (§2), so insertion deduplicates.
-/// Tuples are also kept in insertion order in a `Vec` for deterministic
-/// iteration (the paper's experiments average over generated workloads;
-/// determinism keeps runs reproducible).
+/// Rows keep their insertion order for deterministic iteration (the
+/// paper's experiments average over generated workloads; determinism
+/// keeps runs reproducible).
 #[derive(Clone, Debug)]
 pub struct Relation {
-    arity: usize,
-    tuples: Vec<Tuple>,
-    index: HashSet<Tuple>,
-    /// Lazily-built struct-of-arrays twin for the columnar engine,
-    /// invalidated on insertion.
-    columnar: OnceLock<ColumnarRelation>,
+    /// Explicit because a zero-arity relation has no column to measure.
+    len: usize,
+    /// One per attribute: the arity is their number.
+    columns: Vec<Column>,
+    /// The numbers of all `len` rows; tableless while `len <= SCAN_ROWS`.
+    set: RowSet,
+}
+
+/// [`row_hash`] of a tuple that is not (yet) stored.
+fn tuple_hash(tuple: &[Value]) -> u64 {
+    tuple.iter().fold(0, |h, v| mix(h, v.cell().1))
 }
 
 /// Relations compare as *sets*: same arity and same tuples, regardless of
 /// insertion order.
 impl PartialEq for Relation {
     fn eq(&self, other: &Relation) -> bool {
-        self.arity == other.arity && self.index == other.index
+        // Both sides hold distinct rows, so equal counts make one
+        // inclusion enough.
+        self.arity() == other.arity()
+            && self.len == other.len
+            && (0..self.len).all(|row| {
+                other.stores(
+                    || row_hash(&self.columns, row),
+                    |c, r| other.columns[c].same_cell(r, &self.columns[c], row),
+                )
+            })
     }
 }
 
@@ -39,10 +61,9 @@ impl Relation {
     /// An empty relation of the given arity.
     pub fn new(arity: usize) -> Relation {
         Relation {
-            arity,
-            tuples: Vec::new(),
-            index: HashSet::new(),
-            columnar: OnceLock::new(),
+            len: 0,
+            columns: vec![Column::default(); arity],
+            set: RowSet::default(),
         }
     }
 
@@ -55,9 +76,47 @@ impl Relation {
         r
     }
 
+    /// Builds a relation from `len` rows spelled column-wise, keeping the
+    /// first of each duplicated row — the order `insert`ing them one by
+    /// one would give.
+    pub(crate) fn from_columns(len: usize, columns: Vec<Column>) -> Relation {
+        debug_assert!(columns.iter().all(|c| c.len() == len));
+        let (firsts, set) = distinct_rows(&columns, len);
+        if firsts.len() == len {
+            return Relation { len, columns, set };
+        }
+        // Row numbers shifted: the set over the old numbering is no use.
+        let len = firsts.len();
+        let columns: Vec<Column> = columns.iter().map(|c| c.gather(&firsts)).collect();
+        let set = if len > SCAN_ROWS {
+            RowSet::of_distinct(&columns, len, len)
+        } else {
+            RowSet::default()
+        };
+        Relation { len, columns, set }
+    }
+
+    /// The columns, given up (the bindings table takes them back after
+    /// deduplicating as a relation).
+    pub(crate) fn into_columns(self) -> Vec<Column> {
+        self.columns
+    }
+
     /// The arity of the relation.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.columns.len()
+    }
+
+    /// True iff some stored row satisfies `matches(column, row)` in every
+    /// column: looked up through the set when there is one (`hash` is
+    /// then the sought row's hash), else by comparing each row.
+    fn stores(&self, hash: impl FnOnce() -> u64, matches: impl Fn(usize, usize) -> bool) -> bool {
+        let is_it = |row: u32| (0..self.arity()).all(|c| matches(c, row as usize));
+        if self.set.is_tableless() {
+            (0..self.len as u32).any(is_it)
+        } else {
+            self.set.find(hash(), is_it).is_some()
+        }
     }
 
     /// Inserts a tuple; returns `true` if it was new.
@@ -68,74 +127,130 @@ impl Relation {
     pub fn insert(&mut self, tuple: Tuple) -> bool {
         assert_eq!(
             tuple.len(),
-            self.arity,
+            self.arity(),
             "tuple arity {} does not match relation arity {}",
             tuple.len(),
-            self.arity
+            self.arity()
         );
-        if self.index.insert(tuple.clone()) {
-            self.tuples.push(tuple);
-            self.columnar.take();
-            true
+        let row = self.len;
+        assert!(row < u32::MAX as usize, "relation row count overflow");
+        if row < SCAN_ROWS {
+            if self.contains(&tuple) {
+                return false;
+            }
         } else {
-            false
+            if !self.set.has_room_for(row + 1) {
+                // The first table (every earlier row enters it here), or
+                // a doubling.
+                self.set = RowSet::of_distinct(&self.columns, row, row + 1);
+            }
+            let columns = &self.columns;
+            let stored = |r: u32| {
+                columns
+                    .iter()
+                    .zip(&tuple)
+                    .all(|(c, &v)| c.holds(r as usize, v))
+            };
+            // Files the new row's number before its cells are pushed just
+            // below; nothing reads the set in between.
+            let seen = self
+                .set
+                .find_or_insert(tuple_hash(&tuple), row as u32, stored);
+            if seen.is_some() {
+                return false;
+            }
         }
-    }
-
-    /// The columnar (struct-of-arrays) view of this relation, built on
-    /// first use and cached until the next insertion.
-    pub fn columnar(&self) -> &ColumnarRelation {
-        self.columnar
-            .get_or_init(|| ColumnarRelation::from_relation(self))
+        for (column, &v) in self.columns.iter_mut().zip(&tuple) {
+            column.push(v);
+        }
+        self.len += 1;
+        true
     }
 
     /// True iff `tuple` is in the relation.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        self.index.contains(tuple)
+        tuple.len() == self.arity()
+            && self.stores(
+                || tuple_hash(tuple),
+                |c, r| self.columns[c].holds(r, tuple[c]),
+            )
     }
 
     /// Number of distinct tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
     /// True iff the relation has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
     }
 
-    /// Iterates over the tuples in insertion order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
-        self.tuples.iter()
+    /// The column at attribute position `i`, in insertion order.
+    pub fn column(&self, i: usize) -> &Column {
+        &self.columns[i]
     }
 
-    /// The tuples as a slice.
-    pub fn as_slice(&self) -> &[Tuple] {
-        &self.tuples
+    /// The `i`-th tuple in insertion order, assembled from the columns.
+    pub fn row(&self, i: usize) -> Tuple {
+        assert!(i < self.len, "row {i} out of range");
+        self.columns.iter().map(|c| c.value(i)).collect()
+    }
+
+    /// Every tuple, in insertion order.
+    pub fn rows(&self) -> Vec<Tuple> {
+        self.iter().collect()
+    }
+
+    /// Iterates over the tuples in insertion order. Tuples are assembled
+    /// on the way out — nothing stores them — so each is owned.
+    pub fn iter(&self) -> Rows<'_> {
+        Rows {
+            relation: self,
+            next: 0,
+        }
     }
 
     /// Number of distinct values in column `col` (used by the cost
     /// estimator's independence-assumption selectivity model).
     pub fn distinct_in_column(&self, col: usize) -> usize {
-        assert!(col < self.arity, "column {col} out of range");
-        self.tuples
-            .iter()
-            .map(|t| t[col])
-            .collect::<HashSet<_>>()
-            .len()
+        assert!(col < self.arity(), "column {col} out of range");
+        distinct_rows(&self.columns[col..=col], self.len).0.len()
+    }
+}
+
+/// The tuples of a [`Relation`], in insertion order.
+pub struct Rows<'a> {
+    relation: &'a Relation,
+    next: usize,
+}
+
+impl Iterator for Rows<'_> {
+    type Item = Tuple;
+
+    fn next(&mut self) -> Option<Tuple> {
+        (self.next < self.relation.len).then(|| {
+            self.next += 1;
+            self.relation.row(self.next - 1)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.relation.len - self.next;
+        (left, Some(left))
     }
 }
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "-- {} tuple(s), arity {}", self.len(), self.arity)?;
-        for t in &self.tuples {
+        writeln!(f, "-- {} tuple(s), arity {}", self.len(), self.arity())?;
+        for row in 0..self.len {
             f.write_str("  (")?;
-            for (i, v) in t.iter().enumerate() {
+            for (i, c) in self.columns.iter().enumerate() {
                 if i > 0 {
                     f.write_str(", ")?;
                 }
-                write!(f, "{v}")?;
+                write!(f, "{}", c.value(row))?;
             }
             writeln!(f, ")")?;
         }
@@ -144,11 +259,11 @@ impl fmt::Display for Relation {
 }
 
 impl<'a> IntoIterator for &'a Relation {
-    type Item = &'a Tuple;
-    type IntoIter = std::slice::Iter<'a, Tuple>;
+    type Item = Tuple;
+    type IntoIter = Rows<'a>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.tuples.iter()
+    fn into_iter(self) -> Rows<'a> {
+        self.iter()
     }
 }
 
@@ -199,13 +314,14 @@ mod tests {
     }
 
     #[test]
-    fn columnar_cache_invalidates_on_insert() {
+    fn columns_follow_insertions() {
         let mut r = Relation::new(1);
         r.insert(t(&[1]));
-        assert_eq!(r.columnar().len(), 1);
+        assert_eq!(r.column(0).len(), 1);
         r.insert(t(&[2]));
-        assert_eq!(r.columnar().len(), 2);
-        assert_eq!(r.columnar().row(1), t(&[2]));
+        assert_eq!(r.column(0).len(), 2);
+        assert_eq!(r.row(1), t(&[2]));
+        assert_eq!(r.rows(), [t(&[1]), t(&[2])]);
     }
 
     #[test]

@@ -25,7 +25,43 @@ pub enum Value {
     Skolem(u32),
 }
 
+/// Which [`Value`] variant a stored cell holds. Storage splits a value
+/// into its kind and a 64-bit word ([`Value::cell`]); two cells are equal
+/// iff both parts are, so `Int(3)`, `Skolem(3)` and the symbol with
+/// index 3 stay three values.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Kind {
+    Sym,
+    Int,
+    Frozen,
+    Skolem,
+}
+
 impl Value {
+    /// The stored form: the variant, and the interned index, integer bits
+    /// or Skolem id as one word.
+    #[inline]
+    pub(crate) fn cell(self) -> (Kind, u64) {
+        match self {
+            Value::Sym(s) => (Kind::Sym, s.index() as u64),
+            Value::Int(i) => (Kind::Int, i as u64),
+            Value::Frozen(s) => (Kind::Frozen, s.index() as u64),
+            Value::Skolem(id) => (Kind::Skolem, u64::from(id)),
+        }
+    }
+
+    /// The inverse of [`Value::cell`]; `word` must have come from a cell
+    /// of this `kind` (the casts below undo the ones above).
+    #[inline]
+    pub(crate) fn from_cell(kind: Kind, word: u64) -> Value {
+        match kind {
+            Kind::Sym => Value::Sym(Symbol::from_index(word as usize)),
+            Kind::Int => Value::Int(word as i64),
+            Kind::Frozen => Value::Frozen(Symbol::from_index(word as usize)),
+            Kind::Skolem => Value::Skolem(word as u32),
+        }
+    }
+
     /// Symbolic value from a string.
     pub fn sym(s: &str) -> Value {
         Value::Sym(Symbol::new(s))
@@ -117,6 +153,24 @@ mod tests {
     #[should_panic(expected = "no term form")]
     fn skolem_has_no_term_form() {
         Value::Skolem(0).to_term();
+    }
+
+    #[test]
+    fn cells_round_trip_and_keep_kinds_apart() {
+        let values = [
+            Value::sym("a"),
+            Value::Int(-7),
+            Value::Int(i64::MIN),
+            Value::Frozen(Symbol::new("X")),
+            Value::Skolem(u32::MAX),
+        ];
+        for v in values {
+            let (kind, word) = v.cell();
+            assert_eq!(Value::from_cell(kind, word), v);
+        }
+        // Same word, three kinds.
+        assert_eq!(Value::Int(3).cell().1, Value::Skolem(3).cell().1);
+        assert_ne!(Value::Int(3).cell(), Value::Skolem(3).cell());
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn reference_evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
                 continue;
             }
             let mut added: Vec<Symbol> = Vec::new();
-            for (t, &val) in atom.terms.iter().zip(tuple) {
+            for (t, val) in atom.terms.iter().zip(tuple) {
                 match *t {
                     Term::Const(c) => {
                         if Value::from_constant(c) != val {

@@ -45,7 +45,7 @@ pub fn invert_views(views: &ViewSet, view_db: &Database) -> Database {
             // Bind head variables from the tuple (repeated head variables
             // must agree; head constants must match).
             let mut binding: HashMap<Symbol, Value> = HashMap::new();
-            for (t, &val) in head.terms.iter().zip(tuple) {
+            for (t, &val) in head.terms.iter().zip(&tuple) {
                 match *t {
                     Term::Const(c) => {
                         if Value::from_constant(c) != val {
@@ -68,7 +68,7 @@ pub fn invert_views(views: &ViewSet, view_db: &Database) -> Database {
                         Term::Const(c) => Value::from_constant(c),
                         Term::Var(v) => match binding.get(&v) {
                             Some(&val) => val,
-                            None => skolems.witness(view.name(), v, tuple),
+                            None => skolems.witness(view.name(), v, &tuple),
                         },
                     })
                     .collect();
@@ -128,8 +128,8 @@ mod tests {
         let mut vdb = Database::new();
         vdb.insert_int("v", &[&[1]]);
         let base = invert_views(&views, &vdb);
-        let e = base.get("e".into()).unwrap().as_slice()[0].clone();
-        let f = base.get("f".into()).unwrap().as_slice()[0].clone();
+        let e = base.get("e".into()).unwrap().row(0);
+        let f = base.get("f".into()).unwrap().row(0);
         assert_eq!(e[1], f[0]);
     }
 
@@ -235,7 +235,10 @@ mod tests {
             let direct = evaluate(&w.query, &base);
             // Soundness: certain ⊆ direct.
             for row in &certain {
-                assert!(direct.contains(row), "unsound certain answer (seed {seed})");
+                assert!(
+                    direct.contains(&row),
+                    "unsound certain answer (seed {seed})"
+                );
             }
             // Completeness against equivalence: when an equivalent
             // rewriting exists, certain answers are the full answer.

@@ -214,8 +214,8 @@ pub fn minimize_union(u: &UnionQuery, max_terms: usize) -> UnionQuery {
 pub fn union_matches_query(u: &UnionQuery, q: &ConditionalQuery, db: &Database) -> bool {
     let a = evaluate_union(u, db);
     let b = evaluate_conditional(q, db);
-    let sa: HashSet<_> = a.iter().cloned().collect();
-    let sb: HashSet<_> = b.iter().cloned().collect();
+    let sa: HashSet<_> = a.iter().collect();
+    let sb: HashSet<_> = b.iter().collect();
     sa == sb
 }
 

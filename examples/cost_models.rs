@@ -79,7 +79,7 @@ fn example_61() {
         .expect("plan executes")
         .answer;
     assert_eq!(a, b);
-    println!("✓ both plans return {:?}", a.as_slice());
+    println!("✓ both plans return {:?}", a.rows());
 }
 
 /// §5.1: a very selective empty-core view used as a filter (P3 vs P2).

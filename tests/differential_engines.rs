@@ -132,9 +132,186 @@ proptest! {
             (
                 trace.subgoal_sizes.clone(),
                 trace.intermediate_sizes.clone(),
-                trace.answer.as_slice().to_vec(),
+                trace.answer.rows(),
             )
         });
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scale and edges of the word-column storage. The random databases
+// above hold at most seven rows per relation, which the engine scans
+// without building anything; the cases below put the chained index, the
+// row-number set and the kind tags under the same row ≡ columnar
+// contract.
+
+/// What one execution shows: the trace's sizes and the answer's tuples in
+/// order.
+type Shown = (Vec<usize>, Vec<usize>, Vec<Vec<Value>>);
+
+fn shown(trace: viewplan::engine::ExecutionTrace) -> Shown {
+    (
+        trace.subgoal_sizes,
+        trace.intermediate_sizes,
+        trace.answer.rows(),
+    )
+}
+
+fn int_database(q: &ConjunctiveQuery, rows: usize, domain: i64, seed: u64) -> Database {
+    let mut db = Database::new();
+    for (name, tuples) in random_database(q, rows, domain, seed) {
+        for tuple in tuples {
+            db.insert(name, tuple.into_iter().map(Value::Int).collect());
+        }
+    }
+    db
+}
+
+/// A 20 000-row star and chain over a domain as large as the relations
+/// (the benchmark's sizing: joins neither explode nor die out), and a
+/// triangle whose closing subgoal joins on two columns at once. Answer
+/// order and trace must match the row engine's tuple for tuple.
+#[test]
+fn engines_agree_at_scale_on_order_and_trace() {
+    let cases = [
+        (
+            "q(X, A, B, C, D) :- s1(X, A), s2(X, B), s3(X, C), s4(X, D)",
+            20_000,
+            20_000,
+        ),
+        (
+            "q(A, B, C, D, E) :- c1(A, B), c2(B, C), c3(C, D), c4(D, E)",
+            20_000,
+            20_000,
+        ),
+        ("q(A, B, C) :- t1(A, B), t2(B, C), t3(C, A)", 1_000, 40),
+    ];
+    for (text, rows, domain) in cases {
+        let q = parse_query(text).unwrap();
+        let db = int_database(&q, rows, domain, 19);
+        let (_, intermediates, answer) =
+            both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
+        assert!(
+            intermediates.iter().all(|&n| n > 8) && !answer.is_empty(),
+            "{text}: the case must stay on the indexed path"
+        );
+        let evaluated = all_engines(|| evaluate(&q, &db).rows());
+        assert_eq!(evaluated.len(), answer.len(), "{text}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The random queries again, over relations of 9–20 rows: past the
+    /// scan threshold, so joins index and answers carry a row set.
+    #[test]
+    fn engines_agree_on_random_queries_past_the_scan_threshold(
+        (q, seed) in (arb_query(), 0u64..1000)
+    ) {
+        let rows = 9 + (seed % 12) as usize;
+        let db = int_database(&q, rows, 5, seed);
+        all_engines(|| {
+            let answer = evaluate(&q, &db);
+            let trace = execute_ordered(&q.head, &q.body, &db);
+            assert_eq!(trace.answer, answer);
+            shown(trace)
+        });
+    }
+}
+
+/// `r` holds integers, `s` Skolem witnesses with the same words: both key
+/// columns are single-kind, of different kinds, so nothing joins — on
+/// either side of the scan threshold.
+#[test]
+fn single_kind_keys_of_different_kinds_join_to_nothing() {
+    let q = parse_query("q(X, Y, Z) :- r(X, Y), s(Y, Z)").unwrap();
+    for rows in [4i64, 40] {
+        let mut db = Database::new();
+        for k in 0..rows {
+            db.insert("r", vec![Value::Int(k), Value::Int(k)]);
+            db.insert("s", vec![Value::Skolem(k as u32), Value::Int(k)]);
+        }
+        let (_, intermediates, answer) =
+            both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
+        assert_eq!(intermediates, [rows as usize, 0]);
+        assert!(answer.is_empty());
+        assert!(all_engines(|| evaluate(&q, &db)).is_empty());
+    }
+}
+
+/// A column that mixes kinds under equal words: `Int(k)`, `Skolem(k)`,
+/// a symbol and a frozen variable. Joining on it matches words *and*
+/// kinds, and projecting through it keeps them apart.
+#[test]
+fn engines_agree_through_a_mixed_column() {
+    let x = Symbol::new("X");
+    let mixed = |k: i64| match k % 4 {
+        0 => Value::Int(k / 4),
+        1 => Value::Skolem((k / 4) as u32),
+        2 => Value::Sym(x),
+        _ => Value::Frozen(x),
+    };
+    for rows in [6i64, 48] {
+        let mut db = Database::new();
+        for k in 0..rows {
+            db.insert("r", vec![Value::Int(k % 5), mixed(k)]);
+            // Shifted by one, so equal words meet under different kinds.
+            db.insert("s", vec![mixed(k + 1), Value::Int(k % 3)]);
+        }
+        let q = parse_query("q(A, C) :- r(A, M), s(M, C)").unwrap();
+        let (_, _, joined) = both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
+        assert!(!joined.is_empty());
+        // (`evaluate` picks its own join order: same set, other order.)
+        assert_eq!(all_engines(|| evaluate(&q, &db).rows()).len(), joined.len());
+
+        // M3-style: drop A after the first step, so the table is
+        // re-deduplicated *on* the mixed column, then join through it.
+        let steps = [
+            viewplan::engine::AnnotatedStep {
+                atom: q.body[0].clone(),
+                drop_after: [Symbol::new("A")].into_iter().collect(),
+            },
+            viewplan::engine::AnnotatedStep {
+                atom: q.body[1].clone(),
+                drop_after: Default::default(),
+            },
+        ];
+        let head = parse_atom("q(M, C)").unwrap();
+        let (_, gsr, _) = both_engines(|| shown(execute_annotated(&head, &steps, &db)));
+        // Int(k), Skolem(k), the symbol and the frozen variable all stay
+        // distinct values of M.
+        let distinct_m = (0..rows)
+            .map(mixed)
+            .collect::<std::collections::HashSet<_>>();
+        assert_eq!(gsr[0], distinct_m.len());
+    }
+}
+
+/// A head that repeats a variable and carries a constant, and a
+/// zero-arity head over a non-empty join.
+#[test]
+fn engines_agree_on_repeating_constant_and_empty_heads() {
+    for rows in [5usize, 60] {
+        let body = parse_query("q(A, B, C) :- r(A, B), s(B, C)").unwrap().body;
+        let db = int_database(
+            &ConjunctiveQuery::new(Atom::new("q", vec![]), body.clone()),
+            rows,
+            6,
+            5,
+        );
+        let head = parse_atom("q(B, 7, A, B, tag)").unwrap();
+        let (_, intermediates, answer) = both_engines(|| shown(execute_ordered(&head, &body, &db)));
+        assert!(intermediates[1] > 0);
+        assert!(answer
+            .iter()
+            .all(|t| t[0] == t[3] && t[1] == Value::Int(7) && t[4] == Value::sym("tag")));
+
+        let unit = Atom::new("q", vec![]);
+        let (_, _, answer) = both_engines(|| shown(execute_ordered(&unit, &body, &db)));
+        assert_eq!(answer, [Vec::<Value>::new()]);
+        let q = ConjunctiveQuery::new(unit, body);
+        assert_eq!(all_engines(|| evaluate(&q, &db)).len(), 1);
     }
 }
 
@@ -229,7 +406,7 @@ fn engines_agree_on_optimized_plan_traces() {
             (
                 trace.subgoal_sizes.clone(),
                 trace.intermediate_sizes.clone(),
-                trace.answer.as_slice().to_vec(),
+                trace.answer.rows(),
             )
         });
     }
@@ -271,7 +448,7 @@ fn engines_agree_on_self_joins() {
         let a = evaluate(&q, &db);
         let trace = execute_ordered(&q.head, &q.body, &db);
         assert_eq!(trace.answer, a);
-        a.as_slice().to_vec()
+        a.rows()
     });
     assert_eq!(answer.len(), 1, "only 1→2→3 completes the 2-chain");
 }

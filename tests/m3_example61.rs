@@ -126,7 +126,7 @@ fn all_plans_compute_the_answer() {
                 .expect("unbudgeted planning always completes");
             let trace = plan.try_execute(&p2.head, &vdb).unwrap();
             assert_eq!(
-                trace.answer.as_slice(),
+                trace.answer.rows(),
                 [vec![Value::Int(1)]],
                 "policy {policy:?}, order {order:?}"
             );

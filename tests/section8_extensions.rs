@@ -133,5 +133,5 @@ fn p2_needs_both_v2_literals() {
 }
 
 fn subset(a: &Relation, b: &Relation) -> bool {
-    a.iter().all(|t| b.contains(t))
+    a.iter().all(|t| b.contains(&t))
 }
