@@ -76,10 +76,10 @@ pub fn view_equivalence_classes(views: &ViewSet) -> Vec<Vec<usize>> {
 /// first-seen order; tuples with an empty core form one class (they cover
 /// nothing, but CoreCover* uses them as filter candidates).
 pub fn view_tuple_classes(cores: &[TupleCore]) -> Vec<Vec<usize>> {
-    let mut by_core: HashMap<Vec<usize>, usize> = HashMap::new();
+    let mut by_core: HashMap<u64, usize> = HashMap::new();
     let mut classes: Vec<Vec<usize>> = Vec::new();
     for (i, core) in cores.iter().enumerate() {
-        let key: Vec<usize> = core.subgoals.iter().copied().collect();
+        let key = core.bitmask();
         match by_core.get(&key) {
             Some(&ci) => classes[ci].push(i),
             None => {
@@ -146,7 +146,6 @@ mod tests {
     fn tuple_classes_group_by_core() {
         let mk = |subgoals: &[usize]| TupleCore {
             subgoals: subgoals.iter().copied().collect::<BTreeSet<_>>(),
-            mapping: Default::default(),
             parts: Vec::new(),
         };
         let cores = vec![mk(&[0, 1]), mk(&[2]), mk(&[0, 1]), mk(&[]), mk(&[])];

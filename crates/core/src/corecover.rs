@@ -44,10 +44,10 @@ use crate::lattice::is_equivalent_rewriting;
 use crate::parallel::parallel_map;
 use crate::prepared::PreparedViews;
 use crate::rewriting::{dedup_variants_with_map, Rewriting};
-use crate::tuple_core::{tuple_core, TupleCore};
-use crate::view_tuple::{view_tuples_with_threads, ViewTuple};
+use crate::tuple_core::{tuple_core_in, TupleCore};
+use crate::view_tuple::{view_tuples_of, ViewTuple};
 use viewplan_containment::minimize;
-use viewplan_cq::{ConjunctiveQuery, Symbol, Term, ViewSet};
+use viewplan_cq::{ConjunctiveQuery, Symbol, Term, View, ViewSet};
 use viewplan_obs as obs;
 use viewplan_obs::Completeness;
 
@@ -75,9 +75,11 @@ pub struct CoreCoverConfig {
     pub verify_rewritings: bool,
     /// Cap on the number of rewritings enumerated by `CoreCover*`.
     pub max_rewritings: usize,
-    /// Worker threads for the parallel stages (view tuples, tuple-cores,
-    /// oracle checks of uncertified covers). `1` runs fully serial;
-    /// results are identical for every thread count. Default 1.
+    /// Worker threads for the parallel stages (tuple-cores, oracle
+    /// checks of uncertified covers). View tuples are matched serially
+    /// whatever this says: a view costs a few hundred nanoseconds, less
+    /// than handing it to a worker. `1` runs fully serial; results are
+    /// identical for every thread count. Default 1.
     pub threads: usize,
     /// Record per-candidate provenance — which views the VP006 prune
     /// dropped, every candidate cover with its fate (accepted, duplicate
@@ -450,26 +452,30 @@ impl<'a> CoreCover<'a> {
             }
         }
 
-        // Only the selected views are copied: everything after this point
-        // works on the active set alone.
-        let active_views = ViewSet::from_views(selected.iter().map(|&i| views[i].clone()));
         if let Some(p) = provenance.as_mut() {
-            p.surviving_views = active_views.iter().map(|v| v.name().as_str()).collect();
+            p.surviving_views = selected.iter().map(|&i| views[i].name().as_str()).collect();
         }
 
-        // Step 2: view tuples from the canonical database, one parallel
-        // task per view (merged back in view order — same output as serial).
-        let tuples = {
+        // Step 2: view tuples, each selected view matched on the
+        // subgoals of the minimized query; `origin[t]` is the index of
+        // the view tuple `t` came from.
+        let (tuples, origin) = {
             let _span = obs::span("corecover.view_tuples");
-            view_tuples_with_threads(&qm, &active_views, threads)
+            view_tuples_of(&qm, views, selected)
         };
 
         // Step 3: tuple-cores, one parallel task per view tuple (collected
         // per-index, so `cores[i]` matches `tuples[i]` as in a serial run).
         let (cores, tuple_classes) = {
             let _span = obs::span("corecover.tuple_cores");
-            let cores: Vec<TupleCore> =
-                parallel_map(threads, &tuples, |t| tuple_core(&qm, t, &active_views));
+            let distinguished: Vec<Symbol> = qm.head.variables().collect();
+            let jobs: Vec<(&ViewTuple, &View)> = tuples
+                .iter()
+                .zip(origin.iter().map(|&i| &views[i]))
+                .collect();
+            let cores: Vec<TupleCore> = parallel_map(threads, &jobs, |&(tuple, view)| {
+                tuple_core_in(&qm, &distinguished, tuple, view)
+            });
             let classes = view_tuple_classes(&cores);
             (cores, classes)
         };
@@ -542,7 +548,7 @@ impl<'a> CoreCover<'a> {
                     members.iter().map(|&i| cores[i].parts.as_slice()).collect();
                 certify(universe, &parts)
             };
-            let oracle = |r: &Rewriting| is_equivalent_rewriting(r, &qm, &active_views);
+            let oracle = |r: &Rewriting| is_equivalent_rewriting(r, &qm, self.views);
             let mut decisions: Vec<Decision> = covers
                 .iter()
                 .map(|cover| Decision {

@@ -13,13 +13,38 @@
 //!   minimal rewritings using view tuples (Theorem 5.1 guarantees this
 //!   space contains an M2-optimal rewriting).
 //!
-//! Subsets are enumerated in increasing index order, so each cover is
-//! produced exactly once; branch-and-bound prunes on the best size found.
+//! # How the two searches walk
+//!
+//! **Minimum covers** are found by iterative deepening on the cover
+//! size, from the lower bound ⌈|universe| ÷ widest set⌉ up: the first
+//! size that admits a cover is the minimum, and that round meets every
+//! cover of that size. Inside a round the search branches on the
+//! *hardest open subgoal* — the uncovered subgoal the fewest sets still
+//! allowed contain — over the sets containing it, in index order, and
+//! bans each set it has tried for the later siblings, so every cover is
+//! met exactly once (in the branch of its lowest-index set containing
+//! the subgoal). A node is cut when an open subgoal has no set left, or
+//! when the open subgoals outnumber what the remaining picks could cover
+//! at best. The covers of the successful round are sorted into
+//! increasing-index order, which is the order callers turn into
+//! rewritings.
+//!
+//! **Under a budget** the minimum search returns the minimum covers met
+//! so far in the round it was cut in — possibly none, never a larger one
+//! — and says `truncated`. (Its predecessor walked subsets in index
+//! order and learnt the minimum as it went, so a cut could leave it
+//! holding a cover that was not minimum; on the benchmark's query pool
+//! it also visited forty times the nodes, so it was cut far more often.)
+//!
+//! **Irredundant covers** are enumerated as subsets in increasing index
+//! order, each cover produced exactly once: `limit` means "the first N
+//! in that order", which a search that branches on subgoals cannot
+//! offer.
 
 use viewplan_obs as obs;
 
 // Single registration site per counter name (the xtask lint enforces
-// this): both DFS variants funnel through these helpers.
+// this): both searches funnel through these helpers.
 fn note_search_node() {
     obs::counter!("cover.search_nodes").incr();
 }
@@ -33,15 +58,17 @@ fn note_truncated() {
 }
 
 /// Every minimum-cardinality cover of `universe` using `sets`, as sorted
-/// index vectors. Empty result iff `universe` cannot be covered.
+/// index vectors in increasing order. Empty result iff `universe` cannot
+/// be covered.
 pub fn all_minimum_covers(universe: u64, sets: &[u64]) -> Vec<Vec<usize>> {
     all_minimum_covers_counted(universe, sets).covers
 }
 
 /// [`all_minimum_covers`] plus an explicit truncation flag for searches
-/// cut short by the ambient budget. A truncated enumeration still
-/// contains only genuine covers of the best size *found so far* — each
-/// one a valid rewriting — but may miss smaller or additional covers.
+/// cut short by the ambient budget. A truncated enumeration contains
+/// only genuine *minimum* covers — each one a globally-minimal rewriting
+/// — but may miss others, or hold none at all (module docs, "Under a
+/// budget").
 pub fn all_minimum_covers_counted(universe: u64, sets: &[u64]) -> CoverEnumeration {
     if universe == 0 {
         return CoverEnumeration {
@@ -56,86 +83,121 @@ pub fn all_minimum_covers_counted(universe: u64, sets: &[u64]) -> CoverEnumerati
             truncated: false,
         };
     }
-    let mut best_size = usize::MAX;
-    let mut covers: Vec<Vec<usize>> = Vec::new();
-    let mut chosen: Vec<usize> = Vec::new();
-    let mut meter = obs::Meter::start(obs::Phase::Cover);
-    minimum_dfs(
+    let mut containing: Vec<Vec<usize>> = vec![Vec::new(); 64];
+    for (i, &set) in sets.iter().enumerate() {
+        for g in bits(set & universe) {
+            containing[g].push(i);
+        }
+    }
+    let widest = sets
+        .iter()
+        .map(|&s| (s & universe).count_ones())
+        .max()
+        .unwrap_or(1);
+    let mut search = MinimumSearch {
         universe,
         sets,
-        0,
-        0,
-        &mut chosen,
-        &mut best_size,
-        &mut covers,
-        &mut meter,
-    );
-    if meter.exhausted() {
+        containing: &containing,
+        widest,
+        banned: vec![false; sets.len()],
+        tried: Vec::new(),
+        chosen: Vec::new(),
+        covers: Vec::new(),
+        meter: obs::Meter::start(obs::Phase::Cover),
+    };
+    // The universe is coverable, so some size up to |universe| succeeds.
+    let mut size = universe.count_ones().div_ceil(widest);
+    while search.covers.is_empty() && !search.meter.exhausted() {
+        search.descend(0, size);
+        size += 1;
+    }
+    let truncated = search.meter.exhausted();
+    if truncated {
         note_truncated();
     }
-    CoverEnumeration {
-        covers,
-        truncated: meter.exhausted(),
+    let mut covers = search.covers;
+    for cover in &mut covers {
+        cover.sort_unstable();
     }
+    covers.sort_unstable();
+    CoverEnumeration { covers, truncated }
 }
 
-// Recursive DFS: the search state is threaded as parameters rather
-// than bundled in a struct, keeping the hot path allocation-free.
-#[allow(clippy::too_many_arguments)]
-fn minimum_dfs(
+/// The set bits of `mask`, ascending.
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// One round of the minimum-cover search (module docs).
+struct MinimumSearch<'a> {
     universe: u64,
-    sets: &[u64],
-    start: usize,
-    covered: u64,
-    chosen: &mut Vec<usize>,
-    best_size: &mut usize,
-    covers: &mut Vec<Vec<usize>>,
-    meter: &mut obs::Meter,
-) {
-    if !meter.tick() {
-        return;
-    }
-    note_search_node();
-    if covered & universe == universe {
-        match chosen.len().cmp(best_size) {
-            std::cmp::Ordering::Less => {
-                *best_size = chosen.len();
-                covers.clear();
-                covers.push(chosen.clone());
-            }
-            std::cmp::Ordering::Equal => covers.push(chosen.clone()),
-            std::cmp::Ordering::Greater => {}
-        }
-        return;
-    }
-    if chosen.len() >= *best_size {
-        note_pruned();
-        return; // cannot match the best size anymore
-    }
-    // Bound: remaining sets must be able to finish the job.
-    let rest: u64 = sets[start..].iter().fold(0u64, |a, &s| a | s);
-    if (covered | rest) & universe != universe {
-        note_pruned();
-        return;
-    }
-    for i in start..sets.len() {
-        if sets[i] & universe & !covered == 0 {
-            continue; // contributes nothing new: never part of a *minimum* cover at this point
-        }
-        chosen.push(i);
-        minimum_dfs(
-            universe,
-            sets,
-            i + 1,
-            covered | sets[i],
-            chosen,
-            best_size,
-            covers,
-            meter,
-        );
-        chosen.pop();
-        if meter.exhausted() {
+    sets: &'a [u64],
+    /// For each subgoal, the sets containing it, in index order.
+    containing: &'a [Vec<usize>],
+    /// Most subgoals any one set covers.
+    widest: u32,
+    /// Sets an earlier sibling already tried, here or at an ancestor.
+    banned: Vec<bool>,
+    /// The banned sets, in the order they were banned (a node takes its
+    /// own back on the way out).
+    tried: Vec<usize>,
+    chosen: Vec<usize>,
+    covers: Vec<Vec<usize>>,
+    meter: obs::Meter,
+}
+
+impl MinimumSearch<'_> {
+    /// Extends `chosen`, which covers `covered`, by up to `picks` sets.
+    fn descend(&mut self, covered: u64, picks: u32) {
+        if !self.meter.tick() {
             return;
+        }
+        note_search_node();
+        let open = self.universe & !covered;
+        if open == 0 {
+            self.covers.push(self.chosen.clone());
+            return;
+        }
+        if open.count_ones() > picks * self.widest {
+            note_pruned();
+            return;
+        }
+        // The hardest open subgoal: fewest sets still allowed, lowest
+        // index on ties.
+        let containing = self.containing;
+        let mut hardest = (usize::MAX, 0);
+        for g in bits(open) {
+            let allowed = containing[g].iter().filter(|&&s| !self.banned[s]).count();
+            if allowed < hardest.0 {
+                hardest = (allowed, g);
+            }
+        }
+        if hardest.0 == 0 {
+            note_pruned();
+            return;
+        }
+        let mark = self.tried.len();
+        for &s in &containing[hardest.1] {
+            if self.banned[s] {
+                continue;
+            }
+            self.chosen.push(s);
+            self.descend(covered | self.sets[s], picks - 1);
+            self.chosen.pop();
+            if self.meter.exhausted() {
+                break;
+            }
+            self.banned[s] = true;
+            self.tried.push(s);
+        }
+        for s in self.tried.drain(mark..) {
+            self.banned[s] = false;
         }
     }
 }
@@ -203,7 +265,8 @@ pub fn all_irredundant_covers_counted(
     CoverEnumeration { covers, truncated }
 }
 
-// Recursive DFS with parameter-threaded state, like `minimum_dfs`.
+// Recursive DFS: the search state is threaded as parameters rather
+// than bundled in a struct, keeping the hot path allocation-free.
 #[allow(clippy::too_many_arguments)]
 fn irredundant_dfs(
     universe: u64,
@@ -351,27 +414,65 @@ mod tests {
         let budgeted = {
             let _g = obs::budget::install(
                 obs::budget::BudgetSpec::new()
-                    .phase_nodes(obs::Phase::Cover, 4)
+                    .phase_nodes(obs::Phase::Cover, 6)
                     .build(),
             );
             all_minimum_covers_counted(0b111, &sets)
         };
-        assert!(budgeted.truncated, "a 4-node cap must truncate this search");
-        // Whatever was found is a genuine cover from the full result set.
+        assert!(budgeted.truncated, "a 6-node cap must truncate this search");
+        // Whatever was found is a minimum cover from the full result set.
+        assert!(!budgeted.covers.is_empty(), "the cap falls after a cover");
         for cover in &budgeted.covers {
-            let mask: u64 = cover.iter().fold(0, |a, &i| a | sets[i]);
-            assert_eq!(mask & 0b111, 0b111, "partial result contains a non-cover");
+            assert!(
+                full.covers.contains(cover),
+                "{cover:?} is not a minimum cover"
+            );
         }
         // And the budgeted run is deterministic.
         let again = {
             let _g = obs::budget::install(
                 obs::budget::BudgetSpec::new()
-                    .phase_nodes(obs::Phase::Cover, 4)
+                    .phase_nodes(obs::Phase::Cover, 6)
                     .build(),
             );
             all_minimum_covers_counted(0b111, &sets)
         };
         assert_eq!(budgeted, again);
+    }
+
+    #[test]
+    fn a_cut_search_never_returns_a_larger_cover() {
+        // Minimum is two ({0,1,2} + {3,4,5}); singletons come first in
+        // index order, so a search that learnt the minimum on the way
+        // met six-set covers first. At every cap the result is a subset
+        // of the minimum covers — empty while the cap falls in the
+        // round for size one.
+        let sets = [
+            0b1, 0b10, 0b100, 0b1000, 0b1_0000, 0b10_0000, 0b111, 0b11_1000,
+        ];
+        let full = all_minimum_covers_counted(0b11_1111, &sets);
+        assert_eq!(full.covers, vec![vec![6, 7]]);
+        for cap in 0..12 {
+            let _g = obs::budget::install(
+                obs::budget::BudgetSpec::new()
+                    .phase_nodes(obs::Phase::Cover, cap)
+                    .build(),
+            );
+            let cut = all_minimum_covers_counted(0b11_1111, &sets);
+            assert!(
+                cut.covers.iter().all(|c| full.covers.contains(c)),
+                "cap {cap}"
+            );
+            assert_eq!(cut.truncated, cut != full, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn covers_come_out_in_index_order_whatever_subgoal_was_branched_on() {
+        // Subgoal 2 is the hardest (one set), so the search branches on
+        // it first and meets {1, 3} before {0, 3}; the list is sorted.
+        let covers = all_minimum_covers(0b111, &[0b011, 0b011, 0b001, 0b100]);
+        assert_eq!(covers, vec![vec![0, 3], vec![1, 3]]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use viewplan_containment::is_variant;
-use viewplan_cq::{ConjunctiveQuery, Term};
+use viewplan_cq::{ConjunctiveQuery, Constant, Symbol, Term};
 
 /// An equivalent rewriting of a query using views — a conjunctive query
 /// whose body subgoals are view literals. A plain type alias with helpers;
@@ -10,34 +10,48 @@ use viewplan_cq::{ConjunctiveQuery, Term};
 /// established by the producing algorithms.
 pub type Rewriting = ConjunctiveQuery;
 
+/// One argument of an atom as [`shape_signature`] sees it.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum ArgShape {
+    /// A constant, by value.
+    Const(Constant),
+    /// A variable, by the position of its first occurrence in the atom.
+    Var(usize),
+}
+
+/// The shape of one atom: predicate, then one [`ArgShape`] per argument
+/// (so the arity is the length).
+type AtomShape = (Symbol, Vec<ArgShape>);
+
 /// A renaming-invariant signature: the sorted multiset of per-atom shapes
 /// (predicate, constant positions, intra-atom variable-equality pattern).
 /// Variants always share a signature, so pairwise [`is_variant`] checks
 /// only run within signature buckets — `CoreCover` can emit hundreds of
 /// covers, and quadratic variant checking across all of them dominated the
-/// runtime before this bucketing.
-fn shape_signature(q: &Rewriting) -> Vec<String> {
-    let mut shapes: Vec<String> = q
+/// runtime before this bucketing. Built from symbols and small integers
+/// only: no string is formatted and the interner is not read.
+fn shape_signature(q: &Rewriting) -> Vec<AtomShape> {
+    let mut shapes: Vec<AtomShape> = q
         .body
         .iter()
         .map(|a| {
-            let mut first_seen: HashMap<_, usize> = HashMap::new();
-            let pattern: Vec<String> = a
+            let pattern = a
                 .terms
                 .iter()
                 .enumerate()
                 .map(|(i, t)| match *t {
-                    Term::Const(c) => format!("c{c:?}"),
-                    Term::Var(v) => {
-                        let k = *first_seen.entry(v).or_insert(i);
-                        format!("v{k}")
+                    Term::Const(c) => ArgShape::Const(c),
+                    // An atom has a handful of terms: the first
+                    // occurrence is found by scanning.
+                    Term::Var(_) => {
+                        ArgShape::Var(a.terms[..i].iter().position(|x| x == t).unwrap_or(i))
                     }
                 })
                 .collect();
-            format!("{}({})", a.predicate, pattern.join(","))
+            (a.predicate, pattern)
         })
         .collect();
-    shapes.sort();
+    shapes.sort_unstable();
     shapes
 }
 
@@ -57,7 +71,7 @@ pub fn dedup_variants_with_map(rewritings: Vec<Rewriting>) -> (Vec<Rewriting>, V
     // Input index each `out[i]` came from, for reporting in input terms.
     let mut kept_input: Vec<usize> = Vec::new();
     let mut variant_of: Vec<Option<usize>> = Vec::with_capacity(rewritings.len());
-    let mut buckets: HashMap<Vec<String>, Vec<usize>> = HashMap::new();
+    let mut buckets: HashMap<Vec<AtomShape>, Vec<usize>> = HashMap::new();
     for (idx, r) in rewritings.into_iter().enumerate() {
         let sig = shape_signature(&r);
         let bucket = buckets.entry(sig).or_default();

@@ -19,7 +19,7 @@
 //!
 //! * group subgoals into connected components linked by shared local
 //!   variables — property (3) makes each component an all-or-nothing unit
-//!   (a local variable always maps to a fresh existential or a constant of
+//!   (a local variable always maps to an existential or a constant of
 //!   the expansion, never to a `t_v` argument, since that would collide
 //!   with the identity part and break injectivity);
 //! * enumerate the consistent mappings of each component into the
@@ -32,23 +32,33 @@
 //! [`TupleCore::parts`]: [`crate::certificate`] needs them to tell
 //! whether the cores of a cover glue into one containment mapping.
 //!
+//! # No expansion, no fresh symbols
+//!
+//! `t_v^exp` is never built as atoms. The search runs over the view's
+//! *own* body, each of its terms read as an [`Image`]: a head variable is
+//! the tuple argument at its position, a constant is itself, and the
+//! view's `k`-th existential variable is `Existential(k)`. Definition 4.1
+//! asks three things of an existential image — that it differs from
+//! every term of the query, equals itself, and differs from the view's
+//! other existentials — and a position number answers all three, whatever
+//! the variable is called, so nothing is renamed apart and nothing is
+//! interned. Arities and bodies are a handful of terms: every set below
+//! is a small vector, scanned.
+//!
 //! Lemma 4.2 (uniqueness of the maximal core) is asserted in debug builds.
 
-use crate::view_tuple::ViewTuple;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use viewplan_containment::expand_atom;
-use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term, ViewSet};
+use crate::cover::bits;
+use crate::view_tuple::{bound_term, ViewTuple};
+use std::collections::BTreeSet;
+use viewplan_cq::{ConjunctiveQuery, Symbol, Term, View, ViewSet};
 use viewplan_obs as obs;
 
-/// The tuple-core of a view tuple: the covered subgoals (as indices into
-/// the minimized query's body) and the mapping of local variables.
+/// The tuple-core of a view tuple: the covered subgoals, as indices into
+/// the minimized query's body and as all-or-nothing parts.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TupleCore {
     /// Indices of the covered subgoals in the minimized query's body.
     pub subgoals: BTreeSet<usize>,
-    /// Images of the query's local variables in the tuple expansion
-    /// (non-local variables map to themselves and are omitted).
-    pub mapping: BTreeMap<Symbol, Term>,
     /// The covered subgoals as bitmasks, one per component linked by
     /// shared local variables (see the module docs): the all-or-nothing
     /// units of property (3). They partition `subgoals`, and they are
@@ -61,19 +71,16 @@ impl TupleCore {
     pub fn empty() -> TupleCore {
         TupleCore {
             subgoals: BTreeSet::new(),
-            mapping: BTreeMap::new(),
             parts: Vec::new(),
         }
     }
 
-    /// Adds one whole component, mapped by `mapping`, to the core.
-    fn absorb(&mut self, component: &[usize], mapping: &ComponentMapping) {
-        self.subgoals.extend(component.iter().copied());
-        self.mapping
-            .extend(mapping.iter().map(|(&v, &image)| (v, image)));
-        // Indices are below 64: `tuple_core` asserts the body length.
-        self.parts
-            .push(component.iter().fold(0u64, |m, &i| m | (1 << i)));
+    /// The core made of whole components, given as subgoal bitmasks.
+    fn of_parts(parts: Vec<u64>) -> TupleCore {
+        TupleCore {
+            subgoals: parts.iter().flat_map(|&part| bits(part)).collect(),
+            parts,
+        }
     }
 
     /// True iff no subgoal is covered.
@@ -96,333 +103,418 @@ impl TupleCore {
     }
 }
 
-/// One consistent way to map a whole component into the expansion:
-/// the images of its local variables.
-type ComponentMapping = BTreeMap<Symbol, Term>;
+/// A term of the tuple's expansion (module docs, "No expansion").
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Image {
+    /// A term in the query's vocabulary: an argument of the view tuple,
+    /// or a constant of the view body.
+    Term(Term),
+    /// The view's `k`-th existential variable. Local to one tuple-core
+    /// computation; never equal to a query term, whatever it is called.
+    Existential(usize),
+}
+
+/// What Definition 4.1 lets one argument of a query subgoal map to.
+#[derive(Clone, Copy)]
+enum Want {
+    /// Exactly this term: a constant (fixed by any containment mapping)
+    /// or a variable the tuple exposes (identity, property 1).
+    Exactly(Term),
+    /// Nothing: a distinguished variable the tuple does not expose
+    /// (properties 1 and 2 force the identity, which the expansion
+    /// cannot offer).
+    Nothing,
+    /// The image of this local variable (an index into the per-tuple
+    /// list of locals): an existential or a constant outside the tuple,
+    /// the same one at every occurrence, no two locals sharing one.
+    Local(usize),
+}
 
 /// Computes the unique tuple-core of `tv` for the **minimized** query
 /// (Definition 4.1 assumes minimality; pass the output of
-/// [`viewplan_containment::minimize()`]).
+/// [`viewplan_containment::minimize()`]). A tuple no view of `views`
+/// can produce — unknown name, wrong arity, a repeated head variable
+/// meeting two arguments, a head constant meeting another term — has the
+/// empty core.
 ///
 /// # Panics
 /// Panics if the query has more than 64 subgoals (the cover step uses
 /// 64-bit masks; the paper's workloads use 8).
 pub fn tuple_core(min_query: &ConjunctiveQuery, tv: &ViewTuple, views: &ViewSet) -> TupleCore {
+    let Some(view) = views.get(tv.atom.predicate) else {
+        return TupleCore::empty();
+    };
+    let distinguished: Vec<Symbol> = min_query.head.variables().collect();
+    tuple_core_in(min_query, &distinguished, tv, view)
+}
+
+/// [`tuple_core`] with the view already resolved and the query's
+/// distinguished variables computed once for the whole run.
+pub(crate) fn tuple_core_in(
+    min_query: &ConjunctiveQuery,
+    distinguished: &[Symbol],
+    tv: &ViewTuple,
+    view: &View,
+) -> TupleCore {
     assert!(
         min_query.body.len() <= 64,
         "queries are limited to 64 subgoals"
     );
-    let Ok(texp) = expand_atom(&tv.atom, views) else {
+    let Some(expansion) = Expansion::of(view, &tv.atom.terms) else {
         return TupleCore::empty();
     };
-    let tv_terms: HashSet<Term> = tv.atom.terms.iter().copied().collect();
-    let distinguished = min_query.distinguished_set();
-    let is_local = |v: Symbol| !distinguished.contains(&v) && !tv_terms.contains(&Term::Var(v));
+    let exposed = &tv.atom.terms;
 
-    // Union-find over subgoal indices, linked by shared local variables.
-    let n = min_query.body.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
-    }
-    let mut by_local: HashMap<Symbol, usize> = HashMap::new();
-    for (i, atom) in min_query.body.iter().enumerate() {
-        for v in atom.variables() {
-            if is_local(v) {
-                match by_local.get(&v) {
-                    Some(&j) => {
-                        let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                        parent[ri] = rj;
-                    }
-                    None => {
-                        by_local.insert(v, i);
-                    }
+    // Classify every argument of every subgoal once, and collect for
+    // each local variable the subgoals that use it.
+    let mut locals: Vec<(Symbol, u64)> = Vec::new();
+    let wants: Vec<Vec<Want>> = min_query
+        .body
+        .iter()
+        .enumerate()
+        .map(|(i, atom)| {
+            let classify = |&t: &Term| match t {
+                Term::Const(_) => Want::Exactly(t),
+                Term::Var(_) if exposed.contains(&t) => Want::Exactly(t),
+                Term::Var(v) if distinguished.contains(&v) => Want::Nothing,
+                Term::Var(v) => {
+                    let k = locals.iter().position(|&(x, _)| x == v).unwrap_or_else(|| {
+                        locals.push((v, 0));
+                        locals.len() - 1
+                    });
+                    locals[k].1 |= 1 << i;
+                    Want::Local(k)
                 }
+            };
+            atom.terms.iter().map(classify).collect()
+        })
+        .collect();
+
+    // Components: subgoals linked by shared local variables, ordered by
+    // their first subgoal.
+    let mut components: Vec<u64> = (0..min_query.body.len()).map(|i| 1 << i).collect();
+    for &(_, users) in &locals {
+        let mut merged = 0;
+        components.retain(|&c| {
+            let linked = c & users != 0;
+            if linked {
+                merged |= c;
             }
-        }
+            !linked
+        });
+        components.push(merged);
     }
-    let mut components: HashMap<usize, Vec<usize>> = HashMap::new();
-    for i in 0..n {
-        let r = find(&mut parent, i);
-        components.entry(r).or_default().push(i);
-    }
-    let mut components: Vec<Vec<usize>> = components.into_values().collect();
-    components.sort(); // deterministic order
+    components.sort_unstable_by_key(|c| c.trailing_zeros());
 
     // Enumerate each component's consistent mappings. One meter covers
     // the whole per-tuple search; truncation only *shrinks* the core
     // (an underestimated core is a subset of the true core, and covers
     // built from subsets are still valid rewritings).
-    let mut meter = obs::Meter::start(obs::Phase::Hom);
-    let per_component: Vec<(Vec<usize>, Vec<ComponentMapping>)> = components
-        .into_iter()
-        .map(|comp| {
-            let mappings =
-                component_mappings(min_query, &comp, &texp, &tv_terms, &is_local, &mut meter);
-            (comp, mappings)
-        })
+    let mut search = Search {
+        query: min_query,
+        wants: &wants,
+        expansion: &expansion,
+        exposed,
+        assigned: vec![None; locals.len()],
+        trail: Vec::new(),
+        meter: obs::Meter::start(obs::Phase::Hom),
+    };
+    let per_component: Vec<Mappings> = components
+        .iter()
+        .map(|&component| search.component_mappings(component))
         .collect();
 
     // Fast path: if no two components can compete for an image, every
     // component with at least one mapping joins the core (the common case;
     // the backtracking resolution below is only needed on overlap).
-    let image_sets: Vec<HashSet<Term>> = per_component
-        .iter()
-        .map(|(_, ms)| ms.iter().flat_map(|m| m.values().copied()).collect())
-        .collect();
-    let mut disjoint = true;
-    'outer: for i in 0..image_sets.len() {
-        for j in (i + 1)..image_sets.len() {
-            if image_sets[i].intersection(&image_sets[j]).next().is_some() {
-                disjoint = false;
-                break 'outer;
-            }
-        }
-    }
+    let mut earlier: Vec<Image> = Vec::new();
+    let disjoint = per_component.iter().all(|mappings| {
+        let apart = mappings.images.iter().all(|img| !earlier.contains(img));
+        earlier.extend_from_slice(&mappings.images);
+        apart
+    });
     if disjoint {
-        let mut core = TupleCore::empty();
-        for (comp, mappings) in &per_component {
-            if let Some(m) = mappings.first() {
-                core.absorb(comp, m);
-            }
-        }
-        return core;
+        return TupleCore::of_parts(
+            per_component
+                .iter()
+                .filter(|mappings| mappings.count > 0)
+                .map(|mappings| mappings.component)
+                .collect(),
+        );
     }
 
     // Globally resolve injectivity across components, maximizing coverage.
-    let mut best: Option<(usize, TupleCore)> = None;
-    let mut chosen: Vec<Option<usize>> = vec![None; per_component.len()];
-    resolve(
-        &per_component,
-        0,
-        &mut chosen,
-        &mut HashSet::new(),
-        &mut best,
-        &mut meter,
-    );
+    let mut resolution = Resolution {
+        per_component: &per_component,
+        used: Vec::new(),
+        best: None,
+        meter: search.meter,
+    };
+    resolution.resolve(0, 0);
     // A budget-truncated resolution may not even reach the all-excluded
     // leaf; the empty core is the sound fallback.
-    best.map(|(_, core)| core).unwrap_or_else(TupleCore::empty)
+    let chosen = resolution.best.map_or(0, |(_, chosen)| chosen);
+    TupleCore::of_parts(bits(chosen).map(|c| per_component[c].component).collect())
 }
 
-/// Backtracking enumeration of all consistent mappings of a component's
-/// local variables; returns an empty vector when the component cannot be
-/// covered at all.
-fn component_mappings(
-    q: &ConjunctiveQuery,
-    comp: &[usize],
-    texp: &[Atom],
-    tv_terms: &HashSet<Term>,
-    is_local: &dyn Fn(Symbol) -> bool,
-    meter: &mut obs::Meter,
-) -> Vec<ComponentMapping> {
-    let mut results: Vec<ComponentMapping> = Vec::new();
-    let mut seen: HashSet<ComponentMapping> = HashSet::new();
-    let mut assignment: ComponentMapping = BTreeMap::new();
-    let mut used: HashSet<Term> = HashSet::new();
-    search_component(
-        q,
-        comp,
-        0,
-        texp,
-        tv_terms,
-        is_local,
-        &mut assignment,
-        &mut used,
-        meter,
-        &mut |m| {
-            if seen.insert(m.clone()) {
-                results.push(m.clone());
-            }
-        },
-    );
-    results
+/// The view's body read as the tuple's expansion: one [`Image`] per
+/// body term, flat, with each subgoal's range.
+struct Expansion<'v> {
+    view: &'v View,
+    images: Vec<Image>,
+    /// `images[starts[j]..starts[j + 1]]` are the terms of body atom `j`.
+    starts: Vec<usize>,
 }
 
-// Recursive backtracking search; the assignment/bookkeeping state is
-// threaded as parameters so frames stay allocation-free.
-#[allow(clippy::too_many_arguments)]
-fn search_component(
-    q: &ConjunctiveQuery,
-    comp: &[usize],
-    depth: usize,
-    texp: &[Atom],
-    tv_terms: &HashSet<Term>,
-    is_local: &dyn Fn(Symbol) -> bool,
-    assignment: &mut ComponentMapping,
-    used: &mut HashSet<Term>,
-    meter: &mut obs::Meter,
-    emit: &mut dyn FnMut(&ComponentMapping),
-) {
-    if !meter.tick() {
-        return;
-    }
-    if depth == comp.len() {
-        emit(assignment);
-        return;
-    }
-    let g = &q.body[comp[depth]];
-    for target in texp {
-        if target.predicate != g.predicate || target.arity() != g.arity() {
-            continue;
+impl<'v> Expansion<'v> {
+    /// `None` when `args` cannot be a tuple of `view`: wrong arity, a
+    /// repeated head variable meeting two arguments, a head constant
+    /// meeting another term.
+    fn of(view: &'v View, args: &[Term]) -> Option<Expansion<'v>> {
+        let head = view.head();
+        if head.arity() != args.len() {
+            return None;
         }
-        let mut newly: Vec<Symbol> = Vec::new();
-        if try_map_atom(g, target, tv_terms, is_local, assignment, used, &mut newly) {
-            search_component(
-                q,
-                comp,
-                depth + 1,
-                texp,
-                tv_terms,
-                is_local,
-                assignment,
-                used,
-                meter,
-                emit,
-            );
-        }
-        for v in newly {
-            // `newly` records exactly the variables this frame inserted,
-            // so the entry must still be present; a miss would mean the
-            // backtracking bookkeeping desynced.
-            debug_assert!(assignment.contains_key(&v));
-            if let Some(img) = assignment.remove(&v) {
-                used.remove(&img);
+        let mut bound: Vec<(Symbol, Term)> = Vec::with_capacity(args.len());
+        for (&h, &a) in head.terms.iter().zip(args) {
+            match h {
+                Term::Var(v) => match bound_term(&bound, v) {
+                    None => bound.push((v, a)),
+                    Some(prev) if prev == a => {}
+                    Some(_) => return None,
+                },
+                Term::Const(_) if h == a => {}
+                Term::Const(_) => return None,
             }
         }
-        if meter.exhausted() {
+        let body = &view.definition.body;
+        let mut existentials: Vec<Symbol> = Vec::new();
+        let mut images = Vec::with_capacity(body.iter().map(|a| a.arity()).sum());
+        let mut starts = Vec::with_capacity(body.len() + 1);
+        for atom in body {
+            starts.push(images.len());
+            images.extend(atom.terms.iter().map(|&t| match t {
+                Term::Const(_) => Image::Term(t),
+                Term::Var(v) => match bound_term(&bound, v) {
+                    Some(arg) => Image::Term(arg),
+                    None => {
+                        let known = existentials.iter().position(|&x| x == v);
+                        Image::Existential(known.unwrap_or_else(|| {
+                            existentials.push(v);
+                            existentials.len() - 1
+                        }))
+                    }
+                },
+            }));
+        }
+        starts.push(images.len());
+        Some(Expansion {
+            view,
+            images,
+            starts,
+        })
+    }
+
+    /// The expansion's subgoals a query subgoal could map onto: same
+    /// predicate, same arity.
+    fn targets<'s>(
+        &'s self,
+        predicate: Symbol,
+        arity: usize,
+    ) -> impl Iterator<Item = &'s [Image]> + 's {
+        self.view
+            .definition
+            .body
+            .iter()
+            .enumerate()
+            .filter(move |(_, atom)| atom.predicate == predicate && atom.arity() == arity)
+            .map(|(j, _)| &self.images[self.starts[j]..self.starts[j + 1]])
+    }
+}
+
+/// Every consistent way to map one component into the expansion: the
+/// images of its local variables, `width` per mapping (always in the
+/// order the search first meets them), deduplicated, flat.
+struct Mappings {
+    /// The component's subgoals.
+    component: u64,
+    width: usize,
+    /// A component without local variables has mappings of width 0, so
+    /// the count is kept beside the images.
+    count: usize,
+    images: Vec<Image>,
+}
+
+impl Mappings {
+    fn get(&self, i: usize) -> &[Image] {
+        &self.images[i * self.width..(i + 1) * self.width]
+    }
+}
+
+/// The backtracking enumeration of component mappings.
+struct Search<'a> {
+    query: &'a ConjunctiveQuery,
+    /// [`Want`]s of every query subgoal, aligned with the body.
+    wants: &'a [Vec<Want>],
+    expansion: &'a Expansion<'a>,
+    /// The tuple's arguments.
+    exposed: &'a [Term],
+    /// Image of each local variable, if assigned.
+    assigned: Vec<Option<Image>>,
+    /// The locals assigned so far, oldest first; their images are the
+    /// ones in use (one-to-one).
+    trail: Vec<usize>,
+    meter: obs::Meter,
+}
+
+impl Search<'_> {
+    /// All consistent mappings of a component's local variables; none
+    /// when the component cannot be covered at all.
+    fn component_mappings(&mut self, component: u64) -> Mappings {
+        let mut found = Mappings {
+            component,
+            width: 0,
+            count: 0,
+            images: Vec::new(),
+        };
+        self.descend(component, &mut found);
+        found
+    }
+
+    /// Maps the subgoals of `rest`, lowest first.
+    fn descend(&mut self, rest: u64, found: &mut Mappings) {
+        if !self.meter.tick() {
             return;
         }
+        if rest == 0 {
+            // Every local of the component is assigned, in an order the
+            // query alone decides: the same at every leaf.
+            let known = found.images.len();
+            let images = self.trail.iter().filter_map(|&k| self.assigned[k]);
+            found.images.extend(images);
+            found.width = found.images.len() - known;
+            if (0..found.count).any(|i| found.get(i) == &found.images[known..]) {
+                found.images.truncate(known);
+            } else {
+                found.count += 1;
+            }
+            return;
+        }
+        let g = rest.trailing_zeros() as usize;
+        let (atom, wants, expansion) = (&self.query.body[g], &self.wants[g], self.expansion);
+        for target in expansion.targets(atom.predicate, atom.arity()) {
+            let mark = self.trail.len();
+            if self.meet(wants, target) {
+                self.descend(rest & (rest - 1), found);
+            }
+            for k in self.trail.drain(mark..) {
+                self.assigned[k] = None;
+            }
+            if self.meter.exhausted() {
+                return;
+            }
+        }
     }
-}
 
-/// Attempts to map one subgoal onto one expansion atom under the
-/// Definition 4.1 constraints, extending `assignment` for local variables.
-fn try_map_atom(
-    g: &Atom,
-    target: &Atom,
-    tv_terms: &HashSet<Term>,
-    is_local: &dyn Fn(Symbol) -> bool,
-    assignment: &mut ComponentMapping,
-    used: &mut HashSet<Term>,
-    newly: &mut Vec<Symbol>,
-) -> bool {
-    for (pt, tt) in g.terms.iter().zip(&target.terms) {
-        match *pt {
-            // Constants are fixed by any containment mapping.
-            Term::Const(_) => {
-                if pt != tt {
-                    return false;
-                }
-            }
-            Term::Var(v) if !is_local(v) => {
-                // Identity required: either v appears in tv (property 1) or
-                // v is distinguished, in which case property 2 + 1 force
-                // φ(v) = v, which is only possible if v appears in the
-                // expansion — i.e. in tv's arguments.
-                if *tt != Term::Var(v) {
-                    return false;
-                }
-                if !tv_terms.contains(&Term::Var(v)) {
-                    // Distinguished variable absent from tv: property 2
-                    // cannot be satisfied.
-                    return false;
-                }
-            }
-            Term::Var(v) => {
-                // Local variable: must map to a term of the expansion that
-                // is not a tv argument (a tv-argument image would collide
-                // with the identity part under one-to-one-ness).
-                if tv_terms.contains(tt) {
-                    return false;
-                }
-                match assignment.get(&v) {
-                    Some(prev) => {
-                        if prev != tt {
-                            return false;
-                        }
+    /// Attempts to map one subgoal onto one expansion subgoal under the
+    /// Definition 4.1 constraints, assigning its unassigned locals (the
+    /// caller takes them back, also after a failure half way).
+    fn meet(&mut self, wants: &[Want], target: &[Image]) -> bool {
+        for (&want, &image) in wants.iter().zip(target) {
+            match want {
+                Want::Exactly(t) => {
+                    if image != Image::Term(t) {
+                        return false;
                     }
-                    None => {
-                        // One-to-one: the image must be unused.
-                        if !used.insert(*tt) {
-                            return false;
+                }
+                Want::Nothing => return false,
+                Want::Local(k) => {
+                    // A tuple-argument image would collide with the
+                    // identity part under one-to-one-ness.
+                    if matches!(image, Image::Term(t) if self.exposed.contains(&t)) {
+                        return false;
+                    }
+                    match self.assigned[k] {
+                        Some(prev) => {
+                            if prev != image {
+                                return false;
+                            }
                         }
-                        assignment.insert(v, *tt);
-                        newly.push(v);
+                        None => {
+                            // One-to-one: the image must be unused.
+                            if self.trail.iter().any(|&j| self.assigned[j] == Some(image)) {
+                                return false;
+                            }
+                            self.assigned[k] = Some(image);
+                            self.trail.push(k);
+                        }
                     }
                 }
             }
         }
+        true
     }
-    true
 }
 
 /// Chooses, for each component, one of its mappings or exclusion, so that
 /// local-variable images stay globally one-to-one; keeps the selection
-/// covering the most subgoals. Debug builds assert the maximal covered set
-/// is unique (Lemma 4.2).
-fn resolve(
-    per_component: &[(Vec<usize>, Vec<ComponentMapping>)],
-    depth: usize,
-    chosen: &mut Vec<Option<usize>>,
-    used: &mut HashSet<Term>,
-    best: &mut Option<(usize, TupleCore)>,
-    meter: &mut obs::Meter,
-) {
-    if !meter.tick() {
-        return;
-    }
-    if depth == per_component.len() {
-        let mut core = TupleCore::empty();
-        for (c, pick) in per_component.iter().zip(chosen.iter()) {
-            if let Some(m) = pick {
-                core.absorb(&c.0, &c.1[*m]);
-            }
+/// covering the most subgoals (the first such one). Debug builds assert
+/// the maximal covered set is unique (Lemma 4.2).
+struct Resolution<'a> {
+    per_component: &'a [Mappings],
+    /// Images taken by the components chosen so far.
+    used: Vec<Image>,
+    /// Subgoals covered and components chosen (a bit per component) by
+    /// the best selection so far.
+    best: Option<(u64, u64)>,
+    meter: obs::Meter,
+}
+
+impl Resolution<'_> {
+    fn resolve(&mut self, depth: usize, chosen: u64) {
+        if !self.meter.tick() {
+            return;
         }
-        let size = core.subgoals.len();
-        match best {
-            None => *best = Some((size, core)),
-            Some((bs, bcore)) => {
-                if size > *bs {
-                    *best = Some((size, core));
-                } else if size == *bs && size > 0 {
+        let per_component = self.per_component;
+        let Some(mappings) = per_component.get(depth) else {
+            let covered = bits(chosen).fold(0, |m, c| m | per_component[c].component);
+            match self.best {
+                None => self.best = Some((covered, chosen)),
+                Some((best, _)) if covered.count_ones() > best.count_ones() => {
+                    self.best = Some((covered, chosen));
+                }
+                Some((best, _)) => {
                     // Lemma 4.2 uniqueness holds for complete searches;
                     // a budget-truncated mapping enumeration can leave
                     // equal-size incomparable selections behind.
                     debug_assert!(
-                        bcore.subgoals == core.subgoals || obs::budget::current().is_some(),
+                        covered.count_ones() < best.count_ones()
+                            || covered == 0
+                            || covered == best
+                            || obs::budget::current().is_some(),
                         "tuple-core must be unique (Lemma 4.2)"
                     );
                 }
             }
-        }
-        return;
-    }
-    let (_, mappings) = &per_component[depth];
-    for (mi, m) in mappings.iter().enumerate() {
-        if m.values().any(|img| used.contains(img)) {
-            continue;
-        }
-        for img in m.values() {
-            used.insert(*img);
-        }
-        chosen[depth] = Some(mi);
-        resolve(per_component, depth + 1, chosen, used, best, meter);
-        chosen[depth] = None;
-        for img in m.values() {
-            used.remove(img);
-        }
-        if meter.exhausted() {
             return;
+        };
+        for i in 0..mappings.count {
+            let mapping = mappings.get(i);
+            if mapping.iter().any(|img| self.used.contains(img)) {
+                continue;
+            }
+            let mark = self.used.len();
+            self.used.extend_from_slice(mapping);
+            self.resolve(depth + 1, chosen | (1 << depth));
+            self.used.truncate(mark);
+            if self.meter.exhausted() {
+                return;
+            }
         }
+        // Exclusion branch (needed when the component has no mapping, and to
+        // witness uniqueness in debug builds).
+        self.resolve(depth + 1, chosen);
     }
-    // Exclusion branch (needed when the component has no mapping, and to
-    // witness uniqueness in debug builds).
-    resolve(per_component, depth + 1, chosen, used, best, meter);
 }
 
 #[cfg(test)]
@@ -554,6 +646,43 @@ mod tests {
         // (frozen y ≠ c). So no view tuples. The subtlety: the *tuple* can
         // never exist unless the canonical database contains the constant.
         assert!(cores.is_empty());
+    }
+
+    #[test]
+    fn existential_spelled_like_a_query_variable_stays_apart() {
+        // The view hides a variable it happens to call `X`; the tuple
+        // exposes the query's `X` through `B`. The expansion is
+        // e(P, X'), f(X) with X' fresh, so e(P, X) — whose X must stay
+        // itself — has no image: an image compared by name would cover it.
+        let cores = cores_of("q(P, X) :- e(P, X), f(X)", "v(A, B) :- e(A, X), f(B)");
+        assert_eq!(cores, vec![("v(P, X)".to_string(), vec![1])]);
+    }
+
+    #[test]
+    fn tuples_no_view_can_produce_have_the_empty_core() {
+        // A repeated head variable meeting two arguments, a head constant
+        // meeting another term, a wrong arity, an unknown view: the empty
+        // core, not a panic.
+        let q = minimize(&parse_query("q(X, Y) :- e(X, Y), e(X, c)").unwrap());
+        let views = parse_views(
+            "v(A, A) :- e(A, A).\n\
+             w(A, c) :- e(A, c).",
+        )
+        .unwrap();
+        for atom in ["v(X, Y)", "w(X, d)", "w(X, Y)", "w(X)", "nope(X)"] {
+            let atom = viewplan_cq::parse_atom(atom).unwrap();
+            let tv = ViewTuple {
+                view: atom.predicate,
+                atom,
+            };
+            assert!(tuple_core(&q, &tv, &views).is_empty(), "{tv}");
+        }
+        // The tuple `w` does have covers its subgoal.
+        let tv = ViewTuple {
+            view: "w".into(),
+            atom: viewplan_cq::parse_atom("w(X, c)").unwrap(),
+        };
+        assert_eq!(tuple_core(&q, &tv, &views).bitmask(), 0b10);
     }
 
     #[test]

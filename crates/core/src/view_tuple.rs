@@ -1,17 +1,37 @@
 //! View tuples `T(Q, V)` (§3.3).
 //!
 //! A view tuple is a view literal whose arguments are variables (and
-//! constants) of the query. They are computed exactly as the paper
-//! prescribes: freeze the minimized query into its canonical database
-//! `D_Q`, evaluate every view definition over `D_Q`, and thaw the frozen
-//! constants back into query variables. By Lemma 3.2 every rewriting can
-//! be transformed into one that uses only view tuples, which makes
-//! `T(Q, V)` the raw material of both search spaces (Theorems 3.1
-//! and 5.1).
+//! constants) of the query. The paper prescribes: freeze the minimized
+//! query into its canonical database `D_Q`, evaluate every view
+//! definition over `D_Q`, and thaw the frozen constants back into query
+//! variables. By Lemma 3.2 every rewriting can be transformed into one
+//! that uses only view tuples, which makes `T(Q, V)` the raw material of
+//! both search spaces (Theorems 3.1 and 5.1).
+//!
+//! # How we compute it
+//!
+//! `D_Q` is the distinct subgoals of the query with variables read as
+//! constants, so nothing is frozen, stored or thawed: each view body is
+//! matched directly on those subgoals. A view subgoal meets a query
+//! subgoal of the same predicate and arity; a view constant matches only
+//! that constant (never a query variable — a frozen variable is a value
+//! of its own); a view variable already bound must meet the same term.
+//! The head is projected at each full match, duplicates within the view
+//! dropped keep-first.
+//!
+//! The *order* of a view's several tuples is the order the engine's
+//! multiway join would produce them in, because rewritings are emitted
+//! in view-tuple order: the view's subgoals are walked in
+//! [`greedy_join_order`] (the engine's own rule, over the number of query
+//! subgoals per predicate) and each level tries the query's subgoals in
+//! body order. `tests/differential_corecover.rs` keeps the evaluation
+//! over a canonical database as the reference.
+//!
+//! A view costs a few hundred nanoseconds, so the matching is serial at
+//! every thread count. View names are taken to be unique: tuples of
+//! different views are never compared.
 
-use crate::parallel::parallel_map;
-use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, View, ViewSet};
-use viewplan_engine::{canonical_database, evaluate, unfreeze_value, Database};
+use viewplan_cq::{greedy_join_order, Atom, ConjunctiveQuery, Symbol, Term, View, ViewSet};
 
 /// A view tuple: a literal of view `view` whose arguments are terms of the
 /// query.
@@ -33,55 +53,166 @@ impl std::fmt::Display for ViewTuple {
 ///
 /// The same view can contribute several tuples (Example 4.1 yields
 /// `v1(X, Z)` and `v1(Z, Z)`); exact duplicates are removed. The order is
-/// deterministic: views in `views` order, tuples in evaluation order.
+/// deterministic: views in `views` order, a view's tuples in the order
+/// the module docs describe.
+/// A view with a head variable its body never binds (unsafe; the parser
+/// rejects them) has no tuples.
 pub fn view_tuples(min_query: &ConjunctiveQuery, views: &ViewSet) -> Vec<ViewTuple> {
-    view_tuples_with_threads(min_query, views, 1)
+    let views = views.as_slice();
+    view_tuples_of(min_query, views, 0..views.len()).0
 }
 
-/// [`view_tuples`] with the per-view evaluations spread over up to
-/// `threads` workers. The per-view results are merged back in `views`
-/// order with the same duplicate filter, so the output is identical to
-/// the serial one for any thread count.
+/// [`view_tuples`]; the matching is serial whatever `threads` says (see
+/// the module docs), so the output is trivially identical for any thread
+/// count.
 pub fn view_tuples_with_threads(
     min_query: &ConjunctiveQuery,
     views: &ViewSet,
-    threads: usize,
+    _threads: usize,
 ) -> Vec<ViewTuple> {
-    let canonical = canonical_database(min_query);
-    let per_view: Vec<Vec<ViewTuple>> = parallel_map(threads, views.as_slice(), |view| {
-        tuples_of_view(view, &canonical)
-    });
-    let mut out: Vec<ViewTuple> = Vec::new();
-    for tuples in per_view {
-        for vt in tuples {
-            if !out.contains(&vt) {
-                out.push(vt);
-            }
-        }
-    }
-    out
+    view_tuples(min_query, views)
 }
 
-/// All tuples a single view contributes, in evaluation order (duplicates
-/// from *other* views are filtered by the caller's merge).
-fn tuples_of_view(view: &View, canonical: &Database) -> Vec<ViewTuple> {
-    let rel = evaluate(&view.definition, canonical);
-    let mut out: Vec<ViewTuple> = Vec::new();
-    for row in 0..rel.len() {
-        // Straight from the answer's columns: no tuple is assembled.
-        let terms = (0..rel.arity())
-            .map(|c| unfreeze_value(rel.column(c).value(row)))
-            .collect();
-        let atom = Atom::new(view.name(), terms);
-        let vt = ViewTuple {
-            view: view.name(),
-            atom,
+/// The view tuples of `views[i]` for every `i` of `selected`, in that
+/// order, and beside each tuple the index of the view it came from.
+pub(crate) fn view_tuples_of(
+    min_query: &ConjunctiveQuery,
+    views: &[View],
+    selected: impl IntoIterator<Item = usize>,
+) -> (Vec<ViewTuple>, Vec<usize>) {
+    let facts = Facts::of(min_query);
+    let mut tuples: Vec<ViewTuple> = Vec::new();
+    let mut origin: Vec<usize> = Vec::new();
+    for i in selected {
+        facts.match_view(&views[i], &mut tuples);
+        origin.resize(tuples.len(), i);
+    }
+    (tuples, origin)
+}
+
+/// The distinct subgoals of the query — `D_Q` with variables read as
+/// constants — grouped by predicate and arity, in body order.
+struct Facts<'q> {
+    groups: Vec<Vec<&'q Atom>>,
+}
+
+impl<'q> Facts<'q> {
+    fn of(query: &'q ConjunctiveQuery) -> Facts<'q> {
+        let mut groups: Vec<Vec<&Atom>> = Vec::new();
+        for atom in &query.body {
+            match groups.iter_mut().find(|g| same_relation(g[0], atom)) {
+                Some(group) if group.contains(&atom) => {}
+                Some(group) => group.push(atom),
+                None => groups.push(vec![atom]),
+            }
+        }
+        Facts { groups }
+    }
+
+    /// The facts a view subgoal can meet (none when the query never
+    /// mentions the predicate at this arity).
+    fn of_relation(&self, atom: &Atom) -> &[&'q Atom] {
+        self.groups
+            .iter()
+            .find(|g| same_relation(g[0], atom))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Appends the tuples of one view to `out`.
+    fn match_view(&self, view: &View, out: &mut Vec<ViewTuple>) {
+        let body = &view.definition.body;
+        let order = greedy_join_order(body, |a| self.of_relation(a).len());
+        let mut search = Match {
+            facts: self,
+            view,
+            order: &order,
+            bound: Vec::new(),
+            first: out.len(),
+            out,
         };
-        if !out.contains(&vt) {
-            out.push(vt);
+        search.descend(0);
+    }
+}
+
+fn same_relation(a: &Atom, b: &Atom) -> bool {
+    a.predicate == b.predicate && a.arity() == b.arity()
+}
+
+/// The term `bound` holds for `v`. A body or a head binds a handful of
+/// variables, so bindings are a list, scanned.
+pub(crate) fn bound_term(bound: &[(Symbol, Term)], v: Symbol) -> Option<Term> {
+    bound.iter().find(|(x, _)| *x == v).map(|&(_, t)| t)
+}
+
+/// The nested-loop match of one view body: `order[depth]` names the view
+/// subgoal matched at `depth`, `bound` holds the view variables bound so
+/// far (truncated on the way back).
+struct Match<'a, 'q> {
+    facts: &'a Facts<'q>,
+    view: &'a View,
+    order: &'a [usize],
+    bound: Vec<(Symbol, Term)>,
+    /// Where this view's tuples start in `out`.
+    first: usize,
+    out: &'a mut Vec<ViewTuple>,
+}
+
+impl<'a> Match<'a, '_> {
+    fn descend(&mut self, depth: usize) {
+        let Some(&subgoal) = self.order.get(depth) else {
+            self.project_head();
+            return;
+        };
+        let (view, facts): (&'a View, &'a Facts<'_>) = (self.view, self.facts);
+        let pattern = &view.definition.body[subgoal];
+        let mark = self.bound.len();
+        for fact in facts.of_relation(pattern) {
+            if self.meet(pattern, fact) {
+                self.descend(depth + 1);
+            }
+            self.bound.truncate(mark);
         }
     }
-    out
+
+    /// Matches one view subgoal on one fact, binding its new variables.
+    fn meet(&mut self, pattern: &Atom, fact: &Atom) -> bool {
+        for (&p, &f) in pattern.terms.iter().zip(&fact.terms) {
+            match p {
+                Term::Const(_) => {
+                    if p != f {
+                        return false;
+                    }
+                }
+                Term::Var(v) => match bound_term(&self.bound, v) {
+                    Some(t) if t != f => return false,
+                    Some(_) => {}
+                    None => self.bound.push((v, f)),
+                },
+            }
+        }
+        true
+    }
+
+    fn project_head(&mut self) {
+        let head = self.view.head();
+        let image = |&t: &Term| match t {
+            Term::Const(_) => Some(t),
+            Term::Var(v) => bound_term(&self.bound, v),
+        };
+        let Some(terms) = head.terms.iter().map(image).collect::<Option<Vec<Term>>>() else {
+            debug_assert!(
+                false,
+                "view {head} is unsafe: a head variable is not in its body"
+            );
+            return;
+        };
+        if self.out[self.first..].iter().all(|t| t.atom.terms != terms) {
+            self.out.push(ViewTuple {
+                view: self.view.name(),
+                atom: Atom::new(self.view.name(), terms),
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +311,32 @@ mod tests {
                 "threads = {threads}"
             );
         }
+    }
+
+    #[test]
+    fn one_predicate_at_two_arities_is_matched_per_subgoal() {
+        // The canonical database asserted on this (one relation, one
+        // arity); the matcher compares arities subgoal by subgoal.
+        let got = tuples_of(
+            "q(X, Y) :- p(X), p(X, Y)",
+            "v1(A) :- p(A).\n\
+             v2(A, B) :- p(A, B).",
+        );
+        assert_eq!(got, ["v1(X)", "v2(X, Y)"]);
+    }
+
+    #[test]
+    fn view_constants_never_match_query_variables() {
+        // A frozen variable is a value of its own, even one spelled like
+        // the constant's position would suggest.
+        let got = tuples_of("q(X) :- a(X, Y)", "v(A) :- a(A, c)");
+        assert!(got.is_empty());
+    }
+
+    #[test]
+    fn duplicate_query_subgoals_are_one_fact() {
+        let got = tuples_of("q(X) :- e(X, X), e(X, X)", "v(A, B) :- e(A, B)");
+        assert_eq!(got, ["v(X, X)"]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! another test's work interleaving mid-run would perturb what is
 //! compared here. The two tests take turns through [`serial`].
 
-use viewplan_core::{view_tuples_with_threads, CoreCover, CoreCoverConfig};
+use viewplan_core::{parallel_map, CoreCover, CoreCoverConfig};
 use viewplan_cq::{parse_query, parse_views};
 use viewplan_obs as obs;
 
@@ -27,8 +27,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn fixture() -> (viewplan_cq::ConjunctiveQuery, viewplan_cq::ViewSet) {
-    // Example 1.1: four view tuples, so the parallel stages (view
-    // tuples, tuple-cores) see real work.
+    // Example 1.1: four view tuples, so the parallel stage
+    // (tuple-cores) sees real work.
     let query =
         parse_query("q1(S, C) :- car(M, anderson), loc(anderson, C), part(S, M, C)").unwrap();
     let views = parse_views(
@@ -122,18 +122,24 @@ fn engine_and_acyclic_overrides_reach_every_worker() {
     let (query, views) = fixture();
     obs::set_enabled(true);
 
-    // Row engine pinned by the caller: the per-view evaluations on the
-    // eight workers must not touch the columnar batch join.
+    // Row engine pinned by the caller: evaluations on the eight workers
+    // must not touch the columnar batch join. (Nothing in a rewrite
+    // evaluates any more — view tuples are matched, not joined — so the
+    // pool is driven directly, the way the serving and sweep layers
+    // drive it around work that does execute plans.)
     obs::reset();
-    let tuples = {
+    let canonical = viewplan_engine::canonical_database(&query);
+    let answers = {
         let _row = viewplan_engine::install(viewplan_engine::Engine::Row);
-        view_tuples_with_threads(&query, &views, 8)
+        parallel_map(8, views.as_slice(), |view| {
+            viewplan_engine::evaluate(&view.definition, &canonical).len()
+        })
     };
-    assert!(!tuples.is_empty());
+    assert!(answers.iter().all(|&rows| rows > 0));
     assert_eq!(
         obs::counter_value("engine.batch_joins"),
         0,
-        "workers evaluated view tuples on the columnar engine under install(Engine::Row)"
+        "workers evaluated on the columnar engine under install(Engine::Row)"
     );
 
     // Homomorphism DFS pinned by the caller: the oracle checks on the

@@ -32,6 +32,7 @@
 pub mod atom;
 pub mod error;
 pub mod hypergraph;
+pub mod join_order;
 pub mod parser;
 pub mod query;
 pub mod span;
@@ -43,6 +44,7 @@ pub mod view;
 pub use atom::Atom;
 pub use error::ParseError;
 pub use hypergraph::{hypertree_width_estimate, is_acyclic, join_forest, JoinForest};
+pub use join_order::greedy_join_order;
 pub use parser::{parse_atom, parse_program, parse_query, parse_views, Program, RuleSpans};
 pub use query::ConjunctiveQuery;
 pub use span::Span;

@@ -78,6 +78,13 @@ impl Symbol {
         Symbol(index as u32)
     }
 
+    /// How many distinct strings the process has interned so far. The
+    /// table never shrinks, so a request path that leaves this unchanged
+    /// leaks nothing into it (`tests/interner_growth.rs`).
+    pub fn interned_len() -> usize {
+        interner().read().strings.len()
+    }
+
     /// A symbol guaranteed distinct from every symbol interned so far,
     /// derived from `base` (used for fresh-variable generation).
     // lock-order: interner read guards only, each dropped before the next

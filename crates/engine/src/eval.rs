@@ -21,7 +21,7 @@ use crate::error::EngineError;
 use crate::relation::{Relation, Tuple};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
-use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term};
+use viewplan_cq::{greedy_join_order, Atom, ConjunctiveQuery, Symbol, Term};
 use viewplan_obs as obs;
 
 /// The sole panic site for the documented-`# Panics` wrappers around the
@@ -309,36 +309,11 @@ pub(crate) fn evaluate_in_order_with<T: Table>(
     table.project_head(head)
 }
 
-/// Greedy join order: start from the smallest relation; repeatedly take the
-/// subgoal sharing a variable with the bound set (smallest relation on
-/// ties), falling back to the smallest unconnected subgoal (Cartesian
-/// product) when the query is disconnected.
+/// Greedy join order over the stored relation sizes — the rule itself
+/// is [`viewplan_cq::greedy_join_order`], shared with CoreCover's
+/// view-tuple matcher so the two cannot drift.
 pub(crate) fn greedy_order(body: &[Atom], db: &Database) -> Vec<usize> {
-    let size = |a: &Atom| db.get(a.predicate).map_or(0, Relation::len);
-    let mut remaining: Vec<usize> = (0..body.len()).collect();
-    let mut order = Vec::with_capacity(body.len());
-    let mut bound: HashSet<Symbol> = HashSet::new();
-    while !remaining.is_empty() {
-        let Some(pick) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &i)| {
-                let connected = body[i].variables().any(|v| bound.contains(&v));
-                // Connected subgoals first (0 beats 1), then by size.
-                (
-                    if connected || order.is_empty() { 0 } else { 1 },
-                    size(&body[i]),
-                )
-            })
-            .map(|(pos, _)| pos)
-        else {
-            break;
-        };
-        let i = remaining.swap_remove(pick);
-        bound.extend(body[i].variables());
-        order.push(i);
-    }
-    order
+    greedy_join_order(body, |a| db.get(a.predicate).map_or(0, Relation::len))
 }
 
 /// The record of executing a physical plan: per-step view-relation sizes
