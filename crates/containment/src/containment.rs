@@ -1,40 +1,27 @@
 //! Query containment and equivalence (Definition 2.1).
 
 use crate::homomorphism::HomomorphismSearch;
-use std::cell::Cell;
 use viewplan_cq::{ConjunctiveQuery, Substitution, Term};
 use viewplan_obs as obs;
+use viewplan_obs::ctx::{self, CtxGuard};
 
-thread_local! {
-    static ACYCLIC_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
+/// Containment's bit of the request context's policy word (bit 2, as
+/// allocated in `viewplan_obs::ctx`): set = the acyclic fast path is off.
+const POLICY_ACYCLIC_OFF: u32 = 0b100;
 
 /// Whether [`is_contained_in`] routes acyclic patterns through the
 /// semijoin fast path on this thread: the innermost [`install_acyclic`],
 /// else on.
 pub fn acyclic_enabled() -> bool {
-    ACYCLIC_OVERRIDE.with(|o| o.get()).unwrap_or(true)
+    ctx::policy() & POLICY_ACYCLIC_OFF == 0
 }
 
 /// Forces the fast path on or off for the current thread until the
 /// returned guard drops — the reference switch the differential tests
-/// use to run the homomorphism DFS beside the semijoin route. The worker
-/// pool re-installs the spawning thread's setting on every worker.
-pub fn install_acyclic(on: bool) -> AcyclicGuard {
-    let previous = ACYCLIC_OVERRIDE.with(|o| o.replace(Some(on)));
-    AcyclicGuard { previous }
-}
-
-/// Restores the previous [`install_acyclic`] state on drop.
-#[must_use = "dropping the guard immediately uninstalls the acyclic override"]
-pub struct AcyclicGuard {
-    previous: Option<bool>,
-}
-
-impl Drop for AcyclicGuard {
-    fn drop(&mut self) {
-        ACYCLIC_OVERRIDE.with(|o| o.set(self.previous));
-    }
+/// use to run the homomorphism DFS beside the semijoin route. Part of
+/// the request context, so a worker pool carries it to every worker.
+pub fn install_acyclic(on: bool) -> CtxGuard {
+    ctx::set_policy(POLICY_ACYCLIC_OFF, if on { 0 } else { POLICY_ACYCLIC_OFF })
 }
 
 // Single registration site for `containment.checks` (the xtask lint):

@@ -56,7 +56,7 @@ pub use cache::{
 };
 pub use containment::{
     acyclic_enabled, are_equivalent, containment_mapping, head_bindings, install_acyclic,
-    is_contained_in, AcyclicGuard,
+    is_contained_in,
 };
 pub use expansion::{expand, expand_atom, ExpandError};
 pub use homomorphism::{find_homomorphism, find_homomorphism_with, HomomorphismSearch};

@@ -75,11 +75,11 @@ pub struct CoreCoverConfig {
     pub verify_rewritings: bool,
     /// Cap on the number of rewritings enumerated by `CoreCover*`.
     pub max_rewritings: usize,
-    /// Worker threads for the parallel stages (tuple-cores, oracle
-    /// checks of uncertified covers). View tuples are matched serially
-    /// whatever this says: a view costs a few hundred nanoseconds, less
-    /// than handing it to a worker. `1` runs fully serial; results are
-    /// identical for every thread count. Default 1.
+    /// Worker threads for the parallel stages: tuple-cores and the
+    /// oracle checks of uncertified covers. (View tuples are always
+    /// matched on the calling thread — a view costs a few hundred
+    /// nanoseconds, less than handing it to a worker.) `1` runs fully
+    /// serial; results are identical for every thread count. Default 1.
     pub threads: usize,
     /// Record per-candidate provenance — which views the VP006 prune
     /// dropped, every candidate cover with its fate (accepted, duplicate

@@ -82,4 +82,4 @@ pub use prepared::PreparedViews;
 pub use prune::{body_signature, view_is_unusable};
 pub use rewriting::{dedup_variants, dedup_variants_with_map, Rewriting};
 pub use tuple_core::{tuple_core, TupleCore};
-pub use view_tuple::{view_tuples, view_tuples_with_threads, ViewTuple};
+pub use view_tuple::{view_tuples, ViewTuple};

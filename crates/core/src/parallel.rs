@@ -15,25 +15,9 @@
 //! tentpole guarantee that parallel CoreCover results are byte-identical
 //! to serial ones.
 //!
-//! Ambient context: everything thread-scoped on the spawning thread is
-//! captured once and re-attached on every worker, so `f` cannot tell
-//! which thread it runs on —
-//!
-//! * the open span path ([`obs::attach_path`]), so spans opened inside
-//!   `f` aggregate under the same phase-tree node a serial run would use
-//!   instead of dangling at the root;
-//! * the request trace ([`obs::trace::attach`]), so worker-side spans
-//!   and events land under the request span that spawned them;
-//! * the [`obs::Budget`], so the whole pool shares one
-//!   deadline/cancellation flag and stops promptly when it fires (node
-//!   caps are per-search, so budgeted results keep the
-//!   byte-identical-to-serial guarantee; only wall-clock deadlines are
-//!   nondeterministic);
-//! * the two reference overrides — the execution engine
-//!   ([`viewplan_engine::install`]) and the acyclic containment route
-//!   ([`viewplan_containment::install_acyclic`]) — so a differential
-//!   test that pins the row engine or the homomorphism DFS gets it on
-//!   every worker, not just on the thread that asked.
+//! The spawning thread's request context ([`obs::ctx`]: budget, trace,
+//! open spans, policy word) is forked once and entered on every worker,
+//! so `f` cannot tell which thread it runs on.
 
 use viewplan_obs as obs;
 use viewplan_sync::{thread, AtomicUsize, Mutex, Ordering};
@@ -60,11 +44,7 @@ where
     let workers = threads.min(items.len());
     obs::counter!("parallel.batches").incr();
     obs::counter!("parallel.tasks").add(items.len() as u64);
-    let parent_path = obs::current_path();
-    let parent_budget = obs::budget::current();
-    let parent_trace = obs::trace::current_context();
-    let parent_engine = viewplan_engine::current_engine();
-    let parent_acyclic = viewplan_containment::acyclic_enabled();
+    let parent = obs::ctx::fork();
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
     // Workers catch panics from `f` so the original payload (not the
@@ -73,11 +53,7 @@ where
     thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let _phase = obs::attach_path(&parent_path);
-                let _budget = obs::budget::attach(parent_budget.clone());
-                let _trace = obs::trace::attach(parent_trace.as_ref());
-                let _engine = viewplan_engine::install(parent_engine);
-                let _acyclic = viewplan_containment::install_acyclic(parent_acyclic);
+                let _ctx = parent.enter();
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
                     // ordering: work-stealing index; only atomicity of
@@ -139,22 +115,6 @@ mod tests {
             x
         });
         assert_eq!(out, items);
-    }
-
-    #[test]
-    fn ambient_budget_reaches_workers() {
-        let budget = obs::budget::BudgetSpec::new().node_budget(1).build();
-        let _g = obs::budget::install(budget.clone());
-        let items: Vec<u64> = (0..8).collect();
-        let out = parallel_map(4, &items, |&x| {
-            let mut m = obs::budget::Meter::start(obs::Phase::Hom);
-            while m.tick() {}
-            x
-        });
-        assert_eq!(out, items);
-        // Every worker saw the spawning thread's budget: all 8 searches
-        // hit the 1-node cap.
-        assert_eq!(budget.abandoned(obs::Phase::Hom), 8);
     }
 
     #[test]

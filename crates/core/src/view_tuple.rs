@@ -62,17 +62,6 @@ pub fn view_tuples(min_query: &ConjunctiveQuery, views: &ViewSet) -> Vec<ViewTup
     view_tuples_of(min_query, views, 0..views.len()).0
 }
 
-/// [`view_tuples`]; the matching is serial whatever `threads` says (see
-/// the module docs), so the output is trivially identical for any thread
-/// count.
-pub fn view_tuples_with_threads(
-    min_query: &ConjunctiveQuery,
-    views: &ViewSet,
-    _threads: usize,
-) -> Vec<ViewTuple> {
-    view_tuples(min_query, views)
-}
-
 /// The view tuples of `views[i]` for every `i` of `selected`, in that
 /// order, and beside each tuple the index of the view it came from.
 pub(crate) fn view_tuples_of(
@@ -289,27 +278,6 @@ mod tests {
             for v in t.atom.variables() {
                 assert!(qvars.contains(&v));
             }
-        }
-    }
-
-    #[test]
-    fn threaded_view_tuples_match_serial() {
-        let q = parse_query("q1(S, C) :- car(M, a), loc(a, C), part(S, M, C)").unwrap();
-        let views = parse_views(
-            "v1(M, D, C) :- car(M, D), loc(D, C).\n\
-             v2(S, M, C) :- part(S, M, C).\n\
-             v3(S) :- car(M, a), loc(a, C), part(S, M, C).\n\
-             v4(M, D, C, S) :- car(M, D), loc(D, C), part(S, M, C).\n\
-             v5(M, D, C) :- car(M, D), loc(D, C).",
-        )
-        .unwrap();
-        let serial = view_tuples(&q, &views);
-        for threads in [2, 3, 8] {
-            assert_eq!(
-                view_tuples_with_threads(&q, &views, threads),
-                serial,
-                "threads = {threads}"
-            );
         }
     }
 

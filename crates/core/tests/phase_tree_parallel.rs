@@ -1,16 +1,16 @@
 //! Phase-tree and trace attribution are independent of the thread count.
 //!
-//! `parallel_map` re-attaches the spawning thread's span path and trace
-//! context on every worker, and workers stage closed span stats in
-//! per-thread buffers that merge atomically. The observable consequence,
-//! pinned here: the aggregated phase tree (names, nesting, counts) and
-//! the trace span tree (the multiset of root-to-leaf name paths) of a
-//! CoreCover run are identical at `threads = 1` and `threads = 8`.
+//! `parallel_map` forks the spawning thread's request context
+//! (`viewplan_obs::ctx`) and enters it on every worker, and workers stage
+//! closed span stats in per-thread buffers that merge atomically. The
+//! observable consequence, pinned here: the aggregated phase tree (names,
+//! nesting, counts) and the trace span tree (the multiset of
+//! root-to-leaf name paths) of a CoreCover run are identical at
+//! `threads = 1` and `threads = 8`.
 //!
-//! The pool carries the two reference overrides the same way — the
-//! execution engine and the acyclic containment route — pinned here by
-//! counters that must stay at zero when the spawning thread asked for
-//! the row engine or the homomorphism DFS.
+//! The second test pins the mechanism itself: every part of the context
+//! — budget, trace, open spans, and both crates' policy bits — is
+//! observed on each of eight workers.
 //!
 //! This file holds these tests alone in their own integration binary
 //! because the span aggregate and the counters are process-global:
@@ -116,71 +116,66 @@ fn phase_tree_and_trace_paths_match_between_serial_and_parallel_runs() {
     obs::set_enabled(false);
 }
 
+/// Mutations this catches: `ctx::fork` (or `RequestCtx::enter`) losing
+/// any one field — the budget, the trace, the frames, or either crate's
+/// policy bits — and `parallel_map` spawning a worker without entering
+/// the fork. Each part is read back on the worker through the same
+/// reader the pipeline uses.
 #[test]
-fn engine_and_acyclic_overrides_reach_every_worker() {
+fn every_part_of_the_request_context_reaches_every_worker() {
     let _turn = serial();
-    let (query, views) = fixture();
     obs::set_enabled(true);
-
-    // Row engine pinned by the caller: evaluations on the eight workers
-    // must not touch the columnar batch join. (Nothing in a rewrite
-    // evaluates any more — view tuples are matched, not joined — so the
-    // pool is driven directly, the way the serving and sweep layers
-    // drive it around work that does execute plans.)
     obs::reset();
-    let canonical = viewplan_engine::canonical_database(&query);
-    let answers = {
+    let budget = obs::BudgetSpec::new().node_budget(1).build();
+    let trace = obs::Trace::new();
+    // Eight items behind an eight-way barrier: no worker can take a
+    // second item, so eight distinct threads each run `f` once.
+    let barrier = std::sync::Barrier::new(8);
+    let items: Vec<usize> = (0..8).collect();
+    let seen = {
+        let _budget = obs::budget::install(budget.clone());
+        let _trace = obs::trace::install(&trace);
         let _row = viewplan_engine::install(viewplan_engine::Engine::Row);
-        parallel_map(8, views.as_slice(), |view| {
-            viewplan_engine::evaluate(&view.definition, &canonical).len()
+        let _dfs = viewplan_containment::install_acyclic(false);
+        let _outer = obs::span("ctx_pool.outer");
+        parallel_map(8, &items, |_| {
+            barrier.wait();
+            let _item = obs::span("ctx_pool.item");
+            let mut meter = obs::Meter::start(obs::Phase::Hom);
+            let ticks = (0..3).take_while(|_| meter.tick()).count();
+            (
+                std::thread::current().id(),
+                ticks,
+                viewplan_engine::current_engine(),
+                viewplan_containment::acyclic_enabled(),
+            )
         })
     };
-    assert!(answers.iter().all(|&rows| rows > 0));
-    assert_eq!(
-        obs::counter_value("engine.batch_joins"),
-        0,
-        "workers evaluated on the columnar engine under install(Engine::Row)"
-    );
-
-    // Homomorphism DFS pinned by the caller: the oracle checks on the
-    // workers must not take the semijoin route. Covers the certificate
-    // vouches for never reach a worker, so this needs covers it cannot
-    // vouch for: every `vb*` joins `va` through its own copy of `X`.
-    // (Cleared memo: a cached verdict would skip both routes.)
-    let query = parse_query("q(P, R) :- e(P, X), g(X, Y), f(Y, R)").unwrap();
-    let views = parse_views(
-        "
-        va(P, Y)     :- e(P, X), g(X, Y).
-        vb1(X, R, P) :- e(P, X2), g(X2, Y2), f(Y2, R), g(X, Y2).
-        vb2(R, X, P) :- e(P, X2), g(X2, Y2), f(Y2, R), g(X, Y2).
-        vb3(P, R, X) :- e(P, X2), g(X2, Y2), f(Y2, R), g(X, Y2).
-        ",
-    )
-    .unwrap();
-    viewplan_containment::clear_containment_cache();
-    obs::reset();
-    let config = CoreCoverConfig {
-        threads: 8,
-        group_view_tuples: false,
-        ..CoreCoverConfig::default()
-    };
-    let result = {
-        let _dfs = viewplan_containment::install_acyclic(false);
-        CoreCover::new(&query, &views)
-            .with_config(config)
-            .run_all_minimal()
-    };
-    assert_eq!(result.rewritings().len(), 3);
-    assert_eq!(
-        obs::counter_value("corecover.covers_oracle_checked"),
-        3,
-        "the oracle needs several covers to fan out"
-    );
-    assert!(obs::counter_value("containment.checks") > 0);
-    assert_eq!(
-        obs::counter_value("containment.acyclic_fast_path"),
-        0,
-        "workers took the semijoin fast path under install_acyclic(false)"
-    );
     obs::set_enabled(false);
+
+    let threads: std::collections::HashSet<_> = seen.iter().map(|s| s.0).collect();
+    assert_eq!(threads.len(), 8);
+    assert!(!threads.contains(&std::thread::current().id()));
+    // Policy: both crates' bits.
+    assert!(seen
+        .iter()
+        .all(|s| s.2 == viewplan_engine::Engine::Row && !s.3));
+    // Budget: each worker's search ran out at the spawner's 1-node cap.
+    assert!(seen.iter().all(|s| s.1 == 1), "{seen:?}");
+    assert_eq!(budget.abandoned(obs::Phase::Hom), 8);
+    // Trace: eight item spans under the spawner's span, one buffer each.
+    let roots = trace.tree();
+    assert_eq!(roots.len(), 1, "{roots:?}");
+    assert_eq!(roots[0].name, "ctx_pool.outer");
+    assert_eq!(roots[0].children.len(), 8);
+    let tids: std::collections::BTreeSet<u64> = roots[0].children.iter().map(|c| c.tid).collect();
+    assert_eq!(tids.len(), 8);
+    // Open spans: the aggregate nests the same way.
+    let tree = obs::span_tree();
+    let outer = tree.iter().find(|n| n.name == "ctx_pool.outer").unwrap();
+    assert_eq!(outer.children.len(), 1);
+    assert_eq!(
+        (outer.children[0].name, outer.children[0].count),
+        ("ctx_pool.item", 8)
+    );
 }

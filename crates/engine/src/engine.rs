@@ -5,16 +5,14 @@
 //! insertion order, [`crate::ExecutionTrace`]s with the same per-step
 //! sizes, the same `engine.*` counters — which the differential suite at
 //! the workspace root enforces. Selection is therefore purely a
-//! performance knob with exactly one source: the innermost
-//! thread-scoped [`install`], else [`Engine::default`] (columnar).
-//! Callers that select an engine say so explicitly — the CLI installs
-//! its `--engine` value around the command, the serving layer installs
-//! [`ServeConfig::engine`](../../viewplan_serve/struct.ServeConfig.html)
-//! per request, the differential tests install each engine in turn —
-//! and the worker pool re-installs the spawning thread's choice on
-//! every worker.
+//! performance knob with exactly one source: the innermost [`install`]
+//! in the thread's request context (`viewplan_obs::ctx`), else
+//! [`Engine::default`] (columnar). Callers that select an engine say so
+//! explicitly — the CLI installs its `--engine` value around the
+//! command, the differential tests install each engine in turn — and a
+//! worker pool that carries the context carries the choice.
 
-use std::cell::Cell;
+use viewplan_obs::ctx::{self, CtxGuard};
 
 /// Which executor [`crate::evaluate`] and the `execute_*` entry points
 /// run on.
@@ -60,33 +58,26 @@ impl std::fmt::Display for Engine {
     }
 }
 
-thread_local! {
-    static OVERRIDE: Cell<Option<Engine>> = const { Cell::new(None) };
-}
+/// The engine's bits of the request context's policy word (bits 0–1, as
+/// allocated in `viewplan_obs::ctx`): 0 = no override, else the
+/// overriding engine's discriminant plus one.
+const POLICY_MASK: u32 = 0b11;
 
 /// The engine the current thread's evaluations run on: the innermost
 /// [`install`]ed override, else [`Engine::default`].
 pub fn current_engine() -> Engine {
-    OVERRIDE.with(|o| o.get()).unwrap_or_default()
+    match ctx::policy() & POLICY_MASK {
+        1 => Engine::Row,
+        2 => Engine::Columnar,
+        3 => Engine::Yannakakis,
+        _ => Engine::default(),
+    }
 }
 
 /// Pins `engine` for the current thread until the returned guard drops.
 /// Nests: dropping restores the previous override.
-pub fn install(engine: Engine) -> EngineGuard {
-    let previous = OVERRIDE.with(|o| o.replace(Some(engine)));
-    EngineGuard { previous }
-}
-
-/// Restores the previous thread-scoped engine override on drop.
-#[must_use = "dropping the guard immediately uninstalls the engine override"]
-pub struct EngineGuard {
-    previous: Option<Engine>,
-}
-
-impl Drop for EngineGuard {
-    fn drop(&mut self) {
-        OVERRIDE.with(|o| o.set(self.previous));
-    }
+pub fn install(engine: Engine) -> CtxGuard {
+    ctx::set_policy(POLICY_MASK, engine as u32 + 1)
 }
 
 #[cfg(test)]
@@ -114,5 +105,13 @@ mod tests {
             assert_eq!(current_engine(), Engine::Row);
         }
         assert_eq!(current_engine(), ambient);
+        for e in [Engine::Row, Engine::Columnar, Engine::Yannakakis] {
+            let _g = install(e);
+            assert_eq!(
+                current_engine(),
+                e,
+                "the policy bits decode to what was installed"
+            );
+        }
     }
 }

@@ -53,7 +53,7 @@ pub mod yannakakis;
 pub use canonical::{canonical_database, freeze_term, unfreeze_value};
 pub use column::Column;
 pub use database::Database;
-pub use engine::{current_engine, install, Engine, EngineGuard};
+pub use engine::{current_engine, install, Engine};
 pub use error::EngineError;
 pub use eval::{
     evaluate, execute_annotated, execute_ordered, try_evaluate, try_execute_annotated,

@@ -8,11 +8,11 @@
 //!
 //! * [`Budget`] — a cheap, clonable (`Arc`-backed) handle carrying an
 //!   optional wall-clock deadline and per-phase **per-search** node caps.
-//! * [`install`] / [`attach`] / [`current`] — an ambient thread-local
-//!   current budget. The CLI installs one around a command; the worker
-//!   pool (`parallel_map` in `viewplan-core`) captures the spawning
-//!   thread's budget and re-attaches it on every worker, so the whole
-//!   pool observes one deadline and stops promptly when it fires.
+//! * [`install`] / [`current`] — the current budget, one part of the
+//!   thread's [request context](crate::ctx). The CLI installs one around
+//!   a command; a worker pool that carries the context carries the
+//!   budget, so the whole pool observes one deadline and stops promptly
+//!   when it fires.
 //! * [`Meter`] — the per-search countdown ticked at backtrack points.
 //!   One `Meter` is created per search (per homomorphism check, per
 //!   cover enumeration, per plan search); each `tick()` is a decrement
@@ -46,7 +46,7 @@
 //! `budget.node_budget_hits`, `budget.abandoned.{hom,cover,plan}`) when
 //! stats collection is on.
 
-use std::cell::RefCell;
+use crate::ctx::{self, CtxGuard};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viewplan_sync::{AtomicBool, AtomicU64, Ordering};
@@ -501,65 +501,37 @@ impl Budget {
 }
 
 // ---------------------------------------------------------------------
-// Ambient (thread-local) current budget.
+// The current budget: the `budget` part of the request context.
 // ---------------------------------------------------------------------
 
-thread_local! {
-    static CURRENT: RefCell<Option<Budget>> = const { RefCell::new(None) };
+/// Makes `budget` the current thread's budget until the guard drops.
+pub fn install(budget: Budget) -> CtxGuard {
+    ctx::scoped(|ctx| ctx.budget = Some(budget))
 }
 
-/// Restores the previously installed budget on drop.
-pub struct BudgetGuard {
-    prev: Option<Budget>,
-    // Thread-locals make this guard meaningless on another thread.
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for BudgetGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Installs `budget` as the current thread's ambient budget until the
-/// guard drops.
-pub fn install(budget: Budget) -> BudgetGuard {
-    attach(Some(budget))
-}
-
-/// Installs an optional budget (worker threads attach the spawning
-/// thread's `current()`, which may be `None`).
-pub fn attach(budget: Option<Budget>) -> BudgetGuard {
-    let prev = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), budget));
-    BudgetGuard {
-        prev,
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-/// The current thread's ambient budget, if any.
+/// The current thread's budget, if any.
 pub fn current() -> Option<Budget> {
-    CURRENT.with(|c| c.borrow().clone())
+    ctx::with(|ctx| ctx.budget.clone())
 }
 
-/// True when an ambient budget exists and has been cancelled (deadline
+/// True when a budget is installed and has been cancelled (deadline
 /// fired or explicit cancel). Loop heads outside metered searches
 /// (minimization rounds, per-rewriting planning) poll this to stop
 /// early.
 pub fn cancelled() -> bool {
-    CURRENT.with(|c| c.borrow().as_ref().is_some_and(|b| b.cancelled()))
+    ctx::with(|ctx| ctx.budget.as_ref().is_some_and(Budget::cancelled))
 }
 
 /// [`Budget::hits`] of the current budget (zeroes when none).
 pub fn snapshot() -> HitSnapshot {
-    CURRENT.with(|c| c.borrow().as_ref().map(|b| b.hits()).unwrap_or_default())
+    ctx::with(|ctx| ctx.budget.as_ref().map(Budget::hits).unwrap_or_default())
 }
 
 /// Completeness of the work since `before` under the current budget
 /// ([`Completeness::Complete`] when no budget is installed).
 pub fn completeness_since(before: HitSnapshot) -> Completeness {
-    CURRENT.with(|c| {
-        c.borrow()
+    ctx::with(|ctx| {
+        ctx.budget
             .as_ref()
             .map(|b| b.completeness_since(before))
             .unwrap_or_default()

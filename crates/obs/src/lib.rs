@@ -22,6 +22,10 @@
 //!   span id; export as a Chrome trace or a rendered tree. Snapshots of
 //!   the registry ([`metrics_snapshot`]) subtract to isolate one
 //!   request's share of the global counters.
+//! * **The request context** ([`ctx`]) — the one thread-local slot that
+//!   holds a request's budget, trace, open spans and policy word; one
+//!   [`CtxGuard`] type restores it, one [`ctx::fork`] carries it to
+//!   worker threads.
 //!
 //! Collection is **off by default**: every instrumentation point first
 //! checks one relaxed atomic bool, so instrumented hot loops cost ~one
@@ -43,6 +47,7 @@
 //! ```
 
 pub mod budget;
+pub mod ctx;
 mod json;
 mod metrics;
 mod prometheus;
@@ -51,6 +56,7 @@ mod span;
 pub mod trace;
 
 pub use budget::{Budget, BudgetSpec, Completeness, Fault, FaultPoint, Meter, Phase};
+pub use ctx::{CtxGuard, RequestCtx};
 pub use json::{parse as parse_json, Json};
 pub use metrics::{
     counter_value, counters, histogram_snapshot, histograms, metrics_snapshot, Counter, Histogram,
@@ -58,8 +64,12 @@ pub use metrics::{
 };
 pub use prometheus::{prometheus_text, write_prometheus};
 pub use report::{json_report, render_report, report_to_stderr, write_json_report};
-pub use span::{attach_path, current_path, span, span_tree, Span, SpanNode, SpanPathGuard};
-pub use trace::{validate_chrome_trace, AttrValue, Trace, TraceContext, TraceGuard, TraceNode};
+pub use span::{span, span_tree, Span, SpanNode};
+pub use trace::{validate_chrome_trace, AttrValue, Trace, TraceNode};
+
+/// What [`trace::install`] returns, under the name it had when each part
+/// of the context had a guard type of its own.
+pub type TraceGuard = CtxGuard;
 
 use viewplan_sync::{AtomicBool, Ordering};
 

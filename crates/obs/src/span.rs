@@ -7,9 +7,10 @@
 //! into one node — exactly what a per-phase profile of a 40-query sweep
 //! wants.
 //!
-//! **Buffering.** Closed spans are staged in a per-thread buffer and
-//! merged into the global aggregate only when the thread's span stack
-//! empties (or its [`attach_path`] guard detaches). A worker pool at
+//! **Buffering.** The open spans are the frame stack of the thread's
+//! [request context](crate::ctx); closed spans are staged beside it and
+//! merged into the global aggregate only when that stack empties (on a
+//! pool worker: when the context it entered is left). A worker pool at
 //! `--threads 8` therefore contributes each worker's timings in one
 //! atomic merge instead of interleaving per-span lock acquisitions into
 //! the shared map mid-flight — the phase tree a reporter reads is
@@ -17,54 +18,50 @@
 //! global lock. When a [`crate::trace::Trace`] is installed, each span
 //! additionally records start/end into the trace's per-thread buffers.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use viewplan_sync::Mutex;
 
 #[derive(Clone, Copy, Default)]
-struct SpanStat {
+pub(crate) struct SpanStat {
     count: u64,
     total: Duration,
 }
 
-/// Aggregated stats keyed by full span path (root first).
-fn aggregate() -> &'static Mutex<BTreeMap<Vec<&'static str>, SpanStat>> {
-    static AGGREGATE: OnceLock<Mutex<BTreeMap<Vec<&'static str>, SpanStat>>> = OnceLock::new();
+/// Span stats keyed by full span path (root first).
+pub(crate) type PathStats = BTreeMap<Vec<&'static str>, SpanStat>;
+
+/// The process-wide aggregate.
+fn aggregate() -> &'static Mutex<PathStats> {
+    static AGGREGATE: OnceLock<Mutex<PathStats>> = OnceLock::new();
     AGGREGATE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
-thread_local! {
-    /// The stack of open span names on this thread.
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    /// Closed spans not yet merged into the global aggregate. Flushed
-    /// when the thread's stack empties or its attach guard drops.
-    static PENDING: RefCell<BTreeMap<Vec<&'static str>, SpanStat>> =
-        const { RefCell::new(BTreeMap::new()) };
+/// Stages one run of the span at `path`.
+pub(crate) fn stage(staged: &mut PathStats, path: Vec<&'static str>, elapsed: Duration) {
+    let stat = staged.entry(path).or_default();
+    stat.count += 1;
+    stat.total += elapsed;
 }
 
-/// Merges this thread's staged span stats into the global aggregate
-/// under a single lock acquisition.
-fn flush_pending() {
-    PENDING.with(|pending| {
-        let mut pending = pending.borrow_mut();
-        if pending.is_empty() {
-            return;
-        }
-        let mut agg = aggregate().lock();
-        for (path, stat) in std::mem::take(&mut *pending) {
-            let entry = agg.entry(path).or_default();
-            entry.count += stat.count;
-            entry.total += stat.total;
-        }
-    });
+/// Merges a thread's staged span stats into the global aggregate under a
+/// single lock acquisition.
+pub(crate) fn merge_staged(staged: &mut PathStats) {
+    if staged.is_empty() {
+        return;
+    }
+    let mut agg = aggregate().lock();
+    for (path, stat) in std::mem::take(staged) {
+        let entry = agg.entry(path).or_default();
+        entry.count += stat.count;
+        entry.total += stat.total;
+    }
 }
 
 /// An open phase timer; records on drop. Returned by [`span`].
 pub struct Span {
     start: Option<Instant>,
-    traced: bool,
 }
 
 /// Opens a span named `name`, nested under the innermost span already
@@ -72,86 +69,19 @@ pub struct Span {
 /// costing one relaxed load.
 pub fn span(name: &'static str) -> Span {
     if !crate::enabled() {
-        return Span {
-            start: None,
-            traced: false,
-        };
+        return Span { start: None };
     }
-    STACK.with(|stack| stack.borrow_mut().push(name));
-    let traced = crate::trace::on_span_start(name);
+    crate::ctx::open_span(name);
     Span {
         start: Some(Instant::now()),
-        traced,
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(start) = self.start else {
-            return;
-        };
-        let elapsed = start.elapsed();
-        if self.traced {
-            crate::trace::on_span_end();
+        if let Some(start) = self.start {
+            crate::ctx::close_span(start.elapsed());
         }
-        let (path, stack_empty) = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = stack.clone();
-            stack.pop();
-            (path, stack.is_empty())
-        });
-        PENDING.with(|pending| {
-            let mut pending = pending.borrow_mut();
-            let stat = pending.entry(path).or_default();
-            stat.count += 1;
-            stat.total += elapsed;
-        });
-        if stack_empty {
-            flush_pending();
-        }
-    }
-}
-
-/// The full path of spans currently open on this thread (root first).
-/// A worker pool captures this on the spawning thread and re-attaches it
-/// on each worker via [`attach_path`], so spans opened inside parallel
-/// workers aggregate under the same phase-tree node as in a serial run.
-pub fn current_path() -> Vec<&'static str> {
-    STACK.with(|stack| stack.borrow().clone())
-}
-
-/// A guard that keeps a borrowed span path attached to this thread;
-/// detaches on drop. Returned by [`attach_path`].
-pub struct SpanPathGuard {
-    depth: usize,
-}
-
-/// Pushes `path` onto this thread's span stack without starting a timer,
-/// so subsequent [`span`] calls on this thread nest under it. Used to
-/// carry the spawning thread's phase context onto pool workers. A no-op
-/// when collection is disabled.
-pub fn attach_path(path: &[&'static str]) -> SpanPathGuard {
-    if !crate::enabled() || path.is_empty() {
-        return SpanPathGuard { depth: 0 };
-    }
-    STACK.with(|stack| stack.borrow_mut().extend_from_slice(path));
-    SpanPathGuard { depth: path.len() }
-}
-
-impl Drop for SpanPathGuard {
-    fn drop(&mut self) {
-        if self.depth == 0 {
-            return;
-        }
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let keep = stack.len().saturating_sub(self.depth);
-            stack.truncate(keep);
-        });
-        // A worker's spans close with the attached prefix still on its
-        // stack, so they stay staged until here: one merge per worker,
-        // not one lock acquisition per span.
-        flush_pending();
     }
 }
 
@@ -244,45 +174,6 @@ mod tests {
         let a = tree.iter().find(|n| n.name == "span_test.sib_a").unwrap();
         assert!(a.children.is_empty());
         assert!(tree.iter().any(|n| n.name == "span_test.sib_b"));
-        crate::set_enabled(false);
-    }
-
-    #[test]
-    fn attached_path_nests_worker_spans_under_the_parent() {
-        let _serial = crate::testlock::serial();
-        crate::set_enabled(true);
-        let path = {
-            let _outer = span("span_test.attach_outer");
-            current_path()
-        };
-        assert_eq!(path.last(), Some(&"span_test.attach_outer"));
-        // Simulate a pool worker: fresh thread, parent path re-attached.
-        let handle = std::thread::spawn(move || {
-            let _attach = attach_path(&path);
-            let _inner = span("span_test.attach_inner");
-        });
-        handle.join().unwrap();
-        let tree = span_tree();
-        let outer = tree
-            .iter()
-            .find(|n| n.name == "span_test.attach_outer")
-            .unwrap();
-        assert!(outer
-            .children
-            .iter()
-            .any(|c| c.name == "span_test.attach_inner"));
-        crate::set_enabled(false);
-    }
-
-    #[test]
-    fn attach_path_detaches_on_drop() {
-        let _serial = crate::testlock::serial();
-        crate::set_enabled(true);
-        {
-            let _g = attach_path(&["span_test.detach_a", "span_test.detach_b"]);
-            assert_eq!(current_path(), ["span_test.detach_a", "span_test.detach_b"]);
-        }
-        assert!(current_path().is_empty());
         crate::set_enabled(false);
     }
 

@@ -13,10 +13,10 @@
 //! its own buffer (one `Vec` behind an uncontended mutex), so worker
 //! pools never serialize on a shared log. Spans carry process-unique ids
 //! and a parent id; [`Trace::tree`] stitches the per-thread buffers back
-//! into one tree by span id. A worker pool carries the spawning thread's
-//! trace context to each worker via [`current_context`] / [`attach`]
-//! (mirroring [`crate::attach_path`] for the aggregate phase tree), so
-//! worker-side spans hang under the request span that spawned them.
+//! into one tree by span id. The installed trace is part of the thread's
+//! [request context](crate::ctx), so a worker pool that carries the
+//! context carries the trace: each worker gets a buffer of its own, and
+//! its spans hang under the request span that spawned them.
 //!
 //! **Exports.** [`Trace::chrome_json`] renders the buffers as a Chrome
 //! trace-event JSON array (load in `chrome://tracing` or Perfetto);
@@ -26,8 +26,8 @@
 //! Tracing obeys the global [`crate::enabled`] switch: with collection
 //! off, an installed trace records nothing.
 
+use crate::ctx::{self, CtxGuard, Frame};
 use crate::json::Json;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -125,8 +125,9 @@ struct Inner {
 }
 
 /// A request-scoped trace. Cheap to clone (an `Arc`); install it on the
-/// request thread with [`install`] and carry it to workers with
-/// [`current_context`] / [`attach`].
+/// request thread with [`install`]; workers that
+/// [enter](crate::ctx::RequestCtx::enter) the request's context record
+/// into it too.
 #[derive(Clone)]
 pub struct Trace {
     inner: Arc<Inner>,
@@ -488,160 +489,83 @@ pub struct TraceEvent {
 }
 
 // ---------------------------------------------------------------------
-// Thread-local installation.
+// Installation into the request context.
 
-struct ThreadState {
+/// A trace as one thread records into it — the `trace` part of a
+/// [`RequestCtx`](crate::ctx::RequestCtx).
+#[derive(Clone)]
+pub(crate) struct TraceSlot {
     trace: Trace,
     buffer: Arc<Buffer>,
-    /// Parent for spans opened at this thread's top level: the span id
-    /// carried over from the spawning thread (0 on the install thread).
-    base_parent: u64,
-    /// Ids of trace spans currently open on this thread.
-    stack: Vec<u64>,
+    /// How many span frames were already open on the thread when the
+    /// trace was installed. Those are not this trace's spans: one opened
+    /// at that depth is a root, and closing one of them records nothing.
+    floor: usize,
 }
 
-thread_local! {
-    static ACTIVE: RefCell<Option<ThreadState>> = const { RefCell::new(None) };
-}
+impl TraceSlot {
+    /// The id of the innermost open span of this trace (0 = its root).
+    fn innermost(&self, frames: &[Frame]) -> u64 {
+        frames
+            .get(self.floor..)
+            .and_then(<[Frame]>::last)
+            .map_or(0, |frame| frame.id)
+    }
 
-/// Detaches (and restores any shadowed trace) on drop. Returned by
-/// [`install`] and [`attach`].
-pub struct TraceGuard {
-    previous: Option<ThreadState>,
-    installed: bool,
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        if !self.installed {
-            return;
-        }
-        ACTIVE.with(|active| {
-            *active.borrow_mut() = self.previous.take();
+    /// Records the start of a span opening under `frames`; returns its
+    /// id.
+    pub(crate) fn start(&self, name: &'static str, frames: &[Frame]) -> u64 {
+        // ordering: unique-id allocation; only atomicity matters.
+        let id = self.trace.inner.next_span.fetch_add(1, Ordering::Relaxed);
+        self.buffer.records.lock().push(Record::Start {
+            id,
+            parent: self.innermost(frames),
+            name,
+            t_ns: self.trace.now_ns(),
         });
+        id
+    }
+
+    /// Records the end of `frame`, just popped from `depth`, if it is
+    /// one of this trace's spans.
+    pub(crate) fn end(&self, frame: &Frame, depth: usize) {
+        if frame.id != 0 && depth >= self.floor {
+            self.buffer.records.lock().push(Record::End {
+                id: frame.id,
+                t_ns: self.trace.now_ns(),
+            });
+        }
+    }
+
+    /// Points the slot at the calling thread's buffer: the one `here`
+    /// holds if the thread already records into this trace, else a new
+    /// one.
+    pub(crate) fn on_this_thread(&mut self, here: Option<&TraceSlot>) {
+        self.buffer = match here {
+            Some(here) if here.trace.same_trace(&self.trace) => here.buffer.clone(),
+            _ => self.trace.register_thread(),
+        };
     }
 }
 
 /// Installs `trace` on this thread for the guard's lifetime: every
 /// subsequent [`crate::span`] and [`trace_event!`] on this thread
 /// records into it (while collection is [enabled](crate::enabled)).
-pub fn install(trace: &Trace) -> TraceGuard {
-    let state = ThreadState {
-        trace: trace.clone(),
-        buffer: trace.register_thread(),
-        base_parent: 0,
-        stack: Vec::new(),
-    };
-    let previous = ACTIVE.with(|active| active.borrow_mut().replace(state));
-    TraceGuard {
-        previous,
-        installed: true,
-    }
-}
-
-/// A trace plus the span to parent new work under — what a worker pool
-/// captures on the spawning thread and re-attaches on each worker.
-#[derive(Clone)]
-pub struct TraceContext {
-    trace: Trace,
-    parent: u64,
-}
-
-/// The context to carry to a pool worker: the installed trace and the
-/// innermost open span. `None` when no trace is installed (workers then
-/// skip tracing entirely).
-pub fn current_context() -> Option<TraceContext> {
-    ACTIVE.with(|active| {
-        active.borrow().as_ref().map(|state| TraceContext {
-            trace: state.trace.clone(),
-            parent: state.stack.last().copied().unwrap_or(state.base_parent),
+pub fn install(trace: &Trace) -> CtxGuard {
+    let buffer = trace.register_thread();
+    ctx::scoped(|ctx| {
+        ctx.trace = Some(TraceSlot {
+            trace: trace.clone(),
+            buffer,
+            floor: ctx.frames.len(),
         })
     })
-}
-
-/// Attaches a context captured by [`current_context`] to this thread:
-/// the worker gets its **own buffer** in the same trace, and its spans
-/// parent under the spawning thread's span. A no-op guard for `None`.
-/// Re-attaching a context on the thread it came from (serial fallback
-/// of a worker pool) keeps using that thread's existing buffer.
-pub fn attach(context: Option<&TraceContext>) -> TraceGuard {
-    let Some(context) = context else {
-        return TraceGuard {
-            previous: None,
-            installed: false,
-        };
-    };
-    let reuse = ACTIVE.with(|active| {
-        active
-            .borrow()
-            .as_ref()
-            .is_some_and(|state| state.trace.same_trace(&context.trace))
-    });
-    if reuse {
-        // Same trace already active here (serial path): spans already
-        // nest under the live stack; do not re-root them.
-        return TraceGuard {
-            previous: None,
-            installed: false,
-        };
-    }
-    let state = ThreadState {
-        trace: context.trace.clone(),
-        buffer: context.trace.register_thread(),
-        base_parent: context.parent,
-        stack: Vec::new(),
-    };
-    let previous = ACTIVE.with(|active| active.borrow_mut().replace(state));
-    TraceGuard {
-        previous,
-        installed: true,
-    }
 }
 
 /// Whether a trace is installed on this thread (regardless of the
 /// global enabled switch).
 pub fn active() -> bool {
-    ACTIVE.with(|active| active.borrow().is_some())
-}
-
-/// Called by [`crate::span`] when it opens: records a `Start` into the
-/// installed trace. Returns `true` iff a record was written, so the
-/// span's drop knows whether to write the matching `End`.
-pub(crate) fn on_span_start(name: &'static str) -> bool {
-    ACTIVE.with(|active| {
-        let mut active = active.borrow_mut();
-        let Some(state) = active.as_mut() else {
-            return false;
-        };
-        // ordering: unique-id allocation; only atomicity matters.
-        let id = state.trace.inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let parent = state.stack.last().copied().unwrap_or(state.base_parent);
-        let t_ns = state.trace.now_ns();
-        state.buffer.records.lock().push(Record::Start {
-            id,
-            parent,
-            name,
-            t_ns,
-        });
-        state.stack.push(id);
-        true
-    })
-}
-
-/// Called by a traced span's drop: records the `End` for the innermost
-/// open trace span on this thread.
-pub(crate) fn on_span_end() {
-    ACTIVE.with(|active| {
-        let mut active = active.borrow_mut();
-        let Some(state) = active.as_mut() else {
-            return;
-        };
-        let Some(id) = state.stack.pop() else {
-            return;
-        };
-        let t_ns = state.trace.now_ns();
-        state.buffer.records.lock().push(Record::End { id, t_ns });
-    });
+    ctx::with(|ctx| ctx.trace.is_some())
 }
 
 /// Records a typed event on the innermost open span of this thread's
@@ -653,20 +577,16 @@ pub fn record_event(name: &'static str, attrs: impl FnOnce() -> Attrs) {
     if !crate::enabled() {
         return;
     }
-    ACTIVE.with(|active| {
-        let mut active = active.borrow_mut();
-        let Some(state) = active.as_mut() else {
-            return;
-        };
-        let span = state.stack.last().copied().unwrap_or(state.base_parent);
-        let t_ns = state.trace.now_ns();
-        let attrs = attrs();
-        state.buffer.records.lock().push(Record::Event {
-            span,
-            name,
-            t_ns,
-            attrs,
-        });
+    ctx::with(|ctx| {
+        if let Some(slot) = &ctx.trace {
+            let event = Record::Event {
+                span: slot.innermost(&ctx.frames),
+                name,
+                t_ns: slot.trace.now_ns(),
+                attrs: attrs(),
+            };
+            slot.buffer.records.lock().push(event);
+        }
     });
 }
 
@@ -717,56 +637,6 @@ mod tests {
         assert_eq!(outer.events.len(), 1);
         assert_eq!(outer.events[0].attrs, vec![("n", AttrValue::U64(3))]);
         assert!(outer.end_ns >= outer.children[0].end_ns);
-        crate::set_enabled(false);
-    }
-
-    #[test]
-    fn worker_threads_get_their_own_buffers_and_parent() {
-        let _serial = crate::testlock::serial();
-        crate::set_enabled(true);
-        let trace = Trace::new();
-        {
-            let _g = install(&trace);
-            let _outer = crate::span("trace_test.pool_outer");
-            let context = current_context();
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let context = context.clone();
-                    std::thread::spawn(move || {
-                        let _attach = attach(context.as_ref());
-                        let _s = crate::span("trace_test.pool_item");
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        }
-        let roots = trace.tree();
-        assert_eq!(roots.len(), 1, "worker spans nest under the spawner");
-        let outer = &roots[0];
-        assert_eq!(outer.children.len(), 4);
-        let tids: std::collections::BTreeSet<u64> = outer.children.iter().map(|c| c.tid).collect();
-        assert_eq!(tids.len(), 4, "each worker wrote its own buffer");
-        assert!(!tids.contains(&outer.tid));
-        crate::set_enabled(false);
-    }
-
-    #[test]
-    fn attach_on_the_installing_thread_is_idempotent() {
-        let _serial = crate::testlock::serial();
-        crate::set_enabled(true);
-        let trace = Trace::new();
-        {
-            let _g = install(&trace);
-            let _outer = crate::span("trace_test.serial_outer");
-            let context = current_context();
-            let _re = attach(context.as_ref());
-            let _inner = crate::span("trace_test.serial_inner");
-        }
-        let roots = trace.tree();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].children.len(), 1);
         crate::set_enabled(false);
     }
 

@@ -58,9 +58,10 @@ pub struct ServeConfig {
     pub budget: BudgetSpec,
     /// Rewriting-cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// Which execution engine the server installs while preparing views
-    /// and serving requests ([`Engine::default`] — columnar — unless the
-    /// caller says otherwise; the CLI passes its `--engine` flag here).
+    /// Read by nothing: the served path matches view tuples and plans
+    /// under M1, it executes no plan. The field stays only because the
+    /// frozen `benchmark/src/workloads/serve.rs` names it; it goes with
+    /// ROADMAP item 1(b).
     pub engine: Engine,
 }
 
@@ -169,7 +170,7 @@ impl BatchServer {
     /// A server with explicit configuration. The per-view-set
     /// preprocessing runs here, once.
     pub fn with_config(views: &ViewSet, config: ServeConfig) -> BatchServer {
-        let prepared = prepare_snapshot(config.engine, || PreparedViews::prepare(views));
+        let prepared = Arc::new(PreparedViews::prepare(views));
         let cache = (config.cache_capacity > 0)
             .then(|| Arc::new(RewritingCache::new(config.cache_capacity)));
         BatchServer {
@@ -270,10 +271,6 @@ impl BatchServer {
         query: &ConjunctiveQuery,
         spec: &BudgetSpec,
     ) -> Result<ServedAnswer, PlanError> {
-        // Installed per request (not once at construction) because
-        // `serve_batch` fans requests out across pool threads and the
-        // engine override is thread-local.
-        let _engine = viewplan_engine::install(self.config.engine);
         let epoch = self.epoch();
         let c = canonicalize(query);
         let Some(cache) = &self.cache else {
@@ -343,17 +340,6 @@ impl BatchServer {
             completeness: outcome.completeness,
         })
     }
-}
-
-/// Builds a snapshot with `engine` installed — the engine the server
-/// installs per request: the grouping pass may evaluate views, and the
-/// override is thread-local.
-pub(crate) fn prepare_snapshot(
-    engine: Engine,
-    build: impl FnOnce() -> PreparedViews,
-) -> Arc<PreparedViews> {
-    let _engine = viewplan_engine::install(engine);
-    Arc::new(build())
 }
 
 /// Renames a canonical-space answer into the request's variable names —
@@ -468,6 +454,24 @@ mod tests {
         let stats = server.cache().unwrap().stats();
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.rejected_incomplete, 2);
+    }
+
+    #[test]
+    fn an_exhausted_budget_does_not_outlive_its_request() {
+        // One thread, so one context slot — a connection thread that
+        // lives on after a request whose budget ran out.
+        let server = BatchServer::new(&example41_views());
+        let q = parse_query("q(X, Y) :- a(X, Z), a(Z, Z), b(Z, Y)").unwrap();
+        let faulty = BudgetSpec::new().fault(Fault {
+            point: FaultPoint::Hom,
+            nth: 1,
+        });
+        let cut = server.serve_with_spec(&q, &faulty).unwrap();
+        assert_eq!(cut.completeness, Completeness::Truncated);
+        let whole = server.serve_with_spec(&q, &BudgetSpec::new()).unwrap();
+        assert_eq!(whole.completeness, Completeness::Complete);
+        assert!(!whole.from_cache, "the truncated answer was not stored");
+        assert_eq!(obs::budget::snapshot(), Default::default());
     }
 
     #[test]

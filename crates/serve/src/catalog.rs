@@ -57,7 +57,7 @@ use viewplan_obs as obs;
 use viewplan_obs::budget::FaultPoint;
 use viewplan_sync::{Mutex, RwLock};
 
-use crate::batch::{prepare_snapshot, BatchServer, CachedAnswer, ServeConfig};
+use crate::batch::{BatchServer, CachedAnswer, ServeConfig};
 use crate::cache::RetargetOutcome;
 use crate::fault::ServeFaults;
 
@@ -183,9 +183,7 @@ impl LiveCatalog {
     ) -> Result<DdlOutcome, String> {
         let old_epoch = current.epoch();
         let new_epoch = old_epoch + 1;
-        let prepared = prepare_snapshot(current.config().engine, || {
-            next_snapshot(current.prepared(), new_epoch)
-        });
+        let prepared = Arc::new(next_snapshot(current.prepared(), new_epoch));
         if self.faults.fires(FaultPoint::Swap) {
             return Err(format!(
                 "injected swap fault: catalog stays at epoch {old_epoch}"

@@ -88,8 +88,7 @@ use crate::analyze::{analyze, analyze_errors, render_human, render_json, render_
 use crate::core::{parallel_map, CoreError};
 use crate::cost::PlanError;
 use crate::cq::Program;
-use crate::obs::budget::BudgetGuard;
-use crate::obs::{BudgetSpec, Completeness, Fault};
+use crate::obs::{BudgetSpec, Completeness, CtxGuard, Fault};
 use crate::prelude::*;
 use std::io::Write;
 
@@ -624,7 +623,7 @@ fn budget_arg(args: &[String], fault: Option<Fault>) -> Result<BudgetSpec, CliEr
 
 /// Installs the requested budget for the rest of the command (a no-op
 /// `None` when the spec constrains nothing). The deadline starts now.
-fn install_budget(spec: BudgetSpec) -> Option<BudgetGuard> {
+fn install_budget(spec: BudgetSpec) -> Option<CtxGuard> {
     (!spec.is_unlimited()).then(|| crate::obs::budget::install(spec.build()))
 }
 
@@ -658,7 +657,7 @@ struct StatsRequest {
     trace_json: Option<String>,
     /// The installed trace (plus the guard keeping it installed on this
     /// thread) when either trace output was requested.
-    trace: Option<(crate::obs::Trace, crate::obs::trace::TraceGuard)>,
+    trace: Option<(crate::obs::Trace, CtxGuard)>,
 }
 
 fn stats_request(args: &[String]) -> StatsRequest {
@@ -954,7 +953,6 @@ fn serve_config(args: &[String], common: &Common) -> Result<ServeConfig, CliErro
     let mut config = ServeConfig {
         all_minimal: flag(args, "--all-minimal"),
         budget: budget_arg(args, common.fault)?,
-        engine: common.engine,
         ..ServeConfig::default()
     };
     if flag(args, "--no-grouping") {

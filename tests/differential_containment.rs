@@ -180,9 +180,9 @@ fn counters_prove_routing() {
 }
 
 // ---------------------------------------------------------------------
-// Worker threads. The pool re-installs the spawning thread's override on
-// every worker, so the multi-threaded run steers routing with the same
-// scoped switch as the serial one.
+// Worker threads. The pool forks the spawning thread's request context
+// onto every worker, so the multi-threaded run steers routing with the
+// same scoped switch as the serial one.
 
 /// A fixed corpus with known mixed verdicts, each checked both ways.
 fn corpus() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {

@@ -1,7 +1,7 @@
 //! Repo-level lints for the `viewplan` workspace, run as
 //! `cargo run -p xtask -- lint` (and in CI).
 //!
-//! Ten checks, all offline and purely textual:
+//! Eleven checks, all offline and purely textual:
 //!
 //! 1. **Panic ban** — no `.unwrap()` / `.expect(` / `panic!(` in library
 //!    crates (`crates/*/src`) outside `#[cfg(test)]` code. Audited
@@ -47,6 +47,12 @@
 //!     code: behaviour is selected by explicit configuration the binary
 //!     (`src/bin`) builds from its flags and environment, never by a
 //!     library consulting the process environment on its own.
+//! 11. **Thread-local ban** — `thread_local!` is banned outside
+//!     `#[cfg(test)]` code everywhere but `crates/obs/src/ctx.rs` (one
+//!     block: the request context) and the `viewplan-sync` facade (the
+//!     model checker's scheduler state). Ambient state that is not in
+//!     the request context does not reach worker threads; a new piece
+//!     is a field of `RequestCtx`, not a new slot.
 //!
 //! The scans work on a *stripped* view of each file: comment and string
 //! contents are blanked (structure and braces preserved), so `"panic!"`
@@ -894,6 +900,44 @@ fn check_env_ban(root: &Path, report: &mut LintReport) {
     }
 }
 
+/// Check 11: one thread-local slot. A `thread_local!` anywhere but the
+/// request context and the sync facade is state no worker pool carries
+/// (the pool forks the context, nothing else); a second block in
+/// `ctx.rs` is a second slot under another name.
+fn check_thread_local_ban(root: &Path, report: &mut LintReport) {
+    let ctx = root.join("crates/obs/src/ctx.rs");
+    let mut roots = library_roots(root);
+    roots.push(root.join("src"));
+    for src_root in roots {
+        for file in rust_files(&src_root) {
+            if in_sync_facade(root, &file) {
+                continue;
+            }
+            let Ok(text) = std::fs::read_to_string(&file) else {
+                continue;
+            };
+            let stripped = strip_code(&text);
+            let mask = test_region_mask(&stripped);
+            let mut allowed = usize::from(file == ctx);
+            for (line_no, (line, &in_test)) in stripped.lines().zip(&mask).enumerate() {
+                if in_test || !line.contains("thread_local!") {
+                    continue;
+                }
+                if allowed > 0 {
+                    allowed -= 1;
+                    continue;
+                }
+                report.violations.push(format!(
+                    "{}:{}: thread_local! outside the request context — make the state a \
+                     field of viewplan_obs::ctx::RequestCtx so worker pools carry it",
+                    rel(root, &file),
+                    line_no + 1
+                ));
+            }
+        }
+    }
+}
+
 /// Runs every lint over the workspace at `root`.
 pub fn run_lint(root: &Path) -> LintReport {
     let mut report = LintReport::default();
@@ -907,6 +951,7 @@ pub fn run_lint(root: &Path) -> LintReport {
     check_raw_sync_ban(root, &mut report);
     check_lock_order(root, &mut report);
     check_env_ban(root, &mut report);
+    check_thread_local_ban(root, &mut report);
     report
 }
 
@@ -1237,6 +1282,30 @@ real.unwrap();"##;
         assert!(report.violations[0].contains("crates/demo/src/lib.rs:2"));
         assert!(report.violations[1].contains("crates/demo/src/lib.rs:3"));
         assert!(report.violations[0].contains("process environment"));
+    }
+
+    #[test]
+    fn lint_bans_thread_locals_outside_the_request_context() {
+        let repo = TempRepo::new("thread-local-ban");
+        let block = "thread_local! { static SLOT: Cell<u32> = const { Cell::new(0) }; }\n";
+        // A library crate and the binary: banned. The request context's
+        // one block, the sync facade and test code: allowed; a second
+        // block in ctx.rs is a second slot.
+        repo.write(
+            "crates/demo/src/lib.rs",
+            &format!(
+                "/// Not a `thread_local!` site.\n{block}#[cfg(test)]\nmod tests {{ {block} }}\n"
+            ),
+        );
+        repo.write("src/cli.rs", block);
+        repo.write("crates/sync/src/model.rs", block);
+        repo.write("crates/obs/src/ctx.rs", &format!("{block}{block}"));
+        let report = run_lint(&repo.root);
+        assert_eq!(report.violations.len(), 3, "{:?}", report.violations);
+        assert!(report.violations[0].contains("crates/demo/src/lib.rs:2"));
+        assert!(report.violations[1].contains("crates/obs/src/ctx.rs:2"));
+        assert!(report.violations[2].contains("src/cli.rs:1"));
+        assert!(report.violations[0].contains("request context"));
     }
 
     #[test]
