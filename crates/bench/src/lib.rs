@@ -80,8 +80,7 @@ pub struct SweepConfig {
     /// Worker threads for the harness itself: query instances of a point
     /// run concurrently. The accepted query set, per-query stats, and GMR
     /// counts are identical for any value (attempts are processed in
-    /// order); only wall-clock changes. Per-run CoreCover stays serial
-    /// unless `corecover.threads` is raised too.
+    /// order); only wall-clock changes. Each CoreCover run is one thread.
     pub threads: usize,
 }
 

@@ -41,13 +41,12 @@ use crate::classes::{view_equivalence_classes, view_tuple_classes};
 use crate::cover::{all_irredundant_covers_counted, all_minimum_covers_counted};
 use crate::error::{CoreError, MAX_SUBGOALS};
 use crate::lattice::is_equivalent_rewriting;
-use crate::parallel::parallel_map;
 use crate::prepared::PreparedViews;
 use crate::rewriting::{dedup_variants_with_map, Rewriting};
 use crate::tuple_core::{tuple_core_in, TupleCore};
 use crate::view_tuple::{view_tuples_of, ViewTuple};
 use viewplan_containment::minimize;
-use viewplan_cq::{ConjunctiveQuery, Symbol, Term, View, ViewSet};
+use viewplan_cq::{ConjunctiveQuery, Symbol, Term, ViewSet};
 use viewplan_obs as obs;
 use viewplan_obs::Completeness;
 
@@ -75,11 +74,11 @@ pub struct CoreCoverConfig {
     pub verify_rewritings: bool,
     /// Cap on the number of rewritings enumerated by `CoreCover*`.
     pub max_rewritings: usize,
-    /// Worker threads for the parallel stages: tuple-cores and the
-    /// oracle checks of uncertified covers. (View tuples are always
-    /// matched on the calling thread — a view costs a few hundred
-    /// nanoseconds, less than handing it to a worker.) `1` runs fully
-    /// serial; results are identical for every thread count. Default 1.
+    /// Inert: nothing reads it. A run is one thread whatever this says
+    /// — parallelism lives between requests ([`crate::parallel`]), never
+    /// inside one. The field survives only because
+    /// `benchmark/src/workloads/mod.rs` names it and the PR that made it
+    /// inert could not edit `benchmark/`; remove both together.
     pub threads: usize,
     /// Record per-candidate provenance — which views the VP006 prune
     /// dropped, every candidate cover with its fate (accepted, duplicate
@@ -374,7 +373,6 @@ impl<'a> CoreCover<'a> {
 
     fn run_inner(&self, minimum_only: bool) -> Result<CoreCoverResult, CoreError> {
         let _run_span = obs::span("corecover.run");
-        let threads = self.config.threads.max(1);
         // Scope completeness classification to this run: the ambient
         // budget handle may carry hits from earlier runs.
         let budget_active = obs::budget::current().is_some();
@@ -464,18 +462,15 @@ impl<'a> CoreCover<'a> {
             view_tuples_of(&qm, views, selected)
         };
 
-        // Step 3: tuple-cores, one parallel task per view tuple (collected
-        // per-index, so `cores[i]` matches `tuples[i]` as in a serial run).
+        // Step 3: tuple-cores; `cores[i]` is the core of `tuples[i]`.
         let (cores, tuple_classes) = {
             let _span = obs::span("corecover.tuple_cores");
             let distinguished: Vec<Symbol> = qm.head.variables().collect();
-            let jobs: Vec<(&ViewTuple, &View)> = tuples
+            let cores: Vec<TupleCore> = tuples
                 .iter()
-                .zip(origin.iter().map(|&i| &views[i]))
+                .zip(&origin)
+                .map(|(tuple, &i)| tuple_core_in(&qm, &distinguished, tuple, &views[i]))
                 .collect();
-            let cores: Vec<TupleCore> = parallel_map(threads, &jobs, |&(tuple, view)| {
-                tuple_core_in(&qm, &distinguished, tuple, view)
-            });
             let classes = view_tuple_classes(&cores);
             (cores, classes)
         };
@@ -557,15 +552,19 @@ impl<'a> CoreCover<'a> {
                     retried: false,
                 })
                 .collect();
-            // One parallel task per cover the certificate left open; a
-            // task that had to swap class-mates in returns the rewriting
-            // that passed.
+            // The covers the certificate left open go to the oracle; one
+            // that has to swap class-mates in keeps the rewriting that
+            // passed.
             let open: Vec<usize> = (0..covers.len())
                 .filter(|&i| !decisions[i].accepted)
                 .collect();
-            let fallback = parallel_map(threads, &open, |&i| {
-                if oracle(&candidates[i]) {
-                    return (true, DecidedBy::Oracle, None);
+            obs::counter!("corecover.covers_certified").add((covers.len() - open.len()) as u64);
+            obs::counter!("corecover.covers_oracle_checked").add(open.len() as u64);
+            for i in open {
+                decisions[i].by = DecidedBy::Oracle;
+                decisions[i].accepted = oracle(&candidates[i]);
+                if decisions[i].accepted {
+                    continue;
                 }
                 // The cover of representatives is not a rewriting; a
                 // class-mate that exposes other variables may make it
@@ -592,21 +591,13 @@ impl<'a> CoreCover<'a> {
                         oracle(&rewriting_of(members)).then_some(DecidedBy::Oracle)
                     }
                 });
-                match passed {
-                    Some((members, by)) => (true, by, Some(rewriting_of(&members))),
-                    None => (false, DecidedBy::Oracle, None),
-                }
-            });
-            obs::counter!("corecover.covers_certified").add((covers.len() - open.len()) as u64);
-            obs::counter!("corecover.covers_oracle_checked").add(open.len() as u64);
-            for (i, (accepted, by, swapped)) in open.into_iter().zip(fallback) {
-                decisions[i] = Decision {
-                    accepted,
-                    by,
-                    retried: swapped.is_some(),
-                };
-                if let Some(rewriting) = swapped {
-                    candidates[i] = rewriting;
+                if let Some((members, by)) = passed {
+                    candidates[i] = rewriting_of(&members);
+                    decisions[i] = Decision {
+                        accepted: true,
+                        by,
+                        retried: true,
+                    };
                 }
             }
             for (decision, r) in decisions.iter().zip(&candidates) {

@@ -1,19 +1,23 @@
-//! A hand-rolled scoped worker pool.
+//! A hand-rolled scoped worker pool, for running *requests* side by side.
 //!
-//! The CoreCover pipeline is embarrassingly parallel at several stages —
-//! view tuples per view, tuple-cores per tuple, verification per
-//! rewriting, sweep points per query instance — but the build is offline,
-//! so instead of rayon this module provides the one primitive those
-//! stages need: an order-preserving [`parallel_map`] built on
+//! A request — one query through view tuples, tuple-cores, set cover and
+//! verification — is one thread: the pipeline takes about half a
+//! millisecond at a thousand views, and fanning its stages out measured
+//! slower than serial or inside the noise on every workload tried
+//! (EXPERIMENTS.md "PR 22"). Independent requests do scale with cores,
+//! so the pool has exactly two callers: a batch of queries
+//! (`BatchServer::serve_batch`) and the query instances of a sweep point
+//! (`viewplan-bench`); an `xtask` lint keeps it that way. The build is
+//! offline, so instead of rayon this module provides the one primitive
+//! they need: an order-preserving [`parallel_map`] built on
 //! [`std::thread::scope`].
 //!
 //! Workers pull item indices from a shared atomic counter (dynamic
 //! scheduling: cheap items do not stall behind expensive ones) and tag
 //! each result with its index; results are sorted back into input order
 //! before returning. **Determinism:** the output `Vec` is exactly
-//! `items.iter().map(f)` regardless of thread count or scheduling — the
-//! tentpole guarantee that parallel CoreCover results are byte-identical
-//! to serial ones.
+//! `items.iter().map(f)` regardless of thread count or scheduling, so a
+//! batch prints the same bytes at any `--threads`.
 //!
 //! The spawning thread's request context ([`obs::ctx`]: budget, trace,
 //! open spans, policy word) is forked once and entered on every worker,
@@ -24,8 +28,7 @@ use viewplan_sync::{thread, AtomicUsize, Mutex, Ordering};
 
 /// Maps `f` over `items` on up to `threads` scoped workers, returning
 /// results in input order. With `threads <= 1` (or fewer than two items)
-/// this is a plain serial map with no thread or lock traffic, so a
-/// 1-thread configuration costs the same as the pre-pool code path.
+/// this is a plain serial map with no thread or lock traffic.
 ///
 /// Panics in `f` propagate to the caller when the scope joins, matching
 /// the serial behavior of a panicking closure.

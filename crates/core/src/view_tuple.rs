@@ -27,9 +27,8 @@
 //! body order. `tests/differential_corecover.rs` keeps the evaluation
 //! over a canonical database as the reference.
 //!
-//! A view costs a few hundred nanoseconds, so the matching is serial at
-//! every thread count. View names are taken to be unique: tuples of
-//! different views are never compared.
+//! View names are taken to be unique: tuples of different views are
+//! never compared.
 
 use viewplan_cq::{greedy_join_order, Atom, ConjunctiveQuery, Symbol, Term, View, ViewSet};
 

@@ -13,7 +13,7 @@ use crate::catalog::Catalog;
 use crate::subsets::{selected, Fold, Subsets};
 use std::collections::{BTreeSet, HashMap};
 use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term};
-use viewplan_engine::{current_engine, evaluate, Database, Engine};
+use viewplan_engine::{evaluate, Database};
 use viewplan_obs as obs;
 
 /// Counts subset sizes a search requested and how many of them were
@@ -108,18 +108,13 @@ impl SizeOracle for EstimateOracle<'_> {
 
     /// Folds the selected subgoals in index order, then caps the rows by
     /// the product of the retained distincts (the projection estimate).
-    ///
-    /// Width-aware bound: under the Yannakakis engine an acyclic subset
-    /// is semijoin-reduced before joining, so no intermediate can exceed
-    /// what the reduced inputs support — linear in the total input,
-    /// never the independence-assumption product. The M2/M3 searches
-    /// inherit the tighter bound through this oracle; other engines keep
-    /// the classical estimate.
+    /// A function of the catalog and the subgoals alone: every executor
+    /// joins the same unreduced relations step by step, so none of them
+    /// changes what an intermediate holds.
     fn intermediate_size(&mut self, body: &[Atom], mask: u32, retained: &BTreeSet<Symbol>) -> f64 {
         let (len, known) = self.fold.fold(self.catalog, selected(body, mask));
         note_oracle_calls(1, u64::from(known));
-        let bounded = current_engine() == Engine::Yannakakis;
-        self.fold.projected_size(len, retained, bounded)
+        self.fold.projected_size(len, retained)
     }
 
     fn subset_size(&mut self, subsets: &mut Subsets, mask: u32) -> f64 {
@@ -244,34 +239,40 @@ mod tests {
         assert_eq!(distinct_answers(0b01, &all_but_e), 1);
     }
 
+    /// The estimate describes the plan, not the thread: a plan step joins
+    /// unreduced relations whichever executor is installed, so an ambient
+    /// engine must not move a single bit — acyclic chain or cyclic
+    /// triangle, prefix fold or subset table.
     #[test]
-    fn yannakakis_engine_caps_acyclic_intermediates_linearly() {
+    fn estimates_are_bit_equal_under_every_installed_engine() {
+        use viewplan_engine::{install, Engine};
         let mut cat = Catalog::new();
-        cat.set("r", RelationStats::uniform(2, 100.0, 10.0));
-        cat.set("s", RelationStats::uniform(2, 50.0, 10.0));
-        let b = body("q(X, Z) :- r(X, Y), s(Y, Z)");
-        let mut o = EstimateOracle::new(&cat);
-        let full = all_vars(&b);
-        // Classical estimate (see `estimate_oracle_join_formula`): 500.
-        // Under Yannakakis the acyclic chain is semijoin-reduced first,
-        // so the intermediate is bounded by the input: 100 + 50.
-        let _g = viewplan_engine::install(Engine::Yannakakis);
-        assert_eq!(o.intermediate_size(&b, 0b11, &full), 150.0);
-    }
-
-    #[test]
-    fn yannakakis_engine_keeps_cyclic_estimates() {
-        let mut cat = Catalog::new();
-        for p in ["r", "s", "t"] {
-            cat.set(p, RelationStats::uniform(2, 100.0, 10.0));
+        for (p, rows) in [("r", 100.0), ("s", 50.0), ("t", 70.0)] {
+            cat.set(p, RelationStats::uniform(2, rows, 10.0));
         }
-        let b = body("q(A) :- r(A, B), s(B, C), t(C, A)");
-        let mut o = EstimateOracle::new(&cat);
-        let full = all_vars(&b);
-        let ambient = o.intermediate_size(&b, 0b111, &full);
-        let mut o2 = EstimateOracle::new(&cat);
-        let _g = viewplan_engine::install(Engine::Yannakakis);
-        // The triangle is cyclic: no reduction, no cap.
-        assert_eq!(o2.intermediate_size(&b, 0b111, &full), ambient);
+        for src in [
+            "q(X, Z) :- r(X, Y), s(Y, Z)",
+            "q(A) :- r(A, B), s(B, C), t(C, A)",
+        ] {
+            let b = body(src);
+            let full = all_vars(&b);
+            let sizes = || -> Vec<u64> {
+                let mut o = EstimateOracle::new(&cat);
+                let mut subsets = Subsets::new(&b);
+                (1..1u32 << b.len())
+                    .flat_map(|mask| {
+                        [
+                            o.intermediate_size(&b, mask, &full).to_bits(),
+                            o.subset_size(&mut subsets, mask).to_bits(),
+                        ]
+                    })
+                    .collect()
+            };
+            let ambient = sizes();
+            for engine in [Engine::Row, Engine::Columnar, Engine::Yannakakis] {
+                let _g = install(engine);
+                assert_eq!(sizes(), ambient, "{src} under {engine}");
+            }
+        }
     }
 }

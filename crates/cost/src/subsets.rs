@@ -26,8 +26,7 @@
 use crate::catalog::Catalog;
 use std::collections::BTreeSet;
 use std::ops::Range;
-use viewplan_cq::{is_acyclic, Atom, Symbol, Term};
-use viewplan_engine::{current_engine, Engine};
+use viewplan_cq::{Atom, Symbol, Term};
 
 /// The subsets of one rewriting body, indexed by subgoal bitmask — what
 /// a plan search asks a [`SizeOracle`](crate::SizeOracle) about through
@@ -80,11 +79,11 @@ impl Subsets {
     /// walking the masks upwards pays exactly one join per subset.
     pub(crate) fn estimated_size(&mut self, catalog: &Catalog, mask: u32) -> (f64, bool) {
         debug_assert!(u64::from(mask) >> self.body.len().min(63) == 0);
-        let table = self.estimates.get_or_insert_with(EstimateTable::new);
+        let table = self.estimates.get_or_insert_with(EstimateTable::default);
         table.extend_to(catalog, &self.body);
         let known = (mask as usize) < table.rows.len();
         table.fill_through(mask as usize);
-        (table.size(&self.body, mask), known)
+        (table.rows[mask as usize], known)
     }
 }
 
@@ -195,6 +194,7 @@ fn join(
 
 /// Rows and per-variable distincts of every subset tabulated so far, in
 /// flat arrays indexed by mask.
+#[derive(Default)]
 struct EstimateTable {
     vars: Numbering,
     atoms: Vec<AtomEstimate>,
@@ -203,22 +203,9 @@ struct EstimateTable {
     /// `distinct[mask * width + variable]`.
     distinct: Vec<f64>,
     width: usize,
-    /// Read once per body: whether the width-aware bound applies.
-    yannakakis: bool,
 }
 
 impl EstimateTable {
-    fn new() -> EstimateTable {
-        EstimateTable {
-            vars: Numbering::default(),
-            atoms: Vec::new(),
-            rows: Vec::new(),
-            distinct: Vec::new(),
-            width: 0,
-            yannakakis: current_engine() == Engine::Yannakakis,
-        }
-    }
-
     /// Takes in the subgoals pushed since the last request. One that
     /// brings a new variable widens every row, so the table refills.
     fn extend_to(&mut self, catalog: &Catalog, body: &[Atom]) {
@@ -259,18 +246,6 @@ impl EstimateTable {
             self.rows.push(rows);
         }
     }
-
-    fn size(&self, body: &[Atom], mask: u32) -> f64 {
-        let predicted = self.rows[mask as usize];
-        if self.yannakakis && mask.count_ones() > 1 {
-            let atoms: Vec<Atom> = selected(body, mask).cloned().collect();
-            if is_acyclic(&atoms) {
-                let input: f64 = selected(&self.atoms, mask).map(|atom| atom.rows).sum();
-                return predicted.min(input);
-            }
-        }
-        predicted
-    }
 }
 
 /// The estimate along one left-deep sequence of subgoals. Consecutive
@@ -289,8 +264,6 @@ pub(crate) struct Fold {
 
 struct FoldStep {
     rows: f64,
-    /// Sum of the single-subgoal estimates so far (the Yannakakis bound).
-    input: f64,
     /// Where this step's distincts end in `Fold::distinct`.
     end: usize,
 }
@@ -331,34 +304,23 @@ impl Fold {
 
     fn push(&mut self, catalog: &Catalog, atom: &Atom) {
         let estimate = atom_estimate(catalog, atom, &mut self.vars);
-        let (a, a_rows, input) = match self.steps.last() {
-            Some(last) => (
-                self.start_of(self.steps.len() - 1)..last.end,
-                last.rows,
-                last.input,
-            ),
-            None => (0..0, 1.0, 0.0),
+        let (a, a_rows) = match self.steps.last() {
+            Some(last) => (self.start_of(self.steps.len() - 1)..last.end, last.rows),
+            None => (0..0, 1.0),
         };
         let width = self.vars.0.len();
         let rows = join(&mut self.distinct, a, a_rows, &estimate, width);
         self.atoms.push(atom.clone());
         self.steps.push(FoldStep {
             rows,
-            input: input + estimate.rows,
             end: self.distinct.len(),
         });
     }
 
     /// The first `len` folded subgoals projected onto `retained`: the
     /// rows, capped by the product of the retained distincts when some
-    /// variable is projected away. With `bounded`, an acyclic sequence
-    /// is further capped by its input (see `EstimateOracle`).
-    pub(crate) fn projected_size(
-        &self,
-        len: usize,
-        retained: &BTreeSet<Symbol>,
-        bounded: bool,
-    ) -> f64 {
+    /// variable is projected away.
+    pub(crate) fn projected_size(&self, len: usize, retained: &BTreeSet<Symbol>) -> f64 {
         let Some(step) = len.checked_sub(1).map(|last| &self.steps[last]) else {
             return 1.0;
         };
@@ -372,14 +334,10 @@ impl Fold {
                 all_retained = false;
             }
         }
-        let predicted = if all_retained {
+        if all_retained {
             step.rows
         } else {
             step.rows.min(cap)
-        };
-        if bounded && len > 1 && is_acyclic(&self.atoms[..len]) {
-            return predicted.min(step.input);
         }
-        predicted
     }
 }

@@ -12,11 +12,9 @@
 //! from its head meets build rows in ascending order: output row order
 //! is probe order × build insertion order — exactly the row engine's — so
 //! traces, answers, and counters are byte-identical (the differential
-//! suite at the workspace root enforces this). Up to [`SCAN_ROWS`]
-//! selected rows (every canonical-database join) there is no index: the
-//! probe compares against each.
+//! suite at the workspace root enforces this).
 
-use crate::column::{mix, table_size, Column, SCAN_ROWS};
+use crate::column::{mix, table_size, Column};
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::eval::{head_columns, note_arity_mismatch, note_join, plan_slots, Slot, Table};
@@ -87,14 +85,12 @@ fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> (Vec<u32>, Vec
     let mut probe_rows: Vec<u32> = Vec::with_capacity(expected);
     let mut build_rows: Vec<u32> = Vec::with_capacity(expected);
 
-    if keys.is_empty() || sel.len() <= SCAN_ROWS {
-        // Cartesian product, or a build side too small to index.
+    if keys.is_empty() {
+        // Cartesian product: nothing to index on.
         for p in 0..probe_len {
             for &b in sel {
-                if keys_match(keys, b, p) {
-                    probe_rows.push(p as u32);
-                    build_rows.push(b);
-                }
+                probe_rows.push(p as u32);
+                build_rows.push(b);
             }
         }
         return (probe_rows, build_rows);
@@ -274,11 +270,11 @@ mod tests {
         assert!(t.vars.is_empty());
     }
 
-    /// Both sides of the index threshold give probe order × ascending
-    /// build row, with every build row under one key.
+    /// Matches come in probe order × ascending build row, with every
+    /// build row under one key.
     #[test]
     fn matches_come_out_in_probe_then_build_order() {
-        for build_len in [SCAN_ROWS as u32, 3 * SCAN_ROWS as u32] {
+        for build_len in [2u32, 24] {
             let build = Column::from_iter(vec![Value::Int(7); build_len as usize]);
             let probe = Column::from_iter([Value::Int(7), Value::Int(8), Value::Int(7)]);
             let keys = [Key {

@@ -10,16 +10,9 @@
 //!
 //! Rows are told apart by a [`RowSet`]: an open-addressed table of *row
 //! numbers*, hashed over the row's words. It owns no cell, so a relation
-//! stores every tuple exactly once. Up to [`SCAN_ROWS`] rows there is no
-//! table at all: comparing each row beats hashing, and the canonical
-//! databases CoreCover evaluates every view over are that small.
+//! stores every tuple exactly once.
 
 use crate::value::{Kind, Value};
-
-/// Up to this many rows a relation has no [`RowSet`], and a join compares
-/// instead of indexing. The one tuning constant of the storage; chosen
-/// from the row count alone, which is all the code can see.
-pub(crate) const SCAN_ROWS: usize = 8;
 
 /// One attribute's cells, in row order.
 #[derive(Clone, Debug)]
@@ -174,8 +167,8 @@ const VACANT: u32 = u32::MAX;
 /// An open-addressed (linear probing) set of row numbers. The rows live
 /// in columns the set does not own: callers pass the hash of the row they
 /// look for and a predicate that recognises it among stored row numbers.
-/// A default set has no table — the state of every relation of at most
-/// [`SCAN_ROWS`] rows.
+/// A default set has no table and holds nothing — the state of an empty
+/// relation.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RowSet {
     slots: Vec<u32>,
@@ -202,11 +195,6 @@ impl RowSet {
         set
     }
 
-    /// True iff there is no table (and lookups must scan the rows).
-    pub(crate) fn is_tableless(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// True iff `entries` entries keep the load at or below ½.
     pub(crate) fn has_room_for(&self, entries: usize) -> bool {
         entries * 2 <= self.slots.len()
@@ -231,6 +219,9 @@ impl RowSet {
     /// The stored row number `is_it` accepts among those hashing like
     /// `hash`, if any.
     pub(crate) fn find(&self, hash: u64, is_it: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
         self.probe(hash, is_it).1
     }
 
@@ -252,29 +243,21 @@ impl RowSet {
 
 /// Keep-first deduplication of the `len` rows spelled by `cols`: the
 /// ascending numbers of the rows that are the first of their value, and
-/// the set holding exactly those numbers (tableless up to [`SCAN_ROWS`]
-/// rows). Allocates the two results and nothing per row.
+/// the set holding exactly those numbers. Allocates the two results and
+/// nothing per row. (With zero columns every row is the empty tuple, and
+/// all of them equal the first.)
 pub(crate) fn distinct_rows(cols: &[Column], len: usize) -> (Vec<u32>, RowSet) {
     let mut firsts: Vec<u32> = Vec::with_capacity(len);
-    let mut set = RowSet::default();
-    if cols.is_empty() {
-        // Zero columns: every row is the empty tuple.
-        firsts.extend((len > 0).then_some(0));
-    } else if len <= SCAN_ROWS {
-        for row in 0..len {
-            if !firsts.iter().any(|&f| same_row(cols, f as usize, row)) {
-                firsts.push(row as u32);
-            }
-        }
-    } else {
-        set = RowSet::with_room(len);
-        for row in 0..len {
-            let seen = set.find_or_insert(row_hash(cols, row), row as u32, |r| {
-                same_row(cols, r as usize, row)
-            });
-            if seen.is_none() {
-                firsts.push(row as u32);
-            }
+    if len == 0 {
+        return (firsts, RowSet::default());
+    }
+    let mut set = RowSet::with_room(len);
+    for row in 0..len {
+        let seen = set.find_or_insert(row_hash(cols, row), row as u32, |r| {
+            same_row(cols, r as usize, row)
+        });
+        if seen.is_none() {
+            firsts.push(row as u32);
         }
     }
     (firsts, set)
@@ -320,15 +303,18 @@ mod tests {
     }
 
     #[test]
-    fn distinct_rows_keeps_firsts_on_both_sides_of_the_threshold() {
-        for len in [0usize, 1, SCAN_ROWS, SCAN_ROWS + 1, 100] {
+    fn distinct_rows_keeps_firsts() {
+        for len in [0usize, 1, 100] {
             // Row r is (r % 5, r % 3): 15 distinct rows at most.
             let a = Column::from_iter((0..len as i64).map(|r| Value::Int(r % 5)));
             let b = Column::from_iter((0..len as i64).map(|r| Value::Int(r % 3)));
-            let (firsts, set) = distinct_rows(&[a, b], len);
+            let cols = [a, b];
+            let (firsts, set) = distinct_rows(&cols, len);
             let expected: Vec<u32> = (0..len.min(15) as u32).collect();
             assert_eq!(firsts, expected, "len {len}");
-            assert_eq!(set.is_tableless(), len <= SCAN_ROWS);
+            assert!(firsts
+                .iter()
+                .all(|&f| set.find(row_hash(&cols, f as usize), |r| r == f).is_some()));
         }
     }
 

@@ -7,10 +7,8 @@
 //! rows, no cached twin for the columnar executor — the executor reads
 //! these columns, and its answers are built from columns
 //! ([`Relation::from_columns`]) without passing through `insert`.
-//! Relations of at most [`SCAN_ROWS`] rows (every canonical database)
-//! carry no set at all; lookups compare each row.
 
-use crate::column::{distinct_rows, mix, row_hash, Column, RowSet, SCAN_ROWS};
+use crate::column::{distinct_rows, mix, row_hash, Column, RowSet};
 use crate::value::Value;
 use std::fmt;
 
@@ -29,7 +27,7 @@ pub struct Relation {
     len: usize,
     /// One per attribute: the arity is their number.
     columns: Vec<Column>,
-    /// The numbers of all `len` rows; tableless while `len <= SCAN_ROWS`.
+    /// The numbers of all `len` rows.
     set: RowSet,
 }
 
@@ -47,10 +45,9 @@ impl PartialEq for Relation {
         self.arity() == other.arity()
             && self.len == other.len
             && (0..self.len).all(|row| {
-                other.stores(
-                    || row_hash(&self.columns, row),
-                    |c, r| other.columns[c].same_cell(r, &self.columns[c], row),
-                )
+                other.stores(row_hash(&self.columns, row), |c, r| {
+                    other.columns[c].same_cell(r, &self.columns[c], row)
+                })
             })
     }
 }
@@ -88,11 +85,7 @@ impl Relation {
         // Row numbers shifted: the set over the old numbering is no use.
         let len = firsts.len();
         let columns: Vec<Column> = columns.iter().map(|c| c.gather(&firsts)).collect();
-        let set = if len > SCAN_ROWS {
-            RowSet::of_distinct(&columns, len, len)
-        } else {
-            RowSet::default()
-        };
+        let set = RowSet::of_distinct(&columns, len, len);
         Relation { len, columns, set }
     }
 
@@ -108,15 +101,10 @@ impl Relation {
     }
 
     /// True iff some stored row satisfies `matches(column, row)` in every
-    /// column: looked up through the set when there is one (`hash` is
-    /// then the sought row's hash), else by comparing each row.
-    fn stores(&self, hash: impl FnOnce() -> u64, matches: impl Fn(usize, usize) -> bool) -> bool {
+    /// column; `hash` is the sought row's hash.
+    fn stores(&self, hash: u64, matches: impl Fn(usize, usize) -> bool) -> bool {
         let is_it = |row: u32| (0..self.arity()).all(|c| matches(c, row as usize));
-        if self.set.is_tableless() {
-            (0..self.len as u32).any(is_it)
-        } else {
-            self.set.find(hash(), is_it).is_some()
-        }
+        self.set.find(hash, is_it).is_some()
     }
 
     /// Inserts a tuple; returns `true` if it was new.
@@ -134,31 +122,24 @@ impl Relation {
         );
         let row = self.len;
         assert!(row < u32::MAX as usize, "relation row count overflow");
-        if row < SCAN_ROWS {
-            if self.contains(&tuple) {
-                return false;
-            }
-        } else {
-            if !self.set.has_room_for(row + 1) {
-                // The first table (every earlier row enters it here), or
-                // a doubling.
-                self.set = RowSet::of_distinct(&self.columns, row, row + 1);
-            }
-            let columns = &self.columns;
-            let stored = |r: u32| {
-                columns
-                    .iter()
-                    .zip(&tuple)
-                    .all(|(c, &v)| c.holds(r as usize, v))
-            };
-            // Files the new row's number before its cells are pushed just
-            // below; nothing reads the set in between.
-            let seen = self
-                .set
-                .find_or_insert(tuple_hash(&tuple), row as u32, stored);
-            if seen.is_some() {
-                return false;
-            }
+        if !self.set.has_room_for(row + 1) {
+            // The first table, or a doubling.
+            self.set = RowSet::of_distinct(&self.columns, row, row + 1);
+        }
+        let columns = &self.columns;
+        let stored = |r: u32| {
+            columns
+                .iter()
+                .zip(&tuple)
+                .all(|(c, &v)| c.holds(r as usize, v))
+        };
+        // Files the new row's number before its cells are pushed just
+        // below; nothing reads the set in between.
+        let seen = self
+            .set
+            .find_or_insert(tuple_hash(&tuple), row as u32, stored);
+        if seen.is_some() {
+            return false;
         }
         for (column, &v) in self.columns.iter_mut().zip(&tuple) {
             column.push(v);
@@ -170,10 +151,7 @@ impl Relation {
     /// True iff `tuple` is in the relation.
     pub fn contains(&self, tuple: &[Value]) -> bool {
         tuple.len() == self.arity()
-            && self.stores(
-                || tuple_hash(tuple),
-                |c, r| self.columns[c].holds(r, tuple[c]),
-            )
+            && self.stores(tuple_hash(tuple), |c, r| self.columns[c].holds(r, tuple[c]))
     }
 
     /// Number of distinct tuples.

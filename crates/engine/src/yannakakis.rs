@@ -183,8 +183,7 @@ fn semijoin(
 }
 
 /// The total tuple count the reduction leaves behind for `q` — the
-/// quantity the acyclicity bound promises stays linear. Exposed for the
-/// cost layer's width-aware estimates and for tests; `None` when the
+/// quantity the acyclicity bound promises stays linear; `None` when the
 /// body is cyclic.
 pub fn reduced_tuple_count(q: &ConjunctiveQuery, db: &Database) -> Option<usize> {
     let forest = join_forest(&q.body)?;

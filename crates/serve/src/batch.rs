@@ -20,8 +20,8 @@
 //! Step 2 never sees the caller's variable names, so whether the answer
 //! was computed now or cached earlier by a differently-named variant
 //! cannot influence it: both paths hold the same canonical-space value
-//! (the pipeline is deterministic, including under `parallel_map` — the
-//! PR 2 guarantee). Step 3 is a pure function of that value and the
+//! (the pipeline is deterministic and runs on the request's one
+//! thread). Step 3 is a pure function of that value and the
 //! request's own renaming. A warm hit is therefore byte-identical to a
 //! cold run *by construction* — no renaming-equivariance assumption
 //! about the pipeline internals is needed. The differential tests at the
@@ -34,6 +34,7 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use viewplan_containment::canonicalize;
 use viewplan_core::{parallel_map, CoreCover, CoreCoverConfig, PreparedViews, Rewriting};
 use viewplan_cost::{CostModel, Optimizer, PhysicalPlan, PlanError, PlannedRewriting, SizeOracle};
@@ -257,7 +258,7 @@ impl BatchServer {
     ) -> Result<ServedAnswer, PlanError> {
         let _span = obs::span("serve.request");
         obs::counter!("serve.requests").incr();
-        let started = obs::enabled().then(std::time::Instant::now);
+        let started = obs::enabled().then(Instant::now);
         let out = self.serve_inner(query, spec);
         if let Some(started) = started {
             obs::histogram!("serve.request_latency_us")
@@ -299,16 +300,23 @@ impl BatchServer {
         }
     }
 
-    /// Answers a stream of queries on up to `threads` workers (the PR 2
-    /// pool: order-preserving, deterministic at any thread count). The
-    /// prepared views and cache are shared read-only/lock-sharded.
+    /// Answers a stream of queries on up to `threads` workers, one
+    /// request per worker at a time — the product's one fan-out site
+    /// (the pool is order-preserving and deterministic at any thread
+    /// count; a request itself never leaves its thread). Each answer
+    /// comes with the time its request took. The prepared views and
+    /// cache are shared read-only/lock-sharded.
     pub fn serve_batch(
         &self,
         queries: &[ConjunctiveQuery],
         threads: usize,
-    ) -> Vec<Result<ServedAnswer, PlanError>> {
+    ) -> Vec<(Result<ServedAnswer, PlanError>, Duration)> {
         let _span = obs::span("serve.batch");
-        parallel_map(threads, queries, |q| self.serve(q))
+        parallel_map(threads, queries, |q| {
+            let started = Instant::now();
+            let result = self.serve(q);
+            (result, started.elapsed())
+        })
     }
 
     /// The cache-miss path: generation over prepared views + M1
@@ -493,13 +501,13 @@ mod tests {
         let reference: Vec<String> = BatchServer::new(&views)
             .serve_batch(&queries, 1)
             .into_iter()
-            .map(|r| r.unwrap().render())
+            .map(|(r, _)| r.unwrap().render())
             .collect();
         for threads in [2, 8] {
             let out: Vec<String> = BatchServer::new(&views)
                 .serve_batch(&queries, threads)
                 .into_iter()
-                .map(|r| r.unwrap().render())
+                .map(|(r, _)| r.unwrap().render())
                 .collect();
             assert_eq!(out, reference, "threads = {threads}");
         }

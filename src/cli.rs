@@ -19,7 +19,9 @@
 //!
 //! `batch` answers a whole stream of queries against one view set in a
 //! single process: the per-view-set preprocessing runs once, requests
-//! fan out over the worker pool, and answers are cached by the query's
+//! fan out over `--threads N` workers (one request per worker at a time
+//! — a request itself never leaves its thread, so `batch` is the only
+//! command that takes the flag), and answers are cached by the query's
 //! canonical form (identical up to variable renaming). `FILE` holds the
 //! view rules, then a `---` line, then one query rule per line; with
 //! `--workload` the stream is generated instead. Per-query stdout is
@@ -51,15 +53,14 @@
 //! stderr), `--trace-json FILE` (export the same trace as Chrome
 //! trace-event JSON for `chrome://tracing` / Perfetto), `--metrics-out
 //! FILE` (write a Prometheus text-format snapshot of all counters and
-//! histograms), `--threads N` (parallelize the CoreCover pipeline;
-//! results are identical for any N — default 1), and `--engine
-//! row|columnar|yannakakis` (pick the executor; answers are
-//! byte-identical — default columnar). Both are parsed once, here, into
-//! explicit configuration; no library crate reads the environment.
+//! histograms), and `--engine row|columnar|yannakakis` (pick the
+//! executor; answers are byte-identical — default columnar), parsed
+//! once, here, into explicit configuration; no library crate reads the
+//! environment.
 //!
 //! Anytime budgets: `--timeout-ms MS` bounds the wall clock and
-//! `--node-budget N` caps each search's node count (deterministic at any
-//! thread count). When a budget fires the command still exits 0, printing
+//! `--node-budget N` caps each search's node count (deterministic).
+//! When a budget fires the command still exits 0, printing
 //! best-so-far results plus an explicit incomplete note — never a hang or
 //! a panic. `VIEWPLAN_FAULT=phase:nth` (phase ∈ hom|cover|plan|deadline)
 //! injects an exhaustion fault at the nth search of that phase, for
@@ -85,7 +86,7 @@
 //! ```
 
 use crate::analyze::{analyze, analyze_errors, render_human, render_json, render_summary, Layout};
-use crate::core::{parallel_map, CoreError};
+use crate::core::CoreError;
 use crate::cost::PlanError;
 use crate::cq::Program;
 use crate::obs::{BudgetSpec, Completeness, CtxGuard, Fault};
@@ -177,9 +178,8 @@ fn dispatch(args: &[String], env: &Env, out: &mut dyn Write) -> Result<(), CliEr
     };
     check_options(name, rest)?;
     let common = Common::parse(rest, env)?;
-    // One scoped install around the whole command; the worker pool
-    // carries it onto its threads, and `serve_config` hands the same
-    // value to the serving layer's own per-request install.
+    // One scoped install around the whole command; `batch`'s worker
+    // pool carries it onto its threads.
     let _engine = crate::engine::install(common.engine);
     let stats = stats_request(rest);
     command(rest, &common, out)?;
@@ -191,8 +191,6 @@ type Command = fn(&[String], &Common, &mut dyn Write) -> Result<(), CliError>;
 /// The settings every processing command shares, parsed once from the
 /// flags and the [`Env`] and passed down as explicit configuration.
 struct Common {
-    /// `--threads N` (default 1).
-    threads: usize,
     /// `--engine NAME` (default columnar).
     engine: Engine,
     /// The `VIEWPLAN_FAULT` injection, for budgets and the serving layer.
@@ -216,11 +214,7 @@ impl Common {
             .as_deref()
             .map(|v| Fault::parse(v).map_err(|e| CliError::Input(format!("VIEWPLAN_FAULT: {e}"))))
             .transpose()?;
-        Ok(Common {
-            threads: threads_arg(args)?,
-            engine,
-            fault,
-        })
+        Ok(Common { engine, fault })
     }
 }
 
@@ -251,8 +245,10 @@ fn print_help(out: &mut dyn Write) -> Result<(), CliError> {
          \n\
          `batch` serves many queries against one view set in one process:\n\
          the per-view-set preprocessing runs once, requests fan out over\n\
-         --threads workers, and answers are cached by the query's form up\n\
-         to variable renaming (budget-truncated answers are never cached).\n\
+         --threads N workers (default 1; one request per worker at a time —\n\
+         a request itself is one thread, so only `batch` takes the flag),\n\
+         and answers are cached by the query's form up to variable\n\
+         renaming (budget-truncated answers are never cached).\n\
          batch FILE = view rules, a `---` line, then one query per line.\n\
          Per-query stdout is byte-identical at any thread count and cache\n\
          setting; cache hit/miss and latency columns go to stderr / --csv.\n\
@@ -291,14 +287,13 @@ fn print_help(out: &mut dyn Write) -> Result<(), CliError> {
          --stats-json FILE (dump the metrics registry as JSON),\n\
          --trace (render the request's span tree + typed events on\n\
          stderr), --trace-json FILE (Chrome trace-event export),\n\
-         --metrics-out FILE (Prometheus text-format snapshot),\n\
-         --threads N (parallel CoreCover pipeline; identical results for\n\
-         any N; default: 1). Timing numbers come from the standalone\n\
-         harness under benchmark/ (see benchmark/README.md).\n\
+         --metrics-out FILE (Prometheus text-format snapshot). Timing\n\
+         numbers come from the standalone harness under benchmark/ (see\n\
+         benchmark/README.md).\n\
          \n\
          Anytime budgets: --timeout-ms MS (wall-clock deadline),\n\
-         --node-budget N (per-search node cap; deterministic at any\n\
-         thread count). Exhaustion degrades to best-so-far results with\n\
+         --node-budget N (per-search node cap; deterministic).\n\
+         Exhaustion degrades to best-so-far results with\n\
          an incomplete note, still exit 0. VIEWPLAN_FAULT=phase:nth\n\
          (hom|cover|plan|deadline) injects exhaustion for testing.\n\
          `soak` stress-runs generated workloads under a tight budget\n\
@@ -474,7 +469,6 @@ const GENERATED: &[&str] = &["batch", "soak"];
 /// as its value, and the commands that accept it.
 const OPTIONS: &[(&str, bool, &[&str])] = &[
     ("--engine", true, ALL),
-    ("--threads", true, ALL),
     ("--stats", false, ALL),
     ("--stats-json", true, ALL),
     ("--metrics-out", true, ALL),
@@ -495,6 +489,7 @@ const OPTIONS: &[(&str, bool, &[&str])] = &[
     ("--no-cache", false, SERVING),
     ("--cache-capacity", true, SERVING),
     ("--csv", true, &["batch"]),
+    ("--threads", true, &["batch"]),
     ("--workload", true, &["batch"]),
     ("--repeat", true, &["batch"]),
     ("--queries", true, GENERATED),
@@ -524,13 +519,17 @@ fn check_options(command: &str, args: &[String]) -> Result<(), CliError> {
         if !arg.starts_with("--") {
             continue;
         }
-        let takes_value = OPTIONS
-            .iter()
-            .find(|(name, _, commands)| *name == arg && commands.contains(&command))
-            .map(|&(_, takes_value, _)| takes_value)
-            .ok_or_else(|| {
-                CliError::Input(format!("unknown option {arg:?} for `viewplan {command}`"))
-            })?;
+        let known = OPTIONS.iter().find(|(name, _, _)| *name == arg);
+        let takes_value = match known {
+            Some(&(_, takes_value, commands)) if commands.contains(&command) => takes_value,
+            _ => {
+                let mut msg = format!("unknown option {arg:?} for `viewplan {command}`");
+                if let Some((_, _, commands)) = known {
+                    msg += &format!(" (it belongs to: {})", commands.join(", "));
+                }
+                return Err(CliError::Input(msg));
+            }
+        };
         if takes_value {
             if i == args.len() {
                 return Err(CliError::Input(format!("option {arg} expects a value")));
@@ -588,8 +587,8 @@ fn file_arg(args: &[String]) -> Result<&str, CliError> {
     }
 }
 
-/// The `--threads` value: a positive integer, 1 (serial) when the flag
-/// is absent.
+/// `batch`'s `--threads` value: a positive integer, 1 (serial) when the
+/// flag is absent.
 fn threads_arg(args: &[String]) -> Result<usize, CliError> {
     u64_arg(args, "--threads", 1).map(|n| n as usize)
 }
@@ -721,7 +720,6 @@ impl StatsRequest {
 
 fn rewrite(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), CliError> {
     let problem = load(file_arg(args)?)?;
-    let threads = common.threads;
     let _budget = install_budget(budget_arg(args, common.fault)?);
     if let Some(baseline) = option(args, "--baseline") {
         let rs = match baseline {
@@ -739,10 +737,7 @@ fn rewrite(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), 
         budget_note(budget_outcome(), out)?;
         return Ok(());
     }
-    let mut config = CoreCoverConfig {
-        threads,
-        ..CoreCoverConfig::default()
-    };
+    let mut config = CoreCoverConfig::default();
     if flag(args, "--no-grouping") {
         config.group_equivalent_views = false;
         config.group_view_tuples = false;
@@ -806,7 +801,6 @@ fn rewrite(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), 
 
 fn plan(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), CliError> {
     let problem = load(file_arg(args)?)?;
-    let threads = common.threads;
     let _budget = install_budget(budget_arg(args, common.fault)?);
     if problem.base.is_empty() {
         return Err(CliError::input(
@@ -829,16 +823,7 @@ fn plan(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
         writeln!(out, "  {name}: {len} tuple(s)")?;
     }
     let mut oracle = ExactOracle::new(&vdb);
-    let config = OptimizerConfig {
-        corecover: CoreCoverConfig {
-            threads,
-            ..CoreCoverConfig::default()
-        },
-        ..OptimizerConfig::default()
-    };
-    let outcome = Optimizer::new(&problem.query, &problem.views)
-        .with_config(config)
-        .try_plan(model, &mut oracle)?;
+    let outcome = Optimizer::new(&problem.query, &problem.views).try_plan(model, &mut oracle)?;
     let Some(best) = outcome.best else {
         if outcome.completeness.is_incomplete() {
             // The budget fired before any plan was found: an honest
@@ -870,7 +855,6 @@ fn plan(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
 
 fn explain_cmd(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), CliError> {
     let problem = load(file_arg(args)?)?;
-    let threads = common.threads;
     let _budget = install_budget(budget_arg(args, common.fault)?);
     // Without ground facts only M1 (subgoal counting) can rank plans;
     // with facts the default matches `plan`'s (M2).
@@ -890,7 +874,6 @@ fn explain_cmd(args: &[String], common: &Common, out: &mut dyn Write) -> Result<
         &problem.base,
         model,
         flag(args, "--all-minimal"),
-        threads,
     )?;
     if flag(args, "--json") {
         writeln!(out, "{}", explanation.to_json().render())?;
@@ -903,19 +886,12 @@ fn explain_cmd(args: &[String], common: &Common, out: &mut dyn Write) -> Result<
 
 fn eval(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), CliError> {
     let problem = load(file_arg(args)?)?;
-    let threads = common.threads;
     let _budget = install_budget(budget_arg(args, common.fault)?);
     let direct =
         try_evaluate(&problem.query, &problem.base).map_err(|e| CliError::Input(e.to_string()))?;
     writeln!(out, "direct answer ({} tuple(s)):", direct.len())?;
     write!(out, "{direct}")?;
-    let config = CoreCoverConfig {
-        threads,
-        ..CoreCoverConfig::default()
-    };
-    let result = CoreCover::new(&problem.query, &problem.views)
-        .with_config(config)
-        .try_run()?;
+    let result = CoreCover::new(&problem.query, &problem.views).try_run()?;
     match result.rewritings().first() {
         None => writeln!(out, "\n(no equivalent rewriting over the views)")?,
         Some(r) => {
@@ -945,10 +921,10 @@ fn eval(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
 }
 
 /// The serving configuration shared by `batch` and `serve`. Budgets are
-/// per-request (each request gets its own deadline/node caps), caching
-/// defaults on, and the per-request pipeline stays serial — `batch`
-/// spends `--threads` *across* requests, so the pool is never nested
-/// (`serve` has no such outer pool and spends it inside each request).
+/// per-request (each request gets its own deadline/node caps) and
+/// caching defaults on. A request's pipeline is one thread: `batch`
+/// spends `--threads` *across* requests, `serve` runs each request on
+/// the connection thread the admission gate let through.
 fn serve_config(args: &[String], common: &Common) -> Result<ServeConfig, CliError> {
     let mut config = ServeConfig {
         all_minimal: flag(args, "--all-minimal"),
@@ -1052,7 +1028,7 @@ type TimedResult = (Result<ServedAnswer, PlanError>, std::time::Duration);
 /// deterministic (byte-identical at any thread count and cache setting);
 /// the cache/latency observability goes to stderr and `--csv`.
 fn batch(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), CliError> {
-    let threads = common.threads;
+    let threads = threads_arg(args)?;
     let config = serve_config(args, common)?;
     let (views, queries) = match option(args, "--workload") {
         Some(shape) => {
@@ -1067,11 +1043,7 @@ fn batch(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cl
     };
     let server = BatchServer::with_config(&views, config);
     let started = std::time::Instant::now();
-    let results: Vec<TimedResult> = parallel_map(threads, &queries, |q| {
-        let t0 = std::time::Instant::now();
-        let r = server.serve(q);
-        (r, t0.elapsed())
-    });
+    let results: Vec<TimedResult> = server.serve_batch(&queries, threads);
     let total = started.elapsed();
     let mut tally = [0usize; 3]; // complete / truncated / deadline
     let mut errors = 0usize;
@@ -1210,10 +1182,7 @@ fn net_config(args: &[String]) -> Result<crate::serve::NetConfig, CliError> {
 fn serve(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), CliError> {
     use crate::serve::{command, LiveCatalog, NetServer, Reply, ServeFaults};
     let path = file_arg(args)?;
-    let mut config = serve_config(args, common)?;
-    // A request's pipeline runs on the one thread that read it, so here
-    // `--threads` parallelizes inside each request's pipeline.
-    config.corecover.threads = common.threads;
+    let config = serve_config(args, common)?;
     let views = load_views_file(path)?;
     let faults = std::sync::Arc::new(ServeFaults::new(common.fault));
     let catalog = std::sync::Arc::new(LiveCatalog::with_faults(&views, config, faults));
@@ -1364,16 +1333,11 @@ fn soak(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
     let queries = u64_arg(args, "--queries", 24)? as usize;
     let views = u64_arg(args, "--views", 12)? as usize;
     let seed0 = u64_arg(args, "--seed", 1)?;
-    let threads = common.threads;
     let mut spec = budget_arg(args, common.fault)?;
     if spec.is_unlimited() {
         // A soak without an explicit budget still stresses degradation.
         spec = spec.timeout_ms(50).node_budget(2_000);
     }
-    let config = CoreCoverConfig {
-        threads,
-        ..CoreCoverConfig::default()
-    };
     let mut tally = [0usize; 3]; // complete / truncated / deadline
     let mut rewritings_total = 0usize;
     let mut bad: Vec<String> = Vec::new();
@@ -1390,9 +1354,7 @@ fn soak(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
         // post-hoc equivalence checks run unbudgeted.
         let result = {
             let _g = crate::obs::budget::install(spec.build());
-            CoreCover::new(&w.query, &w.views)
-                .with_config(config.clone())
-                .try_run_all_minimal()
+            CoreCover::new(&w.query, &w.views).try_run_all_minimal()
         }
         .map_err(|e| CliError::Internal(format!("generated workload rejected: {e}")))?;
         tally[match result.stats.completeness {

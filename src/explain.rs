@@ -249,18 +249,15 @@ fn plan_candidate(
 
 /// Runs the rewrite search with provenance collection on and explains the
 /// outcome. `model` needs ground facts (a non-empty `base`) for M2/M3;
-/// the CLI enforces that before calling here. `threads` is forwarded to
-/// the CoreCover search.
+/// the CLI enforces that before calling here.
 pub fn explain(
     query: &ConjunctiveQuery,
     views: &ViewSet,
     base: &Database,
     model: CostModel,
     all_minimal: bool,
-    threads: usize,
 ) -> Result<Explanation, PlanError> {
     let config = CoreCoverConfig {
-        threads,
         collect_provenance: true,
         ..CoreCoverConfig::default()
     };
@@ -639,7 +636,7 @@ mod tests {
     #[test]
     fn m1_explanation_reports_pruning_and_verdicts() {
         let (query, views) = example_1_1();
-        let e = explain(&query, &views, &Database::new(), CostModel::M1, false, 1).unwrap();
+        let e = explain(&query, &views, &Database::new(), CostModel::M1, false).unwrap();
         // v6 mentions a predicate the query never uses: VP006 prunes it.
         assert_eq!(e.pruned_views, vec!["v6".to_string()]);
         assert!(!e.surviving_views.contains(&"v6".to_string()));
@@ -669,7 +666,7 @@ mod tests {
              vb(X, R) :- g(X, Y), f(Y, R).",
         )
         .unwrap();
-        let mut e = explain(&query, &views, &Database::new(), CostModel::M1, false, 1).unwrap();
+        let mut e = explain(&query, &views, &Database::new(), CostModel::M1, false).unwrap();
         let c = &e.candidates[0];
         assert_eq!(c.rewriting, "q(P, R) :- va2(P, X, Y), vb(X, R)");
         assert_eq!(
@@ -696,7 +693,7 @@ mod tests {
     #[test]
     fn all_minimal_m1_has_a_runner_up_and_ranks_by_subgoal_count() {
         let (query, views) = example_1_1();
-        let e = explain(&query, &views, &Database::new(), CostModel::M1, true, 1).unwrap();
+        let e = explain(&query, &views, &Database::new(), CostModel::M1, true).unwrap();
         let w = e.winner.as_ref().expect("winner");
         let r = e
             .runner_up
@@ -709,7 +706,7 @@ mod tests {
     #[test]
     fn json_form_is_stable_and_round_trips() {
         let (query, views) = example_1_1();
-        let e = explain(&query, &views, &Database::new(), CostModel::M1, false, 1).unwrap();
+        let e = explain(&query, &views, &Database::new(), CostModel::M1, false).unwrap();
         let doc = e.to_json().render();
         let parsed = viewplan_obs::parse_json(&doc).unwrap();
         assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(1));
@@ -720,7 +717,7 @@ mod tests {
         let structure = parsed.get("structure").unwrap();
         assert_eq!(structure.get("hypertree_width").unwrap().as_u64(), Some(1));
         // Deterministic: a second run renders the identical document.
-        let e2 = explain(&query, &views, &Database::new(), CostModel::M1, false, 1).unwrap();
+        let e2 = explain(&query, &views, &Database::new(), CostModel::M1, false).unwrap();
         assert_eq!(e2.to_json().render(), doc);
     }
 
@@ -745,7 +742,6 @@ mod tests {
             &base,
             CostModel::M3(DropPolicy::SmartCostBased),
             false,
-            1,
         )
         .unwrap();
         let w = e.winner.as_ref().expect("an M3 winner");

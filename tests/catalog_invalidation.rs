@@ -3,7 +3,7 @@
 //! still resident in the rewriting cache must render byte-identical to a
 //! cold recompute under the catalog's current view set — i.e. the
 //! epoch-tagged retargeting kept exactly the entries it was allowed to
-//! keep, at every worker thread count.
+//! keep.
 //!
 //! A second property covers the snapshot itself: DDL derives each epoch's
 //! view classes from the previous epoch's instead of regrouping the
@@ -33,22 +33,12 @@ const QUERIES: [&str; 5] = [
     "q(X) :- zzz(X, X)",
 ];
 
-fn config(threads: usize) -> ServeConfig {
-    ServeConfig {
-        corecover: CoreCoverConfig {
-            threads,
-            ..CoreCoverConfig::default()
-        },
-        ..ServeConfig::default()
-    }
-}
-
 /// Replays `ops` against a fresh catalog, then checks the oracle: warm
 /// answers (and every resident cache entry) agree byte-for-byte with an
 /// uncached server built from the catalog's final view set.
-fn check_sequence(ops: &[(u32, u32)], threads: usize) -> Result<(), TestCaseError> {
+fn check_sequence(ops: &[(u32, u32)]) -> Result<(), TestCaseError> {
     let base = parse_views("v0(A, B) :- a(A, B).").unwrap();
-    let catalog = LiveCatalog::new(&base, config(threads));
+    let catalog = LiveCatalog::new(&base, ServeConfig::default());
     for &(kind, idx) in ops {
         match kind % 3 {
             0 => {
@@ -75,20 +65,14 @@ fn check_sequence(ops: &[(u32, u32)], threads: usize) -> Result<(), TestCaseErro
         server.views(),
         ServeConfig {
             cache_capacity: 0,
-            ..config(threads)
+            ..ServeConfig::default()
         },
     );
     for src in QUERIES {
         let q = parse_query(src).unwrap();
         let warm = server.serve(&q).unwrap();
         let fresh = cold.serve(&q).unwrap();
-        prop_assert_eq!(
-            warm.render(),
-            fresh.render(),
-            "{} at {} threads",
-            q,
-            threads
-        );
+        prop_assert_eq!(warm.render(), fresh.render(), "{}", q);
     }
     for (canonical, epoch, _) in server.cache().unwrap().entries() {
         prop_assert_eq!(epoch, server.epoch(), "stale-epoch resident {}", canonical);
@@ -97,9 +81,8 @@ fn check_sequence(ops: &[(u32, u32)], threads: usize) -> Result<(), TestCaseErro
         prop_assert_eq!(
             warm.render(),
             fresh.render(),
-            "resident {} diverged from cold recompute at {} threads",
-            canonical,
-            threads
+            "resident {} diverged from cold recompute",
+            canonical
         );
     }
     Ok(())
@@ -132,7 +115,7 @@ const SNAPSHOT_CANDIDATES: [&str; 10] = [
 /// After every DDL step, the snapshot the catalog derived incrementally
 /// equals the one prepared from scratch over the same views and epoch.
 fn check_snapshots(ops: &[(u32, u32)]) -> Result<(), TestCaseError> {
-    let catalog = LiveCatalog::new(&parse_views(SNAPSHOT_BASE).unwrap(), config(1));
+    let catalog = LiveCatalog::new(&parse_views(SNAPSHOT_BASE).unwrap(), ServeConfig::default());
     for &(kind, idx) in ops {
         let src = SNAPSHOT_CANDIDATES[idx as usize % SNAPSHOT_CANDIDATES.len()];
         let definition = parse_query(src).unwrap();
@@ -167,8 +150,6 @@ proptest! {
     fn residents_always_match_cold_recompute(
         ops in proptest::collection::vec((0u32..3, 0u32..20), 1..12),
     ) {
-        for threads in [1usize, 8] {
-            check_sequence(&ops, threads)?;
-        }
+        check_sequence(&ops)?;
     }
 }

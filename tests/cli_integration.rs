@@ -6,6 +6,8 @@ use std::path::Path;
 use std::process::{Command, Output};
 
 const PROBLEM: &str = "examples/problems/carlocpart.vp";
+/// Views, a `---` line, queries: what `batch` reads.
+const BATCH: &str = "tests/golden/batch_carlocpart.vp";
 
 fn viewplan(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_viewplan"))
@@ -162,9 +164,40 @@ fn unknown_model_and_baseline_fail_with_exit_code_2() {
 #[test]
 fn bad_threads_value_fails_with_exit_code_2() {
     for bad in ["0", "many", "-3"] {
-        let out = viewplan(&["rewrite", PROBLEM, "--threads", bad]);
+        let out = viewplan(&["batch", BATCH, "--threads", bad]);
         assert_eq!(out.status.code(), Some(2), "--threads {bad}");
-        assert!(stderr(&out).contains("--threads"));
+        assert!(stderr(&out).contains("--threads expects a positive integer"));
+    }
+}
+
+/// A request is one thread: only `batch`, which spends workers across
+/// requests, takes `--threads`.
+#[test]
+fn threads_flag_is_refused_by_every_command_but_batch() {
+    for args in [
+        &["rewrite", PROBLEM][..],
+        &["plan", PROBLEM],
+        &["explain", PROBLEM],
+        &["eval", PROBLEM],
+        &["check", PROBLEM],
+        &["serve", BATCH],
+        &["soak"],
+        &["loadgen", BATCH, "--connect", "127.0.0.1:1"],
+    ] {
+        let mut argv = args.to_vec();
+        argv.extend(["--threads", "2"]);
+        let out = viewplan(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {}", stderr(&out));
+        let complaint = format!(
+            "unknown option \"--threads\" for `viewplan {}` (it belongs to: batch)",
+            args[0]
+        );
+        assert!(
+            stderr(&out).contains(&complaint),
+            "{argv:?}: {}",
+            stderr(&out)
+        );
+        assert!(stdout(&out).is_empty(), "{argv:?} ran anyway");
     }
 }
 
@@ -182,11 +215,11 @@ fn too_wide_query_fails_with_exit_code_2() {
 }
 
 #[test]
-fn threads_flag_gives_identical_rewrite_output() {
-    let serial = viewplan(&["rewrite", PROBLEM, "--threads", "1"]);
+fn threads_flag_gives_identical_batch_output() {
+    let serial = viewplan(&["batch", BATCH, "--no-cache", "--threads", "1"]);
     assert!(serial.status.success(), "stderr: {}", stderr(&serial));
     for n in ["2", "8"] {
-        let par = viewplan(&["rewrite", PROBLEM, "--threads", n]);
+        let par = viewplan(&["batch", BATCH, "--no-cache", "--threads", n]);
         assert!(par.status.success(), "stderr: {}", stderr(&par));
         assert_eq!(stdout(&par), stdout(&serial), "--threads {n}");
     }

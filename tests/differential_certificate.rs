@@ -93,9 +93,8 @@ fn overlapping(seed: u64) -> Workload {
     }
 }
 
-fn run(w: &Workload, all_minimal: bool, threads: usize, provenance: bool) -> CoreCoverResult {
+fn run(w: &Workload, all_minimal: bool, provenance: bool) -> CoreCoverResult {
     let cc = CoreCover::new(&w.query, &w.views).with_config(CoreCoverConfig {
-        threads,
         collect_provenance: provenance,
         ..CoreCoverConfig::default()
     });
@@ -152,7 +151,7 @@ fn oracle_on_every_cover(
 /// Both directions for one instance; returns how many covers the oracle
 /// decided, so callers can tell the fallback was exercised.
 fn check_instance(w: &Workload, all_minimal: bool) -> Result<usize, TestCaseError> {
-    let explained = run(w, all_minimal, 1, true);
+    let explained = run(w, all_minimal, true);
     let candidates = &explained.provenance.as_ref().expect("requested").candidates;
     let mut oracle_decided = 0;
     for c in candidates {
@@ -183,12 +182,10 @@ fn check_instance(w: &Workload, all_minimal: bool) -> Result<usize, TestCaseErro
     for r in explained.rewritings() {
         prop_assert!(is_equivalent_rewriting(r, &w.query, &w.views), "{}", r);
     }
-    // Provenance and the thread count change nothing that is returned.
-    for threads in [1usize, 4] {
-        let plain = run(w, all_minimal, threads, false);
-        prop_assert_eq!(plain.rewritings(), explained.rewritings());
-        prop_assert_eq!(plain.stats, explained.stats);
-    }
+    // Provenance changes nothing that is returned.
+    let plain = run(w, all_minimal, false);
+    prop_assert_eq!(plain.rewritings(), explained.rewritings());
+    prop_assert_eq!(plain.stats, explained.stats);
     Ok(oracle_decided)
 }
 
@@ -214,25 +211,19 @@ proptest! {
         // Budgeted runs first: complete containment verdicts are cached
         // process-wide, and unbudgeted work in between would hand the
         // budgeted search verdicts it could not have reached itself.
-        let budgeted: Vec<CoreCoverResult> = [1usize, 4]
-            .iter()
-            .map(|&threads| {
-                let _g = viewplan::obs::budget::install(BudgetSpec::new().node_budget(cap).build());
-                run(&w, all_minimal, threads, true)
-            })
-            .collect();
-        prop_assert_eq!(budgeted[0].rewritings(), budgeted[1].rewritings());
-        for result in &budgeted {
-            for r in result.rewritings() {
-                prop_assert!(is_equivalent_rewriting(r, &w.query, &w.views), "{}", r);
-            }
-            let candidates = &result.provenance.as_ref().expect("requested").candidates;
-            // Under a budget a failed oracle check proves nothing.
-            prop_assert!(candidates.iter().all(|c| c.verdict != CandidateVerdict::NotEquivalent));
-            if candidates.iter().any(|c| c.verdict == CandidateVerdict::Unverified) {
-                prop_assert!(result.stats.truncated);
-                prop_assert!(result.stats.completeness.is_incomplete());
-            }
+        let result = {
+            let _g = viewplan::obs::budget::install(BudgetSpec::new().node_budget(cap).build());
+            run(&w, all_minimal, true)
+        };
+        for r in result.rewritings() {
+            prop_assert!(is_equivalent_rewriting(r, &w.query, &w.views), "{}", r);
+        }
+        let candidates = &result.provenance.as_ref().expect("requested").candidates;
+        // Under a budget a failed oracle check proves nothing.
+        prop_assert!(candidates.iter().all(|c| c.verdict != CandidateVerdict::NotEquivalent));
+        if candidates.iter().any(|c| c.verdict == CandidateVerdict::Unverified) {
+            prop_assert!(result.stats.truncated);
+            prop_assert!(result.stats.completeness.is_incomplete());
         }
     }
 }
@@ -248,7 +239,7 @@ fn overlapping_instances_reach_the_oracle_and_the_retry() {
         let w = overlapping(seed);
         for all_minimal in [false, true] {
             check_instance(&w, all_minimal).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
-            let result = run(&w, all_minimal, 1, true);
+            let result = run(&w, all_minimal, true);
             for c in &result.provenance.as_ref().unwrap().candidates {
                 match (c.decided_by, &c.verdict) {
                     _ if c.retried => retried += 1,

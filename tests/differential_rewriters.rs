@@ -183,7 +183,7 @@ proptest! {
             let warm: Vec<String> = server
                 .serve_batch(&stream, threads)
                 .into_iter()
-                .map(|r| r.expect("warm serve").render())
+                .map(|(r, _)| r.expect("warm serve").render())
                 .collect();
             prop_assert_eq!(
                 &warm, &cold,
@@ -211,7 +211,7 @@ proptest! {
         let answers: Vec<ServedAnswer> = server
             .serve_batch(&stream, 4)
             .into_iter()
-            .map(|r| r.expect("budgeted serve"))
+            .map(|(r, _)| r.expect("budgeted serve"))
             .collect();
         let warm: Vec<String> = answers.iter().map(|a| a.render()).collect();
         prop_assert_eq!(&warm, &cold, "budgeted batch diverged (shape {shape}, seed {seed})");

@@ -4,10 +4,10 @@
 //! expectations under `tests/golden/expected/`.
 //!
 //! Every golden then runs again **in process** at each behaviour setting
-//! — threads {1, 8} × engine {row, columnar, yannakakis} × acyclic
-//! containment route {on, off} — against the same expectation: the three
-//! axes are performance knobs, so none may change a byte of stdout or
-//! the exit code. (This replaces fanning the whole suite out over
+//! — engine {row, columnar, yannakakis} × acyclic containment route
+//! {on, off}, and for the `batch` goldens × threads {1, 8} across
+//! requests — against the same expectation: the axes are performance
+//! knobs, so none may change a byte of stdout or the exit code. (This replaces fanning the whole suite out over
 //! environment switches in CI.)
 //!
 //! Only stdout is golden — stderr carries timings and cache counters,
@@ -64,13 +64,20 @@ fn check(name: &str, args: &[&str]) {
         );
     }
 
-    for threads in ["1", "8"] {
+    // Only `batch` fans out (across requests), so only it has the axis.
+    let thread_settings: &[&[&str]] = if args[0] == "batch" {
+        &[&["--threads", "1"], &["--threads", "8"]]
+    } else {
+        &[&[]]
+    };
+    for threads in thread_settings {
         for engine in ["row", "columnar", "yannakakis"] {
             for acyclic in [true, false] {
-                let setting = format!("threads={threads} engine={engine} acyclic={acyclic}");
+                let setting = format!("{threads:?} engine={engine} acyclic={acyclic}");
                 // The matrix flags go first so they win over any the
                 // golden itself passes (the first occurrence counts).
-                let mut argv = vec![args[0], "--threads", threads, "--engine", engine];
+                let mut argv = vec![args[0], "--engine", engine];
+                argv.extend(*threads);
                 argv.extend(&args[1..]);
                 let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
                 let _route = install_acyclic(acyclic);

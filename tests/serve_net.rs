@@ -335,6 +335,8 @@ fn one_slot_gate_under_eight_clients_answers_or_sheds_every_request() {
     const CLIENTS: usize = 8;
     const REQUESTS: usize = 12;
 
+    // Counters on: the end of the test reads what the requests did.
+    viewplan::obs::set_enabled(true);
     let catalog = LiveCatalog::new(&parse_views(VIEWS).unwrap(), ServeConfig::default());
     let mut server = NetServer::start(
         std::sync::Arc::new(catalog),
@@ -385,6 +387,11 @@ fn one_slot_gate_under_eight_clients_answers_or_sheds_every_request() {
         "client-side sheds == server-side sheds"
     );
     server.shutdown();
+    // A request is one thread: the misses ran the pipeline (several view
+    // tuples each) and none of them started the worker pool, so the gate
+    // that admitted one request at a time ran one pipeline at a time.
+    assert!(viewplan::obs::counter_value("corecover.runs") > 0);
+    assert_eq!(viewplan::obs::counter_value("parallel.batches"), 0);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Repo-level lints for the `viewplan` workspace, run as
 //! `cargo run -p xtask -- lint` (and in CI).
 //!
-//! Eleven checks, all offline and purely textual:
+//! Twelve checks, all offline and purely textual:
 //!
 //! 1. **Panic ban** — no `.unwrap()` / `.expect(` / `panic!(` in library
 //!    crates (`crates/*/src`) outside `#[cfg(test)]` code. Audited
@@ -53,6 +53,13 @@
 //!     model checker's scheduler state). Ambient state that is not in
 //!     the request context does not reach worker threads; a new piece
 //!     is a field of `RequestCtx`, not a new slot.
+//! 12. **One fan-out site** — `parallel_map(` is called, outside
+//!     `#[cfg(test)]` code, only by `crates/serve/src/batch.rs`
+//!     (`BatchServer::serve_batch`) and the sweep harness in
+//!     `crates/bench/`, beside its definition in
+//!     `crates/core/src/parallel.rs`. A request is one thread: workers
+//!     are spent across requests, never inside one, so an admission gate
+//!     that let N requests in is running N pipelines.
 //!
 //! The scans work on a *stripped* view of each file: comment and string
 //! contents are blanked (structure and braces preserved), so `"panic!"`
@@ -938,6 +945,41 @@ fn check_thread_local_ban(root: &Path, report: &mut LintReport) {
     }
 }
 
+/// Check 12: one fan-out site. The pool is for running *requests* side
+/// by side; a call from inside the pipeline multiplies the runnable
+/// threads behind whatever admitted the request.
+fn check_fan_out_sites(root: &Path, report: &mut LintReport) {
+    const ALLOWED: [&str; 3] = [
+        "crates/core/src/parallel.rs",
+        "crates/serve/src/batch.rs",
+        "crates/bench/",
+    ];
+    let mut roots = library_roots(root);
+    roots.push(root.join("src"));
+    for src_root in roots {
+        for file in rust_files(&src_root) {
+            let path = rel(root, &file);
+            if ALLOWED.iter().any(|allowed| path.starts_with(allowed)) {
+                continue;
+            }
+            let Ok(text) = std::fs::read_to_string(&file) else {
+                continue;
+            };
+            let stripped = strip_code(&text);
+            let mask = test_region_mask(&stripped);
+            for (line_no, (line, &in_test)) in stripped.lines().zip(&mask).enumerate() {
+                if !in_test && line.contains("parallel_map(") {
+                    report.violations.push(format!(
+                        "{path}:{}: parallel_map( inside the request pipeline — a request is \
+                         one thread; fan out across requests through BatchServer::serve_batch",
+                        line_no + 1
+                    ));
+                }
+            }
+        }
+    }
+}
+
 /// Runs every lint over the workspace at `root`.
 pub fn run_lint(root: &Path) -> LintReport {
     let mut report = LintReport::default();
@@ -952,6 +994,7 @@ pub fn run_lint(root: &Path) -> LintReport {
     check_lock_order(root, &mut report);
     check_env_ban(root, &mut report);
     check_thread_local_ban(root, &mut report);
+    check_fan_out_sites(root, &mut report);
     report
 }
 
@@ -1306,6 +1349,29 @@ real.unwrap();"##;
         assert!(report.violations[1].contains("crates/obs/src/ctx.rs:2"));
         assert!(report.violations[2].contains("src/cli.rs:1"));
         assert!(report.violations[0].contains("request context"));
+    }
+
+    #[test]
+    fn lint_bans_the_worker_pool_inside_the_request_pipeline() {
+        let repo = TempRepo::new("fan-out-sites");
+        let call = "fn f() { parallel_map(2, &[1], |x| *x); }\n";
+        // The pipeline and the CLI: banned. The definition, the batch
+        // server, the sweep harness and test code: allowed.
+        repo.write(
+            "crates/core/src/corecover.rs",
+            &format!(
+                "/// Not a `parallel_map(` call.\n{call}#[cfg(test)]\nmod tests {{ {call} }}\n"
+            ),
+        );
+        repo.write("src/cli.rs", call);
+        repo.write("crates/core/src/parallel.rs", call);
+        repo.write("crates/serve/src/batch.rs", call);
+        repo.write("crates/bench/src/lib.rs", call);
+        let report = run_lint(&repo.root);
+        assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
+        assert!(report.violations[0].contains("crates/core/src/corecover.rs:2"));
+        assert!(report.violations[1].contains("src/cli.rs:1"));
+        assert!(report.violations[0].contains("one thread"));
     }
 
     #[test]
