@@ -31,8 +31,11 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
-use viewplan_cq::{Atom, ConjunctiveQuery, Constant, Substitution, Symbol, Term};
+use std::sync::{Arc, OnceLock};
+use viewplan_cq::{
+    parse_query_with, Atom, ConjunctiveQuery, Constant, ParseError, Substitution, Symbol, Term,
+    Variables,
+};
 use viewplan_obs as obs;
 use viewplan_sync::RwLock;
 
@@ -72,8 +75,49 @@ enum Tok {
 /// that are variants (differ only in variable names) produce equal keys;
 /// queries that differ structurally (including body order) produce
 /// different keys, which costs hit rate but never correctness.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct CanonicalQuery(Vec<Tok>);
+///
+/// The key is hashed once, when it is built: [`CanonicalQuery::hash64`]
+/// picks a cache's shard and is the one word `Hash` feeds the shard's
+/// map, so a probe never walks the encoding twice — and the encoding is
+/// shared, so a clone (an in-flight table entry, a stored key) is a
+/// reference count, not a copy. The hash is `DefaultHasher::new()` over
+/// the encoding, the same function for every process: which shard a
+/// query lands in, and so what an LRU evicts, repeats from run to run.
+#[derive(Clone, Debug)]
+pub struct CanonicalQuery {
+    toks: Arc<[Tok]>,
+    hash: u64,
+}
+
+impl CanonicalQuery {
+    fn new(toks: Vec<Tok>) -> CanonicalQuery {
+        let mut h = DefaultHasher::new();
+        toks.hash(&mut h);
+        CanonicalQuery {
+            hash: h.finish(),
+            toks: toks.into(),
+        }
+    }
+
+    /// The hash of the encoding, computed when the key was built.
+    pub fn hash64(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl PartialEq for CanonicalQuery {
+    fn eq(&self, other: &CanonicalQuery) -> bool {
+        self.hash == other.hash && self.toks == other.toks
+    }
+}
+
+impl Eq for CanonicalQuery {}
+
+impl Hash for CanonicalQuery {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
 
 /// Canonicalizes a query for use as a cache key.
 pub fn canonical_key(q: &ConjunctiveQuery) -> CanonicalQuery {
@@ -99,7 +143,26 @@ pub fn canonical_key(q: &ConjunctiveQuery) -> CanonicalQuery {
     for atom in &q.body {
         encode_atom(atom, &mut toks);
     }
-    CanonicalQuery(toks)
+    CanonicalQuery::new(toks)
+}
+
+/// Canonical variables interned when the pool is first used — more than
+/// any query of the paper's workloads has; a wider query grows the pool
+/// once, to its own width.
+const POOL_INITIAL: usize = 64;
+
+/// `__c0, __c1, …` by index, interned once and kept: asking for the
+/// `i`-th canonical variable is a read, not a `format!` and an interner
+/// probe per variable per request.
+fn pool() -> &'static RwLock<Vec<Symbol>> {
+    static POOL: OnceLock<RwLock<Vec<Symbol>>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        RwLock::new(
+            (0..POOL_INITIAL)
+                .map(|i| Symbol::new(&format!("__c{i}")))
+                .collect(),
+        )
+    })
 }
 
 /// The canonical name of the `i`-th variable (by first occurrence) of a
@@ -107,8 +170,19 @@ pub fn canonical_key(q: &ConjunctiveQuery) -> CanonicalQuery {
 /// way of ordinary user variables, but nothing breaks if a user query
 /// already contains one: canonicalization is a *simultaneous* bijective
 /// renaming, so collisions cannot alias two variables.
+// lock-order: the single pool lock, read then write, strictly
+// sequentially — the read guard is a temporary of the `let known`
+// statement and is gone before the write acquisition.
 pub fn canonical_variable(i: usize) -> Symbol {
-    Symbol::new(&format!("__c{i}"))
+    let known = pool().read().get(i).copied();
+    if let Some(v) = known {
+        return v;
+    }
+    let mut pool = pool().write();
+    for n in pool.len()..=i {
+        pool.push(Symbol::new(&format!("__c{n}")));
+    }
+    pool[i]
 }
 
 /// A query renamed into canonical variable space, together with the map
@@ -177,6 +251,49 @@ pub fn canonicalize(q: &ConjunctiveQuery) -> Canonicalization {
     }
 }
 
+/// Parses a rule straight into canonical variable space: the `i`-th
+/// distinct variable in textual order — head first, then body, left to
+/// right, which is [`canonicalize`]'s first-occurrence order — *is*
+/// [`canonical_variable`]`(i)`, and its spelling is kept beside the query
+/// as a slice of `src`. The result is the `canonical` query
+/// `canonicalize(&parse_query(src)?)` would return, with `names[i]` where
+/// `from_canonical` maps `canonical_variable(i)`; no variable name the
+/// source invents is interned. Errors are [`parse_query`]'s, byte for
+/// byte, in the source's own spellings.
+///
+/// [`parse_query`]: viewplan_cq::parse_query
+pub fn parse_canonical(src: &str) -> Result<(ConjunctiveQuery, Vec<&str>), ParseError> {
+    let mut vars = FirstOccurrence::default();
+    let query = parse_query_with(src, &mut vars)?;
+    Ok((query, vars.spellings))
+}
+
+/// Numbers variables by first occurrence against the canonical pool.
+#[derive(Default)]
+struct FirstOccurrence<'a> {
+    seen: HashMap<&'a str, Symbol>,
+    /// `spellings[i]` is what the source calls the `i`-th canonical
+    /// variable.
+    spellings: Vec<&'a str>,
+}
+
+impl<'a> Variables<'a> for FirstOccurrence<'a> {
+    fn make(&mut self, spelling: &'a str) -> Symbol {
+        *self.seen.entry(spelling).or_insert_with(|| {
+            let v = canonical_variable(self.spellings.len());
+            self.spellings.push(spelling);
+            v
+        })
+    }
+
+    fn spelling(&self, v: Symbol) -> &str {
+        match self.seen.iter().find(|(_, &made)| made == v) {
+            Some((spelling, _)) => spelling,
+            None => v.as_str(),
+        }
+    }
+}
+
 type Shard = RwLock<HashMap<(CanonicalQuery, CanonicalQuery), bool>>;
 
 fn shards() -> &'static Vec<Shard> {
@@ -197,9 +314,9 @@ pub fn containment_cache_len() -> usize {
 }
 
 fn shard_of(key: &(CanonicalQuery, CanonicalQuery)) -> &'static Shard {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    &shards()[(h.finish() as usize) % SHARDS]
+    // Two words already hashed: mixing them is all that is left to do.
+    let mixed = key.0.hash64().rotate_left(32) ^ key.1.hash64();
+    &shards()[(mixed as usize) % SHARDS]
 }
 
 /// Memoizes the verdict of `compute` under the canonicalized `(q1, q2)`
@@ -294,6 +411,56 @@ mod tests {
         // Distinct originals stay distinct in canonical space.
         let vars = c.canonical.variables();
         assert_eq!(vars.len(), q.variables().len());
+    }
+
+    #[test]
+    fn parsing_into_canonical_space_is_canonicalize_of_the_parse() {
+        for src in [
+            "q(X, Y) :- e(X, Z), f(Z, Y), g(Y, a)",
+            "q(B, A, B) :- e(A, B), e(B, A)  % body-first numbering would swap these",
+            "q(X1, X10) :- e(X1, X10, x1), e(X10, X1, 7).",
+        ] {
+            let c = canonicalize(&parse_query(src).unwrap());
+            let (canonical, names) = parse_canonical(src).unwrap();
+            assert_eq!(canonical, c.canonical, "{src}");
+            assert_eq!(canonical_key(&canonical), c.key, "{src}");
+            for (i, name) in names.iter().enumerate() {
+                assert_eq!(
+                    c.from_canonical.get(canonical_variable(i)),
+                    Some(Term::var(name)),
+                    "{src}"
+                );
+            }
+            assert_eq!(names.len(), c.canonical.variables().len());
+        }
+    }
+
+    #[test]
+    fn canonical_parse_errors_are_the_interning_parsers_errors() {
+        for src in [
+            "q(X, Y) :- a(X)",
+            "q(Y, X) :- a(X, W), b(W)",
+            "q(X) :- Foo(X)",
+            "q(X) :- a(X) extra",
+            "q(X) :- ",
+            "q(X) :- a(X, @)",
+        ] {
+            let interned = parse_query(src).unwrap_err();
+            assert_eq!(parse_canonical(src).unwrap_err(), interned, "{src}");
+        }
+        let unsafe_rule = parse_canonical("q(Left, Right) :- a(Left)").unwrap_err();
+        assert_eq!(
+            unsafe_rule.message,
+            "unsafe rule (head variable not in body): q(Left, Right) :- a(Left)"
+        );
+    }
+
+    #[test]
+    fn the_pool_grows_to_the_widest_query_and_hands_out_stable_symbols() {
+        let wide = canonical_variable(POOL_INITIAL + 40);
+        assert_eq!(wide.as_str(), format!("__c{}", POOL_INITIAL + 40));
+        assert_eq!(canonical_variable(POOL_INITIAL + 40), wide);
+        assert_eq!(canonical_variable(3), Symbol::new("__c3"));
     }
 
     #[test]

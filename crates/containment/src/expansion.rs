@@ -194,7 +194,7 @@ pub fn expand_atom(atom: &Atom, views: &ViewSet) -> Result<Vec<Atom>, ExpandErro
 fn rename_all_apart(q: &ConjunctiveQuery) -> ConjunctiveQuery {
     let mut subst = Substitution::new();
     for v in q.variables() {
-        subst.bind(v, Term::Var(Symbol::fresh(&v.as_str())));
+        subst.bind(v, Term::Var(Symbol::fresh(v.as_str())));
     }
     q.apply(&subst)
 }

@@ -444,14 +444,17 @@ impl<'a> CoreCover<'a> {
                     }
                     obs::trace_event!("analyze.view_pruned", ("view", view.name().as_str()));
                     if let Some(p) = provenance.as_mut() {
-                        p.pruned_views.push(view.name().as_str());
+                        p.pruned_views.push(view.name().as_str().to_string());
                     }
                 }
             }
         }
 
         if let Some(p) = provenance.as_mut() {
-            p.surviving_views = selected.iter().map(|&i| views[i].name().as_str()).collect();
+            p.surviving_views = selected
+                .iter()
+                .map(|&i| views[i].name().as_str().to_string())
+                .collect();
         }
 
         // Step 2: view tuples, each selected view matched on the
@@ -650,7 +653,7 @@ impl<'a> CoreCover<'a> {
                 let views_used = rewriting
                     .body
                     .iter()
-                    .map(|a| a.predicate.as_str())
+                    .map(|a| a.predicate.as_str().to_string())
                     .collect();
                 p.candidates.push(CandidateCover {
                     rewriting,

@@ -79,7 +79,7 @@ fn run(
     cover.with_config(config.clone()).run_all_minimal()
 }
 
-fn names<'a>(views: impl Iterator<Item = &'a View>) -> Vec<String> {
+fn names<'a>(views: impl Iterator<Item = &'a View>) -> Vec<&'static str> {
     views.map(|v| v.name().as_str()).collect()
 }
 

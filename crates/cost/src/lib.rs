@@ -51,4 +51,4 @@ pub use m2::{optimal_m2_order, try_optimal_m2_order, M2_MAX_SUBGOALS};
 pub use m3::{optimal_m3_plan, plan_with_order, try_optimal_m3_plan, DropPolicy, M3_MAX_SUBGOALS};
 pub use optimizer::{CostModel, Optimizer, OptimizerConfig, PlanOutcome, PlannedRewriting};
 pub use oracle::{EstimateOracle, ExactOracle, SizeOracle};
-pub use plan::PhysicalPlan;
+pub use plan::{write_plan, PhysicalPlan};

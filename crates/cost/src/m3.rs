@@ -406,7 +406,7 @@ impl<'a> Search<'a> {
             let base = self.vars[tried.0].name;
             self.names
                 .entry(tried)
-                .or_insert_with(|| Symbol::fresh(&base.as_str()));
+                .or_insert_with(|| Symbol::fresh(base.as_str()));
         }
         let body = (0..self.rewriting.body.len())
             .map(|g| self.renamed(g, &key))

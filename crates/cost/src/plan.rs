@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use viewplan_cq::{Atom, Symbol};
+use viewplan_cq::{write_atom, Atom, Sink, Spelled, Symbol};
 use viewplan_engine::{
     try_execute_annotated, AnnotatedStep, Database, EngineError, ExecutionTrace,
 };
@@ -54,20 +54,28 @@ impl PhysicalPlan {
     }
 }
 
+/// Writes `s1 [drop B, A] ⋈ s2 ⋈ …` — the one place a plan is printed;
+/// `Display` and the serving layer's answer templates differ only in
+/// their [`Sink`]. A drop list is ordered by the *spellings* of its
+/// variables, so the sink orders it.
+pub fn write_plan(out: &mut impl Sink, plan: &PhysicalPlan) -> fmt::Result {
+    for (i, step) in plan.steps.iter().enumerate() {
+        if i > 0 {
+            out.write_str(" ⋈ ")?;
+        }
+        write_atom(out, &step.atom)?;
+        if !step.drop_after.is_empty() {
+            out.write_str(" [drop ")?;
+            out.vars_by_spelling(&mut step.drop_after.iter().copied())?;
+            out.write_str("]")?;
+        }
+    }
+    Ok(())
+}
+
 impl fmt::Display for PhysicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, step) in self.steps.iter().enumerate() {
-            if i > 0 {
-                f.write_str(" ⋈ ")?;
-            }
-            write!(f, "{}", step.atom)?;
-            if !step.drop_after.is_empty() {
-                let mut drops: Vec<String> = step.drop_after.iter().map(|v| v.as_str()).collect();
-                drops.sort();
-                write!(f, " [drop {}]", drops.join(", "))?;
-            }
-        }
-        Ok(())
+        write_plan(&mut Spelled::interned(f), self)
     }
 }
 

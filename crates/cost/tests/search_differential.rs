@@ -230,7 +230,7 @@ mod reference {
     }
 
     fn rename_in_prefix(body: &[Atom], step: usize, y: Symbol) -> Vec<Atom> {
-        let fresh = Term::Var(Symbol::fresh(&y.as_str()));
+        let fresh = Term::Var(Symbol::fresh(y.as_str()));
         let subst = Substitution::from_pairs([(y, fresh)]);
         body.iter()
             .enumerate()
@@ -398,7 +398,7 @@ fn spelled(v: Symbol) -> (String, bool) {
     let name = v.as_str();
     match name.split_once('#') {
         Some((base, _)) => (base.to_string(), true),
-        None => (name, false),
+        None => (name.to_string(), false),
     }
 }
 

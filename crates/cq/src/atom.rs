@@ -1,5 +1,6 @@
 //! Atoms (subgoals): a predicate applied to a list of terms.
 
+use crate::render::{write_atom, Spelled};
 use crate::subst::Substitution;
 use crate::symbol::Symbol;
 use crate::term::Term;
@@ -50,14 +51,7 @@ impl Atom {
 
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.predicate)?;
-        for (i, t) in self.terms.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            write!(f, "{t}")?;
-        }
-        f.write_str(")")
+        write_atom(&mut Spelled::interned(f), self)
     }
 }
 

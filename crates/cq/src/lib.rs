@@ -35,6 +35,7 @@ pub mod hypergraph;
 pub mod join_order;
 pub mod parser;
 pub mod query;
+pub mod render;
 pub mod span;
 pub mod subst;
 pub mod symbol;
@@ -45,8 +46,12 @@ pub use atom::Atom;
 pub use error::ParseError;
 pub use hypergraph::{hypertree_width_estimate, is_acyclic, join_forest, JoinForest};
 pub use join_order::greedy_join_order;
-pub use parser::{parse_atom, parse_program, parse_query, parse_views, Program, RuleSpans};
+pub use parser::{
+    parse_atom, parse_program, parse_query, parse_query_with, parse_views, Interned, Program,
+    RuleSpans, Variables,
+};
 pub use query::ConjunctiveQuery;
+pub use render::{write_atom, write_rule, Sink, Spelled};
 pub use span::Span;
 pub use subst::Substitution;
 pub use symbol::Symbol;

@@ -18,13 +18,57 @@
 //! Every token carries a byte-range [`Span`]; the parser merges them so
 //! each parsed rule records the span of its head and of every body atom
 //! (see [`RuleSpans`]), letting diagnostics underline the offending atom.
+//!
+//! Identifiers are slices of the source — the lexer copies nothing — and
+//! the parser is told *how to make a variable* ([`Variables`]): the
+//! ordinary entry points intern each spelling ([`Interned`]); a caller
+//! that works in its own variable space (the serving layer parses
+//! straight into canonical variables) supplies its own numbering through
+//! [`parse_query_with`] and keeps the spellings, so a variable name a
+//! client invents never reaches the interner.
 
 use crate::atom::Atom;
 use crate::error::ParseError;
 use crate::query::ConjunctiveQuery;
+use crate::render::{write_rule, Spelled};
 use crate::span::Span;
+use crate::symbol::Symbol;
 use crate::term::Term;
 use crate::view::{View, ViewSet};
+
+/// How a parse turns the spelling of a variable into a [`Symbol`], and
+/// back again for the one error message that quotes a whole rule.
+pub trait Variables<'a> {
+    /// The variable spelled `spelling` (a slice of the source).
+    fn make(&mut self, spelling: &'a str) -> Symbol;
+
+    /// What the source called `v`, for a `v` that [`Variables::make`]
+    /// returned.
+    fn spelling(&self, v: Symbol) -> &str;
+}
+
+impl<'a, V: Variables<'a>> Variables<'a> for &mut V {
+    fn make(&mut self, spelling: &'a str) -> Symbol {
+        (**self).make(spelling)
+    }
+
+    fn spelling(&self, v: Symbol) -> &str {
+        (**self).spelling(v)
+    }
+}
+
+/// The default: a variable is its interned spelling.
+pub struct Interned;
+
+impl<'a> Variables<'a> for Interned {
+    fn make(&mut self, spelling: &'a str) -> Symbol {
+        Symbol::new(spelling)
+    }
+
+    fn spelling(&self, v: Symbol) -> &str {
+        v.as_str()
+    }
+}
 
 /// A parsed program: a list of rules in source order, plus the source
 /// spans of each rule's head and body atoms (parallel to `rules`).
@@ -53,9 +97,9 @@ impl RuleSpans {
     }
 }
 
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Tok {
-    Ident(String),
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     LParen,
     RParen,
@@ -99,7 +143,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Tokenizes the whole input, attaching the byte span of each token.
-    fn tokenize(mut self) -> Result<Vec<(Tok, Span)>, ParseError> {
+    fn tokenize(mut self) -> Result<Vec<(Tok<'a>, Span)>, ParseError> {
         let mut out = Vec::new();
         while let Some(&(i, c)) = self.chars.peek() {
             let (line, col) = (self.line, self.col);
@@ -154,7 +198,7 @@ impl<'a> Lexer<'a> {
                             break;
                         }
                     }
-                    out.push((Tok::Ident(self.src[start..end].to_string()), span(end)));
+                    out.push((Tok::Ident(&self.src[start..end]), span(end)));
                 }
                 c if c.is_ascii_digit() || c == '-' => {
                     let start = i;
@@ -192,14 +236,15 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, Span)>,
+struct Parser<'a, V> {
+    toks: Vec<(Tok<'a>, Span)>,
     pos: usize,
+    vars: V,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+impl<'a, V: Variables<'a>> Parser<'a, V> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(t, _)| t)
     }
 
     /// The span of the current token — or, at end of input, an empty
@@ -218,15 +263,15 @@ impl Parser {
         ParseError::spanned(self.position(), msg)
     }
 
-    fn bump(&mut self) -> Option<(Tok, Span)> {
-        let t = self.toks.get(self.pos).cloned();
+    fn bump(&mut self) -> Option<(Tok<'a>, Span)> {
+        let t = self.toks.get(self.pos).copied();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, want: Tok, what: &str) -> Result<Span, ParseError> {
+    fn expect(&mut self, want: Tok<'a>, what: &str) -> Result<Span, ParseError> {
         match self.bump() {
             Some((t, s)) if t == want => Ok(s),
             Some((t, s)) => Err(ParseError::spanned(
@@ -244,9 +289,9 @@ impl Parser {
                     return Err(ParseError::spanned(span, "empty identifier"));
                 };
                 if first.is_ascii_uppercase() {
-                    Ok(Term::var(&name))
+                    Ok(Term::Var(self.vars.make(name)))
                 } else {
-                    Ok(Term::cst(&name))
+                    Ok(Term::cst(name))
                 }
             }
             Some((Tok::Int(i), _)) => Ok(Term::int(i)),
@@ -284,7 +329,7 @@ impl Parser {
         };
         self.expect(Tok::LParen, "'('")?;
         let mut terms = Vec::new();
-        if self.peek() != Some(&Tok::RParen) {
+        if self.peek() != Some(Tok::RParen) {
             loop {
                 terms.push(self.term()?);
                 match self.peek() {
@@ -296,7 +341,7 @@ impl Parser {
             }
         }
         let close = self.expect(Tok::RParen, "')'")?;
-        Ok((Atom::new(name.as_str(), terms), name_span.merge(close)))
+        Ok((Atom::new(name, terms), name_span.merge(close)))
     }
 
     fn rule(&mut self) -> Result<(ConjunctiveQuery, RuleSpans), ParseError> {
@@ -307,21 +352,23 @@ impl Parser {
         let (first, first_span) = self.atom()?;
         body.push(first);
         body_spans.push(first_span);
-        while self.peek() == Some(&Tok::Comma) {
+        while self.peek() == Some(Tok::Comma) {
             self.bump();
             let (a, s) = self.atom()?;
             body.push(a);
             body_spans.push(s);
         }
-        if self.peek() == Some(&Tok::Dot) {
+        if self.peek() == Some(Tok::Dot) {
             self.bump();
         }
         let q = ConjunctiveQuery::new(head, body);
         if !q.is_safe() {
-            return Err(ParseError::spanned(
-                head_span,
-                format!("unsafe rule (head variable not in body): {q}"),
-            ));
+            // The rule is quoted as the source spelled it, whatever
+            // symbols `vars` made of its variables.
+            let mut message = String::from("unsafe rule (head variable not in body): ");
+            let spell = |v: Symbol| self.vars.spelling(v);
+            let _ = write_rule(&mut Spelled::new(&mut message, &spell), &q);
+            return Err(ParseError::spanned(head_span, message));
         }
         Ok((
             q,
@@ -344,22 +391,34 @@ impl Parser {
     }
 }
 
-fn parser(src: &str) -> Result<Parser, ParseError> {
+fn parser<'a, V: Variables<'a>>(src: &'a str, vars: V) -> Result<Parser<'a, V>, ParseError> {
     Ok(Parser {
         toks: Lexer::new(src).tokenize()?,
         pos: 0,
+        vars,
     })
 }
 
 /// Parses a whole program (one rule per `:-` clause, `.`-terminated or
 /// newline-separated).
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    parser(src)?.program()
+    parser(src, Interned)?.program()
 }
 
 /// Parses a single rule as a conjunctive query.
 pub fn parse_query(src: &str) -> Result<ConjunctiveQuery, ParseError> {
-    let mut p = parser(src)?;
+    parse_query_with(src, &mut Interned)
+}
+
+/// [`parse_query`] with the caller's own [`Variables`]: same grammar,
+/// same errors, but each variable is whatever `vars` makes of its
+/// spelling. `vars` is borrowed so the caller can read back what it
+/// collected.
+pub fn parse_query_with<'a, V: Variables<'a>>(
+    src: &'a str,
+    vars: &mut V,
+) -> Result<ConjunctiveQuery, ParseError> {
+    let mut p = parser(src, vars)?;
     let (q, _) = p.rule()?;
     if p.peek().is_some() {
         return Err(p.err("trailing input after rule"));
@@ -378,7 +437,7 @@ pub fn parse_views(src: &str) -> Result<ViewSet, ParseError> {
 /// Parses a single atom such as `car(M, anderson)` (used for view-tuple
 /// literals in tests).
 pub fn parse_atom(src: &str) -> Result<Atom, ParseError> {
-    let mut p = parser(src)?;
+    let mut p = parser(src, Interned)?;
     let (a, _) = p.atom()?;
     if p.peek().is_some() {
         return Err(p.err("trailing input after atom"));
@@ -449,6 +508,41 @@ mod tests {
         assert!(e.message.contains("unsafe"));
         // The error points at the head atom that exports the unbound var.
         assert_eq!((e.span.start, e.span.end), (0, 7));
+    }
+
+    /// Makes `V<n>` of the `n`-th distinct spelling, and remembers it.
+    #[derive(Default)]
+    struct Numbered<'a>(Vec<&'a str>);
+
+    impl<'a> Variables<'a> for Numbered<'a> {
+        fn make(&mut self, spelling: &'a str) -> Symbol {
+            let n = self
+                .0
+                .iter()
+                .position(|s| *s == spelling)
+                .unwrap_or_else(|| {
+                    self.0.push(spelling);
+                    self.0.len() - 1
+                });
+            Symbol::new(&format!("V{n}"))
+        }
+
+        fn spelling(&self, v: Symbol) -> &str {
+            self.0[v.as_str()[1..].parse::<usize>().unwrap()]
+        }
+    }
+
+    #[test]
+    fn a_callers_variables_replace_interning_and_errors_keep_the_sources_spellings() {
+        let mut vars = Numbered::default();
+        let q = parse_query_with("q(Out, x) :- a(In, Out), b(In, x)", &mut vars).unwrap();
+        assert_eq!(q.to_string(), "q(V0, x) :- a(V1, V0), b(V1, x)");
+        assert_eq!(vars.0, ["Out", "In"]);
+
+        let src = "q(Out, Lost) :- a(In, Out)";
+        let e = parse_query_with(src, &mut Numbered::default()).unwrap_err();
+        assert_eq!(e, parse_query(src).unwrap_err());
+        assert!(e.message.ends_with(": q(Out, Lost) :- a(In, Out)"), "{e}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Conjunctive queries (select-project-join queries).
 
 use crate::atom::Atom;
+use crate::render::{write_rule, Spelled};
 use crate::subst::Substitution;
 use crate::symbol::Symbol;
 use crate::term::Term;
@@ -96,7 +97,7 @@ impl ConjunctiveQuery {
     pub fn freshen_existentials(&self) -> ConjunctiveQuery {
         let mut subst = Substitution::new();
         for v in self.existential_vars() {
-            subst.bind(v, Term::Var(Symbol::fresh(&v.as_str())));
+            subst.bind(v, Term::Var(Symbol::fresh(v.as_str())));
         }
         self.apply(&subst)
     }
@@ -135,17 +136,7 @@ impl ConjunctiveQuery {
 
 impl fmt::Display for ConjunctiveQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} :- ", self.head)?;
-        if self.body.is_empty() {
-            return f.write_str("true");
-        }
-        for (i, a) in self.body.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            write!(f, "{a}")?;
-        }
-        Ok(())
+        write_rule(&mut Spelled::interned(f), self)
     }
 }
 
@@ -171,9 +162,9 @@ mod tests {
     #[test]
     fn variable_partition() {
         let q = carlocpart();
-        let dist: Vec<String> = q.distinguished_vars().iter().map(|v| v.as_str()).collect();
+        let dist: Vec<&str> = q.distinguished_vars().iter().map(|v| v.as_str()).collect();
         assert_eq!(dist, ["S", "C"]);
-        let exist: Vec<String> = q.existential_vars().iter().map(|v| v.as_str()).collect();
+        let exist: Vec<&str> = q.existential_vars().iter().map(|v| v.as_str()).collect();
         assert_eq!(exist, ["M"]);
         assert_eq!(q.variables().len(), 3);
     }

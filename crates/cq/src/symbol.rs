@@ -17,9 +17,12 @@ use viewplan_sync::RwLock;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
+/// Both sides hold the same leaked allocation: the table never shrinks,
+/// so a string interned once lives for the process and its text can be
+/// handed out as `&'static str` with no copy.
 struct Interner {
-    lookup: HashMap<Box<str>, u32>,
-    strings: Vec<Box<str>>,
+    lookup: HashMap<&'static str, u32>,
+    strings: Vec<&'static str>,
 }
 
 fn interner() -> &'static RwLock<Interner> {
@@ -50,15 +53,16 @@ impl Symbol {
             return Symbol(id);
         }
         let id = u32::try_from(wr.strings.len()).expect("symbol table overflow");
-        let boxed: Box<str> = s.into();
-        wr.strings.push(boxed.clone());
-        wr.lookup.insert(boxed, id);
+        let text: &'static str = Box::leak(Box::<str>::from(s));
+        wr.strings.push(text);
+        wr.lookup.insert(text, id);
         Symbol(id)
     }
 
-    /// Returns the interned string.
-    pub fn as_str(self) -> String {
-        interner().read().strings[self.0 as usize].to_string()
+    /// Returns the interned string — the table's own copy, which lives
+    /// as long as the process, so reading a symbol allocates nothing.
+    pub fn as_str(self) -> &'static str {
+        interner().read().strings[self.0 as usize]
     }
 
     /// Raw handle, usable as a dense index (e.g. in per-run scratch tables).
@@ -109,7 +113,7 @@ impl Symbol {
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&interner().read().strings[self.0 as usize])
+        f.write_str(self.as_str())
     }
 }
 

@@ -1,5 +1,6 @@
 //! Terms: variables and constants.
 
+use crate::render::{write_term, Spelled};
 use crate::symbol::Symbol;
 use std::fmt;
 
@@ -91,10 +92,7 @@ impl Term {
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Var(v) => write!(f, "{v}"),
-            Term::Const(c) => write!(f, "{c}"),
-        }
+        write_term(&mut Spelled::interned(f), *self)
     }
 }
 

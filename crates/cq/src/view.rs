@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn iteration_order_is_insertion_order() {
         let vs = views();
-        let names: Vec<String> = vs.iter().map(|v| v.name().as_str()).collect();
+        let names: Vec<&str> = vs.iter().map(|v| v.name().as_str()).collect();
         assert_eq!(names, ["v1", "v2"]);
     }
 

@@ -63,10 +63,10 @@ pub fn value_cmp(a: Value, b: Value) -> std::cmp::Ordering {
         (Value::Int(x), Value::Int(y)) => x.cmp(&y),
         (Value::Int(_), _) => Ordering::Less,
         (_, Value::Int(_)) => Ordering::Greater,
-        (Value::Sym(x), Value::Sym(y)) => x.as_str().cmp(&y.as_str()),
+        (Value::Sym(x), Value::Sym(y)) => x.as_str().cmp(y.as_str()),
         (Value::Sym(_), _) => Ordering::Less,
         (_, Value::Sym(_)) => Ordering::Greater,
-        (Value::Frozen(x), Value::Frozen(y)) => x.as_str().cmp(&y.as_str()),
+        (Value::Frozen(x), Value::Frozen(y)) => x.as_str().cmp(y.as_str()),
         (Value::Frozen(_), _) => Ordering::Less,
         (_, Value::Frozen(_)) => Ordering::Greater,
         // Skolem witnesses (inverse-rule evaluation) order by identifier.
@@ -184,7 +184,7 @@ mod tests {
     fn comparison_eval_with_bindings() {
         let c = Comparison::le(Term::var("C"), Term::var("D"));
         let lookup = |v: Symbol| -> Option<Value> {
-            match v.as_str().as_str() {
+            match v.as_str() {
                 "C" => Some(Value::Int(1)),
                 "D" => Some(Value::Int(5)),
                 _ => None,

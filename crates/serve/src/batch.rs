@@ -1,4 +1,5 @@
-//! The batch server: canonicalize → (cached) CoreCover → denormalize.
+//! The batch server: canonicalize → (cached) CoreCover → the caller's
+//! own variable names.
 //!
 //! One [`BatchServer`] owns everything shareable across a stream of
 //! queries against a fixed view set:
@@ -11,11 +12,22 @@
 //! **The byte-identity argument.** Every request — cold or warm, serial
 //! or on a pool worker — takes the same three steps:
 //!
-//! 1. canonicalize the incoming query into dense variable names
-//!    (`__c0`, `__c1`, … by first occurrence);
+//! 1. arrive at the query in dense variable names (`__c0`, `__c1`, … by
+//!    first occurrence) with the caller's spellings set aside: the
+//!    command path *parses* into them
+//!    ([`viewplan_containment::parse_canonical`] — a served query never
+//!    exists in any other form), a library caller's `ConjunctiveQuery` is
+//!    renamed into them ([`canonicalize`]); the two agree by
+//!    construction, first occurrence being textual order;
 //! 2. obtain the answer *for the canonical query* — by computing it, or
 //!    by finding the identical canonical query in the cache;
-//! 3. rename the canonical answer back through the inverse substitution.
+//! 3. fill the canonical answer's template with the request's own
+//!    spellings: a pure function of the stored value and the request.
+//!    ([`BatchServer::serve`], whose callers want `Rewriting`s rather
+//!    than text, renames the stored rewritings through the inverse
+//!    substitution instead — the same function, structured; rendering
+//!    its result prints exactly the filled template, which
+//!    `tests/differential_wire.rs` holds it to.)
 //!
 //! Step 2 never sees the caller's variable names, so whether the answer
 //! was computed now or cached earlier by a differently-named variant
@@ -32,19 +44,19 @@
 //! honest [`Completeness`] marker from generation + planning. Incomplete
 //! answers are served but never cached (see [`crate::cache`]).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use viewplan_containment::canonicalize;
+use viewplan_containment::{canonical_key, canonicalize, CanonicalQuery};
 use viewplan_core::{parallel_map, CoreCover, CoreCoverConfig, PreparedViews, Rewriting};
 use viewplan_cost::{CostModel, Optimizer, PhysicalPlan, PlanError, PlannedRewriting, SizeOracle};
-use viewplan_cq::{Atom, ConjunctiveQuery, Substitution, Symbol, Term, ViewSet};
+use viewplan_cq::{Atom, ConjunctiveQuery, Spelled, Substitution, Symbol, Term, ViewSet};
 use viewplan_engine::{AnnotatedStep, Engine};
 use viewplan_obs as obs;
 use viewplan_obs::budget::BudgetSpec;
 use viewplan_obs::Completeness;
 
-use crate::cache::RewritingCache;
+use crate::cache::{CacheProbe, RewritingCache};
+use crate::template::{write_answer, Template};
 
 /// Serving knobs.
 #[derive(Clone, Debug)]
@@ -79,15 +91,62 @@ impl Default for ServeConfig {
 }
 
 /// The canonical-space answer for one canonical query — the unit the
-/// cache stores. Denormalization turns it into a [`ServedAnswer`].
+/// cache stores, twice over: structured (what the catalog's invalidation
+/// predicate reads and [`BatchServer::serve`] renames into a
+/// [`ServedAnswer`]) and as the wire body with its variables left open
+/// (what the command path fills, [`CachedAnswer::body`]). The two are
+/// built together and cannot be changed apart.
 #[derive(Clone, Debug)]
 pub struct CachedAnswer {
+    rewritings: Vec<Rewriting>,
+    best: Option<PlannedRewriting>,
+    completeness: Completeness,
+    template: Template,
+}
+
+impl CachedAnswer {
+    /// The answer to `canonical` — a query in canonical variables, whose
+    /// first-occurrence order numbers the names [`CachedAnswer::body`]
+    /// takes.
+    pub fn new(
+        canonical: &ConjunctiveQuery,
+        rewritings: Vec<Rewriting>,
+        best: Option<PlannedRewriting>,
+        completeness: Completeness,
+    ) -> CachedAnswer {
+        CachedAnswer {
+            template: Template::build(canonical, &rewritings, best.as_ref(), completeness),
+            rewritings,
+            best,
+            completeness,
+        }
+    }
+
     /// Generated rewritings, in canonical variables.
-    pub rewritings: Vec<Rewriting>,
+    pub fn rewritings(&self) -> &[Rewriting] {
+        &self.rewritings
+    }
+
     /// The chosen (M1) plan, in canonical variables.
-    pub best: Option<PlannedRewriting>,
+    pub fn best(&self) -> Option<&PlannedRewriting> {
+        self.best.as_ref()
+    }
+
     /// Honesty marker for generation + planning.
-    pub completeness: Completeness,
+    pub fn completeness(&self) -> Completeness {
+        self.completeness
+    }
+
+    /// The answer's wire body — byte for byte what
+    /// [`ServedAnswer::render`] prints — for a request that spelled the
+    /// canonical query's `i`-th variable `names[i]`.
+    ///
+    /// # Panics
+    /// Panics if `names` is shorter than the canonical query's variable
+    /// list.
+    pub fn body(&self, names: &[&str]) -> String {
+        self.template.fill(names)
+    }
 }
 
 /// One request's answer, in the caller's own variable names.
@@ -117,20 +176,30 @@ impl ServedAnswer {
     /// tests compare. Everything except `from_cache`.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if self.rewritings.is_empty() {
-            out.push_str("no equivalent rewriting\n");
-        }
-        for r in &self.rewritings {
-            let _ = writeln!(out, "{r}");
-        }
-        if let Some(b) = &self.best {
-            let _ = writeln!(out, "plan[m1]: {} (cost {})", b.plan, b.cost);
-        }
-        if self.completeness.is_incomplete() {
-            let _ = writeln!(out, "note: result {}", self.completeness.label());
-        }
+        // A `String` sink never fails.
+        let _ = write_answer(
+            &mut Spelled::interned(&mut out),
+            &self.rewritings,
+            self.best.as_ref(),
+            self.completeness,
+        );
         out
     }
+}
+
+/// One request's answer as the command path replies with it: the header
+/// fields and the rendered body, in the request's own spellings. What
+/// [`ServedAnswer`] is to a library caller.
+#[derive(Clone, Debug)]
+pub struct WireAnswer {
+    /// The catalog epoch of the snapshot that answered.
+    pub epoch: u64,
+    /// Whether any budget truncated the work behind this answer.
+    pub completeness: Completeness,
+    /// Observability only: whether the answer came from the cache.
+    pub from_cache: bool,
+    /// The bytes [`ServedAnswer::render`] would print for this request.
+    pub body: String,
 }
 
 /// M1 planning never consults the oracle; this satisfies the optimizer's
@@ -248,18 +317,61 @@ impl BatchServer {
         self.serve_with_spec(query, &self.config.budget)
     }
 
-    /// [`BatchServer::serve`] under an explicit per-request budget spec —
-    /// the admission layer's entry point, where each request's budget is
-    /// the configured default clamped to its remaining network deadline.
+    /// [`BatchServer::serve`] under an explicit per-request budget spec.
     pub fn serve_with_spec(
         &self,
         query: &ConjunctiveQuery,
         spec: &BudgetSpec,
     ) -> Result<ServedAnswer, PlanError> {
+        let c = canonicalize(query);
+        self.serve_inner(c.canonical, &c.key, spec, |answer, from_cache, epoch| {
+            denormalize(answer, &c.from_canonical, from_cache, epoch)
+        })
+    }
+
+    /// The command path's [`BatchServer::serve_with_spec`]: `canonical`
+    /// and `names` are what [`viewplan_containment::parse_canonical`]
+    /// made of the request, and the answer is its wire body — the stored
+    /// template filled with `names`, no rewriting renamed or printed.
+    /// Each request's budget is the configured default clamped to its
+    /// remaining network deadline.
+    pub(crate) fn serve_canonical(
+        &self,
+        canonical: ConjunctiveQuery,
+        names: &[&str],
+        spec: &BudgetSpec,
+    ) -> Result<WireAnswer, PlanError> {
+        let key = canonical_key(&canonical);
+        self.serve_inner(canonical, &key, spec, |answer, from_cache, epoch| {
+            let body = answer.body(names);
+            obs::histogram!("serve.reply_bytes").record(body.len() as u64);
+            WireAnswer {
+                epoch,
+                completeness: answer.completeness,
+                from_cache,
+                body,
+            }
+        })
+    }
+
+    /// The one place a request is counted, timed and answered. `finish`
+    /// is the only step that differs between callers: it turns the
+    /// shared canonical answer into what this request asked for, in this
+    /// request's names.
+    fn serve_inner<T>(
+        &self,
+        canonical: ConjunctiveQuery,
+        key: &CanonicalQuery,
+        spec: &BudgetSpec,
+        finish: impl FnOnce(&CachedAnswer, bool, u64) -> T,
+    ) -> Result<T, PlanError> {
         let _span = obs::span("serve.request");
         obs::counter!("serve.requests").incr();
         let started = obs::enabled().then(Instant::now);
-        let out = self.serve_inner(query, spec);
+        let epoch = self.epoch();
+        let out = self
+            .probe_or_compute(canonical, key, spec, epoch)
+            .map(|(answer, from_cache)| finish(&answer, from_cache, epoch));
         if let Some(started) = started {
             obs::histogram!("serve.request_latency_us")
                 .record(started.elapsed().as_micros() as u64);
@@ -267,35 +379,33 @@ impl BatchServer {
         out
     }
 
-    fn serve_inner(
+    /// The canonical answer and whether the cache had it.
+    fn probe_or_compute(
         &self,
-        query: &ConjunctiveQuery,
+        canonical: ConjunctiveQuery,
+        key: &CanonicalQuery,
         spec: &BudgetSpec,
-    ) -> Result<ServedAnswer, PlanError> {
-        let epoch = self.epoch();
-        let c = canonicalize(query);
+        epoch: u64,
+    ) -> Result<(Arc<CachedAnswer>, bool), PlanError> {
         let Some(cache) = &self.cache else {
-            let computed = Arc::new(self.compute(&c.canonical, spec)?);
-            return Ok(denormalize(&computed, &c.from_canonical, false, epoch));
+            return Ok((Arc::new(self.compute(&canonical, spec)?), false));
         };
         // Single-flight probe: concurrent requests for the same canonical
         // query elect one leader; the rest wait for its answer instead of
         // recomputing it (the duplicate-miss fix, model-checked in
         // tests/model_interleavings.rs).
-        match cache.get_or_join(&c.key, epoch) {
-            crate::cache::CacheProbe::Hit(hit) => {
-                Ok(denormalize(&hit, &c.from_canonical, true, epoch))
-            }
-            crate::cache::CacheProbe::Miss(flight) => {
+        match cache.get_or_join(key, epoch) {
+            CacheProbe::Hit(hit) => Ok((hit, true)),
+            CacheProbe::Miss(flight) => {
                 // A compute error drops `flight` unpublished, aborting
                 // the flight so waiting followers recompute for
                 // themselves rather than inheriting the failure.
-                let computed = Arc::new(self.compute(&c.canonical, spec)?);
+                let computed = Arc::new(self.compute(&canonical, spec)?);
                 // The cache itself refuses incomplete answers (poisoning
                 // rule), so a truncated compute is served — and shared
                 // with no one — but not stored.
-                flight.publish(c.canonical, computed.clone());
-                Ok(denormalize(&computed, &c.from_canonical, false, epoch))
+                flight.publish(canonical, computed.clone());
+                Ok((computed, false))
             }
         }
     }
@@ -342,11 +452,12 @@ impl BatchServer {
             result,
             &mut NullOracle,
         )?;
-        Ok(CachedAnswer {
+        Ok(CachedAnswer::new(
+            canonical,
             rewritings,
-            best: outcome.best,
-            completeness: outcome.completeness,
-        })
+            outcome.best,
+            outcome.completeness,
+        ))
     }
 }
 
@@ -438,6 +549,32 @@ mod tests {
             "q(U, W) :- v1(U, T), v2(T, W)"
         );
         assert_eq!(server.cache().unwrap().stats().hits, 1);
+    }
+
+    #[test]
+    fn the_command_path_replies_with_the_structured_answer_rendered() {
+        let catalog = crate::LiveCatalog::new(&example41_views(), ServeConfig::default());
+        let structured = BatchServer::with_config(
+            &example41_views(),
+            ServeConfig {
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+        );
+        for (cached, rule) in [
+            (false, "q(X, Y) :- a(X, Z), a(Z, Z), b(Z, Y)"),
+            (true, "q(Y, X) :- a(Y, Zed), a(Zed, Zed), b(Zed, X)"),
+        ] {
+            let expected = structured.serve(&parse_query(rule).unwrap()).unwrap();
+            let reply = crate::respond(&format!("query {rule}"), &catalog, None, None);
+            assert_eq!(
+                reply.to_string(),
+                format!(
+                    "ok epoch=0 completeness=complete cached={cached}\n{}",
+                    expected.render()
+                )
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! ([`viewplan_containment::canonicalize`], the same canonical form the
 //! containment memo cache uses), so every variant of a query hits one
 //! entry. The stored value is the full canonical-space answer
-//! (rewritings, chosen plan, completeness); the serving layer
-//! denormalizes it back into the caller's variable names on the way out.
+//! (rewritings, chosen plan, completeness) together with its wire body as
+//! a template with the variables left open; on the way out the command
+//! path fills the template with the request's own spellings, and
+//! [`crate::BatchServer::serve`] renames the structured half for callers
+//! that want `Rewriting`s.
 //!
 //! **Poisoning rule.** An answer whose completeness marker is anything
 //! but [`Completeness::Complete`] is *never* stored — a budget-truncated
@@ -35,9 +38,14 @@
 //!
 //! **Eviction.** The cache is sharded (key-hash → shard, each an
 //! independent mutex) to keep worker threads from contending on one
-//! lock. Each shard holds at most `capacity / SHARDS` entries and evicts
-//! its least-recently-used entry on overflow, tracked by a per-shard
-//! monotone stamp bumped on every touch. The LRU victim scan is linear
+//! lock. A key carries its hash from the moment it is built
+//! ([`CanonicalQuery::hash64`]): the shard choice reads it and the
+//! shard's map hashes that one word, so a probe never walks the key's
+//! encoding to hash it, and cloning a key (the in-flight table, a stored
+//! entry) shares the encoding. Each shard holds at most
+//! `capacity / SHARDS` entries and evicts its least-recently-used entry
+//! on overflow, tracked by a per-shard monotone stamp bumped on every
+//! touch. The LRU victim scan is linear
 //! in the shard — shards are small (hundreds of entries) and eviction is
 //! off the hit path, so simplicity wins over an intrusive list.
 //!
@@ -49,9 +57,7 @@
 //! [`RewritingCache::stats`], independent of whether obs collection is
 //! enabled.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use viewplan_containment::CanonicalQuery;
 use viewplan_cq::ConjunctiveQuery;
@@ -180,7 +186,7 @@ impl FlightGuard<'_> {
     /// recomputes under its own budget.
     pub fn publish(mut self, canonical: ConjunctiveQuery, value: Arc<CachedAnswer>) {
         self.done = true;
-        let complete = !value.completeness.is_incomplete();
+        let complete = !value.completeness().is_incomplete();
         self.cache
             .insert(self.key.clone(), canonical, value.clone(), self.epoch);
         let state = if complete {
@@ -244,9 +250,7 @@ impl RewritingCache {
     }
 
     fn shard(&self, key: &CanonicalQuery) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+        &self.shards[(key.hash64() as usize) % SHARDS]
     }
 
     /// The raw resident-entry probe shared by [`RewritingCache::get`]
@@ -396,7 +400,7 @@ impl RewritingCache {
         value: Arc<CachedAnswer>,
         epoch: u64,
     ) {
-        if value.completeness.is_incomplete() {
+        if value.completeness().is_incomplete() {
             // ordering: monotone tally; `stats` reads it alone.
             self.rejected_incomplete.fetch_add(1, Ordering::Relaxed);
             obs::counter!("serve.cache_rejected_incomplete").incr();
@@ -539,11 +543,13 @@ mod tests {
     use viewplan_obs::Completeness;
 
     fn answer(completeness: Completeness) -> Arc<CachedAnswer> {
-        Arc::new(CachedAnswer {
-            rewritings: Vec::new(),
-            best: None,
+        let canonical = keyed("q(X) :- e(X, Y)").1;
+        Arc::new(CachedAnswer::new(
+            &canonical,
+            Vec::new(),
+            None,
             completeness,
-        })
+        ))
     }
 
     fn keyed(src: &str) -> (CanonicalQuery, ConjunctiveQuery) {

@@ -160,8 +160,8 @@ impl LiveCatalog {
             |snapshot, epoch| snapshot.with_views_dropped(name, epoch),
             move |canonical, answer| {
                 mentions(canonical, name)
-                    || answer.rewritings.iter().any(|r| mentions(r, name))
-                    || answer.best.as_ref().is_some_and(|b| {
+                    || answer.rewritings().iter().any(|r| mentions(r, name))
+                    || answer.best().is_some_and(|b| {
                         mentions(&b.rewriting, name)
                             || b.plan.steps.iter().any(|s| s.atom.predicate == name)
                     })

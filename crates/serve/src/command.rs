@@ -3,20 +3,29 @@
 //! each [`Reply`] and documents the commands) and `viewplan serve`'s
 //! stdin loop (which prints it). A [`Reply`]'s `Display` is the wire
 //! text.
+//!
+//! A `query` stays in canonical variable space from its first byte to
+//! its last: the rule is parsed straight into canonical variables with
+//! the client's spellings kept as slices of the line, the cache is
+//! probed on that query's key, and the reply body is the stored answer's
+//! template filled with those slices. Nothing on this path renames a
+//! rewriting, prints one symbol by symbol, or interns a variable name a
+//! client chose (an `xtask` lint keeps it so).
 
 use std::fmt;
 use std::time::{Duration, Instant};
-use viewplan_cq::{parse_query, ConjunctiveQuery, Symbol, View};
+use viewplan_containment::parse_canonical;
+use viewplan_cq::{parse_query, Symbol, View};
 
 use crate::admission::{AdmissionGate, ShedReason};
-use crate::batch::ServedAnswer;
+use crate::batch::WireAnswer;
 use crate::catalog::{DdlOutcome, LiveCatalog};
 
 /// What a command line is answered with.
 #[derive(Clone, Debug)]
 pub enum Reply {
-    /// A served query.
-    Answer(ServedAnswer),
+    /// A served query: the header's fields and the rendered body.
+    Answer(WireAnswer),
     /// A DDL step that took effect.
     Ddl(DdlOutcome),
     /// `epoch`: the epoch being served and the views in the catalog.
@@ -49,6 +58,10 @@ impl Reply {
         }
         Reply::Error(msg.to_string())
     }
+
+    fn parse_error(e: &viewplan_cq::ParseError) -> Reply {
+        Reply::Error(format!("parse error: {e}"))
+    }
 }
 
 impl fmt::Display for Reply {
@@ -60,7 +73,7 @@ impl fmt::Display for Reply {
                 answer.epoch,
                 answer.completeness.label(),
                 answer.from_cache,
-                answer.render()
+                answer.body
             ),
             Reply::Ddl(outcome) => write!(
                 f,
@@ -109,9 +122,9 @@ pub fn respond(
         }
         "shutdown" => Reply::Bye,
         "query" => query(rest, catalog, gate, default_deadline),
-        "add-view" => match parse_rule(rest) {
+        "add-view" => match parse_query(rest) {
             Ok(definition) => ddl(catalog.add_view(View { definition })),
-            Err(message) => Reply::Error(message),
+            Err(e) => Reply::parse_error(&e),
         },
         "drop-view" if rest.is_empty() || rest.contains(char::is_whitespace) => {
             Reply::Error("usage: drop-view <name>".into())
@@ -119,10 +132,6 @@ pub fn respond(
         "drop-view" => ddl(catalog.drop_view(Symbol::new(rest))),
         other => Reply::Unknown(other.to_string()),
     }
-}
-
-fn parse_rule(src: &str) -> Result<ConjunctiveQuery, String> {
-    parse_query(src).map_err(|e| format!("parse error: {e}"))
 }
 
 fn query(
@@ -145,9 +154,9 @@ fn query(
     if src.is_empty() {
         return usage();
     }
-    let query = match parse_rule(src) {
-        Ok(query) => query,
-        Err(message) => return Reply::Error(message),
+    let (query, names) = match parse_canonical(src) {
+        Ok(parsed) => parsed,
+        Err(e) => return Reply::parse_error(&e),
     };
     // Reject ill-typed queries *before* the gate and the cache: an
     // arity-mismatched query would otherwise burn a permit and a
@@ -168,7 +177,7 @@ fn query(
     if let Some(deadline) = deadline {
         spec = spec.clamp_timeout(deadline.saturating_duration_since(Instant::now()));
     }
-    match server.serve_with_spec(&query, &spec) {
+    match server.serve_canonical(query, &names, &spec) {
         Ok(answer) => Reply::Answer(answer),
         Err(e) => Reply::Error(e.to_string()),
     }

@@ -30,8 +30,10 @@
 //!
 //! The correctness contract — a cached/batched answer is byte-identical
 //! to a cold single-query run *against the epoch that served it* — is
-//! established by construction (canonicalize → compute/hit in canonical
-//! space → denormalize; see [`batch`]) and enforced end to end by the
+//! established by construction (arrive in canonical space → compute/hit
+//! there → put the request's own names back, by filling the stored
+//! answer's template on the command path or by renaming its rewritings
+//! for library callers; see [`batch`]) and enforced end to end by the
 //! workspace's differential tests.
 
 pub mod admission;
@@ -41,9 +43,10 @@ pub mod catalog;
 pub mod command;
 pub mod fault;
 pub mod net;
+mod template;
 
 pub use admission::{AdmissionGate, ShedReason};
-pub use batch::{BatchServer, CachedAnswer, ServeConfig, ServedAnswer};
+pub use batch::{BatchServer, CachedAnswer, ServeConfig, ServedAnswer, WireAnswer};
 pub use cache::{CacheProbe, CacheStats, FlightGuard, RetargetOutcome, RewritingCache};
 pub use catalog::{DdlOutcome, LiveCatalog};
 pub use command::{respond, Reply};

@@ -101,13 +101,44 @@ impl Default for NetConfig {
     }
 }
 
+/// Room in front of a payload for any frame header: the twenty digits
+/// of the largest `usize` and the newline.
+const HEADER_ROOM: usize = 21;
+
+/// Assembles one frame in `buf` — ASCII decimal payload length, `\n`,
+/// payload — and returns it. The payload is written once, by `payload`,
+/// straight behind room left for the header; the header is then written
+/// backwards into that room, so nothing is copied to make space for it.
+fn frame(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> &[u8] {
+    buf.clear();
+    buf.resize(HEADER_ROOM, b'\n');
+    payload(buf);
+    let mut at = HEADER_ROOM - 1;
+    let mut len = buf.len() - HEADER_ROOM;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (len % 10) as u8;
+        len /= 10;
+        if len == 0 {
+            return &buf[at..];
+        }
+    }
+}
+
 /// Writes one frame: ASCII decimal payload length, `\n`, payload.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(payload.len() + 12);
-    buf.extend_from_slice(payload.len().to_string().as_bytes());
-    buf.push(b'\n');
-    buf.extend_from_slice(payload.as_bytes());
-    w.write_all(&buf)?;
+    let mut buf = Vec::with_capacity(HEADER_ROOM + payload.len());
+    w.write_all(frame(&mut buf, |b| b.extend_from_slice(payload.as_bytes())))?;
+    w.flush()
+}
+
+/// Writes `reply` as one frame, its text formatted once, into `buf` (the
+/// connection's, reused from reply to reply).
+fn write_reply(w: &mut impl Write, buf: &mut Vec<u8>, reply: &Reply) -> io::Result<()> {
+    // Formatting into a `Vec` cannot fail.
+    w.write_all(frame(buf, |b| {
+        let _ = write!(b, "{reply}");
+    }))?;
     w.flush()
 }
 
@@ -378,8 +409,8 @@ impl Read for FrameReader<'_> {
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     // Both timeouts are armed once: neither value changes over the
     // connection's life. Reads go through a buffer (unbuffered, a frame
-    // header costs one `read` per digit); `write_frame` assembles the
-    // whole frame, so writes go straight to the socket.
+    // header costs one `read` per digit); `write_reply` assembles the
+    // whole frame in `out`, so writes go straight to the socket.
     if stream
         .set_read_timeout(Some(poll_slice(&shared.config)))
         .and_then(|()| stream.set_write_timeout(Some(shared.config.write_timeout)))
@@ -388,6 +419,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         return;
     }
     let mut reader = BufReader::new(stream);
+    let mut out = Vec::new();
     loop {
         if !frame_started(&reader, shared) {
             return;
@@ -402,7 +434,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // A malformed header is answered before closing — the
                 // client learns why instead of seeing a bare hangup.
-                let _ = write_frame(reader.get_mut(), &Reply::Error(e.to_string()).to_string());
+                let _ = write_reply(reader.get_mut(), &mut out, &Reply::Error(e.to_string()));
                 return;
             }
             Err(_) => return,
@@ -421,7 +453,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             shared.config.default_deadline,
         );
         if matches!(reply, Reply::Bye) {
-            let _ = write_frame(reader.get_mut(), &reply.to_string());
+            let _ = write_reply(reader.get_mut(), &mut out, &reply);
             shared.request_shutdown();
             return;
         }
@@ -430,7 +462,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             // delivered.
             return;
         }
-        if write_frame(reader.get_mut(), &reply.to_string()).is_err() {
+        if write_reply(reader.get_mut(), &mut out, &reply).is_err() {
             return;
         }
     }

@@ -39,11 +39,12 @@ use viewplan_sync::{AtomicU64, AtomicUsize, Ordering, RwLock};
 /// code path once, single-threaded, before any model runs.
 fn fixture() -> (CanonicalQuery, ConjunctiveQuery, Arc<CachedAnswer>) {
     let canonical = canonicalize(&parse_query("q(X, Y) :- e(X, Z), f(Z, Y)").unwrap());
-    let answer = Arc::new(CachedAnswer {
-        rewritings: Vec::new(),
-        best: None,
-        completeness: Completeness::Complete,
-    });
+    let answer = Arc::new(CachedAnswer::new(
+        &canonical.canonical,
+        Vec::new(),
+        None,
+        Completeness::Complete,
+    ));
     // Warm-up pass: exercise the exact operations the models run so
     // every OnceLock / lazy registration settles before exploration.
     let cache = RewritingCache::new(16);
@@ -162,11 +163,12 @@ fn aborted_leader_wakes_followers_to_reelect() {
 #[test]
 fn readers_never_observe_cross_epoch_answers_during_swap() {
     let (key, canonical, old_answer) = fixture();
-    let new_answer = Arc::new(CachedAnswer {
-        rewritings: Vec::new(),
-        best: None,
-        completeness: Completeness::Complete,
-    });
+    let new_answer = Arc::new(CachedAnswer::new(
+        &canonical,
+        Vec::new(),
+        None,
+        Completeness::Complete,
+    ));
     let report = model::check(&model::Config::dfs(2), move || {
         let cache = Arc::new(RewritingCache::new(16));
         cache.insert(key.clone(), canonical.clone(), old_answer.clone(), 0);

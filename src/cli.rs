@@ -1217,8 +1217,7 @@ fn serve(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cl
         match reply {
             Reply::Answer(answer) => {
                 answered += 1;
-                write!(out, "{}", answer.render())?;
-                writeln!(out)?;
+                writeln!(out, "{}", answer.body)?;
             }
             Reply::Error(message) => eprintln!("error: {message}"),
             ack => {

@@ -165,13 +165,13 @@ fn measured_terms(
         .iter()
         .zip(trace.subgoal_sizes.iter().zip(&trace.intermediate_sizes))
         .map(|(step, (&gsize, &isize))| {
-            let mut dropped: Vec<String> = step.drop_after.iter().map(|s| s.as_str()).collect();
-            dropped.sort();
+            let mut dropped: Vec<&str> = step.drop_after.iter().map(|s| s.as_str()).collect();
+            dropped.sort_unstable();
             TermReport {
                 atom: step.atom.to_string(),
                 relation_size: Some(gsize as u64),
                 intermediate_size: Some(isize as u64),
-                dropped,
+                dropped: dropped.into_iter().map(str::to_string).collect(),
                 cost: gsize as f64 + isize as f64,
             }
         })

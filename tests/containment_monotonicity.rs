@@ -99,7 +99,7 @@ fn inflated_rewritings_never_cost_less_under_m2() {
         let mut subst = Substitution::new();
         for v in dup.variables().collect::<Vec<_>>() {
             if !head_vars.contains(&v) && !shared.contains(&v) {
-                subst.bind(v, Term::Var(Symbol::fresh(&v.as_str())));
+                subst.bind(v, Term::Var(Symbol::fresh(v.as_str())));
             }
         }
         dup = dup.apply(&subst);

@@ -1,7 +1,7 @@
 //! Repo-level lints for the `viewplan` workspace, run as
 //! `cargo run -p xtask -- lint` (and in CI).
 //!
-//! Twelve checks, all offline and purely textual:
+//! Thirteen checks, all offline and purely textual:
 //!
 //! 1. **Panic ban** — no `.unwrap()` / `.expect(` / `panic!(` in library
 //!    crates (`crates/*/src`) outside `#[cfg(test)]` code. Audited
@@ -60,6 +60,15 @@
 //!     `crates/core/src/parallel.rs`. A request is one thread: workers
 //!     are spent across requests, never inside one, so an admission gate
 //!     that let N requests in is running N pipelines.
+//! 13. **The command path stays in canonical space** — outside
+//!     `#[cfg(test)]` code, `crates/serve/src/command.rs` and
+//!     `crates/serve/src/net.rs` call neither `denormalize(` nor
+//!     `.render()`, and `command.rs` does not call `canonicalize(`: a
+//!     served query is parsed straight into canonical variables and its
+//!     reply is the stored template filled with the request's spellings,
+//!     so no `Rewriting` is renamed or printed symbol by symbol per
+//!     request. The structured path (`BatchServer::serve`) is for library
+//!     callers.
 //!
 //! The scans work on a *stripped* view of each file: comment and string
 //! contents are blanked (structure and braces preserved), so `"panic!"`
@@ -980,6 +989,39 @@ fn check_fan_out_sites(root: &Path, report: &mut LintReport) {
     }
 }
 
+/// Check 13: the command path stays in canonical space. `command.rs`
+/// and `net.rs` are what both front-ends run per request; the calls
+/// banned here are the per-request work the answer templates replaced.
+fn check_command_path(root: &Path, report: &mut LintReport) {
+    const BANNED: [(&str, &[&str]); 2] = [
+        (
+            "crates/serve/src/command.rs",
+            &["denormalize(", ".render()", "canonicalize("],
+        ),
+        ("crates/serve/src/net.rs", &["denormalize(", ".render()"]),
+    ];
+    for (path, calls) in BANNED {
+        let Ok(text) = std::fs::read_to_string(root.join(path)) else {
+            continue;
+        };
+        let stripped = strip_code(&text);
+        let mask = test_region_mask(&stripped);
+        for (line_no, (line, &in_test)) in stripped.lines().zip(&mask).enumerate() {
+            for call in calls
+                .iter()
+                .filter(|call| !in_test && line.contains(**call))
+            {
+                report.violations.push(format!(
+                    "{path}:{}: {call} on the command path — parse with parse_canonical and \
+                     reply with the cached answer's filled template (BatchServer::serve is \
+                     the structured path, for library callers)",
+                    line_no + 1
+                ));
+            }
+        }
+    }
+}
+
 /// Runs every lint over the workspace at `root`.
 pub fn run_lint(root: &Path) -> LintReport {
     let mut report = LintReport::default();
@@ -995,6 +1037,7 @@ pub fn run_lint(root: &Path) -> LintReport {
     check_env_ban(root, &mut report);
     check_thread_local_ban(root, &mut report);
     check_fan_out_sites(root, &mut report);
+    check_command_path(root, &mut report);
     report
 }
 
@@ -1372,6 +1415,31 @@ real.unwrap();"##;
         assert!(report.violations[0].contains("crates/core/src/corecover.rs:2"));
         assert!(report.violations[1].contains("src/cli.rs:1"));
         assert!(report.violations[0].contains("one thread"));
+    }
+
+    #[test]
+    fn lint_bans_structured_rendering_on_the_command_path() {
+        let repo = TempRepo::new("command-path");
+        let calls = "fn f() { canonicalize(q); denormalize(a, b); }\nfn g() { a.render(); }\n";
+        // Both files: comments and test code are not calls; `net.rs` may
+        // say `canonicalize(`; the batch server may say all three.
+        let file =
+            format!("/// Not a `.render()` call.\n{calls}#[cfg(test)]\nmod tests {{ {calls} }}\n");
+        repo.write("crates/serve/src/command.rs", &file);
+        repo.write("crates/serve/src/net.rs", &file);
+        repo.write("crates/serve/src/batch.rs", calls);
+        let report = run_lint(&repo.root);
+        assert_eq!(report.violations.len(), 5, "{:?}", report.violations);
+        for (violation, at) in report.violations.iter().zip([
+            "command.rs:2: denormalize(",
+            "command.rs:2: canonicalize(",
+            "command.rs:3: .render()",
+            "net.rs:2: denormalize(",
+            "net.rs:3: .render()",
+        ]) {
+            assert!(violation.contains(at), "{violation}");
+            assert!(violation.contains("parse_canonical"));
+        }
     }
 
     #[test]
