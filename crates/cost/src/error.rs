@@ -26,6 +26,19 @@ pub enum CostError {
     },
 }
 
+/// Rejects a rewriting of `n` subgoals wider than the `model` search's
+/// `limit`.
+pub(crate) fn check_width(n: usize, limit: usize, model: &'static str) -> Result<(), CostError> {
+    if n > limit {
+        return Err(CostError::TooManySubgoals {
+            subgoals: n,
+            limit,
+            model,
+        });
+    }
+    Ok(())
+}
+
 impl fmt::Display for CostError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {

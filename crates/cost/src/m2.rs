@@ -16,7 +16,7 @@
 //! subsets that contain the newcomer. Ties go to the lowest subgoal
 //! index, which the fill order gives for free.
 
-use crate::error::CostError;
+use crate::error::{check_width, CostError};
 use crate::oracle::{note_oracle_calls, SizeOracle};
 use crate::subsets::Subsets;
 use viewplan_cq::Atom;
@@ -73,7 +73,7 @@ impl M2Table {
     /// Solves the DP for `body`. `Ok(None)` for an empty body, or when
     /// the plan budget ran out before the table was complete.
     pub fn solve(body: &[Atom], oracle: &mut dyn SizeOracle) -> Result<Option<M2Table>, CostError> {
-        check_width(body.len())?;
+        check_width(body.len(), M2_MAX_SUBGOALS, "M2")?;
         let mut table = M2Table {
             subsets: Subsets::new(body),
             sizes: body.iter().map(|g| oracle.relation_size(g)).collect(),
@@ -90,7 +90,7 @@ impl M2Table {
     /// the plan budget ran out first (each graft is metered as a search
     /// of its own).
     pub fn graft(&mut self, filter: &Atom, oracle: &mut dyn SizeOracle) -> Result<bool, CostError> {
-        check_width(self.sizes.len() + 1)?;
+        check_width(self.sizes.len() + 1, M2_MAX_SUBGOALS, "M2")?;
         // The half a from-scratch DP of `body + filter` would ask for
         // again: requested, and answered without a join.
         let reused = self.ir.len() as u64 - 1;
@@ -181,17 +181,6 @@ impl M2Table {
         }
         true
     }
-}
-
-fn check_width(subgoals: usize) -> Result<(), CostError> {
-    if subgoals > M2_MAX_SUBGOALS {
-        return Err(CostError::TooManySubgoals {
-            subgoals,
-            limit: M2_MAX_SUBGOALS,
-            model: "M2",
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

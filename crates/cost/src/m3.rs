@@ -31,7 +31,10 @@
 //! here" and "retained" are mask tests against the prefix set. A prefix
 //! whose cost already exceeds the best complete plan is abandoned
 //! (every term of the cost is non-negative), and the whole search draws
-//! on one `Phase::Plan` allowance, one tick per node.
+//! on one `Phase::Plan` allowance, one tick per node. The optimizer also
+//! passes the plan it holds for another rewriting as a *ceiling*: a prefix
+//! costing more is abandoned, and one costing the same unless this
+//! rewriting comes first in CoreCover order (and so would win the tie).
 //!
 //! A rename closes a *generation* of a variable: the prefix subgoals
 //! whose occurrences are renamed apart together. The renamed rewriting —
@@ -46,7 +49,7 @@
 //! different sequence (orders that share a prefix share its nodes), so
 //! equal-cost plans are compared on that key explicitly.
 
-use crate::error::CostError;
+use crate::error::{check_width, CostError};
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
 use std::cell::OnceCell;
@@ -132,30 +135,27 @@ pub fn try_optimal_m3_plan(
     policy: DropPolicy,
     oracle: &mut dyn SizeOracle,
 ) -> Result<Option<(PhysicalPlan, f64)>, CostError> {
-    optimal_plan(&RenameTest::new(query, views), rewriting, policy, oracle)
+    let test = RenameTest::new(query, views);
+    optimal_plan(&test, rewriting, policy, oracle, None)
 }
 
 /// [`try_optimal_m3_plan`] for a caller that plans several rewritings of
-/// one query and keeps the [`RenameTest`] across them.
+/// one query and keeps the [`RenameTest`] across them. Under a `ceiling`
+/// (a cost, and whether a tie beats it) `None` may mean "none beats it".
 pub(crate) fn optimal_plan(
     test: &RenameTest,
     rewriting: &ConjunctiveQuery,
     policy: DropPolicy,
     oracle: &mut dyn SizeOracle,
+    ceiling: Option<(f64, bool)>,
 ) -> Result<Option<(PhysicalPlan, f64)>, CostError> {
-    let n = rewriting.body.len();
-    if n > M3_MAX_SUBGOALS {
-        return Err(CostError::TooManySubgoals {
-            subgoals: n,
-            limit: M3_MAX_SUBGOALS,
-            model: "M3",
-        });
-    }
-    if n == 0 {
+    check_width(rewriting.body.len(), M3_MAX_SUBGOALS, "M3")?;
+    if rewriting.body.is_empty() {
         return Ok(None);
     }
-    let best = Search::new(test, rewriting, None, policy, oracle).run();
-    Ok(best.map(|b| (b.plan, b.cost)))
+    let mut search = Search::new(test, rewriting, None, policy, oracle);
+    search.ceiling = ceiling;
+    Ok(search.run().map(|b| (b.plan, b.cost)))
 }
 
 /// The §6.2 test: is a renamed rewriting still an equivalent rewriting
@@ -235,6 +235,8 @@ struct Search<'a> {
     /// Every generation closed on the path.
     closed: Vec<Generation>,
     best: Option<Best>,
+    /// A cost to beat, and whether a tie beats it.
+    ceiling: Option<(f64, bool)>,
 }
 
 impl<'a> Search<'a> {
@@ -278,6 +280,7 @@ impl<'a> Search<'a> {
             gsrs: Vec::new(),
             closed: Vec::new(),
             best: None,
+            ceiling: None,
         }
     }
 
@@ -324,13 +327,16 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// No plan below a node of this cost can replace `best`: it would
-    /// cost more, or the same with an order that sorts after it.
+    /// No plan below a node of this cost can replace `best`, or beat the
+    /// ceiling: it would cost more, or the same and lose the tie.
     fn cannot_win(&self, cost: f64) -> bool {
-        self.best.as_ref().is_some_and(|best| {
-            cost > best.cost
-                || (cost == best.cost && self.order[..] > best.order[..self.order.len()])
-        })
+        let (ceiling, tie_wins) = self.ceiling.unwrap_or((f64::INFINITY, true));
+        cost > ceiling
+            || (cost == ceiling && !tie_wins)
+            || self.best.as_ref().is_some_and(|best| {
+                cost > best.cost
+                    || (cost == best.cost && self.order[..] > best.order[..self.order.len()])
+            })
     }
 
     fn complete(&mut self, cost: f64) {

@@ -10,14 +10,29 @@
 //! example) are grafted onto a rewriting greedily while they reduce the
 //! plan cost — a selective view relation can shrink the intermediate
 //! relations by more than its own size (§5.1, rewriting `P3`).
+//!
+//! # One loop, bounded across rewritings
+//!
+//! Every plan of a rewriting costs at least its *bound*: under M1 the
+//! subgoal count, which is the cost; under M2/M3 `Σ size(gᵢ)`, since both
+//! add `size(gᵢ)` per subgoal to `IR`/`GSR` terms ≥ 0 (and a grafted
+//! filter only adds subgoals). Sizes are row counts, so the sum is exact
+//! below 2⁵³, and IEEE addition of non-negative terms is monotone: a cost
+//! built from the same sizes and such terms, in any order, is ≥ the bound
+//! (debug builds assert it). One loop visits the rewritings by ascending
+//! (bound, CoreCover index), skips unsearched each one whose bound exceeds
+//! the incumbent's cost or equals it with a larger index, and hands the
+//! incumbent to the M3 search as its ceiling. A plan replaces the
+//! incumbent when cheaper, or as cheap with a smaller index: the choice a
+//! loop in index order with a strict `<` makes, bit for bit.
 
-use crate::error::{CostError, PlanError};
-use crate::m2::M2Table;
-use crate::m3::{optimal_plan, DropPolicy, RenameTest};
+use crate::error::{check_width, CostError, PlanError};
+use crate::m2::{M2Table, M2_MAX_SUBGOALS};
+use crate::m3::{optimal_plan, DropPolicy, RenameTest, M3_MAX_SUBGOALS};
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
-use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult, Rewriting};
-use viewplan_cq::{Atom, ConjunctiveQuery, ViewSet};
+use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult, Rewriting, ViewTuple};
+use viewplan_cq::{ConjunctiveQuery, ViewSet};
 use viewplan_obs as obs;
 use viewplan_obs::Completeness;
 
@@ -25,6 +40,10 @@ use viewplan_obs::Completeness;
 // this): every cost-model path funnels through these helpers.
 fn note_plan_enumerated() {
     obs::counter!("cost.plans_enumerated").incr();
+}
+
+fn note_rewriting_pruned() {
+    obs::counter!("cost.rewritings_pruned").incr();
 }
 
 fn note_too_wide_skipped() {
@@ -75,7 +94,9 @@ pub struct PlannedRewriting {
 /// plus an honest completeness marker. `Truncated` means a node budget
 /// cut a search short or a too-wide rewriting had to be skipped — `best`
 /// is the cheapest of what *was* searched, not necessarily the optimum.
-/// `DeadlineExceeded` means the wall clock fired.
+/// `DeadlineExceeded` means the wall clock fired; rewritings are searched
+/// smallest bound first. One skipped on its bound spends no budget and is
+/// no truncation, so a node cap can end `Complete` where planning all ran out.
 #[derive(Clone, Debug)]
 pub struct PlanOutcome {
     /// The cheapest plan over the rewritings that were searched.
@@ -173,6 +194,7 @@ impl<'a> Optimizer<'a> {
         self.plan_generated(model, result, oracle, obs::budget::snapshot())
     }
 
+    /// The bounded loop of the module docs.
     fn plan_generated(
         &self,
         model: CostModel,
@@ -180,138 +202,127 @@ impl<'a> Optimizer<'a> {
         oracle: &mut dyn SizeOracle,
         budget_before: obs::budget::HitSnapshot,
     ) -> Result<PlanOutcome, PlanError> {
-        let generated = result.stats.completeness;
-        let planned = match model {
-            CostModel::M1 => Ok((self.plan_m1(result), false)),
-            CostModel::M2 => self.plan_m2(result, oracle),
-            CostModel::M3(policy) => self.plan_m3(result, policy, oracle),
-        };
-        let (best, skipped_wide) = planned?;
-        let mut completeness = generated.worst(obs::budget::completeness_since(budget_before));
-        if skipped_wide {
+        let _enum_span = (model != CostModel::M1).then(|| obs::span("optimizer.enumerate"));
+        let rewritings = result.rewritings();
+        let mut too_wide = None;
+        let mut visit = Vec::with_capacity(rewritings.len());
+        for (i, r) in rewritings.iter().enumerate() {
+            match lower_bound(model, r, oracle) {
+                Ok(bound) => visit.push((bound, i)),
+                Err(e) => {
+                    note_too_wide_skipped();
+                    too_wide = Some(e);
+                }
+            }
+        }
+        visit.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let filters = result.filter_tuples();
+        let test = RenameTest::new(self.query, self.views);
+        let mut best = None;
+        for (bound, i) in visit {
+            let incumbent = best.as_ref().map(|&(at, _, _, cost)| (at, cost));
+            if incumbent.is_some_and(|(at, cost)| bound > cost || (bound == cost && i > at)) {
+                note_rewriting_pruned();
+                continue;
+            }
+            if model != CostModel::M1 && obs::budget::cancelled() {
+                break; // deadline: keep the best so far (an M1 plan is no search)
+            }
+            note_plan_enumerated();
+            let r = &rewritings[i];
+            let planned = match model {
+                CostModel::M1 => Some((r.clone(), PhysicalPlan::ordered(r.body.clone()), bound)),
+                CostModel::M2 => self.m2_with_filters(r, &filters, oracle)?,
+                CostModel::M3(policy) => {
+                    let ceiling = incumbent.map(|(at, cost)| (cost, i < at));
+                    let planned = optimal_plan(&test, r, policy, oracle, ceiling)?;
+                    planned.map(|(plan, cost)| (r.clone(), plan, cost))
+                }
+            };
+            // No plan: an empty body, a budget cut, or none under the ceiling.
+            if let Some((rewriting, plan, cost)) = planned {
+                debug_assert!(cost >= bound, "a plan cheaper than its bound");
+                if incumbent.is_none_or(|(at, beat)| cost < beat || (cost == beat && i < at)) {
+                    best = Some((i, rewriting, plan, cost));
+                }
+            }
+        }
+        let best = best.map(|(_, rewriting, plan, cost)| PlannedRewriting {
+            rewriting,
+            plan,
+            cost,
+        });
+        let spent = obs::budget::completeness_since(budget_before);
+        let mut completeness = result.stats.completeness.worst(spent);
+        if let Some(e) = too_wide {
+            if best.is_none() {
+                return Err(e.into());
+            }
             completeness = completeness.worst(Completeness::Truncated);
         }
         Ok(PlanOutcome { best, completeness })
     }
 
-    fn plan_m1(&self, result: CoreCoverResult) -> Option<PlannedRewriting> {
-        let r = result.rewritings().first()?.clone();
-        note_plan_enumerated();
-        let plan = PhysicalPlan::ordered(r.body.clone());
-        let cost = plan.m1_cost() as f64;
-        Some(PlannedRewriting {
-            rewriting: r,
+    /// The M2 arm: the subset DP, then greedy filter grafting — a filter
+    /// that lowers the cost stays in the table, the rest come off.
+    fn m2_with_filters(
+        &self,
+        r: &Rewriting,
+        filters: &[&ViewTuple],
+        oracle: &mut dyn SizeOracle,
+    ) -> Result<Option<(Rewriting, PhysicalPlan, f64)>, CostError> {
+        // Degenerate (empty-body) or budget-abandoned rewriting.
+        let Some(mut table) = M2Table::solve(&r.body, oracle)? else {
+            return Ok(None);
+        };
+        for _ in 0..self.config.max_filters {
+            let mut improved = false;
+            for f in filters {
+                if table.body().contains(&f.atom) {
+                    continue;
+                }
+                note_plan_enumerated();
+                // Grafting is a heuristic improvement; a filter that
+                // pushes the body past the DP width, or whose DP the
+                // budget abandons, is just not taken.
+                let without = table.cost();
+                if let Ok(true) = table.graft(&f.atom, oracle) {
+                    if table.cost() < without {
+                        improved = true;
+                    } else {
+                        table.ungraft();
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        let (order, _, cost) = table.order();
+        let body = table.body();
+        let plan = PhysicalPlan::ordered(order.iter().map(|&i| body[i].clone()).collect());
+        Ok(Some((
+            Rewriting::new(r.head.clone(), body.to_vec()),
             plan,
             cost,
-        })
+        )))
     }
+}
 
-    fn plan_m2(
-        &self,
-        result: CoreCoverResult,
-        oracle: &mut dyn SizeOracle,
-    ) -> Result<(Option<PlannedRewriting>, bool), PlanError> {
-        let _enum_span = obs::span("optimizer.enumerate");
-        let filters: Vec<Atom> = result
-            .filter_tuples()
-            .iter()
-            .map(|t| t.atom.clone())
-            .collect();
-        let mut best: Option<PlannedRewriting> = None;
-        let mut skipped: Option<CostError> = None;
-        for r in result.rewritings() {
-            if obs::budget::cancelled() {
-                break; // deadline: keep the cheapest plan found so far
-            }
-            // Base plan, then greedy filter grafting: a filter that
-            // lowers the cost stays in the table, the rest come off.
-            note_plan_enumerated();
-            let mut table = match M2Table::solve(&r.body, oracle) {
-                Ok(Some(table)) => table,
-                // Degenerate (empty-body) or budget-abandoned rewriting.
-                Ok(None) => continue,
-                Err(e) => {
-                    skipped = Some(e);
-                    note_too_wide_skipped();
-                    continue;
-                }
-            };
-            for _ in 0..self.config.max_filters {
-                let mut improved = false;
-                for f in &filters {
-                    if table.body().contains(f) {
-                        continue;
-                    }
-                    note_plan_enumerated();
-                    // Grafting is a heuristic improvement; a filter that
-                    // pushes the body past the DP width, or whose DP the
-                    // budget abandons, is just not taken.
-                    let without = table.cost();
-                    if let Ok(true) = table.graft(f, oracle) {
-                        if table.cost() < without {
-                            improved = true;
-                        } else {
-                            table.ungraft();
-                        }
-                    }
-                }
-                if !improved {
-                    break;
-                }
-            }
-            if best.as_ref().is_none_or(|b| table.cost() < b.cost) {
-                let (order, _, cost) = table.order();
-                let body = table.body();
-                best = Some(PlannedRewriting {
-                    rewriting: Rewriting::new(r.head.clone(), body.to_vec()),
-                    plan: PhysicalPlan::ordered(order.iter().map(|&i| body[i].clone()).collect()),
-                    cost,
-                });
-            }
-        }
-        match (best, skipped) {
-            (None, Some(e)) => Err(e.into()),
-            (b, s) => Ok((b, s.is_some())),
-        }
+/// The bound of `r` under `model` (module docs) — once `r` passes the
+/// width check, which comes first: a rewriting too wide to search is
+/// skipped, and the outcome truncated, whatever its bound.
+fn lower_bound(
+    model: CostModel,
+    r: &Rewriting,
+    oracle: &mut dyn SizeOracle,
+) -> Result<f64, CostError> {
+    match model {
+        CostModel::M1 => return Ok(r.body.len() as f64),
+        CostModel::M2 => check_width(r.body.len(), M2_MAX_SUBGOALS, "M2")?,
+        CostModel::M3(_) => check_width(r.body.len(), M3_MAX_SUBGOALS, "M3")?,
     }
-
-    fn plan_m3(
-        &self,
-        result: CoreCoverResult,
-        policy: DropPolicy,
-        oracle: &mut dyn SizeOracle,
-    ) -> Result<(Option<PlannedRewriting>, bool), PlanError> {
-        let _enum_span = obs::span("optimizer.enumerate");
-        let mut best: Option<PlannedRewriting> = None;
-        let mut skipped: Option<CostError> = None;
-        let test = RenameTest::new(self.query, self.views);
-        for r in result.rewritings() {
-            if obs::budget::cancelled() {
-                break; // deadline: keep the cheapest plan found so far
-            }
-            note_plan_enumerated();
-            let (plan, cost) = match optimal_plan(&test, r, policy, oracle) {
-                Ok(Some(pc)) => pc,
-                Ok(None) => continue,
-                Err(e) => {
-                    skipped = Some(e);
-                    note_too_wide_skipped();
-                    continue;
-                }
-            };
-            if best.as_ref().is_none_or(|b| cost < b.cost) {
-                best = Some(PlannedRewriting {
-                    rewriting: r.clone(),
-                    plan,
-                    cost,
-                });
-            }
-        }
-        match (best, skipped) {
-            (None, Some(e)) => Err(e.into()),
-            (b, s) => Ok((b, s.is_some())),
-        }
-    }
+    Ok(r.body.iter().fold(0.0, |s, g| s + oracle.relation_size(g)))
 }
 
 #[cfg(test)]
@@ -366,6 +377,29 @@ mod tests {
             .best_plan(CostModel::M1, &mut oracle)
             .unwrap();
         assert_eq!(best.cost, 2.0); // v1 + v2 (no v4 in this view set)
+    }
+
+    /// Over CoreCover* the first rewriting need not be the smallest; the
+    /// M1 plan is the fewest-subgoal one all the same. (Planning the
+    /// first rewriting chose `ve ⋈ vf` at cost 2.)
+    #[test]
+    fn m1_over_all_minimal_rewritings_plans_the_fewest_subgoals() {
+        let q = parse_query("q(X, Y) :- e(X, Z), f(Z, Y)").unwrap();
+        let views = parse_views(
+            "ve(X, Z) :- e(X, Z).\n\
+             vf(Z, Y) :- f(Z, Y).\n\
+             vall(X, Y) :- e(X, Z), f(Z, Y).",
+        )
+        .unwrap();
+        let result = CoreCover::new(&q, &views).run_all_minimal();
+        assert_eq!(result.rewritings()[0].body.len(), 2);
+        let db = Database::new();
+        let outcome = Optimizer::new(&q, &views)
+            .try_plan_generated(CostModel::M1, result, &mut ExactOracle::new(&db))
+            .unwrap();
+        let best = outcome.best.unwrap();
+        assert_eq!(best.rewriting.to_string(), "q(X, Y) :- vall(X, Y)");
+        assert_eq!(best.cost, 1.0);
     }
 
     #[test]

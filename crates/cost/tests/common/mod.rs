@@ -1,8 +1,42 @@
 //! Fixtures shared by the plan-search test binaries.
 
+pub mod exhaustive;
+
 use viewplan_containment::expand;
 use viewplan_cq::{parse_query, parse_views, ConjunctiveQuery, ViewSet};
 use viewplan_engine::{materialize_views, Database, Value};
+use viewplan_workload::{generate, random_database, Shape, WorkloadConfig};
+
+/// A §7 problem (8-subgoal query, views of 1–3 subgoals) over random
+/// base relations of `rows` rows, a domain as large, and its views
+/// materialized.
+pub struct Generated {
+    pub query: ConjunctiveQuery,
+    pub views: ViewSet,
+    pub vdb: Database,
+}
+
+pub fn generated(shape: Shape, views: usize, nondistinguished: usize, seed: u64) -> Generated {
+    const ROWS: usize = 20;
+    let config = match shape {
+        Shape::Star => WorkloadConfig::star(views, nondistinguished, seed),
+        Shape::Chain => WorkloadConfig::chain(views, nondistinguished, seed),
+        Shape::Random => WorkloadConfig::random(views, nondistinguished, seed),
+    };
+    let w = generate(&config);
+    let mut base = Database::new();
+    for (name, rows) in random_database(&w.query, ROWS, ROWS as i64, seed) {
+        for row in rows {
+            base.insert(name, row.into_iter().map(Value::Int).collect());
+        }
+    }
+    let vdb = materialize_views(&w.views, &base);
+    Generated {
+        query: w.query,
+        views: w.views,
+        vdb,
+    }
+}
 
 /// A rewriting of `1 + k` subgoals in which every §6.2 rename is legal.
 pub struct RenameFamily {

@@ -5,14 +5,18 @@
 
 mod common;
 
-use common::{rename_family, RenameFamily};
+use common::exhaustive::Exhaustive;
+use common::{generated, rename_family, Generated, RenameFamily};
 use std::sync::Mutex;
+use viewplan_core::CoreCover;
 use viewplan_cost::{
-    try_optimal_m3_plan, CostModel, DropPolicy, ExactOracle, Optimizer, OptimizerConfig,
+    try_optimal_m3_plan, Catalog, CostModel, DropPolicy, EstimateOracle, ExactOracle, Optimizer,
+    OptimizerConfig,
 };
 use viewplan_cq::{parse_query, parse_views, Symbol};
 use viewplan_engine::{materialize_views, Database, Value};
 use viewplan_obs as obs;
+use viewplan_workload::Shape;
 
 static TURN: Mutex<()> = Mutex::new(());
 
@@ -163,4 +167,135 @@ fn a_grafted_filter_reuses_half_the_table() {
     assert_eq!(counts.counter("cost.plans_enumerated"), 2);
     assert_eq!(counts.counter("cost.oracle_calls"), 10);
     assert_eq!(counts.counter("cost.oracle_cache_hits"), 3);
+}
+
+/// `q` over `k` one-subgoal relations, a view per relation and one view
+/// of them all: CoreCover* finds the `k`-view rewriting and the one-view
+/// rewriting, and nothing else. No data, so every size is 0.
+fn singletons_and_one_view_of_all(k: usize) -> Generated {
+    let body: Vec<String> = (0..k).map(|i| format!("p{i}(X{i})")).collect();
+    let query = parse_query(&format!("q(X0) :- {}", body.join(", "))).unwrap();
+    let mut views: Vec<String> = (0..k).map(|i| format!("v{i}(X) :- p{i}(X).")).collect();
+    views.push(format!("vall(X0) :- {}.", body.join(", ")));
+    Generated {
+        query,
+        views: parse_views(&views.join("\n")).unwrap(),
+        vdb: Database::new(),
+    }
+}
+
+/// Each rewriting is planned, skipped on its bound or skipped as too
+/// wide — exactly one of the three. Under M2 without filters and under
+/// M3 a planned rewriting is one enumerated plan. Fails when the loop
+/// `break`s on a skip instead of `continue`-ing: the rewritings after it
+/// are then counted nowhere.
+#[test]
+fn every_rewriting_is_planned_pruned_or_too_wide() {
+    let _turn = TURN.lock().unwrap();
+    let problems = [
+        singletons_and_one_view_of_all(3),
+        singletons_and_one_view_of_all(9),
+        generated(Shape::Star, 12, 0, 4),
+        generated(Shape::Chain, 12, 0, 5),
+        generated(Shape::Random, 12, 0, 3),
+    ];
+    let config = OptimizerConfig {
+        max_filters: 0,
+        ..OptimizerConfig::default()
+    };
+    let models = [
+        CostModel::M1,
+        CostModel::M2,
+        CostModel::M3(DropPolicy::Supplementary),
+    ];
+    let mut skipped = [(0, 0); 3];
+    for p in &problems {
+        let result = CoreCover::new(&p.query, &p.views).run_all_minimal();
+        let rewritings = result.rewritings().len() as u64;
+        let catalog = Catalog::from_database(&p.vdb);
+        for (model, skipped) in models.into_iter().zip(&mut skipped) {
+            let (_, counts) = counted(|| {
+                Optimizer::new(&p.query, &p.views)
+                    .with_config(config.clone())
+                    .try_plan_generated(model, result.clone(), &mut EstimateOracle::new(&catalog))
+            });
+            let planned = counts.counter("cost.plans_enumerated");
+            let pruned = counts.counter("cost.rewritings_pruned");
+            let wide = counts.counter("cost.too_wide_skipped");
+            assert_eq!(
+                planned + pruned + wide,
+                rewritings,
+                "{model:?} {}: {planned} planned, {pruned} pruned, {wide} too wide",
+                p.query
+            );
+            *skipped = (skipped.0 + pruned, skipped.1 + wide);
+        }
+    }
+    // Every model pruned somewhere; the nine-subgoal rewriting is too
+    // wide for M3.
+    assert!(skipped.iter().all(|&(pruned, _)| pruned > 0), "{skipped:?}");
+    assert_eq!(skipped[2].1, 1);
+}
+
+/// Over GMRs every rewriting has the same subgoal count, which under M1
+/// is the bound and the cost: the first is planned, the rest skipped.
+/// Fails when M1 rewritings are never skipped (every GMR is planned).
+#[test]
+fn m1_over_gmrs_enumerates_one_plan() {
+    let _turn = TURN.lock().unwrap();
+    for seed in 0..4 {
+        let p = generated(Shape::Star, 40, seed as usize % 2, seed);
+        let result = CoreCover::new(&p.query, &p.views).run();
+        let rewritings = result.rewritings().len() as u64;
+        let first = result.rewritings().first().map(|r| r.to_string());
+        let (outcome, counts) = counted(|| {
+            Optimizer::new(&p.query, &p.views)
+                .try_plan_generated(CostModel::M1, result, &mut ExactOracle::new(&p.vdb))
+                .unwrap()
+        });
+        assert_eq!(outcome.best.map(|b| b.rewriting.to_string()), first);
+        assert_eq!(counts.counter("cost.plans_enumerated"), rewritings.min(1));
+        assert_eq!(
+            counts.counter("cost.rewritings_pruned"),
+            rewritings.saturating_sub(1)
+        );
+    }
+}
+
+/// The bound pays where the search space is large: over a family of
+/// 40-view star problems under M2, from estimates, the loop enumerates
+/// strictly fewer plans than planning every rewriting did (and never
+/// more on any one problem), for the same choice. Fails when the bound
+/// never prunes.
+#[test]
+fn the_bound_enumerates_fewer_plans_on_a_40_view_star_family() {
+    let _turn = TURN.lock().unwrap();
+    let (mut bounded, mut exhaustive) = (0, 0);
+    for seed in 0..4 {
+        let p = generated(Shape::Star, 40, 1, seed);
+        let catalog = Catalog::from_database(&p.vdb);
+        let result = CoreCover::new(&p.query, &p.views).run_all_minimal();
+        let config = OptimizerConfig::default();
+        let mut reference = Exhaustive::new(&p.query, &p.views, config.clone());
+        let old = reference
+            .try_plan_generated(
+                CostModel::M2,
+                result.clone(),
+                &mut EstimateOracle::new(&catalog),
+            )
+            .unwrap();
+        let (new, counts) = counted(|| {
+            Optimizer::new(&p.query, &p.views)
+                .with_config(config)
+                .try_plan_generated(CostModel::M2, result, &mut EstimateOracle::new(&catalog))
+                .unwrap()
+        });
+        let cost = |o: &viewplan_cost::PlanOutcome| o.best.as_ref().map(|b| b.cost.to_bits());
+        assert_eq!(cost(&new), cost(&old), "seed {seed}");
+        let enumerated = counts.counter("cost.plans_enumerated");
+        assert!(enumerated <= reference.enumerated, "seed {seed}");
+        bounded += enumerated;
+        exhaustive += reference.enumerated;
+    }
+    assert!(bounded < exhaustive, "{bounded} plans against {exhaustive}");
 }

@@ -14,21 +14,32 @@
 //! `late_rename_executes_as_costed`); the search records the subgoals
 //! the costs were computed for.
 //!
+//! The optimizer's loop over rewritings is held to the one it replaced
+//! the same way (`common::exhaustive`, which plans every rewriting): the
+//! bounded loop must choose the same rewriting and plan, at the same
+//! cost bits, with the same completeness marker.
+//!
 //! The reference is factorial: run this file with `--release` for the
 //! full case count.
 
 mod common;
 
+use common::exhaustive::Exhaustive;
+use common::{generated, Generated};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use viewplan_containment::expand;
+use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult};
 use viewplan_cost::m2::M2Table;
 use viewplan_cost::{
-    plan_with_order, try_optimal_m2_order, try_optimal_m3_plan, Catalog, DropPolicy,
-    EstimateOracle, ExactOracle, PhysicalPlan, SizeOracle,
+    plan_with_order, try_optimal_m2_order, try_optimal_m3_plan, Catalog, CostModel, DropPolicy,
+    EstimateOracle, ExactOracle, Optimizer, OptimizerConfig, PhysicalPlan, PlanError, PlanOutcome,
+    SizeOracle,
 };
 use viewplan_cq::{parse_query, parse_views, Atom, ConjunctiveQuery, Symbol, Term, ViewSet};
 use viewplan_engine::{evaluate, materialize_views, Database, Value};
+use viewplan_obs::Completeness;
+use viewplan_workload::Shape;
 
 /// The searches as they stood before the indexed subset space, against
 /// the same public oracle interface.
@@ -792,4 +803,263 @@ fn late_rename_executes_as_costed() {
     // … but only the new plan is the plan that was costed.
     assert_eq!(measured(&new.0), new.1, "{}", new.0);
     assert_ne!(measured(&old.0), old.1, "{}", old.0);
+}
+
+/// What must agree between the bounded loop and the exhaustive one: the
+/// chosen rewriting and plan as printed, the cost to the bit and the
+/// completeness marker — or the error.
+type Chosen = Result<(Option<(String, String, u64)>, Completeness), PlanError>;
+
+fn chosen(outcome: Result<PlanOutcome, PlanError>) -> Chosen {
+    outcome.map(|o| {
+        let best = o.best.map(|b| {
+            let plan = unsalted(&b.plan.to_string());
+            (b.rewriting.to_string(), plan, b.cost.to_bits())
+        });
+        (best, o.completeness)
+    })
+}
+
+/// A plan as printed, with the number of every fresh name a rename drew
+/// (`B#27`) left out: two searches draw different numbers for the same
+/// renamed generation.
+fn unsalted(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut after_hash = false;
+    for c in text.chars() {
+        after_hash = (after_hash && c.is_ascii_digit()) || c == '#';
+        if !after_hash || c == '#' {
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// Both loops on one generated space, each with a fresh oracle.
+fn agree<'o>(
+    query: &ConjunctiveQuery,
+    views: &ViewSet,
+    config: &OptimizerConfig,
+    model: CostModel,
+    result: &CoreCoverResult,
+    oracle: &mut dyn FnMut() -> Box<dyn SizeOracle + 'o>,
+) -> Chosen {
+    let bounded = Optimizer::new(query, views)
+        .with_config(config.clone())
+        .try_plan_generated(model, result.clone(), &mut *oracle());
+    let exhaustive = Exhaustive::new(query, views, config.clone()).try_plan_generated(
+        model,
+        result.clone(),
+        &mut *oracle(),
+    );
+    let context = format!("{model:?} max_filters {} {query}", config.max_filters);
+    assert_eq!(chosen(bounded), chosen(exhaustive.clone()), "{context}");
+    chosen(exhaustive)
+}
+
+/// M1 over both spaces, M2 at every filter allowance, M3 under every
+/// policy over the first `m3_rewritings` of CoreCover* (the exhaustive
+/// loop runs a full order search on each), from measured sizes and from
+/// estimates.
+fn check_loop(p: &Generated, m3_rewritings: usize) {
+    let catalog = Catalog::from_database(&p.vdb);
+    let space = |all_minimal: bool, cap: usize| {
+        let config = CoreCoverConfig {
+            max_rewritings: cap,
+            ..CoreCoverConfig::default()
+        };
+        let generator = CoreCover::new(&p.query, &p.views).with_config(config);
+        if all_minimal {
+            generator.run_all_minimal()
+        } else {
+            generator.run()
+        }
+    };
+    let gmrs = space(false, CoreCoverConfig::default().max_rewritings);
+    let all = space(true, CoreCoverConfig::default().max_rewritings);
+    let first = space(true, m3_rewritings);
+    // Under M1 over CoreCover* the exhaustive loop planned the first
+    // rewriting, not a cheapest one: there the plan is held to its cost.
+    let fewest = all.rewritings().iter().map(|r| r.body.len()).min();
+    let m1 = Optimizer::new(&p.query, &p.views)
+        .try_plan_generated(CostModel::M1, all.clone(), &mut ExactOracle::new(&p.vdb))
+        .unwrap();
+    let first_of_fewest = all
+        .rewritings()
+        .iter()
+        .find(|r| Some(r.body.len()) == fewest);
+    assert_eq!(
+        m1.best.map(|b| (b.rewriting.to_string(), b.cost)),
+        first_of_fewest.map(|r| (r.to_string(), r.body.len() as f64))
+    );
+    let mut runs = vec![
+        (CostModel::M1, 2, &gmrs),
+        (CostModel::M2, 0, &all),
+        (CostModel::M2, 1, &all),
+        (CostModel::M2, 2, &all),
+    ];
+    runs.extend(POLICIES.map(|policy| (CostModel::M3(policy), 2, &first)));
+    for which in [Sizes::Exact, Sizes::Estimated] {
+        for &(model, max_filters, result) in &runs {
+            let config = OptimizerConfig {
+                max_filters,
+                ..OptimizerConfig::default()
+            };
+            let mut oracle = || fresh(which, &p.vdb, &catalog);
+            let _ = agree(&p.query, &p.views, &config, model, result, &mut oracle);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 4 } else { 32 }))]
+
+    #[test]
+    fn the_bounded_loop_chooses_what_planning_every_rewriting_chose(
+        shape in 0..3usize,
+        large in any::<bool>(),
+        nondistinguished in 0..2usize,
+        seed in 0..10_000u64,
+    ) {
+        let shape = [Shape::Star, Shape::Chain, Shape::Random][shape];
+        let views = if large { 40 } else { 12 };
+        let m3_rewritings = match (large, cfg!(debug_assertions)) {
+            (false, false) => 40,
+            (true, false) | (false, true) => 8,
+            (true, true) => 3,
+        };
+        check_loop(&generated(shape, views, nondistinguished, seed), m3_rewritings);
+    }
+}
+
+/// Sizes by table: a relation's size by predicate, an intermediate's by
+/// the sorted predicates of the subgoals it joins (all attributes
+/// retained or not — `GSR` = `IR` here).
+struct Table(HashMap<&'static str, f64>, HashMap<Vec<&'static str>, f64>);
+
+impl Table {
+    fn new(relations: &[(&'static str, f64)], joins: &[(&[&'static str], f64)]) -> Table {
+        let joins = joins.iter().map(|&(preds, size)| {
+            let mut key = preds.to_vec();
+            key.sort_unstable();
+            (key, size)
+        });
+        Table(relations.iter().copied().collect(), joins.collect())
+    }
+}
+
+impl SizeOracle for Table {
+    fn relation_size(&mut self, atom: &Atom) -> f64 {
+        self.0[atom.predicate.as_str()]
+    }
+
+    fn intermediate_size(&mut self, body: &[Atom], mask: u32, _: &BTreeSet<Symbol>) -> f64 {
+        let mut key: Vec<&'static str> = (0..body.len())
+            .filter(|&g| mask & (1 << g) != 0)
+            .map(|g| body[g].predicate.as_str())
+            .collect();
+        key.sort_unstable();
+        self.1[&key]
+    }
+}
+
+/// The two rewritings of `q(X, Y) :- e(X, Z), f(Z, Y)` cost 10 each, and
+/// CoreCover* lists `ve ⋈ vf` first although its bound (6) sorts after
+/// `vall`'s (4): the loop plans `vall` first and must still end with
+/// `ve ⋈ vf` — by comparing indices on the tie, and, under M3, by not
+/// letting `vall`'s cost prune an equal-cost plan of an earlier
+/// rewriting. Fails when a tie goes to the rewriting visited first, and
+/// when the M3 ceiling prunes on `>=` whatever the index.
+#[test]
+fn equal_cost_rewritings_whose_bounds_sort_against_corecover_order() {
+    let query = parse_query("q(X, Y) :- e(X, Z), f(Z, Y)").unwrap();
+    let views = parse_views(
+        "ve(X, Z) :- e(X, Z).\n\
+         vf(Z, Y) :- f(Z, Y).\n\
+         vall(X, Y) :- e(X, Z), f(Z, Y).",
+    )
+    .unwrap();
+    let result = CoreCover::new(&query, &views).run_all_minimal();
+    let listed: Vec<String> = result.rewritings().iter().map(|r| r.to_string()).collect();
+    assert_eq!(
+        listed,
+        ["q(X, Y) :- ve(X, Z), vf(Z, Y)", "q(X, Y) :- vall(X, Y)"]
+    );
+    let sizes = || -> Box<dyn SizeOracle> {
+        Box::new(Table::new(
+            &[("ve", 3.0), ("vf", 3.0), ("vall", 4.0)],
+            &[
+                (&["ve"], 3.0),
+                (&["vf"], 3.0),
+                (&["ve", "vf"], 1.0),
+                (&["vall"], 6.0),
+            ],
+        ))
+    };
+    let config = OptimizerConfig::default();
+    let mut models = vec![CostModel::M2];
+    models.extend(POLICIES.map(CostModel::M3));
+    for model in models {
+        let mut oracle = sizes;
+        let (best, completeness) =
+            agree(&query, &views, &config, model, &result, &mut oracle).unwrap();
+        let (rewriting, _, cost) = best.unwrap();
+        assert_eq!(rewriting, listed[0], "{model:?}");
+        assert_eq!(f64::from_bits(cost), 10.0, "{model:?}");
+        assert_eq!(completeness, Completeness::Complete);
+    }
+}
+
+/// `v1 ⋈ v2` alone costs 32 against `v4`'s 20, and 12 once the filter
+/// `v3` is grafted on: the grafted plan wins. Its base body's final `IR`
+/// (20) plus its relation sizes (8) is more than 20, so a bound that
+/// counted that `IR` — a term the grafted plan does not have — skips the
+/// rewriting before the graft is tried, and this test fails.
+#[test]
+fn a_grafted_filter_wins_below_the_base_bodys_final_intermediate() {
+    let query = parse_query("q1(S, C) :- car(M, a), loc(a, C), part(S, M, C)").unwrap();
+    let views = parse_views(
+        "v1(M, D, C) :- car(M, D), loc(D, C).\n\
+         v2(S, M, C) :- part(S, M, C).\n\
+         v3(S) :- car(M, a), loc(a, C), part(S, M, C).\n\
+         v4(M, D, C, S) :- car(M, D), loc(D, C), part(S, M, C).",
+    )
+    .unwrap();
+    let result = CoreCover::new(&query, &views).run_all_minimal();
+    assert_eq!(result.rewritings().len(), 2);
+    let sizes = || -> Box<dyn SizeOracle> {
+        Box::new(Table::new(
+            &[("v1", 4.0), ("v2", 4.0), ("v3", 1.0), ("v4", 10.0)],
+            &[
+                (&["v1"], 4.0),
+                (&["v2"], 4.0),
+                (&["v1", "v2"], 20.0),
+                (&["v3"], 1.0),
+                (&["v1", "v3"], 1.0),
+                (&["v2", "v3"], 1.0),
+                (&["v1", "v2", "v3"], 1.0),
+                (&["v4"], 10.0),
+                (&["v3", "v4"], 10.0),
+            ],
+        ))
+    };
+    for max_filters in [0, 1, 2] {
+        let config = OptimizerConfig {
+            max_filters,
+            ..OptimizerConfig::default()
+        };
+        let mut oracle = sizes;
+        let (best, _) =
+            agree(&query, &views, &config, CostModel::M2, &result, &mut oracle).unwrap();
+        let (rewriting, plan, cost) = best.unwrap();
+        if max_filters == 0 {
+            assert_eq!(
+                (rewriting.as_str(), f64::from_bits(cost)),
+                ("q1(S, C) :- v4(M, a, C, S)", 20.0)
+            );
+        } else {
+            assert_eq!(plan, "v3(S) ⋈ v2(S, M, C) ⋈ v1(M, a, C)");
+            assert_eq!(f64::from_bits(cost), 12.0);
+        }
+    }
 }

@@ -225,6 +225,32 @@ fn threads_flag_gives_identical_batch_output() {
     }
 }
 
+/// The M1 cost is the subgoal count, so the plan is the one-view
+/// rewriting with or without `--all-minimal` — whose list starts with
+/// the two-view one. (Planning the first listed rewriting printed
+/// `ve(X, Z) ⋈ vf(Z, Y) (cost 2)` under the flag.)
+#[test]
+fn batch_plans_the_fewest_subgoal_rewriting_under_all_minimal() {
+    let path = temp_problem(
+        "viewplan_cli_m1_all_minimal.vp",
+        "ve(X, Z) :- e(X, Z).\nvf(Z, Y) :- f(Z, Y).\nvall(X, Y) :- e(X, Z), f(Z, Y).\n\
+         ---\nq(X, Y) :- e(X, Z), f(Z, Y).\n",
+    );
+    let file = path.to_str().unwrap();
+    for argv in [&["batch", file, "--all-minimal"][..], &["batch", file]] {
+        let out = viewplan(argv);
+        assert!(out.status.success(), "{argv:?}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(
+            text.contains("plan[m1]: vall(X, Y) (cost 1)"),
+            "{argv:?}: {text}"
+        );
+        let listed = text.contains("q(X, Y) :- ve(X, Z), vf(Z, Y)\n");
+        assert_eq!(listed, argv.len() == 3, "{argv:?}: {text}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn stats_prints_phase_tree_to_stderr() {
     let out = viewplan(&["plan", PROBLEM, "--stats"]);

@@ -1,7 +1,7 @@
 //! Repo-level lints for the `viewplan` workspace, run as
 //! `cargo run -p xtask -- lint` (and in CI).
 //!
-//! Thirteen checks, all offline and purely textual:
+//! Fourteen checks, all offline and purely textual:
 //!
 //! 1. **Panic ban** — no `.unwrap()` / `.expect(` / `panic!(` in library
 //!    crates (`crates/*/src`) outside `#[cfg(test)]` code. Audited
@@ -69,6 +69,11 @@
 //!     so no `Rewriting` is renamed or printed symbol by symbol per
 //!     request. The structured path (`BatchServer::serve`) is for library
 //!     callers.
+//! 14. **One plan loop** — outside `#[cfg(test)]` code,
+//!     `crates/cost/src/optimizer.rs` names `.rewritings()` at exactly
+//!     one site: the loop that visits rewritings cheapest bound first and
+//!     skips every one whose bound cannot beat the plan in hand. A second
+//!     loop would plan the rewritings unbounded again.
 //!
 //! The scans work on a *stripped* view of each file: comment and string
 //! contents are blanked (structure and braces preserved), so `"panic!"`
@@ -1022,6 +1027,33 @@ fn check_command_path(root: &Path, report: &mut LintReport) {
     }
 }
 
+/// Check 14: one plan loop over the rewritings, the bounded one.
+fn check_plan_loop(root: &Path, report: &mut LintReport) {
+    const OPTIMIZER: &str = "crates/cost/src/optimizer.rs";
+    let Ok(text) = std::fs::read_to_string(root.join(OPTIMIZER)) else {
+        return;
+    };
+    let stripped = strip_code(&text);
+    let mask = test_region_mask(&stripped);
+    let sites: Vec<usize> = stripped
+        .lines()
+        .zip(&mask)
+        .enumerate()
+        .filter(|(_, (_, &in_test))| !in_test)
+        .flat_map(|(line_no, (line, _))| {
+            std::iter::repeat_n(line_no + 1, line.matches(".rewritings()").count())
+        })
+        .collect();
+    if sites.len() != 1 {
+        report.violations.push(format!(
+            "{OPTIMIZER}: .rewritings() at {} site(s) (lines {sites:?}) — plan rewritings in \
+             the one bounded loop, which skips every rewriting whose bound cannot beat the \
+             plan in hand",
+            sites.len()
+        ));
+    }
+}
+
 /// Runs every lint over the workspace at `root`.
 pub fn run_lint(root: &Path) -> LintReport {
     let mut report = LintReport::default();
@@ -1038,6 +1070,7 @@ pub fn run_lint(root: &Path) -> LintReport {
     check_thread_local_ban(root, &mut report);
     check_fan_out_sites(root, &mut report);
     check_command_path(root, &mut report);
+    check_plan_loop(root, &mut report);
     report
 }
 
@@ -1440,6 +1473,31 @@ real.unwrap();"##;
             assert!(violation.contains(at), "{violation}");
             assert!(violation.contains("parse_canonical"));
         }
+    }
+
+    #[test]
+    fn lint_allows_one_plan_loop_over_rewritings() {
+        let repo = TempRepo::new("plan-loop");
+        let path = "crates/cost/src/optimizer.rs";
+        let bounded = "fn plan(r: &R) { for x in r.rewritings() {} }\n";
+        // Comments and test code are not sites.
+        let rest = "/// Not a `.rewritings()` site.\n\
+                    #[cfg(test)]\n\
+                    mod tests { fn t(r: &R) { r.rewritings().len(); } }\n";
+        repo.write(path, &format!("{bounded}{rest}"));
+        assert!(run_lint(&repo.root).is_clean());
+
+        let second = "fn again(r: &R) { for x in r.rewritings() {} }\n";
+        repo.write(path, &format!("{bounded}{second}{rest}"));
+        let report = run_lint(&repo.root);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].contains("at 2 site(s) (lines [1, 2])"));
+        assert!(report.violations[0].contains("bounded loop"));
+
+        repo.write(path, rest);
+        let report = run_lint(&repo.root);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].contains("at 0 site(s)"));
     }
 
     #[test]
