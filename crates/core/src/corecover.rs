@@ -7,6 +7,7 @@
 //! (3) For each view tuple, compute its tuple-core.
 //! (4) Cover the subgoals of Q_m with the minimum number of nonempty
 //!     tuple-cores; each cover yields a globally-minimal rewriting.
+//! (5) Decide each cover (below) and build its rewriting.
 //! ```
 //!
 //! `CoreCover*` differs only in step (4): it enumerates *all* irredundant
@@ -22,13 +23,27 @@
 //! A cover of tuple-cores is a rewriting only if the members' mappings
 //! agree on the variables they share (the three-line counterexample is
 //! in [`crate::certificate`]). Every deduplicated cover is therefore
-//! decided before it is returned, the same way in every build profile:
-//! first by the bitmask [certificate](crate::certificate::certify) — no
-//! expansion, no containment search — and, when the certificate cannot
-//! vouch for it, by the oracle (expand the rewriting and test
-//! equivalence with the query). A cover of class representatives that
-//! fails both is retried with class-mates that expose different
-//! variables before it is dropped.
+//! decided before its rewriting is handed out, the same way in every
+//! build profile: first by the bitmask
+//! [certificate](crate::certificate::certify) — no expansion, no
+//! containment search — and, when the certificate cannot vouch for it,
+//! by the oracle (expand the rewriting and test equivalence with the
+//! query). A cover of class representatives that fails both is retried
+//! with class-mates that expose different variables before it is
+//! dropped.
+//!
+//! # Covers on demand
+//!
+//! Step (5) runs inside [`CoreCover::run`], and inside
+//! [`CoreCover::run_all_minimal`] when a budget is installed or
+//! provenance is collected, so that completeness markers and `explain`
+//! describe the whole space. Otherwise `CoreCover*` returns its covers
+//! unbuilt: the optimizer walks them cheapest view sizes first and
+//! builds only those whose sizes can still beat the best plan in hand
+//! ([`CoreCoverResult::walk`], [`crate::walk`]), and
+//! [`CoreCoverResult::rewritings`] builds and decides the rest on first
+//! call. Either way a cover is decided once, and the rewritings are the
+//! same.
 //!
 //! The §5.2 concise representation — views grouped into classes
 //! equivalent as queries, view tuples grouped by tuple-core — is on by
@@ -36,15 +51,15 @@
 //! (Figures 6–9).
 
 use crate::catalog_index::CatalogIndex;
-use crate::certificate::certify;
 use crate::classes::{view_equivalence_classes, view_tuple_classes};
 use crate::cover::{all_irredundant_covers_counted, all_minimum_covers_counted};
 use crate::error::{CoreError, MAX_SUBGOALS};
-use crate::lattice::is_equivalent_rewriting;
 use crate::prepared::PreparedViews;
-use crate::rewriting::{dedup_variants_with_map, Rewriting};
+use crate::rewriting::Rewriting;
 use crate::tuple_core::{tuple_core_in, TupleCore};
 use crate::view_tuple::{view_tuples_of, ViewTuple};
+use crate::walk::{CoverSpace, Fate};
+use std::sync::OnceLock;
 use viewplan_containment::minimize;
 use viewplan_cq::{ConjunctiveQuery, Symbol, Term, ViewSet};
 use viewplan_obs as obs;
@@ -72,7 +87,8 @@ pub struct CoreCoverConfig {
     /// `benchmark/src/workloads/mod.rs` names it and the PR that made it
     /// inert could not edit `benchmark/`; remove both together.
     pub verify_rewritings: bool,
-    /// Cap on the number of rewritings enumerated by `CoreCover*`.
+    /// Cap on the number of covers `CoreCover*` enumerates: the first
+    /// this many in lexicographic order, before dedup and decision.
     pub max_rewritings: usize,
     /// Inert: nothing reads it. A run is one thread whatever this says
     /// — parallelism lives between requests ([`crate::parallel`]), never
@@ -197,7 +213,11 @@ pub struct CoreCoverStats {
     pub representative_tuples: usize,
     /// Number of view tuples with an empty tuple-core (filter candidates).
     pub empty_core_tuples: usize,
-    /// Number of rewritings produced.
+    /// Number of rewritings the run itself built: every rewriting of a
+    /// run that decides its covers (module docs, "Covers on demand"),
+    /// 0 for a `CoreCover*` run that left them unbuilt. The
+    /// `corecover.rewritings` counter counts rewritings as they are
+    /// built, by the run or by a later walk.
     pub rewritings: usize,
     /// True iff the enumeration was cut short — by
     /// [`CoreCoverConfig::max_rewritings`] or by the ambient budget —
@@ -230,14 +250,25 @@ pub struct CoreCoverResult {
     /// Per-candidate provenance; `Some` iff
     /// [`CoreCoverConfig::collect_provenance`] was on.
     pub provenance: Option<CoverProvenance>,
-    rewritings: Vec<Rewriting>,
+    /// The covers of step (4), each decided on first request.
+    pub(crate) space: CoverSpace,
+    rewritings: OnceLock<Vec<Rewriting>>,
 }
 
 impl CoreCoverResult {
     /// The rewritings found (globally minimal for [`CoreCover::run`], all
-    /// minimal for [`CoreCover::run_all_minimal`]).
+    /// minimal for [`CoreCover::run_all_minimal`]), in cover order. A
+    /// `CoreCover*` run that left its covers unbuilt builds and decides
+    /// them all here, once.
     pub fn rewritings(&self) -> &[Rewriting] {
-        &self.rewritings
+        self.rewritings.get_or_init(|| {
+            (0..self.space.len())
+                .filter_map(|c| match self.fate(c) {
+                    Fate::Accepted { rewriting, .. } => Some(rewriting.clone()),
+                    _ => None,
+                })
+                .collect()
+        })
     }
 
     /// View tuples with empty tuple-cores — candidates for filtering
@@ -513,162 +544,50 @@ impl<'a> CoreCover<'a> {
             }
         };
 
-        let rewriting_of = |members: &[usize]| -> Rewriting {
-            ConjunctiveQuery::new(
-                qm.head.clone(),
-                members.iter().map(|&i| tuples[i].atom.clone()).collect(),
+        // Covers as view-tuple indices from here on. Step 5 decides them
+        // on demand (crate::walk).
+        let covers: Vec<Vec<usize>> = covers
+            .into_iter()
+            .map(|cover| cover.into_iter().map(|k| candidate_indices[k]).collect())
+            .collect();
+        let space = {
+            let _span = obs::span("corecover.verify");
+            CoverSpace::new(
+                &qm,
+                &tuples,
+                &cores,
+                &tuple_classes,
+                self.views,
+                universe,
+                covers,
+                self.config.group_view_tuples,
             )
         };
-        // Covers as view-tuple indices from here on.
-        let covers: Vec<Vec<usize>> = covers
-            .iter()
-            .map(|cover| cover.iter().map(|&k| candidate_indices[k]).collect())
-            .collect();
-        let candidates: Vec<Rewriting> = covers.iter().map(|c| rewriting_of(c)).collect();
-        // Pre-dedup candidates are kept only when provenance is on: the
-        // explain path wants to say "this cover was a renaming of that
-        // one", which requires remembering the dropped ones.
-        let all_candidates: Option<Vec<Rewriting>> =
-            provenance.is_some().then(|| candidates.clone());
-        let (mut candidates, variant_of) = dedup_variants_with_map(candidates);
-        let covers: Vec<&[usize]> = covers
-            .iter()
-            .zip(&variant_of)
-            .filter_map(|(cover, variant)| variant.is_none().then_some(cover.as_slice()))
-            .collect();
-
-        // Step 5: decide every cover (module docs, "Certified covers").
-        // `decisions` lines up with `candidates` and `covers`.
-        let decisions: Vec<Decision> = {
-            let _span = obs::span("corecover.verify");
-            let certified = |members: &[usize]| {
-                let parts: Vec<&[u64]> =
-                    members.iter().map(|&i| cores[i].parts.as_slice()).collect();
-                certify(universe, &parts)
-            };
-            let oracle = |r: &Rewriting| is_equivalent_rewriting(r, &qm, self.views);
-            let mut decisions: Vec<Decision> = covers
-                .iter()
-                .map(|cover| Decision {
-                    accepted: certified(cover),
-                    by: DecidedBy::Certificate,
-                    retried: false,
-                })
-                .collect();
-            // The covers the certificate left open go to the oracle; one
-            // that has to swap class-mates in keeps the rewriting that
-            // passed.
-            let open: Vec<usize> = (0..covers.len())
-                .filter(|&i| !decisions[i].accepted)
-                .collect();
-            obs::counter!("corecover.covers_certified").add((covers.len() - open.len()) as u64);
-            obs::counter!("corecover.covers_oracle_checked").add(open.len() as u64);
-            for i in open {
-                decisions[i].by = DecidedBy::Oracle;
-                decisions[i].accepted = oracle(&candidates[i]);
-                if decisions[i].accepted {
-                    continue;
-                }
-                // The cover of representatives is not a rewriting; a
-                // class-mate that exposes other variables may make it
-                // one. Without tuple grouping every mate is a candidate
-                // in its own right and its covers are enumerated anyway.
-                let alternatives: Vec<Vec<usize>> = if self.config.group_view_tuples {
-                    covers[i]
-                        .iter()
-                        .map(|&rep| {
-                            let class = tuple_classes.iter().find(|class| class[0] == rep);
-                            class.map_or_else(
-                                || vec![rep],
-                                |class| mates_by_exposure(&qm, &tuples, &cores, class),
-                            )
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let passed = first_other_combination(&alternatives, &mut |members| {
-                    if certified(members) {
-                        Some(DecidedBy::Certificate)
-                    } else {
-                        oracle(&rewriting_of(members)).then_some(DecidedBy::Oracle)
-                    }
-                });
-                if let Some((members, by)) = passed {
-                    candidates[i] = rewriting_of(&members);
-                    decisions[i] = Decision {
-                        accepted: true,
-                        by,
-                        retried: true,
-                    };
-                }
-            }
-            for (decision, r) in decisions.iter().zip(&candidates) {
-                obs::trace_event!(
-                    "corecover.cover_verified",
-                    ("subgoals", r.body.len()),
-                    ("equivalent", decision.accepted),
-                    ("by", decision.by.label())
-                );
-            }
-            decisions
+        let mut result = CoreCoverResult {
+            minimized_query: qm,
+            view_tuples: tuples,
+            cores,
+            tuple_classes,
+            stats: CoreCoverStats::default(),
+            provenance: None,
+            space,
+            rewritings: OnceLock::new(),
         };
-        // Covers no check vouches for are dropped, never asserted on: a
-        // production pipeline must shed them, not abort. Under a budget
-        // a failed oracle check can also mean the equivalence search
-        // itself was cut short — a possibly-valid rewriting dropped for
-        // lack of proof — so the run is additionally marked truncated.
-        let dropped = decisions.iter().filter(|d| !d.accepted).count();
-        let unverified_dropped = dropped > 0 && budget_active;
-        if unverified_dropped {
-            obs::counter!("budget.unverified_dropped").add(dropped as u64);
-        } else if dropped > 0 {
-            obs::counter!("corecover.nonequivalent_covers").add(dropped as u64);
+        // Decided inside the run (module docs, "Covers on demand"). Under
+        // a budget a failed oracle check can also mean the equivalence
+        // search itself was cut short — a possibly-valid rewriting
+        // dropped for lack of proof — so the run is marked truncated.
+        let (rewritings, unverified_dropped) =
+            if minimum_only || budget_active || provenance.is_some() {
+                let _span = obs::span("corecover.verify");
+                let built = result.rewritings().len();
+                (built, budget_active && result.space.any_rejected())
+            } else {
+                (0, false)
+            };
+        if let Some(p) = provenance.as_mut() {
+            p.candidates = result.candidates(budget_active);
         }
-
-        if let (Some(p), Some(all)) = (provenance.as_mut(), all_candidates) {
-            // Walk candidates in enumeration order; kept ones consume
-            // the next decision.
-            let mut decided = candidates.iter().zip(&decisions);
-            for (idx, candidate) in all.into_iter().enumerate() {
-                let (rewriting, verdict, decided_by, retried) = match variant_of[idx] {
-                    Some(of) => (
-                        candidate,
-                        CandidateVerdict::DuplicateVariant { of },
-                        None,
-                        false,
-                    ),
-                    None => {
-                        let Some((r, d)) = decided.next() else { break };
-                        let verdict = if d.accepted {
-                            CandidateVerdict::Accepted
-                        } else if budget_active {
-                            CandidateVerdict::Unverified
-                        } else {
-                            CandidateVerdict::NotEquivalent
-                        };
-                        (r.clone(), verdict, Some(d.by), d.retried)
-                    }
-                };
-                let views_used = rewriting
-                    .body
-                    .iter()
-                    .map(|a| a.predicate.as_str().to_string())
-                    .collect();
-                p.candidates.push(CandidateCover {
-                    rewriting,
-                    views_used,
-                    verdict,
-                    decided_by,
-                    retried,
-                });
-            }
-        }
-        let rewritings: Vec<Rewriting> = candidates
-            .into_iter()
-            .zip(&decisions)
-            .filter_map(|(r, d)| d.accepted.then_some(r))
-            .collect();
 
         let truncated = truncated || unverified_dropped;
         let completeness = obs::budget::completeness_since(budget_before).worst(if truncated {
@@ -679,10 +598,10 @@ impl<'a> CoreCover<'a> {
         let stats = CoreCoverStats {
             views: self.views.len(),
             view_classes,
-            view_tuples: tuples.len(),
+            view_tuples: result.view_tuples.len(),
             representative_tuples: candidate_indices.len(),
-            empty_core_tuples: cores.iter().filter(|c| c.is_empty()).count(),
-            rewritings: rewritings.len(),
+            empty_core_tuples: result.cores.iter().filter(|c| c.is_empty()).count(),
+            rewritings,
             truncated,
             completeness,
         };
@@ -694,41 +613,27 @@ impl<'a> CoreCover<'a> {
         obs::counter!("corecover.view_tuples").add(stats.view_tuples as u64);
         obs::counter!("corecover.representative_tuples").add(stats.representative_tuples as u64);
         obs::counter!("corecover.empty_core_tuples").add(stats.empty_core_tuples as u64);
-        obs::counter!("corecover.rewritings").add(stats.rewritings as u64);
         if truncated {
             obs::counter!("corecover.truncated_runs").incr();
         }
         if completeness.is_incomplete() {
             obs::counter!("corecover.incomplete_runs").incr();
         }
-        Ok(CoreCoverResult {
-            minimized_query: qm,
-            view_tuples: tuples,
-            cores,
-            tuple_classes,
-            stats,
-            provenance,
-            rewritings,
-        })
+        result.stats = stats;
+        result.provenance = provenance;
+        Ok(result)
     }
-}
-
-/// What step 5 found out about one deduplicated cover.
-struct Decision {
-    /// Some check vouched for the cover.
-    accepted: bool,
-    /// The last check that ran on it.
-    by: DecidedBy,
-    /// The cover of representatives failed both checks and a class-mate
-    /// combination was accepted in its place.
-    retried: bool,
 }
 
 /// The variables of `core`'s subgoals that `tuple` exposes as arguments,
 /// sorted. Two view tuples with the same core and the same exposed
 /// variables have the same [`TupleCore::parts`], so a certificate cannot
 /// tell them apart.
-fn exposed_variables(qm: &ConjunctiveQuery, tuple: &ViewTuple, core: &TupleCore) -> Vec<Symbol> {
+pub(crate) fn exposed_variables(
+    qm: &ConjunctiveQuery,
+    tuple: &ViewTuple,
+    core: &TupleCore,
+) -> Vec<Symbol> {
     let mut exposed: Vec<Symbol> = tuple
         .atom
         .variables()
@@ -743,63 +648,10 @@ fn exposed_variables(qm: &ConjunctiveQuery, tuple: &ViewTuple, core: &TupleCore)
     exposed
 }
 
-/// The members of one tuple-core class worth trying in a cover: the
-/// representative, then the first mate for every other set of exposed
-/// variables.
-fn mates_by_exposure(
-    qm: &ConjunctiveQuery,
-    tuples: &[ViewTuple],
-    cores: &[TupleCore],
-    class: &[usize],
-) -> Vec<usize> {
-    let mut seen: Vec<Vec<Symbol>> = Vec::new();
-    let mut mates = Vec::new();
-    for &i in class {
-        let exposed = exposed_variables(qm, &tuples[i], &cores[i]);
-        if !seen.contains(&exposed) {
-            seen.push(exposed);
-            mates.push(i);
-        }
-    }
-    mates
-}
-
-/// The first combination of one pick per list that `check` passes, with
-/// what it returned. The last list varies fastest; the combination of
-/// every list's first entry — the cover that already failed — is
-/// skipped. Gives up when the ambient budget's cover meter runs out.
-fn first_other_combination<T>(
-    alternatives: &[Vec<usize>],
-    check: &mut dyn FnMut(&[usize]) -> Option<T>,
-) -> Option<(Vec<usize>, T)> {
-    let mut meter = obs::Meter::start(obs::Phase::Cover);
-    let mut pick = vec![0usize; alternatives.len()];
-    loop {
-        let mut pos = pick.len();
-        loop {
-            if pos == 0 {
-                return None;
-            }
-            pos -= 1;
-            pick[pos] += 1;
-            if pick[pos] < alternatives[pos].len() {
-                break;
-            }
-            pick[pos] = 0;
-        }
-        if !meter.tick() {
-            return None;
-        }
-        let members: Vec<usize> = pick.iter().zip(alternatives).map(|(&p, a)| a[p]).collect();
-        if let Some(passed) = check(&members) {
-            return Some((members, passed));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lattice::is_equivalent_rewriting;
     use viewplan_containment::{are_equivalent, expand};
     use viewplan_cq::{parse_query, parse_views};
 

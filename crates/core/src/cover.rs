@@ -39,7 +39,18 @@
 //! **Irredundant covers** are enumerated as subsets in increasing index
 //! order, each cover produced exactly once: `limit` means "the first N
 //! in that order", which a search that branches on subgoals cannot
-//! offer.
+//! offer. A node keeps two masks, the subgoals its sets cover once or
+//! more (`once`) and twice or more (`twice`). A set is added only when
+//! it covers something new, and a prefix is cut with its whole subtree
+//! as soon as some member covers nothing outside `twice`: adding sets
+//! never gives a member back a subgoal of its own, so every cover below
+//! would be redundant. Every cover the search reaches is therefore
+//! irredundant as it stands. A node is also cut when the sets after it
+//! (a suffix-union table) cannot complete the cover. Neither cut drops a
+//! cover or changes the order, so a `limit` or budget cut keeps a prefix
+//! of the full list — a longer one than the uncut search reached on the
+//! same budget. The cover list is what `CoreCover*` hands on unbuilt
+//! ([`crate::CoreCoverResult::walk`]).
 
 use viewplan_obs as obs;
 
@@ -243,91 +254,86 @@ pub fn all_irredundant_covers_counted(
             truncated: false,
         };
     }
-    let mut covers: Vec<Vec<usize>> = Vec::new();
-    let mut chosen: Vec<usize> = Vec::new();
-    let mut truncated = false;
-    let mut meter = obs::Meter::start(obs::Phase::Cover);
-    irredundant_dfs(
+    let sets: Vec<u64> = sets.iter().map(|&s| s & universe).collect();
+    let mut suffix = vec![0u64; sets.len() + 1];
+    for i in (0..sets.len()).rev() {
+        suffix[i] = suffix[i + 1] | sets[i];
+    }
+    let mut search = IrredundantSearch {
         universe,
-        sets,
-        0,
-        0,
-        &mut chosen,
+        sets: &sets,
+        suffix: &suffix,
         limit,
-        &mut covers,
-        &mut truncated,
-        &mut meter,
-    );
-    truncated |= meter.exhausted();
+        chosen: Vec::new(),
+        covers: Vec::new(),
+        truncated: false,
+        meter: obs::Meter::start(obs::Phase::Cover),
+    };
+    search.descend(0, 0, 0);
+    let truncated = search.truncated || search.meter.exhausted();
     if truncated {
         note_truncated();
     }
-    CoverEnumeration { covers, truncated }
+    CoverEnumeration {
+        covers: search.covers,
+        truncated,
+    }
 }
 
-// Recursive DFS: the search state is threaded as parameters rather
-// than bundled in a struct, keeping the hot path allocation-free.
-#[allow(clippy::too_many_arguments)]
-fn irredundant_dfs(
+/// The irredundant-cover search (module docs).
+struct IrredundantSearch<'a> {
     universe: u64,
-    sets: &[u64],
-    start: usize,
-    covered: u64,
-    chosen: &mut Vec<usize>,
+    /// The sets, restricted to the universe.
+    sets: &'a [u64],
+    /// `suffix[i]` is the union of `sets[i..]`.
+    suffix: &'a [u64],
     limit: usize,
-    covers: &mut Vec<Vec<usize>>,
-    truncated: &mut bool,
-    meter: &mut obs::Meter,
-) {
-    if !meter.tick() {
-        return;
-    }
-    note_search_node();
-    if covers.len() >= limit {
-        // The search still had branches to explore — record, don't hide.
-        *truncated = true;
-        return;
-    }
-    if covered & universe == universe {
-        // Irredundancy check: every member must cover something unique.
-        let masks: Vec<u64> = chosen.iter().map(|&i| sets[i] & universe).collect();
-        let irredundant = masks.iter().enumerate().all(|(k, &m)| {
-            let others: u64 = masks
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != k)
-                .fold(0u64, |a, (_, &x)| a | x);
-            m & !others != 0
-        });
-        if irredundant {
-            covers.push(chosen.clone());
-        }
-        return;
-    }
-    let rest: u64 = sets[start..].iter().fold(0u64, |a, &s| a | s);
-    if (covered | rest) & universe != universe {
-        note_pruned();
-        return;
-    }
-    for i in start..sets.len() {
-        if sets[i] & universe & !covered == 0 {
-            continue; // adding a no-progress set can never stay irredundant
-        }
-        chosen.push(i);
-        irredundant_dfs(
-            universe,
-            sets,
-            i + 1,
-            covered | sets[i],
-            chosen,
-            limit,
-            covers,
-            truncated,
-            meter,
-        );
-        chosen.pop();
-        if meter.exhausted() {
+    chosen: Vec<usize>,
+    covers: Vec<Vec<usize>>,
+    truncated: bool,
+    meter: obs::Meter,
+}
+
+impl IrredundantSearch<'_> {
+    /// Extends `chosen` with sets from `start` on. `once` is what the
+    /// chosen sets cover, `twice` what two or more of them cover; every
+    /// chosen set still covers a subgoal outside `twice`.
+    fn descend(&mut self, start: usize, once: u64, twice: u64) {
+        if !self.meter.tick() {
             return;
+        }
+        note_search_node();
+        if self.covers.len() >= self.limit {
+            // The search still had branches to explore — record, don't hide.
+            self.truncated = true;
+            return;
+        }
+        if once == self.universe {
+            self.covers.push(self.chosen.clone());
+            return;
+        }
+        if once | self.suffix[start] != self.universe {
+            note_pruned();
+            return;
+        }
+        for i in start..self.sets.len() {
+            let set = self.sets[i];
+            if set & !once == 0 {
+                continue; // adding a no-progress set can never stay irredundant
+            }
+            // Adding sets only moves subgoals from `once` into `twice`, so
+            // a member left with no subgoal of its own never gets one back.
+            let twice = twice | (once & set);
+            if self.chosen.iter().any(|&m| self.sets[m] & !twice == 0) {
+                note_pruned();
+                continue;
+            }
+            self.chosen.push(i);
+            self.descend(i + 1, once | set, twice);
+            self.chosen.pop();
+            if self.meter.exhausted() {
+                return;
+            }
         }
     }
 }

@@ -13,6 +13,8 @@
 //!   set covers of the query subgoals by tuple-cores (§4, Theorem 4.1,
 //!   Corollary 4.1), and all minimal rewritings for cost model M2 via
 //!   `CoreCover*` (§5, Theorem 5.1);
+//! * [`walk`] — step (5) on demand: covers decided and built only when
+//!   a walk by ascending view sizes reaches them;
 //! * [`certificate`] — the shared-variable condition Theorem 4.1 needs
 //!   for overlapping cores, checked on bitmasks at cover assembly so a
 //!   certified cover is a rewriting by construction;
@@ -60,6 +62,7 @@ pub mod prune;
 pub mod rewriting;
 pub mod tuple_core;
 pub mod view_tuple;
+pub mod walk;
 
 pub use bucket::{bucket_rewritings, build_buckets, BucketEntry, Buckets};
 pub use catalog_index::CatalogIndex;
@@ -83,3 +86,4 @@ pub use prune::{body_signature, view_is_unusable};
 pub use rewriting::{dedup_variants, dedup_variants_with_map, Rewriting};
 pub use tuple_core::{tuple_core, TupleCore};
 pub use view_tuple::{view_tuples, ViewTuple};
+pub use walk::{CoverWalk, Found};

@@ -65,7 +65,6 @@ pub fn dedup_variants(rewritings: Vec<Rewriting>) -> Vec<Rewriting> {
 /// [`dedup_variants`], additionally reporting each input's fate: entry
 /// `i` of the second vector is `None` when input `i` was kept, or
 /// `Some(j)` when it was dropped as a renaming of (kept) input `j`.
-/// Feeds the `viewplan explain` duplicate-variant verdicts.
 pub fn dedup_variants_with_map(rewritings: Vec<Rewriting>) -> (Vec<Rewriting>, Vec<Option<usize>>) {
     let mut out: Vec<Rewriting> = Vec::new();
     // Input index each `out[i]` came from, for reporting in input terms.

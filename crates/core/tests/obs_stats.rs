@@ -87,6 +87,39 @@ fn counters_agree_with_corecover_stats() {
         assert!(child_names.contains(&phase), "missing phase {phase}");
     }
 
+    // `corecover.rewritings` counts rewritings as they are built. A
+    // CoreCover* run with no budget and no provenance builds none; a walk
+    // builds the ones it reaches, fewest view tuples first under unit
+    // weights, and `rewritings()` the rest, once.
+    let built_before = obs::counter_value("corecover.rewritings");
+    let lazy = CoreCover::new(&query, &views).run_all_minimal();
+    assert_eq!(lazy.stats.rewritings, 0);
+    assert_eq!(obs::counter_value("corecover.rewritings"), built_before);
+    let mut walk = lazy.walk(|_| 1.0);
+    let first = walk
+        .next_within(None)
+        .expect("a rewriting")
+        .rewriting
+        .clone();
+    assert_eq!(obs::counter_value("corecover.rewritings") - built_before, 1);
+    let pruned_before = obs::counter_value("corecover.covers_pruned_by_bound");
+    assert_eq!(walk.next_within(Some((0.0, 0))).map(|f| f.cover), None);
+    let unreached = obs::counter_value("corecover.covers_pruned_by_bound") - pruned_before;
+    assert!(unreached > 0);
+    let all = lazy.rewritings().len();
+    assert!(all > 1, "{all} rewritings");
+    assert_eq!(first.body.len(), 1, "{first}");
+    assert!(lazy.rewritings().contains(&first));
+    assert_eq!(
+        obs::counter_value("corecover.rewritings") - built_before,
+        all as u64
+    );
+    let _ = lazy.rewritings();
+    assert_eq!(
+        obs::counter_value("corecover.rewritings") - built_before,
+        all as u64
+    );
+
     // `analyze.views_pruned` counts the views the VP006 prune dropped:
     // here vg (foreign predicate), vmix (one foreign atom) and varity
     // (same predicate, other arity).

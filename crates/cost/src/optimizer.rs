@@ -11,7 +11,7 @@
 //! plan cost — a selective view relation can shrink the intermediate
 //! relations by more than its own size (§5.1, rewriting `P3`).
 //!
-//! # One loop, bounded across rewritings
+//! # One loop, bounded across covers
 //!
 //! Every plan of a rewriting costs at least its *bound*: under M1 the
 //! subgoal count, which is the cost; under M2/M3 `Σ size(gᵢ)`, since both
@@ -19,19 +19,31 @@
 //! filter only adds subgoals). Sizes are row counts, so the sum is exact
 //! below 2⁵³, and IEEE addition of non-negative terms is monotone: a cost
 //! built from the same sizes and such terms, in any order, is ≥ the bound
-//! (debug builds assert it). One loop visits the rewritings by ascending
-//! (bound, CoreCover index), skips unsearched each one whose bound exceeds
-//! the incumbent's cost or equals it with a larger index, and hands the
-//! incumbent to the M3 search as its ceiling. A plan replaces the
+//! (debug builds assert it).
+//!
+//! The bound is a sum over the *views* of a rewriting's cover, so it is
+//! known before the rewriting exists. Phase 1 therefore hands over its
+//! covers unbuilt, and one loop drives [`CoreCoverResult::walk`] with
+//! each view tuple's relation size (1 under M1): the walk visits covers
+//! by ascending (key, cover index), where a key is a lower bound on the
+//! bound of whatever rewriting the cover becomes, and stops at the first
+//! cover that cannot beat the incumbent it is handed. Only the covers it
+//! reaches are deduplicated, certified and built ([`viewplan_core::walk`]).
+//! A rewriting that is reached is still skipped unsearched when its own
+//! bound exceeds the incumbent's cost or equals it with a larger index,
+//! and the incumbent is the M3 search's ceiling. A plan replaces the
 //! incumbent when cheaper, or as cheap with a smaller index: the choice a
-//! loop in index order with a strict `<` makes, bit for bit.
+//! loop over every rewriting in index order with a strict `<` makes, bit
+//! for bit. A rewriting too wide for the plan search truncates the
+//! outcome only if the walk reaches it; one the bound rules out could not
+//! have won.
 
 use crate::error::{check_width, CostError, PlanError};
 use crate::m2::{M2Table, M2_MAX_SUBGOALS};
 use crate::m3::{optimal_plan, DropPolicy, RenameTest, M3_MAX_SUBGOALS};
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
-use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult, Rewriting, ViewTuple};
+use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult, Found, Rewriting, ViewTuple};
 use viewplan_cq::{ConjunctiveQuery, ViewSet};
 use viewplan_obs as obs;
 use viewplan_obs::Completeness;
@@ -194,7 +206,9 @@ impl<'a> Optimizer<'a> {
         self.plan_generated(model, result, oracle, obs::budget::snapshot())
     }
 
-    /// The bounded loop of the module docs.
+    /// The bounded walk of the module docs: the incumbent is handed to
+    /// the walk at every step, so a cover that cannot beat it is never
+    /// built.
     fn plan_generated(
         &self,
         model: CostModel,
@@ -203,25 +217,35 @@ impl<'a> Optimizer<'a> {
         budget_before: obs::budget::HitSnapshot,
     ) -> Result<PlanOutcome, PlanError> {
         let _enum_span = (model != CostModel::M1).then(|| obs::span("optimizer.enumerate"));
-        let rewritings = result.rewritings();
-        let mut too_wide = None;
-        let mut visit = Vec::with_capacity(rewritings.len());
-        for (i, r) in rewritings.iter().enumerate() {
-            match lower_bound(model, r, oracle) {
-                Ok(bound) => visit.push((bound, i)),
-                Err(e) => {
-                    note_too_wide_skipped();
-                    too_wide = Some(e);
-                }
-            }
-        }
-        visit.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut walk = match model {
+            CostModel::M1 => result.walk(|_| 1.0),
+            CostModel::M2 | CostModel::M3(_) => result.walk(|t| oracle.relation_size(&t.atom)),
+        };
         let filters = result.filter_tuples();
         let test = RenameTest::new(self.query, self.views);
+        let mut too_wide = None;
         let mut best = None;
-        for (bound, i) in visit {
-            let incumbent = best.as_ref().map(|&(at, _, _, cost)| (at, cost));
-            if incumbent.is_some_and(|(at, cost)| bound > cost || (bound == cost && i > at)) {
+        loop {
+            let incumbent = best.as_ref().map(|&(at, _, _, cost)| (cost, at));
+            let Some(Found {
+                cover,
+                bound,
+                rewriting: r,
+            }) = walk.next_within(incumbent)
+            else {
+                break;
+            };
+            let width = match model {
+                CostModel::M1 => Ok(()),
+                CostModel::M2 => check_width(r.body.len(), M2_MAX_SUBGOALS, "M2"),
+                CostModel::M3(_) => check_width(r.body.len(), M3_MAX_SUBGOALS, "M3"),
+            };
+            if let Err(e) = width {
+                note_too_wide_skipped();
+                too_wide = Some(e);
+                continue;
+            }
+            if incumbent.is_some_and(|(cost, at)| bound > cost || (bound == cost && cover > at)) {
                 note_rewriting_pruned();
                 continue;
             }
@@ -229,12 +253,11 @@ impl<'a> Optimizer<'a> {
                 break; // deadline: keep the best so far (an M1 plan is no search)
             }
             note_plan_enumerated();
-            let r = &rewritings[i];
             let planned = match model {
                 CostModel::M1 => Some((r.clone(), PhysicalPlan::ordered(r.body.clone()), bound)),
                 CostModel::M2 => self.m2_with_filters(r, &filters, oracle)?,
                 CostModel::M3(policy) => {
-                    let ceiling = incumbent.map(|(at, cost)| (cost, i < at));
+                    let ceiling = incumbent.map(|(cost, at)| (cost, cover < at));
                     let planned = optimal_plan(&test, r, policy, oracle, ceiling)?;
                     planned.map(|(plan, cost)| (r.clone(), plan, cost))
                 }
@@ -242,8 +265,8 @@ impl<'a> Optimizer<'a> {
             // No plan: an empty body, a budget cut, or none under the ceiling.
             if let Some((rewriting, plan, cost)) = planned {
                 debug_assert!(cost >= bound, "a plan cheaper than its bound");
-                if incumbent.is_none_or(|(at, beat)| cost < beat || (cost == beat && i < at)) {
-                    best = Some((i, rewriting, plan, cost));
+                if incumbent.is_none_or(|(beat, at)| cost < beat || (cost == beat && cover < at)) {
+                    best = Some((cover, rewriting, plan, cost));
                 }
             }
         }
@@ -307,22 +330,6 @@ impl<'a> Optimizer<'a> {
             cost,
         )))
     }
-}
-
-/// The bound of `r` under `model` (module docs) — once `r` passes the
-/// width check, which comes first: a rewriting too wide to search is
-/// skipped, and the outcome truncated, whatever its bound.
-fn lower_bound(
-    model: CostModel,
-    r: &Rewriting,
-    oracle: &mut dyn SizeOracle,
-) -> Result<f64, CostError> {
-    match model {
-        CostModel::M1 => return Ok(r.body.len() as f64),
-        CostModel::M2 => check_width(r.body.len(), M2_MAX_SUBGOALS, "M2")?,
-        CostModel::M3(_) => check_width(r.body.len(), M3_MAX_SUBGOALS, "M3")?,
-    }
-    Ok(r.body.iter().fold(0.0, |s, g| s + oracle.relation_size(g)))
 }
 
 #[cfg(test)]

@@ -1,21 +1,176 @@
-//! The optimizer's second phase as it stood before the loop was bounded:
-//! every rewriting planned, in CoreCover order, and the first of the
-//! cheapest kept. `plan_m1` / `plan_m2` / `plan_m3` are the replaced
-//! methods verbatim but for two things: a plan enumerated bumps
+//! The pipeline the fused search replaced, kept as its reference. Phase
+//! 1 is `CoreCover*` as it decided every cover before returning
+//! ([`Space::eager`]); phase 2 plans every rewriting, in CoreCover
+//! order, and keeps the first of the cheapest. `plan_m1` / `plan_m2` /
+//! `plan_m3` are the optimizer's methods from before its loop was
+//! bounded, verbatim but for two things: a plan enumerated bumps
 //! `Exhaustive::enumerated` instead of `cost.plans_enumerated` (so a
 //! count test can run both and compare), and M3 goes through the public
 //! `try_optimal_m3_plan`, which builds the `RenameTest` the optimizer kept
 //! across rewritings once per rewriting (the verdicts are the same).
 
-use viewplan_core::{CoreCoverResult, Rewriting};
+use viewplan_core::certificate::certify;
+use viewplan_core::{
+    all_irredundant_covers, all_minimum_covers, dedup_variants_with_map, is_equivalent_rewriting,
+    CoreCoverResult, Rewriting,
+};
 use viewplan_cost::m2::M2Table;
 use viewplan_cost::{
     try_optimal_m3_plan, CostError, CostModel, DropPolicy, OptimizerConfig, PhysicalPlan,
     PlanError, PlanOutcome, PlannedRewriting, SizeOracle,
 };
-use viewplan_cq::{Atom, ConjunctiveQuery, ViewSet};
+use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term, ViewSet};
 use viewplan_obs as obs;
 use viewplan_obs::Completeness;
+
+/// A generated space as phase 2 saw it before the walk: every rewriting,
+/// built and decided, in CoreCover order.
+pub struct Space {
+    pub rewritings: Vec<Rewriting>,
+    pub filters: Vec<Atom>,
+    pub completeness: Completeness,
+}
+
+impl Space {
+    /// Steps 4 and 5 of `CoreCover*` (`all_minimal`, covers capped at
+    /// `cap`) or `CoreCover` as they ran before the walk, over the view
+    /// tuples and cores of `result` (default grouping): every cover of
+    /// class representatives built, deduplicated with the first variant
+    /// kept, then accepted by the certificate, by the oracle, or by the
+    /// first class-mate combination that passes either.
+    pub fn eager(
+        result: &CoreCoverResult,
+        views: &ViewSet,
+        all_minimal: bool,
+        cap: usize,
+    ) -> Space {
+        let qm = &result.minimized_query;
+        let representatives: Vec<usize> = result
+            .tuple_classes
+            .iter()
+            .map(|class| class[0])
+            .filter(|&t| !result.cores[t].is_empty())
+            .collect();
+        let masks: Vec<u64> = representatives
+            .iter()
+            .map(|&t| result.cores[t].bitmask())
+            .collect();
+        let universe = match qm.body.len() {
+            0 => 0,
+            n => u64::MAX >> (64 - n),
+        };
+        let covers = if all_minimal {
+            all_irredundant_covers(universe, &masks, cap)
+        } else {
+            all_minimum_covers(universe, &masks)
+        };
+        let covers: Vec<Vec<usize>> = covers
+            .iter()
+            .map(|cover| cover.iter().map(|&k| representatives[k]).collect())
+            .collect();
+        let rewriting_of = |members: &[usize]| {
+            ConjunctiveQuery::new(
+                qm.head.clone(),
+                members
+                    .iter()
+                    .map(|&t| result.view_tuples[t].atom.clone())
+                    .collect(),
+            )
+        };
+        let (candidates, variant_of) =
+            dedup_variants_with_map(covers.iter().map(|c| rewriting_of(c)).collect());
+        let kept = covers
+            .iter()
+            .zip(&variant_of)
+            .filter(|(_, variant)| variant.is_none());
+        let certified = |members: &[usize]| {
+            let parts: Vec<&[u64]> = members
+                .iter()
+                .map(|&t| result.cores[t].parts.as_slice())
+                .collect();
+            certify(universe, &parts)
+        };
+        let oracle = |r: &Rewriting| is_equivalent_rewriting(r, qm, views);
+        let mut rewritings = Vec::new();
+        for ((cover, _), candidate) in kept.zip(candidates) {
+            if certified(cover) || oracle(&candidate) {
+                rewritings.push(candidate);
+                continue;
+            }
+            let alternatives: Vec<Vec<usize>> =
+                cover.iter().map(|&rep| mates(result, rep)).collect();
+            let passed = other_combinations(&alternatives)
+                .find(|members| certified(members) || oracle(&rewriting_of(members)));
+            rewritings.extend(passed.map(|members| rewriting_of(&members)));
+        }
+        Space {
+            rewritings,
+            filters: result
+                .filter_tuples()
+                .iter()
+                .map(|t| t.atom.clone())
+                .collect(),
+            completeness: result.stats.completeness,
+        }
+    }
+}
+
+/// The class of representative `rep`: itself, then the first mate for
+/// every other set of query variables of the core the tuple exposes.
+fn mates(result: &CoreCoverResult, rep: usize) -> Vec<usize> {
+    let qm = &result.minimized_query;
+    let exposed = |t: usize| {
+        let mut exposed: Vec<Symbol> = result.view_tuples[t]
+            .atom
+            .variables()
+            .filter(|&v| {
+                result.cores[t]
+                    .subgoals
+                    .iter()
+                    .any(|&g| qm.body[g].terms.contains(&Term::Var(v)))
+            })
+            .collect();
+        exposed.sort();
+        exposed.dedup();
+        exposed
+    };
+    let class = result
+        .tuple_classes
+        .iter()
+        .find(|class| class[0] == rep)
+        .expect("a representative heads its class");
+    let mut seen = Vec::new();
+    let mut mates = Vec::new();
+    for &t in class {
+        let e = exposed(t);
+        if !seen.contains(&e) {
+            seen.push(e);
+            mates.push(t);
+        }
+    }
+    mates
+}
+
+/// One pick per list, the last varying fastest, skipping the all-first
+/// combination (the cover that already failed).
+fn other_combinations(alternatives: &[Vec<usize>]) -> impl Iterator<Item = Vec<usize>> + '_ {
+    let mut pick = vec![0usize; alternatives.len()];
+    std::iter::from_fn(move || {
+        let mut pos = pick.len();
+        loop {
+            if pos == 0 {
+                return None;
+            }
+            pos -= 1;
+            pick[pos] += 1;
+            if pick[pos] < alternatives[pos].len() {
+                break;
+            }
+            pick[pos] = 0;
+        }
+        Some(pick.iter().zip(alternatives).map(|(&p, a)| a[p]).collect())
+    })
+}
 
 pub struct Exhaustive<'a> {
     query: &'a ConjunctiveQuery,
@@ -39,40 +194,32 @@ impl<'a> Exhaustive<'a> {
         }
     }
 
-    /// `Optimizer::try_plan_generated`.
+    /// `Optimizer::try_plan_generated`, over a space decided eagerly.
     pub fn try_plan_generated(
         &mut self,
         model: CostModel,
-        result: CoreCoverResult,
+        space: &Space,
         oracle: &mut dyn SizeOracle,
     ) -> Result<PlanOutcome, PlanError> {
         let _span = obs::span("optimizer.best_plan");
-        self.plan_generated(model, result, oracle, obs::budget::snapshot())
-    }
-
-    fn plan_generated(
-        &mut self,
-        model: CostModel,
-        result: CoreCoverResult,
-        oracle: &mut dyn SizeOracle,
-        budget_before: obs::budget::HitSnapshot,
-    ) -> Result<PlanOutcome, PlanError> {
-        let generated = result.stats.completeness;
+        let budget_before = obs::budget::snapshot();
         let planned = match model {
-            CostModel::M1 => Ok((self.plan_m1(result), false)),
-            CostModel::M2 => self.plan_m2(result, oracle),
-            CostModel::M3(policy) => self.plan_m3(result, policy, oracle),
+            CostModel::M1 => Ok((self.plan_m1(space), false)),
+            CostModel::M2 => self.plan_m2(space, oracle),
+            CostModel::M3(policy) => self.plan_m3(space, policy, oracle),
         };
         let (best, skipped_wide) = planned?;
-        let mut completeness = generated.worst(obs::budget::completeness_since(budget_before));
+        let mut completeness = space
+            .completeness
+            .worst(obs::budget::completeness_since(budget_before));
         if skipped_wide {
             completeness = completeness.worst(Completeness::Truncated);
         }
         Ok(PlanOutcome { best, completeness })
     }
 
-    fn plan_m1(&mut self, result: CoreCoverResult) -> Option<PlannedRewriting> {
-        let r = result.rewritings().first()?.clone();
+    fn plan_m1(&mut self, space: &Space) -> Option<PlannedRewriting> {
+        let r = space.rewritings.first()?.clone();
         self.enumerated += 1;
         let plan = PhysicalPlan::ordered(r.body.clone());
         let cost = plan.m1_cost() as f64;
@@ -85,18 +232,14 @@ impl<'a> Exhaustive<'a> {
 
     fn plan_m2(
         &mut self,
-        result: CoreCoverResult,
+        space: &Space,
         oracle: &mut dyn SizeOracle,
     ) -> Result<(Option<PlannedRewriting>, bool), PlanError> {
         let _enum_span = obs::span("optimizer.enumerate");
-        let filters: Vec<Atom> = result
-            .filter_tuples()
-            .iter()
-            .map(|t| t.atom.clone())
-            .collect();
+        let filters = &space.filters;
         let mut best: Option<PlannedRewriting> = None;
         let mut skipped: Option<CostError> = None;
-        for r in result.rewritings() {
+        for r in &space.rewritings {
             if obs::budget::cancelled() {
                 break; // deadline: keep the cheapest plan found so far
             }
@@ -114,7 +257,7 @@ impl<'a> Exhaustive<'a> {
             };
             for _ in 0..self.config.max_filters {
                 let mut improved = false;
-                for f in &filters {
+                for f in filters {
                     if table.body().contains(f) {
                         continue;
                     }
@@ -153,14 +296,14 @@ impl<'a> Exhaustive<'a> {
 
     fn plan_m3(
         &mut self,
-        result: CoreCoverResult,
+        space: &Space,
         policy: DropPolicy,
         oracle: &mut dyn SizeOracle,
     ) -> Result<(Option<PlannedRewriting>, bool), PlanError> {
         let _enum_span = obs::span("optimizer.enumerate");
         let mut best: Option<PlannedRewriting> = None;
         let mut skipped: Option<CostError> = None;
-        for r in result.rewritings() {
+        for r in &space.rewritings {
             if obs::budget::cancelled() {
                 break; // deadline: keep the cheapest plan found so far
             }

@@ -5,10 +5,10 @@
 
 mod common;
 
-use common::exhaustive::Exhaustive;
+use common::exhaustive::{Exhaustive, Space};
 use common::{generated, rename_family, Generated, RenameFamily};
 use std::sync::Mutex;
-use viewplan_core::CoreCover;
+use viewplan_core::{CoreCover, CoreCoverConfig};
 use viewplan_cost::{
     try_optimal_m3_plan, Catalog, CostModel, DropPolicy, EstimateOracle, ExactOracle, Optimizer,
     OptimizerConfig,
@@ -184,13 +184,14 @@ fn singletons_and_one_view_of_all(k: usize) -> Generated {
     }
 }
 
-/// Each rewriting is planned, skipped on its bound or skipped as too
-/// wide — exactly one of the three. Under M2 without filters and under
-/// M3 a planned rewriting is one enumerated plan. Fails when the loop
-/// `break`s on a skip instead of `continue`-ing: the rewritings after it
-/// are then counted nowhere.
+/// Each rewriting the walk builds is planned, skipped on its bound or
+/// skipped as too wide — exactly one of the three — and each cover it
+/// never reaches is counted as pruned by the bound. Under M2 without
+/// filters and under M3 a planned rewriting is one enumerated plan.
+/// Fails when the loop `break`s on a skip instead of `continue`-ing: the
+/// rewritings after it are then counted nowhere.
 #[test]
-fn every_rewriting_is_planned_pruned_or_too_wide() {
+fn every_rewriting_built_is_planned_pruned_or_too_wide() {
     let _turn = TURN.lock().unwrap();
     let problems = [
         singletons_and_one_view_of_all(3),
@@ -208,10 +209,10 @@ fn every_rewriting_is_planned_pruned_or_too_wide() {
         CostModel::M2,
         CostModel::M3(DropPolicy::Supplementary),
     ];
-    let mut skipped = [(0, 0); 3];
+    let mut skipped = [(0, 0, 0); 3];
     for p in &problems {
         let result = CoreCover::new(&p.query, &p.views).run_all_minimal();
-        let rewritings = result.rewritings().len() as u64;
+        let rewritings = result.clone().rewritings().len() as u64;
         let catalog = Catalog::from_database(&p.vdb);
         for (model, skipped) in models.into_iter().zip(&mut skipped) {
             let (_, counts) = counted(|| {
@@ -219,27 +220,35 @@ fn every_rewriting_is_planned_pruned_or_too_wide() {
                     .with_config(config.clone())
                     .try_plan_generated(model, result.clone(), &mut EstimateOracle::new(&catalog))
             });
+            let built = counts.counter("corecover.rewritings");
             let planned = counts.counter("cost.plans_enumerated");
             let pruned = counts.counter("cost.rewritings_pruned");
             let wide = counts.counter("cost.too_wide_skipped");
+            let unreached = counts.counter("corecover.covers_pruned_by_bound");
             assert_eq!(
                 planned + pruned + wide,
-                rewritings,
+                built,
                 "{model:?} {}: {planned} planned, {pruned} pruned, {wide} too wide",
                 p.query
             );
-            *skipped = (skipped.0 + pruned, skipped.1 + wide);
+            assert!(built <= rewritings, "{model:?} {}", p.query);
+            assert_eq!(built < rewritings, unreached > 0, "{model:?} {}", p.query);
+            *skipped = (skipped.0 + pruned, skipped.1 + wide, skipped.2 + unreached);
         }
     }
-    // Every model pruned somewhere; the nine-subgoal rewriting is too
-    // wide for M3.
-    assert!(skipped.iter().all(|&(pruned, _)| pruned > 0), "{skipped:?}");
+    // Every model left covers unbuilt somewhere; the nine-subgoal
+    // rewriting is too wide for M3.
+    assert!(
+        skipped.iter().all(|&(_, _, unreached)| unreached > 0),
+        "{skipped:?}"
+    );
     assert_eq!(skipped[2].1, 1);
 }
 
 /// Over GMRs every rewriting has the same subgoal count, which under M1
-/// is the bound and the cost: the first is planned, the rest skipped.
-/// Fails when M1 rewritings are never skipped (every GMR is planned).
+/// is the bound and the cost: the first is planned, and the walk never
+/// reaches the covers after it. Fails when M1 plans or skips another
+/// GMR.
 #[test]
 fn m1_over_gmrs_enumerates_one_plan() {
     let _turn = TURN.lock().unwrap();
@@ -255,34 +264,35 @@ fn m1_over_gmrs_enumerates_one_plan() {
         });
         assert_eq!(outcome.best.map(|b| b.rewriting.to_string()), first);
         assert_eq!(counts.counter("cost.plans_enumerated"), rewritings.min(1));
-        assert_eq!(
-            counts.counter("cost.rewritings_pruned"),
-            rewritings.saturating_sub(1)
-        );
+        assert_eq!(counts.counter("cost.rewritings_pruned"), 0);
+        assert!(counts.counter("corecover.covers_pruned_by_bound") >= rewritings.saturating_sub(1));
     }
 }
 
 /// The bound pays where the search space is large: over a family of
-/// 40-view star problems under M2, from estimates, the loop enumerates
+/// 40-view star problems under M2, from estimates, the walk enumerates
 /// strictly fewer plans than planning every rewriting did (and never
-/// more on any one problem), for the same choice. Fails when the bound
-/// never prunes.
+/// more on any one problem), and builds strictly fewer rewritings than
+/// the space holds, for the same choice. Fails when the bound never
+/// prunes.
 #[test]
 fn the_bound_enumerates_fewer_plans_on_a_40_view_star_family() {
     let _turn = TURN.lock().unwrap();
-    let (mut bounded, mut exhaustive) = (0, 0);
+    let (mut bounded, mut exhaustive, mut built, mut space_size) = (0, 0, 0, 0);
     for seed in 0..4 {
         let p = generated(Shape::Star, 40, 1, seed);
         let catalog = Catalog::from_database(&p.vdb);
         let result = CoreCover::new(&p.query, &p.views).run_all_minimal();
+        let space = Space::eager(
+            &result,
+            &p.views,
+            true,
+            CoreCoverConfig::default().max_rewritings,
+        );
         let config = OptimizerConfig::default();
         let mut reference = Exhaustive::new(&p.query, &p.views, config.clone());
         let old = reference
-            .try_plan_generated(
-                CostModel::M2,
-                result.clone(),
-                &mut EstimateOracle::new(&catalog),
-            )
+            .try_plan_generated(CostModel::M2, &space, &mut EstimateOracle::new(&catalog))
             .unwrap();
         let (new, counts) = counted(|| {
             Optimizer::new(&p.query, &p.views)
@@ -296,6 +306,12 @@ fn the_bound_enumerates_fewer_plans_on_a_40_view_star_family() {
         assert!(enumerated <= reference.enumerated, "seed {seed}");
         bounded += enumerated;
         exhaustive += reference.enumerated;
+        built += counts.counter("corecover.rewritings");
+        space_size += space.rewritings.len() as u64;
     }
     assert!(bounded < exhaustive, "{bounded} plans against {exhaustive}");
+    assert!(
+        built < space_size,
+        "{built} rewritings built of {space_size}"
+    );
 }

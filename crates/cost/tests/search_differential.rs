@@ -14,17 +14,24 @@
 //! `late_rename_executes_as_costed`); the search records the subgoals
 //! the costs were computed for.
 //!
-//! The optimizer's loop over rewritings is held to the one it replaced
-//! the same way (`common::exhaustive`, which plans every rewriting): the
-//! bounded loop must choose the same rewriting and plan, at the same
-//! cost bits, with the same completeness marker.
+//! The optimizer's search across rewritings is held to the two-phase
+//! pipeline it replaced the same way (`common::exhaustive`: CoreCover*
+//! decides every cover before returning, and every rewriting is
+//! planned): the fused search, which walks unbuilt covers by their view
+//! sizes and builds only those that can still win, must choose the same
+//! rewriting and plan, at the same cost bits, with the same completeness
+//! marker — under M1, M2 at every filter allowance and M3 under every
+//! policy, from measured sizes and from estimates. Three tests with
+//! sizes by table each catch one way the walk can go wrong, named in
+//! their docs: keys from representatives only, stopping on `key >= cost`,
+//! and dedup that keeps the later variant.
 //!
 //! The reference is factorial: run this file with `--release` for the
 //! full case count.
 
 mod common;
 
-use common::exhaustive::Exhaustive;
+use common::exhaustive::{Exhaustive, Space};
 use common::{generated, Generated};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -36,7 +43,9 @@ use viewplan_cost::{
     EstimateOracle, ExactOracle, Optimizer, OptimizerConfig, PhysicalPlan, PlanError, PlanOutcome,
     SizeOracle,
 };
-use viewplan_cq::{parse_query, parse_views, Atom, ConjunctiveQuery, Symbol, Term, ViewSet};
+use viewplan_cq::{
+    parse_atom, parse_query, parse_views, Atom, ConjunctiveQuery, Symbol, Term, View, ViewSet,
+};
 use viewplan_engine::{evaluate, materialize_views, Database, Value};
 use viewplan_obs::Completeness;
 use viewplan_workload::Shape;
@@ -805,7 +814,7 @@ fn late_rename_executes_as_costed() {
     assert_ne!(measured(&old.0), old.1, "{}", old.0);
 }
 
-/// What must agree between the bounded loop and the exhaustive one: the
+/// What must agree between the fused search and the reference: the
 /// chosen rewriting and plan as printed, the cost to the bit and the
 /// completeness marker — or the error.
 type Chosen = Result<(Option<(String, String, u64)>, Completeness), PlanError>;
@@ -835,57 +844,86 @@ fn unsalted(text: &str) -> String {
     out
 }
 
-/// Both loops on one generated space, each with a fresh oracle.
+/// One generated space twice: unbuilt, as the fused search walks it, and
+/// decided eagerly, as the reference plans it.
+struct Generation {
+    result: CoreCoverResult,
+    space: Space,
+}
+
+impl Generation {
+    /// `CoreCover*` with covers capped at `cap`, or `CoreCover`.
+    fn new(query: &ConjunctiveQuery, views: &ViewSet, all_minimal: bool, cap: usize) -> Generation {
+        let config = CoreCoverConfig {
+            max_rewritings: cap,
+            ..CoreCoverConfig::default()
+        };
+        let generator = CoreCover::new(query, views).with_config(config);
+        let result = if all_minimal {
+            generator.run_all_minimal()
+        } else {
+            generator.run()
+        };
+        let space = Space::eager(&result, views, all_minimal, cap);
+        Generation { result, space }
+    }
+
+    fn all_minimal(query: &ConjunctiveQuery, views: &ViewSet) -> Generation {
+        Generation::new(
+            query,
+            views,
+            true,
+            CoreCoverConfig::default().max_rewritings,
+        )
+    }
+}
+
+/// Both pipelines on one generated space, each with a fresh oracle and
+/// the fused one on a fresh copy of the unbuilt covers.
 fn agree<'o>(
     query: &ConjunctiveQuery,
     views: &ViewSet,
     config: &OptimizerConfig,
     model: CostModel,
-    result: &CoreCoverResult,
+    generation: &Generation,
     oracle: &mut dyn FnMut() -> Box<dyn SizeOracle + 'o>,
 ) -> Chosen {
-    let bounded = Optimizer::new(query, views)
+    let fused = Optimizer::new(query, views)
         .with_config(config.clone())
-        .try_plan_generated(model, result.clone(), &mut *oracle());
-    let exhaustive = Exhaustive::new(query, views, config.clone()).try_plan_generated(
+        .try_plan_generated(model, generation.result.clone(), &mut *oracle());
+    let reference = Exhaustive::new(query, views, config.clone()).try_plan_generated(
         model,
-        result.clone(),
+        &generation.space,
         &mut *oracle(),
     );
     let context = format!("{model:?} max_filters {} {query}", config.max_filters);
-    assert_eq!(chosen(bounded), chosen(exhaustive.clone()), "{context}");
-    chosen(exhaustive)
+    assert_eq!(chosen(fused), chosen(reference.clone()), "{context}");
+    chosen(reference)
 }
 
 /// M1 over both spaces, M2 at every filter allowance, M3 under every
-/// policy over the first `m3_rewritings` of CoreCover* (the exhaustive
-/// loop runs a full order search on each), from measured sizes and from
-/// estimates.
-fn check_loop(p: &Generated, m3_rewritings: usize) {
-    let catalog = Catalog::from_database(&p.vdb);
-    let space = |all_minimal: bool, cap: usize| {
-        let config = CoreCoverConfig {
-            max_rewritings: cap,
-            ..CoreCoverConfig::default()
-        };
-        let generator = CoreCover::new(&p.query, &p.views).with_config(config);
-        if all_minimal {
-            generator.run_all_minimal()
-        } else {
-            generator.run()
-        }
-    };
-    let gmrs = space(false, CoreCoverConfig::default().max_rewritings);
-    let all = space(true, CoreCoverConfig::default().max_rewritings);
-    let first = space(true, m3_rewritings);
-    // Under M1 over CoreCover* the exhaustive loop planned the first
-    // rewriting, not a cheapest one: there the plan is held to its cost.
-    let fewest = all.rewritings().iter().map(|r| r.body.len()).min();
-    let m1 = Optimizer::new(&p.query, &p.views)
-        .try_plan_generated(CostModel::M1, all.clone(), &mut ExactOracle::new(&p.vdb))
+/// policy over the first `m3_covers` covers of CoreCover* (the reference
+/// runs a full order search on each rewriting), from measured sizes and
+/// from estimates.
+fn check_loop(query: &ConjunctiveQuery, views: &ViewSet, vdb: &Database, m3_covers: usize) {
+    let catalog = Catalog::from_database(vdb);
+    let default_cap = CoreCoverConfig::default().max_rewritings;
+    let gmrs = Generation::new(query, views, false, default_cap);
+    let all = Generation::all_minimal(query, views);
+    let first = Generation::new(query, views, true, m3_covers);
+    // Under M1 over CoreCover* the reference planned the first rewriting,
+    // not a cheapest one: there the plan is held to its cost.
+    let fewest = all.space.rewritings.iter().map(|r| r.body.len()).min();
+    let m1 = Optimizer::new(query, views)
+        .try_plan_generated(
+            CostModel::M1,
+            all.result.clone(),
+            &mut ExactOracle::new(vdb),
+        )
         .unwrap();
     let first_of_fewest = all
-        .rewritings()
+        .space
+        .rewritings
         .iter()
         .find(|r| Some(r.body.len()) == fewest);
     assert_eq!(
@@ -900,13 +938,13 @@ fn check_loop(p: &Generated, m3_rewritings: usize) {
     ];
     runs.extend(POLICIES.map(|policy| (CostModel::M3(policy), 2, &first)));
     for which in [Sizes::Exact, Sizes::Estimated] {
-        for &(model, max_filters, result) in &runs {
+        for &(model, max_filters, generation) in &runs {
             let config = OptimizerConfig {
                 max_filters,
                 ..OptimizerConfig::default()
             };
-            let mut oracle = || fresh(which, &p.vdb, &catalog);
-            let _ = agree(&p.query, &p.views, &config, model, result, &mut oracle);
+            let mut oracle = || fresh(which, vdb, &catalog);
+            let _ = agree(query, views, &config, model, generation, &mut oracle);
         }
     }
 }
@@ -915,7 +953,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 4 } else { 32 }))]
 
     #[test]
-    fn the_bounded_loop_chooses_what_planning_every_rewriting_chose(
+    fn the_fused_search_chooses_what_planning_every_rewriting_chose(
         shape in 0..3usize,
         large in any::<bool>(),
         nondistinguished in 0..2usize,
@@ -923,19 +961,77 @@ proptest! {
     ) {
         let shape = [Shape::Star, Shape::Chain, Shape::Random][shape];
         let views = if large { 40 } else { 12 };
-        let m3_rewritings = match (large, cfg!(debug_assertions)) {
+        let m3_covers = match (large, cfg!(debug_assertions)) {
             (false, false) => 40,
             (true, false) | (false, true) => 8,
             (true, true) => 3,
         };
-        check_loop(&generated(shape, views, nondistinguished, seed), m3_rewritings);
+        let Generated { query, views, vdb } = generated(shape, views, nondistinguished, seed);
+        check_loop(&query, &views, &vdb, m3_covers);
+    }
+}
+
+/// A `.vp` problem file: the first rule is the query, the other rules
+/// are views, and ground atoms are base facts over integers.
+fn problem_file(path: &str) -> (ConjunctiveQuery, ViewSet, Database) {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut rules = Vec::new();
+    let mut base = Database::new();
+    for line in text.lines().map(str::trim) {
+        if line.is_empty() || line.starts_with('%') {
+            continue;
+        }
+        if line.contains(":-") {
+            rules.push(parse_query(line.trim_end_matches('.')).unwrap());
+        } else {
+            let fact = parse_atom(line.trim_end_matches('.')).unwrap();
+            let row = fact
+                .terms
+                .iter()
+                .map(|t| Value::Int(t.to_string().parse().unwrap()))
+                .collect();
+            base.insert(fact.predicate, row);
+        }
+    }
+    let query = rules.remove(0);
+    let views = ViewSet::from_views(rules.into_iter().map(View::new));
+    let vdb = materialize_views(&views, &base);
+    (query, views, vdb)
+}
+
+/// The overlapping-core family, where covers reach the oracle and the
+/// class-mate retry: one that only the oracle accepts, one nothing
+/// accepts, one a class-mate rescues.
+#[test]
+fn the_oracle_and_retry_family_agrees_with_the_reference() {
+    for name in [
+        "overlap_oracle_only",
+        "overlap_not_a_rewriting",
+        "overlap_class_order",
+    ] {
+        let path = format!(
+            "{}/../../examples/problems/{name}.vp",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let (query, views, vdb) = problem_file(&path);
+        check_loop(
+            &query,
+            &views,
+            &vdb,
+            CoreCoverConfig::default().max_rewritings,
+        );
     }
 }
 
 /// Sizes by table: a relation's size by predicate, an intermediate's by
 /// the sorted predicates of the subgoals it joins (all attributes
-/// retained or not — `GSR` = `IR` here).
-struct Table(HashMap<&'static str, f64>, HashMap<Vec<&'static str>, f64>);
+/// retained or not — `GSR` = `IR` here), and `default` for an
+/// intermediate the table leaves out.
+struct Table(
+    HashMap<&'static str, f64>,
+    HashMap<Vec<&'static str>, f64>,
+    Option<f64>,
+);
 
 impl Table {
     fn new(relations: &[(&'static str, f64)], joins: &[(&[&'static str], f64)]) -> Table {
@@ -944,7 +1040,11 @@ impl Table {
             key.sort_unstable();
             (key, size)
         });
-        Table(relations.iter().copied().collect(), joins.collect())
+        Table(relations.iter().copied().collect(), joins.collect(), None)
+    }
+
+    fn or_else(self, default: f64) -> Table {
+        Table(self.0, self.1, Some(default))
     }
 }
 
@@ -959,17 +1059,50 @@ impl SizeOracle for Table {
             .map(|g| body[g].predicate.as_str())
             .collect();
         key.sort_unstable();
-        self.1[&key]
+        match (self.1.get(&key), self.2) {
+            (Some(&size), _) | (None, Some(size)) => size,
+            (None, None) => panic!("no size for {key:?}"),
+        }
     }
 }
 
-/// The two rewritings of `q(X, Y) :- e(X, Z), f(Z, Y)` cost 10 each, and
-/// CoreCover* lists `ve ⋈ vf` first although its bound (6) sorts after
-/// `vall`'s (4): the loop plans `vall` first and must still end with
-/// `ve ⋈ vf` — by comparing indices on the tie, and, under M3, by not
-/// letting `vall`'s cost prune an equal-cost plan of an earlier
-/// rewriting. Fails when a tie goes to the rewriting visited first, and
-/// when the M3 ceiling prunes on `>=` whatever the index.
+/// Every model the walk serves with a size oracle, M2 at every filter
+/// allowance: the chosen rewriting, from both pipelines.
+fn chosen_under_every_model(
+    query: &ConjunctiveQuery,
+    views: &ViewSet,
+    generation: &Generation,
+    sizes: fn() -> Table,
+) -> Vec<(CostModel, String, f64)> {
+    let mut models: Vec<(CostModel, usize)> = (0..3).map(|f| (CostModel::M2, f)).collect();
+    models.extend(POLICIES.map(|policy| (CostModel::M3(policy), 2)));
+    models
+        .into_iter()
+        .map(|(model, max_filters)| {
+            let config = OptimizerConfig {
+                max_filters,
+                ..OptimizerConfig::default()
+            };
+            let mut oracle = || -> Box<dyn SizeOracle> { Box::new(sizes()) };
+            let (best, completeness) =
+                agree(query, views, &config, model, generation, &mut oracle).unwrap();
+            assert_eq!(completeness, Completeness::Complete, "{model:?}");
+            let (rewriting, _, cost) = best.unwrap();
+            (model, rewriting, f64::from_bits(cost))
+        })
+        .collect()
+}
+
+/// The two rewritings of `q(X, Y) :- e(X, Z), f(Z, Y)`: CoreCover* lists
+/// `ve ⋈ vf` first although its bound (6) sorts after `vall`'s (4), so
+/// the walk plans `vall` first. Both cost 10 under the first table, and
+/// the loop must still end with `ve ⋈ vf` — by comparing indices on the
+/// tie, and, under M3, by not letting `vall`'s cost prune an equal-cost
+/// plan of an earlier rewriting. Fails when a tie goes to the rewriting
+/// visited first, and when the M3 ceiling prunes on `>=` whatever the
+/// index. Under the second table both cost 6, so `ve ⋈ vf`'s key *equals*
+/// the incumbent's cost: fails when the walk stops on `key >= cost`
+/// instead of letting a smaller index through on a tie.
 #[test]
 fn equal_cost_rewritings_whose_bounds_sort_against_corecover_order() {
     let query = parse_query("q(X, Y) :- e(X, Z), f(Z, Y)").unwrap();
@@ -979,14 +1112,19 @@ fn equal_cost_rewritings_whose_bounds_sort_against_corecover_order() {
          vall(X, Y) :- e(X, Z), f(Z, Y).",
     )
     .unwrap();
-    let result = CoreCover::new(&query, &views).run_all_minimal();
-    let listed: Vec<String> = result.rewritings().iter().map(|r| r.to_string()).collect();
+    let generation = Generation::all_minimal(&query, &views);
+    let listed: Vec<String> = generation
+        .space
+        .rewritings
+        .iter()
+        .map(|r| r.to_string())
+        .collect();
     assert_eq!(
         listed,
         ["q(X, Y) :- ve(X, Z), vf(Z, Y)", "q(X, Y) :- vall(X, Y)"]
     );
-    let sizes = || -> Box<dyn SizeOracle> {
-        Box::new(Table::new(
+    let ir_bounded = || {
+        Table::new(
             &[("ve", 3.0), ("vf", 3.0), ("vall", 4.0)],
             &[
                 (&["ve"], 3.0),
@@ -994,19 +1132,125 @@ fn equal_cost_rewritings_whose_bounds_sort_against_corecover_order() {
                 (&["ve", "vf"], 1.0),
                 (&["vall"], 6.0),
             ],
-        ))
+        )
     };
-    let config = OptimizerConfig::default();
-    let mut models = vec![CostModel::M2];
-    models.extend(POLICIES.map(CostModel::M3));
-    for model in models {
-        let mut oracle = sizes;
-        let (best, completeness) =
-            agree(&query, &views, &config, model, &result, &mut oracle).unwrap();
-        let (rewriting, _, cost) = best.unwrap();
-        assert_eq!(rewriting, listed[0], "{model:?}");
-        assert_eq!(f64::from_bits(cost), 10.0, "{model:?}");
-        assert_eq!(completeness, Completeness::Complete);
+    let key_is_cost = || {
+        Table::new(
+            &[("ve", 3.0), ("vf", 3.0), ("vall", 4.0)],
+            &[(&["vall"], 2.0)],
+        )
+        .or_else(0.0)
+    };
+    for (sizes, cost) in [(ir_bounded as fn() -> Table, 10.0), (key_is_cost, 6.0)] {
+        for (model, rewriting, chosen_cost) in
+            chosen_under_every_model(&query, &views, &generation, sizes)
+        {
+            assert_eq!(rewriting, listed[0], "{model:?}");
+            assert_eq!(chosen_cost, cost, "{model:?}");
+        }
+    }
+}
+
+/// The cover `{va, vb}` of the overlap counterexample is no rewriting;
+/// its retry swaps in the class-mate `va2`, whose relation is a tenth of
+/// `va`'s. The other cover, `{va, vf}`, costs 10. A key from the
+/// representatives alone (10 + 1) would sort the retried cover after it
+/// and stop there; its true key (1 + 1) puts it first, and it wins at
+/// cost 4. Fails when an uncertified cover is keyed by its
+/// representatives' sizes instead of its cheapest class-mates'.
+#[test]
+fn a_cover_a_class_mate_rescues_is_keyed_by_the_cheapest_mate() {
+    let query = parse_query("q(P, R) :- e(P, X), g(X, Y), f(Y, R)").unwrap();
+    let views = parse_views(
+        "va(P, Y) :- e(P, X), g(X, Y).\n\
+         va2(P, X, Y) :- e(P, X), g(X, Y).\n\
+         vb(X, R) :- g(X, Y), f(Y, R).\n\
+         vf(Y, R) :- f(Y, R).",
+    )
+    .unwrap();
+    let generation = Generation::all_minimal(&query, &views);
+    let listed: Vec<String> = generation
+        .space
+        .rewritings
+        .iter()
+        .map(|r| r.to_string())
+        .collect();
+    assert_eq!(
+        listed,
+        [
+            "q(P, R) :- va2(P, X, Y), vb(X, R)",
+            "q(P, R) :- va(P, Y), vf(Y, R)"
+        ]
+    );
+    let sizes = || {
+        Table::new(
+            &[("va", 10.0), ("va2", 1.0), ("vb", 1.0), ("vf", 0.0)],
+            &[
+                (&["va"], 10.0),
+                (&["va2"], 1.0),
+                (&["vb"], 1.0),
+                (&["va2", "vb"], 1.0),
+            ],
+        )
+        .or_else(0.0)
+    };
+    for (model, rewriting, cost) in chosen_under_every_model(&query, &views, &generation, sizes) {
+        assert_eq!(
+            (rewriting.as_str(), cost),
+            (listed[0].as_str(), 4.0),
+            "{model:?}"
+        );
+    }
+}
+
+/// `vab(X, Y, Z)` with `va(X, Z), vb(Z, Y)`, and `vab(X, Z, Y)` with
+/// `va(X, Y), vb(Y, Z)`, are two covers whose rewritings rename `Y` and
+/// `Z` into each other — the query is symmetric in them. The first in
+/// cover order is kept, and the two are the only rewritings with one
+/// `vab`, which makes them the cheapest. Fails when dedup keeps the
+/// later variant: the same plan is chosen, spelled the other way.
+#[test]
+fn of_two_variant_covers_the_first_is_kept() {
+    let query = parse_query("q(X) :- a(X, Y), a(X, Z), b(Y, Z), b(Z, Y)").unwrap();
+    let views = parse_views(
+        "va(A, B) :- a(A, B).\n\
+         vb(A, B) :- b(A, B).\n\
+         vab(A, B, C) :- a(A, B), b(B, C).",
+    )
+    .unwrap();
+    let generation = Generation::all_minimal(&query, &views);
+    let with_one_vab: Vec<String> = generation
+        .space
+        .rewritings
+        .iter()
+        .filter(|r| {
+            r.body
+                .iter()
+                .filter(|a| a.predicate.as_str() == "vab")
+                .count()
+                == 1
+        })
+        .map(|r| r.to_string())
+        .collect();
+    assert_eq!(with_one_vab.len(), 1, "{with_one_vab:?}");
+    let sizes = || {
+        Table::new(
+            &[("va", 1.0), ("vb", 1.0), ("vab", 2.0)],
+            &[
+                (&["vab"], 1.0),
+                (&["va", "vab"], 1.0),
+                (&["vab", "vb"], 1.0),
+                (&["va", "vab", "vb"], 1.0),
+            ],
+        )
+        .or_else(100.0)
+    };
+    for (model, rewriting, cost) in chosen_under_every_model(&query, &views, &generation, sizes) {
+        assert_eq!(
+            (rewriting.as_str(), cost),
+            (with_one_vab[0].as_str(), 7.0),
+            "{model:?}"
+        );
     }
 }
 
@@ -1025,8 +1269,8 @@ fn a_grafted_filter_wins_below_the_base_bodys_final_intermediate() {
          v4(M, D, C, S) :- car(M, D), loc(D, C), part(S, M, C).",
     )
     .unwrap();
-    let result = CoreCover::new(&query, &views).run_all_minimal();
-    assert_eq!(result.rewritings().len(), 2);
+    let generation = Generation::all_minimal(&query, &views);
+    assert_eq!(generation.space.rewritings.len(), 2);
     let sizes = || -> Box<dyn SizeOracle> {
         Box::new(Table::new(
             &[("v1", 4.0), ("v2", 4.0), ("v3", 1.0), ("v4", 10.0)],
@@ -1049,8 +1293,15 @@ fn a_grafted_filter_wins_below_the_base_bodys_final_intermediate() {
             ..OptimizerConfig::default()
         };
         let mut oracle = sizes;
-        let (best, _) =
-            agree(&query, &views, &config, CostModel::M2, &result, &mut oracle).unwrap();
+        let (best, _) = agree(
+            &query,
+            &views,
+            &config,
+            CostModel::M2,
+            &generation,
+            &mut oracle,
+        )
+        .unwrap();
         let (rewriting, plan, cost) = best.unwrap();
         if max_filters == 0 {
             assert_eq!(
