@@ -16,14 +16,16 @@
 //!   view database through the engine) and an *estimated* one (catalog +
 //!   independence assumption).
 //! * [`subsets`] — a rewriting body as an indexed space of subgoal
-//!   subsets: subgoal `i` is bit `i`, the Selinger-style estimate is
-//!   tabulated by mask in flat arrays, one join per subset. The M2
-//!   search walks it; the estimating oracle tabulates into it, and folds
-//!   the M3 search's prefixes with the same arithmetic.
+//!   subsets and of ordered prefixes: subgoal `i` is bit `i`, the
+//!   Selinger-style estimate is tabulated by mask in flat arrays, one
+//!   join per subset, and by depth along the M3 search's path, one join
+//!   per node. The M2 search walks the subsets, the M3 search the
+//!   prefixes; the estimating oracle tabulates into both.
 //! * [`m2`] — optimal join orders by dynamic programming over subgoal
 //!   subsets (the all-attributes-retained IR size depends only on the
 //!   prefix *set*, so Selinger DP is exact here); a filter grafted onto a
-//!   solved body reuses the solved half of the table.
+//!   solved body reuses the solved half of the table, and one that cannot
+//!   pay by its size and one join is never grafted.
 //! * [`m3`] — attribute dropping: the classic supplementary-relation rule
 //!   \[4\] plus the paper's §6.2 renaming heuristic, which drops a
 //!   variable that still occurs in later subgoals whenever renaming its

@@ -15,12 +15,48 @@
 //! — leaves the solved half in place: [`M2Table::graft`] fills only the
 //! subsets that contain the newcomer. Ties go to the lowest subgoal
 //! index, which the fill order gives for free.
+//!
+//! # The graft bound
+//!
+//! A graft fills `2ⁿ` subsets and is undone unless it lowers the cost,
+//! which most do not. [`M2Table::graft_filters`] therefore grafts a
+//! filter `f` only when
+//!
+//! ```text
+//! fl(Σ size(g) + size(f) + IR(body ∪ f))  <  cost(body)
+//! ```
+//!
+//! where `IR(body ∪ f)` is one join onto the solved top row
+//! ([`SizeOracle::joined_size`]), bit for bit the row the graft would
+//! compute. The test is exact, not a heuristic. Sizes are row counts, so
+//! every sum of them is exact below 2⁵³, and IEEE addition of
+//! non-negative terms is monotone in each argument. By induction over
+//! the fill, `best[S] = fl(fl(best[S ∖ g] + size(g)) + IR(S))` is at
+//! least the exact `Σ_{g∈S} size(g)` for every subset `S`. For the
+//! grafted body `B ∪ f` and the last subgoal `g` of its best order,
+//! `best[B ∪ f] ≥ fl(fl(Σ_{B∪f∖g} size + size(g)) + IR(B ∪ f))`, and the
+//! inner sum is the exact `Σ size(g) + size(f)` of the bound. So a
+//! filter the test skips would have cost at least `cost(body)`, and the
+//! graft would have been undone: the table ends as it would have, bit
+//! for bit. A skipped graft asks for one size instead of `2ⁿ` and
+//! spends no plan budget.
 
 use crate::error::{check_width, CostError};
 use crate::oracle::{note_oracle_calls, SizeOracle};
 use crate::subsets::Subsets;
 use viewplan_cq::Atom;
 use viewplan_obs as obs;
+
+/// What [`M2Table::graft_filters`] did with the filters it was offered.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Grafts {
+    /// Filters grafted: each filled the subsets that contain it.
+    pub tried: u64,
+    /// Filters the graft bound skipped: they could not have paid.
+    pub pruned: u64,
+    /// Grafts that lowered the cost and stayed.
+    pub kept: u64,
+}
 
 /// The widest rewriting [`optimal_m2_order`] accepts: the DP visits
 /// `2^n` subsets, so wider inputs are rejected as
@@ -102,6 +138,64 @@ impl M2Table {
             self.ungraft();
         }
         Ok(solved)
+    }
+
+    /// Greedy filter grafting (§5.1): up to `rounds` passes over
+    /// `filters`, each grafting every filter not in the body yet that
+    /// the graft bound lets through; a graft that lowers the cost stays,
+    /// the rest come off, and a pass that keeps none ends the search. A
+    /// filter that pushes the body past the DP width, or whose DP the
+    /// budget abandons, is just not taken.
+    pub fn graft_filters(
+        &mut self,
+        filters: &[&Atom],
+        rounds: usize,
+        oracle: &mut dyn SizeOracle,
+    ) -> Grafts {
+        let mut grafts = Grafts::default();
+        for _ in 0..rounds {
+            let mut improved = false;
+            for &f in filters {
+                if self.body().contains(f) {
+                    continue;
+                }
+                if !self.may_pay(f, oracle) {
+                    grafts.pruned += 1;
+                    continue;
+                }
+                grafts.tried += 1;
+                let without = self.cost();
+                if let Ok(true) = self.graft(f, oracle) {
+                    if self.cost() < without {
+                        improved = true;
+                        grafts.kept += 1;
+                    } else {
+                        self.ungraft();
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        grafts
+    }
+
+    /// `IR` of the body with `filter` grafted, every attribute retained:
+    /// one join onto the top row, the table left as it is.
+    pub fn joined_ir(&mut self, filter: &Atom, oracle: &mut dyn SizeOracle) -> f64 {
+        oracle.joined_size(&mut self.subsets, filter)
+    }
+
+    /// The graft bound of the module docs: false when grafting `filter`
+    /// cannot lower the cost. A graft too wide for the DP is left to
+    /// [`graft`](Self::graft) to refuse.
+    fn may_pay(&mut self, filter: &Atom, oracle: &mut dyn SizeOracle) -> bool {
+        if self.sizes.len() >= M2_MAX_SUBGOALS {
+            return true;
+        }
+        let sizes = self.sizes.iter().sum::<f64>() + oracle.relation_size(filter);
+        sizes + self.joined_ir(filter, oracle) < self.cost()
     }
 
     /// Removes the top subgoal again (a graft that did not pay).

@@ -30,8 +30,10 @@
 //! occurs in as a bitmask, so "still needed by the suffix", "dropped
 //! here" and "retained" are mask tests against the prefix set. A prefix
 //! whose cost already exceeds the best complete plan is abandoned
-//! (every term of the cost is non-negative), and the whole search draws
-//! on one `Phase::Plan` allowance, one tick per node. The optimizer also
+//! (every term of the cost is non-negative) — before the step's `GSR` is
+//! asked for when the cost so far plus `size(g)` already loses, since
+//! every variant of the step would — and the whole search draws on one
+//! `Phase::Plan` allowance, one tick per node. The optimizer also
 //! passes the plan it holds for another rewriting as a *ceiling*: a prefix
 //! costing more is abandoned, and one costing the same unless this
 //! rewriting comes first in CoreCover order (and so would win the tie).
@@ -43,6 +45,21 @@
 //! alone, not of the order inside the prefix; verdicts are memoised on
 //! exactly that, and a generation draws its fresh name once.
 //!
+//! # What the search allocates
+//!
+//! The path is a [`Prefixes`]: subgoal indices and closed generations,
+//! which the oracle is asked about as they stand
+//! ([`SizeOracle::prefix_size`]). A step's variants are spans of one
+//! stack of generations, a verdict is looked up through one reused key
+//! buffer, and an estimating oracle folds one step per node into the
+//! table `Prefixes` keeps by depth; every vector the search holds only
+//! grows to the depth of the body. So a node allocates nothing. What
+//! allocates is the search's setup; a complete plan that replaces the
+//! incumbent, the one place subgoals are renamed into atoms and drop
+//! sets are spelled out as names; and a §6.2 test of a renamed body not
+//! tested before. An oracle that does not override `prefix_size` is
+//! handed the atoms and retained names it asks about, per node.
+//!
 //! Ties break as an enumeration of all orders, each planned in turn,
 //! would break them: lowest cost, then the lexicographically first
 //! order, then the first variant path. The search visits plans in a
@@ -52,8 +69,10 @@
 use crate::error::{check_width, CostError};
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
+use crate::subsets::{Generation, Prefixes};
 use std::cell::OnceCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
+use std::ops::Range;
 use viewplan_containment::{are_equivalent, expand, minimize};
 use viewplan_cq::{Atom, ConjunctiveQuery, Substitution, Symbol, Term, ViewSet};
 use viewplan_obs as obs;
@@ -188,17 +207,11 @@ impl<'a> RenameTest<'a> {
     }
 }
 
-/// A variable of the rewriting, by position.
-struct Var {
-    name: Symbol,
-    /// The subgoals it occurs in.
-    occurs: u32,
-    head: bool,
+/// A node or a step the bound abandoned. Single registration site per
+/// counter name (the xtask lint enforces this).
+fn note_pruned() {
+    obs::counter!("cost.m3_pruned").incr();
 }
-
-/// One rename: `.0` indexes the variable, `.1` holds the subgoals whose
-/// occurrences of it were renamed apart together.
-type Generation = (usize, u32);
 
 /// The cheapest complete plan so far, with the key ties are broken on.
 struct Best {
@@ -217,23 +230,24 @@ struct Search<'a> {
     policy: DropPolicy,
     oracle: &'a mut dyn SizeOracle,
     meter: obs::Meter,
-    /// In `Symbol` order, the order rename candidates are tried in.
-    vars: Vec<Var>,
+    /// The path from the root to the current node: its subgoals, and the
+    /// generations closed on it.
+    path: Prefixes,
     /// `size(g)` per subgoal.
     sizes: Vec<f64>,
     /// §6.2 verdicts, by the sorted generations of the renamed body.
     verdicts: HashMap<Vec<Generation>, bool>,
     names: HashMap<Generation, Symbol>,
-    // The path from the root to the current node, one entry per step:
-    order: Vec<usize>,
-    /// Which of the step's variants (in enumeration order) was taken.
+    /// A verdict key being looked up.
+    key: Vec<Generation>,
+    /// Per step of the path, which of its variants (in enumeration
+    /// order) was taken.
     variants: Vec<usize>,
-    /// The prefix in execution order, renames applied.
-    prefix: Vec<Atom>,
-    drops: Vec<HashSet<Symbol>>,
     gsrs: Vec<f64>,
-    /// Every generation closed on the path.
-    closed: Vec<Generation>,
+    /// The variants of every node on the path, node after node: each a
+    /// span of `renames`.
+    spans: Vec<(usize, usize)>,
+    renames: Vec<Generation>,
     best: Option<Best>,
     /// A cost to beat, and whether a tie beats it.
     ceiling: Option<(f64, bool)>,
@@ -247,17 +261,7 @@ impl<'a> Search<'a> {
         policy: DropPolicy,
         oracle: &'a mut dyn SizeOracle,
     ) -> Search<'a> {
-        let names: BTreeSet<Symbol> = rewriting.body.iter().flat_map(Atom::variables).collect();
-        let vars = names
-            .into_iter()
-            .map(|name| Var {
-                name,
-                occurs: (0..rewriting.body.len())
-                    .filter(|&g| rewriting.body[g].contains_var(name))
-                    .fold(0, |mask, g| mask | 1 << g),
-                head: rewriting.head.contains_var(name),
-            })
-            .collect();
+        let n = rewriting.body.len();
         Search {
             test,
             rewriting,
@@ -270,15 +274,14 @@ impl<'a> Search<'a> {
                 .collect(),
             oracle,
             meter: obs::Meter::start(obs::Phase::Plan),
-            vars,
+            path: Prefixes::new(rewriting),
             verdicts: HashMap::new(),
             names: HashMap::new(),
-            order: Vec::new(),
-            variants: Vec::new(),
-            prefix: Vec::new(),
-            drops: Vec::new(),
-            gsrs: Vec::new(),
-            closed: Vec::new(),
+            key: Vec::new(),
+            variants: Vec::with_capacity(n),
+            gsrs: Vec::with_capacity(n),
+            spans: Vec::new(),
+            renames: Vec::new(),
             best: None,
             ceiling: None,
         }
@@ -293,14 +296,14 @@ impl<'a> Search<'a> {
     /// `cost` the plan cost up to here.
     fn extend(&mut self, used: u32, cost: f64) {
         if self.cannot_win(cost) {
-            obs::counter!("cost.m3_pruned").incr();
+            note_pruned();
             return;
         }
         if !self.meter.tick() {
             return; // budget exhausted: `best` keeps what was found
         }
         obs::counter!("cost.m3_nodes").incr();
-        let depth = self.order.len();
+        let depth = self.path.order().len();
         if depth == self.rewriting.body.len() {
             self.complete(cost);
             return;
@@ -311,16 +314,24 @@ impl<'a> Search<'a> {
         };
         for g in candidates.filter(|g| used & (1 << g) == 0) {
             let used = used | 1 << g;
-            self.order.push(g);
-            self.prefix.push(self.rewriting.body[g].clone());
-            for (index, variant) in self.rename_variants(used).into_iter().enumerate() {
-                self.step(used, g, index, &variant, cost);
+            self.path.push(g);
+            if self.cannot_win(cost + self.sizes[g]) {
+                note_pruned();
+                self.path.pop();
+                continue;
+            }
+            let (first, marked) = (self.spans.len(), self.renames.len());
+            self.rename_variants(used);
+            for index in 0..self.spans.len() - first {
+                let (start, end) = self.spans[first + index];
+                self.step(used, g, index, start..end, cost);
                 if self.meter.exhausted() {
                     break;
                 }
             }
-            self.prefix.pop();
-            self.order.pop();
+            self.spans.truncate(first);
+            self.renames.truncate(marked);
+            self.path.pop();
             if self.meter.exhausted() {
                 return;
             }
@@ -331,25 +342,28 @@ impl<'a> Search<'a> {
     /// ceiling: it would cost more, or the same and lose the tie.
     fn cannot_win(&self, cost: f64) -> bool {
         let (ceiling, tie_wins) = self.ceiling.unwrap_or((f64::INFINITY, true));
+        let order = self.path.order();
         cost > ceiling
             || (cost == ceiling && !tie_wins)
             || self.best.as_ref().is_some_and(|best| {
-                cost > best.cost
-                    || (cost == best.cost && self.order[..] > best.order[..self.order.len()])
+                cost > best.cost || (cost == best.cost && order > &best.order[..order.len()])
             })
     }
 
+    /// Takes the complete plan the path spells when it beats `best`: the
+    /// one place the search builds subgoals and drop sets.
     fn complete(&mut self, cost: f64) {
+        let order = self.path.order();
         let wins = self.best.as_ref().is_none_or(|best| {
             cost < best.cost
                 || (cost == best.cost
-                    && (&self.order, &self.variants) < (&best.order, &best.variants))
+                    && (order, &self.variants[..]) < (&best.order[..], &best.variants[..]))
         });
         if wins {
-            let steps = self.prefix.iter().cloned().zip(self.drops.iter().cloned());
+            let steps = self.path.atoms().into_iter().zip(self.path.drops());
             self.best = Some(Best {
                 cost,
-                order: self.order.clone(),
+                order: order.to_vec(),
                 variants: self.variants.clone(),
                 plan: PhysicalPlan::annotated(steps.collect()),
                 gsrs: self.gsrs.clone(),
@@ -357,69 +371,63 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// The sets of renames the policy considers once the prefix is
-    /// `used`: always the empty one first under the cost-based policy;
-    /// under the aggressive one, only the maximal legal ones. A
-    /// candidate is a variable the prefix names, the suffix still needs,
-    /// and the head does not.
-    fn rename_variants(&mut self, used: u32) -> Vec<Vec<Generation>> {
-        let mut variants = vec![Vec::new()];
+    /// Stacks the sets of renames the policy considers once the prefix
+    /// is `used` onto `spans`: always the empty one first under the
+    /// cost-based policy; under the aggressive one, only the maximal
+    /// legal ones. A candidate is a variable the prefix names, the suffix
+    /// still needs, and the head does not.
+    fn rename_variants(&mut self, used: u32) {
+        let first = self.spans.len();
+        let start = self.renames.len();
+        self.spans.push((start, start));
         if self.policy == DropPolicy::Supplementary {
-            return variants;
+            return;
         }
-        for v in 0..self.vars.len() {
-            let var = &self.vars[v];
-            let named = var.occurs & used & !self.closed_occurrences(v);
+        for v in 0..self.path.vars.len() {
+            let var = &self.path.vars[v];
+            let named = var.occurs & used & !self.path.renamed(v);
             if var.head || named == 0 || var.occurs & !used == 0 {
                 continue;
             }
-            let mut renamed = Vec::new();
-            for variant in &variants {
+            let existing = self.spans.len();
+            for variant in first..existing {
                 obs::counter!("m3.rename_attempts").incr();
-                let mut with = variant.clone();
-                with.push((v, named));
-                if self.rename_is_equivalent(&with) {
+                let (start, end) = self.spans[variant];
+                if self.rename_is_equivalent(start..end, (v, named)) {
                     obs::counter!("m3.rename_drops").incr();
-                    renamed.push(with);
+                    let at = self.renames.len();
+                    self.renames.extend_from_within(start..end);
+                    self.renames.push((v, named));
+                    self.spans.push((at, self.renames.len()));
                 }
             }
-            if self.policy == DropPolicy::SmartCostBased {
-                variants.extend(renamed);
-            } else if !renamed.is_empty() {
-                variants = renamed;
+            if self.policy == DropPolicy::SmartAggressive && self.spans.len() > existing {
+                self.spans.drain(first..existing);
             }
         }
-        variants
     }
 
-    /// The occurrences of variable `v` renamed away on the path.
-    fn closed_occurrences(&self, v: usize) -> u32 {
-        self.closed
-            .iter()
-            .filter(|generation| generation.0 == v)
-            .fold(0, |mask, generation| mask | generation.1)
-    }
-
-    /// The §6.2 verdict on the path's renames plus `more`, whose last
-    /// generation is the one being tried.
-    fn rename_is_equivalent(&mut self, more: &[Generation]) -> bool {
-        let mut key: Vec<Generation> = self.closed.iter().chain(more).copied().collect();
-        key.sort_unstable();
-        if let Some(&verdict) = self.verdicts.get(&key) {
+    /// The §6.2 verdict on the path's renames, the variant `renames[more]`
+    /// and the generation `tried`.
+    fn rename_is_equivalent(&mut self, more: Range<usize>, tried: Generation) -> bool {
+        self.key.clear();
+        self.key.extend(self.path.closed());
+        self.key.extend_from_slice(&self.renames[more]);
+        self.key.push(tried);
+        self.key.sort_unstable();
+        if let Some(&verdict) = self.verdicts.get(self.key.as_slice()) {
             return verdict;
         }
-        if let Some(&tried) = more.last() {
-            let base = self.vars[tried.0].name;
-            self.names
-                .entry(tried)
-                .or_insert_with(|| Symbol::fresh(base.as_str()));
-        }
+        let base = self.path.vars[tried.0].name;
+        self.names
+            .entry(tried)
+            .or_insert_with(|| Symbol::fresh(base.as_str()));
         let body = (0..self.rewriting.body.len())
-            .map(|g| self.renamed(g, &key))
+            .map(|g| self.renamed(g, &self.key))
             .collect();
         let candidate = ConjunctiveQuery::new(self.rewriting.head.clone(), body);
         let verdict = self.test.holds(&candidate);
-        self.verdicts.insert(key, verdict);
+        self.verdicts.insert(self.key.clone(), verdict);
         verdict
     }
 
@@ -431,61 +439,32 @@ impl<'a> Search<'a> {
             .filter(|generation| generation.1 & (1 << g) != 0)
             .filter_map(|generation| {
                 let fresh = self.names.get(generation)?;
-                Some((self.vars[generation.0].name, Term::Var(*fresh)))
+                Some((self.path.vars[generation.0].name, Term::Var(*fresh)))
             });
         self.rewriting.body[g].apply(&Substitution::from_pairs(renames))
     }
 
-    /// Takes `variant` at the step that just put subgoal `g` on the
-    /// path: applies its renames to the prefix, drops what the
-    /// supplementary rule allows, asks the oracle for the step's `GSR`,
-    /// searches on from there, and leaves the path as it found it.
-    fn step(&mut self, used: u32, g: usize, index: usize, variant: &[Generation], cost: f64) {
-        self.closed.extend_from_slice(variant);
-        let unrenamed = (!variant.is_empty()).then(|| {
-            let renamed = self
-                .order
-                .iter()
-                .map(|&g| self.renamed(g, &self.closed))
-                .collect();
-            std::mem::replace(&mut self.prefix, renamed)
-        });
-        // A renamed-away generation is dropped on the spot under its
-        // fresh name; an original variable the prefix still names is
-        // retained while the head or the suffix needs it, and dropped at
-        // the step that brings its last occurrence.
-        let mut dropped: HashSet<Symbol> = variant
-            .iter()
-            .filter_map(|generation| self.names.get(generation).copied())
-            .collect();
-        let mut retained = BTreeSet::new();
-        for (v, var) in self.vars.iter().enumerate() {
-            if var.occurs & used & !self.closed_occurrences(v) == 0 {
-                continue;
-            }
-            if var.head || var.occurs & !used != 0 {
-                retained.insert(var.name);
-            } else if var.occurs & (1 << g) != 0 {
-                dropped.insert(var.name);
-            }
+    /// Takes the variant `renames[variant]` at the step that just put
+    /// subgoal `g` on the path: closes its generations, asks the oracle
+    /// for the step's `GSR`, searches on from there, and leaves the path
+    /// as it found it. A renamed-away generation is dropped on the spot
+    /// under its fresh name; a variable the prefix still names as spelled
+    /// is retained while the head or the suffix needs it, and dropped at
+    /// the step that brings its last occurrence.
+    fn step(&mut self, used: u32, g: usize, index: usize, variant: Range<usize>, cost: f64) {
+        let closed = variant.len();
+        for generation in variant.map(|i| self.renames[i]) {
+            self.path.close(generation, self.names[&generation]);
         }
-        obs::counter!("m3.supplementary_drops").add(dropped.len() as u64);
-        let whole_prefix = u32::MAX >> (32 - self.prefix.len());
-        let gsr = self
-            .oracle
-            .intermediate_size(&self.prefix, whole_prefix, &retained);
+        obs::counter!("m3.supplementary_drops").add(self.path.dropped_at_last_step() as u64);
+        let gsr = self.oracle.prefix_size(&mut self.path);
 
         self.variants.push(index);
-        self.drops.push(dropped);
         self.gsrs.push(gsr);
         self.extend(used, cost + self.sizes[g] + gsr);
         self.variants.pop();
-        self.drops.pop();
         self.gsrs.pop();
-        self.closed.truncate(self.closed.len() - variant.len());
-        if let Some(prefix) = unrenamed {
-            self.prefix = prefix;
-        }
+        self.path.reopen(closed);
     }
 }
 

@@ -9,7 +9,11 @@
 //! tuples with empty tuple-cores (such as `v3(S)` in the paper's running
 //! example) are grafted onto a rewriting greedily while they reduce the
 //! plan cost — a selective view relation can shrink the intermediate
-//! relations by more than its own size (§5.1, rewriting `P3`).
+//! relations by more than its own size (§5.1, rewriting `P3`). A filter
+//! is grafted only if its relation size and `IR` with the body can still
+//! undercut the body's cost (the graft bound, [`crate::m2`]); a filter
+//! ruled out is counted in `cost.grafts_pruned`, not among the plans
+//! enumerated.
 //!
 //! # One loop, bounded across covers
 //!
@@ -43,15 +47,20 @@ use crate::m2::{M2Table, M2_MAX_SUBGOALS};
 use crate::m3::{optimal_plan, DropPolicy, RenameTest, M3_MAX_SUBGOALS};
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
-use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult, Found, Rewriting, ViewTuple};
-use viewplan_cq::{ConjunctiveQuery, ViewSet};
+use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult, Found, Rewriting};
+use viewplan_cq::{Atom, ConjunctiveQuery, ViewSet};
 use viewplan_obs as obs;
 use viewplan_obs::Completeness;
 
 // Single registration site per counter name (the xtask lint enforces
 // this): every cost-model path funnels through these helpers.
-fn note_plan_enumerated() {
-    obs::counter!("cost.plans_enumerated").incr();
+fn note_plans_enumerated(plans: u64) {
+    obs::counter!("cost.plans_enumerated").add(plans);
+}
+
+/// A graft the M2 graft bound skipped: no plan was enumerated for it.
+fn note_grafts_pruned(grafts: u64) {
+    obs::counter!("cost.grafts_pruned").add(grafts);
 }
 
 fn note_rewriting_pruned() {
@@ -221,7 +230,7 @@ impl<'a> Optimizer<'a> {
             CostModel::M1 => result.walk(|_| 1.0),
             CostModel::M2 | CostModel::M3(_) => result.walk(|t| oracle.relation_size(&t.atom)),
         };
-        let filters = result.filter_tuples();
+        let filters: Vec<&Atom> = result.filter_tuples().iter().map(|t| &t.atom).collect();
         let test = RenameTest::new(self.query, self.views);
         let mut too_wide = None;
         let mut best = None;
@@ -252,7 +261,7 @@ impl<'a> Optimizer<'a> {
             if model != CostModel::M1 && obs::budget::cancelled() {
                 break; // deadline: keep the best so far (an M1 plan is no search)
             }
-            note_plan_enumerated();
+            note_plans_enumerated(1);
             let planned = match model {
                 CostModel::M1 => Some((r.clone(), PhysicalPlan::ordered(r.body.clone()), bound)),
                 CostModel::M2 => self.m2_with_filters(r, &filters, oracle)?,
@@ -287,40 +296,21 @@ impl<'a> Optimizer<'a> {
     }
 
     /// The M2 arm: the subset DP, then greedy filter grafting — a filter
-    /// that lowers the cost stays in the table, the rest come off.
+    /// that lowers the cost stays in the table, the rest come off, and
+    /// one the graft bound rules out is never grafted.
     fn m2_with_filters(
         &self,
         r: &Rewriting,
-        filters: &[&ViewTuple],
+        filters: &[&Atom],
         oracle: &mut dyn SizeOracle,
     ) -> Result<Option<(Rewriting, PhysicalPlan, f64)>, CostError> {
         // Degenerate (empty-body) or budget-abandoned rewriting.
         let Some(mut table) = M2Table::solve(&r.body, oracle)? else {
             return Ok(None);
         };
-        for _ in 0..self.config.max_filters {
-            let mut improved = false;
-            for f in filters {
-                if table.body().contains(&f.atom) {
-                    continue;
-                }
-                note_plan_enumerated();
-                // Grafting is a heuristic improvement; a filter that
-                // pushes the body past the DP width, or whose DP the
-                // budget abandons, is just not taken.
-                let without = table.cost();
-                if let Ok(true) = table.graft(&f.atom, oracle) {
-                    if table.cost() < without {
-                        improved = true;
-                    } else {
-                        table.ungraft();
-                    }
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
+        let grafts = table.graft_filters(filters, self.config.max_filters, oracle);
+        note_plans_enumerated(grafts.tried);
+        note_grafts_pruned(grafts.pruned);
         let (order, _, cost) = table.order();
         let body = table.body();
         let plan = PhysicalPlan::ordered(order.iter().map(|&i| body[i].clone()).collect());

@@ -7,10 +7,15 @@
 //! quantities from a [`Catalog`] with the independence assumption, as a
 //! real optimizer would; its memo is positional, scoped to the body a
 //! search is working on (see [`crate::subsets`]), which is what makes
-//! the subset-DP plan search cheap.
+//! both plan searches cheap: the M2 dynamic program asks about subsets
+//! of the body by mask ([`Subsets`]), a graft bound about the body and
+//! one more subgoal, and the M3 order search about the path it is on
+//! ([`Prefixes`]: subgoal indices and closed renames, spelled out as
+//! atoms and variable names only for an oracle that does not override
+//! [`SizeOracle::prefix_size`]).
 
 use crate::catalog::Catalog;
-use crate::subsets::{selected, Fold, Subsets};
+use crate::subsets::{selected, Fold, Prefixes, Subsets};
 use std::collections::{BTreeSet, HashMap};
 use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term};
 use viewplan_engine::{evaluate, Database};
@@ -42,6 +47,31 @@ pub trait SizeOracle {
     fn subset_size(&mut self, subsets: &mut Subsets, mask: u32) -> f64 {
         let retained = subsets.variables(mask);
         self.intermediate_size(subsets.body(), mask, &retained)
+    }
+
+    /// `size(IR)` of the whole body of `subsets` and `atom`, all
+    /// attributes retained — what [`subset_size`](Self::subset_size)
+    /// answers for the top mask once `atom` is pushed, asked without
+    /// pushing it. The default spells the request out for
+    /// [`intermediate_size`](Self::intermediate_size) exactly as that
+    /// top mask would, so a memoizing oracle answers both from one entry.
+    fn joined_size(&mut self, subsets: &mut Subsets, atom: &Atom) -> f64 {
+        let mut body = subsets.body().to_vec();
+        body.push(atom.clone());
+        let whole = u32::MAX >> (32 - body.len());
+        let retained = body.iter().flat_map(Atom::variables).collect();
+        self.intermediate_size(&body, whole, &retained)
+    }
+
+    /// `size(GSR)` of the path `prefixes` holds: its subgoals in order,
+    /// renames applied, projected onto the variables it retains. The
+    /// default spells the request out for
+    /// [`intermediate_size`](Self::intermediate_size); an oracle that can
+    /// tabulate per body overrides it.
+    fn prefix_size(&mut self, prefixes: &mut Prefixes) -> f64 {
+        let atoms = prefixes.atoms();
+        let whole = u32::MAX >> (32 - atoms.len());
+        self.intermediate_size(&atoms, whole, &prefixes.retained())
     }
 }
 
@@ -119,6 +149,17 @@ impl SizeOracle for EstimateOracle<'_> {
 
     fn subset_size(&mut self, subsets: &mut Subsets, mask: u32) -> f64 {
         let (size, known) = subsets.estimated_size(self.catalog, mask);
+        note_oracle_calls(1, u64::from(known));
+        size
+    }
+
+    fn joined_size(&mut self, subsets: &mut Subsets, atom: &Atom) -> f64 {
+        note_oracle_calls(1, 0);
+        subsets.joined_size(self.catalog, atom)
+    }
+
+    fn prefix_size(&mut self, prefixes: &mut Prefixes) -> f64 {
+        let (size, known) = prefixes.estimated_size(self.catalog);
         note_oracle_calls(1, u64::from(known));
         size
     }

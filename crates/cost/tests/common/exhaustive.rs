@@ -3,7 +3,8 @@
 //! ([`Space::eager`]); phase 2 plans every rewriting, in CoreCover
 //! order, and keeps the first of the cheapest. `plan_m1` / `plan_m2` /
 //! `plan_m3` are the optimizer's methods from before its loop was
-//! bounded, verbatim but for two things: a plan enumerated bumps
+//! bounded, verbatim (the M2 graft loop, from before the graft bound, is
+//! `graft_unbounded`) but for two things: a plan enumerated bumps
 //! `Exhaustive::enumerated` instead of `cost.plans_enumerated` (so a
 //! count test can run both and compare), and M3 goes through the public
 //! `try_optimal_m3_plan`, which builds the `RenameTest` the optimizer kept
@@ -243,8 +244,7 @@ impl<'a> Exhaustive<'a> {
             if obs::budget::cancelled() {
                 break; // deadline: keep the cheapest plan found so far
             }
-            // Base plan, then greedy filter grafting: a filter that
-            // lowers the cost stays in the table, the rest come off.
+            // Base plan, then greedy filter grafting.
             self.enumerated += 1;
             let mut table = match M2Table::solve(&r.body, oracle) {
                 Ok(Some(table)) => table,
@@ -255,29 +255,9 @@ impl<'a> Exhaustive<'a> {
                     continue;
                 }
             };
-            for _ in 0..self.config.max_filters {
-                let mut improved = false;
-                for f in filters {
-                    if table.body().contains(f) {
-                        continue;
-                    }
-                    self.enumerated += 1;
-                    // Grafting is a heuristic improvement; a filter that
-                    // pushes the body past the DP width, or whose DP the
-                    // budget abandons, is just not taken.
-                    let without = table.cost();
-                    if let Ok(true) = table.graft(f, oracle) {
-                        if table.cost() < without {
-                            improved = true;
-                        } else {
-                            table.ungraft();
-                        }
-                    }
-                }
-                if !improved {
-                    break;
-                }
-            }
+            let (grafted, _) =
+                graft_unbounded(&mut table, filters, self.config.max_filters, oracle);
+            self.enumerated += grafted;
             if best.as_ref().is_none_or(|b| table.cost() < b.cost) {
                 let (order, _, cost) = table.order();
                 let body = table.body();
@@ -330,4 +310,41 @@ impl<'a> Exhaustive<'a> {
             (b, s) => Ok((b, s.is_some())),
         }
     }
+}
+
+/// Greedy filter grafting as it ran before the graft bound: every filter
+/// not in the body is grafted; one that lowers the cost stays in the
+/// table, the rest come off. Returns the grafts made and those kept.
+pub fn graft_unbounded(
+    table: &mut M2Table,
+    filters: &[Atom],
+    rounds: usize,
+    oracle: &mut dyn SizeOracle,
+) -> (u64, u64) {
+    let (mut grafted, mut kept) = (0, 0);
+    for _ in 0..rounds {
+        let mut improved = false;
+        for f in filters {
+            if table.body().contains(f) {
+                continue;
+            }
+            grafted += 1;
+            // Grafting is a heuristic improvement; a filter that pushes
+            // the body past the DP width, or whose DP the budget
+            // abandons, is just not taken.
+            let without = table.cost();
+            if let Ok(true) = table.graft(f, oracle) {
+                if table.cost() < without {
+                    improved = true;
+                    kept += 1;
+                } else {
+                    table.ungraft();
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    (grafted, kept)
 }

@@ -5,15 +5,16 @@
 
 mod common;
 
-use common::exhaustive::{Exhaustive, Space};
+use common::exhaustive::{graft_unbounded, Exhaustive, Space};
 use common::{generated, rename_family, Generated, RenameFamily};
 use std::sync::Mutex;
 use viewplan_core::{CoreCover, CoreCoverConfig};
+use viewplan_cost::m2::M2Table;
 use viewplan_cost::{
     try_optimal_m3_plan, Catalog, CostModel, DropPolicy, EstimateOracle, ExactOracle, Optimizer,
     OptimizerConfig,
 };
-use viewplan_cq::{parse_query, parse_views, Symbol};
+use viewplan_cq::{parse_query, parse_views, Atom, Symbol};
 use viewplan_engine::{materialize_views, Database, Value};
 use viewplan_obs as obs;
 use viewplan_workload::Shape;
@@ -133,7 +134,8 @@ fn budget_exhausted_after_pruning_is_truncated_and_never_beats_the_optimum() {
 
 /// `cost.oracle_calls` counts the subset sizes a search asks for and
 /// `cost.oracle_cache_hits` those that needed no join or evaluation —
-/// for a grafted filter, the half of the table it leaves in place.
+/// for a grafted filter, the half of the table it leaves in place, and
+/// the top subset the graft bound already measured.
 #[test]
 fn a_grafted_filter_reuses_half_the_table() {
     let _turn = TURN.lock().unwrap();
@@ -144,10 +146,18 @@ fn a_grafted_filter_reuses_half_the_table() {
          v3(S) :- car(M, a), loc(a, C), part(S, M, C).",
     )
     .unwrap();
+    // One store sells a make of dealer `a`; 29 sell makes `a` lacks, so
+    // `v3` holds one row and `v2` thirty: the filter can pay.
     let mut base = Database::new();
     for m in 0..6 {
         base.insert("car", vec![Value::Int(m), Value::sym("a")]);
-        base.insert("part", vec![Value::Int(m), Value::Int(m), Value::Int(7)]);
+    }
+    base.insert("part", vec![Value::Int(0), Value::Int(0), Value::Int(7)]);
+    for s in 1..30 {
+        base.insert(
+            "part",
+            vec![Value::Int(s), Value::Int(10 + s), Value::Int(7)],
+        );
     }
     base.insert("loc", vec![Value::sym("a"), Value::Int(7)]);
     let vdb = materialize_views(&views, &base);
@@ -161,12 +171,17 @@ fn a_grafted_filter_reuses_half_the_table() {
             .try_plan(CostModel::M2, &mut ExactOracle::new(&vdb))
             .unwrap()
     });
-    assert!(outcome.best.is_some());
+    let best = outcome.best.unwrap();
+    assert_eq!(best.plan.to_string(), "v3(S) ⋈ v2(S, M, C) ⋈ v1(M, a, C)");
+    assert_eq!(best.cost, 40.0);
     // One rewriting {v1, v2} and one filter v3: the base table asks for
-    // 3 subsets; the graft asks for 7, of which those 3 are reused.
+    // 3 subsets; the graft bound for {v1, v2, v3} by one join (37 + 1
+    // is below the base cost 43, so the graft is tried); the graft for
+    // 7, of which those 3 and {v1, v2, v3} are answered from the memo.
     assert_eq!(counts.counter("cost.plans_enumerated"), 2);
-    assert_eq!(counts.counter("cost.oracle_calls"), 10);
-    assert_eq!(counts.counter("cost.oracle_cache_hits"), 3);
+    assert_eq!(counts.counter("cost.grafts_pruned"), 0);
+    assert_eq!(counts.counter("cost.oracle_calls"), 11);
+    assert_eq!(counts.counter("cost.oracle_cache_hits"), 4);
 }
 
 /// `q` over `k` one-subgoal relations, a view per relation and one view
@@ -314,4 +329,88 @@ fn the_bound_enumerates_fewer_plans_on_a_40_view_star_family() {
         built < space_size,
         "{built} rewritings built of {space_size}"
     );
+}
+
+/// The graft bound on the 40-view star family under M2, from estimates.
+/// Rewriting by rewriting, every filter the unbounded loop grafted is
+/// either grafted or pruned by the bound — an accounting identity, since
+/// both loops keep the same grafts and so walk the same filters — and the
+/// table ends with the same body, order and cost bits. End to end the
+/// optimizer counts the pruned grafts in `cost.grafts_pruned`, not among
+/// the plans enumerated, and chooses what the exhaustive pipeline chose.
+/// Fails when the bound never prunes, and when it prunes a graft that
+/// would have stayed.
+#[test]
+fn every_filter_attempt_is_grafted_or_pruned_on_a_40_view_star_family() {
+    let _turn = TURN.lock().unwrap();
+    let config = OptimizerConfig::default();
+    let (mut attempts, mut tried, mut pruned, mut kept, mut kept_unbounded) = (0, 0, 0, 0, 0);
+    for seed in 0..4 {
+        let p = generated(Shape::Star, 40, 1, seed);
+        let catalog = Catalog::from_database(&p.vdb);
+        let result = CoreCover::new(&p.query, &p.views).run_all_minimal();
+        let cap = CoreCoverConfig::default().max_rewritings;
+        let space = Space::eager(&result, &p.views, true, cap);
+        let filters: Vec<&Atom> = space.filters.iter().collect();
+        for r in &space.rewritings {
+            let solve = |oracle: &mut EstimateOracle| M2Table::solve(&r.body, oracle).unwrap();
+            let (mut bounded_oracle, mut oracle) =
+                (EstimateOracle::new(&catalog), EstimateOracle::new(&catalog));
+            let (Some(mut bounded), Some(mut unbounded)) =
+                (solve(&mut bounded_oracle), solve(&mut oracle))
+            else {
+                continue;
+            };
+            let grafts = bounded.graft_filters(&filters, config.max_filters, &mut bounded_oracle);
+            let rounds = config.max_filters;
+            let (grafted, stayed) =
+                graft_unbounded(&mut unbounded, &space.filters, rounds, &mut oracle);
+            let context = format!("seed {seed} {r}");
+            assert_eq!(grafts.tried + grafts.pruned, grafted, "{context}");
+            assert_eq!(grafts.kept, stayed, "{context}");
+            assert_eq!(bounded.body(), unbounded.body(), "{context}");
+            let (order, ir, cost) = bounded.order();
+            let (order_unbounded, ir_unbounded, cost_unbounded) = unbounded.order();
+            assert_eq!(order, order_unbounded, "{context}");
+            let bits = |sizes: &[f64]| sizes.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ir), bits(&ir_unbounded), "{context}");
+            assert_eq!(cost.to_bits(), cost_unbounded.to_bits(), "{context}");
+            attempts += grafted;
+            (tried, pruned) = (tried + grafts.tried, pruned + grafts.pruned);
+            (kept, kept_unbounded) = (kept + grafts.kept, kept_unbounded + stayed);
+        }
+        let mut reference = Exhaustive::new(&p.query, &p.views, config.clone());
+        let old = reference
+            .try_plan_generated(CostModel::M2, &space, &mut EstimateOracle::new(&catalog))
+            .unwrap();
+        let (new, counts) = counted(|| {
+            Optimizer::new(&p.query, &p.views)
+                .with_config(config.clone())
+                .try_plan_generated(CostModel::M2, result, &mut EstimateOracle::new(&catalog))
+                .unwrap()
+        });
+        let chosen = |o: &viewplan_cost::PlanOutcome| {
+            o.best.as_ref().map(|b| {
+                (
+                    b.rewriting.to_string(),
+                    b.plan.to_string(),
+                    b.cost.to_bits(),
+                )
+            })
+        };
+        assert_eq!(chosen(&new), chosen(&old), "seed {seed}");
+        let planned = counts.counter("corecover.rewritings")
+            - counts.counter("cost.rewritings_pruned")
+            - counts.counter("cost.too_wide_skipped");
+        let grafted = counts.counter("cost.plans_enumerated") - planned;
+        assert!(
+            grafted + counts.counter("cost.grafts_pruned") <= attempts,
+            "seed {seed}"
+        );
+    }
+    assert!(pruned > 0, "the bound never pruned: {tried} grafts tried");
+    assert!(kept > 0, "no graft ever paid");
+    assert_eq!(kept, kept_unbounded);
+    assert_eq!(tried + pruned, attempts);
+    println!("grafts: {attempts} attempted, {tried} tried, {pruned} pruned, {kept} kept");
 }

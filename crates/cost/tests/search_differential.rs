@@ -24,7 +24,9 @@
 //! policy, from measured sizes and from estimates. Three tests with
 //! sizes by table each catch one way the walk can go wrong, named in
 //! their docs: keys from representatives only, stopping on `key >= cost`,
-//! and dedup that keeps the later variant.
+//! and dedup that keeps the later variant. A fourth catches an M2 graft
+//! bound built on the base body's `IR` instead of the grafted one's; the
+//! reference grafts every filter unbounded.
 //!
 //! The reference is factorial: run this file with `--release` for the
 //! full case count.
@@ -569,6 +571,26 @@ fn check_m2(p: &Problem) {
         assert!(table.graft(filter, &mut *o).unwrap());
         assert_eq!(key(table.order()), old, "{context} regrafted");
         assert_eq!(table.body(), &body[..], "{context}");
+        // The graft bound's one join is the top row the graft computes,
+        // to the bit — also for a filter bringing a variable the body
+        // lacks, which widens every row of an estimate table.
+        let widening = Atom::new(rest[0].predicate, vec![Term::var("W"), rest[0].terms[1]]);
+        for extra in [filter, &widening] {
+            let mut o = oracle();
+            let mut table = M2Table::solve(rest, &mut *o).unwrap().unwrap();
+            let joined = table.joined_ir(extra, &mut *o);
+            assert!(table.graft(extra, &mut *o).unwrap());
+            let (_, ir, _) = table.order();
+            let top = ir.last().unwrap();
+            assert_eq!(joined.to_bits(), top.to_bits(), "{context} joined {extra}");
+            let whole = [rest, std::slice::from_ref(extra)].concat();
+            let scratch = reference::m2_order(&whole, &mut *oracle()).unwrap();
+            assert_eq!(
+                key(table.order()),
+                key(scratch),
+                "{context} grafted {extra}"
+            );
+        }
     }
 }
 
@@ -1312,5 +1334,61 @@ fn a_grafted_filter_wins_below_the_base_bodys_final_intermediate() {
             assert_eq!(plan, "v3(S) ⋈ v2(S, M, C) ⋈ v1(M, a, C)");
             assert_eq!(f64::from_bits(cost), 12.0);
         }
+    }
+}
+
+/// `v1 ⋈ v2` costs 148 (4 + 4 + 40 + 100); the filter `v3` holds 5 rows,
+/// one more than the first intermediate, and collapses every
+/// intermediate it joins to one row, so grafted the plan costs 55. The
+/// graft bound is 4 + 40 + 5 + `IR(v1, v2, v3)` = 50, and the graft is
+/// tried and kept. Fails when the bound is built on the base body's
+/// `IR(v1, v2)` instead (4 + 40 + 5 + 100 = 149 ≥ 148): the graft is
+/// skipped and the plan stays at 148.
+#[test]
+fn a_filter_the_bound_lets_through_on_the_grafted_intermediate() {
+    let query = parse_query("q1(S, C) :- car(M, a), loc(a, C), part(S, M, C)").unwrap();
+    let views = parse_views(
+        "v1(M, D, C) :- car(M, D), loc(D, C).\n\
+         v2(S, M, C) :- part(S, M, C).\n\
+         v3(S) :- car(M, a), loc(a, C), part(S, M, C).",
+    )
+    .unwrap();
+    let generation = Generation::all_minimal(&query, &views);
+    assert_eq!(generation.space.rewritings.len(), 1);
+    let sizes = || -> Box<dyn SizeOracle> {
+        Box::new(Table::new(
+            &[("v1", 4.0), ("v2", 40.0), ("v3", 5.0)],
+            &[
+                (&["v1"], 4.0),
+                (&["v2"], 40.0),
+                (&["v3"], 5.0),
+                (&["v1", "v2"], 100.0),
+                (&["v1", "v3"], 1.0),
+                (&["v2", "v3"], 1.0),
+                (&["v1", "v2", "v3"], 1.0),
+            ],
+        ))
+    };
+    for (max_filters, plan, cost) in [
+        (0, "v1(M, a, C) ⋈ v2(S, M, C)", 148.0),
+        (1, "v1(M, a, C) ⋈ v3(S) ⋈ v2(S, M, C)", 55.0),
+        (2, "v1(M, a, C) ⋈ v3(S) ⋈ v2(S, M, C)", 55.0),
+    ] {
+        let config = OptimizerConfig {
+            max_filters,
+            ..OptimizerConfig::default()
+        };
+        let mut oracle = sizes;
+        let (best, _) = agree(
+            &query,
+            &views,
+            &config,
+            CostModel::M2,
+            &generation,
+            &mut oracle,
+        )
+        .unwrap();
+        let (_, chosen, bits) = best.unwrap();
+        assert_eq!((chosen.as_str(), f64::from_bits(bits)), (plan, cost));
     }
 }
