@@ -6,9 +6,23 @@
 //! containment mapping from `Q` into `Q\{g}`. Repeating to a fixpoint
 //! yields the **minimal equivalent query** (unique up to variable renaming
 //! — Chandra & Merlin), which is step (1) of `CoreCover` (Figure 4).
+//!
+//! # Subgoals that cannot fold
+//!
+//! A containment mapping `Q → Q\{g}` sends `g` to an atom of `Q\{g}` with
+//! `g`'s predicate and arity. When `g` is the only subgoal of `Q` with
+//! that (predicate, arity) pair there is no such atom, so `g` is kept
+//! without a check. The rule is exact, not a heuristic: the check it
+//! skips could only fail, and a failed check removes nothing, so the same
+//! removals happen in the same order and [`minimize`] returns the same
+//! atoms in the same order. Removals only shrink the body, so a pair
+//! that is unique stays unique. Only the counters of checks never run
+//! (`containment.checks`, `containment.minimize_rounds`, …) see it. The
+//! paper's workloads give every subgoal a predicate of its own, so there
+//! `minimize` runs no containment check at all.
 
 use crate::containment::is_contained_in;
-use viewplan_cq::ConjunctiveQuery;
+use viewplan_cq::{Atom, ConjunctiveQuery};
 use viewplan_obs as obs;
 
 /// Returns the minimal equivalent of `q` (its core).
@@ -17,7 +31,9 @@ use viewplan_obs as obs;
 /// greedily while a containment mapping from `q` into the reduced query
 /// exists. Greedy removal is sound: query equivalence is transitive, so
 /// once a subgoal is removed the remaining query is still equivalent to
-/// the original, and the fixpoint has no redundant subgoal.
+/// the original, and the fixpoint has no redundant subgoal. A subgoal
+/// whose (predicate, arity) pair occurs once is never tried (module
+/// docs).
 pub fn minimize(q: &ConjunctiveQuery) -> ConjunctiveQuery {
     let _span = obs::span("containment.minimize");
     let mut current = q.dedup_subgoals();
@@ -25,6 +41,10 @@ pub fn minimize(q: &ConjunctiveQuery) -> ConjunctiveQuery {
     while i < current.body.len() {
         if current.body.len() == 1 {
             break; // a single-subgoal safe query is already minimal
+        }
+        if !has_twin(&current.body, i) {
+            i += 1;
+            continue;
         }
         // Graceful degradation: once the ambient budget is cancelled,
         // stop removing subgoals. The partial result is still equivalent
@@ -51,6 +71,16 @@ pub fn minimize(q: &ConjunctiveQuery) -> ConjunctiveQuery {
         }
     }
     current
+}
+
+/// True iff another subgoal of `body` has `body[i]`'s predicate and
+/// arity: the only atoms a containment mapping can send `body[i]` to once
+/// it is removed.
+fn has_twin(body: &[Atom], i: usize) -> bool {
+    let g = &body[i];
+    body.iter()
+        .enumerate()
+        .any(|(j, a)| j != i && a.predicate == g.predicate && a.arity() == g.arity())
 }
 
 #[cfg(test)]
@@ -124,6 +154,16 @@ mod tests {
     fn constants_block_folding() {
         let q = parse_query("q(X) :- e(X, a), e(X, b)").unwrap();
         assert_eq!(minimize(&q).body.len(), 2);
+    }
+
+    #[test]
+    fn one_predicate_at_two_arities_folds_only_within_an_arity() {
+        // `e(X)` is alone at arity 1 and kept; the two binary subgoals
+        // fold into one.
+        let q = parse_query("q(X) :- e(X, Y), e(X), e(X, Z)").unwrap();
+        let m = minimize(&q);
+        assert_eq!(m.to_string(), "q(X) :- e(X), e(X, Z)");
+        assert!(are_equivalent(&q, &m));
     }
 
     #[test]

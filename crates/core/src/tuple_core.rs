@@ -45,12 +45,28 @@
 //! interned. Arities and bodies are a handful of terms: every set below
 //! is a small vector, scanned.
 //!
+//! # What a run allocates
+//!
+//! What depends on the query alone is worked out once per run, in
+//! `Cores::of`: the minimized query's variables are numbered, each with a
+//! distinguished flag and the mask of the subgoals that use it, and the
+//! body's terms are coded as a constant or a variable number. A tuple's
+//! exposed/local classification is then one pass over the variables and
+//! one index lookup per body term. Every per-tuple buffer — the
+//! expansion's images, the classified body (`wants`, flat, sharing the
+//! body's starts), the components, the assignment and its trail, and the
+//! component mappings (one flat buffer, one header per component) —
+//! lives in one scratch the run reuses for every tuple, so only the
+//! returned [`TupleCore`] allocates. The node meter is still started per
+//! tuple: node caps are per search. [`tuple_core`] builds the table and
+//! the scratch for its one tuple.
+//!
 //! Lemma 4.2 (uniqueness of the maximal core) is asserted in debug builds.
 
 use crate::cover::bits;
 use crate::view_tuple::{bound_term, ViewTuple};
 use std::collections::BTreeSet;
-use viewplan_cq::{ConjunctiveQuery, Symbol, Term, View, ViewSet};
+use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term, View, ViewSet};
 use viewplan_obs as obs;
 
 /// The tuple-core of a view tuple: the covered subgoals, as indices into
@@ -124,8 +140,8 @@ enum Want {
     /// (properties 1 and 2 force the identity, which the expansion
     /// cannot offer).
     Nothing,
-    /// The image of this local variable (an index into the per-tuple
-    /// list of locals): an existential or a constant outside the tuple,
+    /// The image of this local variable (its number in the run's
+    /// variable table): an existential or a constant outside the tuple,
     /// the same one at every occurrence, no two locals sharing one.
     Local(usize),
 }
@@ -144,158 +160,284 @@ pub fn tuple_core(min_query: &ConjunctiveQuery, tv: &ViewTuple, views: &ViewSet)
     let Some(view) = views.get(tv.atom.predicate) else {
         return TupleCore::empty();
     };
-    let distinguished: Vec<Symbol> = min_query.head.variables().collect();
-    tuple_core_in(min_query, &distinguished, tv, view)
+    Cores::of(min_query).core(tv, view)
 }
 
-/// [`tuple_core`] with the view already resolved and the query's
-/// distinguished variables computed once for the whole run.
-pub(crate) fn tuple_core_in(
-    min_query: &ConjunctiveQuery,
-    distinguished: &[Symbol],
-    tv: &ViewTuple,
-    view: &View,
-) -> TupleCore {
-    assert!(
-        min_query.body.len() <= 64,
-        "queries are limited to 64 subgoals"
-    );
-    let Some(expansion) = Expansion::of(view, &tv.atom.terms) else {
-        return TupleCore::empty();
-    };
-    let exposed = &tv.atom.terms;
+/// A variable of the minimized query, as the run's table holds it.
+struct Variable {
+    symbol: Symbol,
+    distinguished: bool,
+    /// The subgoals that use it, as a bitmask.
+    users: u64,
+}
 
-    // Classify every argument of every subgoal once, and collect for
-    // each local variable the subgoals that use it.
-    let mut locals: Vec<(Symbol, u64)> = Vec::new();
-    let wants: Vec<Vec<Want>> = min_query
-        .body
-        .iter()
-        .enumerate()
-        .map(|(i, atom)| {
-            let classify = |&t: &Term| match t {
-                Term::Const(_) => Want::Exactly(t),
-                Term::Var(_) if exposed.contains(&t) => Want::Exactly(t),
-                Term::Var(v) if distinguished.contains(&v) => Want::Nothing,
-                Term::Var(v) => {
-                    let k = locals.iter().position(|&(x, _)| x == v).unwrap_or_else(|| {
-                        locals.push((v, 0));
-                        locals.len() - 1
+/// A body term of the minimized query: a constant, or the number of a
+/// variable in the run's table.
+#[derive(Clone, Copy)]
+enum Coded {
+    Const(Term),
+    Var(usize),
+}
+
+/// The tuple-cores of one run: the minimized query classified once, and
+/// the scratch every tuple's search reuses (module docs, "What a run
+/// allocates").
+pub(crate) struct Cores<'q> {
+    query: &'q ConjunctiveQuery,
+    /// The query's variables, numbered by first occurrence.
+    variables: Vec<Variable>,
+    /// The body's terms, flat: `terms[starts[i]..starts[i + 1]]` are the
+    /// terms of subgoal `i`.
+    terms: Vec<Coded>,
+    starts: Vec<usize>,
+    scratch: Scratch,
+}
+
+/// Every per-tuple buffer; a tuple clears or overwrites each one before
+/// it reads it.
+#[derive(Default)]
+struct Scratch {
+    expansion: Expansion,
+    /// What each variable may map to under the current tuple, by number.
+    by_variable: Vec<Want>,
+    /// What each body term may map to, aligned with [`Cores::terms`].
+    wants: Vec<Want>,
+    /// Subgoals linked by shared local variables, ordered by their first
+    /// subgoal.
+    components: Vec<u64>,
+    /// Image of each local variable, if assigned, by number.
+    assigned: Vec<Option<Image>>,
+    /// The locals assigned so far, oldest first; their images are the
+    /// ones in use (one-to-one).
+    trail: Vec<usize>,
+    /// Every component's mappings, flat, in component order.
+    images: Vec<Image>,
+    /// One header per component, aligned with `components`.
+    mappings: Vec<Mappings>,
+    /// Images taken by the components the resolution has chosen so far.
+    used: Vec<Image>,
+}
+
+impl<'q> Cores<'q> {
+    /// Numbers and codes `min_query` for a run.
+    ///
+    /// # Panics
+    /// Panics if the query has more than 64 subgoals.
+    pub(crate) fn of(min_query: &'q ConjunctiveQuery) -> Cores<'q> {
+        assert!(
+            min_query.body.len() <= 64,
+            "queries are limited to 64 subgoals"
+        );
+        let number = |variables: &mut Vec<Variable>, v: Symbol| {
+            variables
+                .iter()
+                .position(|x| x.symbol == v)
+                .unwrap_or_else(|| {
+                    variables.push(Variable {
+                        symbol: v,
+                        distinguished: false,
+                        users: 0,
                     });
-                    locals[k].1 |= 1 << i;
+                    variables.len() - 1
+                })
+        };
+        let mut variables: Vec<Variable> = Vec::new();
+        for v in min_query.head.variables() {
+            let k = number(&mut variables, v);
+            variables[k].distinguished = true;
+        }
+        let mut terms = Vec::new();
+        let mut starts = Vec::with_capacity(min_query.body.len() + 1);
+        for (i, atom) in min_query.body.iter().enumerate() {
+            starts.push(terms.len());
+            for &t in &atom.terms {
+                terms.push(match t {
+                    Term::Const(_) => Coded::Const(t),
+                    Term::Var(v) => {
+                        let k = number(&mut variables, v);
+                        variables[k].users |= 1 << i;
+                        Coded::Var(k)
+                    }
+                });
+            }
+        }
+        starts.push(terms.len());
+        Cores {
+            query: min_query,
+            variables,
+            terms,
+            starts,
+            scratch: Scratch::default(),
+        }
+    }
+
+    /// The tuple-core of `tv`, a tuple of `view` (see [`tuple_core`]).
+    pub(crate) fn core(&mut self, tv: &ViewTuple, view: &View) -> TupleCore {
+        let Cores {
+            query,
+            variables,
+            terms,
+            starts,
+            scratch,
+        } = self;
+        let exposed = &tv.atom.terms;
+        if !scratch.expansion.fill(view, exposed) {
+            return TupleCore::empty();
+        }
+
+        // Classify every variable once, then every body term by lookup.
+        scratch.by_variable.clear();
+        scratch
+            .by_variable
+            .extend(variables.iter().enumerate().map(|(k, v)| {
+                let t = Term::Var(v.symbol);
+                if exposed.contains(&t) {
+                    Want::Exactly(t)
+                } else if v.distinguished {
+                    Want::Nothing
+                } else {
                     Want::Local(k)
                 }
-            };
-            atom.terms.iter().map(classify).collect()
-        })
-        .collect();
+            }));
+        scratch.wants.clear();
+        scratch.wants.extend(terms.iter().map(|&c| match c {
+            Coded::Const(t) => Want::Exactly(t),
+            Coded::Var(k) => scratch.by_variable[k],
+        }));
 
-    // Components: subgoals linked by shared local variables, ordered by
-    // their first subgoal.
-    let mut components: Vec<u64> = (0..min_query.body.len()).map(|i| 1 << i).collect();
-    for &(_, users) in &locals {
-        let mut merged = 0;
-        components.retain(|&c| {
-            let linked = c & users != 0;
-            if linked {
-                merged |= c;
+        // Components: subgoals linked by shared local variables, ordered
+        // by their first subgoal.
+        let components = &mut scratch.components;
+        components.clear();
+        components.extend((0..query.body.len()).map(|i| 1u64 << i));
+        for (v, want) in variables.iter().zip(&scratch.by_variable) {
+            if !matches!(want, Want::Local(_)) {
+                continue;
             }
-            !linked
-        });
-        components.push(merged);
-    }
-    components.sort_unstable_by_key(|c| c.trailing_zeros());
+            let mut merged = 0;
+            components.retain(|&c| {
+                let linked = c & v.users != 0;
+                if linked {
+                    merged |= c;
+                }
+                !linked
+            });
+            components.push(merged);
+        }
+        components.sort_unstable_by_key(|c| c.trailing_zeros());
 
-    // Enumerate each component's consistent mappings. One meter covers
-    // the whole per-tuple search; truncation only *shrinks* the core
-    // (an underestimated core is a subset of the true core, and covers
-    // built from subsets are still valid rewritings).
-    let mut search = Search {
-        query: min_query,
-        wants: &wants,
-        expansion: &expansion,
-        exposed,
-        assigned: vec![None; locals.len()],
-        trail: Vec::new(),
-        meter: obs::Meter::start(obs::Phase::Hom),
-    };
-    let per_component: Vec<Mappings> = components
-        .iter()
-        .map(|&component| search.component_mappings(component))
-        .collect();
+        // Enumerate each component's consistent mappings. One meter covers
+        // the whole per-tuple search; truncation only *shrinks* the core
+        // (an underestimated core is a subset of the true core, and covers
+        // built from subsets are still valid rewritings).
+        scratch.assigned.clear();
+        scratch.assigned.resize(variables.len(), None);
+        scratch.trail.clear();
+        scratch.images.clear();
+        scratch.mappings.clear();
+        let mut search = Search {
+            body: &query.body,
+            wants: &scratch.wants,
+            starts,
+            expansion: &scratch.expansion,
+            view,
+            exposed,
+            assigned: &mut scratch.assigned,
+            trail: &mut scratch.trail,
+            found: &mut scratch.images,
+            meter: obs::Meter::start(obs::Phase::Hom),
+        };
+        for &component in &scratch.components {
+            scratch.mappings.push(search.component_mappings(component));
+        }
+        let meter = search.meter;
+        let (images, mappings) = (&scratch.images, &scratch.mappings);
 
-    // Fast path: if no two components can compete for an image, every
-    // component with at least one mapping joins the core (the common case;
-    // the backtracking resolution below is only needed on overlap).
-    let mut earlier: Vec<Image> = Vec::new();
-    let disjoint = per_component.iter().all(|mappings| {
-        let apart = mappings.images.iter().all(|img| !earlier.contains(img));
-        earlier.extend_from_slice(&mappings.images);
-        apart
-    });
-    if disjoint {
-        return TupleCore::of_parts(
-            per_component
+        // Fast path: if no two components can compete for an image, every
+        // component with at least one mapping joins the core (the common case;
+        // the backtracking resolution below is only needed on overlap).
+        let disjoint = mappings.iter().all(|m| {
+            let (earlier, rest) = images.split_at(m.start);
+            rest[..m.count * m.width]
                 .iter()
-                .filter(|mappings| mappings.count > 0)
-                .map(|mappings| mappings.component)
-                .collect(),
-        );
-    }
+                .all(|img| !earlier.contains(img))
+        });
+        if disjoint {
+            return TupleCore::of_parts(
+                mappings
+                    .iter()
+                    .filter(|m| m.count > 0)
+                    .map(|m| m.component)
+                    .collect(),
+            );
+        }
 
-    // Globally resolve injectivity across components, maximizing coverage.
-    let mut resolution = Resolution {
-        per_component: &per_component,
-        used: Vec::new(),
-        best: None,
-        meter: search.meter,
-    };
-    resolution.resolve(0, 0);
-    // A budget-truncated resolution may not even reach the all-excluded
-    // leaf; the empty core is the sound fallback.
-    let chosen = resolution.best.map_or(0, |(_, chosen)| chosen);
-    TupleCore::of_parts(bits(chosen).map(|c| per_component[c].component).collect())
+        // Globally resolve injectivity across components, maximizing coverage.
+        scratch.used.clear();
+        let mut resolution = Resolution {
+            per_component: mappings,
+            images,
+            used: &mut scratch.used,
+            best: None,
+            meter,
+        };
+        resolution.resolve(0, 0);
+        // A budget-truncated resolution may not even reach the all-excluded
+        // leaf; the empty core is the sound fallback.
+        let chosen = resolution.best.map_or(0, |(_, chosen)| chosen);
+        TupleCore::of_parts(bits(chosen).map(|c| mappings[c].component).collect())
+    }
 }
 
 /// The view's body read as the tuple's expansion: one [`Image`] per
-/// body term, flat, with each subgoal's range.
-struct Expansion<'v> {
-    view: &'v View,
+/// body term, flat, with each subgoal's range. Refilled for every tuple.
+#[derive(Default)]
+struct Expansion {
+    /// The view's head variables and the tuple arguments they meet.
+    bound: Vec<(Symbol, Term)>,
+    /// The view's existential variables, by number.
+    existentials: Vec<Symbol>,
     images: Vec<Image>,
     /// `images[starts[j]..starts[j + 1]]` are the terms of body atom `j`.
     starts: Vec<usize>,
 }
 
-impl<'v> Expansion<'v> {
-    /// `None` when `args` cannot be a tuple of `view`: wrong arity, a
-    /// repeated head variable meeting two arguments, a head constant
-    /// meeting another term.
-    fn of(view: &'v View, args: &[Term]) -> Option<Expansion<'v>> {
+impl Expansion {
+    /// Reads `view`'s body as the expansion of the tuple `args`; false
+    /// when `args` cannot be a tuple of `view`: wrong arity, a repeated
+    /// head variable meeting two arguments, a head constant meeting
+    /// another term.
+    fn fill(&mut self, view: &View, args: &[Term]) -> bool {
         let head = view.head();
         if head.arity() != args.len() {
-            return None;
+            return false;
         }
-        let mut bound: Vec<(Symbol, Term)> = Vec::with_capacity(args.len());
+        let Expansion {
+            bound,
+            existentials,
+            images,
+            starts,
+        } = self;
+        bound.clear();
         for (&h, &a) in head.terms.iter().zip(args) {
             match h {
-                Term::Var(v) => match bound_term(&bound, v) {
+                Term::Var(v) => match bound_term(bound, v) {
                     None => bound.push((v, a)),
                     Some(prev) if prev == a => {}
-                    Some(_) => return None,
+                    Some(_) => return false,
                 },
                 Term::Const(_) if h == a => {}
-                Term::Const(_) => return None,
+                Term::Const(_) => return false,
             }
         }
-        let body = &view.definition.body;
-        let mut existentials: Vec<Symbol> = Vec::new();
-        let mut images = Vec::with_capacity(body.iter().map(|a| a.arity()).sum());
-        let mut starts = Vec::with_capacity(body.len() + 1);
-        for atom in body {
+        existentials.clear();
+        images.clear();
+        starts.clear();
+        for atom in &view.definition.body {
             starts.push(images.len());
             images.extend(atom.terms.iter().map(|&t| match t {
                 Term::Const(_) => Image::Term(t),
-                Term::Var(v) => match bound_term(&bound, v) {
+                Term::Var(v) => match bound_term(bound, v) {
                     Some(arg) => Image::Term(arg),
                     None => {
                         let known = existentials.iter().position(|&x| x == v);
@@ -308,22 +450,18 @@ impl<'v> Expansion<'v> {
             }));
         }
         starts.push(images.len());
-        Some(Expansion {
-            view,
-            images,
-            starts,
-        })
+        true
     }
 
     /// The expansion's subgoals a query subgoal could map onto: same
     /// predicate, same arity.
     fn targets<'s>(
         &'s self,
+        view: &'s View,
         predicate: Symbol,
         arity: usize,
     ) -> impl Iterator<Item = &'s [Image]> + 's {
-        self.view
-            .definition
+        view.definition
             .body
             .iter()
             .enumerate()
@@ -334,36 +472,39 @@ impl<'v> Expansion<'v> {
 
 /// Every consistent way to map one component into the expansion: the
 /// images of its local variables, `width` per mapping (always in the
-/// order the search first meets them), deduplicated, flat.
+/// order the search first meets them), deduplicated, flat in the run's
+/// image buffer from `start` on.
 struct Mappings {
     /// The component's subgoals.
     component: u64,
+    start: usize,
     width: usize,
     /// A component without local variables has mappings of width 0, so
     /// the count is kept beside the images.
     count: usize,
-    images: Vec<Image>,
 }
 
 impl Mappings {
-    fn get(&self, i: usize) -> &[Image] {
-        &self.images[i * self.width..(i + 1) * self.width]
+    fn get<'i>(&self, images: &'i [Image], i: usize) -> &'i [Image] {
+        let at = self.start + i * self.width;
+        &images[at..at + self.width]
     }
 }
 
 /// The backtracking enumeration of component mappings.
 struct Search<'a> {
-    query: &'a ConjunctiveQuery,
-    /// [`Want`]s of every query subgoal, aligned with the body.
-    wants: &'a [Vec<Want>],
-    expansion: &'a Expansion<'a>,
+    body: &'a [Atom],
+    /// [`Want`]s of every body term, aligned with `starts`.
+    wants: &'a [Want],
+    starts: &'a [usize],
+    expansion: &'a Expansion,
+    view: &'a View,
     /// The tuple's arguments.
     exposed: &'a [Term],
-    /// Image of each local variable, if assigned.
-    assigned: Vec<Option<Image>>,
-    /// The locals assigned so far, oldest first; their images are the
-    /// ones in use (one-to-one).
-    trail: Vec<usize>,
+    assigned: &'a mut [Option<Image>],
+    trail: &'a mut Vec<usize>,
+    /// Where the mappings go: the run's flat image buffer.
+    found: &'a mut Vec<Image>,
     meter: obs::Meter,
 }
 
@@ -371,41 +512,43 @@ impl Search<'_> {
     /// All consistent mappings of a component's local variables; none
     /// when the component cannot be covered at all.
     fn component_mappings(&mut self, component: u64) -> Mappings {
-        let mut found = Mappings {
+        let mut mappings = Mappings {
             component,
+            start: self.found.len(),
             width: 0,
             count: 0,
-            images: Vec::new(),
         };
-        self.descend(component, &mut found);
-        found
+        self.descend(component, &mut mappings);
+        mappings
     }
 
     /// Maps the subgoals of `rest`, lowest first.
-    fn descend(&mut self, rest: u64, found: &mut Mappings) {
+    fn descend(&mut self, rest: u64, mappings: &mut Mappings) {
         if !self.meter.tick() {
             return;
         }
         if rest == 0 {
             // Every local of the component is assigned, in an order the
             // query alone decides: the same at every leaf.
-            let known = found.images.len();
+            let known = self.found.len();
             let images = self.trail.iter().filter_map(|&k| self.assigned[k]);
-            found.images.extend(images);
-            found.width = found.images.len() - known;
-            if (0..found.count).any(|i| found.get(i) == &found.images[known..]) {
-                found.images.truncate(known);
+            self.found.extend(images);
+            mappings.width = self.found.len() - known;
+            let (kept, new) = self.found.split_at(known);
+            if (0..mappings.count).any(|i| mappings.get(kept, i) == new) {
+                self.found.truncate(known);
             } else {
-                found.count += 1;
+                mappings.count += 1;
             }
             return;
         }
         let g = rest.trailing_zeros() as usize;
-        let (atom, wants, expansion) = (&self.query.body[g], &self.wants[g], self.expansion);
-        for target in expansion.targets(atom.predicate, atom.arity()) {
+        let (atom, expansion) = (&self.body[g], self.expansion);
+        let wants = &self.wants[self.starts[g]..self.starts[g + 1]];
+        for target in expansion.targets(self.view, atom.predicate, atom.arity()) {
             let mark = self.trail.len();
             if self.meet(wants, target) {
-                self.descend(rest & (rest - 1), found);
+                self.descend(rest & (rest - 1), mappings);
             }
             for k in self.trail.drain(mark..) {
                 self.assigned[k] = None;
@@ -462,8 +605,10 @@ impl Search<'_> {
 /// the maximal covered set is unique (Lemma 4.2).
 struct Resolution<'a> {
     per_component: &'a [Mappings],
+    /// The flat buffer the headers of `per_component` point into.
+    images: &'a [Image],
     /// Images taken by the components chosen so far.
-    used: Vec<Image>,
+    used: &'a mut Vec<Image>,
     /// Subgoals covered and components chosen (a bit per component) by
     /// the best selection so far.
     best: Option<(u64, u64)>,
@@ -475,7 +620,7 @@ impl Resolution<'_> {
         if !self.meter.tick() {
             return;
         }
-        let per_component = self.per_component;
+        let (per_component, images) = (self.per_component, self.images);
         let Some(mappings) = per_component.get(depth) else {
             let covered = bits(chosen).fold(0, |m, c| m | per_component[c].component);
             match self.best {
@@ -499,7 +644,7 @@ impl Resolution<'_> {
             return;
         };
         for i in 0..mappings.count {
-            let mapping = mappings.get(i);
+            let mapping = mappings.get(images, i);
             if mapping.iter().any(|img| self.used.contains(img)) {
                 continue;
             }

@@ -22,15 +22,24 @@
 //! The *order* of a view's several tuples is the order the engine's
 //! multiway join would produce them in, because rewritings are emitted
 //! in view-tuple order: the view's subgoals are walked in
-//! [`greedy_join_order`] (the engine's own rule, over the number of query
-//! subgoals per predicate) and each level tries the query's subgoals in
-//! body order. `tests/differential_corecover.rs` keeps the evaluation
-//! over a canonical database as the reference.
+//! [`viewplan_cq::greedy_join_order`] (the engine's own rule, over the
+//! number of query subgoals per predicate) and each level tries the
+//! query's subgoals in body order. `tests/differential_corecover.rs`
+//! keeps the evaluation over a canonical database as the reference.
 //!
 //! View names are taken to be unique: tuples of different views are
 //! never compared.
+//!
+//! # What a run allocates
+//!
+//! The query's subgoals are grouped once per run. Everything a view's
+//! match needs — its join order and the buffers behind it, the bindings,
+//! the projected head — lives in one `Matcher` that the run reuses for
+//! every selected view, so after the first few views a view allocates
+//! only for a tuple it has not produced before (the tuple's [`Atom`]). A
+//! view that yields no tuple allocates nothing.
 
-use viewplan_cq::{greedy_join_order, Atom, ConjunctiveQuery, Symbol, Term, View, ViewSet};
+use viewplan_cq::{Atom, ConjunctiveQuery, JoinOrder, Symbol, Term, View, ViewSet};
 
 /// A view tuple: a literal of view `view` whose arguments are terms of the
 /// query.
@@ -68,11 +77,11 @@ pub(crate) fn view_tuples_of(
     views: &[View],
     selected: impl IntoIterator<Item = usize>,
 ) -> (Vec<ViewTuple>, Vec<usize>) {
-    let facts = Facts::of(min_query);
+    let mut matcher = Matcher::of(min_query);
     let mut tuples: Vec<ViewTuple> = Vec::new();
     let mut origin: Vec<usize> = Vec::new();
     for i in selected {
-        facts.match_view(&views[i], &mut tuples);
+        matcher.match_view(&views[i], &mut tuples);
         origin.resize(tuples.len(), i);
     }
     (tuples, origin)
@@ -105,16 +114,43 @@ impl<'q> Facts<'q> {
             .find(|g| same_relation(g[0], atom))
             .map_or(&[], Vec::as_slice)
     }
+}
+
+/// The facts of one query and the buffers every view's match reuses
+/// (module docs, "What a run allocates").
+struct Matcher<'q> {
+    facts: Facts<'q>,
+    join: JoinOrder,
+    bound: Vec<(Symbol, Term)>,
+    head: Vec<Term>,
+}
+
+impl<'q> Matcher<'q> {
+    fn of(query: &'q ConjunctiveQuery) -> Matcher<'q> {
+        Matcher {
+            facts: Facts::of(query),
+            join: JoinOrder::default(),
+            bound: Vec::new(),
+            head: Vec::new(),
+        }
+    }
 
     /// Appends the tuples of one view to `out`.
-    fn match_view(&self, view: &View, out: &mut Vec<ViewTuple>) {
-        let body = &view.definition.body;
-        let order = greedy_join_order(body, |a| self.of_relation(a).len());
+    fn match_view(&mut self, view: &View, out: &mut Vec<ViewTuple>) {
+        let Matcher {
+            facts,
+            join,
+            bound,
+            head,
+        } = self;
+        let order = join.compute(&view.definition.body, |a| facts.of_relation(a).len());
+        bound.clear();
         let mut search = Match {
-            facts: self,
+            facts,
             view,
-            order: &order,
-            bound: Vec::new(),
+            order,
+            bound,
+            head,
             first: out.len(),
             out,
         };
@@ -134,12 +170,14 @@ pub(crate) fn bound_term(bound: &[(Symbol, Term)], v: Symbol) -> Option<Term> {
 
 /// The nested-loop match of one view body: `order[depth]` names the view
 /// subgoal matched at `depth`, `bound` holds the view variables bound so
-/// far (truncated on the way back).
+/// far (truncated on the way back), `head` the head projected at a full
+/// match.
 struct Match<'a, 'q> {
     facts: &'a Facts<'q>,
     view: &'a View,
     order: &'a [usize],
-    bound: Vec<(Symbol, Term)>,
+    bound: &'a mut Vec<(Symbol, Term)>,
+    head: &'a mut Vec<Term>,
     /// Where this view's tuples start in `out`.
     first: usize,
     out: &'a mut Vec<ViewTuple>,
@@ -171,7 +209,7 @@ impl<'a> Match<'a, '_> {
                         return false;
                     }
                 }
-                Term::Var(v) => match bound_term(&self.bound, v) {
+                Term::Var(v) => match bound_term(self.bound, v) {
                     Some(t) if t != f => return false,
                     Some(_) => {}
                     None => self.bound.push((v, f)),
@@ -183,21 +221,28 @@ impl<'a> Match<'a, '_> {
 
     fn project_head(&mut self) {
         let head = self.view.head();
-        let image = |&t: &Term| match t {
-            Term::Const(_) => Some(t),
-            Term::Var(v) => bound_term(&self.bound, v),
-        };
-        let Some(terms) = head.terms.iter().map(image).collect::<Option<Vec<Term>>>() else {
-            debug_assert!(
-                false,
-                "view {head} is unsafe: a head variable is not in its body"
-            );
-            return;
-        };
-        if self.out[self.first..].iter().all(|t| t.atom.terms != terms) {
+        self.head.clear();
+        for &t in &head.terms {
+            let image = match t {
+                Term::Const(_) => Some(t),
+                Term::Var(v) => bound_term(self.bound, v),
+            };
+            let Some(image) = image else {
+                debug_assert!(
+                    false,
+                    "view {head} is unsafe: a head variable is not in its body"
+                );
+                return;
+            };
+            self.head.push(image);
+        }
+        if self.out[self.first..]
+            .iter()
+            .all(|t| t.atom.terms != *self.head)
+        {
             self.out.push(ViewTuple {
                 view: self.view.name(),
-                atom: Atom::new(self.view.name(), terms),
+                atom: Atom::new(self.view.name(), self.head.clone()),
             });
         }
     }

@@ -20,31 +20,56 @@ use crate::symbol::Symbol;
 /// index only until the first pick from the middle. Returns a permutation
 /// of `0..body.len()`.
 pub fn greedy_join_order(body: &[Atom], facts: impl Fn(&Atom) -> usize) -> Vec<usize> {
-    let mut remaining: Vec<usize> = (0..body.len()).collect();
-    let mut order = Vec::with_capacity(body.len());
-    // A body has a handful of variables: the bound set is scanned.
-    let mut bound: Vec<Symbol> = Vec::new();
-    while !remaining.is_empty() {
-        let Some(pick) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &i)| {
-                let connected = body[i].variables().any(|v| bound.contains(&v));
-                // Connected subgoals first (0 beats 1), then by size.
-                (
-                    if connected || order.is_empty() { 0 } else { 1 },
-                    facts(&body[i]),
-                )
-            })
-            .map(|(pos, _)| pos)
-        else {
-            break;
-        };
-        let i = remaining.swap_remove(pick);
-        bound.extend(body[i].variables());
-        order.push(i);
+    let mut scratch = JoinOrder::default();
+    scratch.compute(body, facts);
+    scratch.order
+}
+
+/// [`greedy_join_order`] with its buffers kept between calls: a caller
+/// that orders many bodies allocates only while a body is longer than
+/// every one before it.
+#[derive(Default)]
+pub struct JoinOrder {
+    order: Vec<usize>,
+    remaining: Vec<usize>,
+    /// A body has a handful of variables: the bound set is scanned.
+    bound: Vec<Symbol>,
+}
+
+impl JoinOrder {
+    /// The greedy join order of `body`, as [`greedy_join_order`] returns it.
+    pub fn compute(&mut self, body: &[Atom], facts: impl Fn(&Atom) -> usize) -> &[usize] {
+        let JoinOrder {
+            order,
+            remaining,
+            bound,
+        } = self;
+        order.clear();
+        remaining.clear();
+        remaining.extend(0..body.len());
+        bound.clear();
+        while !remaining.is_empty() {
+            let Some(pick) = remaining
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &i)| {
+                    let connected = body[i].variables().any(|v| bound.contains(&v));
+                    // Connected subgoals first (0 beats 1), then by size.
+                    (
+                        if connected || order.is_empty() { 0 } else { 1 },
+                        facts(&body[i]),
+                    )
+                })
+                .map(|(pos, _)| pos)
+            else {
+                break;
+            };
+            let i = remaining.swap_remove(pick);
+            bound.extend(body[i].variables());
+            order.push(i);
+        }
+        order
     }
-    order
 }
 
 #[cfg(test)]
@@ -88,5 +113,22 @@ mod tests {
         // which is why `v1(X, Z)` precedes `v1(Z, Z)`.
         let order = order_of("v1(A, B) :- a(A, B), a(B, B)", &[("a", 2)]);
         assert_eq!(order, [0, 1]);
+    }
+
+    #[test]
+    fn a_reused_scratch_orders_like_a_fresh_one() {
+        let sizes = |a: &Atom| a.arity() + a.predicate.as_str().len();
+        let mut scratch = JoinOrder::default();
+        for q in [
+            "q(X) :- a(X, W), b(X, Y), c(Y, Z)",
+            "q(X) :- a(X)",
+            "q(X, Y) :- a(X), bb(Y), c(Y), d(X, Y)",
+        ] {
+            let q = parse_query(q).unwrap();
+            assert_eq!(
+                scratch.compute(&q.body, sizes),
+                greedy_join_order(&q.body, sizes)
+            );
+        }
     }
 }

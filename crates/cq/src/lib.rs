@@ -45,7 +45,7 @@ pub mod view;
 pub use atom::Atom;
 pub use error::ParseError;
 pub use hypergraph::{hypertree_width_estimate, is_acyclic, join_forest, JoinForest};
-pub use join_order::greedy_join_order;
+pub use join_order::{greedy_join_order, JoinOrder};
 pub use parser::{
     parse_atom, parse_program, parse_query, parse_query_with, parse_views, Interned, Program,
     RuleSpans, Variables,

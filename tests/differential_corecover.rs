@@ -17,6 +17,15 @@
 //! lists in order, and the rewritings `CoreCover` prints with and
 //! without prepared views.
 //!
+//! The tuples and cores are compared twice: through the public per-call
+//! `view_tuples` / `tuple_core`, and as `CoreCover::run` and
+//! `run_all_minimal` return them ([`run_path_agrees`]). A run reuses one
+//! scratch for every view and every tuple, which a per-call function
+//! never does, so only the second comparison sees a buffer a run forgets
+//! to reset between tuples — for instance the per-variable
+//! classification table refilled only where it was still empty, so that
+//! a later tuple reads the exposed variables of an earlier one.
+//!
 //! Instances: the §7 star / chain / random generators at 1 000 views, and
 //! small random problems over two predicates with self-joins, constants
 //! in bodies and heads, repeated head variables and view variables
@@ -426,8 +435,51 @@ fn minimum_dfs(
 }
 
 // ---------------------------------------------------------------------
+// Reference: minimization with every containment check run.
+// ---------------------------------------------------------------------
+
+/// The greedy minimization loop before it skipped any subgoal: every
+/// subgoal is tried, whether or not another subgoal could absorb it.
+fn reference_minimize(q: &ConjunctiveQuery) -> ConjunctiveQuery {
+    let mut current = q.dedup_subgoals();
+    let mut i = 0;
+    while i < current.body.len() && current.body.len() > 1 {
+        let candidate = current.without_subgoal(i);
+        if is_contained_in(&candidate, &current) {
+            current = candidate;
+            i = 0;
+        } else {
+            i += 1;
+        }
+    }
+    current
+}
+
+/// `query` with, for every bit `i` of `unary`, the first argument of
+/// subgoal `i` under the same predicate at arity 1 appended: one
+/// predicate at two arities, which `minimize` must keep apart.
+fn with_unary_twins(query: &ConjunctiveQuery, unary: u32) -> ConjunctiveQuery {
+    let mut body = query.body.clone();
+    for (i, atom) in query.body.iter().enumerate() {
+        if unary & (1 << i) != 0 {
+            body.push(Atom::new(atom.predicate, vec![atom.terms[0]]));
+        }
+    }
+    ConjunctiveQuery::new(query.head.clone(), body)
+}
+
+// ---------------------------------------------------------------------
 // Instances and the comparison.
 // ---------------------------------------------------------------------
+
+/// The budget both sides run under: a per-search node cap on the
+/// tuple-core searches, or a budget too large to bind.
+fn budget(hom_cap: Option<u64>) -> BudgetSpec {
+    match hom_cap {
+        Some(cap) => BudgetSpec::new().phase_nodes(Phase::Hom, cap),
+        None => BudgetSpec::new().node_budget(1 << 40),
+    }
+}
 
 /// What one comparison exercised, so a fixed range of seeds can be shown
 /// to reach the interesting paths.
@@ -468,10 +520,7 @@ fn compare(
             atom: Atom::new(v.name(), vec![first; v.arity()]),
         }
     });
-    let spec = match hom_cap {
-        Some(cap) => BudgetSpec::new().phase_nodes(Phase::Hom, cap),
-        None => BudgetSpec::new().node_budget(1 << 40),
-    };
+    let spec = budget(hom_cap);
     let mut masks = Vec::new();
     for tv in tuples.iter().cloned().chain(broken) {
         let core = {
@@ -522,6 +571,67 @@ fn compare(
     Ok(())
 }
 
+/// The view tuples and cores of `CoreCover::run` and `run_all_minimal`,
+/// in run order, against the references over the run's own minimized
+/// query. With the §5.2 view grouping off a run matches every view and
+/// its tuples are the reference list itself; with it on, the run keeps
+/// the tuples of one representative per class, in the reference order.
+fn run_path_agrees(
+    query: &ConjunctiveQuery,
+    views: &ViewSet,
+    hom_cap: Option<u64>,
+) -> Result<(), TestCaseError> {
+    let spec = budget(hom_cap);
+    for (group, all_minimal) in [(true, false), (true, true), (false, false)] {
+        let config = CoreCoverConfig {
+            group_equivalent_views: group,
+            ..CoreCoverConfig::default()
+        };
+        let result = {
+            let _g = obs::budget::install(spec.build());
+            let run = CoreCover::new(query, views).with_config(config);
+            if all_minimal {
+                run.run_all_minimal()
+            } else {
+                run.run()
+            }
+        };
+        let qm = &result.minimized_query;
+        let (mut expected, _) = reference_view_tuples(qm, views);
+        if group {
+            let kept: HashSet<Symbol> = result.view_tuples.iter().map(|t| t.view).collect();
+            expected.retain(|t| kept.contains(&t.view));
+        }
+        prop_assert_eq!(
+            &result.view_tuples,
+            &expected,
+            "run view tuples (grouping {}, all minimal {}) of {}\nover\n{}",
+            group,
+            all_minimal,
+            query,
+            views
+        );
+        prop_assert_eq!(result.cores.len(), result.view_tuples.len());
+        for (tv, core) in result.view_tuples.iter().zip(&result.cores) {
+            let (expected, _) = {
+                let _g = obs::budget::install(spec.build());
+                reference_tuple_core(qm, tv, views)
+            };
+            prop_assert_eq!(
+                (&core.subgoals, &core.parts),
+                (&expected.subgoals, &expected.parts),
+                "run core of {} (grouping {}, all minimal {}) for {}\nover\n{}",
+                tv,
+                group,
+                all_minimal,
+                query,
+                views
+            );
+        }
+    }
+    Ok(())
+}
+
 fn printed(result: &viewplan::core::CoreCoverResult) -> Vec<String> {
     result.rewritings().iter().map(|r| r.to_string()).collect()
 }
@@ -548,6 +658,7 @@ proptest! {
         let w = small_problem(seed);
         compare(&w.query, &w.views, None, &mut Reached::default())?;
         compare(&minimize(&w.query), &w.views, None, &mut Reached::default())?;
+        run_path_agrees(&w.query, &w.views, None)?;
         prepared_matches_fresh(&w)?;
     }
 
@@ -558,6 +669,21 @@ proptest! {
     ) {
         let w = small_problem(seed);
         compare(&w.query, &w.views, Some(cap), &mut Reached::default())?;
+        run_path_agrees(&w.query, &w.views, Some(cap))?;
+    }
+
+    /// `minimize` skips a subgoal whose (predicate, arity) pair occurs
+    /// once and must return what the loop that checks every subgoal
+    /// returns, atom for atom and in order. Counting a pair's other
+    /// occurrences only among the *earlier* subgoals fails here: it skips
+    /// the first of two foldable twins and removes the second instead.
+    #[test]
+    fn minimize_agrees_with_the_loop_that_checks_every_subgoal(
+        seed in 0u64..1_000_000,
+        unary in 0u32..32,
+    ) {
+        let query = with_unary_twins(&small_problem(seed).query, unary);
+        prop_assert_eq!(minimize(&query), reference_minimize(&query), "{}", query);
     }
 
     #[test]
@@ -609,6 +735,8 @@ fn section7_shapes_agree_at_a_thousand_views() {
         let w = generate(&config);
         let mut reached = Reached::default();
         compare(&minimize(&w.query), &w.views, None, &mut reached)
+            .unwrap_or_else(|e| panic!("{:?}: {e:?}", config.shape));
+        run_path_agrees(&w.query, &w.views, None)
             .unwrap_or_else(|e| panic!("{:?}: {e:?}", config.shape));
         prepared_matches_fresh(&w).unwrap_or_else(|e| panic!("{:?}: {e:?}", config.shape));
     }
