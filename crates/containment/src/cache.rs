@@ -33,8 +33,8 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use viewplan_cq::{
-    parse_query_with, Atom, ConjunctiveQuery, Constant, ParseError, Substitution, Symbol, Term,
-    Variables,
+    parse_query_with, Atom, ConjunctiveQuery, Constant, FirstSeen, ParseError, Substitution,
+    Symbol, Term, Variables,
 };
 use viewplan_obs as obs;
 use viewplan_sync::RwLock;
@@ -121,48 +121,53 @@ impl Hash for CanonicalQuery {
 
 /// Canonicalizes a query for use as a cache key.
 pub fn canonical_key(q: &ConjunctiveQuery) -> CanonicalQuery {
-    let mut toks = Vec::with_capacity(2 + 4 * (q.body.len() + 1));
     let mut rename: HashMap<Symbol, u32> = HashMap::new();
-    let mut encode_atom = |atom: &Atom, toks: &mut Vec<Tok>| {
+    encode(q, |v| {
+        let next = rename.len() as u32;
+        *rename.entry(v).or_insert(next)
+    })
+}
+
+/// The one key encoding: `q`'s atoms in order, each variable occurrence
+/// as the first-occurrence index `var` gives it — which must be the
+/// index [`canonical_key`] would, for the key to be the same.
+fn encode(q: &ConjunctiveQuery, mut var: impl FnMut(Symbol) -> u32) -> CanonicalQuery {
+    let atoms = || std::iter::once(&q.head).chain(&q.body);
+    let mut toks = Vec::with_capacity(atoms().map(|a| 1 + a.arity()).sum());
+    for atom in atoms() {
         toks.push(Tok::Pred(
             atom.predicate.index() as u32,
             atom.terms.len() as u32,
         ));
-        for t in &atom.terms {
-            toks.push(match *t {
-                Term::Var(v) => {
-                    let next = rename.len() as u32;
-                    Tok::Var(*rename.entry(v).or_insert(next))
-                }
-                Term::Const(Constant::Sym(s)) => Tok::Sym(s.index() as u32),
-                Term::Const(Constant::Int(i)) => Tok::Int(i),
-            });
-        }
-    };
-    encode_atom(&q.head, &mut toks);
-    for atom in &q.body {
-        encode_atom(atom, &mut toks);
+        toks.extend(atom.terms.iter().map(|t| match *t {
+            Term::Var(v) => Tok::Var(var(v)),
+            Term::Const(Constant::Sym(s)) => Tok::Sym(s.index() as u32),
+            Term::Const(Constant::Int(i)) => Tok::Int(i),
+        }));
     }
     CanonicalQuery::new(toks)
 }
 
 /// Canonical variables interned when the pool is first used — more than
-/// any query of the paper's workloads has; a wider query grows the pool
-/// once, to its own width.
+/// any query of the paper's workloads has, and read without a lock.
 const POOL_INITIAL: usize = 64;
 
-/// `__c0, __c1, …` by index, interned once and kept: asking for the
-/// `i`-th canonical variable is a read, not a `format!` and an interner
-/// probe per variable per request.
-fn pool() -> &'static RwLock<Vec<Symbol>> {
-    static POOL: OnceLock<RwLock<Vec<Symbol>>> = OnceLock::new();
+/// `__c0 … __c63`, interned once and kept: asking for one of them is an
+/// index, not a `format!` and an interner probe per variable per request.
+fn initial_pool() -> &'static [Symbol] {
+    static POOL: OnceLock<Vec<Symbol>> = OnceLock::new();
     POOL.get_or_init(|| {
-        RwLock::new(
-            (0..POOL_INITIAL)
-                .map(|i| Symbol::new(&format!("__c{i}")))
-                .collect(),
-        )
+        (0..POOL_INITIAL)
+            .map(|i| Symbol::new(&format!("__c{i}")))
+            .collect()
     })
+}
+
+/// `__c64, __c65, …`: grown by the first query wider than the initial
+/// pool, to its own width, and kept.
+fn wider_pool() -> &'static RwLock<Vec<Symbol>> {
+    static POOL: RwLock<Vec<Symbol>> = RwLock::new(Vec::new());
+    &POOL
 }
 
 /// The canonical name of the `i`-th variable (by first occurrence) of a
@@ -170,19 +175,28 @@ fn pool() -> &'static RwLock<Vec<Symbol>> {
 /// way of ordinary user variables, but nothing breaks if a user query
 /// already contains one: canonicalization is a *simultaneous* bijective
 /// renaming, so collisions cannot alias two variables.
-// lock-order: the single pool lock, read then write, strictly
+pub fn canonical_variable(i: usize) -> Symbol {
+    match initial_pool().get(i) {
+        Some(&v) => v,
+        None => wider_variable(i),
+    }
+}
+
+/// [`canonical_variable`] past the initial pool.
+// lock-order: the single wider-pool lock, read then write, strictly
 // sequentially — the read guard is a temporary of the `let known`
 // statement and is gone before the write acquisition.
-pub fn canonical_variable(i: usize) -> Symbol {
-    let known = pool().read().get(i).copied();
+fn wider_variable(i: usize) -> Symbol {
+    let at = i - POOL_INITIAL;
+    let known = wider_pool().read().get(at).copied();
     if let Some(v) = known {
         return v;
     }
-    let mut pool = pool().write();
-    for n in pool.len()..=i {
-        pool.push(Symbol::new(&format!("__c{n}")));
+    let mut pool = wider_pool().write();
+    for n in pool.len()..=at {
+        pool.push(Symbol::new(&format!("__c{}", POOL_INITIAL + n)));
     }
-    pool[i]
+    pool[at]
 }
 
 /// A query renamed into canonical variable space, together with the map
@@ -251,44 +265,73 @@ pub fn canonicalize(q: &ConjunctiveQuery) -> Canonicalization {
     }
 }
 
+/// A rule parsed straight into canonical variable space; see
+/// [`parse_canonical`].
+#[derive(Clone, Debug)]
+pub struct CanonicalParse<'a> {
+    /// The rule in canonical variables: the `canonical` query of
+    /// [`canonicalize`] over the interning parse.
+    pub canonical: ConjunctiveQuery,
+    /// Its cache key, [`canonical_key`] of either query.
+    pub key: CanonicalQuery,
+    /// `names[i]` is what the source calls [`canonical_variable`]`(i)`.
+    pub names: Vec<&'a str>,
+}
+
 /// Parses a rule straight into canonical variable space: the `i`-th
 /// distinct variable in textual order — head first, then body, left to
 /// right, which is [`canonicalize`]'s first-occurrence order — *is*
 /// [`canonical_variable`]`(i)`, and its spelling is kept beside the query
-/// as a slice of `src`. The result is the `canonical` query
+/// as a slice of `src`. The result is the `canonical` query and the `key`
 /// `canonicalize(&parse_query(src)?)` would return, with `names[i]` where
 /// `from_canonical` maps `canonical_variable(i)`; no variable name the
 /// source invents is interned. Errors are [`parse_query`]'s, byte for
 /// byte, in the source's own spellings.
 ///
+/// The key is encoded from the indices the parse handed out, so nothing
+/// walks the query through a rename map a second time.
+///
 /// [`parse_query`]: viewplan_cq::parse_query
-pub fn parse_canonical(src: &str) -> Result<(ConjunctiveQuery, Vec<&str>), ParseError> {
+pub fn parse_canonical(src: &str) -> Result<CanonicalParse<'_>, ParseError> {
     let mut vars = FirstOccurrence::default();
-    let query = parse_query_with(src, &mut vars)?;
-    Ok((query, vars.spellings))
+    let canonical = parse_query_with(src, &mut vars)?;
+    // The parser asks for one variable per variable occurrence, in
+    // textual order: the order `encode` meets them in.
+    let mut indices = vars.occurrences.iter().copied();
+    let key = encode(&canonical, |_| indices.next().unwrap_or_default());
+    Ok(CanonicalParse {
+        canonical,
+        key,
+        names: vars.spellings.into_keys(),
+    })
 }
 
 /// Numbers variables by first occurrence against the canonical pool.
 #[derive(Default)]
 struct FirstOccurrence<'a> {
-    seen: HashMap<&'a str, Symbol>,
-    /// `spellings[i]` is what the source calls the `i`-th canonical
+    /// The `i`-th spelling is what the source calls the `i`-th canonical
     /// variable.
-    spellings: Vec<&'a str>,
+    spellings: FirstSeen<&'a str>,
+    /// Every variable occurrence's index, in the order they were made.
+    occurrences: Vec<u32>,
 }
 
 impl<'a> Variables<'a> for FirstOccurrence<'a> {
     fn make(&mut self, spelling: &'a str) -> Symbol {
-        *self.seen.entry(spelling).or_insert_with(|| {
-            let v = canonical_variable(self.spellings.len());
-            self.spellings.push(spelling);
-            v
-        })
+        let (i, _) = self.spellings.number(&spelling);
+        self.occurrences.push(i as u32);
+        canonical_variable(i)
     }
 
     fn spelling(&self, v: Symbol) -> &str {
-        match self.seen.iter().find(|(_, &made)| made == v) {
-            Some((spelling, _)) => spelling,
+        // A canonical variable's name carries its index: reading it back
+        // keeps quoting a wide rule linear in its width.
+        let index = v
+            .as_str()
+            .strip_prefix("__c")
+            .and_then(|i| i.parse::<usize>().ok());
+        match index.and_then(|i| self.spellings.keys().get(i)) {
+            Some(spelling) => spelling,
             None => v.as_str(),
         }
     }
@@ -367,6 +410,7 @@ pub(crate) fn cached_verdict_complete(
 mod tests {
     use super::*;
     use crate::containment::{containment_mapping, is_contained_in};
+    use viewplan_cq::first_seen::SCAN_WIDTH;
     use viewplan_cq::parse_query;
 
     #[test]
@@ -413,17 +457,51 @@ mod tests {
         assert_eq!(vars.len(), q.variables().len());
     }
 
+    /// A rule over `n` distinct variables, each used twice and some
+    /// spelled alike but for case, ending in a constant.
+    fn wide_rule(n: usize) -> String {
+        let name = |i: usize| {
+            if i.is_multiple_of(2) {
+                format!("V{i}x")
+            } else {
+                format!("V{}X", i - 1)
+            }
+        };
+        let args: Vec<String> = (0..n).map(name).collect();
+        let back: Vec<String> = (0..n).rev().map(name).collect();
+        format!(
+            "q({}) :- e({}, k), f({}, 3)",
+            name(n - 1),
+            args.join(", "),
+            back.join(", ")
+        )
+    }
+
     #[test]
     fn parsing_into_canonical_space_is_canonicalize_of_the_parse() {
+        let wide = [
+            wide_rule(SCAN_WIDTH),
+            wide_rule(SCAN_WIDTH + 1),
+            wide_rule(200),
+        ];
         for src in [
             "q(X, Y) :- e(X, Z), f(Z, Y), g(Y, a)",
             "q(B, A, B) :- e(A, B), e(B, A)  % body-first numbering would swap these",
             "q(X1, X10) :- e(X1, X10, x1), e(X10, X1, 7).",
-        ] {
+            "q() :- e(), f(X, __c0, X)",
+        ]
+        .into_iter()
+        .chain(wide.iter().map(String::as_str))
+        {
             let c = canonicalize(&parse_query(src).unwrap());
-            let (canonical, names) = parse_canonical(src).unwrap();
+            let CanonicalParse {
+                canonical,
+                key,
+                names,
+            } = parse_canonical(src).unwrap();
             assert_eq!(canonical, c.canonical, "{src}");
-            assert_eq!(canonical_key(&canonical), c.key, "{src}");
+            assert_eq!(key, c.key, "{src}");
+            assert_eq!(key.hash64(), c.key.hash64(), "{src}");
             for (i, name) in names.iter().enumerate() {
                 assert_eq!(
                     c.from_canonical.get(canonical_variable(i)),
@@ -453,6 +531,14 @@ mod tests {
             unsafe_rule.message,
             "unsafe rule (head variable not in body): q(Left, Right) :- a(Left)"
         );
+        // Past the scan width, spellings are found through the map.
+        let src =
+            format!("{}, g(Lost)", wide_rule(2 * SCAN_WIDTH)).replacen("q(", "q(Lost, Gone, ", 1);
+        let wide = parse_canonical(&src).unwrap_err();
+        assert_eq!(wide, parse_query(&src).unwrap_err());
+        assert!(wide
+            .message
+            .starts_with("unsafe rule (head variable not in body): q(Lost, Gone, "));
     }
 
     #[test]

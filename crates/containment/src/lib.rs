@@ -52,7 +52,7 @@ pub mod variant;
 
 pub use cache::{
     canonical_key, canonical_variable, canonicalize, clear_containment_cache,
-    containment_cache_len, parse_canonical, CanonicalQuery, Canonicalization,
+    containment_cache_len, parse_canonical, CanonicalParse, CanonicalQuery, Canonicalization,
 };
 pub use containment::{
     acyclic_enabled, are_equivalent, containment_mapping, head_bindings, install_acyclic,

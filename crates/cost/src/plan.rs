@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use viewplan_cq::{write_atom, Atom, Sink, Spelled, Symbol};
+use viewplan_cq::{Atom, Sink, Spelled, Symbol};
 use viewplan_engine::{
     try_execute_annotated, AnnotatedStep, Database, EngineError, ExecutionTrace,
 };
@@ -56,14 +56,15 @@ impl PhysicalPlan {
 
 /// Writes `s1 [drop B, A] ⋈ s2 ⋈ …` — the one place a plan is printed;
 /// `Display` and the serving layer's answer templates differ only in
-/// their [`Sink`]. A drop list is ordered by the *spellings* of its
-/// variables, so the sink orders it.
+/// their [`Sink`]. Each step's atom goes through [`Sink::atom`]. A drop
+/// list is ordered by the *spellings* of its variables, so the sink
+/// orders it.
 pub fn write_plan(out: &mut impl Sink, plan: &PhysicalPlan) -> fmt::Result {
     for (i, step) in plan.steps.iter().enumerate() {
         if i > 0 {
             out.write_str(" ⋈ ")?;
         }
-        write_atom(out, &step.atom)?;
+        out.atom(&step.atom)?;
         if !step.drop_after.is_empty() {
             out.write_str(" [drop ")?;
             out.vars_by_spelling(&mut step.drop_after.iter().copied())?;

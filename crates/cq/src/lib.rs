@@ -31,6 +31,7 @@
 
 pub mod atom;
 pub mod error;
+pub mod first_seen;
 pub mod hypergraph;
 pub mod join_order;
 pub mod parser;
@@ -44,6 +45,7 @@ pub mod view;
 
 pub use atom::Atom;
 pub use error::ParseError;
+pub use first_seen::FirstSeen;
 pub use hypergraph::{hypertree_width_estimate, is_acyclic, join_forest, JoinForest};
 pub use join_order::{greedy_join_order, JoinOrder};
 pub use parser::{

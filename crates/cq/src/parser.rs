@@ -108,132 +108,83 @@ enum Tok<'a> {
     Dot,
 }
 
-struct Lexer<'a> {
-    src: &'a str,
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-    line: usize,
-    col: usize,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Lexer<'a> {
-        Lexer {
-            src,
-            chars: src.char_indices().peekable(),
-            line: 1,
-            col: 1,
-        }
-    }
-
-    fn bump(&mut self) -> Option<(usize, char)> {
-        let next = self.chars.next();
-        if let Some((_, c)) = next {
-            if c == '\n' {
-                self.line += 1;
-                self.col = 1;
-            } else {
-                self.col += 1;
+/// Tokenizes the whole input in one pass over its bytes, attaching the
+/// byte span of each token.
+///
+/// Every token is ASCII, so a token's length in bytes is its width in
+/// columns. The one thing the lexer steps over that may not be ASCII is
+/// a comment, and it runs to the newline that resets the column, so no
+/// column is ever counted across a multi-byte char — and the offset of
+/// the next byte is always on a char boundary, which is where the one
+/// non-ASCII char an error quotes is decoded. Errors report the position
+/// the lexer has reached: past the `:` or the digits it consumed, at the
+/// character it refuses.
+fn tokenize(src: &str) -> Result<Vec<(Tok<'_>, Span)>, ParseError> {
+    let bytes = src.as_bytes();
+    // About two bytes a token in a rule; a line never has more tokens
+    // than bytes, so this is at most half what growth would reach.
+    let mut out = Vec::with_capacity(bytes.len() / 2);
+    let (mut i, mut line, mut col) = (0, 1, 1);
+    let run = |from: usize, keep: fn(&u8) -> bool| {
+        bytes[from..]
+            .iter()
+            .position(|b| !keep(b))
+            .unwrap_or(bytes.len() - from)
+    };
+    while let Some(&b) = bytes.get(i) {
+        let (tok, len) = match b {
+            b'\n' => {
+                (i, line, col) = (i + 1, line + 1, 1);
+                continue;
             }
-        }
-        next
-    }
-
-    fn err_at(&self, start: usize, len: usize, msg: impl Into<String>) -> ParseError {
-        ParseError::spanned(Span::new(start, start + len, self.line, self.col), msg)
-    }
-
-    /// Tokenizes the whole input, attaching the byte span of each token.
-    fn tokenize(mut self) -> Result<Vec<(Tok<'a>, Span)>, ParseError> {
-        let mut out = Vec::new();
-        while let Some(&(i, c)) = self.chars.peek() {
-            let (line, col) = (self.line, self.col);
-            let span = |end: usize| Span::new(i, end, line, col);
-            match c {
-                ' ' | '\t' | '\r' | '\n' => {
-                    self.bump();
-                }
-                '%' | '#' => {
-                    while let Some(&(_, c)) = self.chars.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                '(' => {
-                    self.bump();
-                    out.push((Tok::LParen, span(i + 1)));
-                }
-                ')' => {
-                    self.bump();
-                    out.push((Tok::RParen, span(i + 1)));
-                }
-                ',' => {
-                    self.bump();
-                    out.push((Tok::Comma, span(i + 1)));
-                }
-                '.' => {
-                    self.bump();
-                    out.push((Tok::Dot, span(i + 1)));
-                }
-                ':' => {
-                    self.bump();
-                    match self.chars.peek() {
-                        Some(&(_, '-')) => {
-                            self.bump();
-                            out.push((Tok::Implies, span(i + 2)));
-                        }
-                        _ => return Err(self.err_at(i, 1, "expected '-' after ':'")),
-                    }
-                }
-                c if c.is_ascii_alphabetic() || c == '_' => {
-                    let start = i;
-                    let mut end = i + c.len_utf8();
-                    self.bump();
-                    while let Some(&(j, c)) = self.chars.peek() {
-                        if c.is_ascii_alphanumeric() || c == '_' {
-                            end = j + c.len_utf8();
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                    out.push((Tok::Ident(&self.src[start..end]), span(end)));
-                }
-                c if c.is_ascii_digit() || c == '-' => {
-                    let start = i;
-                    let mut end = i + c.len_utf8();
-                    self.bump();
-                    let mut saw_digit = c.is_ascii_digit();
-                    while let Some(&(j, c)) = self.chars.peek() {
-                        if c.is_ascii_digit() {
-                            saw_digit = true;
-                            end = j + c.len_utf8();
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                    if !saw_digit {
-                        return Err(self.err_at(start, end - start, "expected digits after '-'"));
-                    }
-                    let text = &self.src[start..end];
-                    let value = text.parse::<i64>().map_err(|_| {
-                        self.err_at(start, end - start, format!("integer out of range: {text}"))
-                    })?;
-                    out.push((Tok::Int(value), span(end)));
-                }
-                other => {
-                    return Err(self.err_at(
-                        i,
-                        other.len_utf8(),
-                        format!("unexpected character {other:?}"),
-                    ))
-                }
+            b' ' | b'\t' | b'\r' => {
+                (i, col) = (i + 1, col + 1);
+                continue;
             }
-        }
-        Ok(out)
+            b'%' | b'#' => {
+                i += run(i, |&b| b != b'\n');
+                continue;
+            }
+            b'(' => (Tok::LParen, 1),
+            b')' => (Tok::RParen, 1),
+            b',' => (Tok::Comma, 1),
+            b'.' => (Tok::Dot, 1),
+            b':' if bytes.get(i + 1) == Some(&b'-') => (Tok::Implies, 2),
+            b':' => {
+                return Err(ParseError::spanned(
+                    Span::new(i, i + 1, line, col + 1),
+                    "expected '-' after ':'",
+                ))
+            }
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                let len = 1 + run(i + 1, |b| b.is_ascii_alphanumeric() || *b == b'_');
+                (Tok::Ident(&src[i..i + len]), len)
+            }
+            b if b.is_ascii_digit() || b == b'-' => {
+                let len = 1 + run(i + 1, u8::is_ascii_digit);
+                let text = &src[i..i + len];
+                let at = Span::new(i, i + len, line, col + len);
+                if text == "-" {
+                    return Err(ParseError::spanned(at, "expected digits after '-'"));
+                }
+                let value = text.parse::<i64>().map_err(|_| {
+                    ParseError::spanned(at, format!("integer out of range: {text}"))
+                })?;
+                (Tok::Int(value), len)
+            }
+            _ => {
+                let other = src[i..].chars().next().unwrap_or_default();
+                return Err(ParseError::spanned(
+                    Span::new(i, i + other.len_utf8(), line, col),
+                    format!("unexpected character {other:?}"),
+                ));
+            }
+        };
+        out.push((tok, Span::new(i, i + len, line, col)));
+        i += len;
+        col += len;
     }
+    Ok(out)
 }
 
 struct Parser<'a, V> {
@@ -393,7 +344,7 @@ impl<'a, V: Variables<'a>> Parser<'a, V> {
 
 fn parser<'a, V: Variables<'a>>(src: &'a str, vars: V) -> Result<Parser<'a, V>, ParseError> {
     Ok(Parser {
-        toks: Lexer::new(src).tokenize()?,
+        toks: tokenize(src)?,
         pos: 0,
         vars,
     })
@@ -446,8 +397,13 @@ pub fn parse_atom(src: &str) -> Result<Atom, ParseError> {
 }
 
 #[cfg(test)]
+#[path = "../tests/reference/char_lexer.rs"]
+mod char_lexer;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_car_loc_part() {
@@ -584,5 +540,70 @@ mod tests {
         let printed = vs.to_string();
         let reparsed = parse_views(&printed).unwrap();
         assert_eq!(vs, reparsed);
+    }
+
+    /// Input the lexer has a rule for, and input it must refuse the way
+    /// the reference does: punctuation, a lone `:` or `-`, `%`/`#`
+    /// comments with non-ASCII text, CR, CRLF, non-ASCII letters where an
+    /// identifier could be, integers at and beyond the ends of `i64`, and
+    /// any printable char at all.
+    fn arb_piece() -> impl Strategy<Value = String> {
+        const FIXED: &[&str] = &[
+            "(",
+            ")",
+            ",",
+            ".",
+            ":-",
+            ":",
+            "-",
+            " ",
+            "\t",
+            "\n",
+            "\r\n",
+            "\r",
+            "% ünïcödé, then (a) :- b",
+            "# 日本",
+            "%",
+            "Xé",
+            "ñame",
+            "λ",
+            "\u{a0}",
+            "\u{b}",
+            "@",
+            "--1",
+            "9223372036854775807",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "-9223372036854775809",
+            "123456789012345678901234567890",
+        ];
+        prop_oneof![
+            4 => (0..FIXED.len()).prop_map(|k| FIXED[k].to_string()),
+            4 => "[a-zA-Z_][a-zA-Z0-9_]{0,5}",
+            2 => "-?[0-9]{1,4}",
+            1 => "[%#]\\PC{0,10}",
+            1 => "\\PC{1,3}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The byte lexer returns the char lexer's tokens, spans and
+        /// errors on any string. Mutations this catches, each checked:
+        /// - the span of a refused non-ASCII char ends one byte in (a
+        ///   slice inside a multi-byte char): `"λ"`, `"\u{a0}"`;
+        /// - `\r` taken for a line break: every line after a CRLF is off
+        ///   by one;
+        /// - a lone `:` or `-` reported at the char rather than past it;
+        /// - identifiers that admit non-ASCII letters (`is_alphabetic`):
+        ///   `"ñame"` becomes a token where the reference refuses it;
+        /// - an integer beyond `i64` parsed wider and cut down instead of
+        ///   refused.
+        #[test]
+        fn the_byte_lexer_is_the_char_lexer(pieces in prop::collection::vec(arb_piece(), 0..24)) {
+            let src = pieces.concat();
+            prop_assert_eq!(tokenize(&src), char_lexer::tokenize(&src), "{:?}", src);
+        }
     }
 }

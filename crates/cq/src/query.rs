@@ -30,8 +30,12 @@ impl ConjunctiveQuery {
 
     /// True iff every head variable occurs in the body (safety, §2.1).
     pub fn is_safe(&self) -> bool {
-        let body_vars: HashSet<Symbol> = self.body.iter().flat_map(Atom::variables).collect();
-        self.head.variables().all(|v| body_vars.contains(&v))
+        let mut body_vars = Vec::with_capacity(self.body.iter().map(Atom::arity).sum());
+        body_vars.extend(self.body.iter().flat_map(Atom::variables));
+        body_vars.sort_unstable();
+        self.head
+            .variables()
+            .all(|v| body_vars.binary_search(&v).is_ok())
     }
 
     /// The distinguished variables (those in the head), deduplicated, in

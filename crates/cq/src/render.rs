@@ -26,6 +26,13 @@ pub trait Sink: fmt::Write {
     /// *spellings* — which the sink alone knows, so it does the sorting
     /// (through [`write_sorted`]).
     fn vars_by_spelling(&mut self, vars: &mut dyn Iterator<Item = Symbol>) -> fmt::Result;
+
+    /// One atom of a rule or a plan. The default prints it through
+    /// [`write_atom`]; a sink that meets the same atom many times may
+    /// print it once and refer to it after.
+    fn atom(&mut self, atom: &Atom) -> fmt::Result {
+        write_atom(self, atom)
+    }
 }
 
 /// A sink that writes every variable out as text, spelled by `spell`.
@@ -80,7 +87,7 @@ pub fn write_sorted(out: &mut impl fmt::Write, names: &mut [&str]) -> fmt::Resul
 }
 
 /// Writes one term: a variable through the sink, a constant as itself.
-pub fn write_term(out: &mut impl Sink, term: Term) -> fmt::Result {
+pub fn write_term(out: &mut (impl Sink + ?Sized), term: Term) -> fmt::Result {
     match term {
         Term::Var(v) => out.var(v),
         Term::Const(Constant::Sym(s)) => out.write_str(s.as_str()),
@@ -89,7 +96,7 @@ pub fn write_term(out: &mut impl Sink, term: Term) -> fmt::Result {
 }
 
 /// Writes `p(t1, …, tk)`.
-pub fn write_atom(out: &mut impl Sink, atom: &Atom) -> fmt::Result {
+pub fn write_atom(out: &mut (impl Sink + ?Sized), atom: &Atom) -> fmt::Result {
     out.write_str(atom.predicate.as_str())?;
     out.write_str("(")?;
     for (i, t) in atom.terms.iter().enumerate() {
@@ -101,9 +108,10 @@ pub fn write_atom(out: &mut impl Sink, atom: &Atom) -> fmt::Result {
     out.write_str(")")
 }
 
-/// Writes `head :- g1, …, gk` (`head :- true` for an empty body).
+/// Writes `head :- g1, …, gk` (`head :- true` for an empty body), each
+/// atom through [`Sink::atom`].
 pub fn write_rule(out: &mut impl Sink, rule: &ConjunctiveQuery) -> fmt::Result {
-    write_atom(out, &rule.head)?;
+    out.atom(&rule.head)?;
     out.write_str(" :- ")?;
     if rule.body.is_empty() {
         return out.write_str("true");
@@ -112,7 +120,7 @@ pub fn write_rule(out: &mut impl Sink, rule: &ConjunctiveQuery) -> fmt::Result {
         if i > 0 {
             out.write_str(", ")?;
         }
-        write_atom(out, a)?;
+        out.atom(a)?;
     }
     Ok(())
 }

@@ -46,7 +46,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use viewplan_containment::{canonical_key, canonicalize, CanonicalQuery};
+use viewplan_containment::{canonicalize, CanonicalParse, CanonicalQuery};
 use viewplan_core::{parallel_map, CoreCover, CoreCoverConfig, PreparedViews, Rewriting};
 use viewplan_cost::{CostModel, Optimizer, PhysicalPlan, PlanError, PlannedRewriting, SizeOracle};
 use viewplan_cq::{Atom, ConjunctiveQuery, Spelled, Substitution, Symbol, Term, ViewSet};
@@ -329,21 +329,24 @@ impl BatchServer {
         })
     }
 
-    /// The command path's [`BatchServer::serve_with_spec`]: `canonical`
-    /// and `names` are what [`viewplan_containment::parse_canonical`]
-    /// made of the request, and the answer is its wire body — the stored
-    /// template filled with `names`, no rewriting renamed or printed.
-    /// Each request's budget is the configured default clamped to its
-    /// remaining network deadline.
+    /// The command path's [`BatchServer::serve_with_spec`]: `parsed` is
+    /// what [`viewplan_containment::parse_canonical`] made of the request,
+    /// key included, and the answer is its wire body — the stored
+    /// template filled with the request's names, no rewriting renamed or
+    /// printed. Each request's budget is the configured default clamped
+    /// to its remaining network deadline.
     pub(crate) fn serve_canonical(
         &self,
-        canonical: ConjunctiveQuery,
-        names: &[&str],
+        parsed: CanonicalParse<'_>,
         spec: &BudgetSpec,
     ) -> Result<WireAnswer, PlanError> {
-        let key = canonical_key(&canonical);
+        let CanonicalParse {
+            canonical,
+            key,
+            names,
+        } = parsed;
         self.serve_inner(canonical, &key, spec, |answer, from_cache, epoch| {
-            let body = answer.body(names);
+            let body = answer.body(&names);
             obs::histogram!("serve.reply_bytes").record(body.len() as u64);
             WireAnswer {
                 epoch,

@@ -6,11 +6,12 @@
 //!
 //! A `query` stays in canonical variable space from its first byte to
 //! its last: the rule is parsed straight into canonical variables with
-//! the client's spellings kept as slices of the line, the cache is
-//! probed on that query's key, and the reply body is the stored answer's
-//! template filled with those slices. Nothing on this path renames a
-//! rewriting, prints one symbol by symbol, or interns a variable name a
-//! client chose (an `xtask` lint keeps it so).
+//! the client's spellings kept as slices of the line, and its cache key
+//! is encoded in the same parse; the cache is probed on that key, and the
+//! reply body is the stored answer's template filled with those slices.
+//! Nothing on this path renames a rewriting, prints one symbol by symbol,
+//! derives the key from the parsed query again, or interns a variable
+//! name a client chose (an `xtask` lint keeps it so).
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -154,14 +155,14 @@ fn query(
     if src.is_empty() {
         return usage();
     }
-    let (query, names) = match parse_canonical(src) {
+    let parsed = match parse_canonical(src) {
         Ok(parsed) => parsed,
         Err(e) => return Reply::parse_error(&e),
     };
     // Reject ill-typed queries *before* the gate and the cache: an
     // arity-mismatched query would otherwise burn a permit and a
     // canonical cache entry that can only ever answer "no rewriting".
-    if let Err(msg) = catalog.server().validate(&query) {
+    if let Err(msg) = catalog.server().validate(&parsed.canonical) {
         return Reply::diagnostic(&msg);
     }
     let deadline = deadline.map(|d| Instant::now() + d);
@@ -177,7 +178,7 @@ fn query(
     if let Some(deadline) = deadline {
         spec = spec.clamp_timeout(deadline.saturating_duration_since(Instant::now()));
     }
-    match server.serve_canonical(query, &names, &spec) {
+    match server.serve_canonical(parsed, &spec) {
         Ok(answer) => Reply::Answer(answer),
         Err(e) => Reply::Error(e.to_string()),
     }

@@ -333,6 +333,147 @@ fn drop_lists_are_ordered_by_the_requests_spellings() {
     );
 }
 
+/// An answer built by hand in the names of the query `q(A, B) :- e(A, C),
+/// f(C, B)`: its rewritings, a plan (each step's atom and what it drops)
+/// when there is one, its completeness, and the mutation of the template
+/// it is there to catch.
+struct HandBuilt {
+    catches: &'static str,
+    rules: &'static [&'static str],
+    steps: &'static [(&'static str, &'static [&'static str])],
+    completeness: Completeness,
+}
+
+const HAND_BUILT: [HandBuilt; 7] = [
+    HandBuilt {
+        catches: "the atom table keyed by predicate alone (v1(C, A) printed as v1(A, C))",
+        rules: &[
+            "q(A, B) :- v1(A, C), v1(A, C), v2(C, B)",
+            "q(A, B) :- v1(C, A), v2(C, B)",
+            "q(A, B) :- v2(C, B), v1(A, C)",
+        ],
+        steps: &[
+            ("v1(A, C)", &["A"]),
+            ("v1(A, C)", &[]),
+            ("v2(C, B)", &["C"]),
+        ],
+        completeness: Completeness::Complete,
+    },
+    HandBuilt {
+        catches: "atoms told apart by their canonical text: v4(A, __c0, C) and v4(__c0, A, C) \
+                  both print v4(__c0, __c0, __c2) in canonical names",
+        rules: &["q(A, B) :- v4(A, __c0, C), v4(__c0, A, C), v2(C, B)"],
+        steps: &[("v4(__c0, A, C)", &["A"]), ("v4(A, __c0, C)", &[])],
+        completeness: Completeness::Complete,
+    },
+    HandBuilt {
+        catches: "a variable outside the canonical query made a hole (Kept printed as a name)",
+        rules: &["q(A, B) :- v5(A, Kept), v6(Kept, C), v2(C, B)"],
+        steps: &[
+            ("v5(A, Kept)", &["Kept", "A"]),
+            ("v6(Kept, C)", &[]),
+            ("v2(C, B)", &["B", "C", "Kept"]),
+        ],
+        completeness: Completeness::Complete,
+    },
+    HandBuilt {
+        catches: "an atom's literal range off by one (done() loses its `)` or takes the \
+                  next atom's first byte)",
+        rules: &["q(A, B) :- done(), v2(A, B), done()", "q(A, B) :- v2(A, B)"],
+        steps: &[("done()", &[]), ("v2(A, B)", &["A"])],
+        completeness: Completeness::Complete,
+    },
+    HandBuilt {
+        catches: "a body with no atom at all (the atom table assumed non-empty)",
+        rules: &[],
+        steps: &[],
+        completeness: Completeness::Complete,
+    },
+    HandBuilt {
+        catches: "the text after the last hole dropped (the cost and the `note:` line)",
+        rules: &["q(A, B) :- v1(A, C), v2(C, B)"],
+        steps: &[("v1(A, C)", &[]), ("v2(C, B)", &[])],
+        completeness: Completeness::Truncated,
+    },
+    HandBuilt {
+        catches: "a body that is only literal text: no rewriting, and truncated",
+        rules: &[],
+        steps: &[],
+        completeness: Completeness::Truncated,
+    },
+];
+
+/// Each hand-built answer, stored as the cache stores it and filled per
+/// request, cold and then warm, equals the structured answer renamed into
+/// the request's names and rendered — under names of other widths, in
+/// reverse order, and shaped like the canonical names in another order.
+/// Each answer names the mutation it catches.
+#[test]
+fn hand_built_answers_fill_as_they_render() {
+    let query = parse_query("q(A, B) :- e(A, C), f(C, B)").unwrap();
+    let c = canonicalize(&query);
+    let to_canonical = Substitution::from_pairs(
+        c.from_canonical
+            .iter()
+            .map(|(canonical, original)| (original.as_var().unwrap(), Term::Var(canonical))),
+    );
+    for case in &HAND_BUILT {
+        let rules: Vec<ConjunctiveQuery> =
+            case.rules.iter().map(|r| parse_query(r).unwrap()).collect();
+        let rewritings: Vec<ConjunctiveQuery> =
+            rules.iter().map(|r| r.apply(&to_canonical)).collect();
+        let best = (!case.steps.is_empty()).then(|| {
+            let plan = PhysicalPlan::annotated(
+                case.steps
+                    .iter()
+                    .map(|&(atom, drops)| {
+                        (
+                            parse_atom(atom).unwrap(),
+                            drops.iter().map(|&v| Symbol::new(v)).collect(),
+                        )
+                    })
+                    .collect(),
+            );
+            renamed(&rules[0], &plan, &to_canonical)
+        });
+        let cached = CachedAnswer::new(
+            &c.canonical,
+            rewritings.clone(),
+            best.clone(),
+            case.completeness,
+        );
+        for names in [
+            ["A", "B", "C"],
+            ["Bb", "A", "Cccccccccccccccc"],
+            ["__c1", "__c2", "__c0"],
+            ["Z", "Y", "X"],
+        ] {
+            let back = Substitution::from_pairs(
+                c.canonical
+                    .variables()
+                    .into_iter()
+                    .zip(names.map(Term::var)),
+            );
+            let structured = ServedAnswer {
+                rewritings: rewritings.iter().map(|r| r.apply(&back)).collect(),
+                best: best.as_ref().map(|b| renamed(&b.rewriting, &b.plan, &back)),
+                completeness: case.completeness,
+                from_cache: false,
+                epoch: 0,
+            };
+            let expected = structured.render();
+            for fill in ["cold", "warm"] {
+                assert_eq!(
+                    cached.body(&names),
+                    expected,
+                    "{fill} fill under {names:?}; catches {}",
+                    case.catches
+                );
+            }
+        }
+    }
+}
+
 /// Every malformed `query` is refused with the text the interning parser
 /// would have produced — in the client's spellings, though the query was
 /// never parsed into them.

@@ -68,7 +68,11 @@
 //!     reply is the stored template filled with the request's spellings,
 //!     so no `Rewriting` is renamed or printed symbol by symbol per
 //!     request. The structured path (`BatchServer::serve`) is for library
-//!     callers.
+//!     callers. Nor does any non-test code of `crates/serve/src` call
+//!     `canonical_key(`: `parse_canonical` encodes the cache key in the
+//!     parse, and `canonicalize` with the renaming, so a key derived from
+//!     an already parsed query is a second walk the parse was built to
+//!     save.
 //! 14. **The plan path builds no list** — outside `#[cfg(test)]` code,
 //!     `crates/cost/src/optimizer.rs` names `.rewritings()` at no site.
 //!     The optimizer walks the generator's covers cheapest view sizes
@@ -1026,6 +1030,24 @@ fn check_command_path(root: &Path, report: &mut LintReport) {
             }
         }
     }
+    for file in rust_files(&root.join("crates/serve/src")) {
+        let Ok(text) = std::fs::read_to_string(&file) else {
+            continue;
+        };
+        let stripped = strip_code(&text);
+        let mask = test_region_mask(&stripped);
+        for (line_no, (line, &in_test)) in stripped.lines().zip(&mask).enumerate() {
+            if !in_test && line.contains("canonical_key(") {
+                report.violations.push(format!(
+                    "{}:{}: canonical_key( in the serving crate — a served query's key comes \
+                     from the parse that numbered it (parse_canonical) or the renaming \
+                     (canonicalize), not from walking the parsed query again",
+                    rel(root, &file),
+                    line_no + 1
+                ));
+            }
+        }
+    }
 }
 
 /// Check 14: the plan path walks the covers and builds no rewriting list.
@@ -1471,6 +1493,34 @@ real.unwrap();"##;
             assert!(violation.contains(at), "{violation}");
             assert!(violation.contains("parse_canonical"));
         }
+    }
+
+    #[test]
+    fn lint_bans_a_second_key_walk_in_the_serving_crate() {
+        let repo = TempRepo::new("key-walk");
+        let rekey = "fn serve_canonical(q: Q) { let key = canonical_key(&q); }\n";
+        // Comments, strings and test code are not calls; the batch
+        // server's `canonicalize(` (which encodes the key as it renames)
+        // is not this call; outside the serving crate it is allowed.
+        let rest = "/// Not a `canonical_key(` call.\n\
+                    #[cfg(test)]\n\
+                    mod tests { fn t(q: &Q) { canonical_key(q); } }\n";
+        let renaming = "fn serve(q: &Q) { let c = canonicalize(q); }\n";
+        repo.write("crates/serve/src/batch.rs", &format!("{rest}{renaming}"));
+        repo.write("crates/serve/src/command.rs", rest);
+        repo.write("crates/containment/src/cache.rs", rekey);
+        assert!(run_lint(&repo.root).is_clean());
+
+        repo.write(
+            "crates/serve/src/batch.rs",
+            &format!("{rest}{renaming}{rekey}"),
+        );
+        repo.write("crates/serve/src/command.rs", &format!("{rekey}{rest}"));
+        let report = run_lint(&repo.root);
+        assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
+        assert!(report.violations[0].contains("crates/serve/src/batch.rs:5: canonical_key("));
+        assert!(report.violations[1].contains("crates/serve/src/command.rs:1: canonical_key("));
+        assert!(report.violations[1].contains("parse_canonical"));
     }
 
     #[test]
