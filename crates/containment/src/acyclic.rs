@@ -12,8 +12,8 @@
 //! exists iff every root of the forest keeps at least one row. Each
 //! candidate relation has at most `|onto.body|` rows, so the whole
 //! decision is polynomial — no search tree, no budget ticks, and
-//! therefore always *complete*: the verdict is safe to cache and
-//! immune to node budgets by construction.
+//! therefore always *complete*: the verdict is immune to node budgets
+//! by construction.
 //!
 //! Cyclic patterns return `None` and the caller falls back to the DFS;
 //! the `containment.acyclic_fast_path` / `containment.acyclic_fallback`

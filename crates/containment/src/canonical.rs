@@ -1,59 +1,22 @@
-//! A shared, thread-safe containment memo cache.
+//! Canonical forms of conjunctive queries, up to variable renaming.
 //!
-//! Containment checks recur heavily across the CoreCover pipeline: the
-//! same query pair is tested during minimization, again while grouping
-//! views into equivalence classes, again per view tuple, and once more by
-//! the M3 renaming heuristic — and a parallel sweep multiplies the
-//! repetition across worker threads. Since containment is invariant under
-//! variable renaming (Chandra & Merlin homomorphisms never look at
-//! variable *names*), verdicts can be memoized on **canonicalized** query
-//! pairs: every variable is renamed to its order of first occurrence
-//! (head first, then body, left to right), so all variants of a pair hit
-//! the same entry.
-//!
-//! The cache is process-global and sharded: each shard is an independent
-//! `viewplan_sync::RwLock<HashMap>`, picked by key hash, so concurrent
-//! workers rarely contend on the same lock. Reads take the shard's read
-//! lock; only a miss upgrades to a write. Only checks of at least
-//! [`MIN_CACHED_SUBGOALS`] combined body subgoals are memoized: below
-//! that, a fresh homomorphism search beats even an uncontended cache
-//! probe, and routing the millions of tiny view-vs-view checks of a
-//! sweep through shared locks would serialize parallel workers. To bound memory across long
-//! sweeps (whose workloads never repeat a query pair between instances),
-//! a shard that reaches [`SHARD_CAPACITY`] entries is cleared wholesale —
-//! reuse is temporally local, so epoch-style eviction loses almost
-//! nothing.
-//!
-//! Observability: hits, misses, and evictions are reported through the
-//! `containment.cache_hits` / `containment.cache_misses` /
-//! `containment.cache_evictions` counters when stats collection is on.
+//! Two queries that differ only in variable names are the same query to
+//! every algorithm the paper runs (Chandra & Merlin homomorphisms never
+//! look at variable *names*). Renaming every variable to its order of
+//! first occurrence — head first, then body, left to right — makes all
+//! variants of a query one: one [`CanonicalQuery`] key, and one
+//! byte-identical query in canonical variable space
+//! ([`canonicalize`], [`parse_canonical`]). The serving layer's
+//! rewriting cache is keyed on these.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use viewplan_cq::{
-    parse_query_with, Atom, ConjunctiveQuery, Constant, FirstSeen, ParseError, Substitution,
-    Symbol, Term, Variables,
+    parse_query_with, ConjunctiveQuery, Constant, FirstSeen, ParseError, Substitution, Symbol,
+    Term, Variables,
 };
-use viewplan_obs as obs;
 use viewplan_sync::RwLock;
-
-/// Number of independent lock shards (power of two).
-const SHARDS: usize = 16;
-
-/// Entries per shard before the shard is cleared (epoch eviction). With
-/// 16 shards this bounds the cache at ~128k verdicts.
-const SHARD_CAPACITY: usize = 8192;
-
-/// Minimum combined body size (subgoals of both queries) for a check to
-/// be memoized. Below this, a fresh homomorphism search is cheaper than
-/// building two canonical keys and taking a shard lock — and under a
-/// parallel sweep the lock traffic of millions of tiny view-vs-view
-/// checks serializes the workers. Expansion-sized checks (rewriting
-/// verification, minimization of expansions), where the search is
-/// genuinely expensive and repetition is high, are all well above this.
-const MIN_CACHED_SUBGOALS: usize = 12;
 
 /// One token of a canonical query encoding. Variables are replaced by
 /// dense first-occurrence indices, so two queries that differ only by a
@@ -121,11 +84,15 @@ impl Hash for CanonicalQuery {
 
 /// Canonicalizes a query for use as a cache key.
 pub fn canonical_key(q: &ConjunctiveQuery) -> CanonicalQuery {
-    let mut rename: HashMap<Symbol, u32> = HashMap::new();
-    encode(q, |v| {
-        let next = rename.len() as u32;
-        *rename.entry(v).or_insert(next)
-    })
+    numbered(q).0
+}
+
+/// `q`'s key, and its distinct variables in first-occurrence order: the
+/// `i`-th is the one the key encodes as `i`.
+fn numbered(q: &ConjunctiveQuery) -> (CanonicalQuery, Vec<Symbol>) {
+    let mut vars = FirstSeen::default();
+    let key = encode(q, |v| vars.number(&v).0 as u32);
+    (key, vars.into_keys())
 }
 
 /// The one key encoding: `q`'s atoms in order, each variable occurrence
@@ -229,21 +196,7 @@ pub struct Canonicalization {
 /// names and returns the renamed query, its cache key, and the inverse
 /// renaming. See [`Canonicalization`].
 pub fn canonicalize(q: &ConjunctiveQuery) -> Canonicalization {
-    let mut order: Vec<Symbol> = Vec::new();
-    let mut seen: HashMap<Symbol, ()> = HashMap::new();
-    let mut visit = |atom: &Atom| {
-        for t in &atom.terms {
-            if let Term::Var(v) = *t {
-                if seen.insert(v, ()).is_none() {
-                    order.push(v);
-                }
-            }
-        }
-    };
-    visit(&q.head);
-    for atom in &q.body {
-        visit(atom);
-    }
+    let (key, order) = numbered(q);
     let to_canonical = Substitution::from_pairs(
         order
             .iter()
@@ -256,10 +209,8 @@ pub fn canonicalize(q: &ConjunctiveQuery) -> Canonicalization {
             .enumerate()
             .map(|(i, &v)| (canonical_variable(i), Term::Var(v))),
     );
-    let canonical = q.apply(&to_canonical);
-    let key = canonical_key(&canonical);
     Canonicalization {
-        canonical,
+        canonical: q.apply(&to_canonical),
         key,
         from_canonical,
     }
@@ -337,79 +288,9 @@ impl<'a> Variables<'a> for FirstOccurrence<'a> {
     }
 }
 
-type Shard = RwLock<HashMap<(CanonicalQuery, CanonicalQuery), bool>>;
-
-fn shards() -> &'static Vec<Shard> {
-    static CACHE: OnceLock<Vec<Shard>> = OnceLock::new();
-    CACHE.get_or_init(|| (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect())
-}
-
-/// Drops every cached verdict (all shards).
-pub fn clear_containment_cache() {
-    for shard in shards() {
-        shard.write().clear();
-    }
-}
-
-/// Total number of cached verdicts across all shards.
-pub fn containment_cache_len() -> usize {
-    shards().iter().map(|s| s.read().len()).sum()
-}
-
-fn shard_of(key: &(CanonicalQuery, CanonicalQuery)) -> &'static Shard {
-    // Two words already hashed: mixing them is all that is left to do.
-    let mixed = key.0.hash64().rotate_left(32) ^ key.1.hash64();
-    &shards()[(mixed as usize) % SHARDS]
-}
-
-/// Memoizes the verdict of `compute` under the canonicalized `(q1, q2)`
-/// pair. The caller fixes the semantics of the pair (here: "q1 ⊑ q2");
-/// canonicalization guarantees any variant pair gets the same verdict.
-///
-/// `compute` additionally reports whether it ran to completion: a
-/// verdict from a budget-truncated search is returned to the caller but
-/// **never inserted** into the cache — truncated verdicts are
-/// conservative under-approximations, and memoizing one would poison
-/// later unbudgeted (or more generously budgeted) checks. Cache *hits*
-/// under a budget are safe in the other direction: a cached verdict is
-/// always from a complete search, i.e. at least as accurate as the
-/// truncated search it replaces.
-// lock-order: one shard lock, taken twice sequentially (read probe, then
-// write insert) — the read guard is dropped before `compute` runs, so no
-// two locks are ever held together and `compute` may recurse freely.
-pub(crate) fn cached_verdict_complete(
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
-    compute: impl FnOnce() -> (bool, bool),
-) -> bool {
-    if q1.body.len() + q2.body.len() < MIN_CACHED_SUBGOALS {
-        return compute().0;
-    }
-    let key = (canonical_key(q1), canonical_key(q2));
-    let shard = shard_of(&key);
-    if let Some(&verdict) = shard.read().get(&key) {
-        obs::counter!("containment.cache_hits").incr();
-        return verdict;
-    }
-    obs::counter!("containment.cache_misses").incr();
-    let (verdict, complete) = compute();
-    if !complete {
-        obs::counter!("containment.cache_uncacheable").incr();
-        return verdict;
-    }
-    let mut wr = shard.write();
-    if wr.len() >= SHARD_CAPACITY {
-        obs::counter!("containment.cache_evictions").incr();
-        wr.clear();
-    }
-    wr.insert(key, verdict);
-    verdict
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::containment::{containment_mapping, is_contained_in};
     use viewplan_cq::first_seen::SCAN_WIDTH;
     use viewplan_cq::parse_query;
 
@@ -554,124 +435,5 @@ mod tests {
         let diag = parse_query("q(X) :- e(X, X)").unwrap();
         let free = parse_query("q(X) :- e(X, Y)").unwrap();
         assert_ne!(canonical_key(&diag), canonical_key(&free));
-    }
-
-    /// Serializes tests that observe or toggle the process-global cache
-    /// (the default test harness runs tests concurrently).
-    fn state_lock() -> viewplan_sync::MutexGuard<'static, ()> {
-        static LOCK: viewplan_sync::Mutex<()> = viewplan_sync::Mutex::new(());
-        LOCK.lock()
-    }
-
-    /// A chain query `q(V0) :- e(V0, V1), …` of `n` subgoals, with `v`
-    /// as the variable name prefix. Large enough chains clear the
-    /// [`MIN_CACHED_SUBGOALS`] gate.
-    fn chain(v: &str, n: usize) -> String {
-        let body: Vec<String> = (0..n).map(|i| format!("e({v}{i}, {v}{})", i + 1)).collect();
-        format!("q({v}0) :- {}", body.join(", "))
-    }
-
-    #[test]
-    fn cached_verdict_matches_fresh_verdict() {
-        let _guard = state_lock();
-        // The satellite's correctness contract: a verdict answered from
-        // the cache must equal the one computed fresh with the cache off.
-        let pairs = [
-            (chain("X", 8), chain("X", 6)),
-            (chain("X", 6), chain("X", 8)),
-            (chain("X", 7), chain("Y", 7)),
-        ];
-        for (s1, s2) in &pairs {
-            let q1 = parse_query(s1).unwrap();
-            let q2 = parse_query(s2).unwrap();
-            let fresh = containment_mapping(&q2, &q1).is_some(); // never memoized
-            clear_containment_cache();
-            let first = is_contained_in(&q1, &q2); // populates the cache
-            assert!(containment_cache_len() > 0, "check was not memoized");
-            let second = is_contained_in(&q1, &q2); // answered from the cache
-            assert_eq!(first, fresh, "first check disagrees for {s1} ⊑ {s2}");
-            assert_eq!(second, fresh, "cached check disagrees for {s1} ⊑ {s2}");
-        }
-    }
-
-    #[test]
-    fn variant_pair_is_answered_from_the_same_entry() {
-        let _guard = state_lock();
-        clear_containment_cache();
-        let q1 = parse_query(&chain("X", 8)).unwrap();
-        let q2 = parse_query(&chain("X", 6)).unwrap();
-        let before = containment_cache_len();
-        assert!(is_contained_in(&q1, &q2));
-        let after_first = containment_cache_len();
-        assert!(after_first > before);
-        // A renamed variant of the same pair must not add a new entry.
-        let q1v = parse_query(&chain("A", 8)).unwrap();
-        let q2v = parse_query(&chain("B", 6)).unwrap();
-        assert!(is_contained_in(&q1v, &q2v));
-        assert_eq!(containment_cache_len(), after_first);
-    }
-
-    #[test]
-    fn small_checks_bypass_the_cache() {
-        let _guard = state_lock();
-        // Below the size gate a fresh search is cheaper than a probe, so
-        // tiny checks must leave no trace in the cache.
-        clear_containment_cache();
-        let q1 = parse_query("q(X) :- p(X, Y), r(Y)").unwrap();
-        let q2 = parse_query("q(X) :- p(X, Y)").unwrap();
-        assert!(is_contained_in(&q1, &q2));
-        assert_eq!(containment_cache_len(), 0);
-    }
-
-    #[test]
-    fn truncated_verdicts_are_not_cached() {
-        let _guard = state_lock();
-        clear_containment_cache();
-        let q1 = parse_query(&chain("X", 8)).unwrap();
-        let q2 = parse_query(&chain("Y", 6)).unwrap();
-        // Chains are acyclic, so the semijoin fast path would decide
-        // them completely regardless of budget — force the DFS here to
-        // exercise the truncation path this test is about.
-        let _acyclic_off = crate::install_acyclic(false);
-        // Under a 1-node hom budget the check truncates: conservative
-        // `false`, and nothing may be written to the cache.
-        let truncated = {
-            let _b = obs::budget::install(
-                obs::budget::BudgetSpec::new()
-                    .phase_nodes(obs::Phase::Hom, 1)
-                    .build(),
-            );
-            is_contained_in(&q1, &q2)
-        };
-        assert!(!truncated, "truncated check must under-approximate");
-        assert_eq!(containment_cache_len(), 0, "truncated verdict was cached");
-        // The same check without a budget is complete, correct, cached.
-        assert!(is_contained_in(&q1, &q2));
-        assert!(containment_cache_len() > 0);
-    }
-
-    #[test]
-    fn acyclic_fast_path_verdicts_are_complete_under_budget_and_cached() {
-        let _guard = state_lock();
-        clear_containment_cache();
-        let q1 = parse_query(&chain("X", 8)).unwrap();
-        let q2 = parse_query(&chain("Y", 6)).unwrap();
-        // Truncation is impossible on the semijoin route: even a 1-node
-        // hom budget leaves the verdict complete — correct, and written
-        // to the cache (unlike the truncated DFS above).
-        let _acyclic_on = crate::install_acyclic(true);
-        let _b = obs::budget::install(
-            obs::budget::BudgetSpec::new()
-                .phase_nodes(obs::Phase::Hom, 1)
-                .build(),
-        );
-        assert!(
-            is_contained_in(&q1, &q2),
-            "fast path must ignore the budget"
-        );
-        assert!(
-            containment_cache_len() > 0,
-            "complete verdict must be cached"
-        );
     }
 }

@@ -3,26 +3,6 @@
 use crate::homomorphism::HomomorphismSearch;
 use viewplan_cq::{ConjunctiveQuery, Substitution, Term};
 use viewplan_obs as obs;
-use viewplan_obs::ctx::{self, CtxGuard};
-
-/// Containment's bit of the request context's policy word (bit 2, as
-/// allocated in `viewplan_obs::ctx`): set = the acyclic fast path is off.
-const POLICY_ACYCLIC_OFF: u32 = 0b100;
-
-/// Whether [`is_contained_in`] routes acyclic patterns through the
-/// semijoin fast path on this thread: the innermost [`install_acyclic`],
-/// else on.
-pub fn acyclic_enabled() -> bool {
-    ctx::policy() & POLICY_ACYCLIC_OFF == 0
-}
-
-/// Forces the fast path on or off for the current thread until the
-/// returned guard drops — the reference switch the differential tests
-/// use to run the homomorphism DFS beside the semijoin route. Part of
-/// the request context, so a worker pool carries it to every worker.
-pub fn install_acyclic(on: bool) -> CtxGuard {
-    ctx::set_policy(POLICY_ACYCLIC_OFF, if on { 0 } else { POLICY_ACYCLIC_OFF })
-}
 
 // Single registration site for `containment.checks` (the xtask lint):
 // both the homomorphism DFS and the acyclic semijoin route count here.
@@ -62,7 +42,8 @@ pub fn head_bindings(from: &ConjunctiveQuery, onto: &ConjunctiveQuery) -> Option
 /// Finds a containment mapping from `from` onto `onto`: a homomorphism
 /// mapping `from`'s head to `onto`'s head and every body subgoal of `from`
 /// to a body subgoal of `onto`. Its existence proves `onto ⊑ from`
-/// (Chandra & Merlin).
+/// (Chandra & Merlin). Always the homomorphism DFS, whatever the shape
+/// of the pattern: the reference [`is_contained_in`]'s routes answer to.
 pub fn containment_mapping(
     from: &ConjunctiveQuery,
     onto: &ConjunctiveQuery,
@@ -85,41 +66,20 @@ pub fn containment_mapping_complete(
     HomomorphismSearch::with_initial(&from.body, &onto.body, initial).find_complete()
 }
 
-/// The boolean verdict for `onto ⊑ from`, with completeness. Routes
-/// acyclic patterns (after head pinning) through the polynomial
-/// semijoin decision of [`crate::acyclic`] unless [`install_acyclic`]
-/// turned it off; the fast path never consumes budget, so its verdicts
-/// are always complete. Cyclic patterns (and a disabled fast path) take
-/// the homomorphism DFS.
-fn contains_complete(from: &ConjunctiveQuery, onto: &ConjunctiveQuery) -> (bool, bool) {
-    note_check();
-    let Some(initial) = head_bindings(from, onto) else {
-        return (false, true);
-    };
-    if acyclic_enabled() {
-        if let Some(verdict) =
-            crate::acyclic::semijoin_mapping_exists(&from.body, &onto.body, &initial)
-        {
-            return (verdict, true);
-        }
-    }
-    let (mapping, complete) =
-        HomomorphismSearch::with_initial(&from.body, &onto.body, initial).find_complete();
-    (mapping.is_some(), complete)
-}
-
 /// True iff `q1 ⊑ q2`: for every database, `q1`'s answer is a subset of
-/// `q2`'s. Decided by searching for a containment mapping from `q2` to
-/// `q1`; the boolean verdict is memoized in the process-global
-/// [containment cache](crate::cache) (containment is invariant under
-/// variable renaming, so the cache keys on canonicalized pairs).
-/// Verdicts from budget-truncated searches are conservative (`false` =
-/// "not proven") and are **not** written to the cache, so a budgeted
-/// run can never poison an unbudgeted one. Acyclic patterns skip the
-/// search entirely: the semijoin fast path decides them in polynomial
-/// time with a verdict that is complete by construction.
+/// `q2`'s. Decided from the two queries alone, by a containment mapping
+/// from `q2` to `q1`: a pattern (`q2`'s body) that is acyclic after head
+/// pinning goes to the polynomial semijoins of [`crate::acyclic`], a
+/// cyclic one to the homomorphism DFS. Under a budget the DFS may stop
+/// early, and its verdict is then conservative (`false` = "not
+/// proven"); the semijoins consume no budget and are never truncated.
 pub fn is_contained_in(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
-    crate::cache::cached_verdict_complete(q1, q2, || contains_complete(q2, q1))
+    note_check();
+    let Some(initial) = head_bindings(q2, q1) else {
+        return false;
+    };
+    crate::acyclic::semijoin_mapping_exists(&q2.body, &q1.body, &initial)
+        .unwrap_or_else(|| HomomorphismSearch::with_initial(&q2.body, &q1.body, initial).exists())
 }
 
 /// True iff the queries are equivalent (contained in each other).
@@ -131,20 +91,41 @@ pub fn are_equivalent(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
 mod tests {
     use super::*;
     use viewplan_cq::parse_query;
+    use viewplan_obs::budget::{self, BudgetSpec};
 
+    /// A budgeted check answers from its own search, whatever was
+    /// checked before it: the same cap truncates the same DFS the same
+    /// way before and after an unbudgeted run of the same pair.
     #[test]
-    fn acyclic_override_nests_and_restores() {
-        assert!(acyclic_enabled(), "the fast path is on by default");
-        {
-            let _g = install_acyclic(false);
-            assert!(!acyclic_enabled());
-            {
-                let _g2 = install_acyclic(true);
-                assert!(acyclic_enabled());
-            }
-            assert!(!acyclic_enabled());
-        }
-        assert!(acyclic_enabled());
+    fn budgeted_verdicts_do_not_depend_on_process_history() {
+        // A 6-cycle folds onto a 3-cycle with pendant edges: contained,
+        // 12 subgoals in all, and cyclic, so only the DFS decides it.
+        let q1 = parse_query(
+            "q() :- hist(Y0, Y1), hist(Y1, Y2), hist(Y2, Y0), \
+             hist(Y0, Z0), hist(Y1, Z1), hist(Y2, Z2)",
+        )
+        .unwrap();
+        let q2 = parse_query(
+            "q() :- hist(X0, X1), hist(X1, X2), hist(X2, X3), \
+             hist(X3, X4), hist(X4, X5), hist(X5, X0)",
+        )
+        .unwrap();
+        assert_eq!(q1.body.len() + q2.body.len(), 12);
+        let capped = || {
+            let cap = BudgetSpec::new().phase_nodes(obs::Phase::Hom, 1).build();
+            let verdict = {
+                let _b = budget::install(cap.clone());
+                is_contained_in(&q1, &q2)
+            };
+            (verdict, cap.hits().node_hits)
+        };
+        let first = capped();
+        let unbudgeted = is_contained_in(&q1, &q2);
+        let again = capped();
+        assert!(unbudgeted);
+        assert_eq!(unbudgeted, containment_mapping(&q2, &q1).is_some());
+        assert_eq!(first, (false, 1), "a 1-node cap truncates the DFS");
+        assert_eq!(again, first, "the unbudgeted check changed a later one");
     }
 
     #[test]

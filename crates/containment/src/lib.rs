@@ -19,12 +19,13 @@
 //!   variable renamings", §3.3).
 //! * **Acyclic fast path** — a containment check whose pattern is
 //!   acyclic after head pinning is decided by polynomial semijoins over
-//!   its GYO join forest ([`acyclic`]) instead of the exponential DFS;
-//!   [`install_acyclic`] turns it off in scope for reference comparisons.
-//! * **Memoization** — a process-global, lock-sharded cache of containment
-//!   verdicts keyed on canonicalized query pairs ([`cache`]), shared by
-//!   containment, minimization, view-class grouping, and the M3 dropping
-//!   heuristic, and safe to hit from parallel workers.
+//!   its GYO join forest ([`acyclic`]) instead of the exponential DFS.
+//!   [`containment_mapping`] always runs the DFS: the reference the
+//!   differential tests hold the fast path to.
+//! * **Canonical forms** — queries renamed to first-occurrence variables,
+//!   so every variant of a query has one key and one canonical query
+//!   ([`canonical`]); the serving layer's rewriting cache is keyed on
+//!   them.
 //!
 //! # Example
 //!
@@ -43,21 +44,18 @@
 //! ```
 
 pub mod acyclic;
-pub mod cache;
+pub mod canonical;
 pub mod containment;
 pub mod expansion;
 pub mod homomorphism;
 pub mod minimize;
 pub mod variant;
 
-pub use cache::{
-    canonical_key, canonical_variable, canonicalize, clear_containment_cache,
-    containment_cache_len, parse_canonical, CanonicalParse, CanonicalQuery, Canonicalization,
+pub use canonical::{
+    canonical_key, canonical_variable, canonicalize, parse_canonical, CanonicalParse,
+    CanonicalQuery, Canonicalization,
 };
-pub use containment::{
-    acyclic_enabled, are_equivalent, containment_mapping, head_bindings, install_acyclic,
-    is_contained_in,
-};
+pub use containment::{are_equivalent, containment_mapping, head_bindings, is_contained_in};
 pub use expansion::{expand, expand_atom, ExpandError};
 pub use homomorphism::{find_homomorphism, find_homomorphism_with, HomomorphismSearch};
 pub use minimize::minimize;

@@ -3,8 +3,8 @@
 //! `parallel_map` forks the spawning thread's request context
 //! (`viewplan_obs::ctx`) and enters it on every worker, and workers stage
 //! closed span stats in per-thread buffers that merge atomically. Pinned
-//! here: every part of the context — budget, trace, open spans, and both
-//! crates' policy bits — is observed on each of eight workers.
+//! here: every part of the context — budget, trace, open spans, and the
+//! engine's policy bits — is observed on each of eight workers.
 //!
 //! This test sits alone in its own integration binary because the span
 //! aggregate and the counters are process-global: another test's work
@@ -14,8 +14,8 @@ use viewplan_core::parallel_map;
 use viewplan_obs as obs;
 
 /// Mutations this catches: `ctx::fork` (or `RequestCtx::enter`) losing
-/// any one field — the budget, the trace, the frames, or either crate's
-/// policy bits — and `parallel_map` spawning a worker without entering
+/// any one field — the budget, the trace, the frames, or the policy
+/// bits — and `parallel_map` spawning a worker without entering
 /// the fork. Each part is read back on the worker through the same
 /// reader the pipeline uses.
 #[test]
@@ -32,7 +32,6 @@ fn every_part_of_the_request_context_reaches_every_worker() {
         let _budget = obs::budget::install(budget.clone());
         let _trace = obs::trace::install(&trace);
         let _row = viewplan_engine::install(viewplan_engine::Engine::Row);
-        let _dfs = viewplan_containment::install_acyclic(false);
         let _outer = obs::span("ctx_pool.outer");
         parallel_map(8, &items, |_| {
             barrier.wait();
@@ -43,7 +42,6 @@ fn every_part_of_the_request_context_reaches_every_worker() {
                 std::thread::current().id(),
                 ticks,
                 viewplan_engine::current_engine(),
-                viewplan_containment::acyclic_enabled(),
             )
         })
     };
@@ -52,10 +50,8 @@ fn every_part_of_the_request_context_reaches_every_worker() {
     let threads: std::collections::HashSet<_> = seen.iter().map(|s| s.0).collect();
     assert_eq!(threads.len(), 8);
     assert!(!threads.contains(&std::thread::current().id()));
-    // Policy: both crates' bits.
-    assert!(seen
-        .iter()
-        .all(|s| s.2 == viewplan_engine::Engine::Row && !s.3));
+    // Policy: the engine's bits.
+    assert!(seen.iter().all(|s| s.2 == viewplan_engine::Engine::Row));
     // Budget: each worker's search ran out at the spawner's 1-node cap.
     assert!(seen.iter().all(|s| s.1 == 1), "{seen:?}");
     assert_eq!(budget.abandoned(obs::Phase::Hom), 8);

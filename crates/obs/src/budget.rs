@@ -39,7 +39,6 @@
 //! classes split rather than merge, tuple-cores are underestimated
 //! (subsets of the true core still yield valid covers), and rewriting
 //! verification drops candidates it cannot confirm instead of asserting.
-//! Truncated verdicts are never written to the containment cache.
 //!
 //! Exhaustion events are counted on the budget handle (always) and in
 //! the obs counter registry (`budget.deadline_hits`,

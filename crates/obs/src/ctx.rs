@@ -4,15 +4,14 @@
 //! The rewriting pipeline is a pure function of a query, a view set and
 //! a cost model. What surrounds a call — the [`Budget`] that may cut it
 //! short, the [`Trace`](crate::Trace) that records it, the spans open
-//! around it, and the reference overrides the differential tests pin —
+//! around it, and the engine override —
 //! is one [`RequestCtx`] per thread:
 //!
-//! * four typed setters update one part each and return a [`CtxGuard`]
+//! * three typed setters update one part each and return a [`CtxGuard`]
 //!   that restores what was installed before:
 //!   [`budget::install`](crate::budget::install),
 //!   [`trace::install`](crate::trace::install) and, through
-//!   [`set_policy`], `viewplan_engine::install` and
-//!   `viewplan_containment::install_acyclic`;
+//!   [`set_policy`], `viewplan_engine::install`;
 //! * a worker pool carries the whole context with one [`fork`] on the
 //!   spawning thread and one [`RequestCtx::enter`] per worker. `fork` is
 //!   a clone, so a field added to the struct reaches every worker with
@@ -21,7 +20,7 @@
 //! `policy` is an opaque word here: the crates that own behaviour
 //! switches own the meaning of their bits, and this crate only keeps
 //! them apart. Allocated so far: bits 0–1 `viewplan-engine` (the
-//! executor override), bit 2 `viewplan-containment` (acyclic route off).
+//! executor override).
 //!
 //! A guard belongs to the thread that made it — dropped anywhere else it
 //! would overwrite that thread's context and leave the override in place
@@ -233,7 +232,7 @@ mod tests {
                 {
                     let _engine = set_policy(0b011, 0b001);
                     {
-                        let _acyclic = set_policy(0b100, 0b100);
+                        let _unowned = set_policy(0b100, 0b100);
                         assert_eq!(observe(), (Some(7), true, vec![], 0b101));
                     }
                     assert_eq!(observe(), (Some(7), true, vec![], 0b001));

@@ -4,9 +4,8 @@
 //! A serving workload repeats itself — the same query template arrives
 //! again and again with freshly generated variable names. The cache key
 //! is therefore the query canonicalized up to variable renaming
-//! ([`viewplan_containment::canonicalize`], the same canonical form the
-//! containment memo cache uses), so every variant of a query hits one
-//! entry. The stored value is the full canonical-space answer
+//! ([`viewplan_containment::canonicalize`]), so every variant of a query
+//! hits one entry. The stored value is the full canonical-space answer
 //! (rewritings, chosen plan, completeness) together with its wire body as
 //! a template with the variables left open; on the way out the command
 //! path fills the template with the request's own spellings, and
@@ -17,8 +16,7 @@
 //! but [`Completeness::Complete`] is *never* stored — a budget-truncated
 //! answer is an artifact of one request's deadline, and caching it would
 //! replay the degradation to every later (possibly unbudgeted) request.
-//! This mirrors the containment cache's rule of never memoizing
-//! truncated verdicts. Rejections are counted, not silent.
+//! Rejections are counted, not silent.
 //!
 //! **Epochs and online DDL.** Under a live catalog (`add-view` /
 //! `drop-view` without draining traffic) an answer is only valid for the

@@ -712,8 +712,7 @@ mod tests {
         assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(1));
         assert_eq!(parsed.get("model").unwrap().as_str(), Some("m1"));
         assert!(parsed.get("winner").unwrap().get("cost").is_some());
-        // Structural acyclicity provenance (independent of the
-        // containment route, so goldens hold with the fast path on or off).
+        // Structural acyclicity provenance: a property of the hypergraph.
         let structure = parsed.get("structure").unwrap();
         assert_eq!(structure.get("hypertree_width").unwrap().as_u64(), Some(1));
         // Deterministic: a second run renders the identical document.

@@ -68,9 +68,7 @@ pub use viewplan_workload as workload;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use viewplan_containment::{
-        are_equivalent, expand, install_acyclic, is_contained_in, is_variant, minimize,
-    };
+    pub use viewplan_containment::{are_equivalent, expand, is_contained_in, is_variant, minimize};
     pub use viewplan_core::{
         is_locally_minimal, minicon_rewritings, naive_gmrs, tuple_core, view_tuples, CoreCover,
         CoreCoverConfig, MiniCon,

@@ -8,27 +8,24 @@
 //! take the fast path and cyclic ones (triangles) provably fall back to
 //! the DFS, asserted through the `containment.acyclic_fast_path` /
 //! `containment.acyclic_fallback` counters.
-//!
-//! Every generated body stays at or under 5 subgoals, so no pair here
-//! reaches the containment memo cache's `MIN_CACHED_SUBGOALS`
-//! threshold — each `is_contained_in` call below really runs its route,
-//! rather than replaying a verdict the *other* route cached.
 
 use proptest::prelude::*;
+use viewplan::containment::containment_mapping;
 use viewplan::obs::BudgetSpec;
 use viewplan::prelude::*;
 
-/// Runs `is_contained_in(q1, q2)` under each route (thread-local switch)
-/// and asserts the verdicts agree. Returns the shared verdict.
+/// The homomorphism DFS's verdict for `q1 ⊑ q2`: `containment_mapping`
+/// never takes the semijoin route.
+fn dfs(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
+    containment_mapping(q2, q1).is_some()
+}
+
+/// Runs `is_contained_in(q1, q2)`, which routes on the pattern's shape,
+/// beside the DFS and asserts the verdicts agree. Returns the shared
+/// verdict.
 fn both_routes(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
-    let fast = {
-        let _g = install_acyclic(true);
-        is_contained_in(q1, q2)
-    };
-    let slow = {
-        let _g = install_acyclic(false);
-        is_contained_in(q1, q2)
-    };
+    let fast = is_contained_in(q1, q2);
+    let slow = dfs(q1, q2);
     assert_eq!(
         fast, slow,
         "semijoin fast path diverged from homomorphism search on\n  q1 = {q1}\n  q2 = {q2}"
@@ -131,13 +128,9 @@ proptest! {
     /// the *unbudgeted* ground truth.
     #[test]
     fn fast_path_verdicts_survive_node_budgets(q1 in arb_star(), q2 in arb_star()) {
-        let truth = {
-            let _g = install_acyclic(false);
-            is_contained_in(&q1, &q2)
-        };
+        let truth = dfs(&q1, &q2);
         let starved = {
             let _budget = viewplan::obs::budget::install(BudgetSpec::new().node_budget(1).build());
-            let _g = install_acyclic(true);
             is_contained_in(&q1, &q2)
         };
         prop_assert_eq!(starved, truth, "budget truncated a fast-path verdict");
@@ -158,7 +151,6 @@ fn counters_prove_routing() {
     let tri1 = parse_query("q() :- e0(X, Y), e0(Y, Z), e0(Z, X)").unwrap();
     let tri2 = parse_query("q() :- e0(X, X)").unwrap();
 
-    let _g = install_acyclic(true);
     let fast_before = viewplan::obs::counter_value("containment.acyclic_fast_path");
     assert!(both_routes(&star1, &star2));
     let fast_after = viewplan::obs::counter_value("containment.acyclic_fast_path");
@@ -180,9 +172,8 @@ fn counters_prove_routing() {
 }
 
 // ---------------------------------------------------------------------
-// Worker threads. The pool forks the spawning thread's request context
-// onto every worker, so the multi-threaded run steers routing with the
-// same scoped switch as the serial one.
+// Worker threads: the routed check on eight pool workers against the
+// DFS on the caller's thread.
 
 /// A fixed corpus with known mixed verdicts, each checked both ways.
 fn corpus() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {
@@ -204,17 +195,10 @@ fn corpus() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {
 #[test]
 fn verdicts_agree_across_eight_worker_threads() {
     let pairs = corpus();
-    let both_ways = |(a, b): &(ConjunctiveQuery, ConjunctiveQuery)| {
-        (is_contained_in(a, b), is_contained_in(b, a))
-    };
     // Ground truth: the DFS, serially.
-    let truth: Vec<(bool, bool)> = {
-        let _g = install_acyclic(false);
-        pairs.iter().map(both_ways).collect()
-    };
-    for on in [true, false] {
-        let _g = install_acyclic(on);
-        let got = viewplan::core::parallel_map(8, &pairs, both_ways);
-        assert_eq!(got, truth, "acyclic={on}: a worker's verdict diverged");
-    }
+    let truth: Vec<(bool, bool)> = pairs.iter().map(|(a, b)| (dfs(a, b), dfs(b, a))).collect();
+    let got = viewplan::core::parallel_map(8, &pairs, |(a, b)| {
+        (is_contained_in(a, b), is_contained_in(b, a))
+    });
+    assert_eq!(got, truth, "a worker's verdict diverged");
 }

@@ -4,10 +4,10 @@
 //! expectations under `tests/golden/expected/`.
 //!
 //! Every golden then runs again **in process** at each behaviour setting
-//! — engine {row, columnar, yannakakis} × acyclic containment route
-//! {on, off}, and for the `batch` goldens × threads {1, 8} across
-//! requests — against the same expectation: the axes are performance
-//! knobs, so none may change a byte of stdout or the exit code. (This replaces fanning the whole suite out over
+//! — engine {row, columnar, yannakakis}, and for the `batch` goldens ×
+//! threads {1, 8} across requests — against the same expectation: the
+//! axes are performance knobs, so none may change a byte of stdout or
+//! the exit code. (This replaces fanning the whole suite out over
 //! environment switches in CI.)
 //!
 //! Only stdout is golden — stderr carries timings and cache counters,
@@ -20,7 +20,6 @@
 
 use std::path::Path;
 use std::process::Command;
-use viewplan::containment::{clear_containment_cache, install_acyclic};
 
 /// Runs `viewplan <args>` from the repo root and compares its stdout to
 /// `tests/golden/expected/<name>.txt` — once through the executable at
@@ -72,28 +71,22 @@ fn check(name: &str, args: &[&str]) {
     };
     for threads in thread_settings {
         for engine in ["row", "columnar", "yannakakis"] {
-            for acyclic in [true, false] {
-                let setting = format!("{threads:?} engine={engine} acyclic={acyclic}");
-                // The matrix flags go first so they win over any the
-                // golden itself passes (the first occurrence counts).
-                let mut argv = vec![args[0], "--engine", engine];
-                argv.extend(*threads);
-                argv.extend(&args[1..]);
-                let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
-                let _route = install_acyclic(acyclic);
-                // A verdict memoized under the other route would be
-                // replayed instead of recomputed.
-                clear_containment_cache();
-                let mut stdout = Vec::new();
-                let code = viewplan::cli::run(&argv, &viewplan::cli::Env::default(), &mut stdout);
-                assert_eq!(code, 0, "{name} [{setting}]: exit code {code}");
-                let actual = String::from_utf8(stdout).expect("stdout must be UTF-8");
-                assert!(
-                    actual == expected,
-                    "golden mismatch for {name} [{setting}]:\n{}",
-                    first_divergence(&expected, &actual)
-                );
-            }
+            let setting = format!("{threads:?} engine={engine}");
+            // The matrix flags go first so they win over any the golden
+            // itself passes (the first occurrence counts).
+            let mut argv = vec![args[0], "--engine", engine];
+            argv.extend(*threads);
+            argv.extend(&args[1..]);
+            let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+            let mut stdout = Vec::new();
+            let code = viewplan::cli::run(&argv, &viewplan::cli::Env::default(), &mut stdout);
+            assert_eq!(code, 0, "{name} [{setting}]: exit code {code}");
+            let actual = String::from_utf8(stdout).expect("stdout must be UTF-8");
+            assert!(
+                actual == expected,
+                "golden mismatch for {name} [{setting}]:\n{}",
+                first_divergence(&expected, &actual)
+            );
         }
     }
 }
@@ -120,12 +113,11 @@ fn first_divergence(expected: &str, actual: &str) -> String {
 }
 
 /// Goldens the `--stats-json` *counters* of a `rewrite` run at the
-/// defaults (serial, columnar, acyclic fast path on) — counter values
-/// are deterministic for a serial pipeline; the span timings in the rest
-/// of the report are not, so only this section is snapshotted (rendered
-/// as sorted `key = value` lines). Unlike stdout, the counters *do* name
-/// the engine and the containment route, so this snapshot stays out of
-/// the in-process matrix.
+/// defaults (serial, columnar) — counter values are deterministic for a
+/// serial pipeline; the span timings in the rest of the report are not,
+/// so only this section is snapshotted (rendered as sorted `key = value`
+/// lines). Unlike stdout, the counters *do* name the engine, so this
+/// snapshot stays out of the in-process matrix.
 fn check_stats_counters(name: &str, problem: &str) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let json_path = std::env::temp_dir().join(format!("viewplan_golden_{name}.json"));
@@ -266,9 +258,7 @@ golden! {
 
     // The acyclic fixtures: structural provenance (the `structure` line
     // and VP007's hypertree-width annotation) is a property of the
-    // hypergraph, not of the routing switch, so these snapshots are
-    // byte-identical with the fast path on and off.
-    // The star's winner is a single bundled-view access; the chain's
+    // hypergraph. The star's winner is a single bundled-view access; the chain's
     // twelve hops tile into exactly three v4 accesses, and its VP007
     // candidate estimate crosses the blowup threshold with the width
     // annotation explaining why the blowup is benign.

@@ -1508,7 +1508,7 @@ real.unwrap();"##;
         let renaming = "fn serve(q: &Q) { let c = canonicalize(q); }\n";
         repo.write("crates/serve/src/batch.rs", &format!("{rest}{renaming}"));
         repo.write("crates/serve/src/command.rs", rest);
-        repo.write("crates/containment/src/cache.rs", rekey);
+        repo.write("crates/containment/src/canonical.rs", rekey);
         assert!(run_lint(&repo.root).is_clean());
 
         repo.write(
