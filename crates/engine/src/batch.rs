@@ -3,16 +3,34 @@
 //! Implements the same bindings-table pipeline as the row executor in
 //! [`crate::eval`], batch-at-a-time over the stored [`Column`]s — the
 //! relation's own storage, not a copy of it. One join is: filters shrink
-//! an ascending selection vector reading words; the selected rows are
-//! chained into an index of two flat arrays; probing emits two row-number
-//! vectors (probe rows, build rows); every output column is one gather.
-//! Nothing allocates per row or per key.
+//! an ascending selection vector reading words; the selected rows become
+//! the entries of a chained index, each entry carrying its key's hash,
+//! its build row and the next entry of its chain, so walking a chain
+//! reads nothing else; probing emits two row-number vectors (probe rows,
+//! build rows); every output column is one gather. Nothing allocates per
+//! row or per key.
 //!
-//! The chains are linked in *reverse* selection order, so walking one
-//! from its head meets build rows in ascending order: output row order
-//! is probe order × build insertion order — exactly the row engine's — so
-//! traces, answers, and counters are byte-identical (the differential
-//! suite at the workspace root enforces this).
+//! Probes go in batches of [`PROBE_BATCH`] rows: the batch's hashes are
+//! computed one key column at a time and all its chain heads are loaded
+//! before any chain is walked, so the cache misses of a batch overlap
+//! instead of queueing behind each other. A chain entry whose hash
+//! differs from the probe's is skipped without reading a column. On a
+//! single key whose two columns share one kind, equal hashes are equal
+//! words ([`mix`] is a bijection on one word), so no column is read at
+//! all; every other join compares the keys once the hashes agree.
+//!
+//! The entries are made in *reverse* selection order, each pushed onto
+//! the front of its chain, so walking one from its head meets build rows
+//! in ascending order: output row order is probe order × build insertion
+//! order — exactly the row engine's — so traces, answers, and counters
+//! are byte-identical (the differential suite at the workspace root
+//! enforces this).
+//!
+//! A bindings table holds distinct rows (every variable is kept, and
+//! [`Table::project_away`] deduplicates), so a head that names every
+//! variable projects it onto distinct rows: the answer is built without
+//! deduplication ([`Relation::from_distinct_columns`]). A head that drops
+//! a variable deduplicates, keep-first.
 
 use crate::column::{mix, table_size, Column};
 use crate::database::Database;
@@ -24,11 +42,12 @@ use std::collections::HashSet;
 use viewplan_cq::{Atom, Symbol};
 use viewplan_obs as obs;
 
-/// Counter funnel for one batch join: build-side rows fed to the index
-/// and output rows.
-fn note_batch_join(build_rows: usize, out_rows: usize) {
+/// Counter funnel for one batch join: build-side rows fed to the index,
+/// chain entries the probes visited, and output rows.
+fn note_batch_join(build_rows: usize, probe_steps: usize, out_rows: usize) {
     obs::counter!("engine.batch_joins").incr();
     obs::counter!("engine.batch_build_rows").add(build_rows as u64);
+    obs::counter!("engine.batch_probe_steps").add(probe_steps as u64);
     obs::histogram!("engine.batch_output_rows").record(out_rows as u64);
 }
 
@@ -65,62 +84,117 @@ fn keys_match(keys: &[Key<'_>], build_row: u32, probe_row: usize) -> bool {
 
 const END: u32 = u32::MAX;
 
+/// Probe rows hashed, and their chain heads loaded, before any of their
+/// chains is walked.
+const PROBE_BATCH: usize = 64;
+
+/// One entry of the join index: a selected build row, the hash of its
+/// key, and the position of the next entry in its chain ([`END`] last).
+#[derive(Clone, Copy)]
+struct Entry {
+    hash: u64,
+    row: u32,
+    next: u32,
+}
+
+/// The output of [`match_rows`]: the matching `(probe row, build row)`
+/// pairs as two parallel vectors, and the chain entries walked.
+struct Matches {
+    probe_rows: Vec<u32>,
+    build_rows: Vec<u32>,
+    steps: usize,
+}
+
 /// The join proper: all `(probe row, build row)` pairs agreeing on every
-/// key, as two parallel vectors in probe order × ascending build row.
-/// `sel` is the ascending selection of build rows.
-fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> (Vec<u32>, Vec<u32>) {
+/// key, in probe order × ascending build row. `sel` is the ascending
+/// selection of build rows.
+fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> Matches {
+    let mut out = Matches {
+        probe_rows: Vec::new(),
+        build_rows: Vec::new(),
+        steps: 0,
+    };
     // Cells of different kinds are never equal: two single-kind columns
     // of different kinds cannot join, whatever their words.
     let kinds_clash = keys.iter().any(
         |k| matches!((k.build.single_kind(), k.probe.single_kind()), (Some(b), Some(p)) if b != p),
     );
     if kinds_clash || sel.is_empty() {
-        return (Vec::new(), Vec::new());
+        return out;
     }
     let expected = if keys.is_empty() {
         probe_len * sel.len()
     } else {
         probe_len
     };
-    let mut probe_rows: Vec<u32> = Vec::with_capacity(expected);
-    let mut build_rows: Vec<u32> = Vec::with_capacity(expected);
+    out.probe_rows.reserve_exact(expected);
+    out.build_rows.reserve_exact(expected);
 
     if keys.is_empty() {
         // Cartesian product: nothing to index on.
         for p in 0..probe_len {
             for &b in sel {
-                probe_rows.push(p as u32);
-                build_rows.push(b);
+                out.probe_rows.push(p as u32);
+                out.build_rows.push(b);
             }
         }
-        return (probe_rows, build_rows);
+        return out;
     }
 
-    // Chained index over positions in `sel`: `heads[slot]` starts a
-    // chain, `next[i]` continues it. Linking in reverse makes every
-    // chain ascend.
+    // Entries in reverse selection order, each pushed onto the front of
+    // its slot's chain as it is made: walked from `heads[slot]`, every
+    // chain meets build rows in ascending order.
     let (size, shift) = table_size(sel.len(), 1);
     let mut heads = vec![END; size];
-    let mut next = vec![END; sel.len()];
-    for (i, &b) in sel.iter().enumerate().rev() {
-        let hash = keys.iter().fold(0, |h, k| mix(h, k.build.word(b as usize)));
-        let slot = (hash >> shift) as usize;
-        next[i] = heads[slot];
-        heads[slot] = i as u32;
+    let mut entries: Vec<Entry> = Vec::with_capacity(sel.len());
+    for &row in sel.iter().rev() {
+        let hash = keys
+            .iter()
+            .fold(0, |h, k| mix(h, k.build.words()[row as usize]));
+        let head = &mut heads[(hash >> shift) as usize];
+        entries.push(Entry {
+            hash,
+            row,
+            next: *head,
+        });
+        *head = (entries.len() - 1) as u32;
     }
-    for p in 0..probe_len {
-        let hash = keys.iter().fold(0, |h, k| mix(h, k.probe.word(p)));
-        let mut i = heads[(hash >> shift) as usize];
-        while i != END {
-            let b = sel[i as usize];
-            if keys_match(keys, b, p) {
-                probe_rows.push(p as u32);
-                build_rows.push(b);
+
+    // One key whose columns share a kind (no clash, so the same one):
+    // equal hashes are equal cells.
+    let hash_decides = match keys {
+        [k] => k.build.single_kind().is_some() && k.probe.single_kind().is_some(),
+        _ => false,
+    };
+    let mut hashes = [0u64; PROBE_BATCH];
+    let mut firsts = [END; PROBE_BATCH];
+    for start in (0..probe_len).step_by(PROBE_BATCH) {
+        let batch = PROBE_BATCH.min(probe_len - start);
+        let hashes = &mut hashes[..batch];
+        hashes.fill(0);
+        for k in keys {
+            for (h, &w) in hashes.iter_mut().zip(&k.probe.words()[start..]) {
+                *h = mix(*h, w);
             }
-            i = next[i as usize];
+        }
+        for (first, &h) in firsts.iter_mut().zip(hashes.iter()) {
+            *first = heads[(h >> shift) as usize];
+        }
+        for (j, (&hash, &first)) in hashes.iter().zip(&firsts).enumerate() {
+            let p = start + j;
+            let mut i = first;
+            while i != END {
+                let e = entries[i as usize];
+                out.steps += 1;
+                if e.hash == hash && (hash_decides || keys_match(keys, e.row, p)) {
+                    out.probe_rows.push(p as u32);
+                    out.build_rows.push(e.row);
+                }
+                i = e.next;
+            }
         }
     }
-    (probe_rows, build_rows)
+    out
 }
 
 impl Table for ColumnarBindings {
@@ -178,7 +252,11 @@ impl Table for ColumnarBindings {
                 _ => None,
             })
             .collect();
-        let (probe_rows, build_rows) = match_rows(&keys, &sel, self.len);
+        let Matches {
+            probe_rows,
+            build_rows,
+            steps,
+        } = match_rows(&keys, &sel, self.len);
 
         // Old columns follow the probe rows; the new variables, in
         // argument order, follow the build rows.
@@ -192,7 +270,7 @@ impl Table for ColumnarBindings {
         }
 
         note_join(self.len, probe_rows.len());
-        note_batch_join(sel.len(), probe_rows.len());
+        note_batch_join(sel.len(), steps, probe_rows.len());
         ColumnarBindings {
             vars,
             len: probe_rows.len(),
@@ -222,6 +300,9 @@ impl Table for ColumnarBindings {
             return Ok(Relation::new(head.arity()));
         }
         let plan = head_columns(head, &self.vars)?;
+        // The bindings rows are distinct, so a head that keeps every
+        // variable maps them to distinct answer rows.
+        let keeps_all = (0..self.cols.len()).all(|i| plan.contains(&Ok(i)));
         // Each bindings column moves into the last head position that
         // names it; a variable the head repeats is cloned before that.
         let mut source = self.cols;
@@ -234,7 +315,11 @@ impl Table for ColumnarBindings {
                 Err(v) => Column::constant(v, self.len),
             })
             .collect();
-        Ok(Relation::from_columns(self.len, cols))
+        Ok(if keeps_all {
+            Relation::from_distinct_columns(self.len, cols)
+        } else {
+            Relation::from_columns(self.len, cols)
+        })
     }
 }
 
@@ -283,7 +368,11 @@ mod tests {
             }];
             // Odd rows filtered out beforehand.
             let sel: Vec<u32> = (0..build_len).filter(|r| r % 2 == 0).collect();
-            let (probe_rows, build_rows) = match_rows(&keys, &sel, 3);
+            let Matches {
+                probe_rows,
+                build_rows,
+                ..
+            } = match_rows(&keys, &sel, 3);
             let per_probe = sel.len();
             assert_eq!(probe_rows.len(), 2 * per_probe);
             assert!(probe_rows[..per_probe].iter().all(|&p| p == 0));
@@ -302,7 +391,8 @@ mod tests {
             probe: &probe,
         }];
         let sel: Vec<u32> = (0..20).collect();
-        assert_eq!(match_rows(&keys, &sel, 20), (vec![], vec![]));
+        let m = match_rows(&keys, &sel, 20);
+        assert!(m.probe_rows.is_empty() && m.build_rows.is_empty());
     }
 
     #[test]

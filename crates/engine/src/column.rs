@@ -88,9 +88,10 @@ impl Column {
         self.words.push(word);
     }
 
+    /// Every cell's word, in row order.
     #[inline]
-    pub(crate) fn word(&self, row: usize) -> u64 {
-        self.words[row]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     #[inline]
@@ -137,12 +138,20 @@ impl Column {
     }
 }
 
-/// One step of the Fx-style multiply-rotate hash over a row's words.
+/// One step of the multiply-rotate hash over a row's words. The
+/// multiplier is ⌊2⁶⁴/φ⌋ (Fibonacci hashing): `w · K` read as a fraction
+/// of 2⁶⁴ is `w/φ mod 1`, and multiples of the golden ratio's inverse —
+/// the irrational worst approximated by fractions — fall into the top
+/// bits evenly spaced, so consecutive small integers, the usual keys,
+/// land in distinct slots. (The Fx constant this replaced is 2⁶⁴/π, and
+/// 1/π ≈ 113/355: under it runs of integers clustered into about 355
+/// groups of slots.) Multiplying by an odd constant is a bijection, so
+/// the hash of a single word — `mix(0, w)` — tells words apart exactly.
 /// Kinds are not hashed: equality checks them, and rows that differ only
 /// in a kind are rare enough to share a slot.
 #[inline]
 pub(crate) fn mix(hash: u64, word: u64) -> u64 {
-    (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    (hash.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// A power-of-two table size for `rows` entries at load ≤ `1 / spread`,
@@ -186,11 +195,18 @@ impl RowSet {
     }
 
     /// A table holding all `len` rows of `cols` — from row 0, which the
-    /// caller knows to be pairwise distinct — with room for `room`.
+    /// caller knows to be pairwise distinct — with room for `room`. The
+    /// hashes are computed one column at a time, and no row is compared.
     pub(crate) fn of_distinct(cols: &[Column], len: usize, room: usize) -> RowSet {
+        let mut hashes = vec![0; len];
+        for c in cols {
+            for (h, &w) in hashes.iter_mut().zip(&c.words[..len]) {
+                *h = mix(*h, w);
+            }
+        }
         let mut set = RowSet::with_room(room.max(len));
-        for row in 0..len {
-            set.find_or_insert(row_hash(cols, row), row as u32, |_| false);
+        for (row, &hash) in hashes.iter().enumerate() {
+            set.find_or_insert(hash, row as u32, |_| false);
         }
         set
     }
@@ -293,7 +309,7 @@ mod tests {
     fn equal_words_of_different_kinds_are_different_cells() {
         let ints = Column::from_iter([Value::Int(3)]);
         let skolems = Column::from_iter([Value::Skolem(3)]);
-        assert_eq!(ints.word(0), skolems.word(0));
+        assert_eq!(ints.words(), skolems.words());
         assert!(!ints.same_cell(0, &skolems, 0));
         assert!(ints.holds(0, Value::Int(3)));
         assert!(!ints.holds(0, Value::Skolem(3)));
@@ -315,6 +331,57 @@ mod tests {
             assert!(firsts
                 .iter()
                 .all(|&f| set.find(row_hash(&cols, f as usize), |r| r == f).is_some()));
+        }
+    }
+
+    /// `n` keys from `0..n`: all of them in order, and `n` draws
+    /// (splitmix64, fixed seed) — the benchmark's sizing, a domain as
+    /// large as the relation.
+    fn small_integer_keys(n: usize) -> [(&'static str, Vec<u64>); 2] {
+        let mut state = 0x5eed_u64;
+        let mut draw = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n as u64
+        };
+        [
+            ("consecutive", (0..n as u64).collect()),
+            ("uniform", (0..n).map(|_| draw()).collect()),
+        ]
+    }
+
+    /// The join index over single-kind integer keys, sized as `match_rows`
+    /// sizes it. Small integers must occupy at least 0.9 of the slots a
+    /// uniform hash would, and a probe for each stored key must walk at
+    /// most 1.2 chain entries on average (one entry per distinct key:
+    /// the entries of other keys in its slot are the overhead). Under the
+    /// Fx multiplier, 2⁶⁴/π, consecutive keys at 5 000 occupied 722 of
+    /// 8 192 slots and a probe walked 8.9 entries.
+    #[test]
+    fn small_integer_keys_spread_over_the_join_index() {
+        for n in [5_000usize, 20_000] {
+            let (size, shift) = table_size(n, 1);
+            for (label, keys) in small_integer_keys(n) {
+                let distinct: std::collections::BTreeSet<u64> = keys.into_iter().collect();
+                let mut per_slot = vec![0usize; size];
+                for &k in &distinct {
+                    per_slot[(mix(0, k) >> shift) as usize] += 1;
+                }
+                let occupied = per_slot.iter().filter(|&&c| c > 0).count() as f64;
+                let keys = distinct.len() as f64;
+                let uniform = size as f64 * (1.0 - (1.0 - 1.0 / size as f64).powf(keys));
+                let walked = per_slot.iter().map(|c| c * c).sum::<usize>() as f64 / keys;
+                assert!(
+                    occupied >= 0.9 * uniform,
+                    "{label} n={n}: {occupied} of {size} slots, a uniform hash fills {uniform:.0}"
+                );
+                assert!(
+                    walked <= 1.2,
+                    "{label} n={n}: a probe walks {walked:.2} entries"
+                );
+            }
         }
     }
 

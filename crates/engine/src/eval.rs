@@ -4,9 +4,15 @@
 //! a set of distinct rows. Each step hash-joins the table with the next
 //! subgoal's relation; constants and repeated variables inside a subgoal
 //! act as selections. Because all variables are retained and inputs are
-//! sets, rows stay distinct without re-deduplication — except in
-//! [`execute_annotated`] plans, where dropping attributes (cost model M3)
-//! can merge rows and the table is re-deduplicated.
+//! sets, a join never deduplicates: its rows are distinct by
+//! construction. Deduplication happens at two places only, both
+//! projections: `Table::project_away`, after an [`execute_annotated`]
+//! step drops attributes (cost model M3) and rows may merge; and
+//! `Table::project_head`, when the head leaves out a variable of the
+//! table. A head that names every variable maps distinct rows to
+//! distinct answers, and the columnar executor builds that answer
+//! without a dedup pass; the row executor inserts every answer row into
+//! the relation, which deduplicates as it goes.
 //!
 //! Two executors implement this pipeline: the row-at-a-time [`Bindings`]
 //! table in this module, and the columnar batch executor in

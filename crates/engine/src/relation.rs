@@ -6,7 +6,8 @@
 //! no second copy of any tuple: no row vector, no hash set of cloned
 //! rows, no cached twin for the columnar executor — the executor reads
 //! these columns, and its answers are built from columns
-//! ([`Relation::from_columns`]) without passing through `insert`.
+//! ([`Relation::from_columns`], or `Relation::from_distinct_columns`
+//! when the rows cannot repeat) without passing through `insert`.
 
 use crate::column::{distinct_rows, mix, row_hash, Column, RowSet};
 use crate::value::Value;
@@ -83,8 +84,21 @@ impl Relation {
             return Relation { len, columns, set };
         }
         // Row numbers shifted: the set over the old numbering is no use.
-        let len = firsts.len();
         let columns: Vec<Column> = columns.iter().map(|c| c.gather(&firsts)).collect();
+        Relation::from_distinct_columns(firsts.len(), columns)
+    }
+
+    /// Builds a relation from `len` rows spelled column-wise that the
+    /// caller knows to be pairwise distinct — a bindings table projected
+    /// onto a head that keeps every variable. Hashes the rows one column
+    /// at a time and compares none.
+    pub(crate) fn from_distinct_columns(len: usize, columns: Vec<Column>) -> Relation {
+        debug_assert!(columns.iter().all(|c| c.len() == len));
+        debug_assert_eq!(
+            distinct_rows(&columns, len).0.len(),
+            len,
+            "rows passed as distinct repeat"
+        );
         let set = RowSet::of_distinct(&columns, len, len);
         Relation { len, columns, set }
     }

@@ -316,6 +316,160 @@ fn engines_agree_on_repeating_constant_and_empty_heads() {
 }
 
 // ---------------------------------------------------------------------
+// The join kernel's two shortcuts. A single key whose columns share one
+// kind is matched on its hash alone (the hash of one word is a bijection
+// of it); every other key is compared once the hashes agree. A head that
+// keeps every variable builds its answer without deduplicating.
+
+/// `Int(w)`, `Skolem(w)` and the symbol whose index is `w`: three values
+/// under one word.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum KeyKind {
+    Int,
+    Skolem,
+    Sym,
+    /// The three kinds in turn, by row.
+    Mixed,
+}
+
+/// The value of kind `kind` over the `i`-th word of `words` (interned
+/// symbols, so each word is also a symbol's index); `row` picks the kind
+/// of a mixed column.
+fn key_value(kind: KeyKind, words: &[Symbol], i: usize, row: usize) -> Value {
+    let sym = words[i % words.len()];
+    let kind = match kind {
+        KeyKind::Mixed => [KeyKind::Int, KeyKind::Skolem, KeyKind::Sym][row % 3],
+        single => single,
+    };
+    match kind {
+        KeyKind::Int => Value::Int(sym.index() as i64),
+        KeyKind::Skolem => Value::Skolem(sym.index() as u32),
+        _ => Value::Sym(sym),
+    }
+}
+
+fn key_words(n: usize) -> Vec<Symbol> {
+    (0..n).map(|i| Symbol::new(&format!("key{i}"))).collect()
+}
+
+/// Single-key joins over every pairing of key kinds on the two sides —
+/// both single-kind (hash alone decides, or the kinds clash), one side
+/// mixed, both mixed — with equal words under different kinds on every
+/// key, so a match on words alone would show.
+#[test]
+fn single_key_joins_tell_kinds_apart_under_equal_words() {
+    use KeyKind::*;
+    let words = key_words(16);
+    let q = parse_query("q(X, K, Y) :- r(X, K), s(K, Y)").unwrap();
+    for probe in [Int, Skolem, Sym, Mixed] {
+        for build in [Int, Skolem, Sym, Mixed] {
+            let mut db = Database::new();
+            for row in 0..200 {
+                db.insert(
+                    "r",
+                    vec![Value::Int(row as i64), key_value(probe, &words, row, row)],
+                );
+                // Shifted kinds: word `i` meets every kind on both sides.
+                let key = key_value(build, &words, row, row / 16);
+                db.insert("s", vec![key, Value::Int(row as i64)]);
+            }
+            let (_, intermediates, answer) =
+                both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
+            let clash = probe != Mixed && build != Mixed && probe != build;
+            assert_eq!(answer.is_empty(), clash, "{probe:?} against {build:?}");
+            assert_eq!(intermediates[1], answer.len());
+            let evaluated = all_engines(|| evaluate(&q, &db));
+            assert_eq!(evaluated.len(), answer.len(), "{probe:?} against {build:?}");
+        }
+    }
+}
+
+/// A join on two keys, each of which sometimes differs only in its kind:
+/// equal hashes are not enough, the cells are compared.
+#[test]
+fn two_key_joins_compare_cells_after_the_hash() {
+    use KeyKind::*;
+    let words = key_words(8);
+    let q = parse_query("q(A, B, C) :- r(A, B), s(A, B, C)").unwrap();
+    for (left, right) in [(Int, Int), (Int, Mixed), (Mixed, Skolem), (Mixed, Mixed)] {
+        let mut db = Database::new();
+        for row in 0..300 {
+            db.insert(
+                "r",
+                vec![
+                    key_value(left, &words, row, row),
+                    key_value(Int, &words, row / 8, row),
+                ],
+            );
+            db.insert(
+                "s",
+                vec![
+                    key_value(right, &words, row, row / 8),
+                    key_value(Int, &words, row / 8, row),
+                    Value::Int(row as i64),
+                ],
+            );
+        }
+        let (_, _, answer) = both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
+        assert!(!answer.is_empty(), "{left:?} against {right:?}");
+        assert_eq!(all_engines(|| evaluate(&q, &db)).len(), answer.len());
+    }
+}
+
+/// Heads that keep every variable (no deduplication), drop one
+/// (duplicates collapse, keep-first), repeat one, or carry a constant;
+/// over a small domain, where dropping a variable merges rows, and at
+/// 20 000 rows.
+#[test]
+fn heads_that_keep_drop_or_repeat_variables() {
+    let body = parse_query("q(A, B, C) :- r(A, B), s(B, C)").unwrap().body;
+    let unit_head = ConjunctiveQuery::new(Atom::new("q", vec![]), body.clone());
+    for (rows, domain) in [(60usize, 6i64), (20_000, 20_000)] {
+        let db = int_database(&unit_head, rows, domain, 31);
+        let keep = parse_atom("q(C, A, B)").unwrap();
+        let (_, intermediates, kept) = both_engines(|| shown(execute_ordered(&keep, &body, &db)));
+        assert_eq!(kept.len(), intermediates[1], "every join row is an answer");
+        for (head, collapses) in [
+            ("q(A, C)", true),
+            ("q(A, B, C, A)", false),
+            ("q(B, 7, A, C, tag)", false),
+            ("q(7, C)", true),
+        ] {
+            let head = parse_atom(head).unwrap();
+            let (_, _, answer) = both_engines(|| shown(execute_ordered(&head, &body, &db)));
+            let distinct: std::collections::HashSet<&Vec<Value>> = answer.iter().collect();
+            assert_eq!(distinct.len(), answer.len(), "{head}: rows repeat");
+            // At 20 000 rows over as many values, dropped variables
+            // seldom merge two rows.
+            if rows < 100 {
+                assert_eq!(answer.len() < kept.len(), collapses, "{head}");
+            }
+        }
+    }
+}
+
+/// Probe sides one row short of, at, and one past one probe batch (64
+/// rows) and two, each probe row matching a chain of two build rows.
+#[test]
+fn probe_lengths_around_the_batch_size() {
+    let q = parse_query("q(X, K, Y) :- r(X, K), s(K, Y)").unwrap();
+    for probes in [63i64, 64, 65, 127, 128, 129] {
+        let mut db = Database::new();
+        for x in 0..probes {
+            db.insert("r", vec![Value::Int(x), Value::Int(x % 50)]);
+        }
+        for y in 0..120 {
+            db.insert("s", vec![Value::Int(y % 60), Value::Int(y)]);
+        }
+        let (_, intermediates, answer) =
+            both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
+        assert_eq!(intermediates[0], probes as usize);
+        // Keys 0..49 each occur twice in `s`.
+        assert_eq!(answer.len(), 2 * probes as usize, "{probes} probes");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Workload-scale differential: the full pipeline (CoreCover over
 // canonical databases, M1 planning, serving) under each engine, at
 // thread counts 1 and 8, with and without node budgets.

@@ -228,7 +228,7 @@ fn section_8_shape_check() {
     assert_eq!(m.body.len(), 3, "r(U,W), r(W,U) must not fold");
 }
 
-// ---- Theorem 4.1 and overlapping tuple-cores (ROADMAP item 1(a)) ----
+// ---- Theorem 4.1 and overlapping tuple-cores (ROADMAP item 5(a)) ----
 //
 // Theorem 4.1 says a cover of the query's subgoals by tuple-cores is an
 // equivalent rewriting. With Definition 4.1 as written (and as
