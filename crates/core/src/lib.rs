@@ -46,7 +46,6 @@
 //! assert_eq!(gmrs[0].to_string(), "q(X, Y) :- v1(X, Z), v2(Z, Y)");
 //! ```
 
-pub mod bucket;
 pub mod catalog_index;
 pub mod certificate;
 pub mod classes;
@@ -64,7 +63,6 @@ pub mod tuple_core;
 pub mod view_tuple;
 pub mod walk;
 
-pub use bucket::{bucket_rewritings, build_buckets, BucketEntry, Buckets};
 pub use catalog_index::CatalogIndex;
 pub use classes::{view_equivalence_classes, view_tuple_classes};
 pub use corecover::{

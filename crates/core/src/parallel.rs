@@ -5,11 +5,10 @@
 //! millisecond at a thousand views, and fanning its stages out measured
 //! slower than serial or inside the noise on every workload tried
 //! (EXPERIMENTS.md "PR 22"). Independent requests do scale with cores,
-//! so the pool has exactly two callers: a batch of queries
-//! (`BatchServer::serve_batch`) and the query instances of a sweep point
-//! (`viewplan-bench`); an `xtask` lint keeps it that way. The build is
-//! offline, so instead of rayon this module provides the one primitive
-//! they need: an order-preserving [`parallel_map`] built on
+//! so the pool has exactly one caller, a batch of queries
+//! (`BatchServer::serve_batch`); an `xtask` lint keeps it that way. The
+//! build is offline, so instead of rayon this module provides the one
+//! primitive it needs: an order-preserving [`parallel_map`] built on
 //! [`std::thread::scope`].
 //!
 //! Workers pull item indices from a shared atomic counter (dynamic

@@ -26,7 +26,9 @@
 //! * [`NetServer`] — a thread-per-connection TCP front-end framing that
 //!   grammar in the length-prefixed [`net`] protocol, with read/write
 //!   timeouts, idle-connection reaping, graceful drain on shutdown, and
-//!   serving-layer fault injection ([`fault`]).
+//!   serving-layer fault injection ([`fault`]);
+//! * [`loadgen`] — the closed-loop client that drives a [`NetServer`]
+//!   over the same framing, with retries and an accounting identity.
 //!
 //! The correctness contract — a cached/batched answer is byte-identical
 //! to a cold single-query run *against the epoch that served it* — is
@@ -42,6 +44,7 @@ pub mod cache;
 pub mod catalog;
 pub mod command;
 pub mod fault;
+pub mod loadgen;
 pub mod net;
 mod template;
 

@@ -25,11 +25,11 @@
 //! regression is counted in `stale_epoch` and asserted zero by the DDL
 //! soak.
 
+use crate::net::{read_frame, write_frame};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 use viewplan_obs as obs;
-use viewplan_serve::net::{read_frame, write_frame};
 use viewplan_sync::thread;
 
 /// Load-generator knobs.
@@ -291,9 +291,9 @@ pub fn run_loadgen(addr: SocketAddr, queries: &[String], config: &LoadgenConfig)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LiveCatalog, NetConfig, NetServer, ServeConfig};
     use std::sync::Arc;
     use viewplan_cq::parse_views;
-    use viewplan_serve::{LiveCatalog, NetConfig, NetServer, ServeConfig};
 
     fn start() -> NetServer {
         let views = parse_views(

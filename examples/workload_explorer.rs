@@ -4,8 +4,8 @@
 //! `CoreCover`, and prints the quantities Figures 6–9 plot: running time,
 //! view equivalence classes, view tuples vs. representative view tuples,
 //! and the number of GMRs found. (The full sweep with 40 queries per
-//! point lives in the benchmark harness: `cargo run -p viewplan-bench
-//! --release --bin figures`.)
+//! point is the `figures` example: `cargo run --release --example
+//! figures`.)
 //!
 //! Run with: `cargo run --release --example workload_explorer`
 

@@ -5,7 +5,7 @@
 //! every command in process as well as through the executable.
 //!
 //! ```text
-//! viewplan rewrite FILE [--all-minimal] [--no-grouping] [--no-prune] [--baseline {naive,minicon,bucket}]
+//! viewplan rewrite FILE [--all-minimal] [--no-grouping] [--no-prune] [--baseline {naive,minicon}]
 //! viewplan plan    FILE [--model {m1,m2,m3}]
 //! viewplan explain FILE [--model {m1,m2,m3}] [--json]
 //! viewplan eval    FILE
@@ -224,7 +224,7 @@ fn print_help(out: &mut dyn Write) -> Result<(), CliError> {
         "viewplan — generating efficient plans for queries using views\n\
          \n\
          USAGE:\n\
-         viewplan rewrite FILE [--all-minimal] [--no-grouping] [--no-prune] [--baseline NAME]\n\
+         viewplan rewrite FILE [--all-minimal] [--no-grouping] [--no-prune] [--baseline naive|minicon]\n\
          viewplan plan    FILE [--model m1|m2|m3]\n\
          viewplan explain FILE [--model m1|m2|m3] [--json]\n\
          viewplan eval    FILE\n\
@@ -727,8 +727,11 @@ fn rewrite(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), 
             "minicon" => {
                 MiniCon::new(&problem.query, &problem.views).try_rewritings(true, 10_000)?
             }
-            "bucket" => crate::core::bucket_rewritings(&problem.query, &problem.views, 100_000),
-            other => return Err(CliError::Input(format!("unknown baseline {other:?}"))),
+            other => {
+                return Err(CliError::Input(format!(
+                    "unknown baseline {other:?} (expected naive or minicon)"
+                )))
+            }
         };
         writeln!(out, "{} rewriting(s) via {baseline}:", rs.len())?;
         for r in rs {
@@ -1250,7 +1253,7 @@ fn serve(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cl
 /// request; a stale-epoch answer or an unaccounted request is a server
 /// bug (exit 1).
 fn loadgen(args: &[String], _: &Common, out: &mut dyn Write) -> Result<(), CliError> {
-    use viewplan_bench::loadgen::{run_loadgen, LoadgenConfig};
+    use crate::serve::loadgen::{run_loadgen, LoadgenConfig};
     let addr = option(args, "--connect")
         .ok_or_else(|| CliError::input("loadgen needs --connect HOST:PORT"))?;
     let addr: std::net::SocketAddr = addr

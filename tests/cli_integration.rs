@@ -161,6 +161,18 @@ fn unknown_model_and_baseline_fail_with_exit_code_2() {
     assert!(stderr(&out).contains("unknown baseline"));
 }
 
+/// The bucket algorithm is not a baseline any more: naming it is an
+/// input error that lists the baselines there are.
+#[test]
+fn bucket_baseline_is_refused_naming_the_valid_ones() {
+    let out = viewplan(&["rewrite", PROBLEM, "--baseline", "bucket"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("unknown baseline \"bucket\""), "{err}");
+    assert!(err.contains("naive") && err.contains("minicon"), "{err}");
+    assert!(stdout(&out).is_empty());
+}
+
 #[test]
 fn bad_threads_value_fails_with_exit_code_2() {
     for bad in ["0", "many", "-3"] {

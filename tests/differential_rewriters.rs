@@ -1,7 +1,6 @@
-//! Differential testing across all four rewriting generators: CoreCover,
-//! the naive Theorem 3.1 search, MiniCon (equivalence-filtered), and the
-//! bucket algorithm. They explore different spaces, but everything any of
-//! them emits must be a genuine equivalent rewriting, and none may beat
+//! Differential testing across the three rewriting generators: CoreCover,
+//! the naive Theorem 3.1 search, and MiniCon (equivalence-filtered). They
+//! explore different spaces, but everything any of them emits must be a genuine equivalent rewriting, and none may beat
 //! CoreCover's minimum subgoal count.
 //!
 //! The second half turns the same oracle on the serving layer: a warm,
@@ -12,7 +11,6 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 use viewplan::containment::canonicalize;
-use viewplan::core::bucket_rewritings;
 use viewplan::obs::BudgetSpec;
 use viewplan::prelude::*;
 
@@ -27,7 +25,6 @@ fn all_generators(
         ),
         ("naive", naive_gmrs(q, views)),
         ("minicon", minicon_rewritings(q, views, true, 300)),
-        ("bucket", bucket_rewritings(q, views, 20_000)),
     ]
 }
 
@@ -83,12 +80,10 @@ fn corecover_minimum_is_a_global_lower_bound() {
 #[test]
 fn existence_is_agreed_on_by_complete_generators() {
     // CoreCover and the naive search are both complete for equivalent
-    // rewritings (Theorem 3.1); MiniCon and bucket must agree on
-    // existence too, because an equivalent rewriting exists iff one using
-    // view tuples exists, which both can reach after their respective
-    // validation steps... MiniCon's disjointness restriction can in
-    // principle miss overlap-requiring rewritings, so only assert one
-    // direction for it: if MiniCon finds one, CoreCover must.
+    // rewritings (Theorem 3.1), so they agree on existence. MiniCon's
+    // disjointness restriction can in principle miss overlap-requiring
+    // rewritings, so only assert one direction for it: if MiniCon finds
+    // one, CoreCover must.
     for seed in 0..8 {
         let w = generate(&WorkloadConfig::star(10, 1, seed));
         let cc_found = !CoreCover::new(&w.query, &w.views)
@@ -102,13 +97,6 @@ fn existence_is_agreed_on_by_complete_generators() {
             assert!(
                 cc_found,
                 "MiniCon found one but CoreCover missed it (seed {seed})"
-            );
-        }
-        let bucket_found = !bucket_rewritings(&w.query, &w.views, 20_000).is_empty();
-        if bucket_found {
-            assert!(
-                cc_found,
-                "bucket found one but CoreCover missed it (seed {seed})"
             );
         }
     }

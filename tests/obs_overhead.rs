@@ -10,13 +10,12 @@
 //! Run manually (timing asserts are too flaky for CI):
 //!
 //! ```bash
-//! cargo test -q -p viewplan-bench --release -- --ignored --nocapture
+//! cargo test -q --release --test obs_overhead -- --ignored --nocapture
 //! ```
 
 use std::time::Instant;
-use viewplan_core::CoreCover;
-use viewplan_obs as obs;
-use viewplan_workload::{generate, WorkloadConfig};
+use viewplan::obs;
+use viewplan::prelude::*;
 
 #[test]
 #[ignore = "timing-sensitive; run manually with --release --ignored"]
