@@ -90,9 +90,8 @@ pub struct CoreCoverConfig {
     /// Cap on the number of covers `CoreCover*` enumerates: the first
     /// this many in lexicographic order, before dedup and decision.
     pub max_rewritings: usize,
-    /// Inert: nothing reads it. A run is one thread whatever this says
-    /// — parallelism lives between requests ([`crate::parallel`]), never
-    /// inside one. The field survives only because
+    /// Inert: nothing reads it. A run is one thread whatever this says,
+    /// and so is every request that makes one. The field survives only because
     /// `benchmark/src/workloads/mod.rs` names it and the PR that made it
     /// inert could not edit `benchmark/`; remove both together.
     pub threads: usize,

@@ -55,7 +55,6 @@ pub mod error;
 pub mod lattice;
 pub mod minicon;
 pub mod naive;
-pub mod parallel;
 pub mod prepared;
 pub mod prune;
 pub mod rewriting;
@@ -78,7 +77,6 @@ pub use lattice::{
 };
 pub use minicon::{minicon_rewritings, Mcd, MiniCon};
 pub use naive::naive_gmrs;
-pub use parallel::parallel_map;
 pub use prepared::PreparedViews;
 pub use prune::{body_signature, view_is_unusable};
 pub use rewriting::{dedup_variants, dedup_variants_with_map, Rewriting};

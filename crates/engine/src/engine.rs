@@ -9,8 +9,9 @@
 //! in the thread's request context (`viewplan_obs::ctx`), else
 //! [`Engine::default`] (columnar). Callers that select an engine say so
 //! explicitly — the CLI installs its `--engine` value around the
-//! command, the differential tests install each engine in turn — and a
-//! worker pool that carries the context carries the choice.
+//! command, the differential tests install each engine in turn — and
+//! the choice holds on the installing thread only, like the rest of the
+//! context.
 
 use viewplan_obs::ctx::{self, CtxGuard};
 

@@ -10,9 +10,9 @@
 //!   optional wall-clock deadline and per-phase **per-search** node caps.
 //! * [`install`] / [`current`] — the current budget, one part of the
 //!   thread's [request context](crate::ctx). The CLI installs one around
-//!   a command; a worker pool that carries the context carries the
-//!   budget, so the whole pool observes one deadline and stops promptly
-//!   when it fires.
+//!   a command, the server one per request. A [`Budget`] handle is
+//!   shared state: threads that each install a clone observe one
+//!   deadline and stop promptly when it fires.
 //! * [`Meter`] — the per-search countdown ticked at backtrack points.
 //!   One `Meter` is created per search (per homomorphism check, per
 //!   cover enumeration, per plan search); each `tick()` is a decrement

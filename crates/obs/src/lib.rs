@@ -18,14 +18,13 @@
 //!   a human-readable phase tree, a machine-readable JSON dump, and a
 //!   Prometheus text exposition of everything.
 //! * **Traces** ([`trace::Trace`], [`trace_event!`]) — request-scoped
-//!   span trees with typed events, stitched across worker threads by
-//!   span id; export as a Chrome trace or a rendered tree. Snapshots of
+//!   span trees with typed events, recorded on the thread that installed
+//!   the trace; export as a Chrome trace or a rendered tree. Snapshots of
 //!   the registry ([`metrics_snapshot`]) subtract to isolate one
 //!   request's share of the global counters.
 //! * **The request context** ([`ctx`]) — the one thread-local slot that
-//!   holds a request's budget, trace, open spans and policy word; one
-//!   [`CtxGuard`] type restores it, one [`ctx::fork`] carries it to
-//!   worker threads.
+//!   holds a request's budget, trace and policy word, confined to the
+//!   thread that installed it; one [`CtxGuard`] type restores it.
 //!
 //! Collection is **off by default**: every instrumentation point first
 //! checks one relaxed atomic bool, so instrumented hot loops cost ~one
@@ -56,7 +55,7 @@ mod span;
 pub mod trace;
 
 pub use budget::{Budget, BudgetSpec, Completeness, Fault, FaultPoint, Meter, Phase};
-pub use ctx::{CtxGuard, RequestCtx};
+pub use ctx::CtxGuard;
 pub use json::{parse as parse_json, Json};
 pub use metrics::{
     counter_value, counters, histogram_snapshot, histograms, metrics_snapshot, Counter, Histogram,

@@ -7,16 +7,13 @@
 //! into one node — exactly what a per-phase profile of a 40-query sweep
 //! wants.
 //!
-//! **Buffering.** The open spans are the frame stack of the thread's
-//! [request context](crate::ctx); closed spans are staged beside it and
-//! merged into the global aggregate only when that stack empties (on a
-//! pool worker: when the context it entered is left). A worker pool at
-//! `--threads 8` therefore contributes each worker's timings in one
-//! atomic merge instead of interleaving per-span lock acquisitions into
-//! the shared map mid-flight — the phase tree a reporter reads is
-//! identical to the serial run's, and the hot path never touches the
+//! **Buffering.** The open spans are a per-thread frame stack kept
+//! beside the thread's [request context](crate::ctx); closed spans are
+//! staged there too and merged into the global aggregate only when that
+//! stack empties. A thread therefore contributes one outermost span's
+//! timings in one lock acquisition, and the hot path never touches the
 //! global lock. When a [`crate::trace::Trace`] is installed, each span
-//! additionally records start/end into the trace's per-thread buffers.
+//! additionally records start/end into the trace.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;

@@ -9,16 +9,15 @@
 //! events ([`trace_event!`]) — a view pruned, an MCD rejected, a cover
 //! verified, a cache hit — to whatever span is open.
 //!
-//! **Threading.** Each thread that participates in a trace appends to
-//! its own buffer (one `Vec` behind an uncontended mutex), so worker
-//! pools never serialize on a shared log. Spans carry process-unique ids
-//! and a parent id; [`Trace::tree`] stitches the per-thread buffers back
-//! into one tree by span id. The installed trace is part of the thread's
-//! [request context](crate::ctx), so a worker pool that carries the
-//! context carries the trace: each worker gets a buffer of its own, and
-//! its spans hang under the request span that spawned them.
+//! **Threading.** The installed trace is part of the thread's
+//! [request context](crate::ctx), so it records that thread only. A
+//! trace holds one record vector under one lock; each [`install`] gives
+//! the installing thread a trace-local `tid` that tags its records, so
+//! several threads may install one trace and still export balanced
+//! per-thread spans. Spans carry trace-unique ids and a parent id, from
+//! which [`Trace::tree`] builds the span tree.
 //!
-//! **Exports.** [`Trace::chrome_json`] renders the buffers as a Chrome
+//! **Exports.** [`Trace::chrome_json`] renders the records as a Chrome
 //! trace-event JSON array (load in `chrome://tracing` or Perfetto);
 //! [`Trace::render_tree`] renders a human-readable tree with durations
 //! and inline events (`viewplan ... --trace`).
@@ -88,8 +87,8 @@ impl From<&str> for AttrValue {
 /// Event attributes: name/value pairs with typed values.
 pub type Attrs = Vec<(&'static str, AttrValue)>;
 
-/// One record in a per-thread buffer. Span ids are process-unique within
-/// a trace; `parent` 0 means "root of the trace".
+/// One record of a trace. Span ids are unique within a trace; `parent`
+/// 0 means "root of the trace".
 enum Record {
     Start {
         id: u64,
@@ -109,25 +108,17 @@ enum Record {
     },
 }
 
-/// One thread's append-only record buffer. The mutex is uncontended in
-/// steady state (only its owning thread appends; readers come after the
-/// request completes), so a push costs an uncontended lock + `Vec` push.
-struct Buffer {
-    tid: u64,
-    records: Mutex<Vec<Record>>,
-}
-
 struct Inner {
     epoch: Instant,
     next_span: AtomicU64,
     next_tid: AtomicU64,
-    buffers: Mutex<Vec<Arc<Buffer>>>,
+    /// Every record in append order, each tagged with the `tid` of the
+    /// install that wrote it.
+    records: Mutex<Vec<(u64, Record)>>,
 }
 
 /// A request-scoped trace. Cheap to clone (an `Arc`); install it on the
-/// request thread with [`install`]; workers that
-/// [enter](crate::ctx::RequestCtx::enter) the request's context record
-/// into it too.
+/// request thread with [`install`].
 #[derive(Clone)]
 pub struct Trace {
     inner: Arc<Inner>,
@@ -147,7 +138,7 @@ impl Trace {
                 epoch: Instant::now(),
                 next_span: AtomicU64::new(1),
                 next_tid: AtomicU64::new(0),
-                buffers: Mutex::new(Vec::new()),
+                records: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -156,115 +147,79 @@ impl Trace {
         self.inner.epoch.elapsed().as_nanos() as u64
     }
 
-    fn register_thread(&self) -> Arc<Buffer> {
-        let buffer = Arc::new(Buffer {
-            // ordering: unique-id allocation; only atomicity matters.
-            tid: self.inner.next_tid.fetch_add(1, Ordering::Relaxed),
-            records: Mutex::new(Vec::new()),
-        });
-        self.inner.buffers.lock().push(buffer.clone());
-        buffer
-    }
-
-    fn same_trace(&self, other: &Trace) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+    fn push(&self, tid: u64, record: Record) {
+        self.inner.records.lock().push((tid, record));
     }
 
     /// Number of spans recorded so far (started, whether or not ended).
-    // lock-order: buffer registry, then each per-thread record buffer
-    // inside it — the order every reader uses; writers only ever hold
-    // their own record buffer, so the nesting cannot invert.
     pub fn span_count(&self) -> usize {
         self.inner
-            .buffers
+            .records
             .lock()
             .iter()
-            .map(|b| {
-                b.records
-                    .lock()
-                    .iter()
-                    .filter(|r| matches!(r, Record::Start { .. }))
-                    .count()
-            })
-            .sum()
+            .filter(|(_, r)| matches!(r, Record::Start { .. }))
+            .count()
     }
 
     /// Number of events recorded so far.
-    // lock-order: buffer registry, then each record buffer; see span_count.
     pub fn event_count(&self) -> usize {
         self.inner
-            .buffers
+            .records
             .lock()
             .iter()
-            .map(|b| {
-                b.records
-                    .lock()
-                    .iter()
-                    .filter(|r| matches!(r, Record::Event { .. }))
-                    .count()
-            })
-            .sum()
+            .filter(|(_, r)| matches!(r, Record::Event { .. }))
+            .count()
     }
 
-    /// Stitches the per-thread buffers into one span tree by span id.
-    /// Children are ordered by start time (ties by id, i.e. allocation
-    /// order); a span whose `End` was never recorded (trace exported
-    /// while it was still open) reports a zero duration.
-    // lock-order: buffer registry, then each record buffer; see span_count.
+    /// Builds the span tree by span id. Children are ordered by start
+    /// time (ties by id, i.e. allocation order); a span whose `End` was
+    /// never recorded (trace exported while it was still open) reports a
+    /// zero duration.
     pub fn tree(&self) -> Vec<TraceNode> {
         let mut spans: BTreeMap<u64, TraceNode> = BTreeMap::new();
         let mut parents: BTreeMap<u64, u64> = BTreeMap::new();
-        let buffers = self.inner.buffers.lock();
-        for buffer in buffers.iter() {
-            for record in buffer.records.lock().iter() {
-                match record {
-                    Record::Start {
-                        id,
-                        parent,
-                        name,
-                        t_ns,
-                    } => {
-                        parents.insert(*id, *parent);
-                        spans.insert(
-                            *id,
-                            TraceNode {
-                                id: *id,
-                                name,
-                                tid: buffer.tid,
-                                start_ns: *t_ns,
-                                end_ns: *t_ns,
-                                events: Vec::new(),
-                                children: Vec::new(),
-                            },
-                        );
+        for (tid, record) in self.inner.records.lock().iter() {
+            match record {
+                Record::Start {
+                    id,
+                    parent,
+                    name,
+                    t_ns,
+                } => {
+                    parents.insert(*id, *parent);
+                    spans.insert(
+                        *id,
+                        TraceNode {
+                            id: *id,
+                            name,
+                            tid: *tid,
+                            start_ns: *t_ns,
+                            end_ns: *t_ns,
+                            events: Vec::new(),
+                            children: Vec::new(),
+                        },
+                    );
+                }
+                Record::End { id, t_ns } => {
+                    if let Some(node) = spans.get_mut(id) {
+                        node.end_ns = *t_ns;
                     }
-                    Record::End { id, t_ns } => {
-                        if let Some(node) = spans.get_mut(id) {
-                            node.end_ns = *t_ns;
-                        }
-                    }
-                    Record::Event {
-                        span,
-                        name,
-                        t_ns,
-                        attrs,
-                    } => {
-                        if let Some(node) = spans.get_mut(span) {
-                            node.events.push(TraceEvent {
-                                name,
-                                t_ns: *t_ns,
-                                attrs: attrs.clone(),
-                            });
-                        }
+                }
+                Record::Event {
+                    span,
+                    name,
+                    t_ns,
+                    attrs,
+                } => {
+                    if let Some(node) = spans.get_mut(span) {
+                        node.events.push(TraceEvent {
+                            name,
+                            t_ns: *t_ns,
+                            attrs: attrs.clone(),
+                        });
                     }
                 }
             }
-        }
-        drop(buffers);
-        // Events within one span can arrive from several worker buffers;
-        // order them by time for a stable-by-construction rendering.
-        for node in spans.values_mut() {
-            node.events.sort_by_key(|e| e.t_ns);
         }
         // Attach children to parents, deepest ids first so that a child
         // is fully built (its own children attached) before it moves
@@ -292,57 +247,52 @@ impl Trace {
     /// tracing` / Perfetto interchange format): `B`/`E` duration pairs
     /// per span and `i` instant events, timestamps in microseconds,
     /// one `tid` per participating thread.
-    // lock-order: buffer registry, then each record buffer; see span_count.
     pub fn chrome_json(&self) -> String {
         let mut entries: Vec<Json> = Vec::new();
-        let buffers = self.inner.buffers.lock();
-        for buffer in buffers.iter() {
-            for record in buffer.records.lock().iter() {
-                let mut obj: BTreeMap<String, Json> = BTreeMap::new();
-                obj.insert("pid".into(), Json::num(1));
-                obj.insert("tid".into(), Json::num(buffer.tid));
-                match record {
-                    Record::Start { id, name, t_ns, .. } => {
-                        obj.insert("ph".into(), Json::str("B"));
-                        obj.insert("name".into(), Json::str(*name));
-                        obj.insert("ts".into(), Json::Number(*t_ns as f64 / 1e3));
-                        let mut args = BTreeMap::new();
-                        args.insert("span".to_string(), Json::num(*id));
-                        obj.insert("args".into(), Json::Object(args));
-                    }
-                    Record::End { t_ns, .. } => {
-                        obj.insert("ph".into(), Json::str("E"));
-                        obj.insert("ts".into(), Json::Number(*t_ns as f64 / 1e3));
-                    }
-                    Record::Event {
-                        span,
-                        name,
-                        t_ns,
-                        attrs,
-                    } => {
-                        obj.insert("ph".into(), Json::str("i"));
-                        obj.insert("s".into(), Json::str("t"));
-                        obj.insert("name".into(), Json::str(*name));
-                        obj.insert("ts".into(), Json::Number(*t_ns as f64 / 1e3));
-                        let mut args = BTreeMap::new();
-                        args.insert("span".to_string(), Json::num(*span));
-                        for (key, value) in attrs {
-                            args.insert(
-                                (*key).to_string(),
-                                match value {
-                                    AttrValue::U64(n) => Json::num(*n),
-                                    AttrValue::Str(s) => Json::str(s.clone()),
-                                    AttrValue::Bool(b) => Json::Bool(*b),
-                                },
-                            );
-                        }
-                        obj.insert("args".into(), Json::Object(args));
-                    }
+        for (tid, record) in self.inner.records.lock().iter() {
+            let mut obj: BTreeMap<String, Json> = BTreeMap::new();
+            obj.insert("pid".into(), Json::num(1));
+            obj.insert("tid".into(), Json::num(*tid));
+            match record {
+                Record::Start { id, name, t_ns, .. } => {
+                    obj.insert("ph".into(), Json::str("B"));
+                    obj.insert("name".into(), Json::str(*name));
+                    obj.insert("ts".into(), Json::Number(*t_ns as f64 / 1e3));
+                    let mut args = BTreeMap::new();
+                    args.insert("span".to_string(), Json::num(*id));
+                    obj.insert("args".into(), Json::Object(args));
                 }
-                entries.push(Json::Object(obj));
+                Record::End { t_ns, .. } => {
+                    obj.insert("ph".into(), Json::str("E"));
+                    obj.insert("ts".into(), Json::Number(*t_ns as f64 / 1e3));
+                }
+                Record::Event {
+                    span,
+                    name,
+                    t_ns,
+                    attrs,
+                } => {
+                    obj.insert("ph".into(), Json::str("i"));
+                    obj.insert("s".into(), Json::str("t"));
+                    obj.insert("name".into(), Json::str(*name));
+                    obj.insert("ts".into(), Json::Number(*t_ns as f64 / 1e3));
+                    let mut args = BTreeMap::new();
+                    args.insert("span".to_string(), Json::num(*span));
+                    for (key, value) in attrs {
+                        args.insert(
+                            (*key).to_string(),
+                            match value {
+                                AttrValue::U64(n) => Json::num(*n),
+                                AttrValue::Str(s) => Json::str(s.clone()),
+                                AttrValue::Bool(b) => Json::Bool(*b),
+                            },
+                        );
+                    }
+                    obj.insert("args".into(), Json::Object(args));
+                }
             }
+            entries.push(Json::Object(obj));
         }
-        drop(buffers);
         Json::Array(entries).render()
     }
 
@@ -463,7 +413,8 @@ pub struct TraceNode {
     pub id: u64,
     /// Span name (same names as the aggregate phase tree).
     pub name: &'static str,
-    /// The trace-local id of the thread that opened the span.
+    /// The trace-local id of the [`install`] the span opened under —
+    /// one per installing thread.
     pub tid: u64,
     /// Start, nanoseconds since the trace epoch.
     pub start_ns: u64,
@@ -491,12 +442,13 @@ pub struct TraceEvent {
 // ---------------------------------------------------------------------
 // Installation into the request context.
 
-/// A trace as one thread records into it — the `trace` part of a
-/// [`RequestCtx`](crate::ctx::RequestCtx).
+/// A trace as one install records into it — the `trace` part of the
+/// thread's request context.
 #[derive(Clone)]
 pub(crate) struct TraceSlot {
     trace: Trace,
-    buffer: Arc<Buffer>,
+    /// The trace-local id of this install, tagging its records.
+    tid: u64,
     /// How many span frames were already open on the thread when the
     /// trace was installed. Those are not this trace's spans: one opened
     /// at that depth is a root, and closing one of them records nothing.
@@ -517,12 +469,13 @@ impl TraceSlot {
     pub(crate) fn start(&self, name: &'static str, frames: &[Frame]) -> u64 {
         // ordering: unique-id allocation; only atomicity matters.
         let id = self.trace.inner.next_span.fetch_add(1, Ordering::Relaxed);
-        self.buffer.records.lock().push(Record::Start {
+        let start = Record::Start {
             id,
             parent: self.innermost(frames),
             name,
             t_ns: self.trace.now_ns(),
-        });
+        };
+        self.trace.push(self.tid, start);
         id
     }
 
@@ -530,36 +483,27 @@ impl TraceSlot {
     /// one of this trace's spans.
     pub(crate) fn end(&self, frame: &Frame, depth: usize) {
         if frame.id != 0 && depth >= self.floor {
-            self.buffer.records.lock().push(Record::End {
+            let end = Record::End {
                 id: frame.id,
                 t_ns: self.trace.now_ns(),
-            });
+            };
+            self.trace.push(self.tid, end);
         }
-    }
-
-    /// Points the slot at the calling thread's buffer: the one `here`
-    /// holds if the thread already records into this trace, else a new
-    /// one.
-    pub(crate) fn on_this_thread(&mut self, here: Option<&TraceSlot>) {
-        self.buffer = match here {
-            Some(here) if here.trace.same_trace(&self.trace) => here.buffer.clone(),
-            _ => self.trace.register_thread(),
-        };
     }
 }
 
 /// Installs `trace` on this thread for the guard's lifetime: every
 /// subsequent [`crate::span`] and [`trace_event!`] on this thread
-/// records into it (while collection is [enabled](crate::enabled)).
+/// records into it (while collection is [enabled](crate::enabled)),
+/// under a `tid` of its own.
 pub fn install(trace: &Trace) -> CtxGuard {
-    let buffer = trace.register_thread();
-    ctx::scoped(|ctx| {
-        ctx.trace = Some(TraceSlot {
-            trace: trace.clone(),
-            buffer,
-            floor: ctx.frames.len(),
-        })
-    })
+    let slot = TraceSlot {
+        trace: trace.clone(),
+        // ordering: unique-id allocation; only atomicity matters.
+        tid: trace.inner.next_tid.fetch_add(1, Ordering::Relaxed),
+        floor: ctx::with_frames(|_, frames| frames.len()),
+    };
+    ctx::scoped(|ctx| ctx.trace = Some(slot))
 }
 
 /// Whether a trace is installed on this thread (regardless of the
@@ -577,15 +521,15 @@ pub fn record_event(name: &'static str, attrs: impl FnOnce() -> Attrs) {
     if !crate::enabled() {
         return;
     }
-    ctx::with(|ctx| {
+    ctx::with_frames(|ctx, frames| {
         if let Some(slot) = &ctx.trace {
             let event = Record::Event {
-                span: slot.innermost(&ctx.frames),
+                span: slot.innermost(frames),
                 name,
                 t_ns: slot.trace.now_ns(),
                 attrs: attrs(),
             };
-            slot.buffer.records.lock().push(event);
+            slot.trace.push(slot.tid, event);
         }
     });
 }
@@ -700,6 +644,35 @@ mod tests {
                 .and_then(Json::as_str),
             Some("demo")
         );
+        crate::set_enabled(false);
+    }
+
+    #[test]
+    fn two_threads_installing_one_trace_export_one_tid_each() {
+        let _serial = crate::testlock::serial();
+        crate::set_enabled(true);
+        let trace = Trace::new();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let _g = install(&trace);
+                    let _outer = crate::span("trace_test.thread_outer");
+                    let _inner = crate::span("trace_test.thread_inner");
+                });
+            }
+        });
+        let parsed = crate::json::parse(&trace.chrome_json()).expect("chrome trace is valid JSON");
+        validate_chrome_trace(&parsed).expect("each thread's spans balance under its own tid");
+        let tids: std::collections::BTreeSet<u64> = parsed
+            .as_array()
+            .expect("top level is an array")
+            .iter()
+            .filter_map(|e| e.get("tid").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(tids.len(), 2, "{tids:?}");
+        let roots = trace.tree();
+        assert_eq!(roots.len(), 2, "each thread's outer span is a root");
+        assert!(roots.iter().all(|r| r.children.len() == 1));
         crate::set_enabled(false);
     }
 

@@ -5,12 +5,12 @@
 //! queries against a fixed view set:
 //!
 //! * the [`PreparedViews`] — the query-independent §5.2 preprocessing,
-//!   computed once at construction and read read-only by every worker;
+//!   computed once at construction and read read-only by every request;
 //! * the [`RewritingCache`] — answers keyed on the query canonicalized
 //!   up to variable renaming.
 //!
-//! **The byte-identity argument.** Every request — cold or warm, serial
-//! or on a pool worker — takes the same three steps:
+//! **The byte-identity argument.** Every request — cold or warm, on
+//! whichever thread calls — takes the same three steps:
 //!
 //! 1. arrive at the query in dense variable names (`__c0`, `__c1`, … by
 //!    first occurrence) with the caller's spellings set aside: the
@@ -45,9 +45,9 @@
 //! answers are served but never cached (see [`crate::cache`]).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use viewplan_containment::{canonicalize, CanonicalParse, CanonicalQuery};
-use viewplan_core::{parallel_map, CoreCover, CoreCoverConfig, PreparedViews, Rewriting};
+use viewplan_core::{CoreCover, CoreCoverConfig, PreparedViews, Rewriting};
 use viewplan_cost::{CostModel, Optimizer, PhysicalPlan, PlanError, PlannedRewriting, SizeOracle};
 use viewplan_cq::{Atom, ConjunctiveQuery, Spelled, Substitution, Symbol, Term, ViewSet};
 use viewplan_engine::{AnnotatedStep, Engine};
@@ -222,9 +222,9 @@ impl SizeOracle for NullOracle {
 }
 
 /// A multi-query server over one view set. Construct once, then call
-/// [`BatchServer::serve`] per query or [`BatchServer::serve_batch`] for
-/// a whole stream; the server is `Sync` and shares its prepared views
-/// and cache across the worker pool by reference.
+/// [`BatchServer::serve`] per query; the server is `Sync`, so threads
+/// that each run their own requests share its prepared views and cache
+/// by reference.
 pub struct BatchServer {
     prepared: Arc<PreparedViews>,
     config: ServeConfig,
@@ -411,25 +411,6 @@ impl BatchServer {
                 Ok((computed, false))
             }
         }
-    }
-
-    /// Answers a stream of queries on up to `threads` workers, one
-    /// request per worker at a time — the product's one fan-out site
-    /// (the pool is order-preserving and deterministic at any thread
-    /// count; a request itself never leaves its thread). Each answer
-    /// comes with the time its request took. The prepared views and
-    /// cache are shared read-only/lock-sharded.
-    pub fn serve_batch(
-        &self,
-        queries: &[ConjunctiveQuery],
-        threads: usize,
-    ) -> Vec<(Result<ServedAnswer, PlanError>, Duration)> {
-        let _span = obs::span("serve.batch");
-        parallel_map(threads, queries, |q| {
-            let started = Instant::now();
-            let result = self.serve(q);
-            (result, started.elapsed())
-        })
     }
 
     /// The cache-miss path: generation over prepared views + M1
@@ -623,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_results_match_serial_at_any_thread_count() {
+    fn concurrent_requests_render_as_serial_ones() {
         let views = example41_views();
         let queries: Vec<ConjunctiveQuery> = (0..12)
             .map(|i| {
@@ -638,19 +619,21 @@ mod tests {
                 }
             })
             .collect();
-        let reference: Vec<String> = BatchServer::new(&views)
-            .serve_batch(&queries, 1)
-            .into_iter()
-            .map(|(r, _)| r.unwrap().render())
+        let serial = BatchServer::new(&views);
+        let reference: Vec<String> = queries
+            .iter()
+            .map(|q| serial.serve(q).unwrap().render())
             .collect();
-        for threads in [2, 8] {
-            let out: Vec<String> = BatchServer::new(&views)
-                .serve_batch(&queries, threads)
-                .into_iter()
-                .map(|(r, _)| r.unwrap().render())
+        // One thread per request, all sharing one server and cache.
+        let server = BatchServer::new(&views);
+        let out: Vec<String> = std::thread::scope(|scope| {
+            let requests: Vec<_> = queries
+                .iter()
+                .map(|q| scope.spawn(|| server.serve(q).unwrap().render()))
                 .collect();
-            assert_eq!(out, reference, "threads = {threads}");
-        }
+            requests.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(out, reference);
     }
 
     #[test]

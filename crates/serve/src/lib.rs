@@ -8,8 +8,8 @@
 //!
 //! * [`BatchServer`] — owns the per-view-set preprocessing
 //!   ([`viewplan_core::PreparedViews`], computed once) and answers
-//!   queries one at a time or in parallel batches over the PR 2 worker
-//!   pool;
+//!   queries one at a time, each on the thread that asks — concurrency
+//!   comes from [`NetServer`]'s connection threads, not from a pool;
 //! * [`RewritingCache`] — a bounded, sharded LRU cache of answers keyed
 //!   on queries canonicalized up to variable renaming, epoch-versioned
 //!   for the live catalog, with the poisoning rule that budget-truncated

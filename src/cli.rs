@@ -18,15 +18,15 @@
 //! ```
 //!
 //! `batch` answers a whole stream of queries against one view set in a
-//! single process: the per-view-set preprocessing runs once, requests
-//! fan out over `--threads N` workers (one request per worker at a time
-//! — a request itself never leaves its thread, so `batch` is the only
-//! command that takes the flag), and answers are cached by the query's
-//! canonical form (identical up to variable renaming). `FILE` holds the
-//! view rules, then a `---` line, then one query rule per line; with
-//! `--workload` the stream is generated instead. Per-query stdout is
-//! byte-identical at any thread count and cache setting; cache/latency
-//! observability goes to stderr and the optional `--csv` file.
+//! single process: the per-view-set preprocessing runs once, the
+//! requests run one after another on the command's thread, and answers
+//! are cached by the query's canonical form (identical up to variable
+//! renaming). `FILE` holds the view rules, then a `---` line, then one
+//! query rule per line; with `--workload` the stream is generated
+//! instead. Per-query stdout is byte-identical at any cache setting;
+//! cache/latency observability goes to stderr and the optional `--csv`
+//! file. Requests run side by side only behind `serve --listen`, one
+//! connection thread each.
 //! `serve` is the interactive form: views from a file, requests on stdin
 //! (or over TCP with `--listen ADDR`, speaking a length-prefixed frame
 //! protocol with admission control and load shedding). Both front-ends
@@ -49,9 +49,11 @@
 //!
 //! Every command also accepts `--stats` (print a phase/counter report to
 //! stderr), `--stats-json FILE` (dump the full metrics registry as JSON),
-//! `--trace` (render this request's span tree with typed events on
-//! stderr), `--trace-json FILE` (export the same trace as Chrome
-//! trace-event JSON for `chrome://tracing` / Perfetto), `--metrics-out
+//! `--trace` (render the span tree of the command's own thread with
+//! typed events on stderr), `--trace-json FILE` (export the same trace
+//! as Chrome trace-event JSON for `chrome://tracing` / Perfetto; neither
+//! is taken by `loadgen`, nor by `serve --listen`, whose requests run on
+//! connection threads), `--metrics-out
 //! FILE` (write a Prometheus text-format snapshot of all counters and
 //! histograms), and `--engine row|columnar|yannakakis` (pick the
 //! executor; answers are byte-identical — default columnar), parsed
@@ -178,8 +180,7 @@ fn dispatch(args: &[String], env: &Env, out: &mut dyn Write) -> Result<(), CliEr
     };
     check_options(name, rest)?;
     let common = Common::parse(rest, env)?;
-    // One scoped install around the whole command; `batch`'s worker
-    // pool carries it onto its threads.
+    // One scoped install around the whole command, on its one thread.
     let _engine = crate::engine::install(common.engine);
     let stats = stats_request(rest);
     command(rest, &common, out)?;
@@ -244,14 +245,12 @@ fn print_help(out: &mut dyn Write) -> Result<(), CliError> {
          commands refuse (exit 2) inputs `check` reports errors for.\n\
          \n\
          `batch` serves many queries against one view set in one process:\n\
-         the per-view-set preprocessing runs once, requests fan out over\n\
-         --threads N workers (default 1; one request per worker at a time —\n\
-         a request itself is one thread, so only `batch` takes the flag),\n\
-         and answers are cached by the query's form up to variable\n\
-         renaming (budget-truncated answers are never cached).\n\
+         the per-view-set preprocessing runs once, the requests run one\n\
+         after another, and answers are cached by the query's form up to\n\
+         variable renaming (budget-truncated answers are never cached).\n\
          batch FILE = view rules, a `---` line, then one query per line.\n\
-         Per-query stdout is byte-identical at any thread count and cache\n\
-         setting; cache hit/miss and latency columns go to stderr / --csv.\n\
+         Per-query stdout is byte-identical at any cache setting; cache\n\
+         hit/miss and latency columns go to stderr / --csv.\n\
          \n\
          `serve --listen ADDR` turns the interactive server into a TCP\n\
          endpoint (length-prefixed frames; `127.0.0.1:0` picks a port,\n\
@@ -285,8 +284,10 @@ fn print_help(out: &mut dyn Write) -> Result<(), CliError> {
          columnar on cyclic ones; default: columnar), --stats\n\
          (phase/counter report on stderr),\n\
          --stats-json FILE (dump the metrics registry as JSON),\n\
-         --trace (render the request's span tree + typed events on\n\
-         stderr), --trace-json FILE (Chrome trace-event export),\n\
+         --trace (render the span tree of the command's own thread +\n\
+         typed events on stderr), --trace-json FILE (Chrome trace-event\n\
+         export; neither on loadgen or serve --listen, whose requests run\n\
+         on other threads — use --stats / --metrics-out there),\n\
          --metrics-out FILE (Prometheus text-format snapshot). Timing\n\
          numbers come from the standalone harness under benchmark/ (see\n\
          benchmark/README.md).\n\
@@ -458,6 +459,11 @@ fn check(args: &[String], color: bool, out: &mut dyn Write) -> Result<(), CliErr
 const ALL: &[&str] = &[
     "check", "rewrite", "plan", "explain", "eval", "batch", "serve", "loadgen", "soak",
 ];
+/// The commands a trace can record: every one but `loadgen`, whose
+/// client threads open no spans (`serve` refuses it with `--listen`).
+const TRACED: &[&str] = &[
+    "check", "rewrite", "plan", "explain", "eval", "batch", "serve", "soak",
+];
 /// The commands that run the pipeline under an anytime budget.
 const BUDGETED: &[&str] = &[
     "rewrite", "plan", "explain", "eval", "batch", "serve", "soak",
@@ -472,8 +478,8 @@ const OPTIONS: &[(&str, bool, &[&str])] = &[
     ("--stats", false, ALL),
     ("--stats-json", true, ALL),
     ("--metrics-out", true, ALL),
-    ("--trace", false, ALL),
-    ("--trace-json", true, ALL),
+    ("--trace", false, TRACED),
+    ("--trace-json", true, TRACED),
     ("--timeout-ms", true, BUDGETED),
     ("--node-budget", true, BUDGETED),
     (
@@ -489,7 +495,6 @@ const OPTIONS: &[(&str, bool, &[&str])] = &[
     ("--no-cache", false, SERVING),
     ("--cache-capacity", true, SERVING),
     ("--csv", true, &["batch"]),
-    ("--threads", true, &["batch"]),
     ("--workload", true, &["batch"]),
     ("--repeat", true, &["batch"]),
     ("--queries", true, GENERATED),
@@ -585,12 +590,6 @@ fn file_arg(args: &[String]) -> Result<&str, CliError> {
             "unexpected extra argument {extra:?}"
         ))),
     }
-}
-
-/// `batch`'s `--threads` value: a positive integer, 1 (serial) when the
-/// flag is absent.
-fn threads_arg(args: &[String]) -> Result<usize, CliError> {
-    u64_arg(args, "--threads", 1).map(|n| n as usize)
 }
 
 /// A `--name N` option holding a positive integer, with a default when
@@ -926,8 +925,9 @@ fn eval(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
 /// The serving configuration shared by `batch` and `serve`. Budgets are
 /// per-request (each request gets its own deadline/node caps) and
 /// caching defaults on. A request's pipeline is one thread: `batch`
-/// spends `--threads` *across* requests, `serve` runs each request on
-/// the connection thread the admission gate let through.
+/// runs its requests one after another, `serve` runs each request on
+/// the thread that read it — with `--listen`, the connection thread the
+/// admission gate let through.
 fn serve_config(args: &[String], common: &Common) -> Result<ServeConfig, CliError> {
     let mut config = ServeConfig {
         all_minimal: flag(args, "--all-minimal"),
@@ -1027,11 +1027,11 @@ fn generated_stream(
 /// One batch request's timed result.
 type TimedResult = (Result<ServedAnswer, PlanError>, std::time::Duration);
 
-/// Serves a query stream against one view set. Per-query stdout is
-/// deterministic (byte-identical at any thread count and cache setting);
-/// the cache/latency observability goes to stderr and `--csv`.
+/// Serves a query stream against one view set, one request after
+/// another. Per-query stdout is deterministic (byte-identical at any
+/// cache setting); the cache/latency observability goes to stderr and
+/// `--csv`.
 fn batch(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), CliError> {
-    let threads = threads_arg(args)?;
     let config = serve_config(args, common)?;
     let (views, queries) = match option(args, "--workload") {
         Some(shape) => {
@@ -1046,7 +1046,13 @@ fn batch(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cl
     };
     let server = BatchServer::with_config(&views, config);
     let started = std::time::Instant::now();
-    let results: Vec<TimedResult> = server.serve_batch(&queries, threads);
+    let results: Vec<TimedResult> = queries
+        .iter()
+        .map(|q| {
+            let began = std::time::Instant::now();
+            (server.serve(q), began.elapsed())
+        })
+        .collect();
     let total = started.elapsed();
     let mut tally = [0usize; 3]; // complete / truncated / deadline
     let mut errors = 0usize;
@@ -1069,10 +1075,9 @@ fn batch(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cl
         writeln!(out)?;
     }
     eprintln!(
-        "batch: {} quer(ies) on {} thread(s) in {:.1} ms \
+        "batch: {} quer(ies) in {:.1} ms \
          ({} complete, {} truncated, {} deadline-exceeded, {errors} error(s))",
         queries.len(),
-        threads,
         total.as_secs_f64() * 1e3,
         tally[0],
         tally[1],
@@ -1184,12 +1189,20 @@ fn net_config(args: &[String]) -> Result<crate::serve::NetConfig, CliError> {
 /// plus a blank line (errors go to stderr).
 fn serve(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), CliError> {
     use crate::serve::{command, LiveCatalog, NetServer, Reply, ServeFaults};
+    let listen = option(args, "--listen");
+    if listen.is_some() && (flag(args, "--trace") || option(args, "--trace-json").is_some()) {
+        return Err(CliError::input(
+            "--trace / --trace-json record the command's own thread, and `serve --listen` \
+             answers every request on a connection thread; use --stats or --metrics-out, \
+             which aggregate across threads",
+        ));
+    }
     let path = file_arg(args)?;
     let config = serve_config(args, common)?;
     let views = load_views_file(path)?;
     let faults = std::sync::Arc::new(ServeFaults::new(common.fault));
     let catalog = std::sync::Arc::new(LiveCatalog::with_faults(&views, config, faults));
-    if let Some(addr) = option(args, "--listen") {
+    if let Some(addr) = listen {
         let mut server = NetServer::start(catalog, addr, net_config(args)?)
             .map_err(|e| CliError::Input(format!("cannot listen on {addr}: {e}")))?;
         // The resolved address (`:0` picks a port) goes to stderr so
@@ -1392,7 +1405,7 @@ fn soak(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
 
 #[cfg(test)]
 mod tests {
-    use super::{file_arg, option, positional_args, threads_arg, CliError};
+    use super::{file_arg, option, positional_args, u64_arg, CliError};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1451,16 +1464,17 @@ mod tests {
     }
 
     #[test]
-    fn threads_arg_parses_and_rejects() {
-        assert_eq!(threads_arg(&args(&["f.vp", "--threads", "8"])).unwrap(), 8);
-        assert!(threads_arg(&args(&["f.vp"])).unwrap() >= 1);
+    fn u64_arg_parses_and_rejects() {
+        let cap = |list: &[&str]| u64_arg(&args(list), "--cache-capacity", 4096);
+        assert_eq!(cap(&["f.vp", "--cache-capacity", "8"]).unwrap(), 8);
+        assert_eq!(cap(&["f.vp"]).unwrap(), 4096);
         for bad in [
-            &["--threads", "0"][..],
-            &["--threads", "eight"],
-            &["--threads", "-2"],
+            &["--cache-capacity", "0"][..],
+            &["--cache-capacity", "eight"],
+            &["--cache-capacity", "-2"],
         ] {
-            match threads_arg(&args(bad)).unwrap_err() {
-                CliError::Input(msg) => assert!(msg.contains("--threads")),
+            match cap(bad).unwrap_err() {
+                CliError::Input(msg) => assert!(msg.contains("--cache-capacity")),
                 other => panic!("expected an input error, got {other:?}"),
             }
         }

@@ -3,7 +3,7 @@
 //! `--stats-json` reporters.
 
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const PROBLEM: &str = "examples/problems/carlocpart.vp";
 /// Views, a `---` line, queries: what `batch` reads.
@@ -173,36 +173,52 @@ fn bucket_baseline_is_refused_naming_the_valid_ones() {
     assert!(stdout(&out).is_empty());
 }
 
+/// A request is one thread and `batch` runs its requests one after
+/// another, so no command takes `--threads`.
 #[test]
-fn bad_threads_value_fails_with_exit_code_2() {
-    for bad in ["0", "many", "-3"] {
-        let out = viewplan(&["batch", BATCH, "--threads", bad]);
-        assert_eq!(out.status.code(), Some(2), "--threads {bad}");
-        assert!(stderr(&out).contains("--threads expects a positive integer"));
-    }
-}
-
-/// A request is one thread: only `batch`, which spends workers across
-/// requests, takes `--threads`.
-#[test]
-fn threads_flag_is_refused_by_every_command_but_batch() {
+fn threads_flag_is_refused_by_every_command() {
     for args in [
         &["rewrite", PROBLEM][..],
         &["plan", PROBLEM],
         &["explain", PROBLEM],
         &["eval", PROBLEM],
         &["check", PROBLEM],
+        &["batch", BATCH],
         &["serve", BATCH],
         &["soak"],
         &["loadgen", BATCH, "--connect", "127.0.0.1:1"],
     ] {
         let mut argv = args.to_vec();
-        argv.extend(["--threads", "2"]);
+        argv.extend("--threads 2".split(' '));
+        let out = viewplan(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        let complaint = format!("unknown option \"--threads\" for `viewplan {}`", args[0]);
+        assert!(err.contains(&complaint), "{argv:?}: {err}");
+        assert!(!err.contains("belongs to"), "{argv:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{argv:?} ran anyway");
+    }
+}
+
+/// `loadgen` opens no spans, so a trace of it would always be empty.
+#[test]
+fn trace_flags_are_refused_by_loadgen() {
+    let queries = temp_problem("viewplan_cli_loadgen_queries.vp", "q(X) :- a(X, X).\n");
+    let json = std::env::temp_dir().join("viewplan_cli_loadgen_trace.json");
+    for flag in [&["--trace"][..], &["--trace-json", json.to_str().unwrap()]] {
+        let mut argv = vec![
+            "loadgen",
+            queries.to_str().unwrap(),
+            "--connect",
+            "127.0.0.1:1",
+        ];
+        argv.extend(flag);
         let out = viewplan(&argv);
         assert_eq!(out.status.code(), Some(2), "{argv:?}: {}", stderr(&out));
         let complaint = format!(
-            "unknown option \"--threads\" for `viewplan {}` (it belongs to: batch)",
-            args[0]
+            "unknown option \"{}\" for `viewplan loadgen` (it belongs to: \
+             check, rewrite, plan, explain, eval, batch, serve, soak)",
+            flag[0]
         );
         assert!(
             stderr(&out).contains(&complaint),
@@ -211,6 +227,43 @@ fn threads_flag_is_refused_by_every_command_but_batch() {
         );
         assert!(stdout(&out).is_empty(), "{argv:?} ran anyway");
     }
+    let _ = std::fs::remove_file(&queries);
+}
+
+/// A trace records the command's own thread; `serve --listen` answers
+/// on connection threads, so it refuses both trace flags up front
+/// instead of listening and printing a trace without the requests.
+#[test]
+fn trace_flags_are_refused_by_serve_listen() {
+    let views = temp_problem("viewplan_cli_listen_views.vp", "v(A, B) :- a(A, B).\n");
+    let json = std::env::temp_dir().join("viewplan_cli_listen_trace.json");
+    for flag in [&["--trace"][..], &["--trace-json", json.to_str().unwrap()]] {
+        let mut argv = vec!["serve", views.to_str().unwrap(), "--listen", "127.0.0.1:0"];
+        argv.extend(flag);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_viewplan"))
+            .args(&argv)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("failed to spawn viewplan");
+        // A server that did start listening would never exit: stop it.
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while child.try_wait().unwrap().is_none() && std::time::Instant::now() < give_up {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let _ = child.kill();
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("connection thread"), "{argv:?}: {err}");
+        assert!(
+            err.contains("--stats") && err.contains("--metrics-out"),
+            "{argv:?}: {err}"
+        );
+        assert!(!err.contains("listening on"), "{argv:?}: {err}");
+    }
+    let _ = std::fs::remove_file(&views);
 }
 
 #[test]
@@ -224,17 +277,6 @@ fn too_wide_query_fails_with_exit_code_2() {
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("65 subgoals"));
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn threads_flag_gives_identical_batch_output() {
-    let serial = viewplan(&["batch", BATCH, "--no-cache", "--threads", "1"]);
-    assert!(serial.status.success(), "stderr: {}", stderr(&serial));
-    for n in ["2", "8"] {
-        let par = viewplan(&["batch", BATCH, "--no-cache", "--threads", n]);
-        assert!(par.status.success(), "stderr: {}", stderr(&par));
-        assert_eq!(stdout(&par), stdout(&serial), "--threads {n}");
-    }
 }
 
 /// The M1 cost is the subgoal count, so the plan is the one-view
@@ -368,11 +410,8 @@ fn metrics_out_writes_prometheus_exposition() {
     let path_str = path.to_str().unwrap();
     let _ = std::fs::remove_file(&path);
 
-    // Eight workers on purpose: single-flight coalescing guarantees that
-    // concurrent duplicates elect one computing leader and the rest share
-    // its answer as hits (the interleaving-model suite pins
-    // hits + misses == lookups across every schedule), so the exposition
-    // always carries both lookup counters.
+    // The stream repeats, so the exposition carries both lookup
+    // counters: the first pass misses, the second hits.
     let out = viewplan(&[
         "batch",
         "--workload",
@@ -381,8 +420,6 @@ fn metrics_out_writes_prometheus_exposition() {
         "3",
         "--repeat",
         "2",
-        "--threads",
-        "8",
         "--metrics-out",
         path_str,
     ]);

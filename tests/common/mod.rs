@@ -1,4 +1,7 @@
-//! Instances shared between the differential tests.
+//! Instances and drivers shared between the differential tests.
+
+// Each test binary compiles this module and uses a different part of it.
+#![allow(dead_code)]
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use viewplan::prelude::*;
@@ -71,4 +74,33 @@ pub fn small_problem(seed: u64) -> Workload {
         query: parse_query(&query).unwrap_or_else(|e| panic!("{query}: {e}")),
         views: parse_views(&views).unwrap_or_else(|e| panic!("{views}: {e}")),
     }
+}
+
+/// Serves `queries` on `threads` threads that share one `server` — thread
+/// `t` answers requests `t`, `t + threads`, … in turn — and returns the
+/// answers in input order. Each request runs on one thread, as behind
+/// `serve --listen`; the threads share only the server and its cache.
+pub fn serve_concurrently(
+    server: &BatchServer,
+    queries: &[ConjunctiveQuery],
+    threads: usize,
+) -> Vec<Result<ServedAnswer, viewplan::cost::PlanError>> {
+    let mut answers: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                scope.spawn(move || {
+                    let stripe = queries.iter().enumerate().skip(t).step_by(threads);
+                    stripe
+                        .map(|(i, q)| (i, server.serve(q)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a serving thread panicked"))
+            .collect()
+    });
+    answers.sort_by_key(|&(i, _)| i);
+    answers.into_iter().map(|(_, answer)| answer).collect()
 }

@@ -1,8 +1,7 @@
 //! Differential testing of the acyclic semijoin fast path against the
 //! homomorphism DFS — the containment half of the acyclicity tentpole:
 //! for every query pair, the semijoin verdict and the search verdict
-//! must be the **same boolean**, whether checks run on one thread or
-//! eight, with or without node budgets.
+//! must be the **same boolean**, with or without node budgets.
 //!
 //! Routing is also pinned down: acyclic patterns (star, chain) provably
 //! take the fast path and cyclic ones (triangles) provably fall back to
@@ -172,8 +171,7 @@ fn counters_prove_routing() {
 }
 
 // ---------------------------------------------------------------------
-// Worker threads: the routed check on eight pool workers against the
-// DFS on the caller's thread.
+// A fixed corpus: the routed check against the DFS.
 
 /// A fixed corpus with known mixed verdicts, each checked both ways.
 fn corpus() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {
@@ -193,12 +191,12 @@ fn corpus() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {
 }
 
 #[test]
-fn verdicts_agree_across_eight_worker_threads() {
+fn routed_verdicts_agree_with_the_dfs_on_a_fixed_corpus() {
     let pairs = corpus();
-    // Ground truth: the DFS, serially.
     let truth: Vec<(bool, bool)> = pairs.iter().map(|(a, b)| (dfs(a, b), dfs(b, a))).collect();
-    let got = viewplan::core::parallel_map(8, &pairs, |(a, b)| {
-        (is_contained_in(a, b), is_contained_in(b, a))
-    });
-    assert_eq!(got, truth, "a worker's verdict diverged");
+    let got: Vec<(bool, bool)> = pairs
+        .iter()
+        .map(|(a, b)| (is_contained_in(a, b), is_contained_in(b, a)))
+        .collect();
+    assert_eq!(got, truth, "a routed verdict diverged");
 }

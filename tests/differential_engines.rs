@@ -22,6 +22,8 @@
 //!    [`EngineError::ArityConflict`] from `Database::try_get_or_create`
 //!    / `try_insert`, and a bad fact file exits the CLI with code 2.
 
+mod common;
+
 use proptest::prelude::*;
 use std::process::Command;
 use viewplan::engine::install;
@@ -471,8 +473,8 @@ fn probe_lengths_around_the_batch_size() {
 
 // ---------------------------------------------------------------------
 // Workload-scale differential: the full pipeline (CoreCover over
-// canonical databases, M1 planning, serving) under each engine, at
-// thread counts 1 and 8, with and without node budgets.
+// canonical databases, M1 planning, serving) under each engine, on 1
+// and 8 threads sharing one server, with and without node budgets.
 
 fn served_renders(
     views: &ViewSet,
@@ -489,10 +491,9 @@ fn served_renders(
             ..ServeConfig::default()
         },
     );
-    server
-        .serve_batch(stream, threads)
+    common::serve_concurrently(&server, stream, threads)
         .into_iter()
-        .map(|(r, _)| match r {
+        .map(|r| match r {
             Ok(a) => a.render(),
             Err(e) => format!("error: {e}"),
         })

@@ -4,9 +4,11 @@
 //! CoreCover's minimum subgoal count.
 //!
 //! The second half turns the same oracle on the serving layer: a warm,
-//! batched, cached [`BatchServer`] must render answers byte-identical to
-//! cold single-query runs at every thread count, and budget-truncated
+//! cached [`BatchServer`] must render answers byte-identical to cold
+//! single-query runs however many threads share it, and budget-truncated
 //! answers must never poison the cache.
+
+mod common;
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -157,8 +159,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The tentpole contract, adversarially sampled: a warm cached batch
-    /// renders byte-identically to cold single-query runs at thread
-    /// counts 1, 2, and 8.
+    /// renders byte-identically to cold single-query runs on 1, 2 and
+    /// 8 threads sharing one server.
     #[test]
     fn batch_warm_renders_byte_identical_to_cold(
         (shape, seed, nqueries) in (0..3usize, 0..1000u64, 2..5usize)
@@ -168,10 +170,9 @@ proptest! {
         let cold = cold_renders(&views, &stream, &config);
         for threads in [1, 2, 8] {
             let server = BatchServer::with_config(&views, config.clone());
-            let warm: Vec<String> = server
-                .serve_batch(&stream, threads)
+            let warm: Vec<String> = common::serve_concurrently(&server, &stream, threads)
                 .into_iter()
-                .map(|(r, _)| r.expect("warm serve").render())
+                .map(|r| r.expect("warm serve").render())
                 .collect();
             prop_assert_eq!(
                 &warm, &cold,
@@ -196,10 +197,9 @@ proptest! {
         };
         let cold = cold_renders(&views, &stream, &config);
         let server = BatchServer::with_config(&views, config.clone());
-        let answers: Vec<ServedAnswer> = server
-            .serve_batch(&stream, 4)
+        let answers: Vec<ServedAnswer> = common::serve_concurrently(&server, &stream, 4)
             .into_iter()
-            .map(|(r, _)| r.expect("budgeted serve"))
+            .map(|r| r.expect("budgeted serve"))
             .collect();
         let warm: Vec<String> = answers.iter().map(|a| a.render()).collect();
         prop_assert_eq!(&warm, &cold, "budgeted batch diverged (shape {shape}, seed {seed})");

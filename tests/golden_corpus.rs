@@ -3,12 +3,11 @@
 //! binary, with stdout compared byte-for-byte against checked-in
 //! expectations under `tests/golden/expected/`.
 //!
-//! Every golden then runs again **in process** at each behaviour setting
-//! — engine {row, columnar, yannakakis}, and for the `batch` goldens ×
-//! threads {1, 8} across requests — against the same expectation: the
-//! axes are performance knobs, so none may change a byte of stdout or
-//! the exit code. (This replaces fanning the whole suite out over
-//! environment switches in CI.)
+//! Every golden then runs again **in process** at each engine {row,
+//! columnar, yannakakis} against the same expectation: the engine is a
+//! performance knob, so it may not change a byte of stdout or the exit
+//! code. (This replaces fanning the whole suite out over environment
+//! switches in CI.)
 //!
 //! Only stdout is golden — stderr carries timings and cache counters,
 //! which are deliberately nondeterministic. To accept new output after
@@ -23,7 +22,7 @@ use std::process::Command;
 
 /// Runs `viewplan <args>` from the repo root and compares its stdout to
 /// `tests/golden/expected/<name>.txt` — once through the executable at
-/// the defaults, then in process at every behaviour setting.
+/// the defaults, then in process at every engine.
 fn check(name: &str, args: &[&str]) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let out = Command::new(env!("CARGO_BIN_EXE_viewplan"))
@@ -63,31 +62,21 @@ fn check(name: &str, args: &[&str]) {
         );
     }
 
-    // Only `batch` fans out (across requests), so only it has the axis.
-    let thread_settings: &[&[&str]] = if args[0] == "batch" {
-        &[&["--threads", "1"], &["--threads", "8"]]
-    } else {
-        &[&[]]
-    };
-    for threads in thread_settings {
-        for engine in ["row", "columnar", "yannakakis"] {
-            let setting = format!("{threads:?} engine={engine}");
-            // The matrix flags go first so they win over any the golden
-            // itself passes (the first occurrence counts).
-            let mut argv = vec![args[0], "--engine", engine];
-            argv.extend(*threads);
-            argv.extend(&args[1..]);
-            let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
-            let mut stdout = Vec::new();
-            let code = viewplan::cli::run(&argv, &viewplan::cli::Env::default(), &mut stdout);
-            assert_eq!(code, 0, "{name} [{setting}]: exit code {code}");
-            let actual = String::from_utf8(stdout).expect("stdout must be UTF-8");
-            assert!(
-                actual == expected,
-                "golden mismatch for {name} [{setting}]:\n{}",
-                first_divergence(&expected, &actual)
-            );
-        }
+    for engine in ["row", "columnar", "yannakakis"] {
+        // The engine flag goes first so it wins over any the golden
+        // itself passes (the first occurrence counts).
+        let mut argv = vec![args[0], "--engine", engine];
+        argv.extend(&args[1..]);
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        let mut stdout = Vec::new();
+        let code = viewplan::cli::run(&argv, &viewplan::cli::Env::default(), &mut stdout);
+        assert_eq!(code, 0, "{name} [engine={engine}]: exit code {code}");
+        let actual = String::from_utf8(stdout).expect("stdout must be UTF-8");
+        assert!(
+            actual == expected,
+            "golden mismatch for {name} [engine={engine}]:\n{}",
+            first_divergence(&expected, &actual)
+        );
     }
 }
 
@@ -231,11 +220,10 @@ golden! {
     carlocpart_plan_m2 => ["plan", "examples/problems/carlocpart.vp", "--model", "m2"];
     example_6_1_plan_m3 => ["plan", "tests/golden/example_6_1_figure5.vp", "--model", "m3"];
 
-    // The serving layer: per-query stdout is deterministic at any thread
-    // count and cache setting, so batches golden cleanly.
+    // The serving layer: per-query stdout is deterministic at any cache
+    // setting, so batches golden cleanly.
     batch_carlocpart => ["batch", "tests/golden/batch_carlocpart.vp"];
-    batch_carlocpart_no_cache =>
-        ["batch", "tests/golden/batch_carlocpart.vp", "--no-cache", "--threads", "4"];
+    batch_carlocpart_no_cache => ["batch", "tests/golden/batch_carlocpart.vp", "--no-cache"];
     batch_example41_variants => ["batch", "tests/golden/batch_example41.vp"];
 
     // Provenance: `explain --json` is a machine interface and every

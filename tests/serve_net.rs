@@ -387,11 +387,9 @@ fn one_slot_gate_under_eight_clients_answers_or_sheds_every_request() {
         "client-side sheds == server-side sheds"
     );
     server.shutdown();
-    // A request is one thread: the misses ran the pipeline (several view
-    // tuples each) and none of them started the worker pool, so the gate
-    // that admitted one request at a time ran one pipeline at a time.
+    // The misses ran the pipeline, each on the connection thread the
+    // gate let through.
     assert!(viewplan::obs::counter_value("corecover.runs") > 0);
-    assert_eq!(viewplan::obs::counter_value("parallel.batches"), 0);
 }
 
 #[test]

@@ -50,15 +50,17 @@
 //! 11. **Thread-local ban** — `thread_local!` is banned outside
 //!     `#[cfg(test)]` code everywhere but `crates/obs/src/ctx.rs` (one
 //!     block: the request context) and the `viewplan-sync` facade (the
-//!     model checker's scheduler state). Ambient state that is not in
-//!     the request context does not reach worker threads; a new piece
-//!     is a field of `RequestCtx`, not a new slot.
-//! 12. **One fan-out site** — `parallel_map(` is called, outside
-//!     `#[cfg(test)]` code, only by `crates/serve/src/batch.rs`
-//!     (`BatchServer::serve_batch`), beside its definition in
-//!     `crates/core/src/parallel.rs`. A request is one thread: workers
-//!     are spent across requests, never inside one, so an admission gate
-//!     that let N requests in is running N pipelines.
+//!     model checker's scheduler state). Ambient state lives in one
+//!     slot that one guard type restores; a new piece is a field of
+//!     `RequestCtx`, not a new slot.
+//! 12. **A request is one thread** — outside `#[cfg(test)]` code,
+//!     `thread::spawn` / `thread::scope` / `thread::Builder` appear only
+//!     in `crates/serve/src/net.rs` (one thread per connection),
+//!     `crates/serve/src/loadgen.rs` (one thread per client) and the
+//!     `viewplan-sync` facade. Nothing in the pipeline starts a thread,
+//!     so a request's context never has to leave the thread that
+//!     installed it, and an admission gate that let N requests in is
+//!     running N pipelines.
 //! 13. **The command path stays in canonical space** — outside
 //!     `#[cfg(test)]` code, `crates/serve/src/command.rs` and
 //!     `crates/serve/src/net.rs` call neither `denormalize(` nor
@@ -926,9 +928,9 @@ fn check_env_ban(root: &Path, report: &mut LintReport) {
 }
 
 /// Check 11: one thread-local slot. A `thread_local!` anywhere but the
-/// request context and the sync facade is state no worker pool carries
-/// (the pool forks the context, nothing else); a second block in
-/// `ctx.rs` is a second slot under another name.
+/// request context and the sync facade is ambient state outside the one
+/// slot the context's guards restore; a second block in `ctx.rs` is a
+/// second slot under another name.
 fn check_thread_local_ban(root: &Path, report: &mut LintReport) {
     let ctx = root.join("crates/obs/src/ctx.rs");
     let mut roots = library_roots(root);
@@ -954,7 +956,7 @@ fn check_thread_local_ban(root: &Path, report: &mut LintReport) {
                 }
                 report.violations.push(format!(
                     "{}:{}: thread_local! outside the request context — make the state a \
-                     field of viewplan_obs::ctx::RequestCtx so worker pools carry it",
+                     field of viewplan_obs::ctx::RequestCtx so one guard restores it",
                     rel(root, &file),
                     line_no + 1
                 ));
@@ -963,11 +965,18 @@ fn check_thread_local_ban(root: &Path, report: &mut LintReport) {
     }
 }
 
-/// Check 12: one fan-out site. The pool is for running *requests* side
-/// by side; a call from inside the pipeline multiplies the runnable
-/// threads behind whatever admitted the request.
-fn check_fan_out_sites(root: &Path, report: &mut LintReport) {
-    const ALLOWED: [&str; 2] = ["crates/core/src/parallel.rs", "crates/serve/src/batch.rs"];
+/// Check 12: a request is one thread. Threads are started by the
+/// serving front-ends — one per connection, one per load-generator
+/// client — and by the sync facade; a spawn anywhere else either runs
+/// part of a request off the thread that holds its context, or
+/// multiplies the runnable threads behind whatever admitted it.
+fn check_spawn_sites(root: &Path, report: &mut LintReport) {
+    const ALLOWED: [&str; 3] = [
+        "crates/serve/src/net.rs",
+        "crates/serve/src/loadgen.rs",
+        "crates/sync/src",
+    ];
+    const SPAWNS: [&str; 3] = ["thread::spawn", "thread::scope", "thread::Builder"];
     let mut roots = library_roots(root);
     roots.push(root.join("src"));
     for src_root in roots {
@@ -982,10 +991,10 @@ fn check_fan_out_sites(root: &Path, report: &mut LintReport) {
             let stripped = strip_code(&text);
             let mask = test_region_mask(&stripped);
             for (line_no, (line, &in_test)) in stripped.lines().zip(&mask).enumerate() {
-                if !in_test && line.contains("parallel_map(") {
+                if let Some(spawn) = SPAWNS.iter().find(|s| !in_test && line.contains(*s)) {
                     report.violations.push(format!(
-                        "{path}:{}: parallel_map( inside the request pipeline — a request is \
-                         one thread; fan out across requests through BatchServer::serve_batch",
+                        "{path}:{}: {spawn} outside the serving front-ends — a request is one \
+                         thread; requests run side by side only on net.rs's connection threads",
                         line_no + 1
                     ));
                 }
@@ -1083,7 +1092,7 @@ pub fn run_lint(root: &Path) -> LintReport {
     check_lock_order(root, &mut report);
     check_env_ban(root, &mut report);
     check_thread_local_ban(root, &mut report);
-    check_fan_out_sites(root, &mut report);
+    check_spawn_sites(root, &mut report);
     check_command_path(root, &mut report);
     check_plan_loop(root, &mut report);
     report
@@ -1443,27 +1452,32 @@ real.unwrap();"##;
     }
 
     #[test]
-    fn lint_bans_the_worker_pool_inside_the_request_pipeline() {
-        let repo = TempRepo::new("fan-out-sites");
-        let call = "fn f() { parallel_map(2, &[1], |x| *x); }\n";
-        // The pipeline, any other crate and the CLI: banned. The
-        // definition, the batch server and test code: allowed.
+    fn lint_bans_thread_spawns_outside_the_serving_front_ends() {
+        let repo = TempRepo::new("spawn-sites");
+        let spawn = "fn f() { thread::spawn(|| ()); }\n";
+        // The pipeline, the batch server and the CLI: banned, in each of
+        // the three spellings. The connection and client threads, the
+        // sync facade and test code: allowed.
         repo.write(
             "crates/core/src/corecover.rs",
             &format!(
-                "/// Not a `parallel_map(` call.\n{call}#[cfg(test)]\nmod tests {{ {call} }}\n"
+                "/// Not a `thread::spawn` call.\n{spawn}#[cfg(test)]\nmod tests {{ {spawn} }}\n"
             ),
         );
-        repo.write("src/cli.rs", call);
-        repo.write("crates/core/src/parallel.rs", call);
-        repo.write("crates/serve/src/batch.rs", call);
-        repo.write("crates/bench/src/lib.rs", call);
+        repo.write(
+            "crates/serve/src/batch.rs",
+            "fn f() { thread::scope(|s| ()); }\n",
+        );
+        repo.write("src/cli.rs", "fn f() { thread::Builder::new(); }\n");
+        repo.write("crates/serve/src/net.rs", spawn);
+        repo.write("crates/serve/src/loadgen.rs", spawn);
+        repo.write("crates/sync/src/model.rs", spawn);
         let report = run_lint(&repo.root);
         assert_eq!(report.violations.len(), 3, "{:?}", report.violations);
-        assert!(report.violations[0].contains("crates/bench/src/lib.rs:1"));
-        assert!(report.violations[1].contains("crates/core/src/corecover.rs:2"));
-        assert!(report.violations[2].contains("src/cli.rs:1"));
-        assert!(report.violations[1].contains("one thread"));
+        assert!(report.violations[0].contains("crates/core/src/corecover.rs:2: thread::spawn"));
+        assert!(report.violations[1].contains("crates/serve/src/batch.rs:1: thread::scope"));
+        assert!(report.violations[2].contains("src/cli.rs:1: thread::Builder"));
+        assert!(report.violations[0].contains("one thread"));
     }
 
     #[test]
