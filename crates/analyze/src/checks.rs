@@ -46,7 +46,7 @@ pub enum Layout {
 
 /// Candidate-homomorphism estimate above which VP007 fires: beyond this
 /// many candidate mappings the cover search is likely to need a budget
-/// (`--deadline` / `--node-budget`) to answer interactively.
+/// (`--timeout-ms` / `--node-budget`) to answer interactively.
 pub const BLOWUP_THRESHOLD: f64 = 10_000.0;
 
 /// Analyzes a parsed program under the given layout. The returned
@@ -511,7 +511,7 @@ fn check_dead_views(
 /// the cover engine's bitmask width, or the number of candidate
 /// homomorphisms from the views into the query (the product, over each
 /// view's subgoals, of the matching query subgoals) exceeds
-/// [`BLOWUP_THRESHOLD`]. Either way, `--deadline`/`--node-budget` (the
+/// [`BLOWUP_THRESHOLD`]. Either way, `--timeout-ms`/`--node-budget` (the
 /// anytime budgets) are the recommended mitigation.
 fn check_blowup(
     query: &ConjunctiveQuery,
@@ -555,12 +555,13 @@ fn check_blowup(
     if estimate > BLOWUP_THRESHOLD {
         // The hypergraph structure tempers the prediction: width 1 means
         // the query is acyclic, so containment checks take the semijoin
-        // fast path and evaluation can semijoin-reduce (intermediates
-        // stay linear); only cyclic queries face the exponential search.
+        // fast path; only cyclic queries face the exponential search.
+        // (It says nothing about join intermediates, which an acyclic
+        // join can still blow up.)
         let width = hypertree_width_estimate(&query.body);
         let structure = if width <= 1 {
             "hypertree width 1 — acyclic, so the semijoin fast path keeps \
-             containment checks and intermediates polynomial"
+             containment checks polynomial"
                 .to_string()
         } else {
             format!("hypertree width ~{width} — cyclic, search may be exponential")
@@ -571,7 +572,7 @@ fn check_blowup(
             format!(
                 "predicted search-space blowup for '{}': ~{estimate:.0} candidate \
                  homomorphisms from {} views into the query ({structure}); consider \
-                 running with --deadline or --node-budget",
+                 running with --timeout-ms or --node-budget",
                 query.head.predicate,
                 views.len()
             ),

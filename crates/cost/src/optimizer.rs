@@ -131,6 +131,8 @@ pub struct Optimizer<'a> {
     query: &'a ConjunctiveQuery,
     views: &'a ViewSet,
     config: OptimizerConfig,
+    /// The §6.2 rename test the M3 searches of every rewriting share.
+    test: RenameTest<'a>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -140,6 +142,7 @@ impl<'a> Optimizer<'a> {
             query,
             views,
             config: OptimizerConfig::default(),
+            test: RenameTest::new(query, views),
         }
     }
 
@@ -231,11 +234,10 @@ impl<'a> Optimizer<'a> {
             CostModel::M2 | CostModel::M3(_) => result.walk(|t| oracle.relation_size(&t.atom)),
         };
         let filters: Vec<&Atom> = result.filter_tuples().iter().map(|t| &t.atom).collect();
-        let test = RenameTest::new(self.query, self.views);
         let mut too_wide = None;
-        let mut best = None;
+        let mut best: Option<(usize, PlannedRewriting)> = None;
         loop {
-            let incumbent = best.as_ref().map(|&(at, _, _, cost)| (cost, at));
+            let incumbent = best.as_ref().map(|(at, p)| (p.cost, *at));
             let Some(Found {
                 cover,
                 bound,
@@ -261,29 +263,16 @@ impl<'a> Optimizer<'a> {
             if model != CostModel::M1 && obs::budget::cancelled() {
                 break; // deadline: keep the best so far (an M1 plan is no search)
             }
-            note_plans_enumerated(1);
-            let planned = match model {
-                CostModel::M1 => Some((r.clone(), PhysicalPlan::ordered(r.body.clone()), bound)),
-                CostModel::M2 => self.m2_with_filters(r, &filters, oracle)?,
-                CostModel::M3(policy) => {
-                    let ceiling = incumbent.map(|(cost, at)| (cost, cover < at));
-                    let planned = optimal_plan(&test, r, policy, oracle, ceiling)?;
-                    planned.map(|(plan, cost)| (r.clone(), plan, cost))
-                }
-            };
-            // No plan: an empty body, a budget cut, or none under the ceiling.
-            if let Some((rewriting, plan, cost)) = planned {
+            let ceiling = incumbent.map(|(cost, at)| (cost, cover < at));
+            if let Some(planned) = self.try_plan_rewriting(model, r, &filters, oracle, ceiling)? {
+                let cost = planned.cost;
                 debug_assert!(cost >= bound, "a plan cheaper than its bound");
                 if incumbent.is_none_or(|(beat, at)| cost < beat || (cost == beat && cover < at)) {
-                    best = Some((cover, rewriting, plan, cost));
+                    best = Some((cover, planned));
                 }
             }
         }
-        let best = best.map(|(_, rewriting, plan, cost)| PlannedRewriting {
-            rewriting,
-            plan,
-            cost,
-        });
+        let best = best.map(|(_, planned)| planned);
         let spent = obs::budget::completeness_since(budget_before);
         let mut completeness = result.stats.completeness.worst(spent);
         if let Some(e) = too_wide {
@@ -295,6 +284,41 @@ impl<'a> Optimizer<'a> {
         Ok(PlanOutcome { best, completeness })
     }
 
+    /// Plans one rewriting under `model`, counting it among the plans
+    /// enumerated: its subgoals under M1, the M2 subset DP with up to
+    /// `max_filters` of `filters` grafted on, the M3 search under M3.
+    /// `ceiling` is the incumbent's cost and whether this rewriting
+    /// wins a tie with it; the M3 search abandons a plan that cannot
+    /// beat it. `Ok(None)`: no plan — an empty body, a budget cut, or
+    /// none under the ceiling.
+    pub fn try_plan_rewriting(
+        &self,
+        model: CostModel,
+        r: &Rewriting,
+        filters: &[&Atom],
+        oracle: &mut dyn SizeOracle,
+        ceiling: Option<(f64, bool)>,
+    ) -> Result<Option<PlannedRewriting>, CostError> {
+        note_plans_enumerated(1);
+        Ok(match model {
+            CostModel::M1 => Some(PlannedRewriting {
+                rewriting: r.clone(),
+                plan: PhysicalPlan::ordered(r.body.clone()),
+                cost: r.body.len() as f64,
+            }),
+            CostModel::M2 => self.m2_with_filters(r, filters, oracle)?,
+            CostModel::M3(policy) => {
+                optimal_plan(&self.test, r, policy, oracle, ceiling)?.map(|(plan, cost)| {
+                    PlannedRewriting {
+                        rewriting: r.clone(),
+                        plan,
+                        cost,
+                    }
+                })
+            }
+        })
+    }
+
     /// The M2 arm: the subset DP, then greedy filter grafting — a filter
     /// that lowers the cost stays in the table, the rest come off, and
     /// one the graft bound rules out is never grafted.
@@ -303,7 +327,7 @@ impl<'a> Optimizer<'a> {
         r: &Rewriting,
         filters: &[&Atom],
         oracle: &mut dyn SizeOracle,
-    ) -> Result<Option<(Rewriting, PhysicalPlan, f64)>, CostError> {
+    ) -> Result<Option<PlannedRewriting>, CostError> {
         // Degenerate (empty-body) or budget-abandoned rewriting.
         let Some(mut table) = M2Table::solve(&r.body, oracle)? else {
             return Ok(None);
@@ -314,11 +338,11 @@ impl<'a> Optimizer<'a> {
         let (order, _, cost) = table.order();
         let body = table.body();
         let plan = PhysicalPlan::ordered(order.iter().map(|&i| body[i].clone()).collect());
-        Ok(Some((
-            Rewriting::new(r.head.clone(), body.to_vec()),
+        Ok(Some(PlannedRewriting {
+            rewriting: Rewriting::new(r.head.clone(), body.to_vec()),
             plan,
             cost,
-        )))
+        }))
     }
 }
 

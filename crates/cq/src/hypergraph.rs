@@ -8,11 +8,11 @@
 //! covered by a single *witness* edge. The query is **acyclic** iff the
 //! reduction consumes every edge; the witness links then form a **join
 //! forest**, and the removal order is a valid bottom-up semijoin
-//! schedule. Acyclicity is what makes both containment checking
-//! (semijoins instead of the exponential homomorphism search) and
-//! evaluation (Yannakakis' algorithm, no intermediate blowup) run in
-//! polynomial time — the structure exploited throughout the acyclic fast
-//! path.
+//! schedule. Acyclicity is what lets containment checking run in
+//! polynomial time (semijoins instead of the exponential homomorphism
+//! search) — the structure the acyclic fast path exploits. Evaluation
+//! does not use it: the executor joins unreduced relations, so an
+//! acyclic join can still build large intermediates.
 //!
 //! For cyclic queries, [`hypertree_width_estimate`] keeps running GYO
 //! past the stuck point by greedily merging the two most-overlapping

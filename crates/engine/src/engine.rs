@@ -1,16 +1,15 @@
 //! Engine selection: the row-at-a-time executor vs. the columnar batch
 //! executor.
 //!
-//! All engines compute identical results — answer relations in the same
+//! Both engines compute identical results — answer relations in the same
 //! insertion order, [`crate::ExecutionTrace`]s with the same per-step
 //! sizes, the same `engine.*` counters — which the differential suite at
-//! the workspace root enforces. Selection is therefore purely a
-//! performance knob with exactly one source: the innermost [`install`]
-//! in the thread's request context (`viewplan_obs::ctx`), else
-//! [`Engine::default`] (columnar). Callers that select an engine say so
-//! explicitly — the CLI installs its `--engine` value around the
-//! command, the differential tests install each engine in turn — and
-//! the choice holds on the installing thread only, like the rest of the
+//! the workspace root enforces. Every command runs the columnar executor
+//! ([`Engine::default`]); the row executor is the differential oracle
+//! that tests and the benchmark's reference answers select with a scoped
+//! [`install`]. The choice has exactly one source, the innermost
+//! [`install`] in the thread's request context (`viewplan_obs::ctx`),
+//! and holds on the installing thread only, like the rest of the
 //! context.
 
 use viewplan_obs::ctx::{self, CtxGuard};
@@ -25,38 +24,6 @@ pub enum Engine {
     /// hash join build/probe, column-wise gathers.
     #[default]
     Columnar,
-    /// Yannakakis evaluation for acyclic queries: semijoin-reduce the
-    /// stored relations along the GYO join forest, then join with no
-    /// intermediate blowup. Cyclic queries fall back to the columnar
-    /// executor.
-    Yannakakis,
-}
-
-impl Engine {
-    /// Parses an engine name as used by the CLI's `--engine` flag.
-    pub fn from_name(name: &str) -> Option<Engine> {
-        match name {
-            "row" => Some(Engine::Row),
-            "columnar" => Some(Engine::Columnar),
-            "yannakakis" => Some(Engine::Yannakakis),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name (`"row"` / `"columnar"` / `"yannakakis"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Row => "row",
-            Engine::Columnar => "columnar",
-            Engine::Yannakakis => "yannakakis",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// The engine's bits of the request context's policy word (bits 0–1, as
@@ -70,7 +37,6 @@ pub fn current_engine() -> Engine {
     match ctx::policy() & POLICY_MASK {
         1 => Engine::Row,
         2 => Engine::Columnar,
-        3 => Engine::Yannakakis,
         _ => Engine::default(),
     }
 }
@@ -86,14 +52,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for e in [Engine::Row, Engine::Columnar, Engine::Yannakakis] {
-            assert_eq!(Engine::from_name(e.name()), Some(e));
-        }
-        assert_eq!(Engine::from_name("vectorised"), None);
-    }
-
-    #[test]
     fn install_overrides_and_restores() {
         let ambient = current_engine();
         {
@@ -106,7 +64,7 @@ mod tests {
             assert_eq!(current_engine(), Engine::Row);
         }
         assert_eq!(current_engine(), ambient);
-        for e in [Engine::Row, Engine::Columnar, Engine::Yannakakis] {
+        for e in [Engine::Row, Engine::Columnar] {
             let _g = install(e);
             assert_eq!(
                 current_engine(),

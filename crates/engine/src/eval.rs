@@ -18,8 +18,9 @@
 //! table in this module, and the columnar batch executor in
 //! [`crate::batch`]. Both run the *same* driver loops below, so join
 //! order, counter updates, trace sizes, and answer insertion order are
-//! identical by construction; [`crate::engine::current_engine`] picks
-//! which one runs.
+//! identical by construction. [`crate::engine::current_engine`] picks
+//! which one runs: the columnar one by default, the row one when a test
+//! installs it as the differential oracle.
 
 use crate::database::Database;
 use crate::engine::{current_engine, Engine};
@@ -268,9 +269,6 @@ pub fn try_evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Relation, Eng
     match current_engine() {
         Engine::Row => evaluate_with::<Bindings>(q, db),
         Engine::Columnar => evaluate_with::<crate::batch::ColumnarBindings>(q, db),
-        Engine::Yannakakis => {
-            crate::yannakakis::evaluate_reduced::<crate::batch::ColumnarBindings>(q, db)
-        }
     }
 }
 
@@ -286,39 +284,23 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
     }
 }
 
-pub(crate) fn evaluate_with<T: Table>(
-    q: &ConjunctiveQuery,
-    db: &Database,
-) -> Result<Relation, EngineError> {
-    let order = greedy_order(&q.body, db);
-    evaluate_in_order_with::<T>(&q.head, &q.body, &order, db)
-}
-
-/// The core join loop: fold the subgoals in exactly `order`, early-exit on
-/// an empty table, project the head. Shared by the greedy-order path above
-/// and the Yannakakis executor (which joins semijoin-reduced relations in
-/// the order the *original* relations dictate, keeping answers
-/// byte-identical across engines).
-pub(crate) fn evaluate_in_order_with<T: Table>(
-    head: &Atom,
-    body: &[Atom],
-    order: &[usize],
-    db: &Database,
-) -> Result<Relation, EngineError> {
+/// The core join loop: fold the subgoals in greedy order, early-exit on
+/// an empty table, project the head.
+fn evaluate_with<T: Table>(q: &ConjunctiveQuery, db: &Database) -> Result<Relation, EngineError> {
     let mut table = T::unit();
-    for &idx in order {
-        table = table.join(&body[idx], db);
+    for idx in greedy_order(&q.body, db) {
+        table = table.join(&q.body[idx], db);
         if table.row_count() == 0 {
             break;
         }
     }
-    table.project_head(head)
+    table.project_head(&q.head)
 }
 
 /// Greedy join order over the stored relation sizes — the rule itself
 /// is [`viewplan_cq::greedy_join_order`], shared with CoreCover's
 /// view-tuple matcher so the two cannot drift.
-pub(crate) fn greedy_order(body: &[Atom], db: &Database) -> Vec<usize> {
+fn greedy_order(body: &[Atom], db: &Database) -> Vec<usize> {
     greedy_join_order(body, |a| db.get(a.predicate).map_or(0, Relation::len))
 }
 
@@ -399,11 +381,7 @@ pub fn try_execute_annotated(
     let _span = obs::span("engine.execute_plan");
     match current_engine() {
         Engine::Row => execute_annotated_with::<Bindings>(head, steps, db),
-        // Annotated plans encode their own join order and attribute drops
-        // (the cost models' ground truth), so Yannakakis — whose whole
-        // point is choosing the semijoin schedule itself — delegates to
-        // the columnar driver: traces stay byte-identical by construction.
-        Engine::Columnar | Engine::Yannakakis => {
+        Engine::Columnar => {
             execute_annotated_with::<crate::batch::ColumnarBindings>(head, steps, db)
         }
     }

@@ -9,11 +9,11 @@
 //!   stored once: one word [`Column`] per attribute under a set of row
 //!   numbers (no row vector, no second copy for any executor);
 //! * [`evaluate`] — multiway hash-join evaluation of a conjunctive query:
-//!   the columnar batch executor joins the stored columns in place; the
-//!   row-at-a-time executor (the differential oracle, which assembles a
-//!   tuple per stored row it scans) and the Yannakakis executor are
-//!   selected by a scoped [`install`] ([`Engine`]; all produce
-//!   byte-identical answers and traces);
+//!   the columnar batch executor joins the stored columns in place. The
+//!   row-at-a-time executor, which assembles a tuple per stored row it
+//!   scans, is the differential oracle that tests install in process
+//!   with a scoped [`install`] ([`Engine`]); both produce byte-identical
+//!   answers and traces;
 //! * [`materialize_views`] — compute view relations from base relations
 //!   (the closed-world assumption: views hold *exactly* these tuples);
 //! * [`canonical_database`] — the frozen database `D_Q` of §3.3, with
@@ -48,7 +48,6 @@ pub mod relation;
 #[cfg(test)]
 mod relation_model;
 pub mod value;
-pub mod yannakakis;
 
 pub use canonical::{canonical_database, freeze_term, unfreeze_value};
 pub use column::Column;
@@ -62,4 +61,3 @@ pub use eval::{
 pub use materialize::materialize_views;
 pub use relation::{Relation, Tuple};
 pub use value::Value;
-pub use yannakakis::reduced_tuple_count;

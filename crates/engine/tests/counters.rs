@@ -8,29 +8,6 @@ use viewplan_cq::parse_query;
 use viewplan_engine::{evaluate, execute_ordered, install, Database, Engine};
 use viewplan_obs as obs;
 
-/// The Yannakakis executor counts which way each query was routed.
-fn reduction_and_fallback_counters_route() {
-    let mut db = Database::new();
-    db.insert_int("r", &[&[1, 2], &[2, 3], &[3, 4], &[9, 9]]);
-    db.insert_int("s", &[&[2, 5], &[3, 6], &[7, 7]]);
-    db.insert_int("t", &[&[5, 8], &[6, 8]]);
-    let _g = install(Engine::Yannakakis);
-    let before_fast = obs::counter_value("engine.yannakakis_reductions");
-    let before_slow = obs::counter_value("engine.yannakakis_fallbacks");
-    let acyclic = parse_query("q(A) :- r(A, B), s(B, C)").unwrap();
-    evaluate(&acyclic, &db);
-    assert_eq!(
-        obs::counter_value("engine.yannakakis_reductions"),
-        before_fast + 1
-    );
-    let cyclic = parse_query("q(A) :- r(A, B), s(B, C), t(C, A)").unwrap();
-    evaluate(&cyclic, &db);
-    assert_eq!(
-        obs::counter_value("engine.yannakakis_fallbacks"),
-        before_slow + 1
-    );
-}
-
 /// A subgoal whose arity differs from the stored relation's counts every
 /// tuple it skips, under the row and the columnar executor alike.
 fn arity_mismatch_counts_skipped_tuples() {
@@ -81,7 +58,6 @@ fn batch_probe_steps_count_chain_entries() {
 #[test]
 fn global_counters_move_by_exactly_what_one_call_adds() {
     obs::set_enabled(true);
-    reduction_and_fallback_counters_route();
     arity_mismatch_counts_skipped_tuples();
     batch_probe_steps_count_chain_entries();
 }

@@ -20,7 +20,8 @@
 //! `policy` is an opaque word here: the crates that own behaviour
 //! switches own the meaning of their bits, and this crate only keeps
 //! them apart. Allocated so far: bits 0–1 `viewplan-engine` (the
-//! executor override).
+//! executor override, which only tests and the benchmark's reference
+//! answers set: no command selects an executor).
 //!
 //! A guard belongs to the thread that made it — dropped anywhere else it
 //! would overwrite that thread's context and leave the override in place

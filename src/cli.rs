@@ -55,10 +55,9 @@
 //! is taken by `loadgen`, nor by `serve --listen`, whose requests run on
 //! connection threads), `--metrics-out
 //! FILE` (write a Prometheus text-format snapshot of all counters and
-//! histograms), and `--engine row|columnar|yannakakis` (pick the
-//! executor; answers are byte-identical — default columnar), parsed
-//! once, here, into explicit configuration; no library crate reads the
-//! environment.
+//! histograms), parsed once, here, into explicit configuration; no
+//! library crate reads the environment. Every command runs the columnar
+//! executor; no flag selects another.
 //!
 //! Anytime budgets: `--timeout-ms MS` bounds the wall clock and
 //! `--node-budget N` caps each search's node count (deterministic).
@@ -179,9 +178,7 @@ fn dispatch(args: &[String], env: &Env, out: &mut dyn Write) -> Result<(), CliEr
         other => return Err(CliError::Input(format!("unknown command {other:?}"))),
     };
     check_options(name, rest)?;
-    let common = Common::parse(rest, env)?;
-    // One scoped install around the whole command, on its one thread.
-    let _engine = crate::engine::install(common.engine);
+    let common = Common::parse(env)?;
     let stats = stats_request(rest);
     command(rest, &common, out)?;
     stats.emit()
@@ -190,32 +187,20 @@ fn dispatch(args: &[String], env: &Env, out: &mut dyn Write) -> Result<(), CliEr
 type Command = fn(&[String], &Common, &mut dyn Write) -> Result<(), CliError>;
 
 /// The settings every processing command shares, parsed once from the
-/// flags and the [`Env`] and passed down as explicit configuration.
+/// [`Env`] and passed down as explicit configuration.
 struct Common {
-    /// `--engine NAME` (default columnar).
-    engine: Engine,
     /// The `VIEWPLAN_FAULT` injection, for budgets and the serving layer.
     fault: Option<Fault>,
 }
 
 impl Common {
-    fn parse(args: &[String], env: &Env) -> Result<Common, CliError> {
-        let engine = option(args, "--engine")
-            .map(|v| {
-                Engine::from_name(v).ok_or_else(|| {
-                    CliError::Input(format!(
-                        "--engine expects `row`, `columnar`, or `yannakakis`, got {v:?}"
-                    ))
-                })
-            })
-            .transpose()?
-            .unwrap_or_default();
+    fn parse(env: &Env) -> Result<Common, CliError> {
         let fault = env
             .fault
             .as_deref()
             .map(|v| Fault::parse(v).map_err(|e| CliError::Input(format!("VIEWPLAN_FAULT: {e}"))))
             .transpose()?;
-        Ok(Common { engine, fault })
+        Ok(Common { fault })
     }
 }
 
@@ -278,11 +263,7 @@ fn print_help(out: &mut dyn Write) -> Result<(), CliError> {
          ground facts the default model is m1; --json emits a stable\n\
          machine-readable document (golden-tested).\n\
          \n\
-         Common flags: --engine row|columnar|yannakakis (pick the\n\
-         executor; all produce byte-identical answers; yannakakis\n\
-         semijoin-reduces acyclic queries first, falling back to\n\
-         columnar on cyclic ones; default: columnar), --stats\n\
-         (phase/counter report on stderr),\n\
+         Common flags: --stats (phase/counter report on stderr),\n\
          --stats-json FILE (dump the metrics registry as JSON),\n\
          --trace (render the span tree of the command's own thread +\n\
          typed events on stderr), --trace-json FILE (Chrome trace-event\n\
@@ -474,7 +455,6 @@ const GENERATED: &[&str] = &["batch", "soak"];
 /// Every option: its name, whether it consumes the following argument
 /// as its value, and the commands that accept it.
 const OPTIONS: &[(&str, bool, &[&str])] = &[
-    ("--engine", true, ALL),
     ("--stats", false, ALL),
     ("--stats-json", true, ALL),
     ("--metrics-out", true, ALL),
@@ -946,8 +926,6 @@ fn serve_config(args: &[String], common: &Common) -> Result<ServeConfig, CliErro
     Ok(config)
 }
 
-/// Parses a block of text as rules only (no facts), with the same
-/// comment handling as [`load`].
 /// Parses rule-only source (line-preserving, like [`read_source`]) into
 /// a [`Program`]; any non-rule, non-comment line is an input error.
 fn parse_rules_program(src: &str, what: &str) -> Result<Program, CliError> {

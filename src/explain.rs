@@ -28,11 +28,8 @@ use std::collections::BTreeMap;
 use viewplan_core::{
     is_equivalent_rewriting, CandidateVerdict, CoreCover, CoreCoverConfig, DecidedBy,
 };
-use viewplan_cost::{
-    try_optimal_m2_order, try_optimal_m3_plan, CostModel, DropPolicy, ExactOracle, PhysicalPlan,
-    PlanError,
-};
-use viewplan_cq::{ConjunctiveQuery, ViewSet};
+use viewplan_cost::{CostModel, DropPolicy, ExactOracle, Optimizer, PhysicalPlan, PlanError};
+use viewplan_cq::{Atom, ConjunctiveQuery, ViewSet};
 use viewplan_engine::{materialize_views, Database};
 use viewplan_obs::Json;
 
@@ -101,8 +98,8 @@ pub struct Explanation {
     pub minimized_query: String,
     /// Whether the minimized query's hypergraph is acyclic (GYO reduces
     /// it fully) — when true, containment checks against it are
-    /// fast-path eligible and Yannakakis evaluation applies. Structural:
-    /// independent of which containment route actually runs.
+    /// fast-path eligible. Structural: independent of which containment
+    /// route actually runs.
     pub acyclic: bool,
     /// Hypertree-width estimate of the minimized query (1 iff acyclic).
     pub hypertree_width: usize,
@@ -156,7 +153,7 @@ fn m1_plan_string(r: &ConjunctiveQuery) -> String {
 /// `ExactOracle` costed the plan with.
 fn measured_terms(
     plan: &PhysicalPlan,
-    head: &viewplan_cq::Atom,
+    head: &Atom,
     vdb: &Database,
 ) -> Result<Vec<TermReport>, PlanError> {
     let trace = plan.try_execute(head, vdb)?;
@@ -178,25 +175,31 @@ fn measured_terms(
         .collect())
 }
 
-/// Plans one accepted candidate under the model; `Ok(None)` when the plan
-/// search could not produce a plan (too wide for the model's search, or
-/// the budget exhausted mid-search), `Err` when the engine rejected the
-/// chosen plan outright.
+/// Plans one accepted candidate the way `plan` plans it
+/// ([`Optimizer::try_plan_rewriting`], filter grafts included, with no
+/// incumbent to beat); `Ok(None)` when the plan search could not produce
+/// a plan (too wide for the model's search, or the budget exhausted
+/// mid-search), `Err` when the engine rejected the chosen plan outright.
 fn plan_candidate(
+    optimizer: &Optimizer,
     model: CostModel,
-    query: &ConjunctiveQuery,
-    views: &ViewSet,
     candidate: usize,
     rewriting: &ConjunctiveQuery,
+    filters: &[&Atom],
+    oracle: &mut ExactOracle,
     vdb: &Database,
 ) -> Result<Option<PlanReport>, PlanError> {
-    match model {
-        CostModel::M1 => Ok(Some(PlanReport {
-            candidate,
-            rewriting: rewriting.to_string(),
-            plan: m1_plan_string(rewriting),
-            cost: rewriting.body.len() as f64,
-            terms: rewriting
+    let Some(p) = optimizer
+        .try_plan_rewriting(model, rewriting, filters, oracle, None)
+        .ok()
+        .flatten()
+    else {
+        return Ok(None);
+    };
+    let (plan, terms) = match model {
+        CostModel::M1 => (
+            m1_plan_string(&p.rewriting),
+            p.rewriting
                 .body
                 .iter()
                 .map(|a| TermReport {
@@ -207,49 +210,26 @@ fn plan_candidate(
                     cost: 1.0,
                 })
                 .collect(),
-        })),
-        CostModel::M2 => {
-            let mut oracle = ExactOracle::new(vdb);
-            let Some((order, _, cost)) = try_optimal_m2_order(&rewriting.body, &mut oracle)
-                .ok()
-                .flatten()
-            else {
-                return Ok(None);
-            };
-            let atoms: Vec<viewplan_cq::Atom> =
-                order.iter().map(|&i| rewriting.body[i].clone()).collect();
-            let plan = PhysicalPlan::ordered(atoms);
-            Ok(Some(PlanReport {
-                candidate,
-                rewriting: rewriting.to_string(),
-                plan: plan.to_string(),
-                cost,
-                terms: measured_terms(&plan, &rewriting.head, vdb)?,
-            }))
-        }
-        CostModel::M3(policy) => {
-            let mut oracle = ExactOracle::new(vdb);
-            let Some((plan, cost)) =
-                try_optimal_m3_plan(query, views, rewriting, policy, &mut oracle)
-                    .ok()
-                    .flatten()
-            else {
-                return Ok(None);
-            };
-            Ok(Some(PlanReport {
-                candidate,
-                rewriting: rewriting.to_string(),
-                plan: plan.to_string(),
-                cost,
-                terms: measured_terms(&plan, &rewriting.head, vdb)?,
-            }))
-        }
-    }
+        ),
+        CostModel::M2 | CostModel::M3(_) => (
+            p.plan.to_string(),
+            measured_terms(&p.plan, &p.rewriting.head, vdb)?,
+        ),
+    };
+    Ok(Some(PlanReport {
+        candidate,
+        rewriting: p.rewriting.to_string(),
+        plan,
+        cost: p.cost,
+        terms,
+    }))
 }
 
 /// Runs the rewrite search with provenance collection on and explains the
-/// outcome. `model` needs ground facts (a non-empty `base`) for M2/M3;
-/// the CLI enforces that before calling here.
+/// outcome: the covers of the space `plan` searches under `model`
+/// (CoreCover\* under M2/M3; under M1 the GMRs, or every minimal cover
+/// when `all_minimal`). `model` needs ground facts (a non-empty `base`)
+/// for M2/M3; the CLI enforces that before calling here.
 pub fn explain(
     query: &ConjunctiveQuery,
     views: &ViewSet,
@@ -262,6 +242,7 @@ pub fn explain(
         ..CoreCoverConfig::default()
     };
     let cc = CoreCover::new(query, views).with_config(config);
+    let all_minimal = all_minimal || model != CostModel::M1;
     let result = if all_minimal {
         cc.try_run_all_minimal()?
     } else {
@@ -299,6 +280,9 @@ pub fn explain(
     // model; ties break on candidate order, so the report is stable.
     let (winner, runner_up) = {
         let vdb = materialize_views(views, base);
+        let mut oracle = ExactOracle::new(&vdb);
+        let optimizer = Optimizer::new(query, views);
+        let filters: Vec<&Atom> = result.filter_tuples().iter().map(|t| &t.atom).collect();
         let mut planned: Vec<PlanReport> = Vec::new();
         for (i, c) in provenance
             .candidates
@@ -306,9 +290,16 @@ pub fn explain(
             .enumerate()
             .filter(|(_, c)| c.verdict == CandidateVerdict::Accepted)
         {
-            if let Some(report) = plan_candidate(model, query, views, i, &c.rewriting, &vdb)? {
-                planned.push(report);
-            }
+            let report = plan_candidate(
+                &optimizer,
+                model,
+                i,
+                &c.rewriting,
+                &filters,
+                &mut oracle,
+                &vdb,
+            )?;
+            planned.extend(report);
         }
         planned.sort_by(|a, b| {
             a.cost
@@ -743,6 +734,10 @@ mod tests {
             false,
         )
         .unwrap();
+        assert!(
+            e.all_minimal,
+            "M3 explains the CoreCover* space `plan` searches"
+        );
         let w = e.winner.as_ref().expect("an M3 winner");
         let measured: f64 = w.terms.iter().map(|t| t.cost).sum();
         assert_eq!(measured, w.cost, "per-term breakdown must sum to the cost");

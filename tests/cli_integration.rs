@@ -200,6 +200,98 @@ fn threads_flag_is_refused_by_every_command() {
     }
 }
 
+/// No flag selects an executor: every command runs the columnar one.
+#[test]
+fn engine_flag_is_refused_by_every_command() {
+    for args in [
+        &["rewrite", PROBLEM][..],
+        &["plan", PROBLEM],
+        &["explain", PROBLEM],
+        &["eval", PROBLEM],
+        &["check", PROBLEM],
+        &["batch", BATCH],
+        &["serve", BATCH],
+        &["soak"],
+        &["loadgen", BATCH, "--connect", "127.0.0.1:1"],
+    ] {
+        let mut argv = args.to_vec();
+        argv.extend("--engine row".split(' '));
+        let out = viewplan(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        let complaint = format!("unknown option \"--engine\" for `viewplan {}`", args[0]);
+        assert!(err.contains(&complaint), "{argv:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{argv:?} ran anyway");
+    }
+}
+
+/// `explain` names the plan `plan` chooses: the same rewriting (filter
+/// grafts included) at the same cost, under M2 and M3, for every problem
+/// file that carries facts.
+#[test]
+fn explain_winner_is_the_plan_that_plan_chooses() {
+    let mut fixtures = Vec::new();
+    for dir in ["examples/problems", "tests/golden"] {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "vp") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let has_facts = text.lines().any(|l| {
+                let l = l.split('%').next().unwrap().trim();
+                !l.is_empty() && !l.contains(":-") && l != "---"
+            });
+            if has_facts {
+                fixtures.push(path.to_str().unwrap().to_string());
+            }
+        }
+    }
+    fixtures.sort();
+    assert!(
+        fixtures.iter().any(|f| f.ends_with("filter_pays.vp")),
+        "{fixtures:?}"
+    );
+    for fixture in &fixtures {
+        for model in ["m2", "m3"] {
+            let explained = viewplan(&["explain", fixture, "--model", model, "--json"]);
+            assert!(
+                explained.status.success(),
+                "{fixture} {model}: {}",
+                stderr(&explained)
+            );
+            let json = viewplan::obs::parse_json(&stdout(&explained)).unwrap();
+            let winner = json.get("winner").unwrap();
+            let planned = viewplan(&["plan", fixture, "--model", model]);
+            if *winner == viewplan::obs::Json::Null {
+                // Nothing to explain: `plan` finds no rewriting either.
+                assert_eq!(planned.status.code(), Some(2), "{fixture} {model}");
+                assert!(stderr(&planned).contains("no equivalent rewriting"));
+                continue;
+            }
+            assert!(
+                planned.status.success(),
+                "{fixture} {model}: {}",
+                stderr(&planned)
+            );
+            let planned = stdout(&planned);
+            let line = |key: &str| {
+                let line = planned.lines().find_map(|l| l.strip_prefix(key));
+                line.unwrap_or_else(|| panic!("{fixture} {model}: no {key:?} in\n{planned}"))
+                    .trim()
+                    .to_string()
+            };
+            let rewriting = winner.get("rewriting").and_then(|r| r.as_str()).unwrap();
+            let cost = winner.get("cost").and_then(|c| c.as_f64()).unwrap();
+            assert_eq!(
+                (rewriting.to_string(), cost.to_string()),
+                (line("best rewriting:"), line("cost:")),
+                "{fixture} --model {model}: explain's winner is not plan's choice"
+            );
+        }
+    }
+}
+
 /// `loadgen` opens no spans, so a trace of it would always be empty.
 #[test]
 fn trace_flags_are_refused_by_loadgen() {

@@ -4,11 +4,6 @@
 //! results, including the answer's row order and the full
 //! [`viewplan::engine::ExecutionTrace`] (subgoal/IR/GSR sizes).
 //!
-//! The Yannakakis engine joins the same contract: acyclic queries run
-//! the semijoin full reduction before joining, cyclic ones fall back,
-//! and either way every answer, trace, and served render below must be
-//! byte-identical to the row and columnar engines.
-//!
 //! The second half holds regression tests for the three error-path
 //! bugfixes that rode along:
 //!
@@ -43,21 +38,6 @@ fn both_engines<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
     };
     assert_eq!(row, columnar, "row and columnar engines diverged");
     columnar
-}
-
-/// [`both_engines`] plus the Yannakakis engine: all three must agree
-/// byte-for-byte.
-fn all_engines<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
-    let baseline = both_engines(&f);
-    let yannakakis = {
-        let _g = install(Engine::Yannakakis);
-        f()
-    };
-    assert_eq!(
-        baseline, yannakakis,
-        "yannakakis engine diverged from row/columnar"
-    );
-    yannakakis
 }
 
 // ---------------------------------------------------------------------
@@ -116,10 +96,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random query + database: `evaluate` and `execute_ordered` agree
-    /// across all three engines, trace and answer order included. The
+    /// across both engines, trace and answer order included, over the
     /// generator's mix of chains, stars, cycles, self-joins, and
-    /// disconnected bodies exercises both the Yannakakis reduction and
-    /// its cyclic fallback.
+    /// disconnected bodies.
     #[test]
     fn engines_agree_on_random_queries(
         (q, db) in arb_query().prop_flat_map(|q| {
@@ -127,7 +106,7 @@ proptest! {
             (Just(q), db)
         })
     ) {
-        all_engines(|| {
+        both_engines(|| {
             let answer = evaluate(&q, &db);
             let trace = execute_ordered(&q.head, &q.body, &db);
             assert_eq!(trace.answer, answer);
@@ -197,7 +176,7 @@ fn engines_agree_at_scale_on_order_and_trace() {
             intermediates.iter().all(|&n| n > 8) && !answer.is_empty(),
             "{text}: the joins must neither explode nor die out"
         );
-        let evaluated = all_engines(|| evaluate(&q, &db).rows());
+        let evaluated = both_engines(|| evaluate(&q, &db).rows());
         assert_eq!(evaluated.len(), answer.len(), "{text}");
     }
 }
@@ -214,7 +193,7 @@ proptest! {
     ) {
         let rows = 9 + (seed % 12) as usize;
         let db = int_database(&q, rows, 5, seed);
-        all_engines(|| {
+        both_engines(|| {
             let answer = evaluate(&q, &db);
             let trace = execute_ordered(&q.head, &q.body, &db);
             assert_eq!(trace.answer, answer);
@@ -238,7 +217,7 @@ fn single_kind_keys_of_different_kinds_join_to_nothing() {
             both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
         assert_eq!(intermediates, [rows as usize, 0]);
         assert!(answer.is_empty());
-        assert!(all_engines(|| evaluate(&q, &db)).is_empty());
+        assert!(both_engines(|| evaluate(&q, &db)).is_empty());
     }
 }
 
@@ -265,7 +244,10 @@ fn engines_agree_through_a_mixed_column() {
         let (_, _, joined) = both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
         assert!(!joined.is_empty());
         // (`evaluate` picks its own join order: same set, other order.)
-        assert_eq!(all_engines(|| evaluate(&q, &db).rows()).len(), joined.len());
+        assert_eq!(
+            both_engines(|| evaluate(&q, &db).rows()).len(),
+            joined.len()
+        );
 
         // M3-style: drop A after the first step, so the table is
         // re-deduplicated *on* the mixed column, then join through it.
@@ -313,7 +295,7 @@ fn engines_agree_on_repeating_constant_and_empty_heads() {
         let (_, _, answer) = both_engines(|| shown(execute_ordered(&unit, &body, &db)));
         assert_eq!(answer, [Vec::<Value>::new()]);
         let q = ConjunctiveQuery::new(unit, body);
-        assert_eq!(all_engines(|| evaluate(&q, &db)).len(), 1);
+        assert_eq!(both_engines(|| evaluate(&q, &db)).len(), 1);
     }
 }
 
@@ -380,7 +362,7 @@ fn single_key_joins_tell_kinds_apart_under_equal_words() {
             let clash = probe != Mixed && build != Mixed && probe != build;
             assert_eq!(answer.is_empty(), clash, "{probe:?} against {build:?}");
             assert_eq!(intermediates[1], answer.len());
-            let evaluated = all_engines(|| evaluate(&q, &db));
+            let evaluated = both_engines(|| evaluate(&q, &db));
             assert_eq!(evaluated.len(), answer.len(), "{probe:?} against {build:?}");
         }
     }
@@ -414,7 +396,7 @@ fn two_key_joins_compare_cells_after_the_hash() {
         }
         let (_, _, answer) = both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
         assert!(!answer.is_empty(), "{left:?} against {right:?}");
-        assert_eq!(all_engines(|| evaluate(&q, &db)).len(), answer.len());
+        assert_eq!(both_engines(|| evaluate(&q, &db)).len(), answer.len());
     }
 }
 
@@ -515,25 +497,18 @@ fn engines_agree_on_served_workloads() {
         for budget in [BudgetSpec::new(), BudgetSpec::new().node_budget(500)] {
             for threads in [1usize, 8] {
                 let row = served_renders(&views, &stream, Engine::Row, threads, budget);
-                for engine in [Engine::Columnar, Engine::Yannakakis] {
-                    let other = served_renders(&views, &stream, engine, threads, budget);
-                    assert_eq!(
-                        row,
-                        other,
-                        "{} diverged from row (shape {shape}, seed {seed}, threads {threads})",
-                        engine.name()
-                    );
-                }
+                let columnar = served_renders(&views, &stream, Engine::Columnar, threads, budget);
+                assert_eq!(
+                    row, columnar,
+                    "columnar diverged from row (shape {shape}, seed {seed}, threads {threads})"
+                );
             }
         }
     }
 }
 
-/// Optimizer-chosen plans execute byte-identically under all three
-/// engines over a random view database (the M2/M3 ground-truth costing
-/// path). Annotated plans encode their own join order and drops, so the
-/// Yannakakis engine executes them through the shared columnar driver —
-/// the trace equality below is the proof that delegation stays exact.
+/// Optimizer-chosen plans execute byte-identically under both engines
+/// over a random view database (the M2/M3 ground-truth costing path).
 #[test]
 fn engines_agree_on_optimized_plan_traces() {
     for seed in [3u64, 9, 27] {
@@ -547,13 +522,13 @@ fn engines_agree_on_optimized_plan_traces() {
                 base.insert(name, row.into_iter().map(Value::Int).collect());
             }
         }
-        let vdb = all_engines(|| materialize_views(&w.views, &base));
+        let vdb = both_engines(|| materialize_views(&w.views, &base));
         let mut oracle = ExactOracle::new(&vdb);
         let Some(best) = Optimizer::new(&w.query, &w.views).best_plan(CostModel::M2, &mut oracle)
         else {
             continue;
         };
-        all_engines(|| {
+        both_engines(|| {
             let trace = best
                 .plan
                 .try_execute(&best.rewriting.head, &vdb)
@@ -568,11 +543,11 @@ fn engines_agree_on_optimized_plan_traces() {
 }
 
 // ---------------------------------------------------------------------
-// Yannakakis edge cases: the reduction must not change any answer even
-// when a relation is empty, missing, or joined against itself.
+// Edge cases: a relation that is empty, missing, or joined against
+// itself.
 
-/// An empty (or entirely absent) relation empties the acyclic join; the
-/// reduction short-circuits, and the answer stays byte-identical.
+/// An empty (or entirely absent) relation empties the join, and the
+/// answer stays byte-identical.
 #[test]
 fn engines_agree_with_empty_and_missing_relations() {
     let q = parse_query("q(X, Z) :- e(X, Y), f(Y, Z)").unwrap();
@@ -580,26 +555,24 @@ fn engines_agree_with_empty_and_missing_relations() {
     let mut db = Database::new();
     db.insert_int("e", &[&[1, 2], &[3, 4]]);
     db.set("f".into(), viewplan::engine::Relation::new(2));
-    let answer = all_engines(|| evaluate(&q, &db));
+    let answer = both_engines(|| evaluate(&q, &db));
     assert!(answer.is_empty());
     // `f` missing entirely.
     let mut db = Database::new();
     db.insert_int("e", &[&[1, 2]]);
-    let answer = all_engines(|| evaluate(&q, &db));
+    let answer = both_engines(|| evaluate(&q, &db));
     assert!(answer.is_empty());
 }
 
-/// Self-joins: both atoms read the same stored relation, but the
-/// reduction filters each *occurrence* independently (private per-atom
-/// names), so dangling tuples drop from one side without corrupting the
-/// other.
+/// Self-joins: both atoms read the same stored relation, and a dangling
+/// tuple on one side must not corrupt the other.
 #[test]
 fn engines_agree_on_self_joins() {
     let q = parse_query("q(X, Z) :- e(X, Y), e(Y, Z)").unwrap();
     let mut db = Database::new();
     // 1→2→3 chains; 7→8 dangles (no successor, no predecessor).
     db.insert_int("e", &[&[1, 2], &[2, 3], &[7, 8]]);
-    let answer = all_engines(|| {
+    let answer = both_engines(|| {
         let a = evaluate(&q, &db);
         let trace = execute_ordered(&q.head, &q.body, &db);
         assert_eq!(trace.answer, a);
@@ -608,62 +581,26 @@ fn engines_agree_on_self_joins() {
     assert_eq!(answer.len(), 1, "only 1→2→3 completes the 2-chain");
 }
 
-/// Routing counters: acyclic bodies run the reduction, cyclic bodies
-/// take the fallback. Deltas use `>=` (shared registry).
-#[test]
-fn yannakakis_routing_counters_fire() {
-    viewplan::obs::set_enabled(true);
-    let _g = install(Engine::Yannakakis);
-    let mut db = Database::new();
-    db.insert_int("e", &[&[1, 2], &[2, 3]]);
-
-    let chain = parse_query("q(X, Z) :- e(X, Y), e(Y, Z)").unwrap();
-    let before = viewplan::obs::counter_value("engine.yannakakis_reductions");
-    evaluate(&chain, &db);
-    let after = viewplan::obs::counter_value("engine.yannakakis_reductions");
-    assert!(after > before, "acyclic chain did not run the reduction");
-
-    let triangle = parse_query("q(X) :- e(X, Y), e(Y, Z), e(Z, X)").unwrap();
-    let before = viewplan::obs::counter_value("engine.yannakakis_fallbacks");
-    evaluate(&triangle, &db);
-    let after = viewplan::obs::counter_value("engine.yannakakis_fallbacks");
-    assert!(after > before, "cyclic triangle did not fall back");
-}
-
-/// CLI: `eval --engine yannakakis` produces byte-identical stdout to
-/// the row and columnar engines on the bundled example problem (the
-/// served-answer agreement line included).
+/// CLI: `eval` produces byte-identical stdout under the row executor
+/// and at the default on the bundled example problem (the served-answer
+/// agreement line included).
 #[test]
 fn cli_eval_is_byte_identical_across_engines() {
-    let outputs: Vec<(String, String)> = ["row", "columnar", "yannakakis"]
+    let argv: Vec<String> = ["eval", "examples/problems/carlocpart.vp"]
         .iter()
-        .map(|engine| {
-            let out = Command::new(env!("CARGO_BIN_EXE_viewplan"))
-                .args([
-                    "eval",
-                    "examples/problems/carlocpart.vp",
-                    "--engine",
-                    engine,
-                ])
-                .output()
-                .expect("failed to spawn viewplan");
-            assert!(
-                out.status.success(),
-                "--engine {engine} failed: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            (
-                engine.to_string(),
-                String::from_utf8_lossy(&out.stdout).into_owned(),
-            )
-        })
+        .map(|a| a.to_string())
         .collect();
-    for (engine, stdout) in &outputs[1..] {
-        assert_eq!(
-            stdout, &outputs[0].1,
-            "--engine {engine} stdout diverged from row"
-        );
-    }
+    let eval = || {
+        let mut stdout = Vec::new();
+        let code = viewplan::cli::run(&argv, &viewplan::cli::Env::default(), &mut stdout);
+        assert_eq!(code, 0, "eval failed");
+        String::from_utf8(stdout).expect("stdout must be UTF-8")
+    };
+    let row = {
+        let _g = install(Engine::Row);
+        eval()
+    };
+    assert_eq!(eval(), row, "default stdout diverged from row");
 }
 
 // ---------------------------------------------------------------------
@@ -716,15 +653,14 @@ fn arity_mismatch_increments_counter() {
     let mut db = Database::new();
     db.insert_int("r", &[&[1, 2], &[3, 4], &[5, 6]]); // stored arity 2, used with 3
     let before = viewplan::obs::counter_value("engine.arity_mismatch_skips");
-    let answer = all_engines(|| evaluate(&q, &db));
+    let answer = both_engines(|| evaluate(&q, &db));
     assert!(answer.is_empty());
     let after = viewplan::obs::counter_value("engine.arity_mismatch_skips");
-    // 3 skipped tuples per engine (the Yannakakis reducer mirrors the
-    // join driver's per-atom accounting); `>=` because other tests
-    // share the process-global metrics registry.
+    // 3 skipped tuples per engine; `>=` because other tests share the
+    // process-global metrics registry.
     assert!(
-        after >= before + 9,
-        "expected +9 skips, counter went {before} -> {after}"
+        after >= before + 6,
+        "expected +6 skips, counter went {before} -> {after}"
     );
 }
 

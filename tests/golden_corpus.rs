@@ -3,11 +3,11 @@
 //! binary, with stdout compared byte-for-byte against checked-in
 //! expectations under `tests/golden/expected/`.
 //!
-//! Every golden then runs again **in process** at each engine {row,
-//! columnar, yannakakis} against the same expectation: the engine is a
-//! performance knob, so it may not change a byte of stdout or the exit
-//! code. (This replaces fanning the whole suite out over environment
-//! switches in CI.)
+//! Every golden then runs again **in process**, twice, against the same
+//! expectation: once under the row executor (the differential oracle,
+//! installed with `viewplan::engine::install`) and once at the default
+//! columnar executor. The executor may not change a byte of stdout or
+//! the exit code.
 //!
 //! Only stdout is golden — stderr carries timings and cache counters,
 //! which are deliberately nondeterministic. To accept new output after
@@ -19,10 +19,12 @@
 
 use std::path::Path;
 use std::process::Command;
+use viewplan::engine::Engine;
 
 /// Runs `viewplan <args>` from the repo root and compares its stdout to
 /// `tests/golden/expected/<name>.txt` — once through the executable at
-/// the defaults, then in process at every engine.
+/// the defaults, then in process under the row executor and at the
+/// default.
 fn check(name: &str, args: &[&str]) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let out = Command::new(env!("CARGO_BIN_EXE_viewplan"))
@@ -62,12 +64,9 @@ fn check(name: &str, args: &[&str]) {
         );
     }
 
-    for engine in ["row", "columnar", "yannakakis"] {
-        // The engine flag goes first so it wins over any the golden
-        // itself passes (the first occurrence counts).
-        let mut argv = vec![args[0], "--engine", engine];
-        argv.extend(&args[1..]);
-        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+    let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    for (engine, pinned) in [("row", Some(Engine::Row)), ("default", None)] {
+        let _engine = pinned.map(viewplan::engine::install);
         let mut stdout = Vec::new();
         let code = viewplan::cli::run(&argv, &viewplan::cli::Env::default(), &mut stdout);
         assert_eq!(code, 0, "{name} [engine={engine}]: exit code {code}");
