@@ -21,9 +21,9 @@
 use crate::diagnostics::{Analysis, Diagnostic};
 use std::collections::{HashMap, HashSet};
 use viewplan_containment::minimize;
-use viewplan_core::{body_signature, view_is_unusable, CatalogIndex, MAX_SUBGOALS};
+use viewplan_core::{CatalogIndex, MAX_SUBGOALS};
 use viewplan_cq::{
-    hypertree_width_estimate, Atom, ConjunctiveQuery, Program, RuleSpans, Span, Symbol, Term, View,
+    hypertree_width_estimate, Atom, ConjunctiveQuery, Program, RuleSpans, Span, Symbol, Term,
     ViewSet,
 };
 
@@ -396,8 +396,8 @@ fn atom_may_cover(
 /// * **unmatchable** — some view subgoal has no query subgoal it can map
 ///   onto ([`atom_can_map`]): foreign predicate, or conflicting constant
 ///   positions. No homomorphism into the canonical database exists, so
-///   the view yields zero view tuples. The foreign-predicate sub-case is
-///   exactly what the rewriter prunes on
+///   the view yields zero view tuples. The rewriter prunes the
+///   foreign-predicate sub-case, and views with a join the query lacks
 ///   ([`viewplan_core::view_is_unusable`]).
 /// * **cover-impossible** — view tuples may exist, but no view subgoal
 ///   can cover any query subgoal under [`atom_may_cover`], so every
@@ -424,14 +424,12 @@ fn check_dead_views(
         .iter()
         .map(|&i| {
             let q = &program.rules[i];
-            (q, q.distinguished_set(), body_signature(q))
+            let pairs = q.body.iter().map(|a| (a.predicate, a.arity())).collect();
+            (q, q.distinguished_set(), pairs)
         })
         .collect();
     for &vi in view_indices {
         let rule = &program.rules[vi];
-        let view = View {
-            definition: rule.clone(),
-        };
         let dist_view = rule.distinguished_set();
         let mut foreign_example: Option<&Atom> = None;
         let mut unmatchable_example: Option<&Atom> = None;
@@ -444,7 +442,7 @@ fn check_dead_views(
                 .find(|a| !q.body.iter().any(|g| atom_can_map(a, g)));
             if let Some(a) = unmatchable {
                 unmatchable_example = unmatchable_example.or(Some(a));
-                if foreign_example.is_none() && view_is_unusable(sig, &view) {
+                if foreign_example.is_none() {
                     foreign_example = rule
                         .body
                         .iter()

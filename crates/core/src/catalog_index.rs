@@ -12,24 +12,28 @@
 //!   cache. Precedence is the analyzer's: a view's name fixes its arity
 //!   (the last view of that name when names are shadowed), otherwise the
 //!   first body occurrence in view order does.
-//! * **`(predicate, arity) → views`** postings — the §4.3 MiniCon-style
-//!   prefilter ([`crate::prune`], `VP006`): the views that can contribute
-//!   a view tuple to a query are found from the query's own
-//!   `(predicate, arity)` pairs, not by testing every view. Views are
-//!   posted by *body signature* (their sorted, deduplicated pairs): views
-//!   with the same signature pass or fail the prefilter together, and a
+//! * **signature postings** — the §4.3 MiniCon-style prefilter
+//!   ([`crate::prune`]): the views that can contribute a view tuple to a
+//!   query are found from the query's own `(predicate, arity)` pairs and
+//!   joins, not by testing every view. Views are grouped by *signature*
+//!   (their sorted, deduplicated pairs and joins, [`Signature::of_view`]):
+//!   views with one signature pass or fail the prefilter together, and a
 //!   catalog has far fewer signatures than views. A signature is posted
-//!   under its smallest pair only — a signature contained in the query's
-//!   has its smallest pair there too — so no view is reached twice.
+//!   under its smallest join if it has one, else under its smallest pair
+//!   — a signature contained in the query's has that join or pair there
+//!   too — so a query reaches each group it can use once, by looking up
+//!   its own pairs and joins, and tests each group it reaches once with
+//!   [`can_yield_tuples`]. On the §7 random shape most views that share
+//!   the query's pairs join them at other positions; their groups sit
+//!   under joins the query does not have and are never reached.
 //!
 //! One index is built per view-set snapshot and is immutable afterwards,
 //! so it is shared across worker threads by reference like the snapshot
 //! that owns it.
 
-use std::collections::{HashMap, HashSet};
+use crate::prune::{can_yield_tuples, Join, Pair, Signature};
+use std::collections::HashMap;
 use viewplan_cq::{Symbol, View, ViewSet};
-
-type Pair = (Symbol, usize);
 
 /// The `(predicate, arity)` pairs of a view body, sorted and
 /// deduplicated.
@@ -45,11 +49,30 @@ pub(crate) fn body_pairs(view: &View) -> Vec<Pair> {
     pairs
 }
 
-/// The views (ascending indices) sharing one body signature.
+/// The views (ascending indices) sharing one signature.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SignatureGroup {
-    signature: Vec<Pair>,
+    signature: Signature,
     views: Vec<usize>,
+}
+
+/// What a group is posted under: its smallest join, else its smallest
+/// pair, else nothing (a view without a body, which no query rules out).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Posting {
+    Join(Join),
+    Pair(Pair),
+    Bodyless,
+}
+
+impl Posting {
+    fn of(signature: &Signature) -> Posting {
+        match (signature.joins.first(), signature.pairs.first()) {
+            (Some(&join), _) => Posting::Join(join),
+            (None, Some(&pair)) => Posting::Pair(pair),
+            (None, None) => Posting::Bodyless,
+        }
+    }
 }
 
 /// Arity map, signature postings and representative bits of one view
@@ -58,10 +81,7 @@ struct SignatureGroup {
 pub struct CatalogIndex {
     arity: HashMap<Symbol, usize>,
     groups: Vec<SignatureGroup>,
-    /// Smallest pair of a signature → the groups with such a signature
-    /// (`None`: the empty signature of a view without a body, which no
-    /// query rules out).
-    postings: HashMap<Option<Pair>, Vec<usize>>,
+    postings: HashMap<Posting, Vec<usize>>,
     representative: Vec<bool>,
 }
 
@@ -73,24 +93,25 @@ impl CatalogIndex {
     pub fn build(views: &ViewSet, classes: &[Vec<usize>]) -> CatalogIndex {
         let mut arity: HashMap<Symbol, usize> = HashMap::new();
         let mut groups: Vec<SignatureGroup> = Vec::new();
-        let mut group_of: HashMap<Vec<Pair>, usize> = HashMap::new();
-        let mut postings: HashMap<Option<Pair>, Vec<usize>> = HashMap::new();
+        let mut group_of: HashMap<Signature, usize> = HashMap::new();
+        let mut postings: HashMap<Posting, Vec<usize>> = HashMap::new();
+        // Most views share a signature with an earlier one: one buffer is
+        // refilled per view, and copied only for a new group.
+        let (mut signature, mut placed) = (Signature::default(), Vec::new());
         for (i, view) in views.iter().enumerate() {
             arity.insert(view.name(), view.arity());
             for atom in &view.definition.body {
                 arity.entry(atom.predicate).or_insert(atom.arity());
             }
-            let signature = body_pairs(view);
+            signature.fill(&view.definition.body, false, &mut placed);
             match group_of.get(&signature) {
                 Some(&g) => groups[g].views.push(i),
                 None => {
-                    postings
-                        .entry(signature.first().copied())
-                        .or_default()
-                        .push(groups.len());
-                    group_of.insert(signature.clone(), groups.len());
+                    let g = groups.len();
+                    postings.entry(Posting::of(&signature)).or_default().push(g);
+                    group_of.insert(signature.clone(), g);
                     groups.push(SignatureGroup {
-                        signature,
+                        signature: signature.clone(),
                         views: vec![i],
                     });
                 }
@@ -113,49 +134,35 @@ impl CatalogIndex {
         self.arity.get(&predicate).copied()
     }
 
-    fn groups_posted_under(&self, first: Option<Pair>) -> impl Iterator<Item = &SignatureGroup> {
-        self.postings
-            .get(&first)
-            .into_iter()
-            .flatten()
-            .map(|&g| &self.groups[g])
-    }
-
-    /// The views (ascending indices) whose body signature is exactly
-    /// `signature` (sorted, deduplicated).
-    pub(crate) fn views_with_signature(&self, signature: &[Pair]) -> &[usize] {
-        self.groups_posted_under(signature.first().copied())
-            .find(|group| group.signature == signature)
-            .map_or(&[], |group| &group.views)
-    }
-
     /// Whether view `i` is the representative of its equivalence class.
     pub(crate) fn is_representative(&self, i: usize) -> bool {
         self.representative[i]
     }
 
-    /// The views that survive the `VP006` prune for a query with body
-    /// signature `needed` — every body `(predicate, arity)` pair occurs
-    /// in `needed` — as ascending indices, restricted to class
-    /// representatives when `representatives_only` is set. Exactly the
-    /// views [`crate::prune::view_is_unusable`] keeps, found from the
-    /// postings of `needed` instead of by testing every view.
-    pub fn usable_views(&self, needed: &HashSet<Pair>, representatives_only: bool) -> Vec<usize> {
-        // A query has a handful of pairs: searching a sorted slice beats
-        // hashing each lookup.
-        let mut needed: Vec<Pair> = needed.iter().copied().collect();
-        needed.sort_unstable();
-        let mut usable: Vec<usize> = needed
+    /// The views that can yield a view tuple for a query offering
+    /// `needed` ([`crate::body_signature`]) — every pair and every join
+    /// of the view is the query's — as ascending indices, restricted to
+    /// class representatives when `representatives_only` is set. Exactly
+    /// the views [`crate::prune::view_is_unusable`] keeps, found from the
+    /// postings of the query's pairs and joins instead of by testing
+    /// every view.
+    pub fn usable_views(&self, needed: &Signature, representatives_only: bool) -> Vec<usize> {
+        // A query too wide to list its joins offers every one: its
+        // postings cannot be looked up, so every group is tested instead.
+        let posted = needed
+            .joins
             .iter()
-            .map(|&pair| Some(pair))
-            .chain(std::iter::once(None))
-            .flat_map(|first| self.groups_posted_under(first))
-            .filter(|group| {
-                group
-                    .signature
-                    .iter()
-                    .all(|pair| needed.binary_search(pair).is_ok())
-            })
+            .map(|&join| Posting::Join(join))
+            .chain(needed.pairs.iter().map(|&pair| Posting::Pair(pair)))
+            .chain(std::iter::once(Posting::Bodyless))
+            .filter(|_| !needed.every_join)
+            .filter_map(|posting| self.postings.get(&posting))
+            .flatten()
+            .map(|&g| &self.groups[g]);
+        let scanned = self.groups.iter().filter(|_| needed.every_join);
+        let mut usable: Vec<usize> = posted
+            .chain(scanned)
+            .filter(|group| can_yield_tuples(&group.signature, needed))
             .flat_map(|group| &group.views)
             .copied()
             .filter(|&i| !representatives_only || self.representative[i])
@@ -168,7 +175,7 @@ impl CatalogIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prune::body_signature;
+    use crate::prune::{body_signature, view_is_unusable};
     use viewplan_cq::{parse_query, parse_views, Atom, ConjunctiveQuery, Term};
 
     #[test]
@@ -192,23 +199,55 @@ mod tests {
     }
 
     #[test]
-    fn views_are_grouped_by_deduplicated_signature() {
+    fn views_are_grouped_by_signature() {
         let views = parse_views(
             "v0(A) :- e(A, B), e(B, A), f(A).\n\
              v1(A) :- g(A).\n\
              v2(A) :- f(A), e(A, A, A).\n\
-             v3(A, B) :- f(B), e(A, B).",
+             v3(A, B) :- f(B), e(A, B).\n\
+             v4(A) :- f(A), e(A, B), e(B, A).",
         )
         .unwrap();
-        let index = CatalogIndex::build(&views, &[vec![0], vec![1, 2], vec![3]]);
-        let (e, f, g) = (Symbol::new("e"), Symbol::new("f"), Symbol::new("g"));
-        assert_eq!(index.views_with_signature(&[(e, 2), (f, 1)]), [0, 3]);
-        assert_eq!(index.views_with_signature(&[(e, 3), (f, 1)]), [2]);
-        assert_eq!(index.views_with_signature(&[(g, 1)]), [1]);
-        assert_eq!(index.views_with_signature(&[(f, 1)]), [] as [usize; 0]);
-        assert_eq!(index.views_with_signature(&[]), [] as [usize; 0]);
+        let index = CatalogIndex::build(&views, &[vec![0], vec![1, 2], vec![3], vec![4]]);
+        // v0 and v4 share a signature; v3 has their pairs, not their joins.
+        let groups: Vec<&[usize]> = index.groups.iter().map(|g| &g.views[..]).collect();
+        assert_eq!(groups, [&[0, 4][..], &[1], &[2], &[3]]);
         assert!(index.is_representative(0) && index.is_representative(1));
         assert!(!index.is_representative(2));
+        let needed = body_signature(&parse_query("q(X) :- e(X, Y), e(Y, X), f(X)").unwrap());
+        assert_eq!(index.usable_views(&needed, false), [0, 3, 4]);
+        assert_eq!(index.usable_views(&needed, true), [0, 3, 4]);
+        let needed = body_signature(&parse_query("q(X) :- e(X, Y), f(Y)").unwrap());
+        assert_eq!(index.usable_views(&needed, false), [3]);
+    }
+
+    #[test]
+    fn the_postings_find_what_the_linear_scan_keeps() {
+        let views = parse_views(
+            "v0(A) :- r(A, B), s(B, C).\n\
+             v1(A) :- r(A, B), s(A, C).\n\
+             v2(A) :- r(A, A).\n\
+             v3(A) :- s(A, B).\n\
+             v4(A) :- r(A, B), r(A, C).\n\
+             v5(A) :- r(A, B), s(B, C), t(C).",
+        )
+        .unwrap();
+        let index = CatalogIndex::build(&views, &[]);
+        for query in [
+            "q(X) :- r(X, Y), s(Y, Z)",
+            "q(X) :- r(X, X), s(X, Z)",
+            "q(X) :- r(X, c), s(c, X)",
+            "q(X) :- r(X, Y), s(Y, Z), t(Z)",
+            "q(X) :- s(X, Y)",
+        ] {
+            let needed = body_signature(&parse_query(query).unwrap());
+            let linear: Vec<usize> = (0..views.len())
+                .filter(|&i| !view_is_unusable(&needed, &views.as_slice()[i]))
+                .collect();
+            assert_eq!(index.usable_views(&needed, false), linear, "{query}");
+        }
+        let needed = body_signature(&parse_query("q(X) :- r(X, Y), s(Y, Z)").unwrap());
+        assert_eq!(index.usable_views(&needed, false), [0, 3, 4]);
     }
 
     #[test]

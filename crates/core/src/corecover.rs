@@ -423,15 +423,16 @@ impl<'a> CoreCover<'a> {
             });
         }
 
-        // Step 1b (§5.2) and 1c (VP006), through the catalog index — the
-        // one a PreparedViews set built once for the whole query stream,
-        // or one built here (identical by determinism of the grouping).
-        // Grouping restricts the run to one representative per class.
-        // Pruning drops views whose body mentions a (predicate, arity)
-        // pair absent from the minimized query: such a view admits no
+        // Step 1b (§5.2) and 1c (crate::prune), through the catalog
+        // index — the one a PreparedViews set built once for the whole
+        // query stream, or one built here (identical by determinism of
+        // the grouping). Grouping restricts the run to one representative
+        // per class. Pruning drops views with a (predicate, arity) pair or
+        // a join the minimized query lacks: such a view admits no
         // homomorphism into the canonical database and therefore yields
         // zero view tuples, so skipping it changes no output. The
-        // survivors come from the postings of the query's own pairs.
+        // survivors come from the postings of the query's own pairs and
+        // joins.
         // `stats.views`/`stats.view_classes` stay at their pre-pruning
         // values: pruning is an execution shortcut, not a semantic change.
         let group = self.config.group_equivalent_views;
@@ -490,6 +491,7 @@ impl<'a> CoreCover<'a> {
         // Step 2: view tuples, each selected view matched on the
         // subgoals of the minimized query; `origin[t]` is the index of
         // the view tuple `t` came from.
+        let views_matched = selected.len();
         let (tuples, origin) = {
             let _span = obs::span("corecover.view_tuples");
             view_tuples_of(&qm, views, selected)
@@ -609,6 +611,7 @@ impl<'a> CoreCover<'a> {
         obs::counter!("corecover.runs").incr();
         obs::counter!("corecover.views").add(stats.views as u64);
         obs::counter!("corecover.view_classes").add(stats.view_classes as u64);
+        obs::counter!("corecover.views_matched").add(views_matched as u64);
         obs::counter!("corecover.view_tuples").add(stats.view_tuples as u64);
         obs::counter!("corecover.representative_tuples").add(stats.representative_tuples as u64);
         obs::counter!("corecover.empty_core_tuples").add(stats.empty_core_tuples as u64);

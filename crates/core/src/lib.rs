@@ -78,7 +78,7 @@ pub use lattice::{
 pub use minicon::{minicon_rewritings, Mcd, MiniCon};
 pub use naive::naive_gmrs;
 pub use prepared::PreparedViews;
-pub use prune::{body_signature, view_is_unusable};
+pub use prune::{body_signature, can_yield_tuples, view_is_unusable, Signature};
 pub use rewriting::{dedup_variants, dedup_variants_with_map, Rewriting};
 pub use tuple_core::{tuple_core, TupleCore};
 pub use view_tuple::{view_tuples, ViewTuple};

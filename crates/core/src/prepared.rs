@@ -26,6 +26,7 @@
 
 use crate::catalog_index::{body_pairs, CatalogIndex};
 use crate::classes::{normalized, view_equivalence_classes};
+use crate::prune::body_signature;
 use std::sync::OnceLock;
 use viewplan_containment::are_equivalent;
 use viewplan_cq::{Symbol, View, ViewSet};
@@ -33,7 +34,7 @@ use viewplan_obs as obs;
 
 /// A view set with its query-independent preprocessing done: view
 /// equivalence classes and the [`CatalogIndex`] (predicate arities,
-/// `(predicate, arity)` postings, body signatures, representative bits).
+/// signature postings, representative bits).
 /// Immutable after construction; share by reference across threads.
 /// Nothing a request does needs to iterate [`PreparedViews::views`].
 ///
@@ -89,20 +90,28 @@ impl PreparedViews {
     /// The snapshot of this view set plus `view` (appended last), at
     /// `epoch` — equal to [`PreparedViews::prepare_with_epoch`] over the
     /// extended set, without regrouping it: the new view is tested only
-    /// against the class representatives of its own signature bucket
-    /// (same head arity, same body `(predicate, arity)` pairs) and joins
-    /// the first equivalent one's class or opens a new last class, which
-    /// is what the from-scratch pass does when it reaches the last view.
+    /// against the class representatives with its head arity and body
+    /// `(predicate, arity)` pairs that pass the prefilter against its own
+    /// body ([`crate::prune`]: an equivalent view maps into that body, so
+    /// it is among them), and joins the equivalent one's class or opens a
+    /// new last class, which is what the from-scratch pass does when it
+    /// reaches the last view.
     pub fn with_view_added(&self, view: View, epoch: u64) -> PreparedViews {
-        let signature = body_pairs(&view);
         let norm = normalized(&view);
-        let bucket = self.index.views_with_signature(&signature);
-        let joined = bucket.iter().copied().find(|&i| {
-            let candidate = &self.views.as_slice()[i];
-            self.index.is_representative(i)
-                && candidate.arity() == view.arity()
-                && are_equivalent(&normalized(candidate), &norm)
-        });
+        let pairs = body_pairs(&view);
+        // Classes are disjoint, so at most one representative is
+        // equivalent: the order the candidates are tried in cannot
+        // matter.
+        let joined = self
+            .index
+            .usable_views(&body_signature(&view.definition), true)
+            .into_iter()
+            .find(|&i| {
+                let candidate = &self.views.as_slice()[i];
+                candidate.arity() == view.arity()
+                    && body_pairs(candidate) == pairs
+                    && are_equivalent(&normalized(candidate), &norm)
+            });
         let mut classes = self.classes.clone();
         let added = self.views.len();
         match joined.and_then(|rep| classes.binary_search_by_key(&rep, |class| class[0]).ok()) {

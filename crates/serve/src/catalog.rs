@@ -8,8 +8,9 @@
 //! [`PreparedViews`] snapshot from the current one **off the hot path**
 //! — before any lock that readers contend on — and publishes it with one
 //! pointer swap. The derivation does not regroup the catalog: an added
-//! view is compared with the class representatives of its own signature
-//! bucket only, a drop renumbers the surviving class members, and the
+//! view is compared only with the class representatives that share its
+//! pairs and pass the prefilter against its body, a drop renumbers the
+//! surviving class members, and the
 //! snapshot's catalog index is rebuilt in one linear pass
 //! ([`PreparedViews::with_view_added`],
 //! [`PreparedViews::with_views_dropped`]). In-flight requests keep
@@ -31,12 +32,18 @@
 //!   of untouched classes are stable under removal of `v`) the surviving
 //!   output is unchanged. Dropping a non-representative view of a
 //!   grouped class therefore evicts nothing.
-//! * `add v`: an entry is affected iff its canonical query's body shares
-//!   a predicate with `v`'s definition body (or mentions `v`'s name). A
-//!   view participates in a rewriting only through view tuples, which
-//!   require a homomorphism from `v`'s body into the query's — no shared
-//!   predicate, no tuple, no new rewriting, and no change to the cost
-//!   ranking among the old ones.
+//! * `add v`: an entry is affected iff its canonical query's body names
+//!   `v`, or `v` passes the rewriter's prefilter against it
+//!   ([`viewplan_core::can_yield_tuples`]: every `(predicate, arity)`
+//!   pair and every join of `v`'s body is the query's). A view
+//!   participates in a rewriting only through view tuples, which require
+//!   a homomorphism from `v`'s body into the query's. A view that fails
+//!   the prefilter has no tuple over the canonical query, so none over
+//!   its minimization either (a subset of its body): no new rewriting,
+//!   and no change to the cost ranking among the old ones. A cold
+//!   recompute gives the cached answer, so the entry is re-stamped. The
+//!   rule is tighter than "shares a predicate with `v`" and looser than
+//!   running the matcher.
 //!
 //! The eviction predicate is checked end to end by the differential
 //! oracle (`tests/catalog_invalidation.rs`): after *any* add/drop
@@ -49,9 +56,8 @@
 //! the cache is untouched, and the caller gets an error — a crashed DDL
 //! step must never leave readers on a half-swapped catalog.
 
-use std::collections::HashSet;
 use std::sync::Arc;
-use viewplan_core::PreparedViews;
+use viewplan_core::{body_signature, can_yield_tuples, PreparedViews, Signature};
 use viewplan_cq::{ConjunctiveQuery, Symbol, View, ViewSet};
 use viewplan_obs as obs;
 use viewplan_obs::budget::FaultPoint;
@@ -134,16 +140,12 @@ impl LiveCatalog {
         current
             .validate(&view.definition)
             .map_err(|e| format!("invalid view definition: {e}"))?;
-        let body_preds: HashSet<Symbol> =
-            view.definition.body.iter().map(|a| a.predicate).collect();
+        let needs = Signature::of_view(&view);
         self.swap_to(
             &current,
             |snapshot, epoch| snapshot.with_view_added(view, epoch),
             move |canonical, _| {
-                canonical
-                    .body
-                    .iter()
-                    .any(|a| a.predicate == name || body_preds.contains(&a.predicate))
+                mentions(canonical, name) || can_yield_tuples(&needs, &body_signature(canonical))
             },
         )
     }
@@ -289,6 +291,57 @@ mod tests {
         assert!(cold.rewritings.is_empty());
     }
 
+    /// Every resident entry renders what a server without a cache
+    /// computes over the catalog's current views.
+    fn assert_residents_match_cold_recompute(catalog: &LiveCatalog) {
+        let server = catalog.server();
+        let cold = BatchServer::with_config(
+            server.views(),
+            ServeConfig {
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+        );
+        for (canonical, epoch, _) in server.cache().unwrap().entries() {
+            assert_eq!(epoch, server.epoch(), "no stale-epoch residents");
+            let warm = server.serve(&canonical).unwrap();
+            let fresh = cold.serve(&canonical).unwrap();
+            assert_eq!(warm.render(), fresh.render(), "{canonical}");
+        }
+    }
+
+    #[test]
+    fn add_view_keeps_an_entry_whose_joins_the_view_cannot_meet() {
+        let catalog = LiveCatalog::new(&example41_views(), ServeConfig::default());
+        let q = parse_query("q(X, Y) :- a(X, Z), a(Z, Z), b(Z, Y)").unwrap();
+        catalog.server().serve(&q).unwrap();
+        // Both of the query's predicates, but joined a(A, _) to b(_, A):
+        // the query never joins a's first position to b's second.
+        let outcome = catalog
+            .add_view(view("w(A, C) :- a(A, B), b(C, A)"))
+            .unwrap();
+        assert_eq!((outcome.invalidated, outcome.revalidated), (0, 1));
+        let warm = catalog.server().serve(&q).unwrap();
+        assert!(warm.from_cache);
+        assert_eq!(warm.epoch, 1);
+        assert_residents_match_cold_recompute(&catalog);
+    }
+
+    #[test]
+    fn add_view_evicts_an_entry_that_joins_through_a_constant() {
+        let catalog = LiveCatalog::new(&example41_views(), ServeConfig::default());
+        let q = parse_query("q(X, Y) :- a(X, k), b(k, Y)").unwrap();
+        catalog.server().serve(&q).unwrap();
+        // The view joins a's second position to b's first; the query
+        // does too, through the constant `k` both subgoals hold.
+        let outcome = catalog
+            .add_view(view("w(A, C) :- a(A, B), b(B, C)"))
+            .unwrap();
+        assert_eq!((outcome.invalidated, outcome.revalidated), (1, 0));
+        assert!(!catalog.server().serve(&q).unwrap().from_cache);
+        assert_residents_match_cold_recompute(&catalog);
+    }
+
     #[test]
     fn duplicate_add_unknown_drop_and_bad_arity_are_rejected() {
         let catalog = LiveCatalog::new(&example41_views(), ServeConfig::default());
@@ -350,11 +403,6 @@ mod tests {
             let fresh = cold.serve(q).unwrap();
             assert_eq!(warm.render(), fresh.render(), "{q}");
         }
-        for (canonical, epoch, _) in server.cache().unwrap().entries() {
-            assert_eq!(epoch, server.epoch(), "no stale-epoch residents");
-            let warm = server.serve(&canonical).unwrap();
-            let fresh = cold.serve(&canonical).unwrap();
-            assert_eq!(warm.render(), fresh.render(), "{canonical}");
-        }
+        assert_residents_match_cold_recompute(&catalog);
     }
 }

@@ -55,7 +55,7 @@
 //! every request is still accounted for (answered, shed, or failed
 //! loudly at the client; never silently dropped).
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -143,44 +143,67 @@ fn write_reply(w: &mut impl Write, buf: &mut Vec<u8>, reply: &Reply) -> io::Resu
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF at a frame boundary.
+///
+/// No read asks for more than the shortest frame the bytes read so far
+/// allow, so none crosses into the next frame: the first asks for 2
+/// bytes (`0\n` is the shortest frame), each later one for the newline
+/// plus the length the digits so far spell. Bytes after the newline
+/// start the payload, and one `read_exact` fetches the rest. On an
+/// unbuffered stream a 5-digit header then costs 3 reads, not one per
+/// digit and one for the newline.
 pub fn read_frame(r: &mut impl Read, max_frame: usize) -> io::Result<Option<String>> {
+    let mut bytes: Vec<u8> = Vec::new();
     let mut len: usize = 0;
     let mut digits = 0;
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte)? {
-            0 if digits == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
-                ))
+    let header = loop {
+        let have = bytes.len();
+        let want = if have == 0 { 2 } else { 1 + len.min(max_frame) };
+        bytes.resize(have + want, 0);
+        let n = r.read(&mut bytes[have..])?;
+        bytes.truncate(have + n);
+        if n == 0 {
+            if have == 0 {
+                return Ok(None);
             }
-            _ => {}
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "eof inside frame header",
+            ));
         }
-        match byte[0] {
-            b'\n' if digits > 0 => break,
-            d @ b'0'..=b'9' if digits < 8 => {
-                len = len * 10 + usize::from(d - b'0');
-                digits += 1;
-            }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad frame header byte 0x{other:02x}"),
-                ));
+        let mut newline = None;
+        for (at, &byte) in bytes.iter().enumerate().skip(have) {
+            match byte {
+                b'\n' if digits > 0 => {
+                    newline = Some(at);
+                    break;
+                }
+                d @ b'0'..=b'9' if digits < 8 => {
+                    len = len * 10 + usize::from(d - b'0');
+                    digits += 1;
+                }
+                other => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("bad frame header byte 0x{other:02x}"),
+                    ));
+                }
             }
         }
-    }
+        if let Some(at) = newline {
+            break at;
+        }
+    };
     if len > max_frame {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame of {len} bytes exceeds max {max_frame}"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    String::from_utf8(payload)
+    bytes.drain(..=header);
+    let have = bytes.len();
+    bytes.resize(len, 0);
+    r.read_exact(&mut bytes[have..])?;
+    String::from_utf8(bytes)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not utf-8"))
 }
@@ -359,17 +382,18 @@ fn poll_slice(config: &NetConfig) -> Duration {
 /// peer hung up, the server is shutting down, or it sat idle and is
 /// reaped). Bytes already buffered are a frame that has started — a
 /// client may send its next frame in the same segment as the previous
-/// one — so the socket is only polled when the buffer is empty.
-fn frame_started(reader: &BufReader<TcpStream>, shared: &Shared) -> bool {
+/// one — so the socket is only polled when the buffer is empty. The
+/// poll fills the buffer, so the bytes that show a frame has started
+/// are the ones `read_frame` then decodes, with no second read.
+fn frame_started(reader: &mut BufReader<TcpStream>, shared: &Shared) -> bool {
     if !reader.buffer().is_empty() {
         return true;
     }
     let slice = poll_slice(&shared.config);
     let mut waited = Duration::ZERO;
-    let mut byte = [0u8; 1];
     while !shared.shutting_down() {
-        match reader.get_ref().peek(&mut byte) {
-            Ok(n) => return n > 0,
+        match reader.fill_buf() {
+            Ok(buffered) => return !buffered.is_empty(),
             Err(e) if is_timeout(&e) => {
                 waited += slice;
                 if waited >= shared.config.idle_timeout {
@@ -408,9 +432,9 @@ impl Read for FrameReader<'_> {
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     // Both timeouts are armed once: neither value changes over the
-    // connection's life. Reads go through a buffer (unbuffered, a frame
-    // header costs one `read` per digit); `write_reply` assembles the
-    // whole frame in `out`, so writes go straight to the socket.
+    // connection's life. Reads go through a buffer that `frame_started`
+    // fills; `write_reply` assembles the whole frame in `out`, so writes
+    // go straight to the socket.
     if stream
         .set_read_timeout(Some(poll_slice(&shared.config)))
         .and_then(|()| stream.set_write_timeout(Some(shared.config.write_timeout)))
@@ -421,7 +445,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(stream);
     let mut out = Vec::new();
     loop {
-        if !frame_started(&reader, shared) {
+        if !frame_started(&mut reader, shared) {
             return;
         }
         let mut frame_reader = FrameReader {
@@ -513,6 +537,67 @@ mod tests {
             read_frame(&mut oversized, 64).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    /// A reader that counts the `read` calls made on it.
+    struct Counted<R> {
+        inner: R,
+        reads: usize,
+    }
+
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    fn counted(bytes: &[u8]) -> Counted<io::Cursor<Vec<u8>>> {
+        Counted {
+            inner: io::Cursor::new(bytes.to_vec()),
+            reads: 0,
+        }
+    }
+
+    #[test]
+    fn a_five_digit_header_takes_three_reads() {
+        let payload = "x".repeat(12_345);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        let mut r = counted(&buf);
+        assert_eq!(read_frame(&mut r, 1 << 20).unwrap(), Some(payload));
+        assert!(r.reads <= 3, "{} reads", r.reads);
+    }
+
+    #[test]
+    fn no_read_crosses_into_the_next_frame() {
+        let mut r = counted(b"3\nbye2\nok");
+        assert_eq!(read_frame(&mut r, 64).unwrap().as_deref(), Some("bye"));
+        assert_eq!(read_frame(&mut r, 64).unwrap().as_deref(), Some("ok"));
+        assert_eq!(read_frame(&mut r, 64).unwrap(), None);
+        let mut r = counted(b"0\n0\n");
+        assert_eq!(read_frame(&mut r, 64).unwrap().as_deref(), Some(""));
+        assert_eq!(read_frame(&mut r, 64).unwrap().as_deref(), Some(""));
+        assert_eq!(read_frame(&mut r, 64).unwrap(), None);
+    }
+
+    #[test]
+    fn every_header_error_keeps_its_kind() {
+        for (bytes, kind) in [
+            (&b"\nxy"[..], io::ErrorKind::InvalidData),
+            (b"1x\n", io::ErrorKind::InvalidData),
+            (b"123456789\n", io::ErrorKind::InvalidData),
+            (b"65\n", io::ErrorKind::InvalidData),
+            (b"12", io::ErrorKind::UnexpectedEof),
+            (b"5\nab", io::ErrorKind::UnexpectedEof),
+        ] {
+            let err = read_frame(&mut counted(bytes), 64).unwrap_err();
+            assert_eq!(err.kind(), kind, "{:?}", String::from_utf8_lossy(bytes));
+        }
+        let err = read_frame(&mut counted(b"1x\n"), 64).unwrap_err();
+        assert_eq!(err.to_string(), "bad frame header byte 0x78");
+        let err = read_frame(&mut counted(b"65\n"), 64).unwrap_err();
+        assert_eq!(err.to_string(), "frame of 65 bytes exceeds max 64");
     }
 
     #[test]

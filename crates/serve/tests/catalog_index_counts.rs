@@ -2,7 +2,8 @@
 //! pay per view: the catalog index is built once per snapshot — at
 //! construction and at each DDL swap — and never by validating or
 //! serving a query, and an `add-view` compares the new view with the
-//! representatives of its own signature bucket, not with the catalog.
+//! representatives that share its pairs and pass the prefilter against
+//! its body, not with the catalog.
 //!
 //! The counters are process-wide, so this file holds exactly one test.
 
@@ -56,8 +57,9 @@ fn index_builds_and_containment_checks_do_not_scale_with_the_catalog() {
     }
     assert_eq!(builds() - builds_before, 1, "requests never index");
 
-    // add-view: the new view's bucket holds two representatives (va7,
-    // vc7); an equivalence test is at most two containment checks.
+    // add-view: two representatives share the new view's pairs (va7,
+    // vc7; only vc7 also has its join); an equivalence test is at most
+    // two containment checks.
     let checks_before = checks();
     let added = View::new(parse_query("w(P, Q) :- r7(R, P), s7(R, Q)").unwrap());
     let outcome = catalog.add_view(added).unwrap();

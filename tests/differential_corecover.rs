@@ -26,6 +26,10 @@
 //! classification table refilled only where it was still empty, so that
 //! a later tuple reads the exposed variables of an earlier one.
 //!
+//! The view prefilter is held to what it shortcuts the same way
+//! ([`prune_agrees`]): a view the catalog index drops has no tuple in the
+//! evaluation, and pruning changes no printed rewriting.
+//!
 //! Instances: the §7 star / chain / random generators at 1 000 views, and
 //! small random problems over two predicates with self-joins, constants
 //! in bodies and heads, repeated head variables and view variables
@@ -42,7 +46,10 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use viewplan::containment::expand_atom;
-use viewplan::core::{all_minimum_covers, view_tuples, PreparedViews, ViewTuple};
+use viewplan::core::{
+    all_minimum_covers, body_signature, view_is_unusable, view_tuples, CatalogIndex, PreparedViews,
+    ViewTuple,
+};
 use viewplan::engine::unfreeze_value;
 use viewplan::obs::{self, BudgetSpec, Meter, Phase};
 use viewplan::prelude::*;
@@ -650,8 +657,62 @@ fn prepared_matches_fresh(w: &Workload) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The view prefilter (`viewplan::core::prune`) against what it
+/// shortcuts: every view the catalog index drops has no tuple in the
+/// reference evaluation, the index keeps exactly what the linear
+/// `view_is_unusable` filter keeps, and `CoreCover` and `CoreCover*`
+/// print the same rewritings with pruning off, with and without view
+/// grouping.
+fn prune_agrees(w: &Workload) -> Result<(), TestCaseError> {
+    let qm = minimize(&w.query);
+    let needed = body_signature(&qm);
+    let kept = CatalogIndex::build(&w.views, &[]).usable_views(&needed, false);
+    let linear: Vec<usize> = (0..w.views.len())
+        .filter(|&i| !view_is_unusable(&needed, &w.views.as_slice()[i]))
+        .collect();
+    prop_assert_eq!(&kept, &linear, "{}\nover\n{}", qm, w.views);
+    let (tuples, _) = reference_view_tuples(&qm, &w.views);
+    for (i, view) in w.views.iter().enumerate() {
+        if kept.binary_search(&i).is_err() {
+            prop_assert!(
+                tuples.iter().all(|t| t.view != view.name()),
+                "pruned {} has a view tuple for {}",
+                view.name(),
+                qm
+            );
+        }
+    }
+    for group in [true, false] {
+        let pruned = CoreCoverConfig {
+            group_equivalent_views: group,
+            ..CoreCoverConfig::default()
+        };
+        let unpruned = CoreCoverConfig {
+            prune_unusable_views: false,
+            ..pruned.clone()
+        };
+        let run = |config: &CoreCoverConfig| {
+            let cover = CoreCover::new(&w.query, &w.views).with_config(config.clone());
+            (printed(&cover.run()), printed(&cover.run_all_minimal()))
+        };
+        prop_assert_eq!(
+            run(&pruned),
+            run(&unpruned),
+            "grouping {}: {}",
+            group,
+            w.query
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn pruned_views_have_no_tuples_and_change_no_rewriting(seed in 0u64..1_000_000) {
+        prune_agrees(&small_problem(seed))?;
+    }
 
     #[test]
     fn small_problems_agree_with_the_replaced_code(seed in 0u64..1_000_000) {
@@ -724,6 +785,31 @@ fn small_problems_reach_the_paths_they_are_for() {
     );
 }
 
+/// Over a fixed range of seeds the small problems must hold views that
+/// share the query's pairs and are pruned on a join alone, or the
+/// prefilter property above tests only the pair half of the condition.
+#[test]
+fn small_problems_reach_views_pruned_on_a_join() {
+    let mut on_a_join = 0;
+    for seed in 0..400 {
+        let w = small_problem(seed);
+        let qm = minimize(&w.query);
+        let needed = body_signature(&qm);
+        on_a_join += w
+            .views
+            .iter()
+            .filter(|v| {
+                v.definition
+                    .body
+                    .iter()
+                    .all(|a| needed.pairs().contains(&(a.predicate, a.arity())))
+                    && view_is_unusable(&needed, v)
+            })
+            .count();
+    }
+    assert!(on_a_join > 0, "no view pruned on a join alone");
+}
+
 /// The §7 generators at the size the benchmark runs them at.
 #[test]
 fn section7_shapes_agree_at_a_thousand_views() {
@@ -739,5 +825,6 @@ fn section7_shapes_agree_at_a_thousand_views() {
         run_path_agrees(&w.query, &w.views, None)
             .unwrap_or_else(|e| panic!("{:?}: {e:?}", config.shape));
         prepared_matches_fresh(&w).unwrap_or_else(|e| panic!("{:?}: {e:?}", config.shape));
+        prune_agrees(&w).unwrap_or_else(|e| panic!("{:?}: {e:?}", config.shape));
     }
 }

@@ -394,9 +394,13 @@ fn one_slot_gate_under_eight_clients_answers_or_sheds_every_request() {
 
 #[test]
 fn shutdown_lets_a_request_waiting_at_the_gate_finish() {
-    // Five interchangeable views over a five-subgoal chain: 5^5 minimal
-    // rewritings — long enough (about a second in a debug build) to keep
-    // the one permit while the other connections act.
+    // Five interchangeable views over an n-subgoal chain: 5^n minimal
+    // rewritings, the first 10 000 of them enumerated and verified. How
+    // long that keeps the one permit depends on the build profile and
+    // the machine (5 subgoals take about 20 ms in release and 90 ms in
+    // debug), so the chain grows until a request is seen waiting behind
+    // it.
+    const LONGEST_CHAIN: usize = 8;
     let views: String = (0..5)
         .map(|i| format!("v{i}(A, B) :- e(A, B).\n"))
         .collect();
@@ -413,47 +417,52 @@ fn shutdown_lets_a_request_waiting_at_the_gate_finish() {
             "--all-minimal",
         ],
     );
-    let body: Vec<String> = (0..5).map(|i| format!("e(X{i}, X{})", i + 1)).collect();
+    for n in 5..=LONGEST_CHAIN {
+        let body: Vec<String> = (0..n).map(|i| format!("e(X{i}, X{})", i + 1)).collect();
+        let mut slow = server.connect();
+        send(
+            &mut slow,
+            &format!("query q(X0, X{n}) :- {}", body.join(", ")),
+        );
+        // The sleeps only order the three arrivals; the probe is what
+        // shows that a request is waiting.
+        std::thread::sleep(Duration::from_millis(10));
+        let mut waiting = server.connect();
+        send(&mut waiting, &format!("query {QUERY}"));
+        std::thread::sleep(Duration::from_millis(10));
+        // The one waiting slot is taken exactly when a request waits
+        // behind a running one, and a third query is then refused on
+        // arrival. Were the slow query over already, the probe is
+        // answered `ok`, and a longer chain is tried.
+        let mut control = server.connect();
+        let probe = roundtrip(&mut control, &format!("query {QUERY}"));
+        if probe != "shed reason=queue_full completeness=deadline_exceeded" {
+            assert!(probe.starts_with("ok epoch=0 "), "{probe}");
+            for mut conn in [waiting, slow] {
+                let answer = recv(&mut conn).expect("an admitted request is answered");
+                assert!(answer.starts_with("ok epoch=0 "), "{answer}");
+            }
+            continue;
+        }
+        assert_eq!(roundtrip(&mut control, "shutdown"), "bye");
 
-    let mut slow = server.connect();
-    send(
-        &mut slow,
-        &format!("query q(X0, X5) :- {}", body.join(", ")),
-    );
-    // The sleeps only order the three arrivals; the probe is what shows
-    // that a request is waiting.
-    std::thread::sleep(Duration::from_millis(10));
-    let mut waiting = server.connect();
-    send(&mut waiting, &format!("query {QUERY}"));
-    std::thread::sleep(Duration::from_millis(10));
-    // The one waiting slot is taken exactly when a request waits behind
-    // a running one, and a third query is then refused on arrival. Were
-    // the slow query over already, the probe would be answered `ok` and
-    // the test would fail here instead of passing without a waiter.
-    let mut control = server.connect();
-    assert_eq!(
-        roundtrip(&mut control, &format!("query {QUERY}")),
-        "shed reason=queue_full completeness=deadline_exceeded",
-        "no request is waiting at the gate"
-    );
-    assert_eq!(roundtrip(&mut control, "shutdown"), "bye");
+        // Admitted before the close: a promise, even though the server
+        // is already draining when its turn comes.
+        let answer = recv(&mut waiting).expect("the waiting request is answered");
+        assert!(
+            answer.starts_with("ok epoch=0 completeness=complete "),
+            "{answer}"
+        );
+        // Past 10 000 rewritings the answer is honestly `truncated`.
+        let answer = recv(&mut slow).expect("the running request is answered");
+        assert!(answer.starts_with("ok epoch=0 completeness="), "{answer}");
 
-    // Admitted before the close: a promise, even though the server is
-    // already draining when its turn comes.
-    let answer = recv(&mut waiting).expect("the waiting request is answered");
-    assert!(
-        answer.starts_with("ok epoch=0 completeness=complete "),
-        "{answer}"
-    );
-    let answer = recv(&mut slow).expect("the running request is answered");
-    assert!(
-        answer.starts_with("ok epoch=0 completeness=complete "),
-        "{answer}"
-    );
-
-    let mut server = server;
-    let status = server.child.wait().unwrap();
-    assert!(status.success(), "server exited with {status}");
+        let mut server = server;
+        let status = server.child.wait().unwrap();
+        assert!(status.success(), "server exited with {status}");
+        return;
+    }
+    panic!("no request is waiting at the gate, even behind a {LONGEST_CHAIN}-subgoal chain");
 }
 
 #[test]
