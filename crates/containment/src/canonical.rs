@@ -45,7 +45,7 @@ enum Tok {
 /// shared, so a clone (an in-flight table entry, a stored key) is a
 /// reference count, not a copy. The hash is `DefaultHasher::new()` over
 /// the encoding, the same function for every process: which shard a
-/// query lands in, and so what an LRU evicts, repeats from run to run.
+/// query lands in, and so what a shard evicts, repeats from run to run.
 #[derive(Clone, Debug)]
 pub struct CanonicalQuery {
     toks: Arc<[Tok]>,

@@ -251,10 +251,24 @@ pub struct CoreCoverResult {
     pub provenance: Option<CoverProvenance>,
     /// The covers of step (4), each decided on first request.
     pub(crate) space: CoverSpace,
+    /// The sets step (4) covered with: each candidate's tuple-core as a
+    /// subgoal bitmask, in candidate order.
+    candidate_cores: Vec<u64>,
     rewritings: OnceLock<Vec<Rewriting>>,
 }
 
 impl CoreCoverResult {
+    /// What step (4) covered with: every candidate tuple-core as a
+    /// bitmask over [`CoreCoverResult::minimized_query`]'s subgoals, in
+    /// candidate order, and whether the certificate vouched for every
+    /// cover. View tuples are per view and a core depends only on the
+    /// query and its tuple (Lemma 4.2), so a caller holding these can
+    /// tell whether one more view, appended last, changes the minimum
+    /// covers without rerunning steps 1–3 for the views it already had.
+    pub fn covered_cores(&self) -> (&[u64], bool) {
+        (&self.candidate_cores, self.space.all_certified())
+    }
+
     /// The rewritings found (globally minimal for [`CoreCover::run`], all
     /// minimal for [`CoreCover::run_all_minimal`]), in cover order. A
     /// `CoreCover*` run that left its covers unbuilt builds and decides
@@ -572,6 +586,7 @@ impl<'a> CoreCover<'a> {
             stats: CoreCoverStats::default(),
             provenance: None,
             space,
+            candidate_cores: masks,
             rewritings: OnceLock::new(),
         };
         // Decided inside the run (module docs, "Covers on demand"). Under

@@ -214,6 +214,11 @@ impl CoverSpace {
         self.covers.len()
     }
 
+    /// True iff the certificate vouches for every cover.
+    pub(crate) fn all_certified(&self) -> bool {
+        !self.certified.contains(&false)
+    }
+
     /// True iff some cover decided so far was dropped.
     pub(crate) fn any_rejected(&self) -> bool {
         self.fates

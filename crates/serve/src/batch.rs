@@ -54,6 +54,7 @@ use viewplan_engine::{AnnotatedStep, Engine};
 use viewplan_obs as obs;
 use viewplan_obs::budget::BudgetSpec;
 use viewplan_obs::Completeness;
+use viewplan_sync::{Mutex, MutexGuard};
 
 use crate::cache::{CacheProbe, RewritingCache};
 use crate::template::{write_answer, Template};
@@ -96,12 +97,32 @@ impl Default for ServeConfig {
 /// [`ServedAnswer`]) and as the wire body with its variables left open
 /// (what the command path fills, [`CachedAnswer::body`]). The two are
 /// built together and cannot be changed apart.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CachedAnswer {
     rewritings: Vec<Rewriting>,
     best: Option<PlannedRewriting>,
     completeness: Completeness,
     template: Template,
+    /// Step (4)'s inputs, kept by a GMR-mode answer whose every cover
+    /// the certificate vouched for: what lets `add-view` keep it. The
+    /// only part of an answer that changes after it is built: the DDL
+    /// writer appends the candidates of a view it kept the answer
+    /// through. No request reads it.
+    cover: Option<Mutex<CoverInputs>>,
+}
+
+/// What `add-view` needs of a cached GMR answer to decide whether the
+/// new view changes it without recomputing it ([`crate::catalog`],
+/// "Principled cache invalidation").
+#[derive(Clone, Debug)]
+pub(crate) struct CoverInputs {
+    /// The candidate tuple-cores step (4) covered with, as bitmasks over
+    /// the minimized query's subgoals, in candidate order
+    /// ([`viewplan_core::CoreCoverResult::covered_cores`]).
+    pub(crate) cores: Vec<u64>,
+    /// The minimized query, kept only when minimizing changed the
+    /// canonical query (the cache holds that one already).
+    pub(crate) minimized: Option<Box<ConjunctiveQuery>>,
 }
 
 impl CachedAnswer {
@@ -119,7 +140,18 @@ impl CachedAnswer {
             rewritings,
             best,
             completeness,
+            cover: None,
         }
+    }
+
+    /// Step (4)'s inputs, when this answer kept them.
+    pub(crate) fn cover(&self) -> Option<MutexGuard<'_, CoverInputs>> {
+        self.cover.as_ref().map(Mutex::lock)
+    }
+
+    /// Whether this answer kept step (4)'s inputs.
+    pub(crate) fn has_cover(&self) -> bool {
+        self.cover.is_some()
     }
 
     /// Generated rewritings, in canonical variables.
@@ -431,17 +463,26 @@ impl BatchServer {
             generator.try_run()?
         };
         let rewritings = result.rewritings().to_vec();
+        // Only GMRs are the minimum covers the add-view check reasons
+        // about, and a cover the oracle decided could change with a new
+        // class-mate: such answers keep nothing and are evicted as before.
+        let cover = match result.covered_cores() {
+            (cores, true) if !self.config.all_minimal => Some(CoverInputs {
+                cores: cores.to_vec(),
+                minimized: (result.minimized_query != *canonical)
+                    .then(|| Box::new(result.minimized_query.clone())),
+            }),
+            _ => None,
+        };
         let outcome = Optimizer::new(canonical, self.prepared.views()).try_plan_generated(
             CostModel::M1,
             result,
             &mut NullOracle,
         )?;
-        Ok(CachedAnswer::new(
-            canonical,
-            rewritings,
-            outcome.best,
-            outcome.completeness,
-        ))
+        let mut answer =
+            CachedAnswer::new(canonical, rewritings, outcome.best, outcome.completeness);
+        answer.cover = cover.map(Mutex::new);
+        Ok(answer)
     }
 }
 

@@ -1,4 +1,4 @@
-//! The rewriting cache: bounded, sharded, LRU, keyed on canonical
+//! The rewriting cache: bounded, sharded, SIEVE, keyed on canonical
 //! queries, versioned by catalog epoch.
 //!
 //! A serving workload repeats itself — the same query template arrives
@@ -41,16 +41,26 @@
 //! shard's map hashes that one word, so a probe never walks the key's
 //! encoding to hash it, and cloning a key (the in-flight table, a stored
 //! entry) shares the encoding. Each shard holds at most
-//! `capacity / SHARDS` entries and evicts its least-recently-used entry
-//! on overflow, tracked by a per-shard monotone stamp bumped on every
-//! touch. The LRU victim scan is linear
-//! in the shard — shards are small (hundreds of entries) and eviction is
+//! `capacity / SHARDS` entries and evicts by SIEVE (Zhang et al., "SIEVE
+//! is Simpler than LRU", NSDI '24): the shard keeps its keys in
+//! insertion order, a hit sets the entry's visited bit and moves
+//! nothing, and on overflow a hand walks from where it last stopped
+//! (the oldest key at first) towards the newest, clearing visited bits,
+//! until it meets an unvisited entry — the victim — and wraps to the
+//! oldest key when it passes the newest. A key that was hit since the
+//! hand last passed survives a scan of one-hit keys; under LRU that
+//! scan would push it out. A served workload is a Zipf stream whose
+//! tail is one-hit keys, so SIEVE keeps the head resident where LRU
+//! gave its slots to the tail. The walk and the removal are linear in
+//! the shard — shards are small (hundreds of entries) and eviction is
 //! off the hit path, so simplicity wins over an intrusive list.
 //!
 //! Counters (when stats collection is on): `serve.cache_hits`,
 //! `serve.cache_misses`, `serve.cache_coalesced`,
 //! `serve.cache_evictions`, `serve.cache_rejected_incomplete`,
-//! `serve.cache_invalidated`. The
+//! `serve.cache_invalidated`, and — counted by the catalog, which decides
+//! it — `serve.cache_kept_by_cover` (entries an `add-view` reached that
+//! the minimum-cover check kept; see [`crate::catalog`]). The
 //! same numbers are always available programmatically through
 //! [`RewritingCache::stats`], independent of whether obs collection is
 //! enabled.
@@ -69,18 +79,68 @@ const SHARDS: usize = 8;
 
 /// One cached entry: the canonical query it answers (kept for
 /// invalidation predicates and the differential oracle), the epoch it is
-/// known valid for, its LRU stamp, and the canonical-space answer.
+/// known valid for, its SIEVE visited bit, and the canonical-space
+/// answer.
 struct Entry {
-    stamp: u64,
+    visited: bool,
     epoch: u64,
     canonical: ConjunctiveQuery,
     value: Arc<CachedAnswer>,
 }
 
-/// One shard: an independent map with its own LRU clock.
+/// One shard: an independent map, its keys in insertion order, and the
+/// SIEVE hand (module docs, "Eviction").
 struct Shard {
     map: HashMap<CanonicalQuery, Entry>,
-    tick: u64,
+    /// The map's keys, oldest first.
+    order: Vec<CanonicalQuery>,
+    /// The position in `order` the next eviction looks at first.
+    hand: usize,
+}
+
+impl Shard {
+    /// Removes SIEVE's victim: the first unvisited entry from the hand
+    /// on, clearing the visited bits it passes. False when the shard is
+    /// empty.
+    fn evict(&mut self) -> bool {
+        // Every pass clears the bits it meets, so the second pass at the
+        // latest finds a victim.
+        while !self.order.is_empty() {
+            if self.hand >= self.order.len() {
+                self.hand = 0;
+            }
+            match self.map.get_mut(&self.order[self.hand]) {
+                Some(entry) if entry.visited => {
+                    entry.visited = false;
+                    self.hand += 1;
+                }
+                found => {
+                    debug_assert!(found.is_some(), "order and map hold the same keys");
+                    let victim = self.order.remove(self.hand);
+                    if self.map.remove(&victim).is_some() {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Drops from `order` the keys the map no longer holds, keeping the
+    /// hand on the same surviving key.
+    fn resync_order(&mut self) {
+        let Shard { map, order, hand } = self;
+        let (mut position, mut kept_before_hand) = (0, 0);
+        order.retain(|key| {
+            let kept = map.contains_key(key);
+            if kept && position < *hand {
+                kept_before_hand += 1;
+            }
+            position += 1;
+            kept
+        });
+        *hand = kept_before_hand;
+    }
 }
 
 /// Point-in-time cache statistics (see [`RewritingCache::stats`]).
@@ -93,7 +153,7 @@ pub struct CacheStats {
     /// Hits served by waiting on another request's in-flight compute
     /// (a subset of `hits`; see [`RewritingCache::get_or_join`]).
     pub coalesced: u64,
-    /// Entries displaced by the LRU policy.
+    /// Entries displaced by the SIEVE policy.
     pub evictions: u64,
     /// Insert attempts refused because the answer was not `Complete`.
     pub rejected_incomplete: u64,
@@ -206,7 +266,7 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// A bounded, sharded, LRU map from canonical queries to served answers,
+/// A bounded, sharded, SIEVE-evicted map from canonical queries to served answers,
 /// versioned by catalog epoch.
 pub struct RewritingCache {
     shards: Vec<Mutex<Shard>>,
@@ -232,7 +292,8 @@ impl RewritingCache {
                 .map(|_| {
                     Mutex::new(Shard {
                         map: HashMap::new(),
-                        tick: 0,
+                        order: Vec::new(),
+                        hand: 0,
                     })
                 })
                 .collect(),
@@ -252,16 +313,15 @@ impl RewritingCache {
     }
 
     /// The raw resident-entry probe shared by [`RewritingCache::get`]
-    /// and [`RewritingCache::get_or_join`]: refreshes recency on a hit,
-    /// counts nothing (each public entry point tallies exactly one
-    /// hit-or-miss per call, preserving hits + misses == lookups).
+    /// and [`RewritingCache::get_or_join`]: sets the entry's visited
+    /// bit on a hit, counts nothing (each public entry point tallies
+    /// exactly one hit-or-miss per call, preserving hits + misses ==
+    /// lookups).
     fn lookup(&self, key: &CanonicalQuery, epoch: u64) -> Option<Arc<CachedAnswer>> {
         let mut shard = self.shard(key).lock();
-        shard.tick += 1;
-        let now = shard.tick;
         match shard.map.get_mut(key) {
             Some(entry) if entry.epoch == epoch => {
-                entry.stamp = now;
+                entry.visited = true;
                 Some(entry.value.clone())
             }
             _ => None,
@@ -280,7 +340,7 @@ impl RewritingCache {
     }
 
     /// Probes the cache for an answer valid at `epoch` (the reader's
-    /// catalog-snapshot epoch), refreshing the entry's recency on a hit.
+    /// catalog-snapshot epoch), marking the entry visited on a hit.
     /// An entry tagged with any other epoch is a miss — never a stale
     /// answer — and is left for [`RewritingCache::retarget`] to settle.
     pub fn get(&self, key: &CanonicalQuery, epoch: u64) -> Option<Arc<CachedAnswer>> {
@@ -386,8 +446,8 @@ impl RewritingCache {
 
     /// Stores an answer computed at `epoch` for `canonical` — unless it
     /// is incomplete (the poisoning rule; see the module docs), in which
-    /// case the attempt is counted and dropped. Evicts the shard's LRU
-    /// entry on overflow. An existing entry tagged with a *newer* epoch
+    /// case the attempt is counted and dropped. Evicts the shard's SIEVE
+    /// victim on overflow. An existing entry tagged with a *newer* epoch
     /// wins over the incoming one (a racing insert from a pre-swap
     /// compute must not clobber a revalidated or freshly computed
     /// answer).
@@ -405,49 +465,54 @@ impl RewritingCache {
             return;
         }
         let mut shard = self.shard(&key).lock();
-        shard.tick += 1;
-        let now = shard.tick;
-        match shard.map.get(&key) {
+        match shard.map.get_mut(&key) {
             Some(existing) => {
                 if existing.epoch > epoch {
                     return;
                 }
+                // The key keeps its place in the order; arriving again
+                // counts as a visit.
+                *existing = Entry {
+                    visited: true,
+                    epoch,
+                    canonical,
+                    value,
+                };
             }
             None => {
-                if shard.map.len() >= self.shard_capacity {
-                    if let Some(victim) = shard
-                        .map
-                        .iter()
-                        .min_by_key(|(_, e)| e.stamp)
-                        .map(|(k, _)| k.clone())
-                    {
-                        shard.map.remove(&victim);
-                        // ordering: monotone tally; `stats` reads it alone.
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                        obs::counter!("serve.cache_evictions").incr();
-                    }
+                if shard.map.len() >= self.shard_capacity && shard.evict() {
+                    // ordering: monotone tally; `stats` reads it alone.
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    obs::counter!("serve.cache_evictions").incr();
                 }
+                shard.order.push(key.clone());
+                shard.map.insert(
+                    key,
+                    Entry {
+                        visited: false,
+                        epoch,
+                        canonical,
+                        value,
+                    },
+                );
             }
         }
-        shard.map.insert(
-            key,
-            Entry {
-                stamp: now,
-                epoch,
-                canonical,
-                value,
-            },
-        );
     }
 
     /// The DDL writer's swap-time pass: settle every entry for the move
     /// from `old_epoch` to `new_epoch`. Entries at `old_epoch` for which
     /// `affected` returns false are revalidated in place (epoch bumped —
     /// the answer provably cannot change, so evicting it would be
-    /// wasteful, not wrong); affected entries are removed and counted as
-    /// invalidated. Entries older than `old_epoch` are race leftovers
-    /// (inserted by a compute that straddled an earlier swap) and are
-    /// dropped — they could never hit again.
+    /// wasteful, not wrong) and keep their place in the shard's order;
+    /// affected entries are removed and counted as invalidated. Entries
+    /// older than `old_epoch` are race leftovers (inserted by a compute
+    /// that straddled an earlier swap) and are dropped — they could never
+    /// hit again.
+    ///
+    /// `affected` runs under a shard lock: it must be cheap. Work that is
+    /// not — `add-view`'s cover check — is done beforehand on the
+    /// answers [`RewritingCache::entries_at`] hands out, and `affected`
+    /// looks the decision up by the answer's address.
     ///
     /// Call this *after* publishing the new snapshot: readers between the
     /// publish and this pass see plain misses (their epoch is new, the
@@ -456,11 +521,12 @@ impl RewritingCache {
         &self,
         old_epoch: u64,
         new_epoch: u64,
-        affected: impl Fn(&ConjunctiveQuery, &CachedAnswer) -> bool,
+        mut affected: impl FnMut(&ConjunctiveQuery, &CachedAnswer) -> bool,
     ) -> RetargetOutcome {
         let mut outcome = RetargetOutcome::default();
         for shard in &self.shards {
             let mut shard = shard.lock();
+            let before = shard.map.len();
             shard.map.retain(|_, entry| {
                 if entry.epoch < old_epoch {
                     outcome.stale_dropped += 1;
@@ -476,12 +542,37 @@ impl RewritingCache {
                 }
                 true
             });
+            if shard.map.len() < before {
+                shard.resync_order();
+            }
         }
         self.invalidated
             // ordering: monotone tally; `stats` reads it alone.
             .fetch_add(outcome.invalidated, Ordering::Relaxed);
         obs::counter!("serve.cache_invalidated").add(outcome.invalidated);
         outcome
+    }
+
+    /// The entries at `epoch` that `pick` selects, as `(canonical query,
+    /// answer)`. `pick` runs under a shard lock; what the caller does
+    /// with the result does not.
+    pub fn entries_at(
+        &self,
+        epoch: u64,
+        mut pick: impl FnMut(&ConjunctiveQuery, &CachedAnswer) -> bool,
+    ) -> Vec<(ConjunctiveQuery, Arc<CachedAnswer>)> {
+        let mut picked = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.lock();
+            picked.extend(
+                shard
+                    .map
+                    .values()
+                    .filter(|e| e.epoch == epoch && pick(&e.canonical, &e.value))
+                    .map(|e| (e.canonical.clone(), e.value.clone())),
+            );
+        }
+        picked
     }
 
     /// Every resident entry: `(canonical query, epoch, answer)`. Order is
@@ -499,6 +590,28 @@ impl RewritingCache {
                     .collect::<Vec<_>>()
             })
             .collect()
+    }
+
+    /// Panics unless every shard's insertion order and map hold the same
+    /// keys, each once, with the hand inside the order (or one past its
+    /// end). The invariant SIEVE rests on, for tests.
+    pub fn assert_consistent(&self) {
+        for shard in &self.shards {
+            let shard = shard.lock();
+            assert_eq!(shard.order.len(), shard.map.len(), "order and map sizes");
+            let mut seen = std::collections::HashSet::with_capacity(shard.order.len());
+            for key in &shard.order {
+                assert!(
+                    shard.map.contains_key(key),
+                    "a key in the order is not in the map"
+                );
+                assert!(seen.insert(key), "a key appears twice in the order");
+            }
+            assert!(
+                shard.hand <= shard.order.len(),
+                "the hand is past the order"
+            );
+        }
     }
 
     /// Number of resident entries across all shards.
@@ -584,9 +697,9 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_keeps_recently_used_entries() {
+    fn a_full_cache_stays_within_capacity_and_keeps_the_newest_insert() {
         // Capacity 8 over 8 shards = 1 entry per shard: inserting two
-        // keys that land in the same shard must evict the stale one.
+        // keys that land in the same shard must evict one of them.
         let cache = RewritingCache::new(8);
         let sources: Vec<String> = (0..64).map(|i| format!("q(X) :- p{i}(X, Y)")).collect();
         for src in &sources {
@@ -596,6 +709,75 @@ mod tests {
         assert!(cache.stats().evictions >= 56);
         // The most recent insert in some shard is still resident.
         assert!(cache.get(&key(sources.last().unwrap()), 0).is_some());
+        cache.assert_consistent();
+    }
+
+    /// `count` distinct sources whose keys all land in the shard of
+    /// `first`'s, `first` not among them.
+    fn same_shard(first: &str, count: usize) -> Vec<String> {
+        let shard = key(first).hash64() as usize % SHARDS;
+        (0..)
+            .map(|i| format!("q(X) :- s{i}(X, Y)"))
+            .filter(|src| key(src).hash64() as usize % SHARDS == shard)
+            .take(count)
+            .collect()
+    }
+
+    #[test]
+    fn a_scan_of_one_hit_keys_leaves_an_entry_hit_since_its_insertion() {
+        // Four entries per shard. The hot key is inserted first and hit
+        // once; then one-hit keys stream through its shard. LRU would
+        // evict the hot key at the fourth of them (it is the least
+        // recently used by then); SIEVE's hand clears its visited bit and
+        // evicts the unvisited keys behind it instead.
+        let cache = RewritingCache::new(4 * SHARDS);
+        let hot = "q(X) :- hot(X, Y)";
+        put(&cache, hot, Completeness::Complete, 0);
+        assert!(cache.get(&key(hot), 0).is_some());
+        let scan = same_shard(hot, 5);
+        for src in &scan {
+            put(&cache, src, Completeness::Complete, 0);
+        }
+        assert_eq!(cache.stats().evictions, 2);
+        assert!(
+            cache.get(&key(hot), 0).is_some(),
+            "the hit entry was evicted"
+        );
+        // The victims are the oldest one-hit keys.
+        assert!(cache.get(&key(&scan[0]), 0).is_none());
+        assert!(cache.get(&key(&scan[4]), 0).is_some());
+        cache.assert_consistent();
+    }
+
+    #[test]
+    fn retarget_leaves_the_order_holding_the_keys_of_the_map() {
+        let cache = RewritingCache::new(4 * SHARDS);
+        let keys = same_shard("q(X) :- hot(X, Y)", 4);
+        for src in &keys {
+            put(&cache, src, Completeness::Complete, 0);
+        }
+        // Visit two, so the hand has bits to clear, and evict once to
+        // move it off the oldest key.
+        assert!(cache.get(&key(&keys[0]), 0).is_some());
+        assert!(cache.get(&key(&keys[2]), 0).is_some());
+        put(&cache, "q(X) :- hot(X, Y)", Completeness::Complete, 0);
+        let evicted = keys
+            .iter()
+            .filter(|k| cache.get(&key(k), 0).is_none())
+            .count();
+        assert_eq!(evicted, 1);
+        cache.assert_consistent();
+        // Drop every other key, on both sides of the hand.
+        let dropped = [&keys[0], &keys[2]].map(|src| keyed(src).1);
+        let outcome = cache.retarget(0, 1, |canonical, _| dropped.contains(canonical));
+        assert_eq!(outcome.invalidated, 2);
+        cache.assert_consistent();
+        // The shard still evicts, and only what it holds.
+        for src in same_shard("q(X) :- hot(X, Y)", 12).iter().skip(4) {
+            put(&cache, src, Completeness::Complete, 1);
+            cache.assert_consistent();
+        }
+        assert!(cache.len() <= 4 * SHARDS);
     }
 
     #[test]

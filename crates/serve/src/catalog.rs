@@ -32,18 +32,48 @@
 //!   of untouched classes are stable under removal of `v`) the surviving
 //!   output is unchanged. Dropping a non-representative view of a
 //!   grouped class therefore evicts nothing.
-//! * `add v`: an entry is affected iff its canonical query's body names
-//!   `v`, or `v` passes the rewriter's prefilter against it
+//! * `add v`: view tuples are per view, T(Q, V ∪ {v}) = T(Q, V) ∪
+//!   T(Q, {v}), and `v` is appended last, so a cold recompute over the
+//!   new catalog sees the old view tuples, cores, tuple classes and
+//!   candidates in their old order with `v`'s after them. A tuple's core
+//!   depends only on the query and the tuple (Lemma 4.2), and the GMRs
+//!   are exactly the minimum covers of the candidates' cores (Corollary
+//!   4.1). So an entry is kept unless some tuple of `v` over the
+//!   minimized query has a nonempty core that is a *new candidate* —
+//!   every such tuple without tuple grouping, one whose core no old
+//!   candidate has with it (a core an old candidate has joins that
+//!   candidate's class behind its representative) — and some minimum
+//!   cover of the old and new candidates uses it. When none does, the
+//!   minimum covers are the old ones in the old order, built from the
+//!   old representatives; a cover the certificate vouched for is a
+//!   rewriting whatever its class-mates are, and M1 ranks covers by
+//!   size alone and grafts no filter, so the rewritings, the chosen
+//!   plan and the rendered answer are byte for byte the cold
+//!   recompute's. The entry is re-stamped, and its candidate list takes
+//!   the new candidates, which a later `add` must count (two views can
+//!   make a smaller cover together that neither makes alone). The check
+//!   reads what the answer kept of step (4) — its candidate cores, and
+//!   the minimized query when minimizing changed the canonical one
+//!   ([`viewplan_core::CoreCoverResult::covered_cores`]) — and matches
+//!   `v` alone; it runs before the swap, outside every shard lock, on
+//!   the entries `v` reaches, and `retarget` only looks the decisions
+//!   up. A candidate list that outlived a `drop` or a failed swap holds
+//!   extra cores, none in a minimum cover; the argument still goes
+//!   through, since a cover of the true candidates that uses `v` is then
+//!   matched or beaten by one over the kept list that uses `v` too.
+//!   Three cases keep today's rule and evict every entry `v` reaches —
+//!   whose canonical body names `v` or passes its prefilter
 //!   ([`viewplan_core::can_yield_tuples`]: every `(predicate, arity)`
-//!   pair and every join of `v`'s body is the query's). A view
-//!   participates in a rewriting only through view tuples, which require
-//!   a homomorphism from `v`'s body into the query's. A view that fails
-//!   the prefilter has no tuple over the canonical query, so none over
-//!   its minimization either (a subset of its body): no new rewriting,
-//!   and no change to the cost ranking among the old ones. A cold
-//!   recompute gives the cached answer, so the entry is re-stamped. The
-//!   rule is tighter than "shares a predicate with `v`" and looser than
-//!   running the matcher.
+//!   pair and every join of `v`'s body is the query's); a view that
+//!   fails it has no tuple over the canonical query, nor over its
+//!   minimization, and is re-stamped without a check:
+//!   - an answer computed under `all_minimal`: CoreCover\* enumerates
+//!     irredundant covers, not minimum ones, and keeps nothing;
+//!   - an answer one of whose covers the certificate did not vouch for:
+//!     the oracle's class-mate retry reads `v`'s tuples when they join
+//!     a class, so a cover it rejected could pass;
+//!   - an entry inserted between the decision and the swap, or whose
+//!     check the ambient budget cut short.
 //!
 //! The eviction predicate is checked end to end by the differential
 //! oracle (`tests/catalog_invalidation.rs`): after *any* add/drop
@@ -53,11 +83,18 @@
 //! **Fault injection.** `VIEWPLAN_FAULT=swap:nth` (via the shared
 //! [`ServeFaults`] arm) fails the nth swap after the new snapshot is
 //! built but before it is published: the catalog stays on the old epoch,
-//! the cache is untouched, and the caller gets an error — a crashed DDL
-//! step must never leave readers on a half-swapped catalog.
+//! no entry is evicted or re-stamped, and the caller gets an error — a
+//! crashed DDL step must never leave readers on a half-swapped catalog.
+//! (A failed `add` may have appended candidates to the lists of answers
+//! it would have kept; those are in no minimum cover, which is harmless,
+//! as above.)
 
+use std::collections::HashMap;
 use std::sync::Arc;
-use viewplan_core::{body_signature, can_yield_tuples, PreparedViews, Signature};
+use viewplan_core::cover::all_minimum_covers_counted;
+use viewplan_core::{
+    body_signature, can_yield_tuples, tuple_core, view_tuples, PreparedViews, Signature,
+};
 use viewplan_cq::{ConjunctiveQuery, Symbol, View, ViewSet};
 use viewplan_obs as obs;
 use viewplan_obs::budget::FaultPoint;
@@ -78,6 +115,9 @@ pub struct DdlOutcome {
     pub invalidated: u64,
     /// Cache entries revalidated in place to the new epoch.
     pub revalidated: u64,
+    /// Of `revalidated`, the entries an `add-view` reached (the
+    /// prefilter flagged them) that the minimum-cover check kept.
+    pub kept_by_cover: u64,
 }
 
 /// An epoch-versioned, swappable [`BatchServer`]: many lock-free
@@ -141,13 +181,47 @@ impl LiveCatalog {
             .validate(&view.definition)
             .map_err(|e| format!("invalid view definition: {e}"))?;
         let needs = Signature::of_view(&view);
-        self.swap_to(
+        let reached = |canonical: &ConjunctiveQuery| {
+            mentions(canonical, name) || may_yield_tuples(&needs, canonical)
+        };
+        // Decide every entry the view reaches and whose cover inputs were
+        // kept, outside every shard lock; `retarget` only looks the
+        // verdicts up. An entry inserted meanwhile is settled by the
+        // prefilter alone.
+        let verdicts: HashMap<*const CachedAnswer, Verdict> = match current.cache() {
+            Some(cache) => {
+                let added = ViewSet::from_views([view.clone()]);
+                let group = current.config().corecover.group_view_tuples;
+                cache
+                    .entries_at(current.epoch(), |canonical, answer| {
+                        answer.has_cover()
+                            && !mentions(canonical, name)
+                            && may_yield_tuples(&needs, canonical)
+                    })
+                    .into_iter()
+                    .map(|(canonical, answer)| {
+                        let keep = keeps_its_covers(&added, &canonical, &answer, group);
+                        (Arc::as_ptr(&answer), Verdict { answer, keep })
+                    })
+                    .collect()
+            }
+            None => HashMap::new(),
+        };
+        let mut kept_by_cover = 0;
+        let mut outcome = self.swap_to(
             &current,
             |snapshot, epoch| snapshot.with_view_added(view, epoch),
-            move |canonical, _| {
-                mentions(canonical, name) || can_yield_tuples(&needs, &body_signature(canonical))
+            |canonical, answer| match verdicts.get(&std::ptr::from_ref(answer)) {
+                Some(decided) if std::ptr::eq(&*decided.answer, answer) => {
+                    kept_by_cover += u64::from(decided.keep);
+                    !decided.keep
+                }
+                _ => reached(canonical),
             },
-        )
+        )?;
+        obs::counter!("serve.cache_kept_by_cover").add(kept_by_cover);
+        outcome.kept_by_cover = kept_by_cover;
+        Ok(outcome)
     }
 
     /// Drops every view named `name` under a fresh epoch.
@@ -160,7 +234,7 @@ impl LiveCatalog {
         self.swap_to(
             &current,
             |snapshot, epoch| snapshot.with_views_dropped(name, epoch),
-            move |canonical, answer| {
+            |canonical, answer| {
                 mentions(canonical, name)
                     || answer.rewritings().iter().any(|r| mentions(r, name))
                     || answer.best().is_some_and(|b| {
@@ -181,7 +255,7 @@ impl LiveCatalog {
         &self,
         current: &Arc<BatchServer>,
         next_snapshot: impl FnOnce(&PreparedViews, u64) -> PreparedViews,
-        affected: impl Fn(&ConjunctiveQuery, &CachedAnswer) -> bool,
+        affected: impl FnMut(&ConjunctiveQuery, &CachedAnswer) -> bool,
     ) -> Result<DdlOutcome, String> {
         let old_epoch = current.epoch();
         let new_epoch = old_epoch + 1;
@@ -211,12 +285,82 @@ impl LiveCatalog {
             views: next.views().len(),
             invalidated: outcome.invalidated,
             revalidated: outcome.revalidated,
+            kept_by_cover: 0,
         })
     }
 }
 
 fn mentions(q: &ConjunctiveQuery, name: Symbol) -> bool {
     q.body.iter().any(|a| a.predicate == name)
+}
+
+/// The prefilter ([`can_yield_tuples`]) of a view that `needs` against a
+/// canonical query. The view's `(predicate, arity)` pairs are looked up
+/// in the body as it stands first, which allocates nothing and already
+/// rules out most entries; only a query holding them all builds its
+/// signature for the join half of the test.
+fn may_yield_tuples(needs: &Signature, canonical: &ConjunctiveQuery) -> bool {
+    let has = |&(predicate, arity): &(Symbol, usize)| {
+        canonical
+            .body
+            .iter()
+            .any(|a| a.predicate == predicate && a.arity() == arity)
+    };
+    needs.pairs().iter().all(has) && can_yield_tuples(needs, &body_signature(canonical))
+}
+
+/// `add v`'s decision on one entry, taken before the swap. `answer` is
+/// held so that no other answer can take its address before `retarget`
+/// looks the decision up.
+struct Verdict {
+    answer: Arc<CachedAnswer>,
+    keep: bool,
+}
+
+/// Whether `answer` (to `canonical`) survives adding the one view of
+/// `added` last: true when no minimum cover of its old candidates and the
+/// view's new ones uses a new one (module docs, "Principled cache
+/// invalidation"). A kept answer's candidate list takes the new ones,
+/// which a later `add` must see; since they are in no minimum cover,
+/// keeping them is sound even if this swap fails or the entry goes.
+fn keeps_its_covers(
+    added: &ViewSet,
+    canonical: &ConjunctiveQuery,
+    answer: &CachedAnswer,
+    group_view_tuples: bool,
+) -> bool {
+    let Some(mut inputs) = answer.cover() else {
+        return false;
+    };
+    let qm = inputs.minimized.as_deref().unwrap_or(canonical);
+    // The view's tuples over the minimized query and their cores, the
+    // nonempty ones only: an empty core is a filter candidate, which
+    // step (4) does not cover with and an M1 plan never grafts.
+    let mut new: Vec<u64> = Vec::new();
+    for tuple in view_tuples(qm, added) {
+        let core = tuple_core(qm, &tuple, added).bitmask();
+        // With tuple grouping a core some candidate already has joins
+        // that candidate's class behind its representative, and a
+        // certified cover never reads a class-mate.
+        let old = group_view_tuples && (inputs.cores.contains(&core) || new.contains(&core));
+        if core != 0 && !old {
+            new.push(core);
+        }
+    }
+    if new.is_empty() {
+        return true;
+    }
+    // A nonempty core means a nonempty body, so the shift is below 64.
+    let universe = u64::MAX >> (64 - qm.body.len());
+    let first_new = inputs.cores.len();
+    inputs.cores.extend_from_slice(&new);
+    let minimum = all_minimum_covers_counted(universe, &inputs.cores);
+    let uses_new = minimum.covers.iter().flatten().any(|&k| k >= first_new);
+    if minimum.truncated || uses_new {
+        inputs.cores.truncate(first_new);
+        return false;
+    }
+    true
 }
 
 #[cfg(test)]
@@ -328,18 +472,107 @@ mod tests {
     }
 
     #[test]
-    fn add_view_evicts_an_entry_that_joins_through_a_constant() {
+    fn add_view_keeps_an_entry_the_view_joins_only_through_a_constant() {
         let catalog = LiveCatalog::new(&example41_views(), ServeConfig::default());
         let q = parse_query("q(X, Y) :- a(X, k), b(k, Y)").unwrap();
         catalog.server().serve(&q).unwrap();
-        // The view joins a's second position to b's first; the query
-        // does too, through the constant `k` both subgoals hold.
+        // The view joins a's second position to b's first, and so does
+        // the query, through the constant `k`: the prefilter flags the
+        // entry. But `w(X, Y)` maps B to `k`, and a query constant never
+        // maps to a view's existential, so the tuple's core is empty:
+        // no new candidate, nothing to cover with, the entry is kept.
         let outcome = catalog
             .add_view(view("w(A, C) :- a(A, B), b(B, C)"))
             .unwrap();
-        assert_eq!((outcome.invalidated, outcome.revalidated), (1, 0));
-        assert!(!catalog.server().serve(&q).unwrap().from_cache);
+        assert_eq!((outcome.invalidated, outcome.revalidated), (0, 1));
+        assert_eq!(outcome.kept_by_cover, 1);
+        assert!(catalog.server().serve(&q).unwrap().from_cache);
         assert_residents_match_cold_recompute(&catalog);
+    }
+
+    #[test]
+    fn add_view_evicts_an_entry_whose_minimum_cover_the_view_enters() {
+        let catalog = LiveCatalog::new(&example41_views(), ServeConfig::default());
+        let q = parse_query("q(X, Y) :- a(X, k), b(k, Y)").unwrap();
+        assert!(catalog.server().serve(&q).unwrap().rewritings.is_empty());
+        // This view joins through the constant itself: `w(X, Y)` covers
+        // both subgoals, a cover of one where there was none.
+        let outcome = catalog
+            .add_view(view("w(A, C) :- a(A, k), b(k, C)"))
+            .unwrap();
+        assert_eq!((outcome.invalidated, outcome.revalidated), (1, 0));
+        assert_eq!(outcome.kept_by_cover, 0);
+        let cold = catalog.server().serve(&q).unwrap();
+        assert!(!cold.from_cache);
+        assert_eq!(cold.rewritings[0].to_string(), "q(X, Y) :- w(X, Y)");
+        assert_residents_match_cold_recompute(&catalog);
+    }
+
+    #[test]
+    fn an_old_core_is_a_new_candidate_only_without_tuple_grouping() {
+        // `w(X, Z, X)` covers exactly what `v1(X, Z)` covers. Grouped, it
+        // joins v1's tuple class behind its representative and no
+        // minimum cover changes; ungrouped, it is a candidate of its own
+        // and `w(X, Z, X), v2(Z, Y)` is a second minimum cover.
+        let q = parse_query("q(X, Y) :- a(X, Z), a(Z, Z), b(Z, Y)").unwrap();
+        for (group_view_tuples, kept) in [(true, 1), (false, 0)] {
+            let config = ServeConfig {
+                corecover: viewplan_core::CoreCoverConfig {
+                    group_view_tuples,
+                    ..Default::default()
+                },
+                ..ServeConfig::default()
+            };
+            let catalog = LiveCatalog::new(&example41_views(), config.clone());
+            catalog.server().serve(&q).unwrap();
+            let outcome = catalog
+                .add_view(view("w(A, B, C) :- a(A, B), a(B, B), a(C, B)"))
+                .unwrap();
+            assert_eq!(outcome.kept_by_cover, kept, "grouping {group_view_tuples}");
+            assert_eq!(outcome.invalidated, 1 - kept);
+            let server = catalog.server();
+            let cold = BatchServer::with_config(
+                server.views(),
+                ServeConfig {
+                    cache_capacity: 0,
+                    ..config
+                },
+            );
+            assert_eq!(
+                server.serve(&q).unwrap().render(),
+                cold.serve(&q).unwrap().render()
+            );
+        }
+    }
+
+    #[test]
+    fn a_kept_entry_carries_the_candidates_the_view_brought() {
+        // Two adds, neither of which changes the answer alone, whose new
+        // candidates together make a second minimum cover: the first add
+        // must leave its candidate on the entry for the second to see.
+        let catalog = LiveCatalog::new(
+            &parse_views(
+                "v(A, B, C) :- a(A, B), b(B, C).\n\
+                 u(A, B, C) :- c(A, B), d(B, C).",
+            )
+            .unwrap(),
+            ServeConfig::default(),
+        );
+        let q = parse_query("q(X, Y, Z, W) :- a(X, Y), b(Y, Z), c(Z, W), d(W, X)").unwrap();
+        catalog.server().serve(&q).unwrap();
+        // {ab, cd} is the one minimum cover. `w1` covers {a, c} and `w2`
+        // {b, d}: neither is in a cover of two alone, together they are.
+        let first = catalog
+            .add_view(view("w1(A, B, C, D) :- a(A, B), c(C, D)"))
+            .unwrap();
+        assert_eq!(first.kept_by_cover, 1);
+        let second = catalog
+            .add_view(view("w2(A, B, C, D) :- b(A, B), d(C, D)"))
+            .unwrap();
+        assert_eq!((second.invalidated, second.kept_by_cover), (1, 0));
+        assert_residents_match_cold_recompute(&catalog);
+        let after = catalog.server().serve(&q).unwrap();
+        assert_eq!(after.rewritings.len(), 2, "{}", after.render());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   ([`viewplan_core::PreparedViews`], computed once) and answers
 //!   queries one at a time, each on the thread that asks — concurrency
 //!   comes from [`NetServer`]'s connection threads, not from a pool;
-//! * [`RewritingCache`] — a bounded, sharded LRU cache of answers keyed
+//! * [`RewritingCache`] — a bounded, sharded SIEVE cache of answers keyed
 //!   on queries canonicalized up to variable renaming, epoch-versioned
 //!   for the live catalog, with the poisoning rule that budget-truncated
 //!   answers are never stored;

@@ -10,7 +10,9 @@
 //!    publishes the new snapshot *before* retargeting the cache, so a
 //!    reader never observes a cache hit whose answer belongs to a
 //!    different catalog version than its snapshot (no stale-epoch
-//!    answer).
+//!    answer); and `add-view` decides its entries before the swap and
+//!    settles them after it, racing an insert that evicts on the same
+//!    shard without leaving the shard's order and map apart.
 //! 3. **The admission gate** — the real `AdmissionGate` every served
 //!    query passes: never more than `permits` running or `capacity`
 //!    waiting, turns in arrival order, `close()` racing waiters and
@@ -53,8 +55,41 @@ fn fixture() -> (CanonicalQuery, ConjunctiveQuery, Arc<CachedAnswer>) {
         CacheProbe::Hit(_) => unreachable!("fresh cache cannot hit"),
     }
     let _ = cache.get(&canonical.key, 0);
+    let _ = cache.entries_at(0, |_, _| true);
     cache.retarget(0, 1, |_, _| true);
     (canonical.key, canonical.canonical, answer)
+}
+
+/// A second key that lands in the fixture key's shard, found through the
+/// public API: in a one-entry-per-shard cache, inserting it evicts the
+/// fixture's entry. The search also warms the eviction path.
+fn same_shard_key(
+    key: &CanonicalQuery,
+    canonical: &ConjunctiveQuery,
+) -> (CanonicalQuery, ConjunctiveQuery) {
+    let answer = |c: &ConjunctiveQuery| {
+        Arc::new(CachedAnswer::new(
+            c,
+            Vec::new(),
+            None,
+            Completeness::Complete,
+        ))
+    };
+    (0..)
+        .map(|i| canonicalize(&parse_query(&format!("q(X) :- g{i}(X, Y)")).unwrap()))
+        .find(|other| {
+            let probe = RewritingCache::new(1);
+            probe.insert(key.clone(), canonical.clone(), answer(canonical), 0);
+            probe.insert(
+                other.key.clone(),
+                other.canonical.clone(),
+                answer(&other.canonical),
+                0,
+            );
+            probe.len() == 1
+        })
+        .map(|other| (other.key, other.canonical))
+        .expect("some key shares the shard")
 }
 
 #[test]
@@ -220,6 +255,95 @@ fn readers_never_observe_cross_epoch_answers_during_swap() {
         assert!(Arc::ptr_eq(&settled, &new_answer));
     });
     eprintln!("model epoch_swap: {}", report.summary());
+    assert!(report.ok(), "{}", report.summary());
+    assert!(report.exhaustive, "DFS must exhaust the bounded schedules");
+}
+
+/// `add-view`'s decide-then-settle protocol against an evicting insert
+/// on the same shard. The writer decides outside every shard lock (here:
+/// the fixture's answer is kept, anything else it saw is evicted),
+/// publishes, and only then retargets, looking each entry's decision up
+/// by its answer's address; an entry it did not decide falls to the
+/// fallback rule (here: evict). The racing request reads its snapshot,
+/// inserts another key into the one-entry shard — evicting the fixture
+/// entry whenever it is still there — and probes both keys at its epoch.
+/// Pinned: the shard's order and map agree afterwards, no answer
+/// inserted at epoch 0 serves an epoch-1 read (only the decided one is
+/// re-stamped), and hits + misses == lookups.
+#[test]
+fn an_evicting_insert_races_the_decide_then_settle_retarget() {
+    let (key, canonical, kept_answer) = fixture();
+    let (other_key, other_canonical) = same_shard_key(&key, &canonical);
+    let other_answer = Arc::new(CachedAnswer::new(
+        &other_canonical,
+        Vec::new(),
+        None,
+        Completeness::Complete,
+    ));
+    let report = model::check(&model::Config::dfs(2), move || {
+        let cache = Arc::new(RewritingCache::new(1));
+        cache.insert(key.clone(), canonical.clone(), kept_answer.clone(), 0);
+        let snapshot = Arc::new(RwLock::new(Arc::new(0u64)));
+        let lookups = Arc::new(AtomicU64::new(0));
+
+        let writer = {
+            let (cache, snapshot) = (cache.clone(), snapshot.clone());
+            let kept_answer = kept_answer.clone();
+            model::spawn(move || {
+                let decided: Vec<(Arc<CachedAnswer>, bool)> = cache
+                    .entries_at(0, |_, _| true)
+                    .into_iter()
+                    .map(|(_, seen)| {
+                        let keep = Arc::ptr_eq(&seen, &kept_answer);
+                        (seen, keep)
+                    })
+                    .collect();
+                *snapshot.write() = Arc::new(1);
+                cache.retarget(0, 1, |_, value| {
+                    let verdict = decided
+                        .iter()
+                        .find(|(seen, _)| std::ptr::eq(&**seen, value));
+                    !verdict.is_some_and(|&(_, keep)| keep)
+                });
+            })
+        };
+        let request = {
+            let (cache, snapshot, lookups) = (cache.clone(), snapshot.clone(), lookups.clone());
+            let (key, other_key) = (key.clone(), other_key.clone());
+            let (kept_answer, other_answer) = (kept_answer.clone(), other_answer.clone());
+            let other_canonical = other_canonical.clone();
+            model::spawn(move || {
+                let epoch = **snapshot.read();
+                cache.insert(
+                    other_key.clone(),
+                    other_canonical,
+                    other_answer.clone(),
+                    epoch,
+                );
+                lookups.fetch_add(2, Ordering::SeqCst);
+                if let Some(hit) = cache.get(&key, epoch) {
+                    assert!(Arc::ptr_eq(&hit, &kept_answer));
+                }
+                if let Some(hit) = cache.get(&other_key, epoch) {
+                    assert!(Arc::ptr_eq(&hit, &other_answer));
+                }
+                epoch
+            })
+        };
+        writer.join();
+        let inserted_at = request.join().unwrap();
+        cache.assert_consistent();
+        lookups.fetch_add(2, Ordering::SeqCst);
+        assert!(cache.get(&key, 0).is_none(), "pre-swap epoch is dead");
+        assert_eq!(
+            cache.get(&other_key, 1).is_some(),
+            inserted_at == 1,
+            "an answer inserted at epoch 0 never serves an epoch-1 read"
+        );
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, lookups.load(Ordering::SeqCst));
+    });
+    eprintln!("model decide_settle: {}", report.summary());
     assert!(report.ok(), "{}", report.summary());
     assert!(report.exhaustive, "DFS must exhaust the bounded schedules");
 }
