@@ -94,7 +94,6 @@ pub fn view_tuple_classes(cores: &[TupleCore]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
     use viewplan_cq::parse_views;
 
     #[test]
@@ -144,10 +143,8 @@ mod tests {
 
     #[test]
     fn tuple_classes_group_by_core() {
-        let mk = |subgoals: &[usize]| TupleCore {
-            subgoals: subgoals.iter().copied().collect::<BTreeSet<_>>(),
-            parts: Vec::new(),
-        };
+        let mk =
+            |subgoals: &[usize]| TupleCore::of_parts(subgoals.iter().map(|&i| 1 << i).collect());
         let cores = vec![mk(&[0, 1]), mk(&[2]), mk(&[0, 1]), mk(&[]), mk(&[])];
         let classes = view_tuple_classes(&cores);
         assert_eq!(classes, vec![vec![0, 2], vec![1], vec![3, 4]]);

@@ -43,7 +43,15 @@
 //! ([`CoreCoverResult::walk`], [`crate::walk`]), and
 //! [`CoreCoverResult::rewritings`] builds and decides the rest on first
 //! call. Either way a cover is decided once, and the rewritings are the
-//! same.
+//! same. A rewriting is built once, when its cover is decided: a run
+//! that decides its covers moves each accepted one into the list
+//! [`CoreCoverResult::rewritings`] returns, and
+//! [`CoreCoverResult::into_rewritings`] hands that list over by value.
+//!
+//! Steps 2 and 3 read views as compiled [programs](crate::program) —
+//! the prepared snapshot's, or compiled here for the views an
+//! unprepared run selects — and the query through one numbering of its
+//! variables, shared by both steps.
 //!
 //! The §5.2 concise representation — views grouped into classes
 //! equivalent as queries, view tuples grouped by tuple-core — is on by
@@ -55,9 +63,10 @@ use crate::classes::{view_equivalence_classes, view_tuple_classes};
 use crate::cover::{all_irredundant_covers_counted, all_minimum_covers_counted};
 use crate::error::{CoreError, MAX_SUBGOALS};
 use crate::prepared::PreparedViews;
+use crate::program::{QueryTable, ViewProgram};
 use crate::rewriting::Rewriting;
 use crate::tuple_core::{Cores, TupleCore};
-use crate::view_tuple::{view_tuples_of, ViewTuple};
+use crate::view_tuple::{Matched, Matcher, ViewTuple};
 use crate::walk::{CoverSpace, Fate};
 use std::sync::OnceLock;
 use viewplan_containment::minimize;
@@ -254,7 +263,8 @@ pub struct CoreCoverResult {
     /// The sets step (4) covered with: each candidate's tuple-core as a
     /// subgoal bitmask, in candidate order.
     candidate_cores: Vec<u64>,
-    rewritings: OnceLock<Vec<Rewriting>>,
+    /// The accepted rewritings in cover order, once listed.
+    pub(crate) rewritings: OnceLock<Vec<Rewriting>>,
 }
 
 impl CoreCoverResult {
@@ -277,11 +287,21 @@ impl CoreCoverResult {
         self.rewritings.get_or_init(|| {
             (0..self.space.len())
                 .filter_map(|c| match self.fate(c) {
-                    Fate::Accepted { rewriting, .. } => Some(rewriting.clone()),
+                    Fate::Accepted { rewriting, .. } => Some(self.built(rewriting).clone()),
                     _ => None,
                 })
                 .collect()
         })
+    }
+
+    /// [`CoreCoverResult::rewritings`] by value: a run that decided its
+    /// covers hands over the list it built, and an accepted cover's
+    /// rewriting a walk built is moved, not copied.
+    pub fn into_rewritings(mut self) -> Vec<Rewriting> {
+        if self.rewritings.get().is_none() {
+            self.decide_all();
+        }
+        self.rewritings.take().unwrap_or_default()
     }
 
     /// View tuples with empty tuple-cores — candidates for filtering
@@ -502,23 +522,50 @@ impl<'a> CoreCover<'a> {
                 .collect();
         }
 
+        // Steps 2 and 3 read the selected views as programs — the
+        // snapshot's, or compiled here — and the minimized query through
+        // one table (crate::program).
+        let table = QueryTable::of(&qm);
+        let compiled: Vec<ViewProgram>;
+        let programs: Vec<&ViewProgram> = match self.prepared {
+            Some(p) => selected.iter().map(|&i| &*p.programs()[i]).collect(),
+            None => {
+                compiled = selected
+                    .iter()
+                    .map(|&i| ViewProgram::compile(&views[i]))
+                    .collect();
+                compiled.iter().collect()
+            }
+        };
+
         // Step 2: view tuples, each selected view matched on the
-        // subgoals of the minimized query; `origin[t]` is the index of
-        // the view tuple `t` came from.
-        let views_matched = selected.len();
-        let (tuples, origin) = {
+        // subgoals of the minimized query.
+        let views_matched = programs.len();
+        let (matched, tuples) = {
             let _span = obs::span("corecover.view_tuples");
-            view_tuples_of(&qm, views, selected)
+            let mut matcher = Matcher::default();
+            let mut matched = Matched::of(&table);
+            for (v, program) in programs.iter().enumerate() {
+                matcher.match_view(&table, program, v, &mut matched);
+            }
+            let tuples = matched.view_tuples(&table, |v| programs[v].name());
+            (matched, tuples)
         };
 
         // Step 3: tuple-cores; `cores[i]` is the core of `tuples[i]`.
         let (cores, tuple_classes) = {
             let _span = obs::span("corecover.tuple_cores");
-            let mut cores_of = Cores::of(&qm);
-            let cores: Vec<TupleCore> = tuples
-                .iter()
-                .zip(&origin)
-                .map(|(tuple, &i)| cores_of.core(tuple, &views[i]))
+            let mut cores_of = Cores::of(&table);
+            let mut selected_view = None;
+            let cores: Vec<TupleCore> = (0..matched.len())
+                .map(|t| {
+                    let program = programs[matched.origin[t]];
+                    if selected_view != Some(matched.origin[t]) {
+                        cores_of.select(matched.relations(t));
+                        selected_view = Some(matched.origin[t]);
+                    }
+                    cores_of.core(program, matched.args(t), matched.exposure(t))
+                })
                 .collect();
             let classes = view_tuple_classes(&cores);
             (cores, classes)
@@ -596,7 +643,7 @@ impl<'a> CoreCover<'a> {
         let (rewritings, unverified_dropped) =
             if minimum_only || budget_active || provenance.is_some() {
                 let _span = obs::span("corecover.verify");
-                let built = result.rewritings().len();
+                let built = result.decide_all();
                 (built, budget_active && result.space.any_rejected())
             } else {
                 (0, false)
@@ -655,9 +702,8 @@ pub(crate) fn exposed_variables(
         .atom
         .variables()
         .filter(|&v| {
-            core.subgoals
-                .iter()
-                .any(|&g| qm.body[g].terms.contains(&Term::Var(v)))
+            core.subgoals()
+                .any(|g| qm.body[g].terms.contains(&Term::Var(v)))
         })
         .collect();
     exposed.sort();

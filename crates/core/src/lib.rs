@@ -9,6 +9,8 @@
 //!   minimized query (§3.3, Lemma 3.2);
 //! * [`tuple_core()`] — the unique maximal set of query subgoals covered by
 //!   a view tuple (Definition 4.1, Lemma 4.2);
+//! * [`program`] — views compiled once per snapshot, and the run's
+//!   numbering of the query that steps 2 and 3 share;
 //! * [`CoreCover`] — all globally-minimal rewritings (GMRs) via minimum
 //!   set covers of the query subgoals by tuple-cores (§4, Theorem 4.1,
 //!   Corollary 4.1), and all minimal rewritings for cost model M2 via
@@ -56,6 +58,7 @@ pub mod lattice;
 pub mod minicon;
 pub mod naive;
 pub mod prepared;
+pub mod program;
 pub mod prune;
 pub mod rewriting;
 pub mod tuple_core;
@@ -78,8 +81,9 @@ pub use lattice::{
 pub use minicon::{minicon_rewritings, Mcd, MiniCon};
 pub use naive::naive_gmrs;
 pub use prepared::PreparedViews;
+pub use program::ViewProgram;
 pub use prune::{body_signature, can_yield_tuples, view_is_unusable, Signature};
 pub use rewriting::{dedup_variants, dedup_variants_with_map, Rewriting};
-pub use tuple_core::{tuple_core, TupleCore};
+pub use tuple_core::{core_masks, tuple_core, TupleCore};
 pub use view_tuple::{view_tuples, ViewTuple};
 pub use walk::{CoverWalk, Found};

@@ -23,18 +23,30 @@
 //! and online DDL derives the next snapshot from the current one
 //! ([`PreparedViews::with_view_added`],
 //! [`PreparedViews::with_views_dropped`]) instead of regrouping it.
+//!
+//! And it holds every view compiled into its [`ViewProgram`]
+//! ([`crate::program`]): what CoreCover's steps 2 and 3 read of a view
+//! that does not depend on the query — its terms coded as head
+//! positions, existentials and constants, its `(predicate, arity)`
+//! slots, what its head demands of a tuple — so a run compiles nothing.
+//! Programs are compiled once per view and kept behind one `Arc` each:
+//! a snapshot derived by DDL shares the programs of the views it keeps
+//! and compiles only the view it adds, and equals a from-scratch prepare
+//! program for program.
 
 use crate::catalog_index::{body_pairs, CatalogIndex};
 use crate::classes::{normalized, view_equivalence_classes};
+use crate::program::ViewProgram;
 use crate::prune::body_signature;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use viewplan_containment::are_equivalent;
 use viewplan_cq::{Symbol, View, ViewSet};
 use viewplan_obs as obs;
 
 /// A view set with its query-independent preprocessing done: view
-/// equivalence classes and the [`CatalogIndex`] (predicate arities,
-/// signature postings, representative bits).
+/// equivalence classes, the [`CatalogIndex`] (predicate arities,
+/// signature postings, representative bits) and one compiled
+/// [`ViewProgram`] per view.
 /// Immutable after construction; share by reference across threads.
 /// Nothing a request does needs to iterate [`PreparedViews::views`].
 ///
@@ -49,6 +61,9 @@ pub struct PreparedViews {
     views: ViewSet,
     classes: Vec<Vec<usize>>,
     index: CatalogIndex,
+    /// One per view, aligned with `views`; shared with the snapshots
+    /// derived from this one.
+    programs: Vec<Arc<ViewProgram>>,
     /// Built on first use: the request path selects representatives
     /// through the index, so a snapshot swap does not pay for the copy.
     representatives: OnceLock<ViewSet>,
@@ -70,18 +85,28 @@ impl PreparedViews {
         let _span = obs::span("serve.prepare_views");
         let classes = view_equivalence_classes(views);
         obs::counter!("serve.prepared_view_sets").incr();
-        PreparedViews::assemble(views.clone(), classes, epoch)
+        let programs = views
+            .iter()
+            .map(|view| Arc::new(ViewProgram::compile(view)))
+            .collect();
+        PreparedViews::assemble(views.clone(), classes, programs, epoch)
     }
 
     /// The one place a snapshot's index is built: once per snapshot,
     /// never per request (`serve.catalog_index_builds` counts it).
-    fn assemble(views: ViewSet, classes: Vec<Vec<usize>>, epoch: u64) -> PreparedViews {
+    fn assemble(
+        views: ViewSet,
+        classes: Vec<Vec<usize>>,
+        programs: Vec<Arc<ViewProgram>>,
+        epoch: u64,
+    ) -> PreparedViews {
         obs::counter!("serve.catalog_index_builds").incr();
         let index = CatalogIndex::build(&views, &classes);
         PreparedViews {
             views,
             classes,
             index,
+            programs,
             representatives: OnceLock::new(),
             epoch,
         }
@@ -95,7 +120,8 @@ impl PreparedViews {
     /// body ([`crate::prune`]: an equivalent view maps into that body, so
     /// it is among them), and joins the equivalent one's class or opens a
     /// new last class, which is what the from-scratch pass does when it
-    /// reaches the last view.
+    /// reaches the last view. The programs of the views it had are
+    /// shared, and only `view` is compiled.
     pub fn with_view_added(&self, view: View, epoch: u64) -> PreparedViews {
         let norm = normalized(&view);
         let pairs = body_pairs(&view);
@@ -118,9 +144,11 @@ impl PreparedViews {
             Some(class) => classes[class].push(added),
             None => classes.push(vec![added]),
         }
+        let mut programs = self.programs.clone();
+        programs.push(Arc::new(ViewProgram::compile(&view)));
         let mut views = self.views.clone();
         views.push(view);
-        PreparedViews::assemble(views, classes, epoch)
+        PreparedViews::assemble(views, classes, programs, epoch)
     }
 
     /// The snapshot of this view set without the views named `name`, at
@@ -128,7 +156,8 @@ impl PreparedViews {
     /// remaining views: membership is query equivalence, which removing
     /// a view does not change, so each class keeps its surviving members
     /// under their new indices, empty classes go, and classes are again
-    /// ordered by their first member.
+    /// ordered by their first member. The remaining views' programs are
+    /// shared.
     pub fn with_views_dropped(&self, name: Symbol, epoch: u64) -> PreparedViews {
         let mut kept = 0usize;
         let renumbered: Vec<Option<usize>> = self
@@ -149,7 +178,13 @@ impl PreparedViews {
             .collect();
         classes.sort_by_key(|class| class[0]);
         let views = ViewSet::from_views(self.views.iter().filter(|v| v.name() != name).cloned());
-        PreparedViews::assemble(views, classes, epoch)
+        let programs = self
+            .programs
+            .iter()
+            .filter(|program| program.name() != name)
+            .cloned()
+            .collect();
+        PreparedViews::assemble(views, classes, programs, epoch)
     }
 
     /// The catalog epoch this snapshot was prepared at (0 for static
@@ -168,6 +203,12 @@ impl PreparedViews {
     /// representative.
     pub fn classes(&self) -> &[Vec<usize>] {
         &self.classes
+    }
+
+    /// Every view's compiled program, aligned with
+    /// [`PreparedViews::views`].
+    pub fn programs(&self) -> &[Arc<ViewProgram>] {
+        &self.programs
     }
 
     /// The arity map, postings and signatures of this view set.
@@ -219,6 +260,27 @@ mod tests {
         assert_eq!(prepared.views().len(), 5);
         assert_eq!(prepared.epoch(), 0);
         assert_eq!(PreparedViews::prepare_with_epoch(&views, 7).epoch(), 7);
+        let names: Vec<Symbol> = prepared.programs().iter().map(|p| p.name()).collect();
+        let expected: Vec<Symbol> = views.iter().map(|v| v.name()).collect();
+        assert_eq!(names, expected);
+    }
+
+    #[test]
+    fn derived_snapshots_share_the_programs_of_the_views_they_keep() {
+        let views = carlocpart_views();
+        let prepared = PreparedViews::prepare(&views);
+        let added =
+            prepared.with_view_added(View::new(parse_query("v6(M) :- car(M, a)").unwrap()), 1);
+        let dropped = added.with_views_dropped(Symbol::new("v2"), 2);
+        for (i, program) in prepared.programs().iter().enumerate() {
+            assert!(Arc::ptr_eq(program, &added.programs()[i]));
+        }
+        assert!(Arc::ptr_eq(&added.programs()[5], &dropped.programs()[4]));
+        assert!(Arc::ptr_eq(&prepared.programs()[0], &dropped.programs()[0]));
+        assert_eq!(
+            dropped.programs(),
+            PreparedViews::prepare(dropped.views()).programs()
+        );
     }
 
     #[test]

@@ -22,8 +22,12 @@
 //!   (a local variable always maps to an existential or a constant of
 //!   the expansion, never to a `t_v` argument, since that would collide
 //!   with the identity part and break injectivity);
-//! * enumerate the consistent mappings of each component into the
-//!   expansion by backtracking;
+//! * drop every component no mapping can cover: one holding a subgoal
+//!   with a distinguished variable the tuple does not expose (properties
+//!   1 and 2 want the identity, which the expansion cannot offer), or a
+//!   subgoal whose `(predicate, arity)` the view's body lacks;
+//! * enumerate the consistent mappings of each remaining component into
+//!   the expansion by backtracking;
 //! * resolve cross-component injectivity globally (two components may not
 //!   send different local variables to the same existential), maximizing
 //!   the number of covered subgoals.
@@ -32,11 +36,21 @@
 //! [`TupleCore::parts`]: [`crate::certificate`] needs them to tell
 //! whether the cores of a cover glue into one containment mapping.
 //!
+//! The first three steps are mask operations over the run's numbering of
+//! the query ([`crate::program`]): the tuple arrives with its exposure —
+//! the query variables among its arguments, as a bitset — so the hidden
+//! distinguished variables and the locals are two word operations per 64
+//! variables, the subgoals they block or link are the unions of their
+//! subgoal masks, and the view's slots are a subgoal mask computed once
+//! per view. A tuple with no component left has the empty core without
+//! a search being started; on the §7 star shape that is about half of
+//! them.
+//!
 //! # No expansion, no fresh symbols
 //!
-//! `t_v^exp` is never built as atoms. The search runs over the view's
-//! *own* body, each of its terms read as an [`Image`]: a head variable is
-//! the tuple argument at its position, a constant is itself, and the
+//! `t_v^exp` is never built. The search reads the view's compiled body
+//! ([`ViewProgram`]), each of its codes as an [`Image`]: head position
+//! `p` is the tuple's argument at `p`, a constant is itself, and the
 //! view's `k`-th existential variable is `Existential(k)`. Definition 4.1
 //! asks three things of an existential image — that it differs from
 //! every term of the query, equals itself, and differs from the view's
@@ -47,103 +61,88 @@
 //!
 //! # What a run allocates
 //!
-//! What depends on the query alone is worked out once per run, in
-//! `Cores::of`: the minimized query's variables are numbered, each with a
-//! distinguished flag and the mask of the subgoals that use it, and the
-//! body's terms are coded as a constant or a variable number. A tuple's
-//! exposed/local classification is then one pass over the variables and
-//! one index lookup per body term. Every per-tuple buffer — the
-//! expansion's images, the classified body (`wants`, flat, sharing the
-//! body's starts), the components, the assignment and its trail, and the
-//! component mappings (one flat buffer, one header per component) —
-//! lives in one scratch the run reuses for every tuple, so only the
-//! returned [`TupleCore`] allocates. The node meter is still started per
-//! tuple: node caps are per search. [`tuple_core`] builds the table and
-//! the scratch for its one tuple.
+//! What depends on the query alone is the run's table, built once for
+//! steps 2 and 3 together, and what depends on the view alone is its
+//! program, compiled once per snapshot. What depends on the view *and*
+//! the query — the query relation of each body atom — step 2 looked up
+//! when it matched the view, and step 3 takes it from there, with the
+//! subgoals the view has slots for, once per view (`Cores::select`).
+//! Every per-tuple buffer — the components, the
+//! assignment and its trail, and the component mappings (one flat buffer,
+//! one header per component) — lives in one scratch the run reuses for
+//! every tuple, so only the returned [`TupleCore`] allocates, and a core
+//! that is empty allocates nothing. The node meter is started per tuple
+//! that searches: node caps are per search. [`tuple_core`] builds the
+//! table, the program and the scratch for its one tuple.
 //!
 //! Lemma 4.2 (uniqueness of the maximal core) is asserted in debug builds.
 
 use crate::cover::bits;
-use crate::view_tuple::{bound_term, ViewTuple};
-use std::collections::BTreeSet;
-use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term, View, ViewSet};
+use crate::program::{has, Code, QueryTable, ViewProgram};
+use crate::view_tuple::{Matched, Matcher, ViewTuple};
+use viewplan_cq::{ConjunctiveQuery, ViewSet};
 use viewplan_obs as obs;
 
-/// The tuple-core of a view tuple: the covered subgoals, as indices into
-/// the minimized query's body and as all-or-nothing parts.
+/// The tuple-core of a view tuple: the covered subgoals of the minimized
+/// query, as a bitmask over its body and as all-or-nothing parts.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TupleCore {
-    /// Indices of the covered subgoals in the minimized query's body.
-    pub subgoals: BTreeSet<usize>,
-    /// The covered subgoals as bitmasks, one per component linked by
-    /// shared local variables (see the module docs): the all-or-nothing
-    /// units of property (3). They partition `subgoals`, and they are
-    /// what a [cover certificate](crate::certificate) deals out.
-    pub parts: Vec<u64>,
+    mask: u64,
+    parts: Vec<u64>,
 }
 
 impl TupleCore {
     /// The empty core.
     pub fn empty() -> TupleCore {
         TupleCore {
-            subgoals: BTreeSet::new(),
+            mask: 0,
             parts: Vec::new(),
         }
     }
 
     /// The core made of whole components, given as subgoal bitmasks.
-    fn of_parts(parts: Vec<u64>) -> TupleCore {
+    pub(crate) fn of_parts(parts: Vec<u64>) -> TupleCore {
         TupleCore {
-            subgoals: parts.iter().flat_map(|&part| bits(part)).collect(),
+            mask: parts.iter().fold(0, |m, &part| m | part),
             parts,
         }
     }
 
     /// True iff no subgoal is covered.
     pub fn is_empty(&self) -> bool {
-        self.subgoals.is_empty()
+        self.mask == 0
     }
 
     /// The core as a bitmask over subgoal indices (queries have ≤ 64
     /// subgoals in this system; enforced by [`tuple_core`]).
     pub fn bitmask(&self) -> u64 {
-        self.subgoals.iter().fold(0u64, |m, &i| {
-            // A shift by ≥ 64 would wrap silently in release builds and
-            // corrupt the cover search; fail loudly instead.
-            assert!(
-                i < crate::error::MAX_SUBGOALS,
-                "subgoal index {i} does not fit a 64-bit cover mask"
-            );
-            m | (1 << i)
-        })
+        self.mask
+    }
+
+    /// Indices of the covered subgoals in the minimized query's body,
+    /// ascending.
+    pub fn subgoals(&self) -> impl Iterator<Item = usize> {
+        bits(self.mask)
+    }
+
+    /// The covered subgoals as bitmasks, one per component linked by
+    /// shared local variables (see the module docs): the all-or-nothing
+    /// units of property (3). They partition [`TupleCore::bitmask`], and
+    /// they are what a [cover certificate](crate::certificate) deals out.
+    pub fn parts(&self) -> &[u64] {
+        &self.parts
     }
 }
 
 /// A term of the tuple's expansion (module docs, "No expansion").
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Image {
-    /// A term in the query's vocabulary: an argument of the view tuple,
-    /// or a constant of the view body.
-    Term(Term),
+    /// A term in the query's vocabulary, coded over the run's table: an
+    /// argument of the view tuple, or a constant of the view body.
+    Term(Code),
     /// The view's `k`-th existential variable. Local to one tuple-core
     /// computation; never equal to a query term, whatever it is called.
-    Existential(usize),
-}
-
-/// What Definition 4.1 lets one argument of a query subgoal map to.
-#[derive(Clone, Copy)]
-enum Want {
-    /// Exactly this term: a constant (fixed by any containment mapping)
-    /// or a variable the tuple exposes (identity, property 1).
-    Exactly(Term),
-    /// Nothing: a distinguished variable the tuple does not expose
-    /// (properties 1 and 2 force the identity, which the expansion
-    /// cannot offer).
-    Nothing,
-    /// The image of this local variable (its number in the run's
-    /// variable table): an existential or a constant outside the tuple,
-    /// the same one at every occurrence, no two locals sharing one.
-    Local(usize),
+    Existential(u32),
 }
 
 /// Computes the unique tuple-core of `tv` for the **minimized** query
@@ -160,36 +159,58 @@ pub fn tuple_core(min_query: &ConjunctiveQuery, tv: &ViewTuple, views: &ViewSet)
     let Some(view) = views.get(tv.atom.predicate) else {
         return TupleCore::empty();
     };
-    Cores::of(min_query).core(tv, view)
+    let program = ViewProgram::compile(view);
+    if !program.admits(&tv.atom.terms) {
+        return TupleCore::empty();
+    }
+    let table = QueryTable::of(min_query);
+    let args: Vec<Code> = tv
+        .atom
+        .terms
+        .iter()
+        .enumerate()
+        .map(|(p, &t)| table.code(t, p))
+        .collect();
+    let mut exposure = vec![0; table.words];
+    table.expose(&args, &mut exposure);
+    let mut relations = Vec::new();
+    table.relations_of(&program, &mut relations);
+    let mut cores = Cores::of(&table);
+    cores.select(&relations);
+    cores.core(&program, &args, &exposure)
 }
 
-/// A variable of the minimized query, as the run's table holds it.
-struct Variable {
-    symbol: Symbol,
-    distinguished: bool,
-    /// The subgoals that use it, as a bitmask.
-    users: u64,
+/// The tuple-core of every view tuple of `view` over `min_query`, as
+/// subgoal bitmasks in view-tuple order: what [`view_tuples`] and
+/// [`tuple_core`] give for a view set holding `view` alone, from one
+/// table and the view's program, without building a tuple.
+///
+/// [`view_tuples`]: crate::view_tuples
+///
+/// # Panics
+/// Panics if the query has more than 64 subgoals.
+pub fn core_masks(min_query: &ConjunctiveQuery, view: &ViewProgram) -> Vec<u64> {
+    let table = QueryTable::of(min_query);
+    let mut found = Matched::of(&table);
+    Matcher::default().match_view(&table, view, 0, &mut found);
+    let mut cores = Cores::of(&table);
+    if found.len() > 0 {
+        cores.select(found.relations(0));
+    }
+    (0..found.len())
+        .map(|t| cores.core(view, found.args(t), found.exposure(t)).bitmask())
+        .collect()
 }
 
-/// A body term of the minimized query: a constant, or the number of a
-/// variable in the run's table.
-#[derive(Clone, Copy)]
-enum Coded {
-    Const(Term),
-    Var(usize),
-}
-
-/// The tuple-cores of one run: the minimized query classified once, and
-/// the scratch every tuple's search reuses (module docs, "What a run
-/// allocates").
-pub(crate) struct Cores<'q> {
-    query: &'q ConjunctiveQuery,
-    /// The query's variables, numbered by first occurrence.
-    variables: Vec<Variable>,
-    /// The body's terms, flat: `terms[starts[i]..starts[i + 1]]` are the
-    /// terms of subgoal `i`.
-    terms: Vec<Coded>,
-    starts: Vec<usize>,
+/// The tuple-cores of one run: the run's table, what the view being read
+/// offers the query, and the scratch every tuple's search reuses (module
+/// docs, "What a run allocates").
+pub(crate) struct Cores<'t, 'q> {
+    table: &'t QueryTable<'q>,
+    /// The table relation of each body atom of the selected view.
+    relations: Vec<usize>,
+    /// The subgoals whose relation the selected view's body has.
+    slots: u64,
     scratch: Scratch,
 }
 
@@ -197,15 +218,11 @@ pub(crate) struct Cores<'q> {
 /// it reads it.
 #[derive(Default)]
 struct Scratch {
-    expansion: Expansion,
-    /// What each variable may map to under the current tuple, by number.
-    by_variable: Vec<Want>,
-    /// What each body term may map to, aligned with [`Cores::terms`].
-    wants: Vec<Want>,
     /// Subgoals linked by shared local variables, ordered by their first
-    /// subgoal.
+    /// subgoal; after the drop, only those a mapping could cover.
     components: Vec<u64>,
-    /// Image of each local variable, if assigned, by number.
+    /// Image of each local variable, if assigned, by number. Every
+    /// search leaves it unassigned again.
     assigned: Vec<Option<Image>>,
     /// The locals assigned so far, oldest first; their images are the
     /// ones in use (one-to-one).
@@ -218,111 +235,94 @@ struct Scratch {
     used: Vec<Image>,
 }
 
-impl<'q> Cores<'q> {
-    /// Numbers and codes `min_query` for a run.
+impl<'t, 'q> Cores<'t, 'q> {
+    /// The cores of tuples over `table`'s query.
     ///
     /// # Panics
     /// Panics if the query has more than 64 subgoals.
-    pub(crate) fn of(min_query: &'q ConjunctiveQuery) -> Cores<'q> {
+    pub(crate) fn of(table: &'t QueryTable<'q>) -> Cores<'t, 'q> {
         assert!(
-            min_query.body.len() <= 64,
+            table.query.body.len() <= 64,
             "queries are limited to 64 subgoals"
         );
-        let number = |variables: &mut Vec<Variable>, v: Symbol| {
-            variables
-                .iter()
-                .position(|x| x.symbol == v)
-                .unwrap_or_else(|| {
-                    variables.push(Variable {
-                        symbol: v,
-                        distinguished: false,
-                        users: 0,
-                    });
-                    variables.len() - 1
-                })
-        };
-        let mut variables: Vec<Variable> = Vec::new();
-        for v in min_query.head.variables() {
-            let k = number(&mut variables, v);
-            variables[k].distinguished = true;
-        }
-        let mut terms = Vec::new();
-        let mut starts = Vec::with_capacity(min_query.body.len() + 1);
-        for (i, atom) in min_query.body.iter().enumerate() {
-            starts.push(terms.len());
-            for &t in &atom.terms {
-                terms.push(match t {
-                    Term::Const(_) => Coded::Const(t),
-                    Term::Var(v) => {
-                        let k = number(&mut variables, v);
-                        variables[k].users |= 1 << i;
-                        Coded::Var(k)
-                    }
-                });
-            }
-        }
-        starts.push(terms.len());
+        let mut scratch = Scratch::default();
+        scratch.assigned.resize(table.variables.len(), None);
         Cores {
-            query: min_query,
-            variables,
-            terms,
-            starts,
-            scratch: Scratch::default(),
+            table,
+            relations: Vec::new(),
+            slots: 0,
+            scratch,
         }
     }
 
-    /// The tuple-core of `tv`, a tuple of `view` (see [`tuple_core`]).
-    pub(crate) fn core(&mut self, tv: &ViewTuple, view: &View) -> TupleCore {
+    /// Reads the tuples that follow as tuples of the view whose body
+    /// atoms have the table relations `relations`
+    /// ([`QueryTable::relations_of`]): the subgoals it has slots for.
+    pub(crate) fn select(&mut self, relations: &[usize]) {
+        self.relations.clear();
+        self.relations.extend_from_slice(relations);
+        self.slots = relations
+            .iter()
+            .filter(|&&r| r != QueryTable::NONE)
+            .fold(0, |slots, &r| slots | self.table.relations[r].subgoals);
+    }
+
+    /// The tuple-core of the tuple of `view` — the view last selected —
+    /// with arguments `args` (coded over the run's table) and exposure
+    /// `exposed`.
+    pub(crate) fn core(&mut self, view: &ViewProgram, args: &[Code], exposed: &[u64]) -> TupleCore {
         let Cores {
-            query,
-            variables,
-            terms,
-            starts,
+            table,
+            relations,
+            slots,
             scratch,
         } = self;
-        let exposed = &tv.atom.terms;
-        if !scratch.expansion.fill(view, exposed) {
+        let n = table.query.body.len();
+        let universe = if n == 0 { 0 } else { u64::MAX >> (64 - n) };
+
+        // Subgoals no mapping covers: a relation the view lacks, or a
+        // distinguished variable the tuple hides.
+        let mut blocked = universe & !*slots;
+        for (w, (&distinguished, &exposed)) in table.distinguished.iter().zip(exposed).enumerate() {
+            for k in bits(distinguished & !exposed) {
+                blocked |= table.users[w * 64 + k];
+            }
+        }
+        if blocked == universe {
             return TupleCore::empty();
         }
 
-        // Classify every variable once, then every body term by lookup.
-        scratch.by_variable.clear();
-        scratch
-            .by_variable
-            .extend(variables.iter().enumerate().map(|(k, v)| {
-                let t = Term::Var(v.symbol);
-                if exposed.contains(&t) {
-                    Want::Exactly(t)
-                } else if v.distinguished {
-                    Want::Nothing
-                } else {
-                    Want::Local(k)
-                }
-            }));
-        scratch.wants.clear();
-        scratch.wants.extend(terms.iter().map(|&c| match c {
-            Coded::Const(t) => Want::Exactly(t),
-            Coded::Var(k) => scratch.by_variable[k],
-        }));
-
-        // Components: subgoals linked by shared local variables, ordered
-        // by their first subgoal.
+        // Components: subgoals linked by shared local variables. Those
+        // holding a blocked subgoal are dropped; the rest are ordered by
+        // their first subgoal.
         let components = &mut scratch.components;
         components.clear();
-        components.extend((0..query.body.len()).map(|i| 1u64 << i));
-        for (v, want) in variables.iter().zip(&scratch.by_variable) {
-            if !matches!(want, Want::Local(_)) {
-                continue;
-            }
-            let mut merged = 0;
-            components.retain(|&c| {
-                let linked = c & v.users != 0;
-                if linked {
-                    merged |= c;
+        components.extend(bits(universe).map(|i| 1u64 << i));
+        let variables = table.variables.len();
+        for (w, (&distinguished, &exposed)) in table.distinguished.iter().zip(exposed).enumerate() {
+            let present = match variables - w * 64 {
+                64.. => u64::MAX,
+                rest => (1 << rest) - 1,
+            };
+            for k in bits(!distinguished & !exposed & present) {
+                let users = table.users[w * 64 + k];
+                if users.count_ones() < 2 {
+                    continue; // one subgoal: it links nothing
                 }
-                !linked
-            });
-            components.push(merged);
+                let mut merged = 0;
+                components.retain(|&c| {
+                    let linked = c & users != 0;
+                    if linked {
+                        merged |= c;
+                    }
+                    !linked
+                });
+                components.push(merged);
+            }
+        }
+        components.retain(|&c| c & blocked == 0);
+        if components.is_empty() {
+            return TupleCore::empty();
         }
         components.sort_unstable_by_key(|c| c.trailing_zeros());
 
@@ -330,24 +330,21 @@ impl<'q> Cores<'q> {
         // the whole per-tuple search; truncation only *shrinks* the core
         // (an underestimated core is a subset of the true core, and covers
         // built from subsets are still valid rewritings).
-        scratch.assigned.clear();
-        scratch.assigned.resize(variables.len(), None);
         scratch.trail.clear();
         scratch.images.clear();
         scratch.mappings.clear();
         let mut search = Search {
-            body: &query.body,
-            wants: &scratch.wants,
-            starts,
-            expansion: &scratch.expansion,
+            table,
             view,
+            relations,
+            args,
             exposed,
             assigned: &mut scratch.assigned,
             trail: &mut scratch.trail,
             found: &mut scratch.images,
             meter: obs::Meter::start(obs::Phase::Hom),
         };
-        for &component in &scratch.components {
+        for &component in components.iter() {
             scratch.mappings.push(search.component_mappings(component));
         }
         let meter = search.meter;
@@ -389,87 +386,6 @@ impl<'q> Cores<'q> {
     }
 }
 
-/// The view's body read as the tuple's expansion: one [`Image`] per
-/// body term, flat, with each subgoal's range. Refilled for every tuple.
-#[derive(Default)]
-struct Expansion {
-    /// The view's head variables and the tuple arguments they meet.
-    bound: Vec<(Symbol, Term)>,
-    /// The view's existential variables, by number.
-    existentials: Vec<Symbol>,
-    images: Vec<Image>,
-    /// `images[starts[j]..starts[j + 1]]` are the terms of body atom `j`.
-    starts: Vec<usize>,
-}
-
-impl Expansion {
-    /// Reads `view`'s body as the expansion of the tuple `args`; false
-    /// when `args` cannot be a tuple of `view`: wrong arity, a repeated
-    /// head variable meeting two arguments, a head constant meeting
-    /// another term.
-    fn fill(&mut self, view: &View, args: &[Term]) -> bool {
-        let head = view.head();
-        if head.arity() != args.len() {
-            return false;
-        }
-        let Expansion {
-            bound,
-            existentials,
-            images,
-            starts,
-        } = self;
-        bound.clear();
-        for (&h, &a) in head.terms.iter().zip(args) {
-            match h {
-                Term::Var(v) => match bound_term(bound, v) {
-                    None => bound.push((v, a)),
-                    Some(prev) if prev == a => {}
-                    Some(_) => return false,
-                },
-                Term::Const(_) if h == a => {}
-                Term::Const(_) => return false,
-            }
-        }
-        existentials.clear();
-        images.clear();
-        starts.clear();
-        for atom in &view.definition.body {
-            starts.push(images.len());
-            images.extend(atom.terms.iter().map(|&t| match t {
-                Term::Const(_) => Image::Term(t),
-                Term::Var(v) => match bound_term(bound, v) {
-                    Some(arg) => Image::Term(arg),
-                    None => {
-                        let known = existentials.iter().position(|&x| x == v);
-                        Image::Existential(known.unwrap_or_else(|| {
-                            existentials.push(v);
-                            existentials.len() - 1
-                        }))
-                    }
-                },
-            }));
-        }
-        starts.push(images.len());
-        true
-    }
-
-    /// The expansion's subgoals a query subgoal could map onto: same
-    /// predicate, same arity.
-    fn targets<'s>(
-        &'s self,
-        view: &'s View,
-        predicate: Symbol,
-        arity: usize,
-    ) -> impl Iterator<Item = &'s [Image]> + 's {
-        view.definition
-            .body
-            .iter()
-            .enumerate()
-            .filter(move |(_, atom)| atom.predicate == predicate && atom.arity() == arity)
-            .map(|(j, _)| &self.images[self.starts[j]..self.starts[j + 1]])
-    }
-}
-
 /// Every consistent way to map one component into the expansion: the
 /// images of its local variables, `width` per mapping (always in the
 /// order the search first meets them), deduplicated, flat in the run's
@@ -493,14 +409,13 @@ impl Mappings {
 
 /// The backtracking enumeration of component mappings.
 struct Search<'a> {
-    body: &'a [Atom],
-    /// [`Want`]s of every body term, aligned with `starts`.
-    wants: &'a [Want],
-    starts: &'a [usize],
-    expansion: &'a Expansion,
-    view: &'a View,
-    /// The tuple's arguments.
-    exposed: &'a [Term],
+    table: &'a QueryTable<'a>,
+    view: &'a ViewProgram,
+    /// [`Cores::relations`] of the view.
+    relations: &'a [usize],
+    /// The tuple's arguments and exposure.
+    args: &'a [Code],
+    exposed: &'a [u64],
     assigned: &'a mut [Option<Image>],
     trail: &'a mut Vec<usize>,
     /// Where the mappings go: the run's flat image buffer.
@@ -543,11 +458,12 @@ impl Search<'_> {
             return;
         }
         let g = rest.trailing_zeros() as usize;
-        let (atom, expansion) = (&self.body[g], self.expansion);
-        let wants = &self.wants[self.starts[g]..self.starts[g + 1]];
-        for target in expansion.targets(self.view, atom.predicate, atom.arity()) {
+        let (table, view) = (self.table, self.view);
+        let wants = table.subgoal(g);
+        let r = table.relation_of[g];
+        for j in (0..view.atoms()).filter(|&j| self.relations[j] == r) {
             let mark = self.trail.len();
-            if self.meet(wants, target) {
+            if self.meet(wants, view.atom(j).1) {
                 self.descend(rest & (rest - 1), mappings);
             }
             for k in self.trail.drain(mark..) {
@@ -559,22 +475,40 @@ impl Search<'_> {
         }
     }
 
-    /// Attempts to map one subgoal onto one expansion subgoal under the
-    /// Definition 4.1 constraints, assigning its unassigned locals (the
-    /// caller takes them back, also after a failure half way).
-    fn meet(&mut self, wants: &[Want], target: &[Image]) -> bool {
-        for (&want, &image) in wants.iter().zip(target) {
+    /// Attempts to map one subgoal onto one body atom of the expansion
+    /// under the Definition 4.1 constraints, assigning its unassigned
+    /// locals (the caller takes them back, also after a failure half
+    /// way).
+    fn meet(&mut self, wants: &[Code], target: &[Code]) -> bool {
+        let arity = self.view.arity() as u32;
+        for (&want, &code) in wants.iter().zip(target) {
+            let image = match code {
+                Code::Var(n) if n < arity => Image::Term(self.args[n as usize]),
+                Code::Var(n) => Image::Existential(n - arity),
+                Code::Const(_) => Image::Term(code),
+            };
             match want {
-                Want::Exactly(t) => {
-                    if image != Image::Term(t) {
+                // A constant is fixed by any containment mapping, and an
+                // exposed variable maps to itself (property 1).
+                Code::Const(_) => {
+                    if image != Image::Term(want) {
                         return false;
                     }
                 }
-                Want::Nothing => return false,
-                Want::Local(k) => {
+                Code::Var(k) if has(self.exposed, k as usize) => {
+                    if image != Image::Term(want) {
+                        return false;
+                    }
+                }
+                Code::Var(k) => {
+                    let k = k as usize;
+                    debug_assert!(
+                        !has(&self.table.distinguished, k),
+                        "a hidden distinguished variable's component is dropped"
+                    );
                     // A tuple-argument image would collide with the
                     // identity part under one-to-one-ness.
-                    if matches!(image, Image::Term(t) if self.exposed.contains(&t)) {
+                    if matches!(image, Image::Term(t) if self.args.contains(&t)) {
                         return false;
                     }
                     match self.assigned[k] {
@@ -676,7 +610,7 @@ mod tests {
             .iter()
             .map(|t| {
                 let core = tuple_core(&q, t, &views);
-                (t.to_string(), core.subgoals.iter().copied().collect())
+                (t.to_string(), core.subgoals().collect())
             })
             .collect()
     }
@@ -842,7 +776,7 @@ mod tests {
         .unwrap();
         let parts: Vec<Vec<u64>> = view_tuples(&q, &views)
             .iter()
-            .map(|t| tuple_core(&q, t, &views).parts)
+            .map(|t| tuple_core(&q, t, &views).parts().to_vec())
             .collect();
         assert_eq!(parts, [vec![0b011], vec![0b001, 0b010]]);
     }

@@ -12,12 +12,18 @@
 //!
 //! `D_Q` is the distinct subgoals of the query with variables read as
 //! constants, so nothing is frozen, stored or thawed: each view body is
-//! matched directly on those subgoals. A view subgoal meets a query
-//! subgoal of the same predicate and arity; a view constant matches only
-//! that constant (never a query variable — a frozen variable is a value
-//! of its own); a view variable already bound must meet the same term.
-//! The head is projected at each full match, duplicates within the view
-//! dropped keep-first.
+//! matched directly on those subgoals. Both sides are read compiled
+//! ([`crate::program`]): the view as its [`ViewProgram`], the query as
+//! the run's table, which numbers its variables and groups its distinct
+//! subgoals by relation. A view subgoal meets a query subgoal of the same
+//! predicate and arity; a view constant matches only that constant
+//! (never a query variable — a frozen variable is a value of its own); a
+//! view variable already bound must meet the same term. Bindings are an
+//! array indexed by program variable. The head is projected at each full
+//! match, duplicates within the view dropped keep-first, and every tuple
+//! leaves with its arguments coded over the table and its *exposure* —
+//! the query variables among its arguments, as a bitset — which is what
+//! step 3 classifies its variables by.
 //!
 //! The *order* of a view's several tuples is the order the engine's
 //! multiway join would produce them in, because rewritings are emitted
@@ -32,14 +38,18 @@
 //!
 //! # What a run allocates
 //!
-//! The query's subgoals are grouped once per run. Everything a view's
-//! match needs — its join order and the buffers behind it, the bindings,
-//! the projected head — lives in one `Matcher` that the run reuses for
-//! every selected view, so after the first few views a view allocates
-//! only for a tuple it has not produced before (the tuple's [`Atom`]). A
-//! view that yields no tuple allocates nothing.
+//! The query's table is built once per run, and the views come compiled
+//! (a [`PreparedViews`](crate::PreparedViews) snapshot holds their
+//! programs; [`view_tuples`] recompiles one scratch program per view).
+//! Everything a view's match needs — its join order and the buffers
+//! behind it, the bindings, the projected head — lives in one `Matcher`
+//! that the run reuses for every view, and the tuples' coded arguments,
+//! exposures and origins go to flat buffers of the run, so a view that
+//! yields no tuple allocates nothing. A tuple allocates its [`Atom`] when
+//! the run hands the tuples out.
 
-use viewplan_cq::{Atom, ConjunctiveQuery, JoinOrder, Symbol, Term, View, ViewSet};
+use crate::program::{Code, QueryTable, ViewProgram};
+use viewplan_cq::{Atom, ConjunctiveQuery, JoinOrder, Symbol, ViewSet};
 
 /// A view tuple: a literal of view `view` whose arguments are terms of the
 /// query.
@@ -66,153 +76,212 @@ impl std::fmt::Display for ViewTuple {
 /// A view with a head variable its body never binds (unsafe; the parser
 /// rejects them) has no tuples.
 pub fn view_tuples(min_query: &ConjunctiveQuery, views: &ViewSet) -> Vec<ViewTuple> {
-    let views = views.as_slice();
-    view_tuples_of(min_query, views, 0..views.len()).0
-}
-
-/// The view tuples of `views[i]` for every `i` of `selected`, in that
-/// order, and beside each tuple the index of the view it came from.
-pub(crate) fn view_tuples_of(
-    min_query: &ConjunctiveQuery,
-    views: &[View],
-    selected: impl IntoIterator<Item = usize>,
-) -> (Vec<ViewTuple>, Vec<usize>) {
-    let mut matcher = Matcher::of(min_query);
-    let mut tuples: Vec<ViewTuple> = Vec::new();
-    let mut origin: Vec<usize> = Vec::new();
-    for i in selected {
-        matcher.match_view(&views[i], &mut tuples);
-        origin.resize(tuples.len(), i);
-    }
-    (tuples, origin)
-}
-
-/// The distinct subgoals of the query — `D_Q` with variables read as
-/// constants — grouped by predicate and arity, in body order.
-struct Facts<'q> {
-    groups: Vec<Vec<&'q Atom>>,
-}
-
-impl<'q> Facts<'q> {
-    fn of(query: &'q ConjunctiveQuery) -> Facts<'q> {
-        let mut groups: Vec<Vec<&Atom>> = Vec::new();
-        for atom in &query.body {
-            match groups.iter_mut().find(|g| same_relation(g[0], atom)) {
-                Some(group) if group.contains(&atom) => {}
-                Some(group) => group.push(atom),
-                None => groups.push(vec![atom]),
+    let table = QueryTable::of(min_query);
+    let mut matcher = Matcher::default();
+    let mut found = Matched::of(&table);
+    let mut program: Option<ViewProgram> = None;
+    for (i, view) in views.iter().enumerate() {
+        let program = match &mut program {
+            Some(program) => {
+                program.recompile(view);
+                program
             }
+            None => program.insert(ViewProgram::compile(view)),
+        };
+        matcher.match_view(&table, program, i, &mut found);
+    }
+    found.view_tuples(&table, |i| views.as_slice()[i].name())
+}
+
+/// The tuples step 2 found, as step 3 reads them: each tuple's arguments
+/// coded over the run's table, its exposure, and the view it came from.
+pub(crate) struct Matched {
+    /// Every tuple's arguments, flat: `args[starts[t]..starts[t + 1]]`
+    /// are tuple `t`'s.
+    args: Vec<Code>,
+    starts: Vec<usize>,
+    /// Words in an exposure.
+    words: usize,
+    /// Every tuple's exposure, `words` words each.
+    exposure: Vec<u64>,
+    /// The index of the view each tuple came from, among the views
+    /// matched.
+    pub(crate) origin: Vec<usize>,
+    /// The atom relations ([`QueryTable::relations_of`]) of every view
+    /// that yielded a tuple, flat, so that step 3 does not look them up
+    /// again; `relations[at[t].0..at[t].1]` are tuple `t`'s view's.
+    relations: Vec<usize>,
+    at: Vec<(usize, usize)>,
+}
+
+impl Matched {
+    pub(crate) fn of(table: &QueryTable) -> Matched {
+        Matched {
+            args: Vec::new(),
+            starts: vec![0],
+            words: table.words,
+            exposure: Vec::new(),
+            origin: Vec::new(),
+            relations: Vec::new(),
+            at: Vec::new(),
         }
-        Facts { groups }
     }
 
-    /// The facts a view subgoal can meet (none when the query never
-    /// mentions the predicate at this arity).
-    fn of_relation(&self, atom: &Atom) -> &[&'q Atom] {
-        self.groups
-            .iter()
-            .find(|g| same_relation(g[0], atom))
-            .map_or(&[], Vec::as_slice)
+    /// The atom relations of tuple `t`'s view.
+    pub(crate) fn relations(&self, t: usize) -> &[usize] {
+        let (start, end) = self.at[t];
+        &self.relations[start..end]
+    }
+
+    /// Number of tuples.
+    pub(crate) fn len(&self) -> usize {
+        self.origin.len()
+    }
+
+    /// Tuple `t`'s arguments, coded over the run's table.
+    pub(crate) fn args(&self, t: usize) -> &[Code] {
+        &self.args[self.starts[t]..self.starts[t + 1]]
+    }
+
+    /// Tuple `t`'s exposure.
+    pub(crate) fn exposure(&self, t: usize) -> &[u64] {
+        &self.exposure[t * self.words..(t + 1) * self.words]
+    }
+
+    /// The tuples as view literals, `name(i)` naming the `i`-th view
+    /// matched.
+    pub(crate) fn view_tuples(
+        &self,
+        table: &QueryTable,
+        name: impl Fn(usize) -> Symbol,
+    ) -> Vec<ViewTuple> {
+        (0..self.len())
+            .map(|t| {
+                let view = name(self.origin[t]);
+                let terms = self.args(t).iter().map(|&code| table.term(code)).collect();
+                ViewTuple {
+                    view,
+                    atom: Atom::new(view, terms),
+                }
+            })
+            .collect()
     }
 }
 
-/// The facts of one query and the buffers every view's match reuses
-/// (module docs, "What a run allocates").
-struct Matcher<'q> {
-    facts: Facts<'q>,
+/// The buffers every view's match reuses (module docs, "What a run
+/// allocates").
+#[derive(Default)]
+pub(crate) struct Matcher {
     join: JoinOrder,
-    bound: Vec<(Symbol, Term)>,
-    head: Vec<Term>,
+    /// The table relation of each atom of the view being matched.
+    relation: Vec<usize>,
+    /// The query term each program variable is bound to, if any.
+    bound: Vec<Option<Code>>,
+    /// The program variables bound so far, oldest first.
+    trail: Vec<u32>,
+    head: Vec<Code>,
 }
 
-impl<'q> Matcher<'q> {
-    fn of(query: &'q ConjunctiveQuery) -> Matcher<'q> {
-        Matcher {
-            facts: Facts::of(query),
-            join: JoinOrder::default(),
-            bound: Vec::new(),
-            head: Vec::new(),
-        }
-    }
-
-    /// Appends the tuples of one view to `out`.
-    fn match_view(&mut self, view: &View, out: &mut Vec<ViewTuple>) {
+impl Matcher {
+    /// Appends the tuples of `program`'s view, the `origin`-th view
+    /// matched, to `out`.
+    pub(crate) fn match_view(
+        &mut self,
+        table: &QueryTable,
+        program: &ViewProgram,
+        origin: usize,
+        out: &mut Matched,
+    ) {
         let Matcher {
-            facts,
             join,
+            relation,
             bound,
+            trail,
             head,
         } = self;
-        let order = join.compute(&view.definition.body, |a| facts.of_relation(a).len());
+        table.relations_of(program, relation);
+        if relation.contains(&QueryTable::NONE) {
+            return; // a subgoal no fact can meet: no tuple
+        }
+        let relations = &*relation;
+        let order = join.compute_linked(
+            program.atoms(),
+            |j| program.links(j),
+            |j| table.facts(relations[j]).len(),
+        );
         bound.clear();
+        bound.resize(program.variables(), None);
+        trail.clear();
         let mut search = Match {
-            facts,
-            view,
+            table,
+            program,
             order,
+            relation: relations,
             bound,
+            trail,
             head,
             first: out.len(),
+            origin,
             out,
         };
         search.descend(0);
     }
 }
 
-fn same_relation(a: &Atom, b: &Atom) -> bool {
-    a.predicate == b.predicate && a.arity() == b.arity()
-}
-
-/// The term `bound` holds for `v`. A body or a head binds a handful of
-/// variables, so bindings are a list, scanned.
-pub(crate) fn bound_term(bound: &[(Symbol, Term)], v: Symbol) -> Option<Term> {
-    bound.iter().find(|(x, _)| *x == v).map(|&(_, t)| t)
-}
-
 /// The nested-loop match of one view body: `order[depth]` names the view
-/// subgoal matched at `depth`, `bound` holds the view variables bound so
-/// far (truncated on the way back), `head` the head projected at a full
+/// subgoal matched at `depth`, `bound` holds the program variables bound
+/// so far (`trail` takes them back), `head` the head projected at a full
 /// match.
 struct Match<'a, 'q> {
-    facts: &'a Facts<'q>,
-    view: &'a View,
+    table: &'a QueryTable<'q>,
+    program: &'a ViewProgram,
     order: &'a [usize],
-    bound: &'a mut Vec<(Symbol, Term)>,
-    head: &'a mut Vec<Term>,
+    relation: &'a [usize],
+    bound: &'a mut [Option<Code>],
+    trail: &'a mut Vec<u32>,
+    head: &'a mut Vec<Code>,
     /// Where this view's tuples start in `out`.
     first: usize,
-    out: &'a mut Vec<ViewTuple>,
+    origin: usize,
+    out: &'a mut Matched,
 }
 
-impl<'a> Match<'a, '_> {
+impl Match<'_, '_> {
     fn descend(&mut self, depth: usize) {
-        let Some(&subgoal) = self.order.get(depth) else {
+        let Some(&j) = self.order.get(depth) else {
             self.project_head();
             return;
         };
-        let (view, facts): (&'a View, &'a Facts<'_>) = (self.view, self.facts);
-        let pattern = &view.definition.body[subgoal];
-        let mark = self.bound.len();
-        for fact in facts.of_relation(pattern) {
-            if self.meet(pattern, fact) {
+        let (table, program) = (self.table, self.program);
+        let pattern = program.atom(j).1;
+        for &fact in table.facts(self.relation[j]) {
+            let mark = self.trail.len();
+            if self.meet(pattern, table.subgoal(fact)) {
                 self.descend(depth + 1);
             }
-            self.bound.truncate(mark);
+            for n in self.trail.drain(mark..) {
+                self.bound[n as usize] = None;
+            }
         }
     }
 
-    /// Matches one view subgoal on one fact, binding its new variables.
-    fn meet(&mut self, pattern: &Atom, fact: &Atom) -> bool {
-        for (&p, &f) in pattern.terms.iter().zip(&fact.terms) {
+    /// Matches one view subgoal on one fact, binding its new variables
+    /// (the caller takes them back, also after a failure half way).
+    fn meet(&mut self, pattern: &[Code], fact: &[Code]) -> bool {
+        for (&p, &f) in pattern.iter().zip(fact) {
             match p {
-                Term::Const(_) => {
+                Code::Const(_) => {
                     if p != f {
                         return false;
                     }
                 }
-                Term::Var(v) => match bound_term(self.bound, v) {
+                Code::Var(n) => match self.bound[n as usize] {
                     Some(t) if t != f => return false,
                     Some(_) => {}
-                    None => self.bound.push((v, f)),
+                    None => {
+                        self.bound[n as usize] = Some(f);
+                        self.trail.push(n);
+                    }
                 },
             }
         }
@@ -220,31 +289,37 @@ impl<'a> Match<'a, '_> {
     }
 
     fn project_head(&mut self) {
-        let head = self.view.head();
         self.head.clear();
-        for &t in &head.terms {
-            let image = match t {
-                Term::Const(_) => Some(t),
-                Term::Var(v) => bound_term(self.bound, v),
+        for &code in self.program.head() {
+            let image = match code {
+                Code::Const(_) => Some(code),
+                Code::Var(n) => self.bound[n as usize],
             };
             let Some(image) = image else {
                 debug_assert!(
                     false,
-                    "view {head} is unsafe: a head variable is not in its body"
+                    "view {} is unsafe: a head variable is not in its body",
+                    self.program.name()
                 );
                 return;
             };
             self.head.push(image);
         }
-        if self.out[self.first..]
-            .iter()
-            .all(|t| t.atom.terms != *self.head)
-        {
-            self.out.push(ViewTuple {
-                view: self.view.name(),
-                atom: Atom::new(self.view.name(), self.head.clone()),
-            });
+        let out = &mut *self.out;
+        if (self.first..out.len()).any(|t| out.args(t) == self.head.as_slice()) {
+            return;
         }
+        if out.len() == self.first {
+            out.relations.extend_from_slice(self.relation);
+        }
+        let end = out.relations.len();
+        out.at.push((end - self.relation.len(), end));
+        out.args.extend_from_slice(self.head);
+        out.starts.push(out.args.len());
+        let at = out.exposure.len();
+        out.exposure.resize(at + out.words, 0);
+        self.table.expose(self.head, &mut out.exposure[at..]);
+        out.origin.push(self.origin);
     }
 }
 

@@ -119,12 +119,21 @@ pub(crate) enum Fate {
     /// A rewriting; `mates` are the view tuples it uses when a
     /// class-mate retry replaced the cover's representatives.
     Accepted {
-        rewriting: Rewriting,
+        rewriting: Built,
         by: DecidedBy,
         mates: Option<Vec<usize>>,
     },
     /// No check vouched for it (always last decided by the oracle).
     Rejected,
+}
+
+/// Where an accepted cover's rewriting is: with its fate, as deciding
+/// built it, or — once a run has decided every cover — moved to the
+/// result's rewriting list, at this index.
+#[derive(Clone, Debug)]
+pub(crate) enum Built {
+    Own(Rewriting),
+    Listed(usize),
 }
 
 impl Fate {
@@ -158,20 +167,23 @@ impl CoverSpace {
             .iter()
             .map(|cover| {
                 parts.clear();
-                parts.extend(cover.iter().map(|&t| cores[t].parts.as_slice()));
+                parts.extend(cover.iter().map(|&t| cores[t].parts()));
                 certify(universe, &parts)
             })
             .collect();
-        let shapes: Vec<u64> = tuples
-            .iter()
-            .map(|t| shape_hash(&qm.head, &t.atom))
-            .collect();
+        // Hashed only for the tuples some cover uses: a run covers with
+        // a few of its tuples.
+        let mut shapes: Vec<Option<u64>> = vec![None; tuples.len()];
         let mut latest: HashMap<u64, usize> = HashMap::with_capacity(covers.len());
         let same_shape_before = covers
             .iter()
             .enumerate()
             .map(|(c, cover)| {
-                let shape = cover.iter().fold(0u64, |h, &t| h.wrapping_add(shapes[t]));
+                let shape = cover.iter().fold(0u64, |h, &t| {
+                    let shape =
+                        shapes[t].get_or_insert_with(|| shape_hash(&qm.head, &tuples[t].atom));
+                    h.wrapping_add(*shape)
+                });
                 match latest.entry(shape) {
                     Entry::Occupied(mut e) => Some(std::mem::replace(e.get_mut(), c)),
                     Entry::Vacant(e) => {
@@ -339,19 +351,54 @@ impl CoreCoverResult {
 
     /// The fate of cover `c`, decided on first request.
     pub(crate) fn fate(&self, c: usize) -> &Fate {
-        self.space.fates[c].get_or_init(|| {
-            let fate = self.decide(c);
-            if let Some(by) = fate.by() {
-                note_decided(&fate);
-                obs::trace_event!(
-                    "corecover.cover_verified",
-                    ("subgoals", self.space.covers[c].len()),
-                    ("equivalent", matches!(fate, Fate::Accepted { .. })),
-                    ("by", by.label())
-                );
+        self.space.fates[c].get_or_init(|| self.decided(c))
+    }
+
+    /// Decides cover `c`, counting and tracing the decision.
+    fn decided(&self, c: usize) -> Fate {
+        let fate = self.decide(c);
+        if let Some(by) = fate.by() {
+            note_decided(&fate);
+            obs::trace_event!(
+                "corecover.cover_verified",
+                ("subgoals", self.space.covers[c].len()),
+                ("equivalent", matches!(fate, Fate::Accepted { .. })),
+                ("by", by.label())
+            );
+        }
+        fate
+    }
+
+    /// Decides every cover not yet decided and lists the accepted
+    /// rewritings, moving each out of its fate; returns how many there
+    /// are. A rewriting is built once, when its cover is decided.
+    pub(crate) fn decide_all(&mut self) -> usize {
+        let mut list = Vec::new();
+        for c in 0..self.space.len() {
+            let mut fate = match self.space.fates[c].take() {
+                Some(fate) => fate,
+                None => self.decided(c),
+            };
+            if let Fate::Accepted { rewriting, .. } = &mut fate {
+                if let Built::Own(r) = std::mem::replace(rewriting, Built::Listed(list.len())) {
+                    list.push(r);
+                }
             }
-            fate
-        })
+            self.space.fates[c] = OnceLock::from(fate);
+        }
+        let accepted = list.len();
+        self.rewritings = OnceLock::from(list);
+        accepted
+    }
+
+    /// An accepted cover's rewriting, wherever it is. A listed one is in
+    /// the list [`CoreCoverResult::rewritings`] returns, which
+    /// `decide_all` sets as it lists the rewritings.
+    pub(crate) fn built<'r>(&'r self, rewriting: &'r Built) -> &'r Rewriting {
+        match rewriting {
+            Built::Own(r) => r,
+            Built::Listed(k) => &self.rewritings()[*k],
+        }
     }
 
     /// The rewriting made of view tuples `members`, in that order.
@@ -382,7 +429,7 @@ impl CoreCoverResult {
         }
         if space.certified[c] {
             return Fate::Accepted {
-                rewriting: candidate,
+                rewriting: Built::Own(candidate),
                 by: DecidedBy::Certificate,
                 mates: None,
             };
@@ -391,7 +438,7 @@ impl CoreCoverResult {
             |r: &Rewriting| is_equivalent_rewriting(r, &self.minimized_query, &space.views);
         if oracle(&candidate) {
             return Fate::Accepted {
-                rewriting: candidate,
+                rewriting: Built::Own(candidate),
                 by: DecidedBy::Oracle,
                 mates: None,
             };
@@ -411,10 +458,7 @@ impl CoreCoverResult {
             None => Vec::new(),
         };
         let passed = first_other_combination(&alternatives, &mut |members| {
-            let parts: Vec<&[u64]> = members
-                .iter()
-                .map(|&t| self.cores[t].parts.as_slice())
-                .collect();
+            let parts: Vec<&[u64]> = members.iter().map(|&t| self.cores[t].parts()).collect();
             if certify(space.universe, &parts) {
                 Some(DecidedBy::Certificate)
             } else {
@@ -423,7 +467,7 @@ impl CoreCoverResult {
         });
         match passed {
             Some((members, by)) => Fate::Accepted {
-                rewriting: self.rewriting_of(&members),
+                rewriting: Built::Own(self.rewriting_of(&members)),
                 by,
                 mates: Some(members),
             },
@@ -443,7 +487,7 @@ impl CoreCoverResult {
                         CandidateVerdict::DuplicateVariant { of: *of },
                     ),
                     Fate::Accepted { rewriting, .. } => {
-                        (rewriting.clone(), CandidateVerdict::Accepted)
+                        (self.built(rewriting).clone(), CandidateVerdict::Accepted)
                     }
                     Fate::Rejected => (
                         self.rewriting_of(&self.space.covers[c]),
@@ -514,7 +558,7 @@ impl<'r> CoverWalk<'r> {
                 return Some(Found {
                     cover,
                     bound,
-                    rewriting,
+                    rewriting: self.result.built(rewriting),
                 });
             }
         }

@@ -153,7 +153,7 @@ proptest! {
                 // depends on how much work ran; the covered subgoals are
                 // the observable part.
                 let subgoals = |r: &CoreCoverResult| -> Vec<_> {
-                    r.cores.iter().map(|c| c.subgoals.clone()).collect()
+                    r.cores.iter().map(|c| c.bitmask()).collect()
                 };
                 prop_assert_eq!(subgoals(&with), subgoals(&without));
             }

@@ -47,6 +47,7 @@ use crate::m2::{M2Table, M2_MAX_SUBGOALS};
 use crate::m3::{optimal_plan, DropPolicy, RenameTest, M3_MAX_SUBGOALS};
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
+use std::borrow::Borrow;
 use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult, Found, Rewriting};
 use viewplan_cq::{Atom, ConjunctiveQuery, ViewSet};
 use viewplan_obs as obs;
@@ -198,7 +199,7 @@ impl<'a> Optimizer<'a> {
             CostModel::M1 => generator.try_run()?,
             CostModel::M2 | CostModel::M3(_) => generator.try_run_all_minimal()?,
         };
-        self.plan_generated(model, result, oracle, budget_before)
+        self.plan_generated(model, &result, oracle, budget_before)
     }
 
     /// Phase 2 alone: picks the best physical plan from an
@@ -208,14 +209,18 @@ impl<'a> Optimizer<'a> {
     /// caller must have generated with the space `model` requires:
     /// `run`/`try_run` (GMRs) for M1, `run_all_minimal` (CoreCover*) for
     /// M2/M3 — Theorems 3.1 and 5.1 respectively.
+    ///
+    /// `result` is taken by value or by reference: a caller that keeps
+    /// it can take its rewritings by value once the plan is chosen
+    /// ([`CoreCoverResult::into_rewritings`]).
     pub fn try_plan_generated(
         &self,
         model: CostModel,
-        result: CoreCoverResult,
+        result: impl Borrow<CoreCoverResult>,
         oracle: &mut dyn SizeOracle,
     ) -> Result<PlanOutcome, PlanError> {
         let _span = obs::span("optimizer.best_plan");
-        self.plan_generated(model, result, oracle, obs::budget::snapshot())
+        self.plan_generated(model, result.borrow(), oracle, obs::budget::snapshot())
     }
 
     /// The bounded walk of the module docs: the incumbent is handed to
@@ -224,7 +229,7 @@ impl<'a> Optimizer<'a> {
     fn plan_generated(
         &self,
         model: CostModel,
-        result: CoreCoverResult,
+        result: &CoreCoverResult,
         oracle: &mut dyn SizeOracle,
         budget_before: obs::budget::HitSnapshot,
     ) -> Result<PlanOutcome, PlanError> {

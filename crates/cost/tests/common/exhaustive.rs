@@ -85,10 +85,7 @@ impl Space {
             .zip(&variant_of)
             .filter(|(_, variant)| variant.is_none());
         let certified = |members: &[usize]| {
-            let parts: Vec<&[u64]> = members
-                .iter()
-                .map(|&t| result.cores[t].parts.as_slice())
-                .collect();
+            let parts: Vec<&[u64]> = members.iter().map(|&t| result.cores[t].parts()).collect();
             certify(universe, &parts)
         };
         let oracle = |r: &Rewriting| is_equivalent_rewriting(r, qm, views);
@@ -126,9 +123,8 @@ fn mates(result: &CoreCoverResult, rep: usize) -> Vec<usize> {
             .variables()
             .filter(|&v| {
                 result.cores[t]
-                    .subgoals
-                    .iter()
-                    .any(|&g| qm.body[g].terms.contains(&Term::Var(v)))
+                    .subgoals()
+                    .any(|g| qm.body[g].terms.contains(&Term::Var(v)))
             })
             .collect();
         exposed.sort();

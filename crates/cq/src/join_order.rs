@@ -34,6 +34,8 @@ pub struct JoinOrder {
     remaining: Vec<usize>,
     /// A body has a handful of variables: the bound set is scanned.
     bound: Vec<Symbol>,
+    /// The subgoals placed so far, as a bitset ([`JoinOrder::compute_linked`]).
+    placed: Vec<u64>,
 }
 
 impl JoinOrder {
@@ -43,33 +45,91 @@ impl JoinOrder {
             order,
             remaining,
             bound,
+            ..
         } = self;
-        order.clear();
-        remaining.clear();
-        remaining.extend(0..body.len());
         bound.clear();
-        while !remaining.is_empty() {
-            let Some(pick) = remaining
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &i)| {
-                    let connected = body[i].variables().any(|v| bound.contains(&v));
-                    // Connected subgoals first (0 beats 1), then by size.
-                    (
-                        if connected || order.is_empty() { 0 } else { 1 },
-                        facts(&body[i]),
-                    )
-                })
-                .map(|(pos, _)| pos)
-            else {
-                break;
-            };
-            let i = remaining.swap_remove(pick);
-            bound.extend(body[i].variables());
-            order.push(i);
-        }
-        order
+        greedy(
+            order,
+            remaining,
+            body.len(),
+            bound,
+            |bound, i| body[i].variables().any(|v| bound.contains(&v)),
+            |bound, i| bound.extend(body[i].variables()),
+            |i| facts(&body[i]),
+        )
     }
+
+    /// The same order for a body given by what the rule reads of it:
+    /// `links(i)`, the subgoals sharing a variable with subgoal `i` as a
+    /// bitset over the body (a word per 64 subgoals), and `facts(i)`. A
+    /// subgoal shares a variable with the ones placed before it iff it
+    /// is linked to one of them, so a caller that works the links out
+    /// once per body orders it with a mask test per candidate.
+    pub fn compute_linked<'l>(
+        &mut self,
+        subgoals: usize,
+        links: impl Fn(usize) -> &'l [u64],
+        facts: impl Fn(usize) -> usize,
+    ) -> &[usize] {
+        let JoinOrder {
+            order,
+            remaining,
+            placed,
+            ..
+        } = self;
+        placed.clear();
+        placed.resize(subgoals.div_ceil(64), 0);
+        greedy(
+            order,
+            remaining,
+            subgoals,
+            placed,
+            |placed, i| links(i).iter().zip(placed.iter()).any(|(l, p)| l & p != 0),
+            |placed, i| placed[i / 64] |= 1 << (i % 64),
+            facts,
+        )
+    }
+}
+
+/// The rule itself, over a body of `subgoals` subgoals: `connected`
+/// reads whether a subgoal shares a variable with those `place` has
+/// recorded in `state`.
+fn greedy<'o, S>(
+    order: &'o mut Vec<usize>,
+    remaining: &mut Vec<usize>,
+    subgoals: usize,
+    state: &mut S,
+    connected: impl Fn(&S, usize) -> bool,
+    place: impl Fn(&mut S, usize),
+    facts: impl Fn(usize) -> usize,
+) -> &'o [usize] {
+    order.clear();
+    remaining.clear();
+    remaining.extend(0..subgoals);
+    while !remaining.is_empty() {
+        let Some(pick) = remaining
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &i)| {
+                // Connected subgoals first (0 beats 1), then by size.
+                (
+                    if order.is_empty() || connected(state, i) {
+                        0
+                    } else {
+                        1
+                    },
+                    facts(i),
+                )
+            })
+            .map(|(pos, _)| pos)
+        else {
+            break;
+        };
+        let i = remaining.swap_remove(pick);
+        place(state, i);
+        order.push(i);
+    }
+    order
 }
 
 #[cfg(test)]
@@ -113,6 +173,35 @@ mod tests {
         // which is why `v1(X, Z)` precedes `v1(Z, Z)`.
         let order = order_of("v1(A, B) :- a(A, B), a(B, B)", &[("a", 2)]);
         assert_eq!(order, [0, 1]);
+    }
+
+    #[test]
+    fn linked_bodies_order_like_their_atoms() {
+        let sizes = |a: &Atom| a.arity() + a.predicate.as_str().len();
+        let mut scratch = JoinOrder::default();
+        for q in [
+            "q(X) :- a(X, W), b(X, Y), c(Y, Z)",
+            "q(X, Y) :- a(X), bb(Y), c(Y), d(X, Y)",
+            "q(X, Y) :- aa(X), b(Y), c(Z), d(W, Z), e(X, X)",
+        ] {
+            let body = parse_query(q).unwrap().body;
+            let links: Vec<u64> = body
+                .iter()
+                .map(|a| {
+                    (0..body.len())
+                        .filter(|&j| body[j].variables().any(|v| a.contains_var(v)))
+                        .fold(0, |m, j| m | 1 << j)
+                })
+                .collect();
+            let linked = scratch
+                .compute_linked(
+                    body.len(),
+                    |i| std::slice::from_ref(&links[i]),
+                    |i| sizes(&body[i]),
+                )
+                .to_vec();
+            assert_eq!(linked, greedy_join_order(&body, sizes), "{q}");
+        }
     }
 
     #[test]

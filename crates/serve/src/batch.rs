@@ -462,7 +462,6 @@ impl BatchServer {
         } else {
             generator.try_run()?
         };
-        let rewritings = result.rewritings().to_vec();
         // Only GMRs are the minimum covers the add-view check reasons
         // about, and a cover the oracle decided could change with a new
         // class-mate: such answers keep nothing and are evicted as before.
@@ -476,9 +475,11 @@ impl BatchServer {
         };
         let outcome = Optimizer::new(canonical, self.prepared.views()).try_plan_generated(
             CostModel::M1,
-            result,
+            &result,
             &mut NullOracle,
         )?;
+        // Each rewriting was built once, when its cover was decided.
+        let rewritings = result.into_rewritings();
         let mut answer =
             CachedAnswer::new(canonical, rewritings, outcome.best, outcome.completeness);
         answer.cover = cover.map(Mutex::new);

@@ -78,13 +78,14 @@ use crate::batch::CachedAnswer;
 const SHARDS: usize = 8;
 
 /// One cached entry: the canonical query it answers (kept for
-/// invalidation predicates and the differential oracle), the epoch it is
+/// invalidation predicates and the differential oracle, and shared with
+/// the DDL writer's [`RewritingCache::entries_at`]), the epoch it is
 /// known valid for, its SIEVE visited bit, and the canonical-space
 /// answer.
 struct Entry {
     visited: bool,
     epoch: u64,
-    canonical: ConjunctiveQuery,
+    canonical: Arc<ConjunctiveQuery>,
     value: Arc<CachedAnswer>,
 }
 
@@ -475,7 +476,7 @@ impl RewritingCache {
                 *existing = Entry {
                     visited: true,
                     epoch,
-                    canonical,
+                    canonical: Arc::new(canonical),
                     value,
                 };
             }
@@ -491,7 +492,7 @@ impl RewritingCache {
                     Entry {
                         visited: false,
                         epoch,
-                        canonical,
+                        canonical: Arc::new(canonical),
                         value,
                     },
                 );
@@ -560,7 +561,7 @@ impl RewritingCache {
         &self,
         epoch: u64,
         mut pick: impl FnMut(&ConjunctiveQuery, &CachedAnswer) -> bool,
-    ) -> Vec<(ConjunctiveQuery, Arc<CachedAnswer>)> {
+    ) -> Vec<(Arc<ConjunctiveQuery>, Arc<CachedAnswer>)> {
         let mut picked = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
@@ -569,7 +570,7 @@ impl RewritingCache {
                     .map
                     .values()
                     .filter(|e| e.epoch == epoch && pick(&e.canonical, &e.value))
-                    .map(|e| (e.canonical.clone(), e.value.clone())),
+                    .map(|e| (Arc::clone(&e.canonical), Arc::clone(&e.value))),
             );
         }
         picked
@@ -586,7 +587,13 @@ impl RewritingCache {
                 s.lock()
                     .map
                     .values()
-                    .map(|e| (e.canonical.clone(), e.epoch, e.value.clone()))
+                    .map(|e| {
+                        (
+                            ConjunctiveQuery::clone(&e.canonical),
+                            e.epoch,
+                            e.value.clone(),
+                        )
+                    })
                     .collect::<Vec<_>>()
             })
             .collect()

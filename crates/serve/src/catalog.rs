@@ -93,7 +93,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use viewplan_core::cover::all_minimum_covers_counted;
 use viewplan_core::{
-    body_signature, can_yield_tuples, tuple_core, view_tuples, PreparedViews, Signature,
+    body_signature, can_yield_tuples, core_masks, PreparedViews, Signature, ViewProgram,
 };
 use viewplan_cq::{ConjunctiveQuery, Symbol, View, ViewSet};
 use viewplan_obs as obs;
@@ -190,7 +190,7 @@ impl LiveCatalog {
         // prefilter alone.
         let verdicts: HashMap<*const CachedAnswer, Verdict> = match current.cache() {
             Some(cache) => {
-                let added = ViewSet::from_views([view.clone()]);
+                let added = ViewProgram::compile(&view);
                 let group = current.config().corecover.group_view_tuples;
                 cache
                     .entries_at(current.epoch(), |canonical, answer| {
@@ -317,14 +317,14 @@ struct Verdict {
     keep: bool,
 }
 
-/// Whether `answer` (to `canonical`) survives adding the one view of
-/// `added` last: true when no minimum cover of its old candidates and the
+/// Whether `answer` (to `canonical`) survives adding the view compiled
+/// into `added` last: true when no minimum cover of its old candidates and the
 /// view's new ones uses a new one (module docs, "Principled cache
 /// invalidation"). A kept answer's candidate list takes the new ones,
 /// which a later `add` must see; since they are in no minimum cover,
 /// keeping them is sound even if this swap fails or the entry goes.
 fn keeps_its_covers(
-    added: &ViewSet,
+    added: &ViewProgram,
     canonical: &ConjunctiveQuery,
     answer: &CachedAnswer,
     group_view_tuples: bool,
@@ -333,12 +333,12 @@ fn keeps_its_covers(
         return false;
     };
     let qm = inputs.minimized.as_deref().unwrap_or(canonical);
-    // The view's tuples over the minimized query and their cores, the
-    // nonempty ones only: an empty core is a filter candidate, which
-    // step (4) does not cover with and an M1 plan never grafts.
+    // The cores of the view's tuples over the minimized query, from one
+    // table of it, the nonempty ones only: an empty core is a filter
+    // candidate, which step (4) does not cover with and an M1 plan never
+    // grafts.
     let mut new: Vec<u64> = Vec::new();
-    for tuple in view_tuples(qm, added) {
-        let core = tuple_core(qm, &tuple, added).bitmask();
+    for core in core_masks(qm, added) {
         // With tuple grouping a core some candidate already has joins
         // that candidate's class behind its representative, and a
         // certified cover never reads a class-mate.

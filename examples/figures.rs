@@ -355,11 +355,7 @@ fn table2() -> Result<String> {
     out.push_str("view tuple | tuple-core C(tv)\n");
     for t in view_tuples(&q, &views) {
         let core = tuple_core(&q, &t, &views);
-        let covered: Vec<String> = core
-            .subgoals
-            .iter()
-            .map(|&i| q.body[i].to_string())
-            .collect();
+        let covered: Vec<String> = core.subgoals().map(|i| q.body[i].to_string()).collect();
         out.push_str(&format!("{:<10} | {}\n", t.to_string(), covered.join(", ")));
     }
     Ok(out)

@@ -34,9 +34,8 @@ fn main() {
     for t in &tuples {
         let core = tuple_core(&minimized, t, &views);
         let covered: Vec<String> = core
-            .subgoals
-            .iter()
-            .map(|&i| minimized.body[i].to_string())
+            .subgoals()
+            .map(|i| minimized.body[i].to_string())
             .collect();
         println!(
             "  {:<22} covers {{{}}}",

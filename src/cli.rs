@@ -737,9 +737,8 @@ fn rewrite(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), 
     writeln!(out, "\nview tuples and tuple-cores:")?;
     for (t, core) in result.view_tuples.iter().zip(&result.cores) {
         let covered: Vec<String> = core
-            .subgoals
-            .iter()
-            .map(|&i| result.minimized_query.body[i].to_string())
+            .subgoals()
+            .map(|i| result.minimized_query.body[i].to_string())
             .collect();
         writeln!(
             out,

@@ -19,14 +19,17 @@
 //! view's cores are all old candidates although tuple grouping is off
 //! (first at seed 48), one that compares only the minimum cover size
 //! (first at seed 234), and one that ignores whether the certificate
-//! vouched for every cover (only on a hand-written instance; see
-//! `HAND_WRITTEN`). Adding a problem's last two views one at a time, it
+//! vouched for every cover (first at planted seed 0: the planted
+//! problems of `common::planted_problem` build the cover the
+//! certificate rejects and a class-mate repairs, which the small
+//! problems never do; see also `HAND_WRITTEN`). Adding a problem's last
+//! two views one at a time, it
 //! also fails for a check that keeps an entry without appending the
 //! first view's new candidates to it (first at seed 41).
 
 mod common;
 
-use common::small_problem;
+use common::{planted_problem, small_problem};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use viewplan::core::{CoreCoverConfig, PreparedViews};
@@ -149,12 +152,24 @@ fn check_snapshots(ops: &[(u32, u32)]) -> Result<(), TestCaseError> {
         prop_assert_eq!(incremental.representatives(), scratch.representatives());
         prop_assert_eq!(incremental.index(), scratch.index(), "after {:?}", ops);
         prop_assert_eq!(incremental.epoch(), scratch.epoch());
+        // Fails for a drop that keeps the dropped view's program (every
+        // later program shifts one view up) and for an add that shares
+        // the previous snapshot's programs without compiling its view.
+        prop_assert_eq!(
+            incremental.programs(),
+            scratch.programs(),
+            "after {:?}",
+            ops
+        );
     }
     Ok(())
 }
 
 /// Seeds the add-last-view property runs per configuration.
 const ADD_LAST_SEEDS: u64 = 2_000;
+
+/// Seeds of [`planted_problem`] it runs besides.
+const PLANTED_SEEDS: u64 = 200;
 
 /// What adding the last view did across the seeds of one configuration.
 #[derive(Default)]
@@ -211,7 +226,8 @@ fn check_add_last(
 /// `va` covers — no new candidate under tuple grouping — but exposes
 /// `X`, and the retry with it is a rewriting. Forty thousand seeds never
 /// build this, so a check that keeps an entry whose cover the
-/// certificate did not vouch for passes them all.
+/// certificate did not vouch for passes them all; `planted_problem`
+/// builds it at every seed.
 const HAND_WRITTEN: [(&str, &str, &str); 1] = [(
     "va(P, Y) :- e(P, X), g(X, Y).\n\
      vb(X, R) :- g(X, Y), f(Y, R).",
@@ -219,23 +235,32 @@ const HAND_WRITTEN: [(&str, &str, &str); 1] = [(
     "q(P, R) :- e(P, X), g(X, Y), f(Y, R)",
 )];
 
-/// Runs the property over the seeds, adding each problem's last `added`
-/// views (problems with fewer views are skipped), then over the
-/// hand-written instances.
+/// Runs the property over the seeds of both generators, adding each
+/// problem's last `added` views (problems with fewer views are skipped),
+/// then over the hand-written instances.
 fn add_last_views_over_seeds(config: ServeConfig, added: usize) -> AddLastTally {
     let mut tally = AddLastTally::default();
+    let mut check = |label: String, w: &Workload, queries: &[ConjunctiveQuery]| {
+        let Some(kept) = w.views.len().checked_sub(added) else {
+            return;
+        };
+        let (rest, last) = w.views.as_slice().split_at(kept);
+        let views = ViewSet::from_views(rest.iter().cloned());
+        check_add_last(&label, &views, last, queries, &config, &mut tally);
+    };
     for seed in 0..ADD_LAST_SEEDS {
         // The seed's query and its four neighbours', over all of its
         // views but the last `added`.
-        let w = small_problem(seed);
-        let Some(kept) = w.views.len().checked_sub(added) else {
-            continue;
-        };
-        let (rest, last) = w.views.as_slice().split_at(kept);
         let queries: Vec<_> = (seed..seed + 5).map(|s| small_problem(s).query).collect();
-        let views = ViewSet::from_views(rest.iter().cloned());
-        let label = format!("seed {seed}");
-        check_add_last(&label, &views, last, &queries, &config, &mut tally);
+        check(format!("seed {seed}"), &small_problem(seed), &queries);
+    }
+    for seed in 0..PLANTED_SEEDS {
+        let w = planted_problem(seed);
+        check(
+            format!("planted seed {seed}"),
+            &w,
+            std::slice::from_ref(&w.query),
+        );
     }
     for (i, (views, last, query)) in HAND_WRITTEN.into_iter().enumerate() {
         let last = [View::new(parse_query(last).unwrap())];

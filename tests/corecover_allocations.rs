@@ -1,8 +1,9 @@
-//! Allocation guard for CoreCover's steps 1–3: a run allocates for what
-//! it returns — a view tuple's atom, a tuple-core, a rewriting — and for
-//! a setup of its own, never once per view matched, per join-order step
-//! or per tuple-core search buffer. Views and tuples reuse one scratch
-//! per run (`view_tuple.rs` and `tuple_core.rs`, "What a run allocates").
+//! Allocation guard for a CoreCover run: it allocates for what it
+//! returns — a view tuple's atom, a nonempty tuple-core, a rewriting,
+//! built once — and for a setup of its own, never once per view matched,
+//! per join-order step, per tuple-core search buffer or per empty core.
+//! Views and tuples reuse one scratch per run (`view_tuple.rs` and
+//! `tuple_core.rs`, "What a run allocates").
 //! Counted with a `#[global_allocator]` that wraps the system one, so
 //! this lives in a binary of its own with a single `#[test]`.
 
@@ -73,20 +74,23 @@ fn a_run_allocates_per_tuple_and_rewriting_not_per_view_or_search() {
         run();
         let (result, allocations) = counted(run);
         let (tuples, rewritings) = (result.stats.view_tuples, result.stats.rewritings);
+        let cores = tuples - result.stats.empty_core_tuples;
+        let atoms: usize = result.rewritings().iter().map(|r| r.body.len()).sum();
         println!(
-            "{:?}: {allocations} allocations for {tuples} view tuples and {rewritings} \
-             rewritings ({:.1} per tuple or rewriting)",
+            "{:?}: {allocations} allocations for {tuples} view tuples ({cores} with a core) \
+             and {rewritings} rewritings of {atoms} atoms; {} beyond them",
             config.shape,
-            allocations as f64 / (tuples + rewritings) as f64
+            allocations as i64 - (tuples + cores + atoms + 3 * rewritings) as i64
         );
         assert!(tuples > 0 && rewritings > 0);
-        // A tuple: its atom, its core's parts and subgoal set, a slot in
-        // the cover search. A rewriting: its atoms, certificate and dedup
-        // key, about a dozen. A setup of a few hundred: minimization, the
+        // A tuple: its atom, and its core's parts when it has a core —
+        // an empty core allocates nothing. A rewriting, built once: its
+        // atoms, its body, its head's terms, and the cover it came from.
+        // A setup of a few hundred: the query's table, minimization, the
         // prune, the cover search. Star and random match several hundred
-        // views, so a dozen allocations more per view matched or per
-        // tuple-core search exceed this.
-        let bound = 400 + 6 * tuples + 14 * rewritings;
+        // views, so one allocation more per view matched, per tuple or
+        // per rewriting exceeds this.
+        let bound = 400 + tuples + cores + atoms + 3 * rewritings;
         assert!(
             allocations <= bound,
             "{:?}: {allocations} allocations for {tuples} tuples and {rewritings} \

@@ -122,7 +122,7 @@ fn example_41_table_2() {
         .map(|t| {
             (
                 t.to_string(),
-                tuple_core(&qm, t, &views).subgoals.into_iter().collect(),
+                tuple_core(&qm, t, &views).subgoals().collect(),
             )
         })
         .collect();
@@ -266,7 +266,7 @@ fn theorem_41_needs_agreement_on_shared_variables() {
     let cores: Vec<Vec<usize>> = result
         .cores
         .iter()
-        .map(|c| c.subgoals.iter().copied().collect())
+        .map(|c| c.subgoals().collect())
         .collect();
     assert_eq!(cores, [vec![0, 1], vec![1, 2]], "the cores do cover q");
     assert!(result.rewritings().is_empty(), "{:?}", result.rewritings());
@@ -320,7 +320,7 @@ fn a_cover_only_the_oracle_accepts() {
     let view_set = parse_views(views).unwrap();
     let gmr = parse_query("q(P, R) :- vb(X, R, P)").unwrap();
     assert!(viewplan::core::is_equivalent_rewriting(&gmr, &q, &view_set));
-    let vb_core: Vec<usize> = result.cores[1].subgoals.iter().copied().collect();
+    let vb_core: Vec<usize> = result.cores[1].subgoals().collect();
     assert_eq!(vb_core, [1, 2], "known gap: e(P, X) is not in vb's core");
 }
 

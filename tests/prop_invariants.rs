@@ -166,7 +166,7 @@ proptest! {
         for t in tuples.iter().take(6) {
             let a = tuple_core(&qm, t, &w.views);
             let b = tuple_core(&qm, t, &w.views);
-            prop_assert_eq!(a.subgoals, b.subgoals);
+            prop_assert_eq!(a, b);
         }
     }
 
