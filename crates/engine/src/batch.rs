@@ -1,14 +1,28 @@
-//! The columnar batch executor: one join kernel over word columns.
+//! The columnar batch executor: one join kernel over word columns, and a
+//! late-materialized bindings table.
 //!
 //! Implements the same bindings-table pipeline as the row executor in
 //! [`crate::eval`], batch-at-a-time over the stored [`Column`]s — the
-//! relation's own storage, not a copy of it. One join is: filters shrink
-//! an ascending selection vector reading words; the selected rows become
-//! the entries of a chained index, each entry carrying its key's hash,
-//! its build row and the next entry of its chain, so walking a chain
-//! reads nothing else; probing emits two row-number vectors (probe rows,
-//! build rows); every output column is one gather. Nothing allocates per
-//! row or per key.
+//! relation's own storage, not a copy of it. The bindings table holds no
+//! cell of its own: it is one vector of row numbers per joined relation
+//! (a [`Source`]), pointing into that relation's columns, which are
+//! borrowed from the [`Database`] for the execution, and each variable is
+//! one column of one source.
+//!
+//! One join is: filters shrink an ascending selection vector reading
+//! words; the selected rows become the entries of a chained index, each
+//! entry carrying its key's hash, its build row and the next entry of its
+//! chain, so walking a chain reads nothing else; probing reads the
+//! table's key cells through their sources' row numbers and emits two
+//! row-number vectors (probe rows, build rows). Every source's row vector
+//! then follows the probe rows, and the build rows become the joined
+//! relation's: a join writes 4 bytes per source per output row, however
+//! many variables the table holds. An atom that binds no new variable
+//! adds no source. Cells are gathered in two places only: into the
+//! answer, once per head column ([`Table::project_head`]), and where an
+//! M3 step drops attributes ([`Table::project_away`]), which gathers the
+//! kept columns, deduplicates them, and goes on with the distinct rows as
+//! the table's single source. Nothing allocates per row or per key.
 //!
 //! Probes go in batches of [`PROBE_BATCH`] rows: the batch's hashes are
 //! computed one key column at a time and all its chain heads are loaded
@@ -38,6 +52,7 @@ use crate::error::EngineError;
 use crate::eval::{head_columns, note_arity_mismatch, note_join, plan_slots, Slot, Table};
 use crate::relation::Relation;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use viewplan_cq::{Atom, Symbol};
 use viewplan_obs as obs;
@@ -51,12 +66,60 @@ fn note_batch_join(build_rows: usize, probe_steps: usize, out_rows: usize) {
     obs::histogram!("engine.batch_output_rows").record(out_rows as u64);
 }
 
-/// The bindings table in columnar form: one [`Column`] per variable, all
-/// of length `len`.
-pub(crate) struct ColumnarBindings {
+/// One relation joined into the bindings table: the stored relation and,
+/// per table row, the row of it that table row reads. The relation is
+/// borrowed from the database; it is owned only as the empty stand-in
+/// for a missing relation, or as the distinct rows a projection kept.
+struct Source<'db> {
+    relation: Cow<'db, Relation>,
+    rows: Vec<u32>,
+}
+
+/// The bindings table in late-materialized form: `len` rows, spelled as
+/// one row vector per [`Source`]. Variable `i` is `vars[i]`, and its
+/// cells are column `places[i].1` of source `places[i].0`.
+pub(crate) struct ColumnarBindings<'db> {
     vars: Vec<Symbol>,
+    places: Vec<(usize, usize)>,
     len: usize,
-    cols: Vec<Column>,
+    sources: Vec<Source<'db>>,
+}
+
+impl ColumnarBindings<'_> {
+    /// Variable `var`'s cells, one per table row.
+    fn cells(&self, var: usize) -> Through<'_> {
+        let (source, column) = self.places[var];
+        let source = &self.sources[source];
+        Through {
+            column: source.relation.column(column),
+            rows: &source.rows,
+        }
+    }
+}
+
+/// A column read through a row vector: the cell of table row `p` is the
+/// column's cell at row `rows[p]`.
+#[derive(Clone, Copy)]
+struct Through<'a> {
+    column: &'a Column,
+    rows: &'a [u32],
+}
+
+impl Through<'_> {
+    /// The cells, one per table row, as a column of their own (with the
+    /// stored column's kind tags, so kind verdicts read the same).
+    fn gather(self) -> Column {
+        self.column.gather(self.rows)
+    }
+}
+
+/// `rows`, with its capacity trimmed to at most 1.125 × its length: a
+/// row vector the table keeps for the rest of the execution.
+fn kept(mut rows: Vec<u32>) -> Vec<u32> {
+    if rows.capacity() > rows.len() + rows.len() / 8 {
+        rows.shrink_to_fit();
+    }
+    rows
 }
 
 /// Shrinks `sel` to the rows whose column `col` holds the constant `v`.
@@ -71,15 +134,17 @@ fn filter_same(sel: &mut Vec<u32>, a: &Column, b: &Column) {
 }
 
 /// One equality a join enforces: the stored relation's column against
-/// the bindings column of the same variable.
+/// the bindings table's cells of the same variable.
 struct Key<'a> {
     build: &'a Column,
-    probe: &'a Column,
+    probe: Through<'a>,
 }
 
 fn keys_match(keys: &[Key<'_>], build_row: u32, probe_row: usize) -> bool {
-    keys.iter()
-        .all(|k| k.build.same_cell(build_row as usize, k.probe, probe_row))
+    keys.iter().all(|k| {
+        let row = k.probe.rows[probe_row] as usize;
+        k.build.same_cell(build_row as usize, k.probe.column, row)
+    })
 }
 
 const END: u32 = u32::MAX;
@@ -108,6 +173,13 @@ struct Matches {
 /// The join proper: all `(probe row, build row)` pairs agreeing on every
 /// key, in probe order × ascending build row. `sel` is the ascending
 /// selection of build rows.
+///
+/// A keyed join reserves room for `probe_len + probe_len / 8` pairs: a
+/// join that yields a few more rows than it probes (a star's next arm
+/// over a near-key) stays in its first allocation, a larger fan-out grows
+/// the vectors by doubling, and the caller trims the build rows it keeps
+/// to 1.125 × their length ([`kept`]). A Cartesian product reserves its
+/// exact size.
 fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> Matches {
     let mut out = Matches {
         probe_rows: Vec::new(),
@@ -116,16 +188,16 @@ fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> Matches {
     };
     // Cells of different kinds are never equal: two single-kind columns
     // of different kinds cannot join, whatever their words.
-    let kinds_clash = keys.iter().any(
-        |k| matches!((k.build.single_kind(), k.probe.single_kind()), (Some(b), Some(p)) if b != p),
-    );
+    let kinds_clash = keys.iter().any(|k| {
+        matches!((k.build.single_kind(), k.probe.column.single_kind()), (Some(b), Some(p)) if b != p)
+    });
     if kinds_clash || sel.is_empty() {
         return out;
     }
     let expected = if keys.is_empty() {
         probe_len * sel.len()
     } else {
-        probe_len
+        probe_len + probe_len / 8
     };
     out.probe_rows.reserve_exact(expected);
     out.build_rows.reserve_exact(expected);
@@ -163,7 +235,7 @@ fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> Matches {
     // One key whose columns share a kind (no clash, so the same one):
     // equal hashes are equal cells.
     let hash_decides = match keys {
-        [k] => k.build.single_kind().is_some() && k.probe.single_kind().is_some(),
+        [k] => k.build.single_kind().is_some() && k.probe.column.single_kind().is_some(),
         _ => false,
     };
     let mut hashes = [0u64; PROBE_BATCH];
@@ -173,8 +245,9 @@ fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> Matches {
         let hashes = &mut hashes[..batch];
         hashes.fill(0);
         for k in keys {
-            for (h, &w) in hashes.iter_mut().zip(&k.probe.words()[start..]) {
-                *h = mix(*h, w);
+            let words = k.probe.column.words();
+            for (h, &r) in hashes.iter_mut().zip(&k.probe.rows[start..]) {
+                *h = mix(*h, words[r as usize]);
             }
         }
         for (first, &h) in firsts.iter_mut().zip(hashes.iter()) {
@@ -197,12 +270,13 @@ fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> Matches {
     out
 }
 
-impl Table for ColumnarBindings {
-    fn unit() -> ColumnarBindings {
+impl<'db> Table<'db> for ColumnarBindings<'db> {
+    fn unit() -> Self {
         ColumnarBindings {
             vars: Vec::new(),
+            places: Vec::new(),
             len: 1,
-            cols: Vec::new(),
+            sources: Vec::new(),
         }
     }
 
@@ -210,24 +284,23 @@ impl Table for ColumnarBindings {
         self.len
     }
 
-    fn join(self, atom: &Atom, db: &Database) -> ColumnarBindings {
+    fn join(self, atom: &Atom, db: &'db Database) -> Self {
         let slots = plan_slots(atom, &self.vars);
 
         // A missing relation is empty (closed world), and — the same
         // relation-level skip as the row engine — so is one whose stored
         // arity differs from the atom's: no fact can map onto it. From
         // here on the columns can be indexed by atom position.
-        let empty;
         let mut skipped = 0;
-        let rel = match db.get(atom.predicate) {
-            Some(rel) if rel.arity() == atom.arity() => rel,
+        let relation = match db.get(atom.predicate) {
+            Some(rel) if rel.arity() == atom.arity() => Cow::Borrowed(rel),
             other => {
                 skipped = other.map_or(0, Relation::len);
-                empty = Relation::new(atom.arity());
-                &empty
+                Cow::Owned(Relation::new(atom.arity()))
             }
         };
         note_arity_mismatch(skipped);
+        let rel: &Relation = &relation;
 
         // Selection vector: ascending row numbers surviving the constant
         // and repeated-variable filters, one column at a time.
@@ -239,79 +312,99 @@ impl Table for ColumnarBindings {
                 _ => {}
             }
         }
+        let selected = sel.len();
 
-        // Bound positions, in slot order (the row engine's key order).
-        let keys: Vec<Key<'_>> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                Slot::Bound(c) => Some(Key {
-                    build: rel.column(i),
-                    probe: &self.cols[*c],
-                }),
-                _ => None,
-            })
-            .collect();
-        let Matches {
-            probe_rows,
-            build_rows,
-            steps,
-        } = match_rows(&keys, &sel, self.len);
+        let (sources, build_rows, steps) = if self.vars.is_empty() {
+            // No variable yet: every row is the empty tuple, so there is
+            // at most one, and the output is the selection itself.
+            let rows = if self.len == 0 { Vec::new() } else { sel };
+            (Vec::new(), rows, 0)
+        } else {
+            // Bound positions, in slot order (the row engine's key order).
+            let keys: Vec<Key<'_>> = slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| match s {
+                    Slot::Bound(c) => Some(Key {
+                        build: rel.column(i),
+                        probe: self.cells(*c),
+                    }),
+                    _ => None,
+                })
+                .collect();
+            let m = match_rows(&keys, &sel, self.len);
+            // Every source's rows follow the probe rows.
+            let sources: Vec<Source<'db>> = self
+                .sources
+                .into_iter()
+                .map(|s| Source {
+                    rows: m.probe_rows.iter().map(|&p| s.rows[p as usize]).collect(),
+                    relation: s.relation,
+                })
+                .collect();
+            (sources, m.build_rows, m.steps)
+        };
+        let len = build_rows.len();
+        note_join(self.len, len);
+        note_batch_join(selected, steps, len);
 
-        // Old columns follow the probe rows; the new variables, in
-        // argument order, follow the build rows.
-        let mut vars = self.vars;
-        let mut cols: Vec<Column> = self.cols.iter().map(|c| c.gather(&probe_rows)).collect();
-        for (i, slot) in slots.iter().enumerate() {
-            if let Slot::New(v) = slot {
-                vars.push(*v);
-                cols.push(rel.column(i).gather(&build_rows));
+        // The new variables, in argument order, are the atom's source,
+        // whose rows are the build rows. An atom that binds no new
+        // variable adds no source.
+        let (mut vars, mut places, mut sources) = (self.vars, self.places, sources);
+        let (bound, source) = (vars.len(), sources.len());
+        for (column, slot) in slots.iter().enumerate() {
+            if let Slot::New(v) = *slot {
+                vars.push(v);
+                places.push((source, column));
             }
         }
-
-        note_join(self.len, probe_rows.len());
-        note_batch_join(sel.len(), steps, probe_rows.len());
+        if vars.len() > bound {
+            let rows = kept(build_rows);
+            sources.push(Source { relation, rows });
+        }
         ColumnarBindings {
             vars,
-            len: probe_rows.len(),
-            cols,
+            places,
+            len,
+            sources,
         }
     }
 
-    fn project_away(self, drop: &HashSet<Symbol>) -> ColumnarBindings {
-        let (vars, cols): (Vec<Symbol>, Vec<Column>) = self
-            .vars
-            .into_iter()
-            .zip(self.cols)
-            .filter(|(v, _)| !drop.contains(v))
-            .unzip();
+    fn project_away(self, drop: &HashSet<Symbol>) -> Self {
+        let keep: Vec<usize> = (0..self.vars.len())
+            .filter(|&i| !drop.contains(&self.vars[i]))
+            .collect();
+        let columns: Vec<Column> = keep.iter().map(|&i| self.cells(i).gather()).collect();
         // What is left is a relation over the kept variables: keep-first
-        // dedup, the survivors gathered unless every row survived.
-        let distinct = Relation::from_columns(self.len, cols);
+        // dedup, the survivors gathered unless every row survived. It is
+        // the table's one source from here on.
+        let distinct = Relation::from_columns(self.len, columns);
+        let len = distinct.len();
         ColumnarBindings {
-            vars,
-            len: distinct.len(),
-            cols: distinct.into_columns(),
+            vars: keep.iter().map(|&i| self.vars[i]).collect(),
+            places: (0..keep.len()).map(|column| (0, column)).collect(),
+            len,
+            sources: vec![Source {
+                relation: Cow::Owned(distinct),
+                rows: (0..len as u32).collect(),
+            }],
         }
     }
 
-    fn project_head(self, head: &Atom) -> Result<Relation, EngineError> {
+    fn project_head(&self, head: &Atom) -> Result<Relation, EngineError> {
         if self.len == 0 {
             return Ok(Relation::new(head.arity()));
         }
         let plan = head_columns(head, &self.vars)?;
         // The bindings rows are distinct, so a head that keeps every
         // variable maps them to distinct answer rows.
-        let keeps_all = (0..self.cols.len()).all(|i| plan.contains(&Ok(i)));
-        // Each bindings column moves into the last head position that
-        // names it; a variable the head repeats is cloned before that.
-        let mut source = self.cols;
+        let keeps_all = (0..self.vars.len()).all(|i| plan.contains(&Ok(i)));
+        // Each head column is one gather through its source's rows.
         let cols: Vec<Column> = plan
             .iter()
-            .enumerate()
-            .map(|(at, term)| match *term {
-                Ok(i) if plan[at + 1..].contains(&Ok(i)) => source[i].clone(),
-                Ok(i) => std::mem::take(&mut source[i]),
+            .map(|term| match *term {
+                Ok(i) => self.cells(i).gather(),
                 Err(v) => Column::constant(v, self.len),
             })
             .collect();
@@ -364,7 +457,10 @@ mod tests {
             let probe = Column::from_iter([Value::Int(7), Value::Int(8), Value::Int(7)]);
             let keys = [Key {
                 build: &build,
-                probe: &probe,
+                probe: Through {
+                    column: &probe,
+                    rows: &[0, 1, 2],
+                },
             }];
             // Odd rows filtered out beforehand.
             let sel: Vec<u32> = (0..build_len).filter(|r| r % 2 == 0).collect();
@@ -386,17 +482,72 @@ mod tests {
     fn single_kind_keys_of_different_kinds_never_join() {
         let build = Column::from_iter((0..20).map(Value::Int));
         let probe = Column::from_iter((0..20).map(Value::Skolem));
+        let sel: Vec<u32> = (0..20).collect();
         let keys = [Key {
             build: &build,
-            probe: &probe,
+            probe: Through {
+                column: &probe,
+                rows: &sel,
+            },
         }];
-        let sel: Vec<u32> = (0..20).collect();
         let m = match_rows(&keys, &sel, 20);
         assert!(m.probe_rows.is_empty() && m.build_rows.is_empty());
     }
 
+    /// Every row vector the table keeps — a filtered first selection, a
+    /// join one row longer than its probe side, a selective join — has a
+    /// capacity of at most 1.125 × its length.
     #[test]
-    fn head_columns_move_clone_and_fill() {
+    fn kept_row_vectors_stay_near_their_length() {
+        let mut db = Database::new();
+        for k in 0..100 {
+            db.insert_int("r", &[&[k, k % 2]]);
+            db.insert_int("s", &[&[k, 1000 + k]]);
+            db.insert_int("t", &[&[1000 + k, k % 7]]);
+        }
+        db.insert_int("s", &[&[0, 2000]]);
+        let q = parse_query("q(K, Y) :- r(K, 0), s(K, Y), t(Y, 3)").unwrap();
+        let mut table = ColumnarBindings::unit();
+        for (atom, len) in q.body.iter().zip([50, 51, 7]) {
+            table = table.join(atom, &db);
+            assert_eq!(table.len, len);
+            for s in &table.sources {
+                assert!(
+                    s.rows.capacity() <= len + len / 8,
+                    "{atom}: {}",
+                    s.rows.capacity()
+                );
+            }
+        }
+    }
+
+    /// An atom that binds no new variable adds no source; a projection
+    /// leaves one, of the distinct kept rows.
+    #[test]
+    fn sources_are_the_atoms_that_bind_variables() {
+        let mut db = Database::new();
+        db.insert_int("r", &[&[1, 2], &[1, 3], &[2, 2]]);
+        db.insert_int("s", &[&[1, 2], &[2, 2]]);
+        db.insert_int("c", &[&[7]]);
+        let q = parse_query("q(A) :- r(A, B), c(7), s(A, B)").unwrap();
+        let mut table = ColumnarBindings::unit();
+        for (atom, sources) in q.body.iter().zip([1, 1, 1]) {
+            table = table.join(atom, &db);
+            assert_eq!(table.sources.len(), sources, "{atom}");
+        }
+        assert_eq!(table.len, 2);
+        let table = table.project_away(&[Symbol::new("B")].into_iter().collect());
+        assert_eq!((table.len, table.sources.len()), (2, 1));
+        assert!(matches!(table.sources[0].relation, Cow::Owned(_)));
+        let i = Value::Int;
+        assert_eq!(
+            table.project_head(&q.head).unwrap().rows(),
+            [vec![i(1)], vec![i(2)]]
+        );
+    }
+
+    #[test]
+    fn head_columns_gather_repeat_and_fill() {
         let mut db = Database::new();
         db.insert_int("r", &[&[1, 2], &[3, 4]]);
         let q = parse_query("q(A, 9, A, B) :- r(A, B)").unwrap();

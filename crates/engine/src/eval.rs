@@ -20,7 +20,10 @@
 //! order, counter updates, trace sizes, and answer insertion order are
 //! identical by construction. [`crate::engine::current_engine`] picks
 //! which one runs: the columnar one by default, the row one when a test
-//! installs it as the differential oracle.
+//! installs it as the differential oracle. The row table's rows hold
+//! values; the columnar table holds one vector of row numbers per joined
+//! relation and reads cells through them, so its joins move row numbers
+//! and only the answer and M3's projections gather cells.
 
 use crate::database::Database;
 use crate::engine::{current_engine, Engine};
@@ -123,24 +126,25 @@ pub(crate) fn head_columns(
 /// One executor's bindings table: the interface the shared evaluation and
 /// plan-execution drivers run against. Implementations must produce rows
 /// in the same order (probe order × build insertion order) so traces and
-/// answers are engine-independent.
-pub(crate) trait Table: Sized {
+/// answers are engine-independent. `'db` is the database the execution
+/// reads, which a table may borrow from (the columnar one points into
+/// its stored columns).
+pub(crate) trait Table<'db>: Sized {
     /// The unit table: empty schema, one empty row.
     fn unit() -> Self;
     /// Number of rows currently in the table.
     fn row_count(&self) -> usize;
     /// Hash-joins the table with one subgoal. A missing relation is
     /// treated as empty (closed world).
-    fn join(self, atom: &Atom, db: &Database) -> Self;
+    fn join(self, atom: &Atom, db: &'db Database) -> Self;
     /// Removes the given variables from the schema and deduplicates rows
     /// (keep-first).
     fn project_away(self, drop: &HashSet<Symbol>) -> Self;
-    /// Projects the table onto the head atom, in row order. Consumes the
-    /// table so a columnar one can move its columns into the answer.
-    fn project_head(self, head: &Atom) -> Result<Relation, EngineError>;
+    /// Projects the table onto the head atom, in row order.
+    fn project_head(&self, head: &Atom) -> Result<Relation, EngineError>;
 }
 
-impl Table for Bindings {
+impl<'db> Table<'db> for Bindings {
     fn unit() -> Bindings {
         Bindings {
             vars: Vec::new(),
@@ -152,7 +156,7 @@ impl Table for Bindings {
         self.rows.len()
     }
 
-    fn join(self, atom: &Atom, db: &Database) -> Bindings {
+    fn join(self, atom: &Atom, db: &'db Database) -> Bindings {
         let empty = Relation::new(atom.arity());
         let rel = db.get(atom.predicate).unwrap_or(&empty);
         let slots = plan_slots(atom, &self.vars);
@@ -238,7 +242,7 @@ impl Table for Bindings {
         Bindings { vars, rows }
     }
 
-    fn project_head(self, head: &Atom) -> Result<Relation, EngineError> {
+    fn project_head(&self, head: &Atom) -> Result<Relation, EngineError> {
         if self.rows.is_empty() {
             // An empty join may have stopped before every head variable
             // entered the schema; the projection is empty regardless.
@@ -286,7 +290,10 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
 
 /// The core join loop: fold the subgoals in greedy order, early-exit on
 /// an empty table, project the head.
-fn evaluate_with<T: Table>(q: &ConjunctiveQuery, db: &Database) -> Result<Relation, EngineError> {
+fn evaluate_with<'db, T: Table<'db>>(
+    q: &ConjunctiveQuery,
+    db: &'db Database,
+) -> Result<Relation, EngineError> {
     let mut table = T::unit();
     for idx in greedy_order(&q.body, db) {
         table = table.join(&q.body[idx], db);
@@ -399,10 +406,10 @@ pub fn execute_annotated(head: &Atom, steps: &[AnnotatedStep], db: &Database) ->
     }
 }
 
-fn execute_annotated_with<T: Table>(
+fn execute_annotated_with<'db, T: Table<'db>>(
     head: &Atom,
     steps: &[AnnotatedStep],
-    db: &Database,
+    db: &'db Database,
 ) -> Result<ExecutionTrace, EngineError> {
     let mut table = T::unit();
     let mut subgoal_sizes = Vec::with_capacity(steps.len());

@@ -9,7 +9,9 @@
 //!   stored once: one word [`Column`] per attribute under a set of row
 //!   numbers (no row vector, no second copy for any executor);
 //! * [`evaluate`] — multiway hash-join evaluation of a conjunctive query:
-//!   the columnar batch executor joins the stored columns in place. The
+//!   the columnar batch executor joins the stored columns in place, its
+//!   bindings table holding row numbers into them rather than cells, and
+//!   gathers each answer cell once, through those row numbers. The
 //!   row-at-a-time executor, which assembles a tuple per stored row it
 //!   scans, is the differential oracle that tests install in process
 //!   with a scoped [`install`] ([`Engine`]); both produce byte-identical

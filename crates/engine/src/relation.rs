@@ -4,8 +4,9 @@
 //! attribute in insertion order, and a [`RowSet`] of row numbers that
 //! serves `insert`'s deduplication, `contains` and set equality. There is
 //! no second copy of any tuple: no row vector, no hash set of cloned
-//! rows, no cached twin for the columnar executor — the executor reads
-//! these columns, and its answers are built from columns
+//! rows, no cached twin for the columnar executor — the executor's
+//! bindings table holds row numbers into these columns, and its answers
+//! are built from the cells gathered through them
 //! ([`Relation::from_columns`], or `Relation::from_distinct_columns`
 //! when the rows cannot repeat) without passing through `insert`.
 
@@ -101,12 +102,6 @@ impl Relation {
         );
         let set = RowSet::of_distinct(&columns, len, len);
         Relation { len, columns, set }
-    }
-
-    /// The columns, given up (the bindings table takes them back after
-    /// deduplicating as a relation).
-    pub(crate) fn into_columns(self) -> Vec<Column> {
-        self.columns
     }
 
     /// The arity of the relation.

@@ -1,22 +1,25 @@
 //! Allocation guard for the columnar join path: executing a plan allocates
-//! per join and per output column, never per row or per key. Counted with
-//! a `#[global_allocator]` that wraps the system one, so this lives in a
+//! per join and per head column, never per row or per key, and the bytes
+//! it allocates per answer row do not grow with the input. Counted with a
+//! `#[global_allocator]` that wraps the system one, so this lives in a
 //! binary of its own with a single `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use viewplan_cq::parse_query;
+use viewplan_cq::{parse_query, ConjunctiveQuery};
 use viewplan_engine::{execute_ordered, Database, Value};
 
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a relaxed counter bump.
+// `GlobalAlloc` contract; the only addition is two relaxed counter bumps.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -26,8 +29,10 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
 
+    /// A reallocation counts as one allocation of its new size.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through this wrapper.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -36,38 +41,96 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Three `rows`-row integer relations, each a permutation-like map
-/// `i -> (a*i + b) mod rows`, so the chain join has exactly `rows` rows.
-fn chain_database(rows: i64) -> Database {
+/// A database where every relation of `q`'s body holds one row per
+/// first-column value `i` in `0..rows`, its column `c > 0` holding
+/// `(a·i + c) mod rows` for a per-relation `a`. Every value a join looks
+/// up in a first column is there exactly once, so a star on the first
+/// columns and a chain from last column to first column both have exactly
+/// `rows` rows.
+fn permutation_database(q: &ConjunctiveQuery, rows: i64) -> Database {
     let mut db = Database::new();
-    for (name, a, b) in [("r", 3, 1), ("s", 5, 2), ("t", 7, 3)] {
+    for (k, atom) in q.body.iter().enumerate() {
+        let a = 2 * k as i64 + 3;
         for i in 0..rows {
-            db.insert(name, vec![Value::Int(i), Value::Int((a * i + b) % rows)]);
+            let tuple = (0..atom.arity() as i64)
+                .map(|c| Value::Int(if c == 0 { i } else { (a * i + c) % rows }))
+                .collect();
+            db.insert(atom.predicate, tuple);
         }
     }
     db
 }
 
+/// What executing `q`'s body in order over `rows` rows per relation
+/// allocates: `(allocations, bytes)`.
+fn allocated(q: &ConjunctiveQuery, rows: i64) -> (usize, usize) {
+    let db = permutation_database(q, rows);
+    let before = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    let trace = execute_ordered(&q.head, &q.body, &db);
+    let made = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
+    let bytes = BYTES.load(Ordering::Relaxed) - before.1;
+    assert_eq!(trace.answer.len(), rows as usize, "{q}");
+    (made, bytes)
+}
+
 #[test]
 fn executing_a_plan_allocates_per_join_not_per_row() {
-    let q = parse_query("q(A, B, C, D) :- r(A, B), s(B, C), t(C, D)").unwrap();
-    let count = |rows: i64| {
-        let db = chain_database(rows);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let trace = execute_ordered(&q.head, &q.body, &db);
-        let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(trace.answer.len(), rows as usize);
-        made
-    };
+    // A chain of three two-column maps (four variables), and a wide star:
+    // four relations on one key, seventeen variables in all.
+    let chain = parse_query("q(A, B, C, D) :- r(A, B), s(B, C), t(C, D)").unwrap();
+    let star = parse_query(
+        "q(X, A, B, C, D, E, F, G, H, I, J, K, L, M, N, O, P) :- \
+         s1(X, A, B, C, D), s2(X, E, F, G, H), s3(X, I, J, K, L), s4(X, M, N, O, P)",
+    )
+    .unwrap();
     // Once to register the engine's metrics, off the count.
-    count(100);
-    let small = count(10_000);
-    let large = count(40_000);
-    println!("allocations: {small} at 10 000 rows, {large} at 40 000");
-    assert!(small < 1_000, "{small} allocations at 10 000 rows");
-    assert!(large < 1_000, "{large} allocations at 40 000 rows");
-    assert!(
-        large * 2 <= small * 3,
-        "allocations grew with the input: {small} -> {large}"
-    );
+    allocated(&chain, 100);
+    // (plan, allocations at most, bytes per answer row at most). The
+    // answer alone takes 8 bytes per head column per row, and about 21
+    // for its row set; each keyed join about 36 for its selection, index
+    // and matches, and 4 per source it carries. In a debug build the
+    // answer also checks that its rows are distinct
+    // (`Relation::from_distinct_columns`): two buffers more, and about
+    // 17 bytes per row.
+    let (debug_allocations, debug_bytes) = if cfg!(debug_assertions) {
+        (2, 17)
+    } else {
+        (0, 0)
+    };
+    let plans = [(&chain, 36, 150), (&star, 69, 300)];
+    for (q, max_allocations, max_bytes_per_row) in plans {
+        let max_allocations = max_allocations + debug_allocations;
+        let max_bytes_per_row = max_bytes_per_row + debug_bytes;
+        let (small, small_bytes) = allocated(q, 10_000);
+        let (large, large_bytes) = allocated(q, 40_000);
+        let (small_per_row, large_per_row) = (small_bytes / 10_000, large_bytes / 40_000);
+        println!(
+            "{}: {small} allocations, {small_bytes} bytes at 10 000 rows; \
+             {large}, {large_bytes} at 40 000",
+            q.head
+        );
+        assert!(
+            small <= max_allocations,
+            "{small} allocations at 10 000 rows"
+        );
+        assert!(
+            large <= max_allocations,
+            "{large} allocations at 40 000 rows"
+        );
+        for per_row in [small_per_row, large_per_row] {
+            assert!(
+                per_row <= max_bytes_per_row,
+                "{}: {per_row} bytes per answer row",
+                q.head
+            );
+        }
+        assert!(
+            large_per_row * 10 <= small_per_row * 11,
+            "{}: bytes per answer row grew with the input: {small_per_row} -> {large_per_row}",
+            q.head
+        );
+    }
 }

@@ -250,27 +250,37 @@ mod tests {
 
     type Log = Arc<Mutex<Vec<(&'static str, Result<(), ShedReason>)>>>;
 
-    /// Spawns a thread that enters `gate` and, before giving its permit
-    /// back, appends the verdict to `log` tagged with `tag`.
+    /// Spawns a thread that enters `gate` with a deadline `patience` from
+    /// when it arrives (drawn on the thread, so however late the thread
+    /// starts, the request is not dead on arrival) and, before giving its
+    /// permit back, appends the verdict to `log` tagged with `tag`.
     fn waiter(
         gate: &Arc<AdmissionGate>,
         tag: &'static str,
-        deadline: Option<Instant>,
+        patience: Option<Duration>,
         log: &Log,
     ) -> thread::JoinHandle<()> {
         let (gate, log) = (gate.clone(), log.clone());
         thread::spawn(move || {
-            let verdict = gate.enter(deadline);
+            let verdict = gate.enter(patience.map(|p| Instant::now() + p));
             let verdict = verdict.as_ref().map(drop).map_err(|r| *r);
             log.lock().unwrap().push((tag, verdict));
         })
     }
 
     /// Blocks until `n` requests wait at the gate (arrival is the only
-    /// thing that can raise the count, so this cannot miss it).
-    fn until_waiting(gate: &AdmissionGate, n: usize) {
+    /// thing that can raise the count, so this cannot miss it), the last
+    /// of them `expected`. Fails at once, with the verdicts logged so far,
+    /// if `expected` returned instead of waiting — it was shed or
+    /// admitted on arrival, and the count will never come.
+    fn until_waiting(gate: &AdmissionGate, n: usize, expected: &thread::JoinHandle<()>, log: &Log) {
         let give_up = Instant::now() + Duration::from_secs(10);
         while gate.waiting() != n {
+            assert!(
+                !expected.is_finished(),
+                "waiter {n} returned without waiting: {:?}",
+                log.lock().unwrap()
+            );
             assert!(Instant::now() < give_up, "never saw {n} waiter(s)");
             thread::yield_now();
         }
@@ -282,9 +292,9 @@ mod tests {
         let log = Log::default();
         let running = gate.enter(None).expect("first arrival runs");
         let a = waiter(&gate, "a", None, &log);
-        until_waiting(&gate, 1);
+        until_waiting(&gate, 1, &a, &log);
         let b = waiter(&gate, "b", None, &log);
-        until_waiting(&gate, 2);
+        until_waiting(&gate, 2, &b, &log);
         assert_eq!(gate.enter(None).err(), Some(ShedReason::QueueFull));
         assert_eq!(gate.shed_count(), 1);
         assert_eq!(gate.waiting(), 2);
@@ -308,9 +318,9 @@ mod tests {
         let log = Log::default();
         let running = gate.enter(None).unwrap();
         let a = waiter(&gate, "a", None, &log);
-        until_waiting(&gate, 1);
+        until_waiting(&gate, 1, &a, &log);
         let b = waiter(&gate, "b", None, &log);
-        until_waiting(&gate, 2);
+        until_waiting(&gate, 2, &b, &log);
         // Projected wait behind two waiters is ~20ms; a 5ms deadline is
         // dead on arrival.
         let tight = Instant::now() + Duration::from_millis(5);
@@ -319,9 +329,8 @@ mod tests {
             Some(ShedReason::DeadlineUnmeetable)
         );
         // A roomy deadline is admitted (and takes its turn behind them).
-        let roomy = Instant::now() + Duration::from_secs(60);
-        let c = waiter(&gate, "c", Some(roomy), &log);
-        until_waiting(&gate, 3);
+        let c = waiter(&gate, "c", Some(Duration::from_secs(60)), &log);
+        until_waiting(&gate, 3, &c, &log);
         drop(running);
         for t in [a, b, c] {
             t.join().unwrap();
@@ -340,9 +349,9 @@ mod tests {
         let log = Log::default();
         let running = gate.enter(None).unwrap();
         let a = waiter(&gate, "a", None, &log);
-        until_waiting(&gate, 1);
+        until_waiting(&gate, 1, &a, &log);
         let b = waiter(&gate, "b", None, &log);
-        until_waiting(&gate, 2);
+        until_waiting(&gate, 2, &b, &log);
         gate.close();
         assert_eq!(gate.enter(None).err(), Some(ShedReason::ShuttingDown));
         drop(running);
@@ -364,12 +373,14 @@ mod tests {
         let gate = Arc::new(AdmissionGate::new(1, 8));
         let log = Log::default();
         let running = gate.enter(None).unwrap();
-        let soon = Instant::now() + Duration::from_millis(1);
-        let doomed = waiter(&gate, "doomed", Some(soon), &log);
-        until_waiting(&gate, 1);
+        // Doomed's deadline is drawn before it arrives, so it has lapsed
+        // once `patience` has passed since it was seen waiting.
+        let patience = Duration::from_millis(50);
+        let doomed = waiter(&gate, "doomed", Some(patience), &log);
+        until_waiting(&gate, 1, &doomed, &log);
         let patient = waiter(&gate, "patient", None, &log);
-        until_waiting(&gate, 2);
-        thread::sleep(Duration::from_millis(5));
+        until_waiting(&gate, 2, &patient, &log);
+        thread::sleep(patience);
         drop(running);
         doomed.join().unwrap();
         patient.join().unwrap();

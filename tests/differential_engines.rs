@@ -454,6 +454,150 @@ fn probe_lengths_around_the_batch_size() {
 }
 
 // ---------------------------------------------------------------------
+// The late-materialized bindings table. The columnar executor's table
+// holds one row vector per joined relation, pointing into the stored
+// columns, and reads each cell through one. Each case names a mutation of
+// the executor (`crates/engine/src/batch.rs`) that it fails.
+
+/// `body`'s subgoals as the steps of an annotated plan, step `i` dropping
+/// the variables of `drops[i]`.
+fn annotated(body: &[Atom], drops: &[&[&str]]) -> Vec<viewplan::engine::AnnotatedStep> {
+    body.iter()
+        .zip(drops)
+        .map(|(atom, drop)| viewplan::engine::AnnotatedStep {
+            atom: atom.clone(),
+            drop_after: drop.iter().map(|v| Symbol::new(v)).collect(),
+        })
+        .collect()
+}
+
+/// Keys bound one, two and three steps before the join that reads them,
+/// at a fan-out that reorders every earlier source's rows: the last
+/// subgoal joins on `A` (the first step's) and `D` (the third's), and
+/// `v` on `A` and `C` alone. Fails for a key read at the table row, not
+/// through its source's row vector, and for a source's rows not carried
+/// through the probe rows.
+#[test]
+fn keys_bound_steps_earlier_are_read_through_their_sources() {
+    for text in [
+        "q(A, B, C, D) :- r(A, B), s(B, C), t(C, D), u(D, A)",
+        "q(A, B, C, E) :- r(A, B), s(B, C), v(A, C, E)",
+    ] {
+        let q = parse_query(text).unwrap();
+        for (rows, domain, seed) in [(60, 8, 41), (3_000, 600, 43)] {
+            let db = int_database(&q, rows, domain, seed);
+            let (_, intermediates, answer) =
+                both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
+            assert!(
+                intermediates.iter().all(|&n| n > 0) && !answer.is_empty(),
+                "{text} at {rows} rows: {intermediates:?}"
+            );
+            assert_eq!(both_engines(|| evaluate(&q, &db)).len(), answer.len());
+        }
+    }
+}
+
+/// Middle subgoals that bind no new variable — every argument bound
+/// (`s`), or constants only (`c`, `z`) — between subgoals that do, with
+/// later keys on the variables bound after them. Fails for the first
+/// step's shortcut (no keys, no sources to carry) taken by any key-less
+/// subgoal, and for a subgoal that binds nothing leaving the sources'
+/// rows as they were.
+#[test]
+fn subgoals_that_bind_no_variable_keep_every_source() {
+    let q = parse_query("q(A, B, C, D) :- r(A, B), s(A, B), c(2), z(), t(B, C), u(C, D)").unwrap();
+    for (rows, domain, seed) in [(40, 6, 51), (2_000, 300, 53)] {
+        let mut db = int_database(&q, rows, domain, seed);
+        db.set("c".into(), viewplan::engine::Relation::new(1));
+        db.insert("c", vec![Value::Int(2)]);
+        db.insert("c", vec![Value::Int(5)]);
+        let (_, intermediates, answer) =
+            both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
+        assert!(
+            intermediates[1] < intermediates[0],
+            "`s` must filter: {intermediates:?}"
+        );
+        assert!(!answer.is_empty(), "{intermediates:?}");
+        assert_eq!(both_engines(|| evaluate(&q, &db)).len(), answer.len());
+    }
+}
+
+/// An M3 plan that drops attributes mid-plan — the first of the three
+/// columns, so a kept variable moves — and then joins on a kept
+/// variable, drops again, and joins once more. Fails for a kept variable
+/// located at its column before the projection, not at its place among
+/// the kept columns.
+#[test]
+fn joins_after_a_projection_read_the_kept_columns() {
+    let q = parse_query("q(B, D, E) :- r(A, B, C), s(C, D), t(B, D, E)").unwrap();
+    let steps = annotated(&q.body, &[&["A"], &["C"], &[]]);
+    for (rows, domain, seed) in [(60, 5, 61), (3_000, 200, 63)] {
+        let db = int_database(&q, rows, domain, seed);
+        let (_, gsr, answer) = both_engines(|| shown(execute_annotated(&q.head, &steps, &db)));
+        assert!(
+            gsr.iter().all(|&n| n > 0) && !answer.is_empty(),
+            "{rows} rows: {gsr:?}"
+        );
+        let direct = both_engines(|| evaluate(&q, &db));
+        assert_eq!(direct.len(), answer.len());
+    }
+}
+
+/// A mixed-kind key column (`Int(k)`, `Skolem(k)`, a symbol and a frozen
+/// variable), bound at the first step and read as the single key of the
+/// third, after a fan-out has reordered its rows. Fails for
+/// `keys_match` comparing the cell at the table row, not the cell its
+/// source row points at.
+#[test]
+fn a_mixed_key_is_compared_through_its_row_numbers() {
+    let x = Symbol::new("X");
+    let mixed = |k: i64| match k % 4 {
+        0 => Value::Int(k / 4),
+        1 => Value::Skolem((k / 4) as u32),
+        2 => Value::Sym(x),
+        _ => Value::Frozen(x),
+    };
+    let q = parse_query("q(A, M, B, C) :- r(A, M), f(A, B), s(M, C)").unwrap();
+    for rows in [12i64, 400] {
+        let mut db = Database::new();
+        for k in 0..rows {
+            db.insert("r", vec![Value::Int(k % 7), mixed(k)]);
+            db.insert("f", vec![Value::Int(k % 7), Value::Int(k % 3)]);
+            db.insert("s", vec![mixed(k + 2), Value::Int(k % 5)]);
+        }
+        let (_, intermediates, answer) =
+            both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
+        assert!(intermediates[1] > intermediates[0] && !answer.is_empty());
+        assert_eq!(both_engines(|| evaluate(&q, &db)).len(), answer.len());
+    }
+}
+
+/// A head over a table of three sources that repeats a variable, carries
+/// a constant and leaves two variables out — as many head terms as table
+/// variables, so it must still deduplicate. Fails for `keeps_all` judged
+/// by the head's length rather than by the variables it names.
+#[test]
+fn heads_over_many_sources_repeat_and_fill() {
+    let body = parse_query("q(A, B, C, D) :- r(A, B), s(B, C), t(C, D)")
+        .unwrap()
+        .body;
+    let unit_head = ConjunctiveQuery::new(Atom::new("q", vec![]), body.clone());
+    let head = parse_atom("q(B, 7, A, B)").unwrap();
+    for (rows, domain, seed) in [(50, 5, 71), (3_000, 400, 73)] {
+        let db = int_database(&unit_head, rows, domain, seed);
+        let (_, intermediates, answer) = both_engines(|| shown(execute_ordered(&head, &body, &db)));
+        assert!(!answer.is_empty());
+        assert!(answer.iter().all(|t| t[0] == t[3] && t[1] == Value::Int(7)));
+        if rows < 100 {
+            assert!(
+                answer.len() < intermediates[2],
+                "dropping C and D merges rows"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Workload-scale differential: the full pipeline (CoreCover over
 // canonical databases, M1 planning, serving) under each engine, on 1
 // and 8 threads sharing one server, with and without node budgets.
