@@ -10,19 +10,22 @@
 //! one column of one source.
 //!
 //! One join is: filters shrink an ascending selection vector reading
-//! words; the selected rows become the entries of a chained index, each
-//! entry carrying its key's hash, its build row and the next entry of its
-//! chain, so walking a chain reads nothing else; probing reads the
-//! table's key cells through their sources' row numbers and emits two
-//! row-number vectors (probe rows, build rows). Every source's row vector
-//! then follows the probe rows, and the build rows become the joined
-//! relation's: a join writes 4 bytes per source per output row, however
-//! many variables the table holds. An atom that binds no new variable
-//! adds no source. Cells are gathered in two places only: into the
-//! answer, once per head column ([`Table::project_head`]), and where an
-//! M3 step drops attributes ([`Table::project_away`]), which gathers the
-//! kept columns, deduplicates them, and goes on with the distinct rows as
-//! the table's single source. Nothing allocates per row or per key.
+//! words — listed only when a filter runs, or at the first step, where it
+//! becomes the table's rows; an unfiltered join indexes the range of
+//! every row, and lists none — then the selected rows become the entries
+//! of a chained index, each entry carrying its key's hash, its build row
+//! and the next entry of its chain, so walking a chain reads nothing
+//! else; probing reads the table's key cells through their sources' row
+//! numbers and emits two row-number vectors (probe rows, build rows).
+//! Every source's row vector then follows the probe rows, and the build
+//! rows become the joined relation's: a join writes 4 bytes per source
+//! per output row, however many variables the table holds. An atom that
+//! binds no new variable adds no source. Cells are gathered in two places
+//! only: into the answer, once per head column ([`Table::project_head`]),
+//! and where an M3 step drops attributes ([`Table::project_away`]), which
+//! gathers the kept columns, deduplicates them, and goes on with the
+//! distinct rows as the table's single source. Nothing allocates per row
+//! or per key.
 //!
 //! Probes go in batches of [`PROBE_BATCH`] rows: the batch's hashes are
 //! computed one key column at a time and all its chain heads are loaded
@@ -43,8 +46,10 @@
 //! A bindings table holds distinct rows (every variable is kept, and
 //! [`Table::project_away`] deduplicates), so a head that names every
 //! variable projects it onto distinct rows: the answer is built without
-//! deduplication ([`Relation::from_distinct_columns`]). A head that drops
-//! a variable deduplicates, keep-first.
+//! deduplication ([`Relation::from_distinct_columns`]), and without a row
+//! set: a relation builds one on first use, and nothing on this path looks
+//! an answer's row up. A head that drops a variable deduplicates,
+//! keep-first.
 
 use crate::column::{mix, table_size, Column};
 use crate::database::Database;
@@ -172,7 +177,8 @@ struct Matches {
 
 /// The join proper: all `(probe row, build row)` pairs agreeing on every
 /// key, in probe order × ascending build row. `sel` is the ascending
-/// selection of build rows.
+/// selection of build rows: a filtered selection vector's, or the range
+/// of every row when no filter ran, so an unfiltered join lists none.
 ///
 /// A keyed join reserves room for `probe_len + probe_len / 8` pairs: a
 /// join that yields a few more rows than it probes (a star's next arm
@@ -180,7 +186,10 @@ struct Matches {
 /// the vectors by doubling, and the caller trims the build rows it keeps
 /// to 1.125 × their length ([`kept`]). A Cartesian product reserves its
 /// exact size.
-fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> Matches {
+fn match_rows<S>(keys: &[Key<'_>], sel: S, probe_len: usize) -> Matches
+where
+    S: ExactSizeIterator<Item = u32> + DoubleEndedIterator + Clone,
+{
     let mut out = Matches {
         probe_rows: Vec::new(),
         build_rows: Vec::new(),
@@ -191,7 +200,7 @@ fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> Matches {
     let kinds_clash = keys.iter().any(|k| {
         matches!((k.build.single_kind(), k.probe.column.single_kind()), (Some(b), Some(p)) if b != p)
     });
-    if kinds_clash || sel.is_empty() {
+    if kinds_clash || sel.len() == 0 {
         return out;
     }
     let expected = if keys.is_empty() {
@@ -205,7 +214,7 @@ fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> Matches {
     if keys.is_empty() {
         // Cartesian product: nothing to index on.
         for p in 0..probe_len {
-            for &b in sel {
+            for b in sel.clone() {
                 out.probe_rows.push(p as u32);
                 out.build_rows.push(b);
             }
@@ -219,7 +228,7 @@ fn match_rows(keys: &[Key<'_>], sel: &[u32], probe_len: usize) -> Matches {
     let (size, shift) = table_size(sel.len(), 1);
     let mut heads = vec![END; size];
     let mut entries: Vec<Entry> = Vec::with_capacity(sel.len());
-    for &row in sel.iter().rev() {
+    for row in sel.rev() {
         let hash = keys
             .iter()
             .fold(0, |h, k| mix(h, k.build.words()[row as usize]));
@@ -303,21 +312,31 @@ impl<'db> Table<'db> for ColumnarBindings<'db> {
         let rel: &Relation = &relation;
 
         // Selection vector: ascending row numbers surviving the constant
-        // and repeated-variable filters, one column at a time.
-        let mut sel: Vec<u32> = (0..rel.len() as u32).collect();
+        // and repeated-variable filters, one column at a time. It is
+        // listed only when a filter runs, or at the first step, where it
+        // becomes the source's rows; otherwise every row is selected.
+        let all_rows = || (0..rel.len() as u32).collect::<Vec<u32>>();
+        let mut sel: Option<Vec<u32>> = self.vars.is_empty().then(all_rows);
         for (i, slot) in slots.iter().enumerate() {
             match *slot {
-                Slot::Fixed(v) => filter_fixed(&mut sel, rel.column(i), v),
-                Slot::SameAs(j) => filter_same(&mut sel, rel.column(i), rel.column(j)),
+                Slot::Fixed(v) => filter_fixed(sel.get_or_insert_with(all_rows), rel.column(i), v),
+                Slot::SameAs(j) => filter_same(
+                    sel.get_or_insert_with(all_rows),
+                    rel.column(i),
+                    rel.column(j),
+                ),
                 _ => {}
             }
         }
-        let selected = sel.len();
+        let selected = sel.as_ref().map_or(rel.len(), Vec::len);
 
         let (sources, build_rows, steps) = if self.vars.is_empty() {
             // No variable yet: every row is the empty tuple, so there is
             // at most one, and the output is the selection itself.
-            let rows = if self.len == 0 { Vec::new() } else { sel };
+            let rows = match sel {
+                Some(sel) if self.len > 0 => sel,
+                _ => Vec::new(),
+            };
             (Vec::new(), rows, 0)
         } else {
             // Bound positions, in slot order (the row engine's key order).
@@ -332,7 +351,10 @@ impl<'db> Table<'db> for ColumnarBindings<'db> {
                     _ => None,
                 })
                 .collect();
-            let m = match_rows(&keys, &sel, self.len);
+            let m = match &sel {
+                Some(sel) => match_rows(&keys, sel.iter().copied(), self.len),
+                None => match_rows(&keys, 0..rel.len() as u32, self.len),
+            };
             // Every source's rows follow the probe rows.
             let sources: Vec<Source<'db>> = self
                 .sources
@@ -468,7 +490,7 @@ mod tests {
                 probe_rows,
                 build_rows,
                 ..
-            } = match_rows(&keys, &sel, 3);
+            } = match_rows(&keys, sel.iter().copied(), 3);
             let per_probe = sel.len();
             assert_eq!(probe_rows.len(), 2 * per_probe);
             assert!(probe_rows[..per_probe].iter().all(|&p| p == 0));
@@ -490,7 +512,7 @@ mod tests {
                 rows: &sel,
             },
         }];
-        let m = match_rows(&keys, &sel, 20);
+        let m = match_rows(&keys, 0..20, 20);
         assert!(m.probe_rows.is_empty() && m.build_rows.is_empty());
     }
 

@@ -10,7 +10,9 @@
 //!
 //! Rows are told apart by a [`RowSet`]: an open-addressed table of *row
 //! numbers*, hashed over the row's words. It owns no cell, so a relation
-//! stores every tuple exactly once.
+//! stores every tuple exactly once. A relation builds its set on first
+//! use ([`RowSet::of_distinct`]), so one that is only read column by
+//! column — an executed answer — has none.
 
 use crate::value::{Kind, Value};
 

@@ -6,8 +6,9 @@
 //! storage-and-execution substrate both phases stand on:
 //!
 //! * [`Relation`], [`Database`] — set-semantics relations over [`Value`]s,
-//!   stored once: one word [`Column`] per attribute under a set of row
-//!   numbers (no row vector, no second copy for any executor);
+//!   stored once: one word [`Column`] per attribute, and a set of row
+//!   numbers built on first use (no row vector, no second copy for any
+//!   executor, and no set for an executed answer nothing looks up);
 //! * [`evaluate`] — multiway hash-join evaluation of a conjunctive query:
 //!   the columnar batch executor joins the stored columns in place, its
 //!   bindings table holding row numbers into them rather than cells, and

@@ -1,18 +1,25 @@
 //! Set-semantics relations, stored once, as columns.
 //!
-//! A [`Relation`] is its arity, its row count, one [`Column`] per
-//! attribute in insertion order, and a [`RowSet`] of row numbers that
-//! serves `insert`'s deduplication, `contains` and set equality. There is
-//! no second copy of any tuple: no row vector, no hash set of cloned
-//! rows, no cached twin for the columnar executor — the executor's
-//! bindings table holds row numbers into these columns, and its answers
-//! are built from the cells gathered through them
-//! ([`Relation::from_columns`], or `Relation::from_distinct_columns`
-//! when the rows cannot repeat) without passing through `insert`.
+//! A [`Relation`] is its arity, its row count and one [`Column`] per
+//! attribute in insertion order. There is no second copy of any tuple:
+//! no row vector, no hash set of cloned rows, no cached twin for the
+//! columnar executor — the executor's bindings table holds row numbers
+//! into these columns, and its answers are built from the cells gathered
+//! through them ([`Relation::from_columns`], or
+//! `Relation::from_distinct_columns` when the rows cannot repeat)
+//! without passing through `insert`.
+//!
+//! The [`RowSet`] of row numbers that serves `insert`'s deduplication,
+//! `contains` and set equality is built on first use. A relation that is
+//! only read column by column — an executed answer, a view materialized
+//! from distinct rows — never hashes its rows; one that is grown by
+//! `insert` builds its set at the first row, and one that `from_columns`
+//! deduplicated keeps the set the dedup built when no row was dropped.
 
 use crate::column::{distinct_rows, mix, row_hash, Column, RowSet};
 use crate::value::Value;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A database tuple.
 pub type Tuple = Vec<Value>;
@@ -29,8 +36,10 @@ pub struct Relation {
     len: usize,
     /// One per attribute: the arity is their number.
     columns: Vec<Column>,
-    /// The numbers of all `len` rows.
-    set: RowSet,
+    /// The numbers of all `len` rows, once something has looked a row
+    /// up. A `OnceLock` rather than a `OnceCell`: a shared relation
+    /// (a `Database` behind a snapshot) is read from many threads.
+    set: OnceLock<RowSet>,
 }
 
 /// [`row_hash`] of a tuple that is not (yet) stored.
@@ -62,7 +71,7 @@ impl Relation {
         Relation {
             len: 0,
             columns: vec![Column::default(); arity],
-            set: RowSet::default(),
+            set: OnceLock::new(),
         }
     }
 
@@ -82,17 +91,19 @@ impl Relation {
         debug_assert!(columns.iter().all(|c| c.len() == len));
         let (firsts, set) = distinct_rows(&columns, len);
         if firsts.len() == len {
+            let set = OnceLock::from(set);
             return Relation { len, columns, set };
         }
-        // Row numbers shifted: the set over the old numbering is no use.
+        // Row numbers shifted: the set over the old numbering is no use,
+        // and the survivors' is built only if something looks a row up.
         let columns: Vec<Column> = columns.iter().map(|c| c.gather(&firsts)).collect();
         Relation::from_distinct_columns(firsts.len(), columns)
     }
 
     /// Builds a relation from `len` rows spelled column-wise that the
     /// caller knows to be pairwise distinct — a bindings table projected
-    /// onto a head that keeps every variable. Hashes the rows one column
-    /// at a time and compares none.
+    /// onto a head that keeps every variable. Neither hashes nor compares
+    /// a row (outside a debug build's check of the caller's claim).
     pub(crate) fn from_distinct_columns(len: usize, columns: Vec<Column>) -> Relation {
         debug_assert!(columns.iter().all(|c| c.len() == len));
         debug_assert_eq!(
@@ -100,7 +111,7 @@ impl Relation {
             len,
             "rows passed as distinct repeat"
         );
-        let set = RowSet::of_distinct(&columns, len, len);
+        let set = OnceLock::new();
         Relation { len, columns, set }
     }
 
@@ -110,10 +121,15 @@ impl Relation {
     }
 
     /// True iff some stored row satisfies `matches(column, row)` in every
-    /// column; `hash` is the sought row's hash.
+    /// column; `hash` is the sought row's hash. Builds the row set if
+    /// nothing has yet: the rows are distinct, so it hashes them one
+    /// column at a time and compares none.
     fn stores(&self, hash: u64, matches: impl Fn(usize, usize) -> bool) -> bool {
+        let set = self
+            .set
+            .get_or_init(|| RowSet::of_distinct(&self.columns, self.len, self.len));
         let is_it = |row: u32| (0..self.arity()).all(|c| matches(c, row as usize));
-        self.set.find(hash, is_it).is_some()
+        set.find(hash, is_it).is_some()
     }
 
     /// Inserts a tuple; returns `true` if it was new.
@@ -131,10 +147,11 @@ impl Relation {
         );
         let row = self.len;
         assert!(row < u32::MAX as usize, "relation row count overflow");
-        if !self.set.has_room_for(row + 1) {
-            // The first table, or a doubling.
-            self.set = RowSet::of_distinct(&self.columns, row, row + 1);
-        }
+        let mut set = match self.set.take() {
+            Some(set) if set.has_room_for(row + 1) => set,
+            // The first table, a doubling, or a set never built.
+            _ => RowSet::of_distinct(&self.columns, row, row + 1),
+        };
         let columns = &self.columns;
         let stored = |r: u32| {
             columns
@@ -144,9 +161,8 @@ impl Relation {
         };
         // Files the new row's number before its cells are pushed just
         // below; nothing reads the set in between.
-        let seen = self
-            .set
-            .find_or_insert(tuple_hash(&tuple), row as u32, stored);
+        let seen = set.find_or_insert(tuple_hash(&tuple), row as u32, stored);
+        self.set = OnceLock::from(set);
         if seen.is_some() {
             return false;
         }
@@ -309,6 +325,44 @@ mod tests {
         assert_eq!(r.column(0).len(), 2);
         assert_eq!(r.row(1), t(&[2]));
         assert_eq!(r.rows(), [t(&[1]), t(&[2])]);
+    }
+
+    /// A database is shared between threads (a served snapshot), and a
+    /// relation's set is built by whichever reader comes first: a
+    /// `OnceCell` in its place would make neither type `Sync`.
+    const _: fn() = || {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Relation>();
+        send_sync::<crate::Database>();
+    };
+
+    /// Two threads, released together by a barrier, look rows up in one
+    /// relation whose set nobody has built: whichever builds it, both get
+    /// the model's answers.
+    #[test]
+    fn threads_share_a_set_built_on_first_use() {
+        let rows: Vec<Tuple> = (0..500).map(|i| t(&[i, i % 7])).collect();
+        let columns = (0..2)
+            .map(|c| rows.iter().map(|row| row[c]).collect())
+            .collect();
+        let rel = Relation::from_distinct_columns(rows.len(), columns);
+        let probes: Vec<Tuple> = (0..1000).map(|i| t(&[i / 2, i % 7])).collect();
+        let model: std::collections::HashSet<&Tuple> = rows.iter().collect();
+        let expected: Vec<bool> = probes.iter().map(|p| model.contains(p)).collect();
+        let start = std::sync::Barrier::new(2);
+        let lookups = || {
+            start.wait();
+            probes
+                .iter()
+                .map(|p| rel.contains(p))
+                .collect::<Vec<bool>>()
+        };
+        std::thread::scope(|scope| {
+            let threads = [scope.spawn(lookups), scope.spawn(lookups)];
+            for thread in threads {
+                assert_eq!(thread.join().unwrap(), expected);
+            }
+        });
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! The storage against the obvious model: a `Vec<Tuple>` in insertion
 //! order beside a `HashSet<Tuple>`.
+//!
+//! A relation's row set is built on first use, so every relation here is
+//! made in the states that matter: grown by `insert` (indexed from the
+//! first row), deduplicated by `from_columns` (indexed when no row was
+//! dropped, unindexed when one was) and handed over as distinct columns
+//! (unindexed), and each is used first by `insert`, by `contains`, by a
+//! clone or by `==`.
 
+use crate::column::Column;
 use crate::relation::{Relation, Tuple};
 use crate::value::Value;
 use proptest::prelude::*;
@@ -33,11 +41,37 @@ fn arb_ops() -> impl Strategy<Value = (usize, Vec<(bool, Tuple)>)> {
     })
 }
 
-fn from_tuples(arity: usize, tuples: &[Tuple]) -> Relation {
-    let columns = (0..arity)
+fn columns_of(arity: usize, tuples: &[Tuple]) -> Vec<Column> {
+    (0..arity)
         .map(|c| tuples.iter().map(|t| t[c]).collect())
-        .collect();
-    Relation::from_columns(tuples.len(), columns)
+        .collect()
+}
+
+fn from_tuples(arity: usize, tuples: &[Tuple]) -> Relation {
+    Relation::from_columns(tuples.len(), columns_of(arity, tuples))
+}
+
+/// `rows`, which must be distinct, as a relation with no row set.
+fn from_distinct(arity: usize, rows: &[Tuple]) -> Relation {
+    Relation::from_distinct_columns(rows.len(), columns_of(arity, rows))
+}
+
+/// Inserts every probe into `rel` and into the model's `rows`, checking
+/// each verdict.
+fn insert_all(
+    rel: &mut Relation,
+    rows: &mut Vec<Tuple>,
+    probes: &[Tuple],
+) -> Result<(), TestCaseError> {
+    let mut seen: HashSet<Tuple> = rows.iter().cloned().collect();
+    for probe in probes {
+        let new = seen.insert(probe.clone());
+        if new {
+            rows.push(probe.clone());
+        }
+        prop_assert_eq!(rel.insert(probe.clone()), new, "inserting {:?}", probe);
+    }
+    Ok(())
 }
 
 /// Everything observable about `rel` against the model's rows.
@@ -103,14 +137,7 @@ proptest! {
         // A relation built from columns keeps growing by `insert`.
         let mut extended = built.clone();
         let mut extended_rows = rows.clone();
-        let mut extended_seen = seen.clone();
-        for probe in &probes {
-            let new = extended_seen.insert(probe.clone());
-            if new {
-                extended_rows.push(probe.clone());
-            }
-            prop_assert_eq!(extended.insert(probe.clone()), new);
-        }
+        insert_all(&mut extended, &mut extended_rows, &probes)?;
         check(&extended, &extended_rows, &probes)?;
 
         // Set equality, in both directions, whatever the order and
@@ -140,6 +167,42 @@ proptest! {
                 }
             }
         }
+
+        // The row set is built on first use, whichever use comes first;
+        // each block names a mutation of `relation.rs` it fails.
+        //
+        // `insert` first, on distinct columns and on deduplicated ones,
+        // with a clone taken before it, and used first by `contains`.
+        // Catches: `insert` on an unbuilt set filing into an empty table,
+        // so a duplicate is accepted; `from_columns` dropping its dedup
+        // set when rows were removed but marking the relation indexed;
+        // the set built over `len - 1` rows, so the last row is missing;
+        // and a clone of an unindexed relation coming out marked
+        // indexed, with an empty table.
+        for mut rel in [from_distinct(arity, &rows), from_tuples(arity, &inserted)] {
+            let twin = rel.clone();
+            let mut grown_rows = rows.clone();
+            insert_all(&mut rel, &mut grown_rows, &probes)?;
+            check(&rel, &grown_rows, &probes)?;
+            check(&twin, &rows, &probes)?;
+        }
+
+        // `==` first, in both directions, with either side or both
+        // unindexed. Catches: `stores` reading the set only if something
+        // built it (`get` for `get_or_init`), so an unindexed right-hand
+        // side holds nothing.
+        prop_assert!(from_distinct(arity, &rows) == grown);
+        prop_assert!(grown == from_distinct(arity, &rows));
+        prop_assert!(from_distinct(arity, &rows) == from_distinct(arity, &reversed));
+        prop_assert!(from_distinct(arity, &reversed) == from_tuples(arity, &inserted));
+        prop_assert!(from_tuples(arity, &inserted) == from_distinct(arity, &reversed));
+        if !rows.is_empty() {
+            let shorter = &rows[..rows.len() - 1];
+            prop_assert!(from_distinct(arity, shorter) != grown);
+            prop_assert!(grown != from_distinct(arity, shorter));
+            prop_assert!(from_distinct(arity, shorter) != from_distinct(arity, &rows));
+            prop_assert!(from_distinct(arity, &rows) != from_distinct(arity, shorter));
+        }
     }
 }
 
@@ -164,4 +227,34 @@ fn rows_survive_the_threshold_and_two_doublings() {
         assert!(built.contains(row));
     }
     assert_eq!(built, grown);
+}
+
+/// `insert` as the first use of a missing set, at every size from empty
+/// past the threshold (9 rows) and two doublings (17 and 33 rows): the
+/// set it builds holds every earlier row, and has room for the new one.
+/// Catches: `insert` on an unbuilt set files into an empty table, so a
+/// duplicate is accepted; and the set built over `len - 1` rows.
+#[test]
+fn insert_builds_a_missing_set_at_every_size() {
+    let tuple = |i: i64| vec![Value::Int(i), Value::Int(i % 3)];
+    for n in 0..40 {
+        let rows: Vec<Tuple> = (0..n).map(tuple).collect();
+        // One duplicate: `from_columns` drops it, and keeps no set.
+        let with_duplicate: Vec<Tuple> = rows.iter().chain(rows.last()).cloned().collect();
+        let made = [
+            ("distinct", from_distinct(2, &rows)),
+            ("deduplicated", from_tuples(2, &with_duplicate)),
+        ];
+        for (how, mut rel) in made {
+            if let Some(last) = rows.last() {
+                assert!(!rel.insert(last.clone()), "{how} {n}: the last row again");
+            }
+            assert!(rel.insert(tuple(n)), "{how} {n}: a new row refused");
+            for j in 0..=n {
+                assert!(rel.contains(&tuple(j)), "{how} {n}: row {j} lost");
+                assert!(!rel.insert(tuple(j)), "{how} {n}: row {j} again");
+            }
+            assert_eq!(rel.len(), n as usize + 1);
+        }
+    }
 }

@@ -89,10 +89,12 @@ fn executing_a_plan_allocates_per_join_not_per_row() {
     // Once to register the engine's metrics, off the count.
     allocated(&chain, 100);
     // (plan, allocations at most, bytes per answer row at most). The
-    // answer alone takes 8 bytes per head column per row, and about 21
-    // for its row set; each keyed join about 36 for its selection, index
-    // and matches, and 4 per source it carries. In a debug build the
-    // answer also checks that its rows are distinct
+    // answer takes 8 bytes per head column per row and builds no row
+    // set: nothing looks its rows up. The first step lists its rows, 4
+    // bytes per row; each keyed join takes about 32 for its index and
+    // matches (4 more for a selection vector when a filter runs, and
+    // these plans have none), and 4 per source it carries. In a debug
+    // build the answer also checks that its rows are distinct
     // (`Relation::from_distinct_columns`): two buffers more, and about
     // 17 bytes per row.
     let (debug_allocations, debug_bytes) = if cfg!(debug_assertions) {
@@ -100,7 +102,7 @@ fn executing_a_plan_allocates_per_join_not_per_row() {
     } else {
         (0, 0)
     };
-    let plans = [(&chain, 36, 150), (&star, 69, 300)];
+    let plans = [(&chain, 32, 120), (&star, 64, 270)];
     for (q, max_allocations, max_bytes_per_row) in plans {
         let max_allocations = max_allocations + debug_allocations;
         let max_bytes_per_row = max_bytes_per_row + debug_bytes;
