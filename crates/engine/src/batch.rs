@@ -27,6 +27,17 @@
 //! distinct rows as the table's single source. Nothing allocates per row
 //! or per key.
 //!
+//! Columns store their words at the width they need (32 bits while every
+//! word fits, see [`crate::column`]), and every loop over a column here
+//! — the build's hashing of a single key, the probe batch's hashing, a
+//! gather — picks the width once per column, so its body reads 4-byte
+//! words from a narrow column without a test per cell; a cell is the
+//! same `u64` at either width, so hashes and verdicts do not depend on
+//! it. Row numbers are `u32`: a join that would yield more rows than
+//! they can number fails with [`EngineError::TooManyRows`] — a product
+//! before it reserves anything, a keyed join at the probe batch that
+//! crosses the line — instead of aborting on the allocation or wrapping.
+//!
 //! Probes go in batches of [`PROBE_BATCH`] rows: the batch's hashes are
 //! computed one key column at a time and all its chain heads are loaded
 //! before any chain is walked, so the cache misses of a batch overlap
@@ -51,7 +62,7 @@
 //! an answer's row up. A head that drops a variable deduplicates,
 //! keep-first.
 
-use crate::column::{mix, table_size, Column};
+use crate::column::{mix, table_size, with_words, Column};
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::eval::{head_columns, note_arity_mismatch, note_join, plan_slots, Slot, Table};
@@ -167,6 +178,10 @@ struct Entry {
     next: u32,
 }
 
+/// The most rows a bindings table holds: every row number is a `u32`
+/// below [`END`].
+const MAX_ROWS: usize = END as usize;
+
 /// The output of [`match_rows`]: the matching `(probe row, build row)`
 /// pairs as two parallel vectors, and the chain entries walked.
 struct Matches {
@@ -186,7 +201,11 @@ struct Matches {
 /// the vectors by doubling, and the caller trims the build rows it keeps
 /// to 1.125 × their length ([`kept`]). A Cartesian product reserves its
 /// exact size.
-fn match_rows<S>(keys: &[Key<'_>], sel: S, probe_len: usize) -> Matches
+///
+/// `None` when the pairs would outnumber the row numbers ([`MAX_ROWS`]):
+/// a product is refused before it reserves anything, and a keyed join
+/// after the probe batch that crosses the line.
+fn match_rows<S>(keys: &[Key<'_>], sel: S, probe_len: usize) -> Option<Matches>
 where
     S: ExactSizeIterator<Item = u32> + DoubleEndedIterator + Clone,
 {
@@ -201,10 +220,12 @@ where
         matches!((k.build.single_kind(), k.probe.column.single_kind()), (Some(b), Some(p)) if b != p)
     });
     if kinds_clash || sel.len() == 0 {
-        return out;
+        return Some(out);
     }
     let expected = if keys.is_empty() {
-        probe_len * sel.len()
+        probe_len
+            .checked_mul(sel.len())
+            .filter(|&n| n <= MAX_ROWS)?
     } else {
         probe_len + probe_len / 8
     };
@@ -219,26 +240,24 @@ where
                 out.build_rows.push(b);
             }
         }
-        return out;
+        return Some(out);
     }
 
-    // Entries in reverse selection order, each pushed onto the front of
-    // its slot's chain as it is made: walked from `heads[slot]`, every
-    // chain meets build rows in ascending order.
+    // One key, the usual join, hashes its column at its stored width;
+    // more keys read each cell as a `u64`.
     let (size, shift) = table_size(sel.len(), 1);
     let mut heads = vec![END; size];
     let mut entries: Vec<Entry> = Vec::with_capacity(sel.len());
-    for row in sel.rev() {
-        let hash = keys
-            .iter()
-            .fold(0, |h, k| mix(h, k.build.words()[row as usize]));
-        let head = &mut heads[(hash >> shift) as usize];
-        entries.push(Entry {
-            hash,
-            row,
-            next: *head,
-        });
-        *head = (entries.len() - 1) as u32;
+    match keys {
+        [k] => with_words!(k.build, words => {
+            link(sel, shift, &mut heads, &mut entries, |row| {
+                mix(0, u64::from(words[row as usize]))
+            })
+        }),
+        _ => link(sel, shift, &mut heads, &mut entries, |row| {
+            keys.iter()
+                .fold(0, |h, k| mix(h, k.build.word(row as usize)))
+        }),
     }
 
     // One key whose columns share a kind (no clash, so the same one):
@@ -254,10 +273,12 @@ where
         let hashes = &mut hashes[..batch];
         hashes.fill(0);
         for k in keys {
-            let words = k.probe.column.words();
-            for (h, &r) in hashes.iter_mut().zip(&k.probe.rows[start..]) {
-                *h = mix(*h, words[r as usize]);
-            }
+            let rows = &k.probe.rows[start..];
+            with_words!(k.probe.column, words => {
+                for (h, &r) in hashes.iter_mut().zip(rows) {
+                    *h = mix(*h, u64::from(words[r as usize]));
+                }
+            });
         }
         for (first, &h) in firsts.iter_mut().zip(hashes.iter()) {
             *first = heads[(h >> shift) as usize];
@@ -275,8 +296,34 @@ where
                 i = e.next;
             }
         }
+        if out.probe_rows.len() > MAX_ROWS {
+            return None;
+        }
     }
-    out
+    Some(out)
+}
+
+/// Makes the join index's entries: the selected rows in reverse order,
+/// each under `hash_of(row)` and pushed onto the front of its slot's
+/// chain as it is made, so every chain, walked from `heads[slot]`, meets
+/// build rows in ascending order.
+fn link(
+    sel: impl DoubleEndedIterator<Item = u32>,
+    shift: u32,
+    heads: &mut [u32],
+    entries: &mut Vec<Entry>,
+    hash_of: impl Fn(u32) -> u64,
+) {
+    for row in sel.rev() {
+        let hash = hash_of(row);
+        let head = &mut heads[(hash >> shift) as usize];
+        entries.push(Entry {
+            hash,
+            row,
+            next: *head,
+        });
+        *head = (entries.len() - 1) as u32;
+    }
 }
 
 impl<'db> Table<'db> for ColumnarBindings<'db> {
@@ -293,7 +340,7 @@ impl<'db> Table<'db> for ColumnarBindings<'db> {
         self.len
     }
 
-    fn join(self, atom: &Atom, db: &'db Database) -> Self {
+    fn join(self, atom: &Atom, db: &'db Database) -> Result<Self, EngineError> {
         let slots = plan_slots(atom, &self.vars);
 
         // A missing relation is empty (closed world), and — the same
@@ -354,7 +401,11 @@ impl<'db> Table<'db> for ColumnarBindings<'db> {
             let m = match &sel {
                 Some(sel) => match_rows(&keys, sel.iter().copied(), self.len),
                 None => match_rows(&keys, 0..rel.len() as u32, self.len),
-            };
+            }
+            .ok_or(EngineError::TooManyRows {
+                relation: atom.predicate,
+                limit: MAX_ROWS,
+            })?;
             // Every source's rows follow the probe rows.
             let sources: Vec<Source<'db>> = self
                 .sources
@@ -385,12 +436,12 @@ impl<'db> Table<'db> for ColumnarBindings<'db> {
             let rows = kept(build_rows);
             sources.push(Source { relation, rows });
         }
-        ColumnarBindings {
+        Ok(ColumnarBindings {
             vars,
             places,
             len,
             sources,
-        }
+        })
     }
 
     fn project_away(self, drop: &HashSet<Symbol>) -> Self {
@@ -490,7 +541,7 @@ mod tests {
                 probe_rows,
                 build_rows,
                 ..
-            } = match_rows(&keys, sel.iter().copied(), 3);
+            } = match_rows(&keys, sel.iter().copied(), 3).unwrap();
             let per_probe = sel.len();
             assert_eq!(probe_rows.len(), 2 * per_probe);
             assert!(probe_rows[..per_probe].iter().all(|&p| p == 0));
@@ -512,7 +563,7 @@ mod tests {
                 rows: &sel,
             },
         }];
-        let m = match_rows(&keys, 0..20, 20);
+        let m = match_rows(&keys, 0..20, 20).unwrap();
         assert!(m.probe_rows.is_empty() && m.build_rows.is_empty());
     }
 
@@ -531,7 +582,7 @@ mod tests {
         let q = parse_query("q(K, Y) :- r(K, 0), s(K, Y), t(Y, 3)").unwrap();
         let mut table = ColumnarBindings::unit();
         for (atom, len) in q.body.iter().zip([50, 51, 7]) {
-            table = table.join(atom, &db);
+            table = table.join(atom, &db).unwrap();
             assert_eq!(table.len, len);
             for s in &table.sources {
                 assert!(
@@ -554,7 +605,7 @@ mod tests {
         let q = parse_query("q(A) :- r(A, B), c(7), s(A, B)").unwrap();
         let mut table = ColumnarBindings::unit();
         for (atom, sources) in q.body.iter().zip([1, 1, 1]) {
-            table = table.join(atom, &db);
+            table = table.join(atom, &db).unwrap();
             assert_eq!(table.sources.len(), sources, "{atom}");
         }
         assert_eq!(table.len, 2);
@@ -573,7 +624,7 @@ mod tests {
         let mut db = Database::new();
         db.insert_int("r", &[&[1, 2], &[3, 4]]);
         let q = parse_query("q(A, 9, A, B) :- r(A, B)").unwrap();
-        let table = ColumnarBindings::unit().join(&q.body[0], &db);
+        let table = ColumnarBindings::unit().join(&q.body[0], &db).unwrap();
         let answer = table.project_head(&q.head).unwrap();
         let i = Value::Int;
         assert_eq!(

@@ -8,6 +8,15 @@
 //! codes: an integer needs no dictionary, so a column is self-contained
 //! and two relations compare without translating anything.
 //!
+//! A column stores its words at the width they need ([`Words`]): 32 bits
+//! while every word pushed fits — an interned symbol, a Skolem id, a
+//! small non-negative integer — and 64 bits from the first word that does
+//! not, when it widens once, in place. Like the kind tags, the width is a
+//! property of the data: no caller picks it, and a cell reads as the same
+//! `u64` at either width, so equality and every hash are width-blind.
+//! Kernels that loop over a column dispatch on its width once per column
+//! ([`with_words!`]), never per cell.
+//!
 //! Rows are told apart by a [`RowSet`]: an open-addressed table of *row
 //! numbers*, hashed over the row's words. It owns no cell, so a relation
 //! stores every tuple exactly once. A relation builds its set on first
@@ -16,10 +25,34 @@
 
 use crate::value::{Kind, Value};
 
+/// A column's words, at the width they need: `Narrow` while every word
+/// fits in 32 bits, `Wide` from the first one that does not.
+#[derive(Clone, Debug)]
+pub(crate) enum Words {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+/// Evaluates `$body` with `$w` bound to a column's words at their stored
+/// width (a `&Vec<u32>` or a `&Vec<u64>`): the body is compiled once per
+/// width, and the dispatch happens once per column. The body reads a
+/// cell as `u64::from(w[row])`, which is the cell's word at either width.
+macro_rules! with_words {
+    ($column:expr, $w:ident => $body:expr) => {
+        match $column.words() {
+            $crate::column::Words::Narrow($w) => $body,
+            // `u64::from` of a `u64` is how one body reads both widths.
+            #[allow(clippy::useless_conversion)]
+            $crate::column::Words::Wide($w) => $body,
+        }
+    };
+}
+pub(crate) use with_words;
+
 /// One attribute's cells, in row order.
 #[derive(Clone, Debug)]
 pub struct Column {
-    words: Vec<u64>,
+    words: Words,
     /// The kind of every cell while `tags` is empty.
     kind: Kind,
     /// One kind per cell once two kinds have met in this column.
@@ -29,7 +62,7 @@ pub struct Column {
 impl Default for Column {
     fn default() -> Column {
         Column {
-            words: Vec::new(),
+            words: Words::Narrow(Vec::new()),
             kind: Kind::Sym,
             tags: Vec::new(),
         }
@@ -48,12 +81,21 @@ impl FromIterator<Value> for Column {
     }
 }
 
+/// The words at `rows`, in that order, at the width they are stored.
+fn pick<W: Copy>(words: &[W], rows: &[u32]) -> Vec<W> {
+    rows.iter().map(|&r| words[r as usize]).collect()
+}
+
 impl Column {
-    /// `len` copies of `v`.
+    /// `len` copies of `v`, narrow when its word fits.
     pub(crate) fn constant(v: Value, len: usize) -> Column {
         let (kind, word) = v.cell();
+        let words = match u32::try_from(word) {
+            Ok(narrow) => Words::Narrow(vec![narrow; len]),
+            Err(_) => Words::Wide(vec![word; len]),
+        };
         Column {
-            words: vec![word; len],
+            words,
             kind,
             tags: Vec::new(),
         }
@@ -61,39 +103,55 @@ impl Column {
 
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.words.len()
+        with_words!(self, w => w.len())
     }
 
     /// True iff the column has no cells.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len() == 0
     }
 
     /// The value at `row`.
     #[inline]
     pub fn value(&self, row: usize) -> Value {
-        Value::from_cell(self.kind_at(row), self.words[row])
+        Value::from_cell(self.kind_at(row), self.word(row))
     }
 
     /// Appends a value; the first cell of a second kind makes the column
-    /// mixed (one tag per cell from then on).
+    /// mixed (one tag per cell from then on), and the first word past 32
+    /// bits makes it wide (every earlier word widened in place).
     pub(crate) fn push(&mut self, v: Value) {
         let (kind, word) = v.cell();
-        if self.words.is_empty() {
+        if self.is_empty() {
             self.kind = kind;
         } else if self.tags.is_empty() && kind != self.kind {
-            self.tags = vec![self.kind; self.words.len()];
+            self.tags = vec![self.kind; self.len()];
         }
         if !self.tags.is_empty() {
             self.tags.push(kind);
         }
-        self.words.push(word);
+        match (&mut self.words, u32::try_from(word)) {
+            (Words::Narrow(narrow), Ok(w)) => narrow.push(w),
+            (Words::Narrow(narrow), Err(_)) => {
+                let mut wide: Vec<u64> = narrow.iter().map(|&w| u64::from(w)).collect();
+                wide.push(word);
+                self.words = Words::Wide(wide);
+            }
+            (Words::Wide(wide), _) => wide.push(word),
+        }
     }
 
-    /// Every cell's word, in row order.
+    /// The words, at their stored width: read them through
+    /// [`with_words!`].
     #[inline]
-    pub(crate) fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &Words {
         &self.words
+    }
+
+    /// The word at `row`, whatever its stored width.
+    #[inline]
+    pub(crate) fn word(&self, row: usize) -> u64 {
+        with_words!(self, w => u64::from(w[row]))
     }
 
     #[inline]
@@ -115,26 +173,29 @@ impl Column {
     #[inline]
     pub(crate) fn holds(&self, row: usize, v: Value) -> bool {
         let (kind, word) = v.cell();
-        self.words[row] == word && self.kind_at(row) == kind
+        self.word(row) == word && self.kind_at(row) == kind
     }
 
     /// True iff this column's cell at `row` equals `other`'s at
-    /// `other_row`: words *and* kinds.
+    /// `other_row`: words *and* kinds, whatever either column's width.
     #[inline]
     pub(crate) fn same_cell(&self, row: usize, other: &Column, other_row: usize) -> bool {
-        self.words[row] == other.words[other_row] && self.kind_at(row) == other.kind_at(other_row)
+        self.word(row) == other.word(other_row) && self.kind_at(row) == other.kind_at(other_row)
     }
 
-    /// The cells at `rows`, in that order.
+    /// The cells at `rows`, in that order, at this column's width and
+    /// with its kind tags.
     pub(crate) fn gather(&self, rows: &[u32]) -> Column {
-        let pick = |r: &u32| *r as usize;
         Column {
-            words: rows.iter().map(|r| self.words[pick(r)]).collect(),
+            words: match &self.words {
+                Words::Narrow(w) => Words::Narrow(pick(w, rows)),
+                Words::Wide(w) => Words::Wide(pick(w, rows)),
+            },
             kind: self.kind,
             tags: if self.tags.is_empty() {
                 Vec::new()
             } else {
-                rows.iter().map(|r| self.tags[pick(r)]).collect()
+                pick(&self.tags, rows)
             },
         }
     }
@@ -166,7 +227,7 @@ pub(crate) fn table_size(rows: usize, spread: usize) -> (usize, u32) {
 
 /// The hash a [`RowSet`] over `cols` files row `row` under.
 pub(crate) fn row_hash(cols: &[Column], row: usize) -> u64 {
-    cols.iter().fold(0, |h, c| mix(h, c.words[row]))
+    cols.iter().fold(0, |h, c| mix(h, c.word(row)))
 }
 
 fn same_row(cols: &[Column], a: usize, b: usize) -> bool {
@@ -202,9 +263,11 @@ impl RowSet {
     pub(crate) fn of_distinct(cols: &[Column], len: usize, room: usize) -> RowSet {
         let mut hashes = vec![0; len];
         for c in cols {
-            for (h, &w) in hashes.iter_mut().zip(&c.words[..len]) {
-                *h = mix(*h, w);
-            }
+            with_words!(c, words => {
+                for (h, &w) in hashes.iter_mut().zip(&words[..len]) {
+                    *h = mix(*h, u64::from(w));
+                }
+            });
         }
         let mut set = RowSet::with_room(room.max(len));
         for (row, &hash) in hashes.iter().enumerate() {
@@ -311,13 +374,99 @@ mod tests {
     fn equal_words_of_different_kinds_are_different_cells() {
         let ints = Column::from_iter([Value::Int(3)]);
         let skolems = Column::from_iter([Value::Skolem(3)]);
-        assert_eq!(ints.words(), skolems.words());
+        assert_eq!(ints.word(0), skolems.word(0));
         assert!(!ints.same_cell(0, &skolems, 0));
         assert!(ints.holds(0, Value::Int(3)));
         assert!(!ints.holds(0, Value::Skolem(3)));
         let mixed = Column::from_iter([Value::Int(3), Value::Skolem(3)]);
         assert!(!mixed.same_cell(0, &mixed, 1));
         assert!(mixed.same_cell(1, &skolems, 0));
+    }
+
+    fn is_wide(c: &Column) -> bool {
+        matches!(c.words, Words::Wide(_))
+    }
+
+    /// Values at the edges of 32 bits, each with the width its column
+    /// must take. Catches narrowing by `as u32` (`Int(1 << 32)` would
+    /// read back as `Int(0)`, `Int(-1)` as `Int(4294967295)`).
+    const EDGES: [(Value, bool); 6] = [
+        (Value::Int(u32::MAX as i64), false),
+        (Value::Int(1 << 32), true),
+        (Value::Int(-1), true),
+        (Value::Int(i64::MIN), true),
+        (Value::Skolem(u32::MAX), false),
+        (Value::Int(0), false),
+    ];
+
+    #[test]
+    fn edge_words_round_trip_at_the_width_they_need() {
+        for (v, wide) in EDGES {
+            for c in [Column::from_iter([v]), Column::constant(v, 3)] {
+                assert_eq!(is_wide(&c), wide, "{v}");
+                assert!(
+                    (0..c.len()).all(|r| c.value(r) == v && c.holds(r, v)),
+                    "{v}"
+                );
+            }
+        }
+    }
+
+    /// A column of `n` narrow cells, but for one wide cell at `at`,
+    /// checked cell by cell. Catches a widening that drops, or
+    /// reorders, the cells pushed before it.
+    #[test]
+    fn a_column_widens_at_any_position_and_keeps_every_cell() {
+        let value = |at: usize, r: usize| {
+            if r == at {
+                Value::Int((1 << 32) + r as i64)
+            } else {
+                Value::Int(r as i64)
+            }
+        };
+        for n in 0..12 {
+            for at in 0..=n {
+                let c = Column::from_iter((0..n).map(|r| value(at, r)));
+                assert_eq!(c.len(), n);
+                assert_eq!(is_wide(&c), at < n, "n {n}, wide at {at}");
+                for r in 0..n {
+                    assert_eq!(c.value(r), value(at, r), "n {n}, wide at {at}, row {r}");
+                }
+            }
+        }
+    }
+
+    /// Gathering keeps the source's width. Catches a gather that
+    /// narrows a wide column (its cells past 32 bits come back cut), and
+    /// one that widens a narrow one (the bytes the width saves are lost).
+    #[test]
+    fn gather_keeps_the_width_of_its_source() {
+        let wide = Column::from_iter([Value::Int(3), Value::Int(-2), Value::Int(1 << 40)]);
+        let narrow = Column::from_iter([Value::Int(3), Value::Int(7), Value::Int(9)]);
+        for c in [wide, narrow] {
+            let picked = c.gather(&[2, 0, 2]);
+            assert_eq!(is_wide(&picked), is_wide(&c));
+            assert_eq!(picked.value(0), c.value(2));
+            assert_eq!(picked.value(1), c.value(0));
+            assert_eq!(picked.value(2), c.value(2));
+        }
+    }
+
+    /// A cell is its `u64` word at either width: a narrow and a wide
+    /// `Int(5)` are the same cell and hash alike; `Int((1 << 32) + 5)`
+    /// is neither, though its low 32 bits are 5.
+    #[test]
+    fn cells_compare_and_hash_alike_at_either_width() {
+        let narrow = Column::from_iter([Value::Int(5)]);
+        let wide = Column::from_iter([Value::Int(5), Value::Int((1 << 32) + 5)]);
+        assert!(!is_wide(&narrow) && is_wide(&wide));
+        assert!(narrow.same_cell(0, &wide, 0) && wide.same_cell(0, &narrow, 0));
+        assert!(!narrow.same_cell(0, &wide, 1) && !wide.same_cell(1, &narrow, 0));
+        let hash = |c: &Column, r| row_hash(std::slice::from_ref(c), r);
+        assert_eq!(hash(&narrow, 0), hash(&wide, 0));
+        assert_ne!(hash(&narrow, 0), hash(&wide, 1));
+        let set = RowSet::of_distinct(std::slice::from_ref(&wide), 2, 2);
+        assert_eq!(set.find(hash(&narrow, 0), |r| r == 0), Some(0));
     }
 
     #[test]

@@ -38,6 +38,16 @@ pub enum EngineError {
         /// The arity the caller asked for.
         requested: usize,
     },
+    /// Joining a relation would yield more rows than the columnar
+    /// executor can number (its row numbers are `u32`): refused before
+    /// the rows are reserved, instead of aborting on the allocation or
+    /// wrapping row numbers into wrong answers.
+    TooManyRows {
+        /// The relation whose join overflows.
+        relation: Symbol,
+        /// The most rows a bindings table holds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -59,6 +69,10 @@ impl fmt::Display for EngineError {
                 f,
                 "relation {relation} has arity {existing}, conflicting with requested arity \
                  {requested}"
+            ),
+            EngineError::TooManyRows { relation, limit } => write!(
+                f,
+                "joining {relation} yields more than {limit} rows, more than the executor can number"
             ),
         }
     }

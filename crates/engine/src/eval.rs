@@ -135,8 +135,9 @@ pub(crate) trait Table<'db>: Sized {
     /// Number of rows currently in the table.
     fn row_count(&self) -> usize;
     /// Hash-joins the table with one subgoal. A missing relation is
-    /// treated as empty (closed world).
-    fn join(self, atom: &Atom, db: &'db Database) -> Self;
+    /// treated as empty (closed world). Fails when the joined table
+    /// would hold more rows than the executor can number.
+    fn join(self, atom: &Atom, db: &'db Database) -> Result<Self, EngineError>;
     /// Removes the given variables from the schema and deduplicates rows
     /// (keep-first).
     fn project_away(self, drop: &HashSet<Symbol>) -> Self;
@@ -156,7 +157,7 @@ impl<'db> Table<'db> for Bindings {
         self.rows.len()
     }
 
-    fn join(self, atom: &Atom, db: &'db Database) -> Bindings {
+    fn join(self, atom: &Atom, db: &'db Database) -> Result<Bindings, EngineError> {
         let empty = Relation::new(atom.arity());
         let rel = db.get(atom.predicate).unwrap_or(&empty);
         let slots = plan_slots(atom, &self.vars);
@@ -223,7 +224,7 @@ impl<'db> Table<'db> for Bindings {
             }
         }
         note_join(self.rows.len(), rows.len());
-        Bindings { vars, rows }
+        Ok(Bindings { vars, rows })
     }
 
     fn project_away(self, drop: &HashSet<Symbol>) -> Bindings {
@@ -296,7 +297,7 @@ fn evaluate_with<'db, T: Table<'db>>(
 ) -> Result<Relation, EngineError> {
     let mut table = T::unit();
     for idx in greedy_order(&q.body, db) {
-        table = table.join(&q.body[idx], db);
+        table = table.join(&q.body[idx], db)?;
         if table.row_count() == 0 {
             break;
         }
@@ -416,7 +417,7 @@ fn execute_annotated_with<'db, T: Table<'db>>(
     let mut intermediate_sizes = Vec::with_capacity(steps.len());
     for step in steps {
         subgoal_sizes.push(db.get(step.atom.predicate).map_or(0, Relation::len));
-        table = table.join(&step.atom, db);
+        table = table.join(&step.atom, db)?;
         if !step.drop_after.is_empty() {
             // Scan head terms (not the drop set) so the reported variable
             // is deterministic.

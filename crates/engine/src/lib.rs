@@ -6,7 +6,8 @@
 //! storage-and-execution substrate both phases stand on:
 //!
 //! * [`Relation`], [`Database`] — set-semantics relations over [`Value`]s,
-//!   stored once: one word [`Column`] per attribute, and a set of row
+//!   stored once: one word [`Column`] per attribute (32-bit words while
+//!   every word fits, 64-bit from the first that does not), and a set of row
 //!   numbers built on first use (no row vector, no second copy for any
 //!   executor, and no set for an executed answer nothing looks up);
 //! * [`evaluate`] — multiway hash-join evaluation of a conjunctive query:

@@ -1,7 +1,9 @@
 //! Set-semantics relations, stored once, as columns.
 //!
 //! A [`Relation`] is its arity, its row count and one [`Column`] per
-//! attribute in insertion order. There is no second copy of any tuple:
+//! attribute in insertion order, each storing its words at the width
+//! they need (32 bits until a word does not fit; `insert` widens a
+//! column in place). There is no second copy of any tuple:
 //! no row vector, no hash set of cloned rows, no cached twin for the
 //! columnar executor — the executor's bindings table holds row numbers
 //! into these columns, and its answers are built from the cells gathered

@@ -6,7 +6,9 @@
 //! first row), deduplicated by `from_columns` (indexed when no row was
 //! dropped, unindexed when one was) and handed over as distinct columns
 //! (unindexed), and each is used first by `insert`, by `contains`, by a
-//! clone or by `==`.
+//! clone or by `==`. Values come at both widths — words that fit in 32
+//! bits and words past them — so columns start narrow and widen at any
+//! row.
 
 use crate::column::Column;
 use crate::relation::{Relation, Tuple};
@@ -18,13 +20,27 @@ use viewplan_cq::Symbol;
 
 /// All four kinds over the same few words, so cells that differ only
 /// in kind are common. `words` small forces duplicate rows at every
-/// arity; large lets a one-column relation outgrow two tables.
+/// arity; large lets a one-column relation outgrow two tables. One value
+/// in three sits at an edge of 32 bits — `u32::MAX - w` (narrow), and for
+/// integers `(1 << 32) + w`, `-1 - w` and `i64::MIN + w` (wide) — so a
+/// column widens wherever one of the latter lands, and a wide word whose
+/// low half equals a narrow one's is common.
 fn arb_value(words: u64) -> impl Strategy<Value = Value> {
-    (0..4u32, 0..words).prop_map(|(kind, w)| match kind {
-        0 => Value::Int(w as i64),
-        1 => Value::Skolem(w as u32),
-        2 => Value::Sym(Symbol::from_index(w as usize)),
-        _ => Value::Frozen(Symbol::from_index(w as usize)),
+    (0..4u32, 0..words, 0..12u32).prop_map(|(kind, w, edge)| {
+        let int = match edge {
+            8 => i64::from(u32::MAX) - w as i64,
+            9 => (1 << 32) + w as i64,
+            10 => -1 - w as i64,
+            11 => i64::MIN + w as i64,
+            _ => w as i64,
+        };
+        match kind {
+            0 => Value::Int(int),
+            1 if edge >= 8 => Value::Skolem(u32::MAX - w as u32),
+            1 => Value::Skolem(w as u32),
+            2 => Value::Sym(Symbol::from_index(w as usize)),
+            _ => Value::Frozen(Symbol::from_index(w as usize)),
+        }
     })
 }
 
@@ -255,6 +271,51 @@ fn insert_builds_a_missing_set_at_every_size() {
                 assert!(!rel.insert(tuple(j)), "{how} {n}: row {j} again");
             }
             assert_eq!(rel.len(), n as usize + 1);
+        }
+    }
+}
+
+/// One row past 32 bits at every position of relations of up to 20 rows,
+/// made every way a relation is made: grown by `insert`, deduplicated by
+/// `from_columns` (its duplicates dropped, so the survivors are
+/// gathered), and handed over as distinct columns. Against the model:
+/// each value round trips, `distinct_in_column` counts, `==` holds, and
+/// `insert` refuses every row again. Catches a widening that drops the
+/// cells before it, narrowing by `as u32` (the wide row then equals the
+/// narrow row `(at, at % 3)`, and is refused as a duplicate or merged
+/// with it), and a gather that narrows a wide column.
+#[test]
+fn relations_widen_at_every_row() {
+    for n in 1..20i64 {
+        for at in 0..n {
+            let tuple = |r: i64| -> Tuple {
+                let first = if r == at { (1 << 32) + at } else { r };
+                vec![Value::Int(first), Value::Int(r % 3)]
+            };
+            // And `(at, at % 3)` narrow: the wide row's words cut to
+            // 32 bits, but another row.
+            let mut rows: Vec<Tuple> = (0..n).map(tuple).collect();
+            rows.push(vec![Value::Int(at), Value::Int(at % 3)]);
+            let with_duplicates: Vec<Tuple> = rows.iter().chain(&rows).cloned().collect();
+            let mut grown = Relation::new(2);
+            for row in &with_duplicates {
+                grown.insert(row.clone());
+            }
+            let made = [
+                grown,
+                from_tuples(2, &with_duplicates),
+                from_distinct(2, &rows),
+            ];
+            for rel in &made {
+                let checked = check(rel, &rows, &with_duplicates);
+                assert!(checked.is_ok(), "n {n}, at {at}: {checked:?}");
+                assert!(*rel == made[0], "n {n}, at {at}");
+                let mut again = rel.clone();
+                assert!(
+                    rows.iter().all(|row| !again.insert(row.clone())),
+                    "n {n}, at {at}"
+                );
+            }
         }
     }
 }

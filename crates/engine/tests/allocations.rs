@@ -1,13 +1,14 @@
 //! Allocation guard for the columnar join path: executing a plan allocates
 //! per join and per head column, never per row or per key, and the bytes
-//! it allocates per answer row do not grow with the input. Counted with a
-//! `#[global_allocator]` that wraps the system one, so this lives in a
-//! binary of its own with a single `#[test]`.
+//! it allocates per answer row do not grow with the input; a product past
+//! the row-number width is refused before it reserves anything. Counted
+//! with a `#[global_allocator]` that wraps the system one, so this lives
+//! in a binary of its own with a single `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use viewplan_cq::{parse_query, ConjunctiveQuery};
-use viewplan_engine::{execute_ordered, Database, Value};
+use viewplan_cq::{parse_query, ConjunctiveQuery, Symbol};
+use viewplan_engine::{execute_ordered, try_execute_ordered, Database, EngineError, Value};
 
 struct Counting;
 
@@ -61,17 +62,23 @@ fn permutation_database(q: &ConjunctiveQuery, rows: i64) -> Database {
     db
 }
 
-/// What executing `q`'s body in order over `rows` rows per relation
-/// allocates: `(allocations, bytes)`.
-fn allocated(q: &ConjunctiveQuery, rows: i64) -> (usize, usize) {
-    let db = permutation_database(q, rows);
+/// `(allocations, bytes)` made by `f`, and what it returned.
+fn counting<T>(f: impl FnOnce() -> T) -> (usize, usize, T) {
     let before = (
         ALLOCATIONS.load(Ordering::Relaxed),
         BYTES.load(Ordering::Relaxed),
     );
-    let trace = execute_ordered(&q.head, &q.body, &db);
+    let out = f();
     let made = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
     let bytes = BYTES.load(Ordering::Relaxed) - before.1;
+    (made, bytes, out)
+}
+
+/// What executing `q`'s body in order over `rows` rows per relation
+/// allocates: `(allocations, bytes)`.
+fn allocated(q: &ConjunctiveQuery, rows: i64) -> (usize, usize) {
+    let db = permutation_database(q, rows);
+    let (made, bytes, trace) = counting(|| execute_ordered(&q.head, &q.body, &db));
     assert_eq!(trace.answer.len(), rows as usize, "{q}");
     (made, bytes)
 }
@@ -89,7 +96,8 @@ fn executing_a_plan_allocates_per_join_not_per_row() {
     // Once to register the engine's metrics, off the count.
     allocated(&chain, 100);
     // (plan, allocations at most, bytes per answer row at most). The
-    // answer takes 8 bytes per head column per row and builds no row
+    // answer takes 4 bytes per head column per row — every word here
+    // fits in 32 bits, so its columns are narrow — and builds no row
     // set: nothing looks its rows up. The first step lists its rows, 4
     // bytes per row; each keyed join takes about 32 for its index and
     // matches (4 more for a selection vector when a filter runs, and
@@ -102,7 +110,7 @@ fn executing_a_plan_allocates_per_join_not_per_row() {
     } else {
         (0, 0)
     };
-    let plans = [(&chain, 32, 120), (&star, 64, 270)];
+    let plans = [(&chain, 32, 100), (&star, 64, 200)];
     for (q, max_allocations, max_bytes_per_row) in plans {
         let max_allocations = max_allocations + debug_allocations;
         let max_bytes_per_row = max_bytes_per_row + debug_bytes;
@@ -135,4 +143,30 @@ fn executing_a_plan_allocates_per_join_not_per_row() {
             q.head
         );
     }
+
+    // A product of two 65 537-row relations has 65 537² > u32::MAX rows:
+    // a typed error, with nothing reserved for the 2³² row-number pairs
+    // (34 GB). The first step still lists its 65 537 rows.
+    let product = parse_query("q(A, B) :- r(A), s(B)").unwrap();
+    let mut db = Database::new();
+    for i in 0..65_537 {
+        db.insert_int("r", &[&[i]]);
+        db.insert_int("s", &[&[i]]);
+    }
+    let (made, bytes, result) = counting(|| try_execute_ordered(&product.head, &product.body, &db));
+    println!(
+        "{}: refused, {made} allocations, {bytes} bytes",
+        product.head
+    );
+    assert_eq!(
+        result.err(),
+        Some(EngineError::TooManyRows {
+            relation: Symbol::new("s"),
+            limit: u32::MAX as usize,
+        })
+    );
+    assert!(
+        bytes < 1 << 20,
+        "{bytes} bytes allocated for a refused product"
+    );
 }

@@ -272,6 +272,48 @@ fn engines_agree_through_a_mixed_column() {
     }
 }
 
+/// Keys stored at different widths. `r`'s columns hold small integers,
+/// so they are narrow; `s` holds the same integers and two rows past
+/// 32 bits, so both its columns are wide. Joined on one key and on two,
+/// in both orders (a narrow probe against a wide build and the reverse),
+/// the engines agree, a narrow `Int(k)` meets the wide `Int(k)`, and
+/// `Int((1 << 32) + 5)` — whose low 32 bits are 5 — and `Int(-1)` meet
+/// nothing.
+#[test]
+fn keys_of_different_widths_join_on_their_values() {
+    let wide = |k: i64| Value::Int((1 << 32) + k);
+    for rows in [6i64, 60] {
+        let mut db = Database::new();
+        for k in 0..rows {
+            db.insert("r", vec![Value::Int(k), Value::Int(k % 4)]);
+            db.insert("s", vec![Value::Int(k), Value::Int(k % 4)]);
+        }
+        db.insert("s", vec![wide(5), Value::Int(1)]);
+        db.insert("s", vec![Value::Int(-1), wide(2)]);
+        let texts = [
+            "q(K, A, B) :- r(K, A), s(K, B)",
+            "q(K, A, B) :- s(K, B), r(K, A)",
+            "q(K, A) :- r(K, A), s(K, A)",
+            "q(K, A) :- s(K, A), r(K, A)",
+        ];
+        for text in texts {
+            let q = parse_query(text).unwrap();
+            let (_, intermediates, answer) =
+                both_engines(|| shown(execute_ordered(&q.head, &q.body, &db)));
+            // Every `k` of `r` meets its one row of `s`, and only it.
+            assert_eq!(intermediates[1], rows as usize, "{text}");
+            assert!(
+                answer
+                    .iter()
+                    .all(|t| t[0] != wide(5) && t[0] != Value::Int(-1)),
+                "{text}"
+            );
+            let evaluated = both_engines(|| evaluate(&q, &db));
+            assert_eq!(evaluated, execute_ordered(&q.head, &q.body, &db).answer);
+        }
+    }
+}
+
 /// A head that repeats a variable and carries a constant, and a
 /// zero-arity head over a non-empty join.
 #[test]

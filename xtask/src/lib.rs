@@ -81,6 +81,10 @@
 //!     the plan in hand; `.rewritings()` would build and decide every
 //!     cover in the space.
 //!
+//! Beside the lints, `cargo run -p xtask -- lines` prints the non-test
+//! lines of each source root ([`count_lines`]), the count a simplicity
+//! change reports before → after.
+//!
 //! The scans work on a *stripped* view of each file: comment and string
 //! contents are blanked (structure and braces preserved), so `"panic!"`
 //! in a doc comment or a string never trips a lint. `#[cfg(test)]`
@@ -179,7 +183,12 @@ pub fn strip_code(src: &str) -> String {
                 while i < bytes.len() {
                     match bytes[i] {
                         b'\\' => {
-                            out.extend([b' ', b' ']);
+                            // The escaped byte may be the newline of a
+                            // `\` line continuation: it stays.
+                            out.push(b' ');
+                            if let Some(&escaped) = bytes.get(i + 1) {
+                                out.push(keep_or_blank(escaped));
+                            }
                             i += 2;
                         }
                         b'"' => {
@@ -1078,6 +1087,36 @@ fn check_plan_loop(root: &Path, report: &mut LintReport) {
     }
 }
 
+/// A file's non-test lines: those before its first `#[cfg(test)]`
+/// attribute (every line if it has none). An attribute named inside a
+/// comment or a string does not cut.
+pub fn non_test_lines(src: &str) -> usize {
+    strip_code(src)
+        .lines()
+        .take_while(|line| !line.contains("#[cfg(test)]"))
+        .count()
+}
+
+/// Non-test lines per source root, as `(root, lines)`: every
+/// `crates/*/src`, then `src` and `examples`, each `.rs` file under a
+/// root cut at its first `#[cfg(test)]` ([`non_test_lines`]). Tests
+/// directories, benches, `stubs/` and `xtask/` are not counted.
+pub fn count_lines(root: &Path) -> Vec<(String, usize)> {
+    let mut roots = library_roots(root);
+    roots.extend([root.join("src"), root.join("examples")]);
+    roots
+        .iter()
+        .filter(|dir| dir.is_dir())
+        .map(|dir| {
+            let lines = rust_files(dir)
+                .iter()
+                .map(|f| std::fs::read_to_string(f).map_or(0, |src| non_test_lines(&src)))
+                .sum();
+            (rel(root, dir), lines)
+        })
+        .collect()
+}
+
 /// Runs every lint over the workspace at `root`.
 pub fn run_lint(root: &Path) -> LintReport {
     let mut report = LintReport::default();
@@ -1127,6 +1166,41 @@ mod tests {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.root);
         }
+    }
+
+    #[test]
+    fn lines_counts_each_root_up_to_each_files_first_cfg_test() {
+        let repo = TempRepo::new("lines");
+        repo.write(
+            "crates/demo/src/lib.rs",
+            "//! Mentions #[cfg(test)] in a doc comment.\n\
+             pub fn f() {}\n\
+             #[cfg(test)]\n\
+             mod tests {}\n\
+             pub fn after_the_cut() {}\n",
+        );
+        repo.write("crates/demo/src/inner/more.rs", "fn a() {}\nfn b() {}\n");
+        repo.write("crates/demo/tests/t.rs", "fn not_counted() {}\n");
+        repo.write("crates/other/src/lib.rs", "#[cfg(test)]\nmod tests {}\n");
+        repo.write("src/main.rs", "fn main() {}\n");
+        repo.write("examples/e.rs", "fn main() {}\n\nfn g() {}\n");
+        repo.write("stubs/x/src/lib.rs", "fn not_counted() {}\n");
+        assert_eq!(
+            count_lines(&repo.root),
+            [
+                ("crates/demo/src".to_string(), 4),
+                ("crates/other/src".to_string(), 0),
+                ("src".to_string(), 1),
+                ("examples".to_string(), 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn strip_code_keeps_the_newline_of_a_string_continuation() {
+        let src = "let s = \"one \\\n    two\";\n#[cfg(test)]\n";
+        assert_eq!(strip_code(src).lines().count(), src.lines().count());
+        assert_eq!(non_test_lines(src), 2);
     }
 
     #[test]
