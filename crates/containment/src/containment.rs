@@ -112,12 +112,8 @@ mod tests {
         .unwrap();
         assert_eq!(q1.body.len() + q2.body.len(), 12);
         let capped = || {
-            let cap = BudgetSpec::new().phase_nodes(obs::Phase::Hom, 1).build();
-            let verdict = {
-                let _b = budget::install(cap.clone());
-                is_contained_in(&q1, &q2)
-            };
-            (verdict, cap.hits().node_hits)
+            let _b = budget::install(BudgetSpec::new().phase_nodes(obs::Phase::Hom, 1));
+            (is_contained_in(&q1, &q2), budget::snapshot().node_hits)
         };
         let first = capped();
         let unbudgeted = is_contained_in(&q1, &q2);

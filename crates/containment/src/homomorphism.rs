@@ -317,14 +317,12 @@ mod tests {
         // A 1-node budget stops the search before any mapping is built.
         let pat = body("q(X) :- e(X, Y), e(Y, Z)");
         let tgt = body("q(A) :- e(A, B), e(B, C)");
-        let budget = obs::budget::BudgetSpec::new()
-            .phase_nodes(obs::Phase::Hom, 1)
-            .build();
-        let _g = obs::budget::install(budget.clone());
+        let budget = obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Hom, 1);
+        let _g = obs::budget::install(budget);
         let (found, complete) = HomomorphismSearch::new(&pat, &tgt).find_complete();
         assert!(found.is_none(), "truncated search must not invent matches");
         assert!(!complete, "truncation must be reported");
-        assert_eq!(budget.abandoned(obs::Phase::Hom), 1);
+        assert_eq!(obs::budget::abandoned(obs::Phase::Hom), 1);
     }
 
     #[test]
@@ -333,9 +331,7 @@ mod tests {
         let tgt = body("q() :- e(a, b), e(b, c), e(c, d), e(d, a)");
         let run = |cap: u64| {
             let _g = obs::budget::install(
-                obs::budget::BudgetSpec::new()
-                    .phase_nodes(obs::Phase::Hom, cap)
-                    .build(),
+                obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Hom, cap),
             );
             let mut seen = Vec::new();
             let complete = HomomorphismSearch::new(&pat, &tgt).for_each_complete(|s| {

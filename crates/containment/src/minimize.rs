@@ -46,7 +46,7 @@ pub fn minimize(q: &ConjunctiveQuery) -> ConjunctiveQuery {
             i += 1;
             continue;
         }
-        // Graceful degradation: once the ambient budget is cancelled,
+        // Graceful degradation: once the budget's deadline has fired,
         // stop removing subgoals. The partial result is still equivalent
         // to `q` (every removal so far was proven), just not minimal —
         // and individual truncated containment checks inside the loop

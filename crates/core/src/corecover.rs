@@ -438,8 +438,8 @@ impl<'a> CoreCover<'a> {
     fn run_inner(&self, minimum_only: bool) -> Result<CoreCoverResult, CoreError> {
         let _run_span = obs::span("corecover.run");
         // Scope completeness classification to this run: the ambient
-        // budget handle may carry hits from earlier runs.
-        let budget_active = obs::budget::current().is_some();
+        // budget may carry hits from earlier runs.
+        let budget_active = obs::budget::active();
         let budget_before = obs::budget::snapshot();
         let mut provenance = self
             .config
@@ -1137,7 +1137,7 @@ mod budget_tests {
     fn tight_node_budget_degrades_honestly_and_deterministically() {
         let (q, views) = chain_problem();
         let run = || {
-            let _g = obs::budget::install(BudgetSpec::new().node_budget(6).build());
+            let _g = obs::budget::install(BudgetSpec::new().node_budget(6));
             CoreCover::new(&q, &views).try_run_all_minimal().unwrap()
         };
         let a = run();
@@ -1163,15 +1163,13 @@ mod budget_tests {
     #[test]
     fn injected_deadline_fault_yields_best_so_far_not_a_panic() {
         let (q, views) = chain_problem();
-        let budget = BudgetSpec::new()
-            .fault(Fault {
-                point: FaultPoint::Deadline,
-                nth: 5,
-            })
-            .build();
-        let _g = obs::budget::install(budget.clone());
+        let budget = BudgetSpec::new().fault(Fault {
+            point: FaultPoint::Deadline,
+            nth: 5,
+        });
+        let _g = obs::budget::install(budget);
         let result = CoreCover::new(&q, &views).try_run_all_minimal().unwrap();
-        assert!(budget.cancelled());
+        assert!(obs::budget::cancelled());
         assert_eq!(result.stats.completeness, Completeness::DeadlineExceeded);
         // Best-so-far output stays sound (checked outside the budget).
         drop(_g);
@@ -1184,13 +1182,10 @@ mod budget_tests {
     #[test]
     fn deadline_takes_precedence_over_truncation() {
         let (q, views) = chain_problem();
-        let budget = BudgetSpec::new()
-            .node_budget(6)
-            .fault(Fault {
-                point: FaultPoint::Deadline,
-                nth: 2,
-            })
-            .build();
+        let budget = BudgetSpec::new().node_budget(6).fault(Fault {
+            point: FaultPoint::Deadline,
+            nth: 2,
+        });
         let _g = obs::budget::install(budget);
         let result = CoreCover::new(&q, &views).try_run_all_minimal().unwrap();
         assert_eq!(result.stats.completeness, Completeness::DeadlineExceeded);

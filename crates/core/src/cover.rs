@@ -419,9 +419,7 @@ mod tests {
         assert!(!full.truncated);
         let budgeted = {
             let _g = obs::budget::install(
-                obs::budget::BudgetSpec::new()
-                    .phase_nodes(obs::Phase::Cover, 6)
-                    .build(),
+                obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Cover, 6),
             );
             all_minimum_covers_counted(0b111, &sets)
         };
@@ -437,9 +435,7 @@ mod tests {
         // And the budgeted run is deterministic.
         let again = {
             let _g = obs::budget::install(
-                obs::budget::BudgetSpec::new()
-                    .phase_nodes(obs::Phase::Cover, 6)
-                    .build(),
+                obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Cover, 6),
             );
             all_minimum_covers_counted(0b111, &sets)
         };
@@ -460,9 +456,7 @@ mod tests {
         assert_eq!(full.covers, vec![vec![6, 7]]);
         for cap in 0..12 {
             let _g = obs::budget::install(
-                obs::budget::BudgetSpec::new()
-                    .phase_nodes(obs::Phase::Cover, cap)
-                    .build(),
+                obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Cover, cap),
             );
             let cut = all_minimum_covers_counted(0b11_1111, &sets);
             assert!(

@@ -651,11 +651,8 @@ mod tests {
         let (full, complete) = mc.try_rewritings_with_completeness(true, 100).unwrap();
         assert_eq!(complete, obs::Completeness::Complete);
         assert!(full.len() >= 2);
-        let _g = obs::budget::install(
-            obs::budget::BudgetSpec::new()
-                .phase_nodes(obs::Phase::Cover, 2)
-                .build(),
-        );
+        let _g =
+            obs::budget::install(obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Cover, 2));
         let (some, marker) = mc.try_rewritings_with_completeness(true, 100).unwrap();
         assert_eq!(marker, obs::Completeness::Truncated);
         assert!(some.len() < full.len());

@@ -570,7 +570,7 @@ impl Resolution<'_> {
                         covered.count_ones() < best.count_ones()
                             || covered == 0
                             || covered == best
-                            || obs::budget::current().is_some(),
+                            || obs::budget::active(),
                         "tuple-core must be unique (Lemma 4.2)"
                     );
                 }

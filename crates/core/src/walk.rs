@@ -76,7 +76,7 @@ fn note_decided(fate: &Fate) {
     if accepted {
         return;
     }
-    if obs::budget::current().is_some() {
+    if obs::budget::active() {
         // Under a budget a failed oracle check can mean the equivalence
         // search was cut short: shed for lack of proof, not disproved.
         obs::counter!("budget.unverified_dropped").incr();

@@ -83,7 +83,7 @@ pub fn optimal_m2_order(
 
 /// [`optimal_m2_order`] returning an error instead of panicking on
 /// too-wide rewritings. Each DP subset counts as one `Phase::Plan` node
-/// against the ambient [`viewplan_obs::Budget`]; on exhaustion the
+/// against the installed [budget](viewplan_obs::budget); on exhaustion the
 /// search abandons the rewriting and returns `Ok(None)` — a partial DP
 /// table cannot seed a valid full order, so there is no partial result
 /// to salvage here. The optimizer falls back to other rewritings.
@@ -369,14 +369,12 @@ mod tests {
         let db = skewed_db();
         let q = parse_query("q(X) :- big(X, Y), sel(Y)").unwrap();
         let mut oracle = ExactOracle::new(&db);
-        let budget = obs::BudgetSpec::new()
-            .phase_nodes(obs::Phase::Plan, 1)
-            .build();
-        let _g = obs::budget::install(budget.clone());
+        let budget = obs::BudgetSpec::new().phase_nodes(obs::Phase::Plan, 1);
+        let _g = obs::budget::install(budget);
         assert!(try_optimal_m2_order(&q.body, &mut oracle)
             .unwrap()
             .is_none());
-        assert_eq!(budget.abandoned(obs::Phase::Plan), 1);
+        assert_eq!(obs::budget::abandoned(obs::Phase::Plan), 1);
     }
 
     #[test]

@@ -110,17 +110,15 @@ fn budget_exhausted_after_pruning_is_truncated_and_never_beats_the_optimum() {
 
     let mut cut_after_pruning = 0;
     for allowance in 1..nodes {
-        let budget = obs::BudgetSpec::new()
-            .phase_nodes(obs::Phase::Plan, allowance)
-            .build();
-        let _installed = obs::budget::install(budget.clone());
+        let budget = obs::BudgetSpec::new().phase_nodes(obs::Phase::Plan, allowance);
+        let _installed = obs::budget::install(budget);
         let (outcome, counts) = counted(plan);
         assert_eq!(
             outcome.completeness,
             obs::Completeness::Truncated,
             "allowance {allowance} of {nodes}"
         );
-        assert!(budget.abandoned(obs::Phase::Plan) > 0);
+        assert!(obs::budget::abandoned(obs::Phase::Plan) > 0);
         assert_eq!(counts.counter("cost.m3_nodes"), allowance);
         if let Some(best) = outcome.best {
             assert!(best.cost >= optimum, "allowance {allowance}");

@@ -4,15 +4,16 @@
 //! cover enumeration, M2/M3 plan search — is worst-case exponential. A
 //! service cannot hang on an adversarial query; it must return the best
 //! answer found within a budget, labeled as such. This module provides
-//! the shared mechanism:
+//! the mechanism:
 //!
-//! * [`Budget`] — a cheap, clonable (`Arc`-backed) handle carrying an
-//!   optional wall-clock deadline and per-phase **per-search** node caps.
-//! * [`install`] / [`current`] — the current budget, one part of the
-//!   thread's [request context](crate::ctx). The CLI installs one around
-//!   a command, the server one per request. A [`Budget`] handle is
-//!   shared state: threads that each install a clone observe one
-//!   deadline and stop promptly when it fires.
+//! * [`BudgetSpec`] — what a budget allows: an optional wall-clock
+//!   timeout, per-phase **per-search** node caps and an injected fault.
+//! * [`install`] — starts the deadline and makes the budget the `budget`
+//!   part of the thread's [request context](crate::ctx) until the guard
+//!   drops. The CLI installs one around a command, the server one per
+//!   request. The budget is a plain value in that context, and what the
+//!   searches under it used is read back through [`snapshot`],
+//!   [`completeness_since`], [`abandoned`], [`cancelled`] and [`active`].
 //! * [`Meter`] — the per-search countdown ticked at backtrack points.
 //!   One `Meter` is created per search (per homomorphism check, per
 //!   cover enumeration, per plan search); each `tick()` is a decrement
@@ -27,10 +28,10 @@
 //!   real slowness.
 //!
 //! **Determinism.** Node caps are per-search, not global: every
-//! individual search truncates at the same node regardless of what other
-//! threads are doing, so node-budgeted results are identical at any
-//! thread count. Deadlines are shared wall-clock state and therefore
-//! nondeterministic; results under `--timeout-ms` are labeled as such.
+//! individual search truncates at the same node whatever ran before it,
+//! so node-budgeted results are reproducible. Deadlines are wall-clock
+//! state and therefore nondeterministic; results under `--timeout-ms`
+//! are labeled as such.
 //!
 //! **Soundness of degradation.** A truncated homomorphism search can
 //! only *miss* homomorphisms, never fabricate one. Downstream this
@@ -40,17 +41,16 @@
 //! (subsets of the true core still yield valid covers), and rewriting
 //! verification drops candidates it cannot confirm instead of asserting.
 //!
-//! Exhaustion events are counted on the budget handle (always) and in
+//! Exhaustion events are counted in the installed budget (always) and in
 //! the obs counter registry (`budget.deadline_hits`,
 //! `budget.node_budget_hits`, `budget.abandoned.{hom,cover,plan}`) when
 //! stats collection is on.
 
-use crate::ctx::{self, CtxGuard};
-use std::sync::Arc;
+use crate::ctx::{self, CtxGuard, Part};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
-use viewplan_sync::{AtomicBool, AtomicU64, Ordering};
 
-/// How many `Meter::tick`s pass between wall-clock / cancellation polls.
+/// How many `Meter::tick`s pass between deadline polls.
 /// Node caps are still exact; only deadline detection is amortized.
 pub const DEADLINE_CHECK_INTERVAL: u64 = 128;
 
@@ -134,7 +134,7 @@ impl std::fmt::Display for Completeness {
 /// Where an injected fault fires.
 ///
 /// The first four points live in the rewriting pipeline and are consumed
-/// by [`Meter`] through the ambient budget. The serving points
+/// by [`Meter`] through the installed budget. The serving points
 /// (`Accept`/`Read`/`Write`/`Swap`) are consumed by the network layer in
 /// `viewplan-serve` instead — they share the `VIEWPLAN_FAULT` syntax and
 /// the fire-exactly-once countdown, but never trip a search meter (see
@@ -175,8 +175,7 @@ impl FaultPoint {
 /// A deterministic injected fault: at the `nth` (1-based) search of the
 /// chosen point, force budget exhaustion. Parsed by the CLI from
 /// `VIEWPLAN_FAULT=phase:nth` (e.g. `hom:3`, `deadline:1`) or built
-/// programmatically for tests. Deterministic at 1 thread; with more
-/// workers the trigger ordering races (the *effects* stay well-formed).
+/// programmatically for tests.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Fault {
     /// Which metering point triggers the fault.
@@ -217,61 +216,8 @@ impl Fault {
     }
 }
 
-/// The shared state behind a [`Budget`] handle.
-struct Inner {
-    /// Absolute wall-clock deadline, if any.
-    deadline: Option<Instant>,
-    /// Per-phase, per-search node caps (`u64::MAX` = unlimited).
-    node_caps: [u64; 3],
-    /// Set once the deadline fires (or [`Budget::cancel`] is called);
-    /// every meter polls it so all workers stop promptly.
-    cancelled: AtomicBool,
-    /// Whether cancellation came from the deadline (vs. an explicit
-    /// cancel), for completeness classification.
-    deadline_fired: AtomicBool,
-    /// Number of searches abandoned because the deadline/cancel fired.
-    deadline_hits: AtomicU64,
-    /// Number of searches abandoned because a node cap ran out.
-    node_hits: AtomicU64,
-    /// Abandoned-search counts per phase (either cause).
-    abandoned: [AtomicU64; 3],
-    /// Optional injected fault.
-    fault: Option<Fault>,
-    /// Countdown to the fault trigger; fires on the 1 → 0 transition.
-    fault_countdown: AtomicU64,
-}
-
-/// A snapshot of a budget's exhaustion counters, used to classify the
-/// completeness of one run when a budget handle outlives it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct HitSnapshot {
-    /// Searches abandoned because the deadline fired or the budget was
-    /// cancelled.
-    pub deadline_hits: u64,
-    /// Searches abandoned because a per-search node cap ran out.
-    pub node_hits: u64,
-}
-
-/// A cheap, clonable budget handle. Create with [`BudgetSpec::build`],
-/// make it ambient with [`install`], and observe it from hot loops
-/// through [`Meter`].
-#[derive(Clone)]
-pub struct Budget {
-    inner: Arc<Inner>,
-}
-
-impl std::fmt::Debug for Budget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Budget")
-            .field("deadline", &self.inner.deadline)
-            .field("node_caps", &self.inner.node_caps)
-            .field("cancelled", &self.cancelled())
-            .finish()
-    }
-}
-
-/// Declarative description of a budget; `build` turns it into a live
-/// [`Budget`] (fixing the deadline relative to now).
+/// Declarative description of a budget; [`install`] makes it live
+/// (fixing the deadline relative to now).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BudgetSpec {
     timeout: Option<Duration>,
@@ -341,140 +287,89 @@ impl BudgetSpec {
             && self.plan_nodes.is_none()
             && self.fault.is_none()
     }
+}
 
-    /// Builds the live budget; the deadline (if any) starts counting now.
-    pub fn build(self) -> Budget {
-        Budget {
-            inner: Arc::new(Inner {
-                deadline: self.timeout.map(|t| Instant::now() + t),
-                node_caps: [
-                    self.hom_nodes.unwrap_or(u64::MAX),
-                    self.cover_nodes.unwrap_or(u64::MAX),
-                    self.plan_nodes.unwrap_or(u64::MAX),
-                ],
-                cancelled: AtomicBool::new(false),
-                deadline_fired: AtomicBool::new(false),
-                deadline_hits: AtomicU64::new(0),
-                node_hits: AtomicU64::new(0),
-                abandoned: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-                fault_countdown: AtomicU64::new(self.fault.map_or(0, |f| f.nth)),
-                fault: self.fault,
-            }),
-        }
-    }
+/// The `budget` part of the request context: what its [`BudgetSpec`]
+/// fixed at [`install`], and what the searches under it have used.
+pub(crate) struct Budget {
+    /// Absolute wall-clock deadline, if any.
+    deadline: Option<Instant>,
+    /// Per-phase, per-search node caps (`u64::MAX` = unlimited).
+    node_caps: [u64; 3],
+    /// Optional injected fault.
+    fault: Option<Fault>,
+    /// Latched once the deadline fires, on the clock or by a
+    /// `deadline:n` fault; every later search starts exhausted.
+    deadline_fired: Cell<bool>,
+    /// Number of searches abandoned because the deadline fired.
+    deadline_hits: Cell<u64>,
+    /// Number of searches abandoned because a node cap ran out.
+    node_hits: Cell<u64>,
+    /// Abandoned-search counts per phase (either cause).
+    abandoned: [Cell<u64>; 3],
+    /// Countdown to the fault trigger; fires on the 1 → 0 transition.
+    fault_countdown: Cell<u64>,
+}
+
+/// A snapshot of the installed budget's exhaustion counters, used to
+/// classify the completeness of one run when the budget outlives it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct HitSnapshot {
+    /// Searches abandoned because the deadline fired.
+    pub deadline_hits: u64,
+    /// Searches abandoned because a per-search node cap ran out.
+    pub node_hits: u64,
 }
 
 impl Budget {
-    /// A budget that never exhausts (useful as a fault-injection
-    /// carrier).
-    pub fn unlimited() -> Budget {
-        BudgetSpec::new().build()
-    }
-
-    /// True once the deadline fired or [`Budget::cancel`] was called.
-    /// Polls the clock (and latches the flag) if a deadline is set.
-    pub fn cancelled(&self) -> bool {
-        // ordering: latched one-way flag; a late observation only delays
-        // the stop, it cannot un-cancel.
-        if self.inner.cancelled.load(Ordering::Relaxed) {
-            return true;
+    fn new(spec: BudgetSpec) -> Budget {
+        Budget {
+            deadline: spec.timeout.map(|t| Instant::now() + t),
+            node_caps: [
+                spec.hom_nodes.unwrap_or(u64::MAX),
+                spec.cover_nodes.unwrap_or(u64::MAX),
+                spec.plan_nodes.unwrap_or(u64::MAX),
+            ],
+            fault: spec.fault,
+            deadline_fired: Cell::new(false),
+            deadline_hits: Cell::new(0),
+            node_hits: Cell::new(0),
+            abandoned: Default::default(),
+            fault_countdown: Cell::new(spec.fault.map_or(0, |f| f.nth)),
         }
-        if let Some(deadline) = self.inner.deadline {
-            if Instant::now() >= deadline {
-                self.fire_deadline();
-                return true;
-            }
+    }
+
+    /// True once the deadline fired. Polls the clock (and latches) if a
+    /// deadline is set.
+    fn fired(&self) -> bool {
+        if !self.deadline_fired.get() && self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.deadline_fired.set(true);
         }
-        false
+        self.deadline_fired.get()
     }
 
-    /// Cancels the budget explicitly (counts as a deadline-style stop
-    /// for completeness purposes: the result is nondeterministic
-    /// best-so-far).
-    pub fn cancel(&self) {
-        self.fire_deadline();
-    }
-
-    fn fire_deadline(&self) {
-        // ordering: deadline_fired is written before cancelled so a
-        // cancelled_by_deadline observer under SC sees the cause with the
-        // effect; both flags are one-way latches, so relaxed suffices for
-        // the stop itself (a miss only delays it).
-        self.inner.deadline_fired.store(true, Ordering::Relaxed);
-        self.inner.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// `(deadline_hits, node_hits)` so far — searches abandoned by the
-    /// wall clock vs. by node caps.
-    pub fn hits(&self) -> HitSnapshot {
+    fn hits(&self) -> HitSnapshot {
         HitSnapshot {
-            // ordering: monotone tallies; completeness_since compares
-            // before/after snapshots of the same counters.
-            deadline_hits: self.inner.deadline_hits.load(Ordering::Relaxed),
-            // ordering: as above.
-            node_hits: self.inner.node_hits.load(Ordering::Relaxed),
+            deadline_hits: self.deadline_hits.get(),
+            node_hits: self.node_hits.get(),
         }
     }
 
-    /// Searches abandoned in `phase` (either cause).
-    pub fn abandoned(&self, phase: Phase) -> u64 {
-        // ordering: monotone tally read.
-        self.inner.abandoned[phase.idx()].load(Ordering::Relaxed)
-    }
-
-    /// Classifies everything since `before` (see [`Budget::hits`]).
-    /// An explicitly cancelled or deadline-expired budget reports
-    /// `DeadlineExceeded` even if no meter observed it yet.
-    pub fn completeness_since(&self, before: HitSnapshot) -> Completeness {
-        let now = self.hits();
-        if now.deadline_hits > before.deadline_hits || self.cancelled_by_deadline() {
-            Completeness::DeadlineExceeded
-        } else if now.node_hits > before.node_hits {
-            Completeness::Truncated
+    /// Tallies one abandoned search under its phase and its cause.
+    fn record(&self, phase: Phase, by_deadline: bool) {
+        let bump = |cell: &Cell<u64>| cell.set(cell.get() + 1);
+        bump(&self.abandoned[phase.idx()]);
+        bump(if by_deadline {
+            &self.deadline_hits
         } else {
-            Completeness::Complete
-        }
-    }
-
-    fn cancelled_by_deadline(&self) -> bool {
-        // ordering: one-way latch written in fire_deadline before
-        // cancelled; see the note there.
-        self.cancelled() && self.inner.deadline_fired.load(Ordering::Relaxed)
-    }
-
-    /// Records one abandoned search. `by_deadline` selects which hit
-    /// counter (and obs counter) it lands in.
-    fn note_abandoned(&self, phase: Phase, by_deadline: bool) {
-        // ordering: the per-phase tally is bumped before the cause
-        // counter, so hits() never exceeds the abandoned total under SC
-        // (pinned by the model_budget interleaving test); each counter is
-        // monotone, so relaxed suffices per site.
-        self.inner.abandoned[phase.idx()].fetch_add(1, Ordering::Relaxed);
-        if by_deadline {
-            // ordering: monotone tally; see above.
-            self.inner.deadline_hits.fetch_add(1, Ordering::Relaxed);
-            crate::counter!("budget.deadline_hits").incr();
-        } else {
-            // ordering: monotone tally; see above.
-            self.inner.node_hits.fetch_add(1, Ordering::Relaxed);
-            crate::counter!("budget.node_budget_hits").incr();
-        }
-        match phase {
-            Phase::Hom => crate::counter!("budget.abandoned.hom").incr(),
-            Phase::Cover => crate::counter!("budget.abandoned.cover").incr(),
-            Phase::Plan => crate::counter!("budget.abandoned.plan").incr(),
-        }
-        crate::trace_event!(
-            "budget.truncated",
-            ("phase", phase.name()),
-            ("by_deadline", by_deadline)
-        );
+            &self.node_hits
+        });
     }
 
     /// Decrements the fault countdown if this search matches the fault
-    /// point; true when the fault fires on this search.
+    /// point; the point when the fault fires on this search.
     fn fault_fires(&self, phase: Phase) -> Option<FaultPoint> {
-        let fault = self.inner.fault?;
+        let fault = self.fault?;
         let matches = match fault.point {
             FaultPoint::Hom => phase == Phase::Hom,
             FaultPoint::Cover => phase == Phase::Cover,
@@ -484,57 +379,91 @@ impl Budget {
             // budget that happens to carry one never trips a meter.
             FaultPoint::Accept | FaultPoint::Read | FaultPoint::Write | FaultPoint::Swap => false,
         };
-        if !matches {
+        let left = self.fault_countdown.get();
+        if !matches || left == 0 {
             return None;
         }
         // Fires exactly once, on the 1 → 0 transition.
-        let fired = self
-            .inner
-            .fault_countdown
-            // ordering: the RMW itself is atomic, which is all the
-            // exactly-once 1 -> 0 transition needs.
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok_and(|prev| prev == 1);
-        fired.then_some(fault.point)
+        self.fault_countdown.set(left - 1);
+        (left == 1).then_some(fault.point)
     }
 }
 
 // ---------------------------------------------------------------------
-// The current budget: the `budget` part of the request context.
+// The installed budget: the `budget` part of the request context.
 // ---------------------------------------------------------------------
 
-/// Makes `budget` the current thread's budget until the guard drops.
-pub fn install(budget: Budget) -> CtxGuard {
-    ctx::scoped(|ctx| ctx.budget = Some(budget))
+/// Starts `spec`'s deadline and makes it the current thread's budget
+/// until the guard drops. What the budget records while installed is
+/// dropped with the guard.
+pub fn install(spec: BudgetSpec) -> CtxGuard {
+    ctx::scoped(Part::Budget(Some(Budget::new(spec))))
 }
 
-/// The current thread's budget, if any.
-pub fn current() -> Option<Budget> {
-    ctx::with(|ctx| ctx.budget.clone())
+/// Reads the installed budget (`R::default()` when none is).
+fn read<R: Default>(f: impl FnOnce(&Budget) -> R) -> R {
+    ctx::with(|ctx| ctx.budget.as_ref().map(f).unwrap_or_default())
 }
 
-/// True when a budget is installed and has been cancelled (deadline
-/// fired or explicit cancel). Loop heads outside metered searches
-/// (minimization rounds, per-rewriting planning) poll this to stop
-/// early.
+/// True when a budget is installed on this thread.
+pub fn active() -> bool {
+    ctx::with(|ctx| ctx.budget.is_some())
+}
+
+/// True when a budget is installed and its deadline fired. Loop heads
+/// outside metered searches (minimization rounds, per-rewriting
+/// planning) poll this to stop early.
 pub fn cancelled() -> bool {
-    ctx::with(|ctx| ctx.budget.as_ref().is_some_and(Budget::cancelled))
+    read(Budget::fired)
 }
 
-/// [`Budget::hits`] of the current budget (zeroes when none).
+/// The installed budget's hits so far (zeroes when none) — searches
+/// abandoned by the wall clock vs. by node caps.
 pub fn snapshot() -> HitSnapshot {
-    ctx::with(|ctx| ctx.budget.as_ref().map(Budget::hits).unwrap_or_default())
+    read(Budget::hits)
 }
 
-/// Completeness of the work since `before` under the current budget
-/// ([`Completeness::Complete`] when no budget is installed).
+/// Searches abandoned in `phase` (either cause) under the installed
+/// budget (0 when none).
+pub fn abandoned(phase: Phase) -> u64 {
+    read(|b| b.abandoned[phase.idx()].get())
+}
+
+/// Completeness of the work since `before` under the installed budget
+/// ([`Completeness::Complete`] when none is). A deadline that has
+/// passed reads `DeadlineExceeded` even if no meter observed it yet.
 pub fn completeness_since(before: HitSnapshot) -> Completeness {
-    ctx::with(|ctx| {
-        ctx.budget
-            .as_ref()
-            .map(|b| b.completeness_since(before))
-            .unwrap_or_default()
+    read(|b| {
+        let now = b.hits();
+        if now.deadline_hits > before.deadline_hits || b.fired() {
+            Completeness::DeadlineExceeded
+        } else if now.node_hits > before.node_hits {
+            Completeness::Truncated
+        } else {
+            Completeness::Complete
+        }
     })
+}
+
+/// Records one abandoned search in the installed budget and the obs
+/// counters. `by_deadline` selects which hit counter it lands in.
+fn note_abandoned(phase: Phase, by_deadline: bool) {
+    read(|b| b.record(phase, by_deadline));
+    if by_deadline {
+        crate::counter!("budget.deadline_hits").incr();
+    } else {
+        crate::counter!("budget.node_budget_hits").incr();
+    }
+    match phase {
+        Phase::Hom => crate::counter!("budget.abandoned.hom").incr(),
+        Phase::Cover => crate::counter!("budget.abandoned.cover").incr(),
+        Phase::Plan => crate::counter!("budget.abandoned.plan").incr(),
+    }
+    crate::trace_event!(
+        "budget.truncated",
+        ("phase", phase.name()),
+        ("by_deadline", by_deadline)
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -545,72 +474,56 @@ pub fn completeness_since(before: HitSnapshot) -> Completeness {
 /// [`Meter::start`]; call [`Meter::tick`] at each node — `false` means
 /// stop now (record best-so-far and unwind). After the search,
 /// [`Meter::exhausted`] distinguishes truncation from completion.
+///
+/// A meter copies its phase's cap and the deadline when it starts: a
+/// tick reads the request context only at a deadline poll and when the
+/// meter exhausts.
 pub struct Meter {
-    budget: Option<Budget>,
     phase: Phase,
+    /// Whether a budget was installed at start; an unbudgeted meter
+    /// never refuses a tick.
+    budgeted: bool,
+    deadline: Option<Instant>,
     /// Nodes left before the cap fires.
     remaining: u64,
-    /// Ticks left before the next wall-clock / cancellation poll.
+    /// Ticks left before the next deadline poll.
     until_check: u64,
     exhausted: bool,
-    /// Whether exhaustion was the deadline's doing.
-    by_deadline: bool,
 }
 
 impl Meter {
-    /// Starts a meter for one search in `phase` against the ambient
-    /// budget (a no-op meter when none is installed). Checks for
-    /// cancellation and injected faults immediately, so an
-    /// already-expired budget exhausts every subsequent search at its
-    /// first tick.
+    /// Starts a meter for one search in `phase` against the installed
+    /// budget (a no-op meter when none is installed). Checks the
+    /// deadline and injected faults immediately, so once the deadline
+    /// fired every subsequent search exhausts at its first tick.
     pub fn start(phase: Phase) -> Meter {
-        let budget = current();
-        let mut meter = match budget {
-            None => Meter {
-                budget: None,
-                phase,
-                remaining: u64::MAX,
-                until_check: u64::MAX,
-                exhausted: false,
-                by_deadline: false,
-            },
-            Some(b) => Meter {
-                remaining: b.inner.node_caps[phase.idx()],
-                until_check: DEADLINE_CHECK_INTERVAL,
-                budget: Some(b),
-                phase,
-                exhausted: false,
-                by_deadline: false,
-            },
-        };
-        if let Some(b) = meter.budget.clone() {
-            match b.fault_fires(phase) {
-                Some(FaultPoint::Deadline) => {
-                    b.cancel();
-                    meter.exhaust(true);
-                }
-                Some(_) => meter.exhaust(false),
-                None => {
-                    if b.cancelled() {
-                        meter.exhaust(true);
-                    }
-                }
-            }
-        }
-        meter
-    }
-
-    /// A meter that never exhausts (for callers that must opt out of
-    /// budgeting, e.g. post-hoc verification in tests).
-    pub fn unlimited() -> Meter {
-        Meter {
-            budget: None,
-            phase: Phase::Hom,
+        let mut meter = Meter {
+            phase,
+            budgeted: false,
+            deadline: None,
             remaining: u64::MAX,
             until_check: u64::MAX,
             exhausted: false,
-            by_deadline: false,
+        };
+        let refused = ctx::with(|ctx| {
+            let budget = ctx.budget.as_ref()?;
+            meter.budgeted = true;
+            meter.deadline = budget.deadline;
+            meter.remaining = budget.node_caps[phase.idx()];
+            meter.until_check = DEADLINE_CHECK_INTERVAL;
+            match budget.fault_fires(phase) {
+                Some(FaultPoint::Deadline) => {
+                    budget.deadline_fired.set(true);
+                    Some(true)
+                }
+                Some(_) => Some(false),
+                None => budget.fired().then_some(true),
+            }
+        });
+        if let Some(by_deadline) = refused {
+            meter.exhaust(by_deadline);
         }
+        meter
     }
 
     /// Accounts one search node. Returns `true` to continue, `false`
@@ -621,9 +534,9 @@ impl Meter {
         if self.exhausted {
             return false;
         }
-        let Some(budget) = &self.budget else {
+        if !self.budgeted {
             return true;
-        };
+        }
         if self.remaining == 0 {
             self.exhaust(false);
             return false;
@@ -632,7 +545,11 @@ impl Meter {
         self.until_check -= 1;
         if self.until_check == 0 {
             self.until_check = DEADLINE_CHECK_INTERVAL;
-            if budget.cancelled() {
+            // The clock against the copied deadline; the latch for a
+            // deadline another search saw or a fault forced.
+            if self.deadline.is_some_and(|d| Instant::now() >= d)
+                || read(|b| b.deadline_fired.get())
+            {
                 self.exhaust(true);
                 return false;
             }
@@ -646,26 +563,24 @@ impl Meter {
         self.exhausted
     }
 
+    /// Refuses the search; callers have checked it was not refused yet.
     fn exhaust(&mut self, by_deadline: bool) {
-        if self.exhausted {
-            return;
-        }
         self.exhausted = true;
-        self.by_deadline = by_deadline;
-        if let Some(b) = &self.budget {
-            b.note_abandoned(self.phase, by_deadline);
-        }
+        note_abandoned(self.phase, by_deadline);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// Thread-locals isolate most state, but obs counters are
-    /// process-global; tests that read them serialize here.
     fn no_budget() {
-        assert!(current().is_none(), "test leaked an ambient budget");
+        assert!(!active(), "test leaked an installed budget");
+    }
+
+    fn fault(point: FaultPoint, nth: u64) -> BudgetSpec {
+        BudgetSpec::new().fault(Fault { point, nth })
     }
 
     #[test]
@@ -681,8 +596,7 @@ mod tests {
     #[test]
     fn node_cap_exhausts_at_the_cap() {
         no_budget();
-        let budget = BudgetSpec::new().node_budget(10).build();
-        let _g = install(budget.clone());
+        let _g = install(BudgetSpec::new().node_budget(10));
         let mut m = Meter::start(Phase::Hom);
         let mut ticks = 0;
         while m.tick() {
@@ -690,11 +604,11 @@ mod tests {
         }
         assert_eq!(ticks, 10);
         assert!(m.exhausted());
-        assert_eq!(budget.abandoned(Phase::Hom), 1);
-        assert_eq!(budget.hits().node_hits, 1);
-        assert_eq!(budget.hits().deadline_hits, 0);
+        assert_eq!(abandoned(Phase::Hom), 1);
+        assert_eq!(snapshot().node_hits, 1);
+        assert_eq!(snapshot().deadline_hits, 0);
         assert_eq!(
-            budget.completeness_since(HitSnapshot::default()),
+            completeness_since(HitSnapshot::default()),
             Completeness::Truncated
         );
     }
@@ -702,64 +616,45 @@ mod tests {
     #[test]
     fn expired_deadline_exhausts_immediately() {
         no_budget();
-        let budget = BudgetSpec::new().timeout(Duration::from_millis(0)).build();
-        let _g = install(budget.clone());
-        std::thread::sleep(Duration::from_millis(2));
+        let _g = install(BudgetSpec::new().timeout(Duration::ZERO));
+        assert_eq!(
+            completeness_since(HitSnapshot::default()),
+            Completeness::DeadlineExceeded,
+            "a passed deadline reads as such before any meter sees it"
+        );
         let mut m = Meter::start(Phase::Cover);
         assert!(!m.tick());
         assert!(m.exhausted());
-        assert_eq!(budget.hits().deadline_hits, 1);
-        assert_eq!(
-            budget.completeness_since(HitSnapshot::default()),
-            Completeness::DeadlineExceeded
-        );
+        assert_eq!(snapshot().deadline_hits, 1);
     }
 
     #[test]
-    fn cancel_stops_future_meters() {
+    fn a_deadline_fault_stops_running_meters_at_the_next_poll() {
         no_budget();
-        let budget = Budget::unlimited();
-        let _g = install(budget.clone());
+        let _g = install(fault(FaultPoint::Deadline, 2));
         let mut before = Meter::start(Phase::Plan);
         assert!(before.tick());
-        budget.cancel();
         let mut after = Meter::start(Phase::Plan);
         assert!(!after.tick());
-        // A running meter notices at the next poll boundary.
         let mut i = 0u64;
         while before.tick() {
             i += 1;
             assert!(i <= DEADLINE_CHECK_INTERVAL, "running meter never stopped");
         }
-    }
-
-    #[test]
-    fn budget_is_shared_across_clones_and_threads() {
-        no_budget();
-        let budget = BudgetSpec::new().node_budget(5).build();
-        let handle = budget.clone();
-        std::thread::spawn(move || {
-            let _g = install(handle.clone());
-            let mut m = Meter::start(Phase::Hom);
-            while m.tick() {}
-        })
-        .join()
-        .unwrap();
-        assert_eq!(budget.abandoned(Phase::Hom), 1);
+        assert_eq!(snapshot().deadline_hits, 2);
     }
 
     #[test]
     fn guard_restores_previous_budget() {
         no_budget();
-        let outer = BudgetSpec::new().node_budget(100).build();
-        let _g1 = install(outer);
+        let _g1 = install(BudgetSpec::new().node_budget(100));
         {
-            let inner = BudgetSpec::new().node_budget(1).build();
-            let _g2 = install(inner);
+            let _g2 = install(BudgetSpec::new().node_budget(1));
             let mut m = Meter::start(Phase::Hom);
             assert!(m.tick());
             assert!(!m.tick());
         }
+        assert_eq!(snapshot(), HitSnapshot::default());
         let mut m = Meter::start(Phase::Hom);
         for _ in 0..100 {
             assert!(m.tick());
@@ -809,13 +704,7 @@ mod tests {
         assert!(!FaultPoint::Hom.is_serving());
         assert!(!FaultPoint::Deadline.is_serving());
         // A budget carrying a serving fault is inert for search meters.
-        let budget = BudgetSpec::new()
-            .fault(Fault {
-                point: FaultPoint::Accept,
-                nth: 1,
-            })
-            .build();
-        let _g = install(budget.clone());
+        let _g = install(fault(FaultPoint::Accept, 1));
         for phase in [Phase::Hom, Phase::Cover, Phase::Plan] {
             let mut m = Meter::start(phase);
             for _ in 0..1000 {
@@ -823,43 +712,31 @@ mod tests {
             }
             assert!(!m.exhausted());
         }
-        assert_eq!(budget.hits().node_hits, 0);
+        assert_eq!(snapshot().node_hits, 0);
     }
 
     #[test]
     fn fault_fires_on_the_nth_search_only() {
         no_budget();
-        let budget = BudgetSpec::new()
-            .fault(Fault {
-                point: FaultPoint::Cover,
-                nth: 2,
-            })
-            .build();
-        let _g = install(budget.clone());
+        let _g = install(fault(FaultPoint::Cover, 2));
         let mut first = Meter::start(Phase::Cover);
         assert!(first.tick(), "first search unaffected");
         let mut second = Meter::start(Phase::Cover);
         assert!(!second.tick(), "second search hit the fault");
         let mut third = Meter::start(Phase::Cover);
         assert!(third.tick(), "fault fires exactly once");
-        assert_eq!(budget.hits().node_hits, 1);
+        assert_eq!(snapshot().node_hits, 1);
     }
 
     #[test]
     fn deadline_fault_cancels_everything() {
         no_budget();
-        let budget = BudgetSpec::new()
-            .fault(Fault {
-                point: FaultPoint::Deadline,
-                nth: 1,
-            })
-            .build();
-        let _g = install(budget.clone());
+        let _g = install(fault(FaultPoint::Deadline, 1));
         let mut m = Meter::start(Phase::Hom);
         assert!(!m.tick());
-        assert!(budget.cancelled());
+        assert!(cancelled());
         assert_eq!(
-            budget.completeness_since(HitSnapshot::default()),
+            completeness_since(HitSnapshot::default()),
             Completeness::DeadlineExceeded
         );
         // Subsequent searches in any phase are dead too.
@@ -882,15 +759,155 @@ mod tests {
     #[test]
     fn snapshot_scopes_completeness_to_a_run() {
         no_budget();
-        let budget = BudgetSpec::new().node_budget(3).build();
-        let _g = install(budget.clone());
+        let _g = install(BudgetSpec::new().node_budget(3));
         let mut m = Meter::start(Phase::Hom);
         while m.tick() {}
         // A later run that stays within budget is Complete even though
-        // the handle has hits from the earlier run.
+        // the budget has hits from the earlier run.
         let before = snapshot();
         let mut ok = Meter::start(Phase::Hom);
         ok.tick();
         assert_eq!(completeness_since(before), Completeness::Complete);
+    }
+
+    /// One step of a request: start a search, or tick an open one.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Start(Phase),
+        /// Ticks the open search at this index (modulo their number)
+        /// up to this many times.
+        Tick(usize, usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let phase = prop_oneof![Just(Phase::Hom), Just(Phase::Cover), Just(Phase::Plan)];
+        prop_oneof![
+            phase.prop_map(Op::Start),
+            (any::<usize>(), 0usize..300).prop_map(|(i, n)| Op::Tick(i, n)),
+        ]
+    }
+
+    /// A node cap, or none (about one draw in four).
+    fn cap() -> impl Strategy<Value = Option<u64>> {
+        (0u64..400).prop_map(|n| (n < 300).then_some(n))
+    }
+
+    /// An injected fault, or none (one draw in six).
+    fn injected() -> impl Strategy<Value = Option<(FaultPoint, u64)>> {
+        let point = prop_oneof![
+            Just(Some(FaultPoint::Hom)),
+            Just(Some(FaultPoint::Cover)),
+            Just(Some(FaultPoint::Plan)),
+            Just(Some(FaultPoint::Deadline)),
+            Just(Some(FaultPoint::Accept)),
+            Just(None),
+        ];
+        (point, 1u64..6).prop_map(|(point, nth)| point.map(|p| (p, nth)))
+    }
+
+    fn total_abandoned() -> u64 {
+        [Phase::Hom, Phase::Cover, Phase::Plan]
+            .into_iter()
+            .map(abandoned)
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The budget's accounting over any sequence of searches, caps
+        /// and faults on one thread. Each property names the mutation
+        /// it catches:
+        /// * each search is abandoned at most once — `tick` without its
+        ///   `exhausted` check re-records a capped search per tick;
+        /// * the cause tallies sum to the per-phase tallies — `record`
+        ///   bumping the phase but not the cause (or both causes);
+        /// * a search started after the deadline fired, on the clock or
+        ///   by a `deadline:n` fault, is a deadline abandonment —
+        ///   `Meter::start` without its `fired()` check, or a deadline
+        ///   fault that does not latch;
+        /// * a fault fires exactly once, on its nth matching search — a
+        ///   countdown that fires at every value `<= 1`, or never
+        ///   stops counting down.
+        #[test]
+        fn accounting_holds_over_any_sequence_of_searches(
+            caps in (cap(), cap(), cap()),
+            injected in injected(),
+            expired in any::<bool>(),
+            ops in proptest::collection::vec(op(), 0..40),
+        ) {
+            let mut spec = BudgetSpec::new();
+            let caps = [caps.0, caps.1, caps.2];
+            for (phase, cap) in [Phase::Hom, Phase::Cover, Phase::Plan].into_iter().zip(caps) {
+                if let Some(cap) = cap {
+                    spec = spec.phase_nodes(phase, cap);
+                }
+            }
+            if let Some((point, nth)) = injected {
+                spec = spec.fault(Fault { point, nth });
+            }
+            if expired {
+                spec = spec.timeout(Duration::ZERO);
+            }
+            let _g = install(spec);
+            let mut fired = expired;
+            let mut matching = 0;
+            let mut meters: Vec<Meter> = Vec::new();
+            for op in ops {
+                let before = snapshot();
+                match op {
+                    Op::Start(phase) => {
+                        let fires = injected.is_some_and(|(point, nth)| {
+                            let hit = match point {
+                                FaultPoint::Deadline => true,
+                                FaultPoint::Hom => phase == Phase::Hom,
+                                FaultPoint::Cover => phase == Phase::Cover,
+                                FaultPoint::Plan => phase == Phase::Plan,
+                                _ => false,
+                            };
+                            matching += u64::from(hit);
+                            hit && matching == nth
+                        });
+                        let deadline_fault =
+                            fires && injected.is_some_and(|(p, _)| p == FaultPoint::Deadline);
+                        let meter = Meter::start(phase);
+                        let by_deadline = deadline_fault || (fired && !fires);
+                        prop_assert_eq!(meter.exhausted(), fires || fired);
+                        prop_assert_eq!(
+                            snapshot().deadline_hits - before.deadline_hits,
+                            u64::from(by_deadline)
+                        );
+                        prop_assert_eq!(
+                            snapshot().node_hits - before.node_hits,
+                            u64::from(fires && !deadline_fault)
+                        );
+                        fired |= deadline_fault;
+                        meters.push(meter);
+                    }
+                    Op::Tick(i, n) => {
+                        if meters.is_empty() {
+                            continue;
+                        }
+                        let len = meters.len();
+                        let meter = &mut meters[i % len];
+                        for _ in 0..n {
+                            let was = meter.exhausted();
+                            let go = meter.tick();
+                            prop_assert_eq!(go, !meter.exhausted());
+                            prop_assert!(!was || !go, "a refused search stays refused");
+                        }
+                    }
+                }
+                let hits = snapshot();
+                let refused = meters.iter().filter(|m| m.exhausted()).count() as u64;
+                prop_assert_eq!(total_abandoned(), refused);
+                prop_assert_eq!(hits.deadline_hits + hits.node_hits, refused);
+            }
+            prop_assert_eq!(
+                completeness_since(HitSnapshot::default()) == Completeness::DeadlineExceeded,
+                fired
+            );
+            prop_assert_eq!(cancelled(), fired);
+        }
     }
 }

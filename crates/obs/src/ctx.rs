@@ -2,16 +2,18 @@
 //! thread-local slot.
 //!
 //! The rewriting pipeline is a pure function of a query, a view set and
-//! a cost model. What surrounds a call — the [`Budget`] that may cut it
+//! a cost model. What surrounds a call — the budget that may cut it
 //! short, the [`Trace`](crate::Trace) that records it, and the engine
 //! override — is one `RequestCtx` per thread, confined to that thread: a
 //! request runs start to finish on the thread that installed its
-//! context, so nothing carries a context anywhere else. Three typed
-//! setters update one part each and return a [`CtxGuard`] that restores
-//! what was installed before:
-//! [`budget::install`](crate::budget::install),
+//! context, so nothing carries a context anywhere else, and each part is
+//! a plain value. Three typed setters replace one part each and return a
+//! [`CtxGuard`] that puts back that part, and only that part, when it
+//! drops: [`budget::install`](crate::budget::install),
 //! [`trace::install`](crate::trace::install) and, through
-//! [`set_policy`], `viewplan_engine::install`.
+//! [`set_policy`], `viewplan_engine::install`. A trace or policy guard
+//! that opens and closes under a budget therefore keeps what the budget
+//! recorded in between.
 //!
 //! The spans open on the thread are not part of the context: they are
 //! the thread's own stack, kept beside it with the closed spans staged
@@ -24,11 +26,11 @@
 //! answers set: no command selects an executor).
 //!
 //! A guard belongs to the thread that made it — dropped anywhere else it
-//! would overwrite that thread's context and leave the override in place
-//! on its own thread for good — so it is `!Send`:
+//! would put its part into that thread's context and leave its own
+//! thread's part replaced for good — so it is `!Send`:
 //!
 //! ```compile_fail,E0277
-//! let guard = viewplan_obs::budget::install(viewplan_obs::Budget::unlimited());
+//! let guard = viewplan_obs::budget::install(viewplan_obs::BudgetSpec::new());
 //! std::thread::spawn(move || drop(guard));
 //! ```
 
@@ -47,7 +49,7 @@ pub(crate) struct Frame {
 }
 
 /// The ambient state of one request on the thread that installed it.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct RequestCtx {
     pub(crate) budget: Option<Budget>,
     pub(crate) trace: Option<TraceSlot>,
@@ -69,18 +71,36 @@ thread_local! {
     static LOCAL: RefCell<Local> = RefCell::default();
 }
 
-/// Restores the context that was current when it was made. Returned by
-/// every setter.
+/// One part of a [`RequestCtx`], as a setter installs it and its guard
+/// holds what it replaced.
+pub(crate) enum Part {
+    Budget(Option<Budget>),
+    Trace(Option<TraceSlot>),
+    Policy(u32),
+}
+
+impl Part {
+    /// Exchanges this value with the same part of `ctx`.
+    fn swap(&mut self, ctx: &mut RequestCtx) {
+        match self {
+            Part::Budget(budget) => std::mem::swap(budget, &mut ctx.budget),
+            Part::Trace(trace) => std::mem::swap(trace, &mut ctx.trace),
+            Part::Policy(policy) => std::mem::swap(policy, &mut ctx.policy),
+        }
+    }
+}
+
+/// Puts back the one part of the context its setter replaced. Returned
+/// by every setter.
 #[must_use = "dropping the guard immediately restores the previous context"]
 pub struct CtxGuard {
-    previous: RequestCtx,
+    replaced: Part,
     _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for CtxGuard {
     fn drop(&mut self) {
-        let previous = std::mem::take(&mut self.previous);
-        LOCAL.with(|local| local.borrow_mut().ctx = previous);
+        LOCAL.with(|local| self.replaced.swap(&mut local.borrow_mut().ctx));
     }
 }
 
@@ -98,18 +118,14 @@ pub(crate) fn with_frames<R>(read: impl FnOnce(&RequestCtx, &[Frame]) -> R) -> R
     })
 }
 
-/// Applies `update` to the current thread's context until the guard
+/// Installs `part` in the current thread's context until the guard
 /// drops.
-pub(crate) fn scoped(update: impl FnOnce(&mut RequestCtx)) -> CtxGuard {
-    LOCAL.with(|local| {
-        let ctx = &mut local.borrow_mut().ctx;
-        let previous = ctx.clone();
-        update(ctx);
-        CtxGuard {
-            previous,
-            _not_send: PhantomData,
-        }
-    })
+pub(crate) fn scoped(mut part: Part) -> CtxGuard {
+    LOCAL.with(|local| part.swap(&mut local.borrow_mut().ctx));
+    CtxGuard {
+        replaced: part,
+        _not_send: PhantomData,
+    }
 }
 
 /// The current thread's policy word (0 when nothing is overridden).
@@ -121,7 +137,7 @@ pub fn policy() -> u32 {
 /// guard drops. Each crate passes only the mask it was allocated (see
 /// the module docs).
 pub fn set_policy(mask: u32, bits: u32) -> CtxGuard {
-    scoped(|ctx| ctx.policy = (ctx.policy & !mask) | (bits & mask))
+    scoped(Part::Policy((policy() & !mask) | (bits & mask)))
 }
 
 /// Pushes a frame for a span that is opening, recording its start in the
@@ -167,7 +183,7 @@ mod tests {
     /// Each part of the context as its readers see it: the budget by
     /// the node cap a fresh meter counts down, the rest directly.
     fn observe() -> (Option<u64>, bool, Vec<&'static str>, u32) {
-        let cap = budget::current().map(|_| {
+        let cap = budget::active().then(|| {
             let mut meter = Meter::start(Phase::Hom);
             std::iter::from_fn(|| meter.tick().then_some(())).count() as u64
         });
@@ -190,7 +206,7 @@ mod tests {
             let traced = observe();
             assert!(traced.1);
             {
-                let _budget = budget::install(BudgetSpec::new().node_budget(7).build());
+                let _budget = budget::install(BudgetSpec::new().node_budget(7));
                 let budgeted = observe();
                 assert_eq!(budgeted.0, Some(7));
                 assert!(budgeted.1, "installing a budget keeps the trace");
@@ -225,5 +241,21 @@ mod tests {
         }
         assert!(observe().2.is_empty());
         crate::set_enabled(false);
+    }
+
+    #[test]
+    fn an_inner_guard_keeps_what_the_budget_recorded_under_it() {
+        let _budget = budget::install(BudgetSpec::new().node_budget(0));
+        let trace = Trace::new();
+        let inner_guards: [&dyn Fn() -> CtxGuard; 2] =
+            [&|| trace::install(&trace), &|| set_policy(0b100, 0b100)];
+        for (hits, inner) in (1..).zip(inner_guards) {
+            let guard = inner();
+            let mut meter = Meter::start(Phase::Hom);
+            assert!(!meter.tick());
+            drop(guard);
+            assert_eq!(budget::snapshot().node_hits, hits);
+            assert_eq!(budget::abandoned(Phase::Hom), hits);
+        }
     }
 }

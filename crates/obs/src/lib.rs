@@ -54,7 +54,7 @@ mod report;
 mod span;
 pub mod trace;
 
-pub use budget::{Budget, BudgetSpec, Completeness, Fault, FaultPoint, Meter, Phase};
+pub use budget::{BudgetSpec, Completeness, Fault, FaultPoint, Meter, Phase};
 pub use ctx::CtxGuard;
 pub use json::{parse as parse_json, Json};
 pub use metrics::{

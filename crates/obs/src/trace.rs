@@ -25,7 +25,7 @@
 //! Tracing obeys the global [`crate::enabled`] switch: with collection
 //! off, an installed trace records nothing.
 
-use crate::ctx::{self, CtxGuard, Frame};
+use crate::ctx::{self, CtxGuard, Frame, Part};
 use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -444,7 +444,6 @@ pub struct TraceEvent {
 
 /// A trace as one install records into it — the `trace` part of the
 /// thread's request context.
-#[derive(Clone)]
 pub(crate) struct TraceSlot {
     trace: Trace,
     /// The trace-local id of this install, tagging its records.
@@ -503,7 +502,7 @@ pub fn install(trace: &Trace) -> CtxGuard {
         tid: trace.inner.next_tid.fetch_add(1, Ordering::Relaxed),
         floor: ctx::with_frames(|_, frames| frames.len()),
     };
-    ctx::scoped(|ctx| ctx.trace = Some(slot))
+    ctx::scoped(Part::Trace(Some(slot)))
 }
 
 /// Whether a trace is installed on this thread (regardless of the

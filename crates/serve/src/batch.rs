@@ -454,7 +454,7 @@ impl BatchServer {
         spec: &BudgetSpec,
     ) -> Result<CachedAnswer, PlanError> {
         let _span = obs::span("serve.compute");
-        let _budget = (!spec.is_unlimited()).then(|| obs::budget::install(spec.build()));
+        let _budget = (!spec.is_unlimited()).then(|| obs::budget::install(*spec));
         let generator = CoreCover::with_prepared_views(canonical, &self.prepared)
             .with_config(self.config.corecover.clone());
         let result = if self.config.all_minimal {

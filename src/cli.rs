@@ -602,7 +602,7 @@ fn budget_arg(args: &[String], fault: Option<Fault>) -> Result<BudgetSpec, CliEr
 /// Installs the requested budget for the rest of the command (a no-op
 /// `None` when the spec constrains nothing). The deadline starts now.
 fn install_budget(spec: BudgetSpec) -> Option<CtxGuard> {
-    (!spec.is_unlimited()).then(|| crate::obs::budget::install(spec.build()))
+    (!spec.is_unlimited()).then(|| crate::obs::budget::install(spec))
 }
 
 /// How completely the installed budget let the command run. Budgets are
@@ -874,6 +874,10 @@ fn eval(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
     write!(out, "{direct}")?;
     let result = CoreCover::new(&problem.query, &problem.views).try_run()?;
     match result.rewritings().first() {
+        None if result.stats.completeness.is_incomplete() => writeln!(
+            out,
+            "\n(no equivalent rewriting found before the budget ran out)"
+        )?,
         None => writeln!(out, "\n(no equivalent rewriting over the views)")?,
         Some(r) => {
             let vdb = materialize_views(&problem.views, &problem.base);
@@ -1345,7 +1349,7 @@ fn soak(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
         // per-search anyway. The guard drops before verification so the
         // post-hoc equivalence checks run unbudgeted.
         let result = {
-            let _g = crate::obs::budget::install(spec.build());
+            let _g = crate::obs::budget::install(spec);
             CoreCover::new(&w.query, &w.views).try_run_all_minimal()
         }
         .map_err(|e| CliError::Internal(format!("generated workload rejected: {e}")))?;

@@ -256,7 +256,7 @@ pub fn explain(
     let candidates: Vec<CandidateReport> = {
         // The cross-check must not inherit the request's budget: an
         // oracle cut short would read as a disagreement.
-        let _unbudgeted = viewplan_obs::budget::install(viewplan_obs::Budget::unlimited());
+        let _unbudgeted = viewplan_obs::budget::install(viewplan_obs::BudgetSpec::new());
         provenance
             .candidates
             .iter()

@@ -83,6 +83,28 @@ fn plan_with_injected_deadline_fault_does_not_panic() {
 }
 
 #[test]
+fn eval_does_not_deny_a_rewriting_the_budget_cut_short() {
+    const FILTER: &str = "examples/problems/filter_pays.vp";
+    let whole = stdout(&viewplan(&["eval", FILTER], &[]));
+    assert!(whole.contains("via rewriting"), "stdout: {whole}");
+    for fault in ["cover:1", "hom:1", "deadline:1"] {
+        let out = viewplan(&["eval", FILTER], &[("VIEWPLAN_FAULT", fault)]);
+        assert_eq!(out.status.code(), Some(0), "{fault}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(text.contains("budget exhausted"), "{fault}: {text}");
+        assert!(
+            !text.contains("no equivalent rewriting over the views"),
+            "{fault}: a cut search denies that a rewriting exists: {text}"
+        );
+        assert!(
+            text.contains("via rewriting")
+                || text.contains("no equivalent rewriting found before the budget ran out"),
+            "{fault}: {text}"
+        );
+    }
+}
+
+#[test]
 fn timeout_flag_is_accepted_and_completes_on_easy_input() {
     let out = viewplan(&["rewrite", PROBLEM, "--timeout-ms", "60000"], &[]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));

@@ -31,7 +31,7 @@ fn workload(seed: u64) -> Workload {
 
 /// One CoreCover* run under a per-search node cap of `cap`.
 fn run_budgeted(w: &Workload, cap: u64) -> (Vec<Rewriting>, Completeness) {
-    let _g = viewplan::obs::budget::install(BudgetSpec::new().node_budget(cap).build());
+    let _g = viewplan::obs::budget::install(BudgetSpec::new().node_budget(cap));
     let result = CoreCover::new(&w.query, &w.views)
         .try_run_all_minimal()
         .expect("generated workloads stay within 64 subgoals");
@@ -95,7 +95,7 @@ fn planned(
     model: CostModel,
     cap: Option<u64>,
 ) -> PlanOutcome {
-    let budget = cap.map(|n| BudgetSpec::new().phase_nodes(Phase::Plan, n).build());
+    let budget = cap.map(|n| BudgetSpec::new().phase_nodes(Phase::Plan, n));
     let _g = budget.map(viewplan::obs::budget::install);
     Optimizer::new(&w.query, &w.views)
         .try_plan_generated(model, result.clone(), &mut EstimateOracle::new(catalog))

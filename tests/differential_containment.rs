@@ -129,7 +129,7 @@ proptest! {
     fn fast_path_verdicts_survive_node_budgets(q1 in arb_star(), q2 in arb_star()) {
         let truth = dfs(&q1, &q2);
         let starved = {
-            let _budget = viewplan::obs::budget::install(BudgetSpec::new().node_budget(1).build());
+            let _budget = viewplan::obs::budget::install(BudgetSpec::new().node_budget(1));
             is_contained_in(&q1, &q2)
         };
         prop_assert_eq!(starved, truth, "budget truncated a fast-path verdict");

@@ -550,11 +550,11 @@ fn compare(
     let mut masks = Vec::new();
     for tv in tuples.iter().cloned().chain(broken) {
         let core = {
-            let _g = obs::budget::install(spec.build());
+            let _g = obs::budget::install(spec);
             tuple_core(query, &tv, views)
         };
         let (expected, resolved) = {
-            let _g = obs::budget::install(spec.build());
+            let _g = obs::budget::install(spec);
             reference_tuple_core(query, &tv, views)
         };
         prop_assert_eq!(
@@ -614,7 +614,7 @@ fn run_path_agrees(
             ..CoreCoverConfig::default()
         };
         let result = {
-            let _g = obs::budget::install(spec.build());
+            let _g = obs::budget::install(spec);
             let run = CoreCover::new(query, views).with_config(config);
             if all_minimal {
                 run.run_all_minimal()
@@ -640,7 +640,7 @@ fn run_path_agrees(
         prop_assert_eq!(result.cores.len(), result.view_tuples.len());
         for (tv, core) in result.view_tuples.iter().zip(&result.cores) {
             let (expected, _) = {
-                let _g = obs::budget::install(spec.build());
+                let _g = obs::budget::install(spec);
                 reference_tuple_core(qm, tv, views)
             };
             prop_assert_eq!(

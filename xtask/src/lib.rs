@@ -82,7 +82,8 @@
 //!     cover in the space.
 //!
 //! Beside the lints, `cargo run -p xtask -- lines` prints the non-test
-//! lines of each source root ([`count_lines`]), the count a simplicity
+//! lines of each source root ([`count_lines`]: every line outside
+//! `#[cfg(test)]` items and test-only modules), the count a simplicity
 //! change reports before → after.
 //!
 //! The scans work on a *stripped* view of each file: comment and string
@@ -1087,20 +1088,49 @@ fn check_plan_loop(root: &Path, report: &mut LintReport) {
     }
 }
 
-/// A file's non-test lines: those before its first `#[cfg(test)]`
-/// attribute (every line if it has none). An attribute named inside a
-/// comment or a string does not cut.
+/// A file's non-test lines: every line outside its `#[cfg(test)]`
+/// items ([`test_region_mask`]). An attribute named inside a comment or
+/// a string marks nothing.
 pub fn non_test_lines(src: &str) -> usize {
-    strip_code(src)
-        .lines()
-        .take_while(|line| !line.contains("#[cfg(test)]"))
+    test_region_mask(&strip_code(src))
+        .iter()
+        .filter(|&&in_test| !in_test)
         .count()
 }
 
+/// The modules `file` declares under `#[cfg(test)]`, each as its path
+/// without extension: `#[cfg(test)] mod model;` in `src/lib.rs` names
+/// `src/model`, whose file is `src/model.rs` or lies under `src/model/`.
+fn test_only_modules(file: &Path, stripped: &str, mask: &[bool]) -> Vec<PathBuf> {
+    let Some(parent) = file.parent() else {
+        return Vec::new();
+    };
+    let dir = match file.file_stem().and_then(|stem| stem.to_str()) {
+        Some("lib" | "main" | "mod") | None => parent.to_path_buf(),
+        Some(stem) => parent.join(stem),
+    };
+    stripped
+        .lines()
+        .zip(mask)
+        .filter(|(_, &in_test)| in_test)
+        .filter_map(|(line, _)| {
+            let item = line.trim();
+            let item = item
+                .strip_prefix("pub(crate) ")
+                .or_else(|| item.strip_prefix("pub "))
+                .unwrap_or(item);
+            let name = item.strip_prefix("mod ")?.strip_suffix(';')?.trim();
+            Some(dir.join(name))
+        })
+        .collect()
+}
+
 /// Non-test lines per source root, as `(root, lines)`: every
-/// `crates/*/src`, then `src` and `examples`, each `.rs` file under a
-/// root cut at its first `#[cfg(test)]` ([`non_test_lines`]). Tests
-/// directories, benches, `stubs/` and `xtask/` are not counted.
+/// `crates/*/src`, then `src` and `examples`. Each `.rs` file under a
+/// root counts its lines outside `#[cfg(test)]` items
+/// ([`non_test_lines`]); a file whose module is declared under
+/// `#[cfg(test)]` is not counted. Tests directories, benches, `stubs/`
+/// and `xtask/` are not counted.
 pub fn count_lines(root: &Path) -> Vec<(String, usize)> {
     let mut roots = library_roots(root);
     roots.extend([root.join("src"), root.join("examples")]);
@@ -1108,9 +1138,26 @@ pub fn count_lines(root: &Path) -> Vec<(String, usize)> {
         .iter()
         .filter(|dir| dir.is_dir())
         .map(|dir| {
-            let lines = rust_files(dir)
+            let files: Vec<(PathBuf, String, Vec<bool>)> = rust_files(dir)
+                .into_iter()
+                .map(|file| {
+                    let stripped = strip_code(&std::fs::read_to_string(&file).unwrap_or_default());
+                    let mask = test_region_mask(&stripped);
+                    (file, stripped, mask)
+                })
+                .collect();
+            let test_only: Vec<PathBuf> = files
                 .iter()
-                .map(|f| std::fs::read_to_string(f).map_or(0, |src| non_test_lines(&src)))
+                .flat_map(|(file, stripped, mask)| test_only_modules(file, stripped, mask))
+                .collect();
+            let lines = files
+                .iter()
+                .filter(|(file, ..)| {
+                    !test_only.iter().any(|module| {
+                        file.with_extension("") == *module || file.starts_with(module)
+                    })
+                })
+                .map(|(_, _, mask)| mask.iter().filter(|&&in_test| !in_test).count())
                 .sum();
             (rel(root, dir), lines)
         })
@@ -1169,7 +1216,7 @@ mod tests {
     }
 
     #[test]
-    fn lines_counts_each_root_up_to_each_files_first_cfg_test() {
+    fn lines_count_each_root_outside_its_test_items() {
         let repo = TempRepo::new("lines");
         repo.write(
             "crates/demo/src/lib.rs",
@@ -1177,9 +1224,15 @@ mod tests {
              pub fn f() {}\n\
              #[cfg(test)]\n\
              mod tests {}\n\
-             pub fn after_the_cut() {}\n",
+             pub fn after_the_tests() {}\n\
+             #[cfg(test)]\n\
+             mod model;\n\
+             mod inner;\n",
         );
+        repo.write("crates/demo/src/inner.rs", "mod more;\n");
         repo.write("crates/demo/src/inner/more.rs", "fn a() {}\nfn b() {}\n");
+        repo.write("crates/demo/src/model.rs", "fn test_only() {}\n");
+        repo.write("crates/demo/src/model/deeper.rs", "fn test_only() {}\n");
         repo.write("crates/demo/tests/t.rs", "fn not_counted() {}\n");
         repo.write("crates/other/src/lib.rs", "#[cfg(test)]\nmod tests {}\n");
         repo.write("src/main.rs", "fn main() {}\n");
@@ -1188,12 +1241,27 @@ mod tests {
         assert_eq!(
             count_lines(&repo.root),
             [
-                ("crates/demo/src".to_string(), 4),
+                ("crates/demo/src".to_string(), 7),
                 ("crates/other/src".to_string(), 0),
                 ("src".to_string(), 1),
                 ("examples".to_string(), 3),
             ]
         );
+    }
+
+    #[test]
+    fn a_test_item_before_product_code_cuts_only_itself() {
+        let src = "#[cfg(test)]\n\
+                   impl FromIterator<u64> for Column {\n\
+                   \x20   fn from_iter() {}\n\
+                   }\n\
+                   pub struct Column;\n\
+                   #[cfg(test)]\n\
+                   use std::iter::FromIterator;\n\
+                   impl Column {\n\
+                   \x20   pub fn len(&self) -> usize { 0 }\n\
+                   }\n";
+        assert_eq!(non_test_lines(src), 4);
     }
 
     #[test]
