@@ -38,7 +38,7 @@ use crate::catalog_index::{body_pairs, CatalogIndex};
 use crate::classes::{normalized, view_equivalence_classes};
 use crate::program::ViewProgram;
 use crate::prune::body_signature;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use viewplan_containment::are_equivalent;
 use viewplan_cq::{Symbol, View, ViewSet};
 use viewplan_obs as obs;
@@ -64,9 +64,6 @@ pub struct PreparedViews {
     /// One per view, aligned with `views`; shared with the snapshots
     /// derived from this one.
     programs: Vec<Arc<ViewProgram>>,
-    /// Built on first use: the request path selects representatives
-    /// through the index, so a snapshot swap does not pay for the copy.
-    representatives: OnceLock<ViewSet>,
     epoch: u64,
 }
 
@@ -107,7 +104,6 @@ impl PreparedViews {
             classes,
             index,
             programs,
-            representatives: OnceLock::new(),
             epoch,
         }
     }
@@ -200,7 +196,9 @@ impl PreparedViews {
 
     /// Equivalence classes as index lists into [`PreparedViews::views`],
     /// in first-seen order; each class's first element is its
-    /// representative.
+    /// representative. The snapshot keeps no copy of the representative
+    /// views: the request path selects them through the index's
+    /// representative bits.
     pub fn classes(&self) -> &[Vec<usize>] {
         &self.classes
     }
@@ -214,17 +212,6 @@ impl PreparedViews {
     /// The arity map, postings and signatures of this view set.
     pub fn index(&self) -> &CatalogIndex {
         &self.index
-    }
-
-    /// One representative view per class, in class order.
-    pub fn representatives(&self) -> &ViewSet {
-        self.representatives.get_or_init(|| {
-            ViewSet::from_views(
-                self.classes
-                    .iter()
-                    .map(|c| self.views.as_slice()[c[0]].clone()),
-            )
-        })
     }
 
     /// Number of equivalence classes.
@@ -256,7 +243,6 @@ mod tests {
         let prepared = PreparedViews::prepare(&views);
         assert_eq!(prepared.class_count(), 4); // v1 ≡ v5
         assert_eq!(prepared.classes()[0], vec![0, 4]);
-        assert_eq!(prepared.representatives().len(), 4);
         assert_eq!(prepared.views().len(), 5);
         assert_eq!(prepared.epoch(), 0);
         assert_eq!(PreparedViews::prepare_with_epoch(&views, 7).epoch(), 7);

@@ -38,19 +38,6 @@ impl ConjunctiveQuery {
             .all(|v| body_vars.binary_search(&v).is_ok())
     }
 
-    /// The distinguished variables (those in the head), deduplicated, in
-    /// order of first occurrence.
-    pub fn distinguished_vars(&self) -> Vec<Symbol> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for v in self.head.variables() {
-            if seen.insert(v) {
-                out.push(v);
-            }
-        }
-        out
-    }
-
     /// The set of distinguished variables.
     pub fn distinguished_set(&self) -> HashSet<Symbol> {
         self.head.variables().collect()
@@ -131,11 +118,6 @@ impl ConjunctiveQuery {
             body,
         }
     }
-
-    /// The distinct predicate names used in the body.
-    pub fn body_predicates(&self) -> HashSet<Symbol> {
-        self.body.iter().map(|a| a.predicate).collect()
-    }
 }
 
 impl fmt::Display for ConjunctiveQuery {
@@ -166,8 +148,8 @@ mod tests {
     #[test]
     fn variable_partition() {
         let q = carlocpart();
-        let dist: Vec<&str> = q.distinguished_vars().iter().map(|v| v.as_str()).collect();
-        assert_eq!(dist, ["S", "C"]);
+        let dist: HashSet<&str> = q.distinguished_set().iter().map(|v| v.as_str()).collect();
+        assert_eq!(dist, HashSet::from(["S", "C"]));
         let exist: Vec<&str> = q.existential_vars().iter().map(|v| v.as_str()).collect();
         assert_eq!(exist, ["M"]);
         assert_eq!(q.variables().len(), 3);

@@ -68,14 +68,6 @@ impl Substitution {
         self.map.iter().map(|(&v, &t)| (v, t))
     }
 
-    /// True iff the substitution is injective on its domain **and** no two
-    /// distinct domain variables map to the same term. Used when checking
-    /// the one-to-one property of tuple-core mappings (Definition 4.1).
-    pub fn is_injective(&self) -> bool {
-        let mut seen = std::collections::HashSet::with_capacity(self.map.len());
-        self.map.values().all(|t| seen.insert(*t))
-    }
-
     /// Composes `self` then `other`: `(other ∘ self)(x) = other(self(x))`.
     /// Variables bound only in `other` are included as well, so the result
     /// behaves like applying `self` first and `other` second to any term.
@@ -117,16 +109,6 @@ mod tests {
         assert_eq!(s.apply(Term::var("X")), Term::var("Y"));
         assert_eq!(s.apply(Term::var("Z")), Term::var("Z"));
         assert_eq!(s.apply(Term::cst("a")), Term::cst("a"));
-    }
-
-    #[test]
-    fn injectivity() {
-        let mut s = Substitution::new();
-        s.bind(Symbol::new("X"), Term::var("A"));
-        s.bind(Symbol::new("Y"), Term::var("B"));
-        assert!(s.is_injective());
-        s.bind(Symbol::new("Z"), Term::var("A"));
-        assert!(!s.is_injective());
     }
 
     #[test]

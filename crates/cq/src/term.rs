@@ -76,14 +76,6 @@ impl Term {
         }
     }
 
-    /// The constant, if this term is a constant.
-    pub fn as_const(self) -> Option<Constant> {
-        match self {
-            Term::Var(_) => None,
-            Term::Const(c) => Some(c),
-        }
-    }
-
     /// True iff this term is a variable.
     pub fn is_var(self) -> bool {
         matches!(self, Term::Var(_))
@@ -104,9 +96,8 @@ mod tests {
     fn term_constructors() {
         assert!(Term::var("X").is_var());
         assert!(!Term::cst("a").is_var());
-        assert_eq!(Term::int(3).as_const(), Some(Constant::Int(3)));
+        assert_eq!(Term::int(3), Term::Const(Constant::Int(3)));
         assert_eq!(Term::var("X").as_var(), Some(Symbol::new("X")));
-        assert_eq!(Term::var("X").as_const(), None);
         assert_eq!(Term::cst("a").as_var(), None);
     }
 

@@ -123,11 +123,6 @@ impl Database {
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &Relation)> {
         self.relations.iter().map(|(&n, r)| (n, r))
     }
-
-    /// Total number of tuples across all relations.
-    pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
-    }
 }
 
 impl fmt::Display for Database {
@@ -155,7 +150,6 @@ mod tests {
         assert_eq!(db.get(Symbol::new("car")).unwrap().len(), 1);
         assert_eq!(db.get(Symbol::new("nums")).unwrap().len(), 2);
         assert!(db.get(Symbol::new("missing")).is_none());
-        assert_eq!(db.total_tuples(), 3);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! override — is one `RequestCtx` per thread, confined to that thread: a
 //! request runs start to finish on the thread that installed its
 //! context, so nothing carries a context anywhere else, and each part is
-//! a plain value. Three typed setters replace one part each and return a
-//! [`CtxGuard`] that puts back that part, and only that part, when it
-//! drops: [`budget::install`](crate::budget::install),
+//! a plain single-thread value. Three typed setters replace one part each
+//! and return a [`CtxGuard`] that puts back that part, and only that
+//! part, when it drops: [`budget::install`](crate::budget::install),
 //! [`trace::install`](crate::trace::install) and, through
 //! [`set_policy`], `viewplan_engine::install`. A trace or policy guard
 //! that opens and closes under a budget therefore keeps what the budget

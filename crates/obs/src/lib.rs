@@ -19,9 +19,9 @@
 //!   Prometheus text exposition of everything.
 //! * **Traces** ([`trace::Trace`], [`trace_event!`]) — request-scoped
 //!   span trees with typed events, recorded on the thread that installed
-//!   the trace; export as a Chrome trace or a rendered tree. Snapshots of
-//!   the registry ([`metrics_snapshot`]) subtract to isolate one
-//!   request's share of the global counters.
+//!   the trace (a single-thread value); export as a Chrome trace or a
+//!   rendered tree. Snapshots of the registry ([`metrics_snapshot`])
+//!   subtract to isolate one request's share of the global counters.
 //! * **The request context** ([`ctx`]) — the one thread-local slot that
 //!   holds a request's budget, trace and policy word, confined to the
 //!   thread that installed it; one [`CtxGuard`] type restores it.

@@ -2,7 +2,7 @@
 //!
 //! The metrics registry ([`crate::metrics`]) answers "how much, over the
 //! whole process"; this module answers "what happened, in *this*
-//! request, in what order, on which thread". A [`Trace`] is installed
+//! request, in what order". A [`Trace`] is installed
 //! for the dynamic extent of one request (or one CLI command) and every
 //! [`crate::span`] opened while it is installed additionally records a
 //! start/end pair into the trace; instrumentation sites attach typed
@@ -10,12 +10,17 @@
 //! verified, a cache hit — to whatever span is open.
 //!
 //! **Threading.** The installed trace is part of the thread's
-//! [request context](crate::ctx), so it records that thread only. A
-//! trace holds one record vector under one lock; each [`install`] gives
-//! the installing thread a trace-local `tid` that tags its records, so
-//! several threads may install one trace and still export balanced
-//! per-thread spans. Spans carry trace-unique ids and a parent id, from
-//! which [`Trace::tree`] builds the span tree.
+//! [request context](crate::ctx), so it records that thread only, and a
+//! [`Trace`] is a single-thread value (`Rc`, `Cell`, `RefCell`):
+//!
+//! ```compile_fail,E0277
+//! let trace = viewplan_obs::Trace::new();
+//! std::thread::spawn(move || drop(trace));
+//! ```
+//!
+//! Each [`install`] tags its records with a trace-local `tid` of its
+//! own. Spans carry trace-unique ids and a parent id, from which
+//! [`Trace::tree`] builds the span tree.
 //!
 //! **Exports.** [`Trace::chrome_json`] renders the records as a Chrome
 //! trace-event JSON array (load in `chrome://tracing` or Perfetto);
@@ -27,11 +32,11 @@
 
 use crate::ctx::{self, CtxGuard, Frame, Part};
 use crate::json::Json;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
-use viewplan_sync::{AtomicU64, Mutex, Ordering};
 
 /// One typed attribute value on a trace event.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,18 +115,18 @@ enum Record {
 
 struct Inner {
     epoch: Instant,
-    next_span: AtomicU64,
-    next_tid: AtomicU64,
+    next_span: Cell<u64>,
+    next_tid: Cell<u64>,
     /// Every record in append order, each tagged with the `tid` of the
     /// install that wrote it.
-    records: Mutex<Vec<(u64, Record)>>,
+    records: RefCell<Vec<(u64, Record)>>,
 }
 
-/// A request-scoped trace. Cheap to clone (an `Arc`); install it on the
+/// A request-scoped trace. Cheap to clone (an `Rc`); install it on the
 /// request thread with [`install`].
 #[derive(Clone)]
 pub struct Trace {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 impl Default for Trace {
@@ -134,11 +139,11 @@ impl Trace {
     /// An empty trace; timestamps are relative to this call.
     pub fn new() -> Trace {
         Trace {
-            inner: Arc::new(Inner {
+            inner: Rc::new(Inner {
                 epoch: Instant::now(),
-                next_span: AtomicU64::new(1),
-                next_tid: AtomicU64::new(0),
-                records: Mutex::new(Vec::new()),
+                next_span: Cell::new(1),
+                next_tid: Cell::new(0),
+                records: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -148,27 +153,22 @@ impl Trace {
     }
 
     fn push(&self, tid: u64, record: Record) {
-        self.inner.records.lock().push((tid, record));
+        self.inner.records.borrow_mut().push((tid, record));
     }
 
     /// Number of spans recorded so far (started, whether or not ended).
     pub fn span_count(&self) -> usize {
-        self.inner
-            .records
-            .lock()
-            .iter()
-            .filter(|(_, r)| matches!(r, Record::Start { .. }))
-            .count()
+        self.count(|r| matches!(r, Record::Start { .. }))
     }
 
     /// Number of events recorded so far.
     pub fn event_count(&self) -> usize {
-        self.inner
-            .records
-            .lock()
-            .iter()
-            .filter(|(_, r)| matches!(r, Record::Event { .. }))
-            .count()
+        self.count(|r| matches!(r, Record::Event { .. }))
+    }
+
+    fn count(&self, kind: impl Fn(&Record) -> bool) -> usize {
+        let records = self.inner.records.borrow();
+        records.iter().filter(|(_, r)| kind(r)).count()
     }
 
     /// Builds the span tree by span id. Children are ordered by start
@@ -176,9 +176,9 @@ impl Trace {
     /// never recorded (trace exported while it was still open) reports a
     /// zero duration.
     pub fn tree(&self) -> Vec<TraceNode> {
-        let mut spans: BTreeMap<u64, TraceNode> = BTreeMap::new();
-        let mut parents: BTreeMap<u64, u64> = BTreeMap::new();
-        for (tid, record) in self.inner.records.lock().iter() {
+        // Each span with its parent's id.
+        let mut spans: BTreeMap<u64, (u64, TraceNode)> = BTreeMap::new();
+        for (tid, record) in self.inner.records.borrow().iter() {
             match record {
                 Record::Start {
                     id,
@@ -186,22 +186,19 @@ impl Trace {
                     name,
                     t_ns,
                 } => {
-                    parents.insert(*id, *parent);
-                    spans.insert(
-                        *id,
-                        TraceNode {
-                            id: *id,
-                            name,
-                            tid: *tid,
-                            start_ns: *t_ns,
-                            end_ns: *t_ns,
-                            events: Vec::new(),
-                            children: Vec::new(),
-                        },
-                    );
+                    let node = TraceNode {
+                        id: *id,
+                        name,
+                        tid: *tid,
+                        start_ns: *t_ns,
+                        end_ns: *t_ns,
+                        events: Vec::new(),
+                        children: Vec::new(),
+                    };
+                    spans.insert(*id, (*parent, node));
                 }
                 Record::End { id, t_ns } => {
-                    if let Some(node) = spans.get_mut(id) {
+                    if let Some((_, node)) = spans.get_mut(id) {
                         node.end_ns = *t_ns;
                     }
                 }
@@ -211,7 +208,7 @@ impl Trace {
                     t_ns,
                     attrs,
                 } => {
-                    if let Some(node) = spans.get_mut(span) {
+                    if let Some((_, node)) = spans.get_mut(span) {
                         node.events.push(TraceEvent {
                             name,
                             t_ns: *t_ns,
@@ -225,14 +222,9 @@ impl Trace {
         // is fully built (its own children attached) before it moves
         // into its parent.
         let mut roots: Vec<TraceNode> = Vec::new();
-        let ids: Vec<u64> = spans.keys().rev().copied().collect();
-        for id in ids {
-            let Some(node) = spans.remove(&id) else {
-                continue;
-            };
-            let parent = parents.get(&id).copied().unwrap_or(0);
+        while let Some((_, (parent, node))) = spans.pop_last() {
             match spans.get_mut(&parent) {
-                Some(p) => p.children.push(node),
+                Some((_, p)) => p.children.push(node),
                 None => roots.push(node),
             }
         }
@@ -246,10 +238,10 @@ impl Trace {
     /// The trace as a Chrome trace-event JSON array (the `chrome://
     /// tracing` / Perfetto interchange format): `B`/`E` duration pairs
     /// per span and `i` instant events, timestamps in microseconds,
-    /// one `tid` per participating thread.
+    /// one `tid` per install.
     pub fn chrome_json(&self) -> String {
         let mut entries: Vec<Json> = Vec::new();
-        for (tid, record) in self.inner.records.lock().iter() {
+        for (tid, record) in self.inner.records.borrow().iter() {
             let mut obj: BTreeMap<String, Json> = BTreeMap::new();
             obj.insert("pid".into(), Json::num(1));
             obj.insert("tid".into(), Json::num(*tid));
@@ -413,8 +405,7 @@ pub struct TraceNode {
     pub id: u64,
     /// Span name (same names as the aggregate phase tree).
     pub name: &'static str,
-    /// The trace-local id of the [`install`] the span opened under —
-    /// one per installing thread.
+    /// The trace-local id of the [`install`] the span opened under.
     pub tid: u64,
     /// Start, nanoseconds since the trace epoch.
     pub start_ns: u64,
@@ -466,8 +457,8 @@ impl TraceSlot {
     /// Records the start of a span opening under `frames`; returns its
     /// id.
     pub(crate) fn start(&self, name: &'static str, frames: &[Frame]) -> u64 {
-        // ordering: unique-id allocation; only atomicity matters.
-        let id = self.trace.inner.next_span.fetch_add(1, Ordering::Relaxed);
+        let next = &self.trace.inner.next_span;
+        let id = next.replace(next.get() + 1);
         let start = Record::Start {
             id,
             parent: self.innermost(frames),
@@ -496,10 +487,10 @@ impl TraceSlot {
 /// records into it (while collection is [enabled](crate::enabled)),
 /// under a `tid` of its own.
 pub fn install(trace: &Trace) -> CtxGuard {
+    let next = &trace.inner.next_tid;
     let slot = TraceSlot {
         trace: trace.clone(),
-        // ordering: unique-id allocation; only atomicity matters.
-        tid: trace.inner.next_tid.fetch_add(1, Ordering::Relaxed),
+        tid: next.replace(next.get() + 1),
         floor: ctx::with_frames(|_, frames| frames.len()),
     };
     ctx::scoped(Part::Trace(Some(slot)))
@@ -647,31 +638,20 @@ mod tests {
     }
 
     #[test]
-    fn two_threads_installing_one_trace_export_one_tid_each() {
+    fn each_install_of_one_trace_exports_its_own_tid() {
         let _serial = crate::testlock::serial();
         crate::set_enabled(true);
         let trace = Trace::new();
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|| {
-                    let _g = install(&trace);
-                    let _outer = crate::span("trace_test.thread_outer");
-                    let _inner = crate::span("trace_test.thread_inner");
-                });
-            }
-        });
+        for _ in 0..2 {
+            let _g = install(&trace);
+            let _outer = crate::span("trace_test.install_outer");
+            let _inner = crate::span("trace_test.install_inner");
+        }
         let parsed = crate::json::parse(&trace.chrome_json()).expect("chrome trace is valid JSON");
-        validate_chrome_trace(&parsed).expect("each thread's spans balance under its own tid");
-        let tids: std::collections::BTreeSet<u64> = parsed
-            .as_array()
-            .expect("top level is an array")
-            .iter()
-            .filter_map(|e| e.get("tid").and_then(Json::as_u64))
-            .collect();
-        assert_eq!(tids.len(), 2, "{tids:?}");
-        let roots = trace.tree();
-        assert_eq!(roots.len(), 2, "each thread's outer span is a root");
-        assert!(roots.iter().all(|r| r.children.len() == 1));
+        validate_chrome_trace(&parsed).expect("each install's spans balance under its own tid");
+        let tids: Vec<u64> = trace.tree().iter().map(|root| root.tid).collect();
+        assert_eq!(tids, [0, 1], "each install's outer span is a root");
+        assert!(trace.tree().iter().all(|r| r.children.len() == 1));
         crate::set_enabled(false);
     }
 

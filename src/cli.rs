@@ -300,6 +300,28 @@ struct Problem {
     base: Database,
 }
 
+/// The kind of `.vp` file a command reads.
+#[derive(Clone, Copy)]
+enum Expect {
+    /// Rules, ground facts, and a `---` line that makes it a batch.
+    Problem,
+    /// `serve`'s view rules only, gated as a views-only program.
+    Views,
+    /// `loadgen`'s query rules only, never gated.
+    Queries,
+}
+
+impl Expect {
+    /// How a refusal names the rules of this kind of file.
+    fn rule(self) -> &'static str {
+        match self {
+            Expect::Problem => "rule",
+            Expect::Views => "view rule",
+            Expect::Queries => "query rule",
+        }
+    }
+}
+
 /// A `.vp` file split into rules and facts, with the rule text kept
 /// *line-preserving*: `rules_src` has exactly one line per input line
 /// (non-rule lines blanked, comments stripped, leading whitespace kept),
@@ -311,7 +333,7 @@ struct SourceFile {
     facts: Vec<Atom>,
 }
 
-fn read_source(path: &str) -> Result<SourceFile, CliError> {
+fn read_source(path: &str, expect: Expect) -> Result<SourceFile, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Input(format!("cannot read {path}: {e}")))?;
     let mut rules_src = String::new();
@@ -326,6 +348,11 @@ fn read_source(path: &str) -> Result<SourceFile, CliError> {
             if !saw_separator {
                 rules_before_separator += 1;
             }
+        } else if !matches!(expect, Expect::Problem) && !line.is_empty() {
+            return Err(CliError::Input(format!(
+                "expected a {}, got {line:?}",
+                expect.rule()
+            )));
         } else if line == "---" {
             saw_separator = true;
         } else if !line.is_empty() {
@@ -340,13 +367,15 @@ fn read_source(path: &str) -> Result<SourceFile, CliError> {
         rules_src.push('\n');
     }
     let program = crate::cq::parse_program(&rules_src)
-        .map_err(|e| CliError::Input(format!("bad rule: {e}")))?;
-    let layout = if saw_separator {
-        Layout::Batch {
+        .map_err(|e| CliError::Input(format!("bad {}: {e}", expect.rule())))?;
+    let layout = match expect {
+        Expect::Problem if saw_separator => Layout::Batch {
             view_count: rules_before_separator,
-        }
-    } else {
-        Layout::Problem
+        },
+        Expect::Problem => Layout::Problem,
+        Expect::Views => Layout::ViewsOnly,
+        // A query file is never gated, so no analyzer reads this layout.
+        Expect::Queries => Layout::ViewsOnly,
     };
     Ok(SourceFile {
         rules_src,
@@ -363,26 +392,29 @@ fn read_source(path: &str) -> Result<SourceFile, CliError> {
 /// `viewplan check` for the full analysis.
 fn analysis_gate(source: &SourceFile, path: &str) -> Result<(), CliError> {
     let analysis = analyze_errors(&source.program, source.layout);
-    if analysis.has_errors() {
-        let findings: Vec<String> = analysis
-            .errors()
-            .map(|d| {
-                format!(
-                    "{path}:{}:{}: [{}] {}",
-                    d.span.line, d.span.column, d.code, d.message
-                )
-            })
-            .collect();
-        return Err(CliError::Input(format!(
-            "{}\n(run `viewplan check {path}` for details)",
-            findings.join("\n")
-        )));
+    if !analysis.has_errors() {
+        return Ok(());
     }
-    Ok(())
+    let findings: Vec<String> = analysis
+        .errors()
+        .map(|d| {
+            format!(
+                "{path}:{}:{}: [{}] {}",
+                d.span.line, d.span.column, d.code, d.message
+            )
+        })
+        .collect();
+    let mut message = findings.join("\n");
+    // `check` reads every file as a problem or a batch, so it has no
+    // details to add about a views-only file.
+    if source.layout != Layout::ViewsOnly {
+        message.push_str(&format!("\n(run `viewplan check {path}` for details)"));
+    }
+    Err(CliError::Input(message))
 }
 
 fn load(path: &str) -> Result<Problem, CliError> {
-    let source = read_source(path)?;
+    let source = read_source(path, Expect::Problem)?;
     if matches!(source.layout, Layout::Batch { .. }) {
         return Err(CliError::Input(format!(
             "{path} is a batch file (it contains a `---` separator); use `viewplan batch`"
@@ -415,7 +447,7 @@ fn load(path: &str) -> Result<Problem, CliError> {
 /// any error-severity diagnostic is present.
 fn check(args: &[String], color: bool, out: &mut dyn Write) -> Result<(), CliError> {
     let path = file_arg(args)?;
-    let source = read_source(path)?;
+    let source = read_source(path, Expect::Problem)?;
     let analysis = analyze(&source.program, source.layout);
     if flag(args, "--json") {
         write!(out, "{}", render_json(&analysis, path))?;
@@ -929,30 +961,11 @@ fn serve_config(args: &[String], common: &Common) -> Result<ServeConfig, CliErro
     Ok(config)
 }
 
-/// Parses rule-only source (line-preserving, like [`read_source`]) into
-/// a [`Program`]; any non-rule, non-comment line is an input error.
-fn parse_rules_program(src: &str, what: &str) -> Result<Program, CliError> {
-    let mut rules_src = String::new();
-    for raw in src.lines() {
-        let stripped = raw.split(['%', '#']).next().unwrap_or("");
-        let line = stripped.trim();
-        if !line.is_empty() && !line.contains(":-") {
-            return Err(CliError::Input(format!(
-                "expected a {what} rule, got {line:?}"
-            )));
-        }
-        rules_src.push_str(stripped.trim_end());
-        rules_src.push('\n');
-    }
-    crate::cq::parse_program(&rules_src)
-        .map_err(|e| CliError::Input(format!("bad {what} rule: {e}")))
-}
-
 /// Loads a batch problem file: view rules, a `---` line, query rules.
 /// The analyzer gate runs over the whole program (views + queries), so a
 /// malformed stream fails fast with exit 2 before anything is served.
 fn load_batch(path: &str) -> Result<(ViewSet, Vec<ConjunctiveQuery>), CliError> {
-    let source = read_source(path)?;
+    let source = read_source(path, Expect::Problem)?;
     let Layout::Batch { view_count } = source.layout else {
         return Err(CliError::input(
             "batch FILE needs a `---` line separating views from queries",
@@ -1116,24 +1129,10 @@ fn write_batch_csv(
 
 /// Loads and VP-gates a views-only file for `serve`.
 fn load_views_file(path: &str) -> Result<ViewSet, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Input(format!("cannot read {path}: {e}")))?;
-    let program = parse_rules_program(&text, "view")?;
-    let analysis = analyze_errors(&program, Layout::ViewsOnly);
-    if analysis.has_errors() {
-        let findings: Vec<String> = analysis
-            .errors()
-            .map(|d| {
-                format!(
-                    "{path}:{}:{}: [{}] {}",
-                    d.span.line, d.span.column, d.code, d.message
-                )
-            })
-            .collect();
-        return Err(CliError::Input(findings.join("\n")));
-    }
+    let source = read_source(path, Expect::Views)?;
+    analysis_gate(&source, path)?;
     Ok(ViewSet::from_views(
-        program.rules.into_iter().map(View::new),
+        source.program.rules.into_iter().map(View::new),
     ))
 }
 
@@ -1254,9 +1253,7 @@ fn loadgen(args: &[String], _: &Common, out: &mut dyn Write) -> Result<(), CliEr
         .parse()
         .map_err(|e| CliError::Input(format!("bad --connect address {addr:?}: {e}")))?;
     let path = file_arg(args)?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Input(format!("cannot read {path}: {e}")))?;
-    let program = parse_rules_program(&text, "query")?;
+    let program = read_source(path, Expect::Queries)?.program;
     if program.rules.is_empty() {
         return Err(CliError::Input(format!("{path} contains no query rules")));
     }
@@ -1386,7 +1383,9 @@ fn soak(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
 
 #[cfg(test)]
 mod tests {
-    use super::{file_arg, option, positional_args, u64_arg, CliError};
+    use super::{
+        file_arg, load_views_file, option, positional_args, read_source, u64_arg, CliError, Expect,
+    };
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1475,5 +1474,48 @@ mod tests {
         assert_eq!(option(&a, "--model"), Some("m3"));
         assert_eq!(option(&a, "--stats-json"), Some("o.json"));
         assert_eq!(option(&a, "--baseline"), None);
+    }
+
+    /// A views file (`serve`) and a query file (`loadgen`) are read by
+    /// the problem-file reader but refuse in their own words: a
+    /// non-rule line or a bad rule names the kind of rule expected, and
+    /// an analyzer finding in a views file carries no advice to run
+    /// `check`, which would read the file as a problem.
+    #[test]
+    fn rules_only_files_refuse_in_their_own_words() {
+        let path =
+            std::env::temp_dir().join(format!("viewplan-cli-rules-{}.vp", std::process::id()));
+        let file = path.to_str().unwrap().to_string();
+        let refusal = |text: &str, expect: Expect| {
+            std::fs::write(&path, text).unwrap();
+            let result = match expect {
+                Expect::Views => load_views_file(&file).map(drop),
+                _ => read_source(&file, expect).map(drop),
+            };
+            match result {
+                Err(CliError::Input(message)) => message,
+                other => panic!("expected an input error, got {other:?}"),
+            }
+        };
+        let views = Expect::Views;
+        let queries = Expect::Queries;
+        assert_eq!(
+            refusal("v(X) :- a(X).\na(1).\n", views),
+            "expected a view rule, got \"a(1).\""
+        );
+        assert_eq!(
+            refusal("% queries\nq(X) :- a(X).\n---\n", queries),
+            "expected a query rule, got \"---\""
+        );
+        assert!(refusal("v(X) :- a(X\n", views).starts_with("bad view rule: "));
+        assert!(refusal("q(X) :- a(X\n", queries).starts_with("bad query rule: "));
+        let finding = refusal("v(X) :- a(X).\nw(X) :- a(X, X).\n", views);
+        assert!(
+            finding.starts_with(&format!("{file}:2:9: [VP001] ")),
+            "{finding}"
+        );
+        assert_eq!(finding.lines().count(), 1, "{finding}");
+        assert!(refusal("q(X) :- a(X\n", Expect::Problem).starts_with("bad rule: "));
+        let _ = std::fs::remove_file(&path);
     }
 }

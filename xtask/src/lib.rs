@@ -84,7 +84,7 @@
 //! Beside the lints, `cargo run -p xtask -- lines` prints the non-test
 //! lines of each source root ([`count_lines`]: every line outside
 //! `#[cfg(test)]` items and test-only modules), the count a simplicity
-//! change reports before → after.
+//! change reports before → after, with each file's count under its root.
 //!
 //! The scans work on a *stripped* view of each file: comment and string
 //! contents are blanked (structure and braces preserved), so `"panic!"`
@@ -1125,13 +1125,13 @@ fn test_only_modules(file: &Path, stripped: &str, mask: &[bool]) -> Vec<PathBuf>
         .collect()
 }
 
-/// Non-test lines per source root, as `(root, lines)`: every
-/// `crates/*/src`, then `src` and `examples`. Each `.rs` file under a
-/// root counts its lines outside `#[cfg(test)]` items
-/// ([`non_test_lines`]); a file whose module is declared under
-/// `#[cfg(test)]` is not counted. Tests directories, benches, `stubs/`
-/// and `xtask/` are not counted.
-pub fn count_lines(root: &Path) -> Vec<(String, usize)> {
+/// Non-test lines per source root and per file, as `(root, [(file,
+/// lines)])` with files in path order: every `crates/*/src`, then `src`
+/// and `examples`. Each `.rs` file under a root counts its lines outside
+/// `#[cfg(test)]` items ([`non_test_lines`]); a file whose module is
+/// declared under `#[cfg(test)]` is not counted. Tests directories,
+/// benches, `stubs/` and `xtask/` are not counted.
+pub fn count_lines(root: &Path) -> Vec<(String, Vec<(String, usize)>)> {
     let mut roots = library_roots(root);
     roots.extend([root.join("src"), root.join("examples")]);
     roots
@@ -1150,16 +1150,19 @@ pub fn count_lines(root: &Path) -> Vec<(String, usize)> {
                 .iter()
                 .flat_map(|(file, stripped, mask)| test_only_modules(file, stripped, mask))
                 .collect();
-            let lines = files
+            let counted = files
                 .iter()
                 .filter(|(file, ..)| {
                     !test_only.iter().any(|module| {
                         file.with_extension("") == *module || file.starts_with(module)
                     })
                 })
-                .map(|(_, _, mask)| mask.iter().filter(|&&in_test| !in_test).count())
-                .sum();
-            (rel(root, dir), lines)
+                .map(|(file, _, mask)| {
+                    let lines = mask.iter().filter(|&&in_test| !in_test).count();
+                    (rel(root, file), lines)
+                })
+                .collect();
+            (rel(root, dir), counted)
         })
         .collect()
 }
@@ -1238,13 +1241,42 @@ mod tests {
         repo.write("src/main.rs", "fn main() {}\n");
         repo.write("examples/e.rs", "fn main() {}\n\nfn g() {}\n");
         repo.write("stubs/x/src/lib.rs", "fn not_counted() {}\n");
+        let per_root: Vec<(String, usize)> = count_lines(&repo.root)
+            .into_iter()
+            .map(|(dir, files)| (dir, files.iter().map(|(_, lines)| lines).sum()))
+            .collect();
         assert_eq!(
-            count_lines(&repo.root),
+            per_root,
             [
                 ("crates/demo/src".to_string(), 7),
                 ("crates/other/src".to_string(), 0),
                 ("src".to_string(), 1),
                 ("examples".to_string(), 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn lines_list_each_counted_file_under_its_root() {
+        let repo = TempRepo::new("file-lines");
+        repo.write(
+            "crates/demo/src/lib.rs",
+            "pub fn f() {}\n#[cfg(test)]\nmod model;\nmod inner;\n",
+        );
+        repo.write("crates/demo/src/inner.rs", "fn a() {}\nfn b() {}\n");
+        repo.write("crates/demo/src/model.rs", "fn test_only() {}\n");
+        repo.write("src/main.rs", "fn main() {}\n");
+        assert_eq!(
+            count_lines(&repo.root),
+            [
+                (
+                    "crates/demo/src".to_string(),
+                    vec![
+                        ("crates/demo/src/inner.rs".to_string(), 2),
+                        ("crates/demo/src/lib.rs".to_string(), 2),
+                    ]
+                ),
+                ("src".to_string(), vec![("src/main.rs".to_string(), 1)]),
             ]
         );
     }

@@ -1,5 +1,6 @@
 //! `cargo run -p xtask -- lint` — repo lints for the viewplan workspace;
-//! `cargo run -p xtask -- lines` — non-test lines per source root.
+//! `cargo run -p xtask -- lines` — non-test lines per source root, each
+//! file's count under its root.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -11,8 +12,9 @@ fn main() -> ExitCode {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .unwrap_or_else(|| Path::new("."));
-    match args.first().map(String::as_str) {
-        Some("lint") => {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        ["lint"] => {
             let report = xtask::run_lint(root);
             if report.is_clean() {
                 println!("xtask lint: ok");
@@ -25,12 +27,16 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        Some("lines") => {
-            let counts = xtask::count_lines(root);
-            for (dir, lines) in &counts {
+        ["lines"] => {
+            let mut total = 0;
+            for (dir, files) in xtask::count_lines(root) {
+                let lines: usize = files.iter().map(|(_, lines)| lines).sum();
+                total += lines;
                 println!("{lines:>7}  {dir}");
+                for (file, lines) in files {
+                    println!("{lines:>7}      {file}");
+                }
             }
-            let total: usize = counts.iter().map(|(_, lines)| lines).sum();
             println!("{total:>7}  total");
             ExitCode::SUCCESS
         }
