@@ -28,15 +28,58 @@
 //! per the policy, by one set of renames at that subgoal. Everything it
 //! decides with is positional: each variable knows the subgoals it
 //! occurs in as a bitmask, so "still needed by the suffix", "dropped
-//! here" and "retained" are mask tests against the prefix set. A prefix
-//! whose cost already exceeds the best complete plan is abandoned
-//! (every term of the cost is non-negative) — before the step's `GSR` is
-//! asked for when the cost so far plus `size(g)` already loses, since
-//! every variant of the step would — and the whole search draws on one
-//! `Phase::Plan` allowance, one tick per node. The optimizer also
-//! passes the plan it holds for another rewriting as a *ceiling*: a prefix
-//! costing more is abandoned, and one costing the same unless this
-//! rewriting comes first in CoreCover order (and so would win the tie).
+//! here" and "retained" are mask tests against the prefix set. The whole
+//! search draws on one `Phase::Plan` allowance, one tick per node. The
+//! cost to beat is the best complete plan so far; the optimizer also
+//! passes the plan it holds for another rewriting as a *ceiling*, which
+//! a plan must beat, or tie when this rewriting comes first in
+//! CoreCover order (and so would win the tie).
+//!
+//! A node, and a candidate step before its `GSR` is asked for and before
+//! any §6.2 test runs, is abandoned on either of two bounds:
+//!
+//! * **cost so far**: it already costs more than the cost to beat, or
+//!   the same and loses the tie (every term of the cost is
+//!   non-negative); a step is charged `size(g)` up front;
+//! * **suffix**: `fl(cost + Σ size(h))` over every subgoal `h` not yet
+//!   placed exceeds `min(best, ceiling) · (1 + 2⁻⁴⁰)`. Every plan below
+//!   the node must still join each of those subgoals.
+//!
+//! Children are visited cheapest relation first, ties by index (one
+//! sort per search), so a cheap plan is found early and bounds the rest.
+//! Ties still break as an enumeration of all orders, each planned in
+//! turn, would break them: lowest cost, then the lexicographically first
+//! order, then the first variant path. The search visits plans in a
+//! different sequence (orders that share a prefix share their nodes,
+//! and children come by size), so equal-cost plans are compared on that
+//! key explicitly, and the suffix bound only prunes what can neither win
+//! nor tie.
+//!
+//! ## The suffix bound
+//!
+//! Let `u = 2⁻⁵³`. For `a, b ≥ 0`,
+//! `(a + b)(1 − u) ≤ fl(a + b) ≤ (a + b)(1 + u)` (a sum that lands in
+//! the subnormals is exact). At a node of cost `c` with `m ≤ n ≤ 32`
+//! subgoals unplaced, the bound `B` is `m` additions of non-negative
+//! terms, so `B ≤ (c + Σ size(h))(1 + u)ᵐ`. Any plan below the node
+//! costs `C`, made from `c` by `2m` more additions (`size(h)`, then
+//! `GSR`, per step), so
+//! `C ≥ (c + Σ size(h) + Σ GSR)(1 − u)²ᵐ ≥ (c + Σ size(h))(1 − u)²ᵐ`.
+//! Together, `C ≥ B(1 − u)²ᵐ / (1 + u)ᵐ ≥ B(1 − 3mu) ≥ B(1 − 96u)`.
+//!
+//! The bound prunes when `B > fl(T(1 + ε))`, with `T = min(best,
+//! ceiling)` and `ε = 2⁻⁴⁰`. `1 + ε` is exact, and `T`, a sum of sizes,
+//! is 0 or a normal number, so the product rounds by `1 ± u` too. Then
+//! `C > T(1 + ε)(1 − u)(1 − 96u) ≥ T`, since `ε = 8192u`: every plan
+//! below a pruned node costs strictly more than the cost to beat. It
+//! could neither replace the best plan nor tie with it or with the
+//! ceiling, and the search returns the plan the `n!` enumeration
+//! returns, bit for bit. (`T = 0` prunes only `B > 0`; with no best
+//! plan and no ceiling, `T = ∞` prunes nothing.) A step is checked
+//! against its node's bound: placing `g` changes what is summed, not
+//! its value. Exact ties are left to the first bound, which compares
+//! the order key. Only a node cap can tell the visiting order: a search
+//! cut short holds whatever incumbent it had reached.
 //!
 //! A rename closes a *generation* of a variable: the prefix subgoals
 //! whose occurrences are renamed apart together. The renamed rewriting —
@@ -60,16 +103,11 @@
 //! tested before. An oracle that does not override `prefix_size` is
 //! handed the atoms and retained names it asks about, per node.
 //!
-//! Ties break as an enumeration of all orders, each planned in turn,
-//! would break them: lowest cost, then the lexicographically first
-//! order, then the first variant path. The search visits plans in a
-//! different sequence (orders that share a prefix share its nodes), so
-//! equal-cost plans are compared on that key explicitly.
 
 use crate::error::{check_width, CostError};
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
-use crate::subsets::{Generation, Prefixes};
+use crate::subsets::{selected, Generation, Prefixes};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -158,6 +196,22 @@ pub fn try_optimal_m3_plan(
     optimal_plan(&test, rewriting, policy, oracle, None)
 }
 
+/// [`try_optimal_m3_plan`] under a `ceiling`: a cost to beat, and whether
+/// a plan costing exactly that beats it. `Ok(None)` when no plan does
+/// (or the budget ran out first). The optimizer plans each rewriting
+/// against the best plan it already holds this way.
+pub fn try_optimal_m3_plan_under(
+    query: &ConjunctiveQuery,
+    views: &ViewSet,
+    rewriting: &ConjunctiveQuery,
+    policy: DropPolicy,
+    oracle: &mut dyn SizeOracle,
+    ceiling: (f64, bool),
+) -> Result<Option<(PhysicalPlan, f64)>, CostError> {
+    let test = RenameTest::new(query, views);
+    optimal_plan(&test, rewriting, policy, oracle, Some(ceiling))
+}
+
 /// [`try_optimal_m3_plan`] for a caller that plans several rewritings of
 /// one query and keeps the [`RenameTest`] across them. Under a `ceiling`
 /// (a cost, and whether a tie beats it) `None` may mean "none beats it".
@@ -207,11 +261,23 @@ impl<'a> RenameTest<'a> {
     }
 }
 
-/// A node or a step the bound abandoned. Single registration site per
+/// A node or a step a bound abandoned. Single registration site per
 /// counter name (the xtask lint enforces this).
 fn note_pruned() {
     obs::counter!("cost.m3_pruned").incr();
 }
+
+/// A cut only the suffix bound made: the cost so far alone still left
+/// the node or step a chance.
+fn note_suffix_pruned() {
+    note_pruned();
+    obs::counter!("cost.m3_suffix_pruned").incr();
+}
+
+/// How far the suffix bound must exceed the cost to beat before it
+/// prunes: `1 + 2⁻⁴⁰`, thousands of times the rounding of the additions
+/// a plan still makes (see "The suffix bound" above).
+const SUFFIX_SLACK: f64 = 1.0 + 1.0 / (1u64 << 40) as f64;
 
 /// The cheapest complete plan so far, with the key ties are broken on.
 struct Best {
@@ -235,6 +301,12 @@ struct Search<'a> {
     path: Prefixes,
     /// `size(g)` per subgoal.
     sizes: Vec<f64>,
+    /// The subgoals cheapest first, ties by index: the order children
+    /// are visited in.
+    by_size: Vec<usize>,
+    /// The variables a rename could ever apply to: outside the head and
+    /// in two subgoals or more.
+    rename_candidates: Vec<usize>,
     /// §6.2 verdicts, by the sorted generations of the renamed body.
     verdicts: HashMap<Vec<Generation>, bool>,
     names: HashMap<Generation, Symbol>,
@@ -262,19 +334,28 @@ impl<'a> Search<'a> {
         oracle: &'a mut dyn SizeOracle,
     ) -> Search<'a> {
         let n = rewriting.body.len();
+        let sizes: Vec<f64> = rewriting
+            .body
+            .iter()
+            .map(|g| oracle.relation_size(g))
+            .collect();
+        let mut by_size: Vec<usize> = (0..n).collect();
+        by_size.sort_unstable_by(|&a, &b| sizes[a].total_cmp(&sizes[b]).then(a.cmp(&b)));
+        let path = Prefixes::new(rewriting);
+        let rename_candidates = (0..path.vars.len())
+            .filter(|&v| !path.vars[v].head && path.vars[v].occurs.count_ones() > 1)
+            .collect();
         Search {
             test,
             rewriting,
             fixed,
             policy,
-            sizes: rewriting
-                .body
-                .iter()
-                .map(|g| oracle.relation_size(g))
-                .collect(),
+            sizes,
+            by_size,
+            rename_candidates,
             oracle,
             meter: obs::Meter::start(obs::Phase::Plan),
-            path: Prefixes::new(rewriting),
+            path,
             verdicts: HashMap::new(),
             names: HashMap::new(),
             key: Vec::new(),
@@ -295,8 +376,8 @@ impl<'a> Search<'a> {
     /// Visits the node the path leads to: `used` is the prefix as a set,
     /// `cost` the plan cost up to here.
     fn extend(&mut self, used: u32, cost: f64) {
-        if self.cannot_win(cost) {
-            note_pruned();
+        let bound = self.suffix_bound(used, cost);
+        if self.prune(cost, bound) {
             return;
         }
         if !self.meter.tick() {
@@ -308,15 +389,14 @@ impl<'a> Search<'a> {
             self.complete(cost);
             return;
         }
-        let candidates = match self.fixed {
-            Some(order) => order[depth]..order[depth] + 1,
-            None => 0..self.rewriting.body.len(),
-        };
-        for g in candidates.filter(|g| used & (1 << g) == 0) {
+        for child in 0..self.by_size.len() {
+            let g = self.by_size[child];
+            if used & (1 << g) != 0 || self.fixed.is_some_and(|order| order[depth] != g) {
+                continue;
+            }
             let used = used | 1 << g;
             self.path.push(g);
-            if self.cannot_win(cost + self.sizes[g]) {
-                note_pruned();
+            if self.prune(cost + self.sizes[g], bound) {
                 self.path.pop();
                 continue;
             }
@@ -336,6 +416,29 @@ impl<'a> Search<'a> {
                 return;
             }
         }
+    }
+
+    /// `cost` plus the size of every subgoal off the path `used`: every
+    /// plan below the node still adds those sizes.
+    fn suffix_bound(&self, used: u32, cost: f64) -> f64 {
+        cost + selected(&self.sizes, !used).sum::<f64>()
+    }
+
+    /// Whether to abandon the node or step the path leads to, which costs
+    /// `cost` so far and whose plans all cost about `bound` or more; a
+    /// cut is counted.
+    fn prune(&self, cost: f64, bound: f64) -> bool {
+        if self.cannot_win(cost) {
+            note_pruned();
+            return true;
+        }
+        let best = self.best.as_ref().map_or(f64::INFINITY, |best| best.cost);
+        let ceiling = self.ceiling.map_or(f64::INFINITY, |(ceiling, _)| ceiling);
+        let out_of_reach = bound > best.min(ceiling) * SUFFIX_SLACK;
+        if out_of_reach {
+            note_suffix_pruned();
+        }
+        out_of_reach
     }
 
     /// No plan below a node of this cost can replace `best`, or beat the
@@ -383,10 +486,11 @@ impl<'a> Search<'a> {
         if self.policy == DropPolicy::Supplementary {
             return;
         }
-        for v in 0..self.path.vars.len() {
+        for candidate in 0..self.rename_candidates.len() {
+            let v = self.rename_candidates[candidate];
             let var = &self.path.vars[v];
             let named = var.occurs & used & !self.path.renamed(v);
-            if var.head || named == 0 || var.occurs & !used == 0 {
+            if named == 0 || var.occurs & !used == 0 {
                 continue;
             }
             let existing = self.spans.len();
@@ -456,7 +560,9 @@ impl<'a> Search<'a> {
         for generation in variant.map(|i| self.renames[i]) {
             self.path.close(generation, self.names[&generation]);
         }
-        obs::counter!("m3.supplementary_drops").add(self.path.dropped_at_last_step() as u64);
+        if obs::enabled() {
+            obs::counter!("m3.supplementary_drops").add(self.path.dropped_at_last_step() as u64);
+        }
         let gsr = self.oracle.prefix_size(&mut self.path);
 
         self.variants.push(index);

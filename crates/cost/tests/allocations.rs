@@ -42,9 +42,14 @@ static GLOBAL: Counting = Counting;
 /// The chain `q(X0, Xn) :- p0(X0, X1), …` over one copy view per
 /// relation, and its full-query rewriting `v0(X0, X1), …`: every inner
 /// variable is a rename candidate once its first subgoal is placed, and
-/// no rename is legal. Relations of about a thousand rows over two or
-/// three distinct values keep every `GSR` small beside the relation
-/// sizes, so the bound prunes little and the search grows factorially.
+/// no rename is legal. Inner relations of about a thousand rows over two
+/// or three distinct values keep every `GSR` small until both ends are
+/// placed; the end relations, larger and with a distinct value per row,
+/// make the last `GSR` (the head's pairs) dwarf the rest. So most prefixes
+/// cost less than the best plan even with every unplaced relation's size
+/// added, the bounds prune little, and the search grows factorially.
+/// Cheapest first, the search meets a good plan early and replaces its
+/// incumbent a few times at most.
 fn chain(n: usize) -> (ConjunctiveQuery, ViewSet, ConjunctiveQuery, Catalog) {
     let atoms = |p: &str| -> Vec<String> {
         (0..n)
@@ -58,11 +63,21 @@ fn chain(n: usize) -> (ConjunctiveQuery, ViewSet, ConjunctiveQuery, Catalog) {
         .collect();
     let mut catalog = Catalog::new();
     for i in 0..n {
-        let rows = 1000.0 + 37.0 * ((i * 5) % 7) as f64;
-        let distinct = 2.0 + (i % 2) as f64;
+        let end = i == 0 || i == n - 1;
+        let rows = 1000.0 + 37.0 * i as f64 + if end { 3000.0 } else { 0.0 };
+        let distinct = |x: usize| {
+            if x == 0 || x == n {
+                rows
+            } else {
+                2.0 + (x % 2) as f64
+            }
+        };
         catalog.set(
             format!("v{i}").as_str(),
-            RelationStats::uniform(2, rows, distinct),
+            RelationStats {
+                cardinality: rows,
+                distinct: vec![distinct(i), distinct(i + 1)],
+            },
         );
     }
     (

@@ -41,7 +41,7 @@ fn fresh_names_grow_with_distinct_rename_tests_not_with_attempts() {
         rewriting,
         vdb,
         ..
-    } = rename_family(3);
+    } = rename_family(5);
     let interned = || Symbol::fresh("probe").index();
     let before = interned();
     let (planned, counts) = counted(|| {
@@ -59,6 +59,7 @@ fn fresh_names_grow_with_distinct_rename_tests_not_with_attempts() {
     let attempts = counts.counter("m3.rename_attempts");
     let tests = counts.counter("m3.rename_tests");
     let accepted = counts.counter("m3.rename_drops");
+    println!("{tests} rename tests for {attempts} attempts, {growth} symbols interned");
     assert!(accepted > 0, "the family's renames are legal");
     assert!(
         tests * 3 < attempts,
@@ -127,6 +128,7 @@ fn budget_exhausted_after_pruning_is_truncated_and_never_beats_the_optimum() {
             }
         }
     }
+    println!("{cut_after_pruning} of {nodes} allowances cut after a prune");
     assert!(cut_after_pruning > 0);
 }
 

@@ -7,6 +7,12 @@
 //! and report the same sizes and the same cost to the last bit — ties
 //! included, which small integer relations make common.
 //!
+//! The M3 search is held to the reference under a ceiling too (the cost
+//! of another rewriting's plan, which the optimizer passes it): it must
+//! return the reference's plan exactly when that plan beats the ceiling,
+//! and nothing otherwise, so its suffix bound never cuts a plan that
+//! could win or tie — also where the bound's own additions round up.
+//!
 //! What is *not* compared is how a renamed variable is spelled in the
 //! plan's subgoals. The reference recorded each subgoal as it stood when
 //! its own step ran, so a rename made at a later step was costed but
@@ -40,6 +46,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use viewplan_containment::expand;
 use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult};
 use viewplan_cost::m2::M2Table;
+use viewplan_cost::m3::try_optimal_m3_plan_under;
 use viewplan_cost::{
     plan_with_order, try_optimal_m2_order, try_optimal_m3_plan, Catalog, CostModel, DropPolicy,
     EstimateOracle, ExactOracle, Optimizer, OptimizerConfig, PhysicalPlan, PlanError, PlanOutcome,
@@ -634,6 +641,84 @@ fn check_m3_costs_what_m2_costs(p: &Problem) {
     }
 }
 
+/// Where a ceiling sits: `kind` picks the optimum itself, one step of the
+/// float grid below or above it, the optimum times `percent` / 100, or
+/// the cost of the plan that joins in reverse index order (a cost some
+/// plan has).
+type CeilingSpec = (u32, u32, bool);
+
+fn arb_ceiling() -> impl Strategy<Value = CeilingSpec> {
+    (0..5u32, 0..200u32, any::<bool>())
+}
+
+/// The float next to `x ≥ 0`, above or below.
+fn next_float(x: f64, up: bool) -> f64 {
+    match (up, x == 0.0) {
+        (true, _) => f64::from_bits(x.to_bits() + 1),
+        (false, true) => -f64::from_bits(1),
+        (false, false) => f64::from_bits(x.to_bits() - 1),
+    }
+}
+
+/// The search under a ceiling (a cost to beat, and whether a tie beats
+/// it), as the optimizer runs it against the plan it holds for another
+/// rewriting: it returns the reference's best plan, to the bit, when
+/// that plan beats the ceiling, and nothing otherwise — no plan costs
+/// less than the optimum. Fails when the suffix bound counts the placed
+/// subgoal twice (the ceiling at the optimum prunes the optimum's path)
+/// or prunes on `>=` (all-empty relations cost 0 and the ceiling 0 with
+/// a winning tie prunes the root).
+fn check_m3_under_a_ceiling(p: &Problem, (kind, percent, tie_wins): CeilingSpec) {
+    let views = views();
+    let n = p.rewriting.body.len();
+    let catalog = Catalog::from_database(&p.vdb);
+    for which in [Sizes::Exact, Sizes::Estimated] {
+        let oracle = || fresh(which, &p.vdb, &catalog);
+        for policy in [DropPolicy::Supplementary, DropPolicy::SmartCostBased] {
+            let (best, _, optimum) =
+                reference::optimal_m3_plan(&p.query, &views, &p.rewriting, policy, &mut *oracle());
+            let ceiling = match kind {
+                0 => optimum,
+                1 => next_float(optimum, false),
+                2 => next_float(optimum, true),
+                3 => optimum * f64::from(percent) / 100.0,
+                _ => {
+                    let reversed: Vec<usize> = (0..n).rev().collect();
+                    let (_, _, cost) = reference::plan_with_order(
+                        &p.query,
+                        &views,
+                        &p.rewriting,
+                        &reversed,
+                        policy,
+                        &mut *oracle(),
+                    );
+                    cost
+                }
+            };
+            let context = format!(
+                "{which:?} {policy:?} {}: optimum {optimum}, ceiling {ceiling} (tie wins: {tie_wins})",
+                p.rewriting
+            );
+            let planned = try_optimal_m3_plan_under(
+                &p.query,
+                &views,
+                &p.rewriting,
+                policy,
+                &mut *oracle(),
+                (ceiling, tie_wins),
+            )
+            .unwrap();
+            if optimum < ceiling || (optimum == ceiling && tie_wins) {
+                let (plan, cost) = planned.unwrap_or_else(|| panic!("{context}: no plan"));
+                assert_eq!(shape(&plan), shape(&best), "{context}");
+                assert_eq!(cost.to_bits(), optimum.to_bits(), "{context}");
+            } else {
+                assert!(planned.is_none(), "{context}: {planned:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 24 } else { 160 }))]
 
@@ -647,6 +732,14 @@ proptest! {
     #[test]
     fn m3_search_equals_the_factorial_reference(spec in arb_spec(if cfg!(debug_assertions) { 5 } else { 6 })) {
         check_m3(&problem(&spec));
+    }
+
+    #[test]
+    fn m3_search_under_a_ceiling_returns_the_reference_plan_or_none(
+        spec in arb_spec(if cfg!(debug_assertions) { 5 } else { 6 }),
+        ceiling in arb_ceiling(),
+    ) {
+        check_m3_under_a_ceiling(&problem(&spec), ceiling);
     }
 
     #[test]
@@ -1132,6 +1225,31 @@ impl SizeOracle for Table {
             (Some(&size), _) | (None, Some(size)) => size,
             (None, None) => panic!("no size for {key:?}"),
         }
+    }
+}
+
+/// A plan that ties the incumbent exactly although its node's suffix
+/// bound rounds above it. With relation sizes 1, u and u (u = 2⁻⁵³) and
+/// every intermediate empty, a plan costs `1` or `1 + 2u` depending on
+/// the order its additions round in. Cheapest first, the search meets
+/// `y ⋈ x ⋈ z` at cost 1 before the lexicographically first optimum
+/// `x ⋈ y ⋈ z`, whose node after `x` has the bound `fl(1 + fl(u + u))
+/// = 1 + 2u`. Fails when the suffix bound prunes without its margin.
+#[test]
+fn a_suffix_bound_that_rounds_up_does_not_prune_an_exact_tie() {
+    let u = f64::EPSILON / 2.0;
+    let rewriting = parse_query("q(A) :- x(A), y(A), z(A)").unwrap();
+    let sizes = || Table::new(&[("x", 1.0), ("y", u), ("z", u)], &[]).or_else(0.0);
+    for policy in POLICIES {
+        let (best, _, optimum) =
+            reference::optimal_m3_plan(&rewriting, &views(), &rewriting, policy, &mut sizes());
+        assert_eq!(best.to_string(), "x(A) ⋈ y(A) ⋈ z(A)");
+        let (plan, cost) =
+            try_optimal_m3_plan(&rewriting, &views(), &rewriting, policy, &mut sizes())
+                .unwrap()
+                .unwrap();
+        assert_eq!(shape(&plan), shape(&best), "{policy:?}: {plan}");
+        assert_eq!(cost.to_bits(), optimum.to_bits(), "{policy:?}");
     }
 }
 
