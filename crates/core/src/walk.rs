@@ -531,6 +531,9 @@ pub struct Found<'r> {
     pub cover: usize,
     /// The weight of the view tuples it uses, summed in body order.
     pub bound: f64,
+    /// The view tuples it uses, in body order: indices into
+    /// [`CoreCoverResult::view_tuples`], as the walk's weights are.
+    pub tuples: &'r [usize],
     /// The rewriting.
     pub rewriting: &'r Rewriting,
 }
@@ -553,11 +556,12 @@ impl<'r> CoverWalk<'r> {
                 rewriting, mates, ..
             } = self.result.fate(cover)
             {
-                let members = mates.as_deref().unwrap_or(&self.result.space.covers[cover]);
-                let bound = members.iter().fold(0.0, |s, &t| s + self.weights[t]);
+                let tuples = mates.as_deref().unwrap_or(&self.result.space.covers[cover]);
+                let bound = tuples.iter().fold(0.0, |s, &t| s + self.weights[t]);
                 return Some(Found {
                     cover,
                     bound,
+                    tuples,
                     rewriting: self.result.built(rewriting),
                 });
             }

@@ -46,6 +46,13 @@ pub mod oracle;
 pub mod plan;
 pub mod subsets;
 
+/// How far a lower bound must exceed the cost to beat before a search
+/// drops what it bounds: `1 + 2⁻⁴⁰`, thousands of times the rounding of
+/// the additions a plan still makes. The M3 suffix bound ([`m3`], "The
+/// suffix bound") and the M2 floor ([`optimizer`], "The M2 floor") prove
+/// it; `1 + 2⁻⁴⁰` is exact.
+pub(crate) const BOUND_SLACK: f64 = 1.0 + 1.0 / (1u64 << 40) as f64;
+
 pub use catalog::{Catalog, RelationStats};
 pub use error::{CostError, PlanError};
 pub use m1::{m1_cost, optimal_m1_rewritings};

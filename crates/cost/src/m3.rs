@@ -45,8 +45,10 @@
 //!   placed exceeds `min(best, ceiling) · (1 + 2⁻⁴⁰)`. Every plan below
 //!   the node must still join each of those subgoals.
 //!
-//! Children are visited cheapest relation first, ties by index (one
-//! sort per search), so a cheap plan is found early and bounds the rest.
+//! Children that share a variable with the prefix are visited first and
+//! the rest (Cartesian products) after them, each group cheapest relation
+//! first, ties by index (one sort per search), so a cheap plan is found
+//! early and bounds the rest.
 //! Ties still break as an enumeration of all orders, each planned in
 //! turn, would break them: lowest cost, then the lexicographically first
 //! order, then the first variant path. The search visits plans in a
@@ -108,6 +110,7 @@ use crate::error::{check_width, CostError};
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
 use crate::subsets::{selected, Generation, Prefixes};
+use crate::BOUND_SLACK;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -274,11 +277,6 @@ fn note_suffix_pruned() {
     obs::counter!("cost.m3_suffix_pruned").incr();
 }
 
-/// How far the suffix bound must exceed the cost to beat before it
-/// prunes: `1 + 2⁻⁴⁰`, thousands of times the rounding of the additions
-/// a plan still makes (see "The suffix bound" above).
-const SUFFIX_SLACK: f64 = 1.0 + 1.0 / (1u64 << 40) as f64;
-
 /// The cheapest complete plan so far, with the key ties are broken on.
 struct Best {
     cost: f64,
@@ -302,8 +300,10 @@ struct Search<'a> {
     /// `size(g)` per subgoal.
     sizes: Vec<f64>,
     /// The subgoals cheapest first, ties by index: the order children
-    /// are visited in.
+    /// are visited in, connected ones before the rest.
     by_size: Vec<usize>,
+    /// Per subgoal, the subgoals it shares a variable with.
+    links: Vec<u32>,
     /// The variables a rename could ever apply to: outside the head and
     /// in two subgoals or more.
     rename_candidates: Vec<usize>,
@@ -342,6 +342,14 @@ impl<'a> Search<'a> {
         let mut by_size: Vec<usize> = (0..n).collect();
         by_size.sort_unstable_by(|&a, &b| sizes[a].total_cmp(&sizes[b]).then(a.cmp(&b)));
         let path = Prefixes::new(rewriting);
+        let mut links = vec![0u32; n];
+        for var in &path.vars {
+            for (g, link) in links.iter_mut().enumerate() {
+                if var.occurs & (1 << g) != 0 {
+                    *link |= var.occurs;
+                }
+            }
+        }
         let rename_candidates = (0..path.vars.len())
             .filter(|&v| !path.vars[v].head && path.vars[v].occurs.count_ones() > 1)
             .collect();
@@ -352,6 +360,7 @@ impl<'a> Search<'a> {
             policy,
             sizes,
             by_size,
+            links,
             rename_candidates,
             oracle,
             meter: obs::Meter::start(obs::Phase::Plan),
@@ -389,31 +398,36 @@ impl<'a> Search<'a> {
             self.complete(cost);
             return;
         }
-        for child in 0..self.by_size.len() {
-            let g = self.by_size[child];
-            if used & (1 << g) != 0 || self.fixed.is_some_and(|order| order[depth] != g) {
-                continue;
-            }
-            let used = used | 1 << g;
-            self.path.push(g);
-            if self.prune(cost + self.sizes[g], bound) {
-                self.path.pop();
-                continue;
-            }
-            let (first, marked) = (self.spans.len(), self.renames.len());
-            self.rename_variants(used);
-            for index in 0..self.spans.len() - first {
-                let (start, end) = self.spans[first + index];
-                self.step(used, g, index, start..end, cost);
-                if self.meter.exhausted() {
-                    break;
+        for connected in [true, false] {
+            for child in 0..self.by_size.len() {
+                let g = self.by_size[child];
+                if used & (1 << g) != 0
+                    || (self.links[g] & used != 0) != connected
+                    || self.fixed.is_some_and(|order| order[depth] != g)
+                {
+                    continue;
                 }
-            }
-            self.spans.truncate(first);
-            self.renames.truncate(marked);
-            self.path.pop();
-            if self.meter.exhausted() {
-                return;
+                let used = used | 1 << g;
+                self.path.push(g);
+                if self.prune(cost + self.sizes[g], bound) {
+                    self.path.pop();
+                    continue;
+                }
+                let (first, marked) = (self.spans.len(), self.renames.len());
+                self.rename_variants(used);
+                for index in 0..self.spans.len() - first {
+                    let (start, end) = self.spans[first + index];
+                    self.step(used, g, index, start..end, cost);
+                    if self.meter.exhausted() {
+                        break;
+                    }
+                }
+                self.spans.truncate(first);
+                self.renames.truncate(marked);
+                self.path.pop();
+                if self.meter.exhausted() {
+                    return;
+                }
             }
         }
     }
@@ -434,7 +448,7 @@ impl<'a> Search<'a> {
         }
         let best = self.best.as_ref().map_or(f64::INFINITY, |best| best.cost);
         let ceiling = self.ceiling.map_or(f64::INFINITY, |(ceiling, _)| ceiling);
-        let out_of_reach = bound > best.min(ceiling) * SUFFIX_SLACK;
+        let out_of_reach = bound > best.min(ceiling) * BOUND_SLACK;
         if out_of_reach {
             note_suffix_pruned();
         }

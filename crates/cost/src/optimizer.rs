@@ -41,14 +41,43 @@
 //! for bit. A rewriting too wide for the plan search truncates the
 //! outcome only if the walk reaches it; one the bound rules out could not
 //! have won.
+//!
+//! # The M2 floor
+//!
+//! Under M2 a rewriting the walk reaches is also skipped, before its
+//! subset DP, when its *floor* `F = fl(bound + min(first, f_min))`
+//! exceeds `fl(T(1 + ε))`, with `T` the incumbent's cost and `ε = 2⁻⁴⁰`.
+//! `first` is the smallest `IR({g})` over the body, the size of a single
+//! subgoal's intermediate relation, taken once per view tuple per call;
+//! `f_min` is the smallest filter relation size when `max_filters > 0`,
+//! else `∞`. Every M2 order pays the `IR` of its first subgoal, and every
+//! grafted body pays a filter's size on top of the body's, so every plan
+//! of the rewriting costs at least `Σ size(gᵢ) + min(first, f_min)` in
+//! exact arithmetic. (Both oracles size a single subgoal from the subgoal
+//! alone, so `first` is the very `IR({g})` the DP's table holds.)
+//!
+//! The margin absorbs the rounding. Let `u = 2⁻⁵³`. A body planned under
+//! M2 has `n ≤ 24` subgoals (the DP width), so `F` is `n + 1 ≤ 25`
+//! additions of non-negative terms and `F ≤ (Σ size + m)(1 + u)²⁵` with
+//! `m = min(first, f_min)`. A plan of `k ≤ 24` subgoals (grafts
+//! included) costs `C`, made by `2k` such additions, so
+//! `C ≥ (Σ size + m)(1 − u)²ᵏ ≥ F(1 − u)⁴⁸ / (1 + u)²⁵ ≥ F(1 − 96u)`.
+//! `fl(T(1 + ε)) ≥ T(1 + ε)(1 − u)`, and `ε = 8192u`, so a skipped
+//! rewriting has `C > T`: it could neither win nor tie, the choice and
+//! the counts of every plan that is still searched are what they were,
+//! bit for bit, and a skip spends no plan budget. Debug builds assert
+//! `C ≥ F(1 − ε)` for every M2 rewriting planned against an incumbent.
+//! Skips are counted in `cost.m2_floor_pruned`.
 
 use crate::error::{check_width, CostError, PlanError};
 use crate::m2::{M2Table, M2_MAX_SUBGOALS};
 use crate::m3::{optimal_plan, DropPolicy, RenameTest, M3_MAX_SUBGOALS};
 use crate::oracle::SizeOracle;
 use crate::plan::PhysicalPlan;
+use crate::subsets::Subsets;
+use crate::BOUND_SLACK;
 use std::borrow::Borrow;
-use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult, Found, Rewriting};
+use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult, Found, Rewriting, ViewTuple};
 use viewplan_cq::{Atom, ConjunctiveQuery, ViewSet};
 use viewplan_obs as obs;
 use viewplan_obs::Completeness;
@@ -70,6 +99,11 @@ fn note_rewriting_pruned() {
 
 fn note_too_wide_skipped() {
     obs::counter!("cost.too_wide_skipped").incr();
+}
+
+/// A rewriting the M2 floor skipped before its subset DP.
+fn note_m2_floor_pruned() {
+    obs::counter!("cost.m2_floor_pruned").incr();
 }
 
 /// Which of Table 1's cost models to optimize under.
@@ -239,6 +273,8 @@ impl<'a> Optimizer<'a> {
             CostModel::M2 | CostModel::M3(_) => result.walk(|t| oracle.relation_size(&t.atom)),
         };
         let filters: Vec<&Atom> = result.filter_tuples().iter().map(|t| &t.atom).collect();
+        let mut m2_floor = (model == CostModel::M2)
+            .then(|| M2Floor::new(result, &filters, self.config.max_filters, oracle));
         let mut too_wide = None;
         let mut best: Option<(usize, PlannedRewriting)> = None;
         loop {
@@ -246,6 +282,7 @@ impl<'a> Optimizer<'a> {
             let Some(Found {
                 cover,
                 bound,
+                tuples,
                 rewriting: r,
             }) = walk.next_within(incumbent)
             else {
@@ -265,6 +302,17 @@ impl<'a> Optimizer<'a> {
                 note_rewriting_pruned();
                 continue;
             }
+            let floor = match (&mut m2_floor, incumbent) {
+                (Some(m2_floor), Some((cost, _))) => {
+                    let floor = m2_floor.of(bound, tuples, oracle);
+                    if floor > cost * BOUND_SLACK {
+                        note_m2_floor_pruned();
+                        continue;
+                    }
+                    Some(floor)
+                }
+                _ => None,
+            };
             if model != CostModel::M1 && obs::budget::cancelled() {
                 break; // deadline: keep the best so far (an M1 plan is no search)
             }
@@ -272,6 +320,11 @@ impl<'a> Optimizer<'a> {
             if let Some(planned) = self.try_plan_rewriting(model, r, &filters, oracle, ceiling)? {
                 let cost = planned.cost;
                 debug_assert!(cost >= bound, "a plan cheaper than its bound");
+                debug_assert!(
+                    // `2 − (1 + 2⁻⁴⁰)` is `1 − 2⁻⁴⁰`, exactly.
+                    floor.is_none_or(|floor| cost >= floor * (2.0 - BOUND_SLACK)),
+                    "an M2 plan cheaper than its floor"
+                );
                 if incumbent.is_none_or(|(beat, at)| cost < beat || (cost == beat && cover < at)) {
                     best = Some((cover, planned));
                 }
@@ -348,6 +401,51 @@ impl<'a> Optimizer<'a> {
             plan,
             cost,
         }))
+    }
+}
+
+/// The pieces of the M2 floor (module docs) for one planning call: the
+/// smallest size a grafted filter adds, and each view tuple's `IR` alone,
+/// taken the first time a rewriting that uses the tuple is bounded.
+struct M2Floor<'r> {
+    view_tuples: &'r [ViewTuple],
+    filter: f64,
+    alone: Vec<Option<f64>>,
+}
+
+impl<'r> M2Floor<'r> {
+    fn new(
+        result: &'r CoreCoverResult,
+        filters: &[&Atom],
+        max_filters: usize,
+        oracle: &mut dyn SizeOracle,
+    ) -> M2Floor<'r> {
+        let filter = match max_filters {
+            0 => f64::INFINITY,
+            _ => filters
+                .iter()
+                .map(|f| oracle.relation_size(f))
+                .fold(f64::INFINITY, f64::min),
+        };
+        M2Floor {
+            view_tuples: &result.view_tuples,
+            filter,
+            alone: vec![None; result.view_tuples.len()],
+        }
+    }
+
+    /// `fl(bound + min(first, f_min))` for the rewriting of view tuples
+    /// `tuples`, whose relation sizes sum to `bound`.
+    fn of(&mut self, bound: f64, tuples: &[usize], oracle: &mut dyn SizeOracle) -> f64 {
+        let view_tuples = self.view_tuples;
+        let first = tuples.iter().fold(f64::INFINITY, |first, &t| {
+            let alone = *self.alone[t].get_or_insert_with(|| {
+                let atom = std::slice::from_ref(&view_tuples[t].atom);
+                oracle.subset_size(&mut Subsets::new(atom), 1)
+            });
+            first.min(alone)
+        });
+        bound + first.min(self.filter)
     }
 }
 

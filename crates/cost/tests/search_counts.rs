@@ -199,12 +199,12 @@ fn singletons_and_one_view_of_all(k: usize) -> Generated {
     }
 }
 
-/// Each rewriting the walk builds is planned, skipped on its bound or
-/// skipped as too wide — exactly one of the three — and each cover it
-/// never reaches is counted as pruned by the bound. Under M2 without
-/// filters and under M3 a planned rewriting is one enumerated plan.
-/// Fails when the loop `break`s on a skip instead of `continue`-ing: the
-/// rewritings after it are then counted nowhere.
+/// Each rewriting the walk builds is planned, skipped on its bound,
+/// skipped on its M2 floor or skipped as too wide — exactly one of the
+/// four — and each cover it never reaches is counted as pruned by the
+/// bound. Under M2 without filters and under M3 a planned rewriting is
+/// one enumerated plan. Fails when the loop `break`s on a skip instead of
+/// `continue`-ing: the rewritings after it are then counted nowhere.
 #[test]
 fn every_rewriting_built_is_planned_pruned_or_too_wide() {
     let _turn = TURN.lock().unwrap();
@@ -225,11 +225,12 @@ fn every_rewriting_built_is_planned_pruned_or_too_wide() {
         CostModel::M3(DropPolicy::Supplementary),
     ];
     let mut skipped = [(0, 0, 0); 3];
+    let mut floored = [0; 3];
     for p in &problems {
         let result = CoreCover::new(&p.query, &p.views).run_all_minimal();
         let rewritings = result.clone().rewritings().len() as u64;
         let catalog = Catalog::from_database(&p.vdb);
-        for (model, skipped) in models.into_iter().zip(&mut skipped) {
+        for ((model, skipped), floored) in models.into_iter().zip(&mut skipped).zip(&mut floored) {
             let (_, counts) = counted(|| {
                 Optimizer::new(&p.query, &p.views)
                     .with_config(config.clone())
@@ -238,14 +239,17 @@ fn every_rewriting_built_is_planned_pruned_or_too_wide() {
             let built = counts.counter("corecover.rewritings");
             let planned = counts.counter("cost.plans_enumerated");
             let pruned = counts.counter("cost.rewritings_pruned");
+            let floor = counts.counter("cost.m2_floor_pruned");
             let wide = counts.counter("cost.too_wide_skipped");
             let unreached = counts.counter("corecover.covers_pruned_by_bound");
             assert_eq!(
-                planned + pruned + wide,
+                planned + pruned + floor + wide,
                 built,
-                "{model:?} {}: {planned} planned, {pruned} pruned, {wide} too wide",
+                "{model:?} {}: {planned} planned, {pruned} pruned, {floor} below the floor, \
+                 {wide} too wide",
                 p.query
             );
+            *floored += floor;
             assert!(built <= rewritings, "{model:?} {}", p.query);
             assert_eq!(built < rewritings, unreached > 0, "{model:?} {}", p.query);
             *skipped = (skipped.0 + pruned, skipped.1 + wide, skipped.2 + unreached);
@@ -258,6 +262,11 @@ fn every_rewriting_built_is_planned_pruned_or_too_wide() {
         "{skipped:?}"
     );
     assert_eq!(skipped[2].1, 1);
+    // Only M2 has a floor, and it skips somewhere.
+    assert!(
+        floored[0] == 0 && floored[1] > 0 && floored[2] == 0,
+        "{floored:?}"
+    );
 }
 
 /// Over GMRs every rewriting has the same subgoal count, which under M1
@@ -401,6 +410,7 @@ fn every_filter_attempt_is_grafted_or_pruned_on_a_40_view_star_family() {
         assert_eq!(chosen(&new), chosen(&old), "seed {seed}");
         let planned = counts.counter("corecover.rewritings")
             - counts.counter("cost.rewritings_pruned")
+            - counts.counter("cost.m2_floor_pruned")
             - counts.counter("cost.too_wide_skipped");
         let grafted = counts.counter("cost.plans_enumerated") - planned;
         assert!(

@@ -32,16 +32,23 @@
 //! their docs: keys from representatives only, stopping on `key >= cost`,
 //! and dedup that keeps the later variant. A fourth catches an M2 graft
 //! bound built on the base body's `IR` instead of the grafted one's; the
-//! reference grafts every filter unbounded.
+//! reference grafts every filter unbounded. The M2 floor, which skips a
+//! rewriting before its subset DP, is held to the reference on small
+//! random problems and the 40-view families under M2 alone; two
+//! fixtures each catch one broken floor, one without its rounding margin
+//! and one without the filter term.
 //!
 //! The reference is factorial: run this file with `--release` for the
 //! full case count.
 
 mod common;
+#[path = "../../../tests/common/small.rs"]
+mod small;
 
 use common::exhaustive::{Exhaustive, Space};
 use common::{generated, Generated};
 use proptest::prelude::*;
+use small::small_problem;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use viewplan_containment::expand;
 use viewplan_core::{CoreCover, CoreCoverConfig, CoreCoverResult};
@@ -57,7 +64,7 @@ use viewplan_cq::{
 };
 use viewplan_engine::{evaluate, materialize_views, Database, Value};
 use viewplan_obs::Completeness;
-use viewplan_workload::Shape;
+use viewplan_workload::{random_database, Shape};
 
 /// The searches as they stood before the indexed subset space, against
 /// the same public oracle interface.
@@ -1538,6 +1545,168 @@ fn a_filter_the_bound_lets_through_on_the_grafted_intermediate() {
         (0, "v1(M, a, C) ⋈ v2(S, M, C)", 148.0),
         (1, "v1(M, a, C) ⋈ v3(S) ⋈ v2(S, M, C)", 55.0),
         (2, "v1(M, a, C) ⋈ v3(S) ⋈ v2(S, M, C)", 55.0),
+    ] {
+        let config = OptimizerConfig {
+            max_filters,
+            ..OptimizerConfig::default()
+        };
+        let mut oracle = sizes;
+        let (best, _) = agree(
+            &query,
+            &views,
+            &config,
+            CostModel::M2,
+            &generation,
+            &mut oracle,
+        )
+        .unwrap();
+        let (_, chosen, bits) = best.unwrap();
+        assert_eq!((chosen.as_str(), f64::from_bits(bits)), (plan, cost));
+    }
+}
+
+/// M2 alone at every filter allowance, from measured sizes and from
+/// estimates: the fused search, which skips a rewriting on its M2 floor,
+/// against the reference, which plans every rewriting.
+fn m2_agrees(query: &ConjunctiveQuery, views: &ViewSet, vdb: &Database) {
+    let catalog = Catalog::from_database(vdb);
+    let all = Generation::all_minimal(query, views);
+    for which in [Sizes::Exact, Sizes::Estimated] {
+        for max_filters in 0..3 {
+            let config = OptimizerConfig {
+                max_filters,
+                ..OptimizerConfig::default()
+            };
+            let mut oracle = || fresh(which, vdb, &catalog);
+            let _ = agree(query, views, &config, CostModel::M2, &all, &mut oracle);
+        }
+    }
+}
+
+/// The M2 floor on `tests/common`'s small problems, over six-row base
+/// relations of four values: ties between rewritings are common there.
+#[test]
+fn the_m2_floor_chooses_what_planning_every_rewriting_chose_on_small_problems() {
+    let seeds = if cfg!(debug_assertions) { 150 } else { 1500 };
+    for seed in 0..seeds {
+        let w = small_problem(seed);
+        let mut base = Database::new();
+        for (name, rows) in random_database(&w.query, 6, 4, seed) {
+            for row in rows {
+                base.insert(name, row.into_iter().map(Value::Int).collect());
+            }
+        }
+        let vdb = materialize_views(&w.views, &base);
+        m2_agrees(&w.query, &w.views, &vdb);
+    }
+}
+
+/// The M2 floor on the 40-view star, chain and random families, where
+/// most rewritings lose and the floor skips most of them.
+#[test]
+fn the_m2_floor_chooses_what_planning_every_rewriting_chose_on_40_view_families() {
+    let seeds = if cfg!(debug_assertions) { 1 } else { 4 };
+    for shape in [Shape::Star, Shape::Chain, Shape::Random] {
+        for seed in 0..seeds {
+            for nondistinguished in 0..2 {
+                let Generated { query, views, vdb } = generated(shape, 40, nondistinguished, seed);
+                m2_agrees(&query, &views, &vdb);
+            }
+        }
+    }
+}
+
+/// The walk plans `vall` (key 0) first, at cost `fl(0 + 0) + 1 = 1`.
+/// `ve ⋈ vf` comes first in CoreCover order and also costs exactly 1:
+/// with `u = 2⁻⁵³`, its DP adds `u`, then 1, then `u`, and each sum
+/// rounds back to 1. Its floor adds `fl(u + u) = 2u` to `IR(ve) = 1` and
+/// rounds to `1 + 2u`, above the incumbent although the rewriting ties
+/// it, and wins the tie on its index. Fails when the floor skips without
+/// its margin.
+#[test]
+fn a_floor_that_rounds_up_does_not_skip_an_exact_tie() {
+    let u = f64::EPSILON / 2.0;
+    let query = parse_query("q(X, Y) :- e(X, Z), f(Z, Y)").unwrap();
+    let views = parse_views(
+        "ve(X, Z) :- e(X, Z).\n\
+         vf(Z, Y) :- f(Z, Y).\n\
+         vall(X, Y) :- e(X, Z), f(Z, Y).",
+    )
+    .unwrap();
+    let generation = Generation::all_minimal(&query, &views);
+    let sizes = move || -> Box<dyn SizeOracle> {
+        Box::new(Table::new(
+            &[("ve", u), ("vf", u), ("vall", 0.0)],
+            &[
+                (&["ve"], 1.0),
+                (&["vf"], 1.0),
+                (&["ve", "vf"], 0.0),
+                (&["vall"], 1.0),
+            ],
+        ))
+    };
+    for max_filters in [0, 1, 2] {
+        let config = OptimizerConfig {
+            max_filters,
+            ..OptimizerConfig::default()
+        };
+        let mut oracle = sizes;
+        let (best, _) = agree(
+            &query,
+            &views,
+            &config,
+            CostModel::M2,
+            &generation,
+            &mut oracle,
+        )
+        .unwrap();
+        let (rewriting, _, cost) = best.unwrap();
+        assert_eq!(
+            (rewriting.as_str(), f64::from_bits(cost)),
+            ("q(X, Y) :- ve(X, Z), vf(Z, Y)", 1.0),
+            "max_filters {max_filters}"
+        );
+    }
+}
+
+/// `v4` alone (key 5) is planned first, at 5 + 15 = 20; the filter `v3`
+/// cannot pay on it. `v1 ⋈ v2` (key 8) pays at least 8 + 13 = 21 without
+/// a filter, above 20, but grafted with `v3` (one row, which collapses
+/// every intermediate it joins) it costs 12 and wins. Its floor with the
+/// filter term is 8 + 1 = 9. Fails when the floor leaves out the
+/// smallest filter's size: it skips `v1 ⋈ v2` and keeps `v4`.
+#[test]
+fn a_grafted_filter_wins_above_its_rewritings_first_intermediate_floor() {
+    let query = parse_query("q1(S, C) :- car(M, a), loc(a, C), part(S, M, C)").unwrap();
+    let views = parse_views(
+        "v1(M, D, C) :- car(M, D), loc(D, C).\n\
+         v2(S, M, C) :- part(S, M, C).\n\
+         v3(S) :- car(M, a), loc(a, C), part(S, M, C).\n\
+         v4(M, D, C, S) :- car(M, D), loc(D, C), part(S, M, C).",
+    )
+    .unwrap();
+    let generation = Generation::all_minimal(&query, &views);
+    assert_eq!(generation.space.rewritings.len(), 2);
+    let sizes = || -> Box<dyn SizeOracle> {
+        Box::new(Table::new(
+            &[("v1", 4.0), ("v2", 4.0), ("v3", 1.0), ("v4", 5.0)],
+            &[
+                (&["v1"], 13.0),
+                (&["v2"], 13.0),
+                (&["v1", "v2"], 20.0),
+                (&["v3"], 1.0),
+                (&["v1", "v3"], 1.0),
+                (&["v2", "v3"], 1.0),
+                (&["v1", "v2", "v3"], 1.0),
+                (&["v4"], 15.0),
+                (&["v3", "v4"], 100.0),
+            ],
+        ))
+    };
+    for (max_filters, plan, cost) in [
+        (0, "v4(M, a, C, S)", 20.0),
+        (1, "v3(S) ⋈ v2(S, M, C) ⋈ v1(M, a, C)", 12.0),
+        (2, "v3(S) ⋈ v2(S, M, C) ⋈ v1(M, a, C)", 12.0),
     ] {
         let config = OptimizerConfig {
             max_filters,
