@@ -47,7 +47,7 @@ pub enum Layout {
 /// Candidate-homomorphism estimate above which VP007 fires: beyond this
 /// many candidate mappings the cover search is likely to need a budget
 /// (`--timeout-ms` / `--node-budget`) to answer interactively.
-pub const BLOWUP_THRESHOLD: f64 = 10_000.0;
+pub(crate) const BLOWUP_THRESHOLD: f64 = 10_000.0;
 
 /// Analyzes a parsed program under the given layout. The returned
 /// findings are sorted by source position.
@@ -581,7 +581,7 @@ fn check_blowup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Severity;
+    use crate::diagnostics::Severity;
     use viewplan_cq::parse_program;
 
     fn run(src: &str, layout: Layout) -> Analysis {

@@ -8,7 +8,7 @@ use viewplan_cq::Span;
 /// the CLI refuses to run `rewrite`/`plan`/`eval`/`batch`/`serve` over a
 /// program with errors (exit code 2), while warnings merely print.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Severity {
+pub(crate) enum Severity {
     /// Suspicious but processable: the pipeline will run, though the
     /// result is likely not what the author intended (or provably empty).
     Warning,
@@ -20,7 +20,7 @@ pub enum Severity {
 
 impl Severity {
     /// Lower-case label used by both renderers ("error" / "warning").
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Severity::Warning => "warning",
             Severity::Error => "error",
@@ -35,7 +35,7 @@ pub struct Diagnostic {
     /// Stable machine-readable code (`"VP001"` … `"VP007"`).
     pub code: &'static str,
     /// Error or warning.
-    pub severity: Severity,
+    pub(crate) severity: Severity,
     /// Human-readable explanation.
     pub message: String,
     /// Where in the source the finding anchors (byte range + line/col).
@@ -44,7 +44,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// An error-severity diagnostic.
-    pub fn error(code: &'static str, span: Span, message: impl Into<String>) -> Diagnostic {
+    pub(crate) fn error(code: &'static str, span: Span, message: impl Into<String>) -> Diagnostic {
         Diagnostic {
             code,
             severity: Severity::Error,
@@ -54,7 +54,11 @@ impl Diagnostic {
     }
 
     /// A warning-severity diagnostic.
-    pub fn warning(code: &'static str, span: Span, message: impl Into<String>) -> Diagnostic {
+    pub(crate) fn warning(
+        code: &'static str,
+        span: Span,
+        message: impl Into<String>,
+    ) -> Diagnostic {
         Diagnostic {
             code,
             severity: Severity::Warning,
@@ -68,7 +72,7 @@ impl Diagnostic {
 #[derive(Clone, Debug, Default)]
 pub struct Analysis {
     /// Findings sorted by (source position, code).
-    pub diagnostics: Vec<Diagnostic>,
+    pub(crate) diagnostics: Vec<Diagnostic>,
 }
 
 impl Analysis {
@@ -80,7 +84,7 @@ impl Analysis {
     }
 
     /// Number of error-severity findings.
-    pub fn error_count(&self) -> usize {
+    pub(crate) fn error_count(&self) -> usize {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Error)
@@ -88,12 +92,13 @@ impl Analysis {
     }
 
     /// Number of warning-severity findings.
-    pub fn warning_count(&self) -> usize {
+    pub(crate) fn warning_count(&self) -> usize {
         self.diagnostics.len() - self.error_count()
     }
 
     /// True iff the program is clean.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.diagnostics.is_empty()
     }
 

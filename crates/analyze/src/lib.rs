@@ -27,18 +27,20 @@
 //! document for editors and CI.
 //!
 //! The VP006 *foreign predicate* condition doubles as the rewriter's
-//! pruning pre-pass (see `viewplan_core::prune`): dropping such a view
+//! pruning pre-pass (see `viewplan_core::view_is_unusable`): dropping such a view
 //! before view-tuple construction provably cannot change the rewriting
 //! set, because no homomorphism from its body into the canonical
 //! database exists.
 
-pub mod checks;
-pub mod diagnostics;
-pub mod render;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod checks;
+mod diagnostics;
+mod render;
 
 pub use checks::{
     analyze, analyze_errors, validate_query_against_views, validate_query_arities, Layout,
-    BLOWUP_THRESHOLD,
 };
-pub use diagnostics::{Analysis, Diagnostic, Severity};
+pub use diagnostics::{Analysis, Diagnostic};
 pub use render::{render_human, render_json, render_summary};

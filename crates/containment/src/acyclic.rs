@@ -20,7 +20,7 @@
 //! counters record which way each check went.
 
 use std::collections::HashSet;
-use viewplan_cq::hypergraph::gyo_forest;
+use viewplan_cq::gyo_forest;
 use viewplan_cq::{Atom, Substitution, Symbol, Term};
 use viewplan_obs as obs;
 

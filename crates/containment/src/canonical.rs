@@ -291,8 +291,8 @@ impl<'a> Variables<'a> for FirstOccurrence<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use viewplan_cq::first_seen::SCAN_WIDTH;
     use viewplan_cq::parse_query;
+    use viewplan_cq::SCAN_WIDTH;
 
     #[test]
     fn variants_share_a_key() {

@@ -55,7 +55,7 @@ pub fn containment_mapping(
 /// to completion under the ambient budget. A truncated search can only
 /// *miss* a mapping — `(None, false)` is a conservative "not proven",
 /// never a fabricated proof.
-pub fn containment_mapping_complete(
+fn containment_mapping_complete(
     from: &ConjunctiveQuery,
     onto: &ConjunctiveQuery,
 ) -> (Option<Substitution>, bool) {
@@ -69,7 +69,7 @@ pub fn containment_mapping_complete(
 /// True iff `q1 ⊑ q2`: for every database, `q1`'s answer is a subset of
 /// `q2`'s. Decided from the two queries alone, by a containment mapping
 /// from `q2` to `q1`: a pattern (`q2`'s body) that is acyclic after head
-/// pinning goes to the polynomial semijoins of [`crate::acyclic`], a
+/// pinning goes to the polynomial semijoins over its GYO join forest, a
 /// cyclic one to the homomorphism DFS. Under a budget the DFS may stop
 /// early, and its verdict is then conservative (`false` = "not
 /// proven"); the semijoins consume no budget and are never truncated.
@@ -91,7 +91,7 @@ pub fn are_equivalent(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
 mod tests {
     use super::*;
     use viewplan_cq::parse_query;
-    use viewplan_obs::budget::{self, BudgetSpec};
+    use viewplan_obs::BudgetSpec;
 
     /// A budgeted check answers from its own search, whatever was
     /// checked before it: the same cap truncates the same DFS the same
@@ -112,8 +112,8 @@ mod tests {
         .unwrap();
         assert_eq!(q1.body.len() + q2.body.len(), 12);
         let capped = || {
-            let _b = budget::install(BudgetSpec::new().phase_nodes(obs::Phase::Hom, 1));
-            (is_contained_in(&q1, &q2), budget::snapshot().node_hits)
+            let _b = obs::install_budget(BudgetSpec::new().phase_nodes(obs::Phase::Hom, 1));
+            (is_contained_in(&q1, &q2), obs::budget_snapshot().node_hits)
         };
         let first = capped();
         let unbudgeted = is_contained_in(&q1, &q2);

@@ -27,7 +27,8 @@ pub struct HomomorphismSearch<'a> {
 
 impl<'a> HomomorphismSearch<'a> {
     /// Prepares a search from `pattern` into `target`.
-    pub fn new(pattern: &'a [Atom], target: &'a [Atom]) -> HomomorphismSearch<'a> {
+    #[cfg(test)]
+    pub(crate) fn new(pattern: &'a [Atom], target: &'a [Atom]) -> HomomorphismSearch<'a> {
         HomomorphismSearch::with_initial(pattern, target, Substitution::new())
     }
 
@@ -72,15 +73,16 @@ impl<'a> HomomorphismSearch<'a> {
     }
 
     /// Finds one homomorphism, if any.
-    pub fn find(&self) -> Option<Substitution> {
+    #[cfg(test)]
+    pub(crate) fn find(&self) -> Option<Substitution> {
         self.find_complete().0
     }
 
-    /// Like [`HomomorphismSearch::find`], also reporting whether the
+    /// Finds a homomorphism, also reporting whether the
     /// search ran to completion. Under an exhausted budget the search is
     /// truncated: `(None, false)` means "none found *so far*" — a
     /// conservative miss, never a fabricated match.
-    pub fn find_complete(&self) -> (Option<Substitution>, bool) {
+    pub(crate) fn find_complete(&self) -> (Option<Substitution>, bool) {
         let mut found = None;
         let complete = self.for_each_complete(|s| {
             found = Some(s.clone());
@@ -91,13 +93,13 @@ impl<'a> HomomorphismSearch<'a> {
     }
 
     /// True iff a homomorphism exists.
-    pub fn exists(&self) -> bool {
+    pub(crate) fn exists(&self) -> bool {
         self.exists_complete().0
     }
 
     /// Like [`HomomorphismSearch::exists`], also reporting completeness.
     /// `(false, false)` means the truncated search found none so far.
-    pub fn exists_complete(&self) -> (bool, bool) {
+    fn exists_complete(&self) -> (bool, bool) {
         let (found, complete) = self.find_complete();
         (found.is_some(), complete)
     }
@@ -111,7 +113,7 @@ impl<'a> HomomorphismSearch<'a> {
     /// Enumerates homomorphisms under the ambient budget; returns `true`
     /// when the enumeration ran to completion (or the visitor stopped it),
     /// `false` when the budget truncated it.
-    pub fn for_each_complete(&self, mut visit: impl FnMut(&Substitution) -> bool) -> bool {
+    fn for_each_complete(&self, mut visit: impl FnMut(&Substitution) -> bool) -> bool {
         let mut meter = obs::Meter::start(obs::Phase::Hom);
         let mut subst = self.initial.clone();
         self.search(0, &mut subst, &mut meter, &mut visit);
@@ -195,20 +197,6 @@ fn unify_atom(pat: &Atom, cand: &Atom, subst: &mut Substitution, bound: &mut Vec
     true
 }
 
-/// Finds a homomorphism from `pattern` into `target`, if one exists.
-pub fn find_homomorphism(pattern: &[Atom], target: &[Atom]) -> Option<Substitution> {
-    HomomorphismSearch::new(pattern, target).find()
-}
-
-/// Finds a homomorphism extending `initial`.
-pub fn find_homomorphism_with(
-    pattern: &[Atom],
-    target: &[Atom],
-    initial: Substitution,
-) -> Option<Substitution> {
-    HomomorphismSearch::with_initial(pattern, target, initial).find()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +210,7 @@ mod tests {
     fn maps_simple_pattern() {
         let pat = body("q(X) :- e(X, Y)");
         let tgt = body("q(A) :- e(A, B), e(B, C)");
-        let h = find_homomorphism(&pat, &tgt).unwrap();
+        let h = HomomorphismSearch::new(&pat, &tgt).find().unwrap();
         assert!(h.get(Symbol::new("X")).is_some());
     }
 
@@ -231,8 +219,8 @@ mod tests {
         let pat = body("q(X) :- e(X, a)");
         let tgt1 = body("q() :- e(Z, a)");
         let tgt2 = body("q() :- e(Z, b)");
-        assert!(find_homomorphism(&pat, &tgt1).is_some());
-        assert!(find_homomorphism(&pat, &tgt2).is_none());
+        assert!(HomomorphismSearch::new(&pat, &tgt1).find().is_some());
+        assert!(HomomorphismSearch::new(&pat, &tgt2).find().is_none());
     }
 
     #[test]
@@ -241,8 +229,8 @@ mod tests {
         let pat = body("q(X) :- e(X, Y), f(Y, Z)");
         let good = body("q() :- e(A, B), f(B, C)");
         let bad = body("q() :- e(A, B), f(C, D)");
-        assert!(find_homomorphism(&pat, &good).is_some());
-        assert!(find_homomorphism(&pat, &bad).is_none());
+        assert!(HomomorphismSearch::new(&pat, &good).find().is_some());
+        assert!(HomomorphismSearch::new(&pat, &bad).find().is_none());
     }
 
     #[test]
@@ -250,7 +238,9 @@ mod tests {
         let pat = body("q(X) :- e(X, Y)");
         let tgt = body("q() :- e(a, b), e(c, d)");
         let pinned = Substitution::from_pairs([(Symbol::new("X"), Term::cst("c"))]);
-        let h = find_homomorphism_with(&pat, &tgt, pinned).unwrap();
+        let h = HomomorphismSearch::with_initial(&pat, &tgt, pinned)
+            .find()
+            .unwrap();
         assert_eq!(h.get(Symbol::new("Y")), Some(Term::cst("d")));
     }
 
@@ -285,7 +275,7 @@ mod tests {
     fn arity_mismatch_is_not_a_candidate() {
         let pat = body("q(X) :- e(X, X)");
         let tgt = body("q(X) :- e(X)");
-        assert!(find_homomorphism(&pat, &tgt).is_none());
+        assert!(HomomorphismSearch::new(&pat, &tgt).find().is_none());
     }
 
     #[test]
@@ -293,14 +283,14 @@ mod tests {
         let pat = body("q(X) :- e(X, X)");
         let good = body("q() :- e(a, a)");
         let bad = body("q() :- e(a, b)");
-        assert!(find_homomorphism(&pat, &good).is_some());
-        assert!(find_homomorphism(&pat, &bad).is_none());
+        assert!(HomomorphismSearch::new(&pat, &good).find().is_some());
+        assert!(HomomorphismSearch::new(&pat, &bad).find().is_none());
     }
 
     #[test]
     fn empty_pattern_has_trivial_homomorphism() {
         let tgt = body("q(X) :- e(X, X)");
-        assert!(find_homomorphism(&[], &tgt).is_some());
+        assert!(HomomorphismSearch::new(&[], &tgt).find().is_some());
     }
 
     #[test]
@@ -317,12 +307,12 @@ mod tests {
         // A 1-node budget stops the search before any mapping is built.
         let pat = body("q(X) :- e(X, Y), e(Y, Z)");
         let tgt = body("q(A) :- e(A, B), e(B, C)");
-        let budget = obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Hom, 1);
-        let _g = obs::budget::install(budget);
+        let budget = obs::BudgetSpec::new().phase_nodes(obs::Phase::Hom, 1);
+        let _g = obs::install_budget(budget);
         let (found, complete) = HomomorphismSearch::new(&pat, &tgt).find_complete();
         assert!(found.is_none(), "truncated search must not invent matches");
         assert!(!complete, "truncation must be reported");
-        assert_eq!(obs::budget::abandoned(obs::Phase::Hom), 1);
+        assert_eq!(obs::budget_abandoned(obs::Phase::Hom), 1);
     }
 
     #[test]
@@ -330,9 +320,7 @@ mod tests {
         let pat = body("q(X) :- e(X, Y), e(Y, Z), e(Z, W)");
         let tgt = body("q() :- e(a, b), e(b, c), e(c, d), e(d, a)");
         let run = |cap: u64| {
-            let _g = obs::budget::install(
-                obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Hom, cap),
-            );
+            let _g = obs::install_budget(obs::BudgetSpec::new().phase_nodes(obs::Phase::Hom, cap));
             let mut seen = Vec::new();
             let complete = HomomorphismSearch::new(&pat, &tgt).for_each_complete(|s| {
                 seen.push(s.apply(Term::var("X")));

@@ -6,7 +6,7 @@
 //! * **Containment mappings** (Chandra & Merlin \[5\]): a conjunctive query
 //!   `Q1` is contained in `Q2` iff there is a homomorphism from `Q2` to
 //!   `Q1` mapping head to head, each variable to a term, and each constant
-//!   to itself ([`homomorphism`], [`is_contained_in`]).
+//!   to itself ([`HomomorphismSearch`], [`is_contained_in`]).
 //! * **Equivalence** — containment both ways ([`are_equivalent`]).
 //! * **Minimization** — removing redundant subgoals until the core is
 //!   reached ([`minimize()`]); the first step of `CoreCover` (Figure 4,
@@ -19,12 +19,12 @@
 //!   variable renamings", §3.3).
 //! * **Acyclic fast path** — a containment check whose pattern is
 //!   acyclic after head pinning is decided by polynomial semijoins over
-//!   its GYO join forest ([`acyclic`]) instead of the exponential DFS.
+//!   its GYO join forest ([`gyo_forest`](viewplan_cq::gyo_forest)) instead of the exponential DFS.
 //!   [`containment_mapping`] always runs the DFS: the reference the
 //!   differential tests hold the fast path to.
 //! * **Canonical forms** — queries renamed to first-occurrence variables,
 //!   so every variant of a query has one key and one canonical query
-//!   ([`canonical`]); the serving layer's rewriting cache is keyed on
+//!   ([`canonicalize`], [`canonical_key`]); the serving layer's rewriting cache is keyed on
 //!   them.
 //!
 //! # Example
@@ -43,13 +43,16 @@
 //! assert!(are_equivalent(&redundant, &q2));
 //! ```
 
-pub mod acyclic;
-pub mod canonical;
-pub mod containment;
-pub mod expansion;
-pub mod homomorphism;
-pub mod minimize;
-pub mod variant;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod acyclic;
+mod canonical;
+mod containment;
+mod expansion;
+mod homomorphism;
+mod minimize;
+mod variant;
 
 pub use canonical::{
     canonical_key, canonical_variable, canonicalize, parse_canonical, CanonicalParse,
@@ -57,6 +60,6 @@ pub use canonical::{
 };
 pub use containment::{are_equivalent, containment_mapping, head_bindings, is_contained_in};
 pub use expansion::{expand, expand_atom, ExpandError};
-pub use homomorphism::{find_homomorphism, find_homomorphism_with, HomomorphismSearch};
+pub use homomorphism::HomomorphismSearch;
 pub use minimize::minimize;
 pub use variant::is_variant;

@@ -51,7 +51,7 @@ pub fn minimize(q: &ConjunctiveQuery) -> ConjunctiveQuery {
         // to `q` (every removal so far was proven), just not minimal —
         // and individual truncated containment checks inside the loop
         // only err toward keeping subgoals, which is equally sound.
-        if obs::budget::cancelled() {
+        if obs::budget_cancelled() {
             break;
         }
         obs::counter!("containment.minimize_rounds").incr();

@@ -75,7 +75,7 @@ pub fn view_equivalence_classes(views: &ViewSet) -> Vec<Vec<usize>> {
 /// `cores` must align with the tuple list. Returns classes of indices in
 /// first-seen order; tuples with an empty core form one class (they cover
 /// nothing, but CoreCover* uses them as filter candidates).
-pub fn view_tuple_classes(cores: &[TupleCore]) -> Vec<Vec<usize>> {
+pub(crate) fn view_tuple_classes(cores: &[TupleCore]) -> Vec<Vec<usize>> {
     let mut by_core: HashMap<u64, usize> = HashMap::new();
     let mut classes: Vec<Vec<usize>> = Vec::new();
     for (i, core) in cores.iter().enumerate() {

@@ -85,8 +85,8 @@ pub struct CoreCoverConfig {
     pub group_view_tuples: bool,
     /// Drop views that provably yield no view tuples (some body atom's
     /// `(predicate, arity)` pair is absent from the minimized query —
-    /// the `VP006` analyzer condition, see [`crate::prune`]) before the
-    /// view-tuple construction. Output-invariant by construction: such
+    /// the `VP006` analyzer condition, see [`crate::view_is_unusable`])
+    /// before the view-tuple construction. Output-invariant by construction: such
     /// views contribute nothing to any later step. Counted under
     /// `analyze.views_pruned`. Default `true`.
     pub prune_unusable_views: bool,
@@ -233,7 +233,7 @@ pub struct CoreCoverStats {
     /// whole of it.
     pub truncated: bool,
     /// How complete the run was under the ambient
-    /// [budget](viewplan_obs::budget): [`Completeness::Complete`] when
+    /// [budget](viewplan_obs::BudgetSpec): [`Completeness::Complete`] when
     /// nothing was cut short, [`Completeness::Truncated`] when a node
     /// cap or count cap fired (deterministic subset),
     /// [`Completeness::DeadlineExceeded`] when the wall clock fired
@@ -439,8 +439,8 @@ impl<'a> CoreCover<'a> {
         let _run_span = obs::span("corecover.run");
         // Scope completeness classification to this run: the ambient
         // budget may carry hits from earlier runs.
-        let budget_active = obs::budget::active();
-        let budget_before = obs::budget::snapshot();
+        let budget_active = obs::budget_active();
+        let budget_before = obs::budget_snapshot();
         let mut provenance = self
             .config
             .collect_provenance
@@ -653,7 +653,7 @@ impl<'a> CoreCover<'a> {
         }
 
         let truncated = truncated || unverified_dropped;
-        let completeness = obs::budget::completeness_since(budget_before).worst(if truncated {
+        let completeness = obs::completeness_since(budget_before).worst(if truncated {
             Completeness::Truncated
         } else {
             Completeness::Complete
@@ -1107,7 +1107,7 @@ mod wide_query_tests {
 #[cfg(test)]
 mod budget_tests {
     use super::*;
-    use obs::budget::{BudgetSpec, Fault, FaultPoint};
+    use obs::{BudgetSpec, Fault, FaultPoint};
     use viewplan_containment::{are_equivalent, expand};
     use viewplan_cq::{parse_query, parse_views};
 
@@ -1137,7 +1137,7 @@ mod budget_tests {
     fn tight_node_budget_degrades_honestly_and_deterministically() {
         let (q, views) = chain_problem();
         let run = || {
-            let _g = obs::budget::install(BudgetSpec::new().node_budget(6));
+            let _g = obs::install_budget(BudgetSpec::new().node_budget(6));
             CoreCover::new(&q, &views).try_run_all_minimal().unwrap()
         };
         let a = run();
@@ -1167,9 +1167,9 @@ mod budget_tests {
             point: FaultPoint::Deadline,
             nth: 5,
         });
-        let _g = obs::budget::install(budget);
+        let _g = obs::install_budget(budget);
         let result = CoreCover::new(&q, &views).try_run_all_minimal().unwrap();
-        assert!(obs::budget::cancelled());
+        assert!(obs::budget_cancelled());
         assert_eq!(result.stats.completeness, Completeness::DeadlineExceeded);
         // Best-so-far output stays sound (checked outside the budget).
         drop(_g);
@@ -1186,7 +1186,7 @@ mod budget_tests {
             point: FaultPoint::Deadline,
             nth: 2,
         });
-        let _g = obs::budget::install(budget);
+        let _g = obs::install_budget(budget);
         let result = CoreCover::new(&q, &views).try_run_all_minimal().unwrap();
         assert_eq!(result.stats.completeness, Completeness::DeadlineExceeded);
     }

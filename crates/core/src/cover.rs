@@ -418,9 +418,7 @@ mod tests {
         let full = all_minimum_covers_counted(0b111, &sets);
         assert!(!full.truncated);
         let budgeted = {
-            let _g = obs::budget::install(
-                obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Cover, 6),
-            );
+            let _g = obs::install_budget(obs::BudgetSpec::new().phase_nodes(obs::Phase::Cover, 6));
             all_minimum_covers_counted(0b111, &sets)
         };
         assert!(budgeted.truncated, "a 6-node cap must truncate this search");
@@ -434,9 +432,7 @@ mod tests {
         }
         // And the budgeted run is deterministic.
         let again = {
-            let _g = obs::budget::install(
-                obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Cover, 6),
-            );
+            let _g = obs::install_budget(obs::BudgetSpec::new().phase_nodes(obs::Phase::Cover, 6));
             all_minimum_covers_counted(0b111, &sets)
         };
         assert_eq!(budgeted, again);
@@ -455,9 +451,8 @@ mod tests {
         let full = all_minimum_covers_counted(0b11_1111, &sets);
         assert_eq!(full.covers, vec![vec![6, 7]]);
         for cap in 0..12 {
-            let _g = obs::budget::install(
-                obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Cover, cap),
-            );
+            let _g =
+                obs::install_budget(obs::BudgetSpec::new().phase_nodes(obs::Phase::Cover, cap));
             let cut = all_minimum_covers_counted(0b11_1111, &sets);
             assert!(
                 cut.covers.iter().all(|c| full.covers.contains(c)),

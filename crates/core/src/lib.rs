@@ -9,25 +9,28 @@
 //!   minimized query (§3.3, Lemma 3.2);
 //! * [`tuple_core()`] — the unique maximal set of query subgoals covered by
 //!   a view tuple (Definition 4.1, Lemma 4.2);
-//! * [`program`] — views compiled once per snapshot, and the run's
+//! * [`ViewProgram`] — views compiled once per snapshot, and the run's
 //!   numbering of the query that steps 2 and 3 share;
 //! * [`CoreCover`] — all globally-minimal rewritings (GMRs) via minimum
 //!   set covers of the query subgoals by tuple-cores (§4, Theorem 4.1,
 //!   Corollary 4.1), and all minimal rewritings for cost model M2 via
 //!   `CoreCover*` (§5, Theorem 5.1);
-//! * [`walk`] — step (5) on demand: covers decided and built only when
+//! * [`CoverWalk`] — step (5) on demand: covers decided and built only when
 //!   a walk by ascending view sizes reaches them;
-//! * [`certificate`] — the shared-variable condition Theorem 4.1 needs
+//! * [`certify`] — the shared-variable condition Theorem 4.1 needs
 //!   for overlapping cores, checked on bitmasks at cover assembly so a
 //!   certified cover is a rewriting by construction;
-//! * [`classes`] — the concise representation of §5.2: equivalence classes
-//!   of views (equivalent as queries) and of view tuples (same
-//!   tuple-core), the key to the paper's scalability results;
-//! * [`lattice`] — the rewriting taxonomy of §3 (minimal / locally-minimal
-//!   / containment-minimal / globally-minimal) and the LMR partial order
-//!   of Figure 2;
-//! * [`naive`] — the brute-force Theorem 3.1 enumeration, as a baseline;
-//! * [`minicon`] — a MiniCon implementation (Pottinger & Levy) adapted to
+//! * [`view_equivalence_classes`] — the concise representation of §5.2:
+//!   equivalence classes of views (equivalent as queries) and of view
+//!   tuples (same tuple-core), the key to the paper's scalability
+//!   results;
+//! * [`is_locally_minimal`], [`lmr_partial_order`] and their kin — the
+//!   rewriting taxonomy of §3 (minimal / locally-minimal /
+//!   containment-minimal / globally-minimal) and the LMR partial order of
+//!   Figure 2;
+//! * [`naive_gmrs`] — the brute-force Theorem 3.1 enumeration, as a
+//!   baseline;
+//! * [`MiniCon`] — a MiniCon implementation (Pottinger & Levy) adapted to
 //!   equivalent rewritings, as the paper's comparison point (§4.3).
 //!
 //! # Quickstart
@@ -48,37 +51,43 @@
 //! assert_eq!(gmrs[0].to_string(), "q(X, Y) :- v1(X, Z), v2(Z, Y)");
 //! ```
 
-pub mod catalog_index;
-pub mod certificate;
-pub mod classes;
-pub mod corecover;
-pub mod cover;
-pub mod error;
-pub mod lattice;
-pub mod minicon;
-pub mod naive;
-pub mod prepared;
-pub mod program;
-pub mod prune;
-pub mod rewriting;
-pub mod tuple_core;
-pub mod view_tuple;
-pub mod walk;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod catalog_index;
+mod certificate;
+mod classes;
+mod corecover;
+mod cover;
+mod error;
+mod lattice;
+mod minicon;
+mod naive;
+mod prepared;
+mod program;
+mod prune;
+mod rewriting;
+mod tuple_core;
+mod view_tuple;
+mod walk;
 
 pub use catalog_index::CatalogIndex;
-pub use classes::{view_equivalence_classes, view_tuple_classes};
+pub use certificate::certify;
+pub use classes::view_equivalence_classes;
 pub use corecover::{
     CandidateCover, CandidateVerdict, CoreCover, CoreCoverConfig, CoreCoverResult, CoreCoverStats,
     CoverProvenance, DecidedBy,
 };
 pub use cover::{
-    all_irredundant_covers, all_irredundant_covers_counted, all_minimum_covers, CoverEnumeration,
+    all_irredundant_covers, all_irredundant_covers_counted, all_minimum_covers,
+    all_minimum_covers_counted, CoverEnumeration,
 };
 pub use error::{CoreError, MAX_SUBGOALS};
 pub use lattice::{
-    is_containment_minimal, is_equivalent_rewriting, is_locally_minimal, lmr_partial_order,
+    is_containment_minimal, is_equivalent_rewriting, is_locally_minimal, is_minimal_as_query,
+    lmr_partial_order,
 };
-pub use minicon::{minicon_rewritings, Mcd, MiniCon};
+pub use minicon::{minicon_rewritings, MiniCon};
 pub use naive::naive_gmrs;
 pub use prepared::PreparedViews;
 pub use program::ViewProgram;

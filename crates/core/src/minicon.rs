@@ -34,13 +34,13 @@ use viewplan_obs as obs;
 /// A MiniCon description: a view usage covering a minimal set of query
 /// subgoals.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Mcd {
+pub(crate) struct Mcd {
     /// The view this MCD uses.
-    pub view: Symbol,
+    pub(crate) view: Symbol,
     /// Indices of the covered query subgoals (minimal, closed under C2).
-    pub covered: BTreeSet<usize>,
+    pub(crate) covered: BTreeSet<usize>,
     /// The rewriting literal this MCD contributes.
-    pub literal: Atom,
+    pub(crate) literal: Atom,
 }
 
 /// Union-find over view terms, tracking the least restrictive head
@@ -99,13 +99,8 @@ impl<'a> MiniCon<'a> {
         }
     }
 
-    /// The minimized query the MCDs refer to.
-    pub fn minimized_query(&self) -> &ConjunctiveQuery {
-        &self.query
-    }
-
     /// Forms all MCDs (deduplicated).
-    pub fn mcds(&self) -> Vec<Mcd> {
+    fn mcds(&self) -> Vec<Mcd> {
         let mut out: Vec<Mcd> = Vec::new();
         for view in self.views {
             for seed in 0..self.query.body.len() {
@@ -240,19 +235,8 @@ impl<'a> MiniCon<'a> {
 
     /// Combines MCDs with pairwise-disjoint coverage into rewritings of the
     /// query; `equivalent_only` post-filters to equivalent rewritings
-    /// (our closed-world adaptation); `limit` caps the output.
-    ///
-    /// # Panics
-    /// Panics with the [`CoreError::TooManySubgoals`] message if the
-    /// minimized query has more than 64 subgoals; use
-    /// [`MiniCon::try_rewritings`] to handle that case as an error.
-    pub fn rewritings(&self, equivalent_only: bool, limit: usize) -> Vec<Rewriting> {
-        self.try_rewritings(equivalent_only, limit)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`MiniCon::rewritings`] returning an error instead of panicking on
-    /// queries too wide for the 64-bit coverage masks. Without the guard,
+    /// (our closed-world adaptation); `limit` caps the output. A query too
+    /// wide for the 64-bit coverage masks is an error: without the guard,
     /// `1 << i` for a subgoal index ≥ 64 would wrap silently in release
     /// builds and corrupt the disjointness checks.
     pub fn try_rewritings(
@@ -266,16 +250,16 @@ impl<'a> MiniCon<'a> {
 
     /// [`MiniCon::try_rewritings`] plus an explicit
     /// [`Completeness`](obs::Completeness) marker for runs cut short by
-    /// the ambient [budget](obs::budget). Every rewriting returned is
+    /// the ambient [budget](obs::BudgetSpec). Every rewriting returned is
     /// genuine regardless of the marker; an incomplete run may simply
     /// miss some.
-    pub fn try_rewritings_with_completeness(
+    fn try_rewritings_with_completeness(
         &self,
         equivalent_only: bool,
         limit: usize,
     ) -> Result<(Vec<Rewriting>, obs::Completeness), CoreError> {
         let _span = obs::span("minicon.run");
-        let budget_before = obs::budget::snapshot();
+        let budget_before = obs::budget_snapshot();
         let n = self.query.body.len();
         if n > MAX_SUBGOALS {
             return Err(CoreError::TooManySubgoals { subgoals: n });
@@ -301,7 +285,7 @@ impl<'a> MiniCon<'a> {
             &mut results,
             &mut meter,
         );
-        let completeness = obs::budget::completeness_since(budget_before);
+        let completeness = obs::completeness_since(budget_before);
         Ok((dedup_variants(results), completeness))
     }
 
@@ -514,7 +498,9 @@ pub fn minicon_rewritings(
     equivalent_only: bool,
     limit: usize,
 ) -> Vec<Rewriting> {
-    MiniCon::new(query, views).rewritings(equivalent_only, limit)
+    MiniCon::new(query, views)
+        .try_rewritings(equivalent_only, limit)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -545,7 +531,7 @@ mod tests {
         for m in &v_mcds {
             assert_eq!(m.covered.len(), 2);
         }
-        let rewritings = mc.rewritings(true, 1000);
+        let rewritings = mc.try_rewritings(true, 1000).unwrap();
         // Every MiniCon rewriting here has 3 literals — never 1.
         assert!(!rewritings.is_empty());
         assert!(rewritings.iter().all(|r| r.body.len() == 3));
@@ -573,7 +559,7 @@ mod tests {
         let mcds = mc.mcds();
         assert_eq!(mcds.len(), 1);
         assert_eq!(mcds[0].covered.len(), 2);
-        let rs = mc.rewritings(true, 100);
+        let rs = mc.try_rewritings(true, 100).unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].to_string(), "q(X, Y) :- v(X, Y)");
     }
@@ -585,7 +571,7 @@ mod tests {
         let views = parse_views("v(B) :- e(A, B)").unwrap();
         let mc = MiniCon::new(&q, &views);
         assert!(mc.mcds().is_empty());
-        assert!(mc.rewritings(true, 100).is_empty());
+        assert!(mc.try_rewritings(true, 100).unwrap().is_empty());
     }
 
     #[test]
@@ -651,8 +637,7 @@ mod tests {
         let (full, complete) = mc.try_rewritings_with_completeness(true, 100).unwrap();
         assert_eq!(complete, obs::Completeness::Complete);
         assert!(full.len() >= 2);
-        let _g =
-            obs::budget::install(obs::budget::BudgetSpec::new().phase_nodes(obs::Phase::Cover, 2));
+        let _g = obs::install_budget(obs::BudgetSpec::new().phase_nodes(obs::Phase::Cover, 2));
         let (some, marker) = mc.try_rewritings_with_completeness(true, 100).unwrap();
         assert_eq!(marker, obs::Completeness::Truncated);
         assert!(some.len() < full.len());

@@ -113,8 +113,8 @@ impl PreparedViews {
     /// extended set, without regrouping it: the new view is tested only
     /// against the class representatives with its head arity and body
     /// `(predicate, arity)` pairs that pass the prefilter against its own
-    /// body ([`crate::prune`]: an equivalent view maps into that body, so
-    /// it is among them), and joins the equivalent one's class or opens a
+    /// body ([`crate::can_yield_tuples`]: an equivalent view maps into
+    /// that body, so it is among them), and joins the equivalent one's class or opens a
     /// new last class, which is what the from-scratch pass does when it
     /// reaches the last view. The programs of the views it had are
     /// shared, and only `view` is compiled.

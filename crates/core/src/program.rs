@@ -152,12 +152,12 @@ impl ViewProgram {
     }
 
     /// The view's name.
-    pub fn name(&self) -> Symbol {
+    pub(crate) fn name(&self) -> Symbol {
         self.name
     }
 
     /// The view's head arity.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.arity
     }
 

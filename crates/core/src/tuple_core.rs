@@ -93,7 +93,7 @@ pub struct TupleCore {
 
 impl TupleCore {
     /// The empty core.
-    pub fn empty() -> TupleCore {
+    pub(crate) fn empty() -> TupleCore {
         TupleCore {
             mask: 0,
             parts: Vec::new(),
@@ -128,7 +128,7 @@ impl TupleCore {
     /// The covered subgoals as bitmasks, one per component linked by
     /// shared local variables (see the module docs): the all-or-nothing
     /// units of property (3). They partition [`TupleCore::bitmask`], and
-    /// they are what a [cover certificate](crate::certificate) deals out.
+    /// they are what a [cover certificate](crate::certify) deals out.
     pub fn parts(&self) -> &[u64] {
         &self.parts
     }
@@ -570,7 +570,7 @@ impl Resolution<'_> {
                         covered.count_ones() < best.count_ones()
                             || covered == 0
                             || covered == best
-                            || obs::budget::active(),
+                            || obs::budget_active(),
                         "tuple-core must be unique (Lemma 4.2)"
                     );
                 }

@@ -65,7 +65,7 @@ impl Catalog {
     }
 
     /// Statistics for a relation, if known.
-    pub fn get(&self, name: Symbol) -> Option<&RelationStats> {
+    pub(crate) fn get(&self, name: Symbol) -> Option<&RelationStats> {
         self.stats.get(&name)
     }
 }

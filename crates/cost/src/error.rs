@@ -57,7 +57,7 @@ impl fmt::Display for CostError {
 
 impl std::error::Error for CostError {}
 
-/// Everything [`crate::Optimizer::try_best_plan`] can fail with: the
+/// Everything [`crate::Optimizer::try_plan`] can fail with: the
 /// rewriting generator rejected the query, or every generated rewriting
 /// was too wide to plan. A too-wide rewriting is only an error when *no*
 /// rewriting could be planned — otherwise it is skipped and the outcome

@@ -4,24 +4,19 @@
 //! their count — a proxy for the number of joins. The optimal rewritings
 //! are exactly the globally-minimal rewritings, which `CoreCover`
 //! enumerates (Theorem 3.1 defines the search space, Corollary 4.1 the
-//! covers ↔ GMRs correspondence), so this module is a thin wrapper.
+//! covers ↔ GMRs correspondence), so this module only counts.
 
-use viewplan_core::{CoreCover, Rewriting};
-use viewplan_cq::{ConjunctiveQuery, ViewSet};
+use viewplan_core::Rewriting;
 
 /// The M1 cost of a rewriting: its number of subgoals.
 pub fn m1_cost(rewriting: &Rewriting) -> usize {
     rewriting.body.len()
 }
 
-/// All M1-optimal rewritings (the GMRs), via `CoreCover`.
-pub fn optimal_m1_rewritings(query: &ConjunctiveQuery, views: &ViewSet) -> Vec<Rewriting> {
-    CoreCover::new(query, views).run().rewritings().to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use viewplan_core::CoreCover;
     use viewplan_cq::{parse_query, parse_views};
 
     #[test]
@@ -33,7 +28,8 @@ mod tests {
              v4(M, D, C, S) :- car(M, D), loc(D, C), part(S, M, C).",
         )
         .unwrap();
-        let best = optimal_m1_rewritings(&q, &views);
+        let result = CoreCover::new(&q, &views).run();
+        let best = result.rewritings();
         assert_eq!(best.len(), 1);
         assert_eq!(m1_cost(&best[0]), 1);
     }
@@ -42,6 +38,6 @@ mod tests {
     fn no_views_no_rewritings() {
         let q = parse_query("q(X) :- e(X, X)").unwrap();
         let views = parse_views("v(A, B) :- f(A, B)").unwrap();
-        assert!(optimal_m1_rewritings(&q, &views).is_empty());
+        assert!(CoreCover::new(&q, &views).run().rewritings().is_empty());
     }
 }

@@ -65,7 +65,7 @@ pub const M2_MAX_SUBGOALS: usize = 24;
 
 /// An optimal M2 result: the join order (indices into the body), the
 /// per-prefix `IR` sizes, and the total cost.
-pub type M2Order = (Vec<usize>, Vec<f64>, f64);
+pub(crate) type M2Order = (Vec<usize>, Vec<f64>, f64);
 
 /// Finds an optimal M2 join order for `body`, returning the order (as
 /// indices into `body`), the per-prefix `IR` sizes, and the total cost.
@@ -83,7 +83,7 @@ pub fn optimal_m2_order(
 
 /// [`optimal_m2_order`] returning an error instead of panicking on
 /// too-wide rewritings. Each DP subset counts as one `Phase::Plan` node
-/// against the installed [budget](viewplan_obs::budget); on exhaustion the
+/// against the installed [budget](viewplan_obs::BudgetSpec); on exhaustion the
 /// search abandons the rewriting and returns `Ok(None)` — a partial DP
 /// table cannot seed a valid full order, so there is no partial result
 /// to salvage here. The optimizer falls back to other rewritings.
@@ -370,11 +370,11 @@ mod tests {
         let q = parse_query("q(X) :- big(X, Y), sel(Y)").unwrap();
         let mut oracle = ExactOracle::new(&db);
         let budget = obs::BudgetSpec::new().phase_nodes(obs::Phase::Plan, 1);
-        let _g = obs::budget::install(budget);
+        let _g = obs::install_budget(budget);
         assert!(try_optimal_m2_order(&q.body, &mut oracle)
             .unwrap()
             .is_none());
-        assert_eq!(obs::budget::abandoned(obs::Phase::Plan), 1);
+        assert_eq!(obs::budget_abandoned(obs::Phase::Plan), 1);
     }
 
     #[test]

@@ -140,7 +140,7 @@ pub const M3_MAX_SUBGOALS: usize = 8;
 /// equivalence test; `order` holds indices into `rewriting.body`.
 ///
 /// Each search node counts as one `Phase::Plan` node against the
-/// installed [budget](viewplan_obs::budget); `None` means the budget exhausted
+/// installed [budget](viewplan_obs::BudgetSpec); `None` means the budget exhausted
 /// before even the mandatory no-smart-drop plan completed (unbudgeted
 /// callers always get `Some`).
 ///
@@ -185,7 +185,7 @@ pub fn optimal_m3_plan(
 
 /// [`optimal_m3_plan`] returning an error instead of panicking on
 /// too-wide rewritings. The whole search draws from one `Phase::Plan`
-/// allowance of the installed [budget](viewplan_obs::budget); on exhaustion it
+/// allowance of the installed [budget](viewplan_obs::BudgetSpec); on exhaustion it
 /// returns the best plan found so far (possibly `None`), and the budget
 /// records the abandonment.
 pub fn try_optimal_m3_plan(
@@ -737,7 +737,7 @@ mod tests {
         let (_, optimal) =
             optimal_m3_plan(&q, &views, &p2, DropPolicy::SmartCostBased, &mut oracle).unwrap();
         let budget = obs::BudgetSpec::new().phase_nodes(obs::Phase::Plan, 3);
-        let _g = obs::budget::install(budget);
+        let _g = obs::install_budget(budget);
         let truncated =
             try_optimal_m3_plan(&q, &views, &p2, DropPolicy::SmartCostBased, &mut oracle).unwrap();
         // A truncated search may return nothing or a worse plan — but a
@@ -745,7 +745,7 @@ mod tests {
         if let Some((_, cost)) = truncated {
             assert!(cost >= optimal - 1e-9);
         }
-        assert!(obs::budget::abandoned(obs::Phase::Plan) > 0);
+        assert!(obs::budget_abandoned(obs::Phase::Plan) > 0);
     }
 
     #[test]

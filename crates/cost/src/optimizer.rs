@@ -32,7 +32,7 @@
 //! by ascending (key, cover index), where a key is a lower bound on the
 //! bound of whatever rewriting the cover becomes, and stops at the first
 //! cover that cannot beat the incumbent it is handed. Only the covers it
-//! reaches are deduplicated, certified and built ([`viewplan_core::walk`]).
+//! reaches are deduplicated, certified and built ([`viewplan_core::CoverWalk`]).
 //! A rewriting that is reached is still skipped unsearched when its own
 //! bound exceeds the incumbent's cost or equals it with a larger index,
 //! and the incumbent is the M3 search's ceiling. A plan replaces the
@@ -193,29 +193,21 @@ impl<'a> Optimizer<'a> {
     ///
     /// # Panics
     /// Panics if the query is too wide for the rewriting generator; use
-    /// [`Optimizer::try_best_plan`] to handle that case as an error.
+    /// [`Optimizer::try_plan`] to handle that case as an error.
     pub fn best_plan(
         &self,
         model: CostModel,
         oracle: &mut dyn SizeOracle,
     ) -> Option<PlannedRewriting> {
-        self.try_best_plan(model, oracle)
+        self.try_plan(model, oracle)
             .unwrap_or_else(|e| panic!("{e}"))
+            .best
     }
 
     /// [`Optimizer::best_plan`] returning an error instead of panicking
     /// when the rewriting generator rejects the query (more than 64
     /// subgoals after minimization) or every generated rewriting is too
-    /// wide for the plan search.
-    pub fn try_best_plan(
-        &self,
-        model: CostModel,
-        oracle: &mut dyn SizeOracle,
-    ) -> Result<Option<PlannedRewriting>, PlanError> {
-        self.try_plan(model, oracle).map(|o| o.best)
-    }
-
-    /// [`Optimizer::try_best_plan`] with an honest [`Completeness`]
+    /// wide for the plan search, with an honest [`Completeness`]
     /// marker. Rewritings too wide for the plan search are skipped when
     /// any alternative plans successfully (the outcome is then marked
     /// [`Completeness::Truncated`]); only when *nothing* could be
@@ -226,7 +218,7 @@ impl<'a> Optimizer<'a> {
         oracle: &mut dyn SizeOracle,
     ) -> Result<PlanOutcome, PlanError> {
         let _span = obs::span("optimizer.best_plan");
-        let budget_before = obs::budget::snapshot();
+        let budget_before = obs::budget_snapshot();
         let generator =
             CoreCover::new(self.query, self.views).with_config(self.config.corecover.clone());
         let result = match model {
@@ -254,7 +246,7 @@ impl<'a> Optimizer<'a> {
         oracle: &mut dyn SizeOracle,
     ) -> Result<PlanOutcome, PlanError> {
         let _span = obs::span("optimizer.best_plan");
-        self.plan_generated(model, result.borrow(), oracle, obs::budget::snapshot())
+        self.plan_generated(model, result.borrow(), oracle, obs::budget_snapshot())
     }
 
     /// The bounded walk of the module docs: the incumbent is handed to
@@ -265,7 +257,7 @@ impl<'a> Optimizer<'a> {
         model: CostModel,
         result: &CoreCoverResult,
         oracle: &mut dyn SizeOracle,
-        budget_before: obs::budget::HitSnapshot,
+        budget_before: obs::HitSnapshot,
     ) -> Result<PlanOutcome, PlanError> {
         let _enum_span = (model != CostModel::M1).then(|| obs::span("optimizer.enumerate"));
         let mut walk = match model {
@@ -313,7 +305,7 @@ impl<'a> Optimizer<'a> {
                 }
                 _ => None,
             };
-            if model != CostModel::M1 && obs::budget::cancelled() {
+            if model != CostModel::M1 && obs::budget_cancelled() {
                 break; // deadline: keep the best so far (an M1 plan is no search)
             }
             let ceiling = incumbent.map(|(cost, at)| (cost, cover < at));
@@ -331,7 +323,7 @@ impl<'a> Optimizer<'a> {
             }
         }
         let best = best.map(|(_, planned)| planned);
-        let spent = obs::budget::completeness_since(budget_before);
+        let spent = obs::completeness_since(budget_before);
         let mut completeness = result.stats.completeness.worst(spent);
         if let Some(e) = too_wide {
             if best.is_none() {
@@ -596,7 +588,7 @@ mod tests {
         let db = Database::new();
         let mut oracle = ExactOracle::new(&db);
         let err = Optimizer::new(&q, &views)
-            .try_best_plan(CostModel::M2, &mut oracle)
+            .try_plan(CostModel::M2, &mut oracle)
             .unwrap_err();
         assert_eq!(
             err,
@@ -636,7 +628,7 @@ mod tests {
         let db = Database::new();
         let mut oracle = ExactOracle::new(&db);
         let err = Optimizer::new(&q, &views)
-            .try_best_plan(CostModel::M2, &mut oracle)
+            .try_plan(CostModel::M2, &mut oracle)
             .unwrap_err();
         assert_eq!(
             err,

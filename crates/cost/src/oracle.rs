@@ -113,7 +113,8 @@ impl SizeOracle for ExactOracle<'_> {
 }
 
 /// Predicts sizes from catalog statistics (System-R style). The
-/// arithmetic and both memo shapes live in [`crate::subsets`].
+/// arithmetic and both memo shapes live in [`Subsets`] and
+/// [`Prefixes`].
 pub struct EstimateOracle<'a> {
     catalog: &'a Catalog,
     fold: Fold,

@@ -55,7 +55,7 @@ pub struct Subsets {
 
 impl Subsets {
     /// The subset space of `body`: subgoal `i` is bit `i` of a mask.
-    pub fn new(body: &[Atom]) -> Subsets {
+    pub(crate) fn new(body: &[Atom]) -> Subsets {
         Subsets {
             body: body.to_vec(),
             estimates: None,
@@ -63,18 +63,18 @@ impl Subsets {
     }
 
     /// The body the masks select from.
-    pub fn body(&self) -> &[Atom] {
+    pub(crate) fn body(&self) -> &[Atom] {
         &self.body
     }
 
     /// Adds `atom` as the top bit. Every subset numbered so far keeps
     /// its mask and whatever was tabulated for it.
-    pub fn push(&mut self, atom: Atom) {
+    pub(crate) fn push(&mut self, atom: Atom) {
         self.body.push(atom);
     }
 
     /// Removes the top subgoal, and the upper half of the table with it.
-    pub fn pop(&mut self) {
+    pub(crate) fn pop(&mut self) {
         self.body.pop();
         if let Some(table) = &mut self.estimates {
             table.truncate(self.body.len());
@@ -82,7 +82,7 @@ impl Subsets {
     }
 
     /// All variables of the subgoals `mask` selects.
-    pub fn variables(&self, mask: u32) -> BTreeSet<Symbol> {
+    pub(crate) fn variables(&self, mask: u32) -> BTreeSet<Symbol> {
         selected(&self.body, mask)
             .flat_map(Atom::variables)
             .collect()
@@ -208,13 +208,13 @@ impl Prefixes {
 
     /// The path's subgoals in execution order, every rename closed on
     /// the path applied.
-    pub fn atoms(&self) -> Vec<Atom> {
+    pub(crate) fn atoms(&self) -> Vec<Atom> {
         self.order.iter().map(|&g| self.renamed_atom(g)).collect()
     }
 
     /// The variables the path's intermediate relation keeps: those it
     /// still names that the head or a subgoal off the path needs.
-    pub fn retained(&self) -> BTreeSet<Symbol> {
+    pub(crate) fn retained(&self) -> BTreeSet<Symbol> {
         let used = self.used();
         (0..self.vars.len())
             .filter(|&v| self.named(v, used) && self.needed(v, used))

@@ -10,14 +10,12 @@
 //! `try_optimal_m3_plan`, which builds the `RenameTest` the optimizer kept
 //! across rewritings once per rewriting (the verdicts are the same).
 
-use viewplan_core::certificate::certify;
 use viewplan_core::{
-    all_irredundant_covers, all_minimum_covers, dedup_variants_with_map, is_equivalent_rewriting,
-    CoreCoverResult, Rewriting,
+    all_irredundant_covers, all_minimum_covers, certify, dedup_variants_with_map,
+    is_equivalent_rewriting, CoreCoverResult, Rewriting,
 };
-use viewplan_cost::m2::M2Table;
 use viewplan_cost::{
-    try_optimal_m3_plan, CostError, CostModel, DropPolicy, OptimizerConfig, PhysicalPlan,
+    try_optimal_m3_plan, CostError, CostModel, DropPolicy, M2Table, OptimizerConfig, PhysicalPlan,
     PlanError, PlanOutcome, PlannedRewriting, SizeOracle,
 };
 use viewplan_cq::{Atom, ConjunctiveQuery, Symbol, Term, ViewSet};
@@ -199,7 +197,7 @@ impl<'a> Exhaustive<'a> {
         oracle: &mut dyn SizeOracle,
     ) -> Result<PlanOutcome, PlanError> {
         let _span = obs::span("optimizer.best_plan");
-        let budget_before = obs::budget::snapshot();
+        let budget_before = obs::budget_snapshot();
         let planned = match model {
             CostModel::M1 => Ok((self.plan_m1(space), false)),
             CostModel::M2 => self.plan_m2(space, oracle),
@@ -208,7 +206,7 @@ impl<'a> Exhaustive<'a> {
         let (best, skipped_wide) = planned?;
         let mut completeness = space
             .completeness
-            .worst(obs::budget::completeness_since(budget_before));
+            .worst(obs::completeness_since(budget_before));
         if skipped_wide {
             completeness = completeness.worst(Completeness::Truncated);
         }
@@ -237,7 +235,7 @@ impl<'a> Exhaustive<'a> {
         let mut best: Option<PlannedRewriting> = None;
         let mut skipped: Option<CostError> = None;
         for r in &space.rewritings {
-            if obs::budget::cancelled() {
+            if obs::budget_cancelled() {
                 break; // deadline: keep the cheapest plan found so far
             }
             // Base plan, then greedy filter grafting.
@@ -280,7 +278,7 @@ impl<'a> Exhaustive<'a> {
         let mut best: Option<PlannedRewriting> = None;
         let mut skipped: Option<CostError> = None;
         for r in &space.rewritings {
-            if obs::budget::cancelled() {
+            if obs::budget_cancelled() {
                 break; // deadline: keep the cheapest plan found so far
             }
             self.enumerated += 1;

@@ -9,10 +9,9 @@ use common::exhaustive::{graft_unbounded, Exhaustive, Space};
 use common::{generated, rename_family, Generated, RenameFamily};
 use std::sync::Mutex;
 use viewplan_core::{CoreCover, CoreCoverConfig};
-use viewplan_cost::m2::M2Table;
 use viewplan_cost::{
-    try_optimal_m3_plan, Catalog, CostModel, DropPolicy, EstimateOracle, ExactOracle, Optimizer,
-    OptimizerConfig,
+    try_optimal_m3_plan, Catalog, CostModel, DropPolicy, EstimateOracle, ExactOracle, M2Table,
+    Optimizer, OptimizerConfig,
 };
 use viewplan_cq::{parse_query, parse_views, Atom, Symbol};
 use viewplan_engine::{materialize_views, Database, Value};
@@ -112,14 +111,14 @@ fn budget_exhausted_after_pruning_is_truncated_and_never_beats_the_optimum() {
     let mut cut_after_pruning = 0;
     for allowance in 1..nodes {
         let budget = obs::BudgetSpec::new().phase_nodes(obs::Phase::Plan, allowance);
-        let _installed = obs::budget::install(budget);
+        let _installed = obs::install_budget(budget);
         let (outcome, counts) = counted(plan);
         assert_eq!(
             outcome.completeness,
             obs::Completeness::Truncated,
             "allowance {allowance} of {nodes}"
         );
-        assert!(obs::budget::abandoned(obs::Phase::Plan) > 0);
+        assert!(obs::budget_abandoned(obs::Phase::Plan) > 0);
         assert_eq!(counts.counter("cost.m3_nodes"), allowance);
         if let Some(best) = outcome.best {
             assert!(best.cost >= optimum, "allowance {allowance}");

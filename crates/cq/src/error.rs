@@ -7,11 +7,11 @@ use std::fmt;
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ParseError {
     /// 1-based line of the offending token.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based column of the offending token.
-    pub column: usize,
+    pub(crate) column: usize,
     /// Byte range of the offending token (empty at end of input).
-    pub span: Span,
+    pub(crate) span: Span,
     /// Human-readable description.
     pub message: String,
 }

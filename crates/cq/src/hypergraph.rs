@@ -109,7 +109,7 @@ fn find_ear(edges: &[BTreeSet<Symbol>], alive: &[bool]) -> Option<(usize, Option
 }
 
 /// The variable hyperedge of one atom.
-pub fn atom_vars(atom: &Atom) -> BTreeSet<Symbol> {
+fn atom_vars(atom: &Atom) -> BTreeSet<Symbol> {
     atom.variables().collect()
 }
 

@@ -40,7 +40,7 @@ pub struct JoinOrder {
 
 impl JoinOrder {
     /// The greedy join order of `body`, as [`greedy_join_order`] returns it.
-    pub fn compute(&mut self, body: &[Atom], facts: impl Fn(&Atom) -> usize) -> &[usize] {
+    pub(crate) fn compute(&mut self, body: &[Atom], facts: impl Fn(&Atom) -> usize) -> &[usize] {
         let JoinOrder {
             order,
             remaining,

@@ -11,7 +11,8 @@
 //!   [`ViewSet`]s,
 //! * [`Substitution`]s (the variable mappings used by containment
 //!   mappings, expansions, and canonical databases),
-//! * a Datalog-style [`parser`] following the paper's convention that
+//! * a Datalog-style parser ([`parse_query`], [`parse_views`],
+//!   [`parse_program`]) following the paper's convention that
 //!   names beginning with a lower-case letter are constants/predicates and
 //!   names beginning with an upper-case letter are variables.
 //!
@@ -29,31 +30,34 @@
 //! assert!(q.is_safe());
 //! ```
 
-pub mod atom;
-pub mod error;
-pub mod first_seen;
-pub mod hypergraph;
-pub mod join_order;
-pub mod parser;
-pub mod query;
-pub mod render;
-pub mod span;
-pub mod subst;
-pub mod symbol;
-pub mod term;
-pub mod view;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod atom;
+mod error;
+mod first_seen;
+mod hypergraph;
+mod join_order;
+mod parser;
+mod query;
+mod render;
+mod span;
+mod subst;
+mod symbol;
+mod term;
+mod view;
 
 pub use atom::Atom;
 pub use error::ParseError;
-pub use first_seen::FirstSeen;
-pub use hypergraph::{hypertree_width_estimate, is_acyclic, join_forest, JoinForest};
+pub use first_seen::{FirstSeen, SCAN_WIDTH};
+pub use hypergraph::{gyo_forest, hypertree_width_estimate, is_acyclic, join_forest, JoinForest};
 pub use join_order::{greedy_join_order, JoinOrder};
 pub use parser::{
-    parse_atom, parse_program, parse_query, parse_query_with, parse_views, Interned, Program,
-    RuleSpans, Variables,
+    parse_atom, parse_program, parse_query, parse_query_with, parse_views, Program, RuleSpans,
+    Variables,
 };
 pub use query::ConjunctiveQuery;
-pub use render::{write_atom, write_rule, Sink, Spelled};
+pub use render::{write_atom, write_rule, write_sorted, Sink, Spelled};
 pub use span::Span;
 pub use subst::Substitution;
 pub use symbol::Symbol;

@@ -58,7 +58,7 @@ impl<'a, V: Variables<'a>> Variables<'a> for &mut V {
 }
 
 /// The default: a variable is its interned spelling.
-pub struct Interned;
+pub(crate) struct Interned;
 
 impl<'a> Variables<'a> for Interned {
     fn make(&mut self, spelling: &'a str) -> Symbol {
@@ -92,7 +92,8 @@ pub struct RuleSpans {
 
 impl RuleSpans {
     /// The whole rule, head through last body atom.
-    pub fn rule(&self) -> Span {
+    #[cfg(test)]
+    pub(crate) fn rule(&self) -> Span {
         self.body.iter().fold(self.head, |acc, s| acc.merge(*s))
     }
 }

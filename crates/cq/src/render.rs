@@ -43,7 +43,7 @@ pub struct Spelled<'s, W> {
 
 impl<'s, W: fmt::Write> Spelled<'s, W> {
     /// Writes into `out`, spelling each variable through `spell`.
-    pub fn new(out: W, spell: &'s dyn Fn(Symbol) -> &'s str) -> Spelled<'s, W> {
+    pub(crate) fn new(out: W, spell: &'s dyn Fn(Symbol) -> &'s str) -> Spelled<'s, W> {
         Spelled { out, spell }
     }
 }
@@ -87,7 +87,7 @@ pub fn write_sorted(out: &mut impl fmt::Write, names: &mut [&str]) -> fmt::Resul
 }
 
 /// Writes one term: a variable through the sink, a constant as itself.
-pub fn write_term(out: &mut (impl Sink + ?Sized), term: Term) -> fmt::Result {
+pub(crate) fn write_term(out: &mut (impl Sink + ?Sized), term: Term) -> fmt::Result {
     match term {
         Term::Var(v) => out.var(v),
         Term::Const(Constant::Sym(s)) => out.write_str(s.as_str()),

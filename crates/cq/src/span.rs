@@ -33,7 +33,7 @@ impl Span {
 
     /// The smallest span covering both `self` and `other`. The
     /// line/column anchor comes from whichever span starts first.
-    pub fn merge(self, other: Span) -> Span {
+    pub(crate) fn merge(self, other: Span) -> Span {
         let (first, _) = if self.start <= other.start {
             (self, other)
         } else {

@@ -54,12 +54,14 @@ impl Substitution {
     }
 
     /// Number of bound variables.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// True iff nothing is bound.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
@@ -71,7 +73,8 @@ impl Substitution {
     /// Composes `self` then `other`: `(other ∘ self)(x) = other(self(x))`.
     /// Variables bound only in `other` are included as well, so the result
     /// behaves like applying `self` first and `other` second to any term.
-    pub fn then(&self, other: &Substitution) -> Substitution {
+    #[cfg(test)]
+    pub(crate) fn then(&self, other: &Substitution) -> Substitution {
         let mut out = HashMap::with_capacity(self.map.len() + other.map.len());
         for (&v, &t) in &self.map {
             out.insert(v, other.apply(t));

@@ -13,7 +13,7 @@ use viewplan_cq::{ConjunctiveQuery, Term};
 
 /// Freezes a term: variables become [`Value::Frozen`] markers carrying
 /// their own name; constants become ordinary values.
-pub fn freeze_term(t: Term) -> Value {
+pub(crate) fn freeze_term(t: Term) -> Value {
     match t {
         Term::Var(v) => Value::Frozen(v),
         Term::Const(c) => Value::from_constant(c),

@@ -102,12 +102,12 @@ impl Column {
     }
 
     /// Number of cells.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         with_words!(self, w => w.len())
     }
 
     /// True iff the column has no cells.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

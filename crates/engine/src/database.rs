@@ -28,7 +28,7 @@ impl Database {
     /// on first touch. Requesting an existing relation at a different
     /// arity is rejected: handing back the mismatched relation would make
     /// the conflicting facts silently disappear downstream.
-    pub fn try_get_or_create(
+    pub(crate) fn try_get_or_create(
         &mut self,
         name: Symbol,
         arity: usize,
@@ -52,7 +52,7 @@ impl Database {
     ///
     /// # Panics
     /// Panics if the relation exists at a different arity.
-    pub fn get_or_create(&mut self, name: Symbol, arity: usize) -> &mut Relation {
+    fn get_or_create(&mut self, name: Symbol, arity: usize) -> &mut Relation {
         if let Some(existing) = self.relations.get(&name) {
             assert!(
                 existing.arity() == arity,
@@ -110,7 +110,8 @@ impl Database {
     }
 
     /// Number of relations.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.relations.len()
     }
 

@@ -8,11 +8,11 @@
 //! ([`Engine::default`]); the row executor is the differential oracle
 //! that tests and the benchmark's reference answers select with a scoped
 //! [`install`]. The choice has exactly one source, the innermost
-//! [`install`] in the thread's request context (`viewplan_obs::ctx`),
+//! [`install`] in the thread's request context (`crates/obs/src/ctx.rs`),
 //! and holds on the installing thread only, like the rest of the
 //! context.
 
-use viewplan_obs::ctx::{self, CtxGuard};
+use viewplan_obs::{policy, set_policy, CtxGuard};
 
 /// Which executor [`crate::evaluate`] and the `execute_*` entry points
 /// run on.
@@ -27,14 +27,14 @@ pub enum Engine {
 }
 
 /// The engine's bits of the request context's policy word (bits 0–1, as
-/// allocated in `viewplan_obs::ctx`): 0 = no override, else the
+/// allocated in `crates/obs/src/ctx.rs`): 0 = no override, else the
 /// overriding engine's discriminant plus one.
 const POLICY_MASK: u32 = 0b11;
 
 /// The engine the current thread's evaluations run on: the innermost
 /// [`install`]ed override, else [`Engine::default`].
-pub fn current_engine() -> Engine {
-    match ctx::policy() & POLICY_MASK {
+pub(crate) fn current_engine() -> Engine {
+    match policy() & POLICY_MASK {
         1 => Engine::Row,
         2 => Engine::Columnar,
         _ => Engine::default(),
@@ -44,7 +44,7 @@ pub fn current_engine() -> Engine {
 /// Pins `engine` for the current thread until the returned guard drops.
 /// Nests: dropping restores the previous override.
 pub fn install(engine: Engine) -> CtxGuard {
-    ctx::set_policy(POLICY_MASK, engine as u32 + 1)
+    set_policy(POLICY_MASK, engine as u32 + 1)
 }
 
 #[cfg(test)]

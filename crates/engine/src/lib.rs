@@ -40,28 +40,31 @@
 //! assert_eq!(ans.len(), 1);
 //! ```
 
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
 mod batch;
-pub mod canonical;
-pub mod column;
-pub mod database;
-pub mod engine;
-pub mod error;
-pub mod eval;
-pub mod materialize;
-pub mod relation;
+mod canonical;
+mod column;
+mod database;
+mod engine;
+mod error;
+mod eval;
+mod materialize;
+mod relation;
 #[cfg(test)]
 mod relation_model;
-pub mod value;
+mod value;
 
-pub use canonical::{canonical_database, freeze_term, unfreeze_value};
+pub use canonical::{canonical_database, unfreeze_value};
 pub use column::Column;
 pub use database::Database;
-pub use engine::{current_engine, install, Engine};
+pub use engine::{install, Engine};
 pub use error::EngineError;
 pub use eval::{
     evaluate, execute_annotated, execute_ordered, try_evaluate, try_execute_annotated,
     try_execute_ordered, AnnotatedStep, ExecutionTrace,
 };
 pub use materialize::materialize_views;
-pub use relation::{Relation, Tuple};
+pub use relation::{Relation, Rows, Tuple};
 pub use value::Value;

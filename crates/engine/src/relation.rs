@@ -78,7 +78,8 @@ impl Relation {
     }
 
     /// Builds a relation from rows; panics if a row's arity mismatches.
-    pub fn from_rows(arity: usize, rows: impl IntoIterator<Item = Tuple>) -> Relation {
+    #[cfg(test)]
+    pub(crate) fn from_rows(arity: usize, rows: impl IntoIterator<Item = Tuple>) -> Relation {
         let mut r = Relation::new(arity);
         for row in rows {
             r.insert(row);

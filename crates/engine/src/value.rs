@@ -81,7 +81,7 @@ impl Value {
     /// # Panics
     /// Panics on [`Value::Skolem`] — Skolem witnesses exist only inside
     /// the inverse-rule evaluation and never flow back into queries.
-    pub fn to_term(self) -> Term {
+    pub(crate) fn to_term(self) -> Term {
         match self {
             Value::Sym(s) => Term::Const(Constant::Sym(s)),
             Value::Int(i) => Term::Const(Constant::Int(i)),

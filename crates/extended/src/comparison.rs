@@ -6,7 +6,7 @@ use viewplan_engine::Value;
 
 /// A comparison operator. The order predicates (`<`, `≤`) are interpreted
 /// over a dense linear order covering all values. The symbolic-reasoning
-/// side ([`crate::constraints`]) treats symbolic constants as
+/// side ([`ConstraintSet`](crate::ConstraintSet)) treats symbolic constants as
 /// *uninterpreted points* of that order (their relative position is
 /// unknown), which keeps implication sound while the runtime order fixes
 /// them by name — a deliberately conservative split.
@@ -23,19 +23,12 @@ pub enum CompOp {
 }
 
 impl CompOp {
-    /// The operator with its arguments swapped (`a < b` ⇔ `b >` …); used
-    /// to normalize `>`/`≥` at construction sites.
-    pub fn flipped(self) -> CompOp {
-        // Lt/Le flip sides; Eq/Ne are symmetric.
-        self
-    }
-
     /// Evaluates the operator on two runtime values. The runtime order is
     /// *total*, matching the dense-total-order theory the containment test
     /// assumes: integers by value, then symbolic constants by name, then
     /// frozen values by name (integers sort below symbols, symbols below
     /// frozen values — an arbitrary but fixed convention).
-    pub fn eval(self, a: Value, b: Value) -> bool {
+    pub(crate) fn eval(self, a: Value, b: Value) -> bool {
         match self {
             CompOp::Eq => a == b,
             CompOp::Ne => a != b,
@@ -57,7 +50,7 @@ impl fmt::Display for CompOp {
 }
 
 /// The total runtime order used by `<`/`≤` (see [`CompOp::eval`]).
-pub fn value_cmp(a: Value, b: Value) -> std::cmp::Ordering {
+fn value_cmp(a: Value, b: Value) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => x.cmp(&y),
@@ -87,7 +80,7 @@ pub struct Comparison {
 
 impl Comparison {
     /// `lhs < rhs`.
-    pub fn lt(lhs: Term, rhs: Term) -> Comparison {
+    pub(crate) fn lt(lhs: Term, rhs: Term) -> Comparison {
         Comparison {
             lhs,
             op: CompOp::Lt,
@@ -105,7 +98,7 @@ impl Comparison {
     }
 
     /// `lhs = rhs`.
-    pub fn eq(lhs: Term, rhs: Term) -> Comparison {
+    pub(crate) fn eq(lhs: Term, rhs: Term) -> Comparison {
         Comparison {
             lhs,
             op: CompOp::Eq,
@@ -114,7 +107,8 @@ impl Comparison {
     }
 
     /// `lhs ≠ rhs`.
-    pub fn ne(lhs: Term, rhs: Term) -> Comparison {
+    #[cfg(test)]
+    pub(crate) fn ne(lhs: Term, rhs: Term) -> Comparison {
         Comparison {
             lhs,
             op: CompOp::Ne,
@@ -123,12 +117,12 @@ impl Comparison {
     }
 
     /// The variables mentioned.
-    pub fn variables(&self) -> impl Iterator<Item = Symbol> {
+    pub(crate) fn variables(&self) -> impl Iterator<Item = Symbol> {
         [self.lhs, self.rhs].into_iter().filter_map(Term::as_var)
     }
 
     /// Applies a substitution to both operands.
-    pub fn apply(&self, subst: &Substitution) -> Comparison {
+    pub(crate) fn apply(&self, subst: &Substitution) -> Comparison {
         Comparison {
             lhs: subst.apply(self.lhs),
             op: self.op,
@@ -138,7 +132,7 @@ impl Comparison {
 
     /// Evaluates against a variable binding (variables not bound evaluate
     /// to `None`, i.e. "unknown").
-    pub fn eval(&self, lookup: &dyn Fn(Symbol) -> Option<Value>) -> Option<bool> {
+    pub(crate) fn eval(&self, lookup: &dyn Fn(Symbol) -> Option<Value>) -> Option<bool> {
         let v = |t: Term| -> Option<Value> {
             match t {
                 Term::Var(x) => lookup(x),

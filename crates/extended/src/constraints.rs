@@ -66,7 +66,7 @@ struct Solved {
 
 impl ConstraintSet {
     /// The empty (trivially true) constraint set.
-    pub fn new() -> ConstraintSet {
+    pub(crate) fn new() -> ConstraintSet {
         ConstraintSet::default()
     }
 
@@ -78,7 +78,7 @@ impl ConstraintSet {
     }
 
     /// Adds one comparison.
-    pub fn push(&mut self, c: Comparison) {
+    pub(crate) fn push(&mut self, c: Comparison) {
         self.comparisons.push(c);
     }
 
@@ -88,17 +88,12 @@ impl ConstraintSet {
     }
 
     /// True iff no comparison is present.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.comparisons.is_empty()
     }
 
-    /// Number of comparisons.
-    pub fn len(&self) -> usize {
-        self.comparisons.len()
-    }
-
     /// The variables mentioned anywhere.
-    pub fn variables(&self) -> Vec<Symbol> {
+    pub(crate) fn variables(&self) -> Vec<Symbol> {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
         for c in &self.comparisons {
@@ -112,14 +107,14 @@ impl ConstraintSet {
     }
 
     /// Applies a substitution to every comparison.
-    pub fn apply(&self, subst: &Substitution) -> ConstraintSet {
+    pub(crate) fn apply(&self, subst: &Substitution) -> ConstraintSet {
         ConstraintSet {
             comparisons: self.comparisons.iter().map(|c| c.apply(subst)).collect(),
         }
     }
 
     /// Conjoins two sets.
-    pub fn conjoin(&self, other: &ConstraintSet) -> ConstraintSet {
+    pub(crate) fn conjoin(&self, other: &ConstraintSet) -> ConstraintSet {
         let mut out = self.clone();
         out.comparisons.extend(other.comparisons.iter().copied());
         out
@@ -142,7 +137,7 @@ impl ConstraintSet {
     }
 
     /// True iff `self` implies every comparison in `other`.
-    pub fn implies_all(&self, other: &ConstraintSet) -> bool {
+    pub(crate) fn implies_all(&self, other: &ConstraintSet) -> bool {
         let mut solved = self.solve();
         if solved.unsat {
             return true;

@@ -33,7 +33,7 @@ impl SkolemTable {
 /// Reconstructs base relations from a view instance via the inverse rules.
 /// Exposed for inspection and tests; [`certain_answers`] is the main entry
 /// point.
-pub fn invert_views(views: &ViewSet, view_db: &Database) -> Database {
+pub(crate) fn invert_views(views: &ViewSet, view_db: &Database) -> Database {
     let mut skolems = SkolemTable::default();
     let mut base = Database::new();
     for view in views {

@@ -17,42 +17,39 @@
 //! This crate supplies the machinery to state, evaluate, and reason about
 //! such rewritings:
 //!
-//! * [`comparison`] — comparison atoms (`<`, `≤`, `=`, `≠`) over query
+//! * [`Comparison`] — comparison atoms (`<`, `≤`, `=`, `≠`) over query
 //!   terms;
-//! * [`constraints`] — conjunctions of comparisons with satisfiability and
+//! * [`ConstraintSet`] — conjunctions of comparisons with satisfiability and
 //!   implication over a dense linear order (difference-constraint closure
 //!   plus disequalities);
-//! * [`ccq`] — conditional conjunctive queries (CQ + constraint set):
+//! * [`ConditionalQuery`] — conditional conjunctive queries (CQ + constraint set):
 //!   evaluation through the engine and a sound containment test that is
 //!   complete up to a documented linearization bound (Klug's test);
-//! * [`ucq`] — unions of (conditional) conjunctive queries: evaluation,
-//!   containment, equivalence, and branch minimization;
-//! * [`max_contained`] — maximally-contained rewritings as UCQs for the
+//! * [`UnionQuery`] — unions of (conditional) conjunctive queries:
+//!   evaluation and containment of a query in a union;
+//! * [`maximally_contained_rewriting`] — maximally-contained rewritings as UCQs for the
 //!   comparison-free case, built from MiniCon combinations — the other
 //!   extension direction §8 names;
-//! * [`inverse_rules`] — the inverse-rule algorithm \[9, 21\] computing
+//! * [`certain_answers`] — the inverse-rule algorithm \[9, 21\] computing
 //!   the same certain answers bottom-up with Skolem witnesses;
-//! * [`parse`] — comparison syntax (`"C <= D"`) on top of the base
+//! * [`parse_conditional`] — comparison syntax (`"C <= D"`) on top of the base
 //!   grammar.
 
-pub mod ccq;
-pub mod comparison;
-pub mod constraints;
-pub mod inverse_rules;
-pub mod max_contained;
-pub mod parse;
-pub mod ucq;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub use ccq::{
-    are_equivalent_with_comparisons, evaluate_conditional, is_contained_with_comparisons,
-    ConditionalQuery,
-};
+mod ccq;
+mod comparison;
+mod constraints;
+mod inverse_rules;
+mod max_contained;
+mod parse;
+mod ucq;
+
+pub use ccq::{evaluate_conditional, ConditionalQuery};
 pub use comparison::{CompOp, Comparison};
 pub use constraints::ConstraintSet;
-pub use inverse_rules::{certain_answers, invert_views};
+pub use inverse_rules::certain_answers;
 pub use max_contained::maximally_contained_rewriting;
-pub use parse::{parse_comparison, parse_conditional};
-pub use ucq::{
-    evaluate_union, is_contained_in_union, is_ucq_contained_in, is_ucq_equivalent, minimize_union,
-    union_matches_query, UnionQuery,
-};
+pub use parse::parse_conditional;
+pub use ucq::{evaluate_union, is_contained_in_union, UnionQuery};

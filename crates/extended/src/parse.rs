@@ -37,7 +37,7 @@ fn err(message: String) -> ParseError {
 /// Parses one comparison such as `"C <= D"`, `"X < 3"`, `"A = b"`,
 /// `"A != B"`. `>` and `>=` are accepted and normalized by swapping the
 /// operands.
-pub fn parse_comparison(src: &str) -> Result<Comparison, ParseError> {
+pub(crate) fn parse_comparison(src: &str) -> Result<Comparison, ParseError> {
     // Two-character operators first so "<=" does not lex as "<" + "=".
     for (symbol, op, flip) in [
         ("<=", CompOp::Le, false),

@@ -12,7 +12,6 @@
 use crate::ccq::{
     evaluate_conditional, for_each_weak_order, is_contained_with_comparisons, ConditionalQuery,
 };
-use std::collections::HashSet;
 use viewplan_containment::{head_bindings, HomomorphismSearch};
 use viewplan_cq::{ConjunctiveQuery, Term};
 use viewplan_engine::{Database, Relation};
@@ -49,7 +48,7 @@ impl UnionQuery {
     }
 
     /// True iff no branch carries comparisons.
-    pub fn is_comparison_free(&self) -> bool {
+    fn is_comparison_free(&self) -> bool {
         self.branches.iter().all(|b| b.constraints.is_empty())
     }
 }
@@ -153,82 +152,27 @@ pub fn is_contained_in_union(
     Some(ok)
 }
 
-/// UCQ ⊑ UCQ: every branch of `u1` contained in `u2`.
-pub fn is_ucq_contained_in(u1: &UnionQuery, u2: &UnionQuery, max_terms: usize) -> Option<bool> {
-    let mut all = true;
-    for b in &u1.branches {
-        match is_contained_in_union(b, u2, max_terms) {
-            Some(true) => {}
-            Some(false) => {
-                all = false;
-                break;
-            }
-            None => return None,
-        }
-    }
-    Some(all)
-}
-
-/// UCQ equivalence (both containments).
-pub fn is_ucq_equivalent(u1: &UnionQuery, u2: &UnionQuery, max_terms: usize) -> Option<bool> {
-    match is_ucq_contained_in(u1, u2, max_terms)? {
-        false => Some(false),
-        true => is_ucq_contained_in(u2, u1, max_terms),
-    }
-}
-
-/// Removes branches contained in the union of the remaining ones; the
-/// result is equivalent to the input with no redundant branch (given the
-/// term bound holds throughout — undecided branches are conservatively
-/// kept).
-pub fn minimize_union(u: &UnionQuery, max_terms: usize) -> UnionQuery {
-    let mut keep: Vec<bool> = vec![true; u.branches.len()];
-    for i in 0..u.branches.len() {
-        let others: Vec<ConditionalQuery> = u
-            .branches
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i && keep[j])
-            .map(|(_, b)| b.clone())
-            .collect();
-        if others.is_empty() {
-            continue;
-        }
-        let rest = UnionQuery::new(others);
-        if is_contained_in_union(&u.branches[i], &rest, max_terms) == Some(true) {
-            keep[i] = false;
-        }
-    }
-    UnionQuery::new(
-        u.branches
-            .iter()
-            .zip(&keep)
-            .filter(|&(_, &k)| k)
-            .map(|(b, _)| b.clone())
-            .collect(),
-    )
-}
-
-/// A convenience assertion used by tests: answers of `u` equal the
-/// answers of `q` over the given database.
-pub fn union_matches_query(u: &UnionQuery, q: &ConditionalQuery, db: &Database) -> bool {
-    let a = evaluate_union(u, db);
-    let b = evaluate_conditional(q, db);
-    let sa: HashSet<_> = a.iter().collect();
-    let sb: HashSet<_> = b.iter().collect();
-    sa == sb
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comparison::Comparison;
     use crate::constraints::ConstraintSet;
+    use std::collections::HashSet;
     use viewplan_cq::parse_query;
     use viewplan_engine::Value;
 
     fn v(name: &str) -> Term {
         Term::var(name)
+    }
+
+    /// Answers of `u` equal the
+    /// answers of `q` over the given database.
+    fn union_matches_query(u: &UnionQuery, q: &ConditionalQuery, db: &Database) -> bool {
+        let a = evaluate_union(u, db);
+        let b = evaluate_conditional(q, db);
+        let sa: HashSet<_> = a.iter().collect();
+        let sb: HashSet<_> = b.iter().collect();
+        sa == sb
     }
 
     fn ccq(src: &str, cs: Vec<Comparison>) -> ConditionalQuery {
@@ -261,7 +205,9 @@ mod tests {
         assert_eq!(is_contained_in_union(&q, &u, 7), Some(true));
         // And conversely each branch ⊑ q, so the union is equivalent.
         let uq = UnionQuery::new(vec![q.clone()]);
-        assert_eq!(is_ucq_equivalent(&u, &uq, 7), Some(true));
+        for b in &u.branches {
+            assert_eq!(is_contained_in_union(b, &uq, 7), Some(true));
+        }
     }
 
     #[test]
@@ -286,32 +232,19 @@ mod tests {
     }
 
     #[test]
-    fn minimize_union_drops_subsumed_branches() {
-        let u = UnionQuery::plain(vec![
-            parse_query("q(X) :- e(X, Y)").unwrap(),
-            parse_query("q(X) :- e(X, X)").unwrap(), // ⊑ first branch
-            parse_query("q(X) :- f(X)").unwrap(),
-        ]);
-        let m = minimize_union(&u, 7);
-        assert_eq!(m.branches.len(), 2);
-    }
-
-    #[test]
-    fn minimize_keeps_the_case_split() {
-        let (_, u) = case_split();
-        // Neither branch is contained in the other: both stay.
-        assert_eq!(minimize_union(&u, 7).branches.len(), 2);
-    }
-
-    #[test]
     fn ucq_containment_respects_direction() {
         let narrow = UnionQuery::new(vec![ccq(
             "q(X, Y) :- r(X, Y)",
             vec![Comparison::lt(v("X"), v("Y"))],
         )]);
         let (_, wide) = case_split();
-        assert_eq!(is_ucq_contained_in(&narrow, &wide, 7), Some(true));
-        assert_eq!(is_ucq_contained_in(&wide, &narrow, 7), Some(false));
+        assert_eq!(
+            is_contained_in_union(&narrow.branches[0], &wide, 7),
+            Some(true)
+        );
+        for b in &wide.branches {
+            assert_eq!(is_contained_in_union(b, &narrow, 7), Some(false));
+        }
     }
 
     #[test]

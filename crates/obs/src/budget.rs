@@ -8,12 +8,13 @@
 //!
 //! * [`BudgetSpec`] — what a budget allows: an optional wall-clock
 //!   timeout, per-phase **per-search** node caps and an injected fault.
-//! * [`install`] — starts the deadline and makes the budget the `budget`
-//!   part of the thread's [request context](crate::ctx) until the guard
+//! * [`install_budget`] — starts the deadline and makes the budget the
+//!   `budget` part of the thread's [request context](crate::ctx) until the guard
 //!   drops. The CLI installs one around a command, the server one per
 //!   request. The budget is a plain value in that context, and what the
-//!   searches under it used is read back through [`snapshot`],
-//!   [`completeness_since`], [`abandoned`], [`cancelled`] and [`active`].
+//!   searches under it used is read back through [`budget_snapshot`],
+//!   [`completeness_since`], [`budget_abandoned`], [`budget_cancelled`]
+//!   and [`budget_active`].
 //! * [`Meter`] — the per-search countdown ticked at backtrack points.
 //!   One `Meter` is created per search (per homomorphism check, per
 //!   cover enumeration, per plan search); each `tick()` is a decrement
@@ -52,7 +53,7 @@ use std::time::{Duration, Instant};
 
 /// How many `Meter::tick`s pass between deadline polls.
 /// Node caps are still exact; only deadline detection is amortized.
-pub const DEADLINE_CHECK_INTERVAL: u64 = 128;
+pub(crate) const DEADLINE_CHECK_INTERVAL: u64 = 128;
 
 /// The metered pipeline phases. Used to index per-phase node caps and
 /// abandoned-search counters.
@@ -72,7 +73,7 @@ impl Phase {
     }
 
     /// The phase's short name, as used in counters and `VIEWPLAN_FAULT`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::Hom => "hom",
             Phase::Cover => "cover",
@@ -216,7 +217,7 @@ impl Fault {
     }
 }
 
-/// Declarative description of a budget; [`install`] makes it live
+/// Declarative description of a budget; [`install_budget`] makes it live
 /// (fixing the deadline relative to now).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BudgetSpec {
@@ -234,7 +235,7 @@ impl BudgetSpec {
     }
 
     /// Sets the wall-clock timeout.
-    pub fn timeout(mut self, timeout: Duration) -> BudgetSpec {
+    pub(crate) fn timeout(mut self, timeout: Duration) -> BudgetSpec {
         self.timeout = Some(timeout);
         self
     }
@@ -290,7 +291,7 @@ impl BudgetSpec {
 }
 
 /// The `budget` part of the request context: what its [`BudgetSpec`]
-/// fixed at [`install`], and what the searches under it have used.
+/// fixed at [`install_budget`], and what the searches under it have used.
 pub(crate) struct Budget {
     /// Absolute wall-clock deadline, if any.
     deadline: Option<Instant>,
@@ -316,7 +317,7 @@ pub(crate) struct Budget {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct HitSnapshot {
     /// Searches abandoned because the deadline fired.
-    pub deadline_hits: u64,
+    pub(crate) deadline_hits: u64,
     /// Searches abandoned because a per-search node cap ran out.
     pub node_hits: u64,
 }
@@ -396,7 +397,7 @@ impl Budget {
 /// Starts `spec`'s deadline and makes it the current thread's budget
 /// until the guard drops. What the budget records while installed is
 /// dropped with the guard.
-pub fn install(spec: BudgetSpec) -> CtxGuard {
+pub fn install_budget(spec: BudgetSpec) -> CtxGuard {
     ctx::scoped(Part::Budget(Some(Budget::new(spec))))
 }
 
@@ -406,26 +407,26 @@ fn read<R: Default>(f: impl FnOnce(&Budget) -> R) -> R {
 }
 
 /// True when a budget is installed on this thread.
-pub fn active() -> bool {
+pub fn budget_active() -> bool {
     ctx::with(|ctx| ctx.budget.is_some())
 }
 
 /// True when a budget is installed and its deadline fired. Loop heads
 /// outside metered searches (minimization rounds, per-rewriting
 /// planning) poll this to stop early.
-pub fn cancelled() -> bool {
+pub fn budget_cancelled() -> bool {
     read(Budget::fired)
 }
 
 /// The installed budget's hits so far (zeroes when none) — searches
 /// abandoned by the wall clock vs. by node caps.
-pub fn snapshot() -> HitSnapshot {
+pub fn budget_snapshot() -> HitSnapshot {
     read(Budget::hits)
 }
 
 /// Searches abandoned in `phase` (either cause) under the installed
 /// budget (0 when none).
-pub fn abandoned(phase: Phase) -> u64 {
+pub fn budget_abandoned(phase: Phase) -> u64 {
     read(|b| b.abandoned[phase.idx()].get())
 }
 
@@ -576,7 +577,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn no_budget() {
-        assert!(!active(), "test leaked an installed budget");
+        assert!(!budget_active(), "test leaked an installed budget");
     }
 
     fn fault(point: FaultPoint, nth: u64) -> BudgetSpec {
@@ -596,7 +597,7 @@ mod tests {
     #[test]
     fn node_cap_exhausts_at_the_cap() {
         no_budget();
-        let _g = install(BudgetSpec::new().node_budget(10));
+        let _g = install_budget(BudgetSpec::new().node_budget(10));
         let mut m = Meter::start(Phase::Hom);
         let mut ticks = 0;
         while m.tick() {
@@ -604,9 +605,9 @@ mod tests {
         }
         assert_eq!(ticks, 10);
         assert!(m.exhausted());
-        assert_eq!(abandoned(Phase::Hom), 1);
-        assert_eq!(snapshot().node_hits, 1);
-        assert_eq!(snapshot().deadline_hits, 0);
+        assert_eq!(budget_abandoned(Phase::Hom), 1);
+        assert_eq!(budget_snapshot().node_hits, 1);
+        assert_eq!(budget_snapshot().deadline_hits, 0);
         assert_eq!(
             completeness_since(HitSnapshot::default()),
             Completeness::Truncated
@@ -616,7 +617,7 @@ mod tests {
     #[test]
     fn expired_deadline_exhausts_immediately() {
         no_budget();
-        let _g = install(BudgetSpec::new().timeout(Duration::ZERO));
+        let _g = install_budget(BudgetSpec::new().timeout(Duration::ZERO));
         assert_eq!(
             completeness_since(HitSnapshot::default()),
             Completeness::DeadlineExceeded,
@@ -625,13 +626,13 @@ mod tests {
         let mut m = Meter::start(Phase::Cover);
         assert!(!m.tick());
         assert!(m.exhausted());
-        assert_eq!(snapshot().deadline_hits, 1);
+        assert_eq!(budget_snapshot().deadline_hits, 1);
     }
 
     #[test]
     fn a_deadline_fault_stops_running_meters_at_the_next_poll() {
         no_budget();
-        let _g = install(fault(FaultPoint::Deadline, 2));
+        let _g = install_budget(fault(FaultPoint::Deadline, 2));
         let mut before = Meter::start(Phase::Plan);
         assert!(before.tick());
         let mut after = Meter::start(Phase::Plan);
@@ -641,20 +642,20 @@ mod tests {
             i += 1;
             assert!(i <= DEADLINE_CHECK_INTERVAL, "running meter never stopped");
         }
-        assert_eq!(snapshot().deadline_hits, 2);
+        assert_eq!(budget_snapshot().deadline_hits, 2);
     }
 
     #[test]
     fn guard_restores_previous_budget() {
         no_budget();
-        let _g1 = install(BudgetSpec::new().node_budget(100));
+        let _g1 = install_budget(BudgetSpec::new().node_budget(100));
         {
-            let _g2 = install(BudgetSpec::new().node_budget(1));
+            let _g2 = install_budget(BudgetSpec::new().node_budget(1));
             let mut m = Meter::start(Phase::Hom);
             assert!(m.tick());
             assert!(!m.tick());
         }
-        assert_eq!(snapshot(), HitSnapshot::default());
+        assert_eq!(budget_snapshot(), HitSnapshot::default());
         let mut m = Meter::start(Phase::Hom);
         for _ in 0..100 {
             assert!(m.tick());
@@ -704,7 +705,7 @@ mod tests {
         assert!(!FaultPoint::Hom.is_serving());
         assert!(!FaultPoint::Deadline.is_serving());
         // A budget carrying a serving fault is inert for search meters.
-        let _g = install(fault(FaultPoint::Accept, 1));
+        let _g = install_budget(fault(FaultPoint::Accept, 1));
         for phase in [Phase::Hom, Phase::Cover, Phase::Plan] {
             let mut m = Meter::start(phase);
             for _ in 0..1000 {
@@ -712,29 +713,29 @@ mod tests {
             }
             assert!(!m.exhausted());
         }
-        assert_eq!(snapshot().node_hits, 0);
+        assert_eq!(budget_snapshot().node_hits, 0);
     }
 
     #[test]
     fn fault_fires_on_the_nth_search_only() {
         no_budget();
-        let _g = install(fault(FaultPoint::Cover, 2));
+        let _g = install_budget(fault(FaultPoint::Cover, 2));
         let mut first = Meter::start(Phase::Cover);
         assert!(first.tick(), "first search unaffected");
         let mut second = Meter::start(Phase::Cover);
         assert!(!second.tick(), "second search hit the fault");
         let mut third = Meter::start(Phase::Cover);
         assert!(third.tick(), "fault fires exactly once");
-        assert_eq!(snapshot().node_hits, 1);
+        assert_eq!(budget_snapshot().node_hits, 1);
     }
 
     #[test]
     fn deadline_fault_cancels_everything() {
         no_budget();
-        let _g = install(fault(FaultPoint::Deadline, 1));
+        let _g = install_budget(fault(FaultPoint::Deadline, 1));
         let mut m = Meter::start(Phase::Hom);
         assert!(!m.tick());
-        assert!(cancelled());
+        assert!(budget_cancelled());
         assert_eq!(
             completeness_since(HitSnapshot::default()),
             Completeness::DeadlineExceeded
@@ -759,12 +760,12 @@ mod tests {
     #[test]
     fn snapshot_scopes_completeness_to_a_run() {
         no_budget();
-        let _g = install(BudgetSpec::new().node_budget(3));
+        let _g = install_budget(BudgetSpec::new().node_budget(3));
         let mut m = Meter::start(Phase::Hom);
         while m.tick() {}
         // A later run that stays within budget is Complete even though
         // the budget has hits from the earlier run.
-        let before = snapshot();
+        let before = budget_snapshot();
         let mut ok = Meter::start(Phase::Hom);
         ok.tick();
         assert_eq!(completeness_since(before), Completeness::Complete);
@@ -808,7 +809,7 @@ mod tests {
     fn total_abandoned() -> u64 {
         [Phase::Hom, Phase::Cover, Phase::Plan]
             .into_iter()
-            .map(abandoned)
+            .map(budget_abandoned)
             .sum()
     }
 
@@ -849,12 +850,12 @@ mod tests {
             if expired {
                 spec = spec.timeout(Duration::ZERO);
             }
-            let _g = install(spec);
+            let _g = install_budget(spec);
             let mut fired = expired;
             let mut matching = 0;
             let mut meters: Vec<Meter> = Vec::new();
             for op in ops {
-                let before = snapshot();
+                let before = budget_snapshot();
                 match op {
                     Op::Start(phase) => {
                         let fires = injected.is_some_and(|(point, nth)| {
@@ -874,11 +875,11 @@ mod tests {
                         let by_deadline = deadline_fault || (fired && !fires);
                         prop_assert_eq!(meter.exhausted(), fires || fired);
                         prop_assert_eq!(
-                            snapshot().deadline_hits - before.deadline_hits,
+                            budget_snapshot().deadline_hits - before.deadline_hits,
                             u64::from(by_deadline)
                         );
                         prop_assert_eq!(
-                            snapshot().node_hits - before.node_hits,
+                            budget_snapshot().node_hits - before.node_hits,
                             u64::from(fires && !deadline_fault)
                         );
                         fired |= deadline_fault;
@@ -898,7 +899,7 @@ mod tests {
                         }
                     }
                 }
-                let hits = snapshot();
+                let hits = budget_snapshot();
                 let refused = meters.iter().filter(|m| m.exhausted()).count() as u64;
                 prop_assert_eq!(total_abandoned(), refused);
                 prop_assert_eq!(hits.deadline_hits + hits.node_hits, refused);
@@ -907,7 +908,7 @@ mod tests {
                 completeness_since(HitSnapshot::default()) == Completeness::DeadlineExceeded,
                 fired
             );
-            prop_assert_eq!(cancelled(), fired);
+            prop_assert_eq!(budget_cancelled(), fired);
         }
     }
 }

@@ -9,7 +9,7 @@
 //! context, so nothing carries a context anywhere else, and each part is
 //! a plain single-thread value. Three typed setters replace one part each
 //! and return a [`CtxGuard`] that puts back that part, and only that
-//! part, when it drops: [`budget::install`](crate::budget::install),
+//! part, when it drops: [`budget::install_budget`](crate::budget::install_budget),
 //! [`trace::install`](crate::trace::install) and, through
 //! [`set_policy`], `viewplan_engine::install`. A trace or policy guard
 //! that opens and closes under a budget therefore keeps what the budget
@@ -30,7 +30,7 @@
 //! thread's part replaced for good — so it is `!Send`:
 //!
 //! ```compile_fail,E0277
-//! let guard = viewplan_obs::budget::install(viewplan_obs::BudgetSpec::new());
+//! let guard = viewplan_obs::install_budget(viewplan_obs::BudgetSpec::new());
 //! std::thread::spawn(move || drop(guard));
 //! ```
 
@@ -183,7 +183,7 @@ mod tests {
     /// Each part of the context as its readers see it: the budget by
     /// the node cap a fresh meter counts down, the rest directly.
     fn observe() -> (Option<u64>, bool, Vec<&'static str>, u32) {
-        let cap = budget::active().then(|| {
+        let cap = budget::budget_active().then(|| {
             let mut meter = Meter::start(Phase::Hom);
             std::iter::from_fn(|| meter.tick().then_some(())).count() as u64
         });
@@ -206,7 +206,7 @@ mod tests {
             let traced = observe();
             assert!(traced.1);
             {
-                let _budget = budget::install(BudgetSpec::new().node_budget(7));
+                let _budget = budget::install_budget(BudgetSpec::new().node_budget(7));
                 let budgeted = observe();
                 assert_eq!(budgeted.0, Some(7));
                 assert!(budgeted.1, "installing a budget keeps the trace");
@@ -245,7 +245,7 @@ mod tests {
 
     #[test]
     fn an_inner_guard_keeps_what_the_budget_recorded_under_it() {
-        let _budget = budget::install(BudgetSpec::new().node_budget(0));
+        let _budget = budget::install_budget(BudgetSpec::new().node_budget(0));
         let trace = Trace::new();
         let inner_guards: [&dyn Fn() -> CtxGuard; 2] =
             [&|| trace::install(&trace), &|| set_policy(0b100, 0b100)];
@@ -254,8 +254,8 @@ mod tests {
             let mut meter = Meter::start(Phase::Hom);
             assert!(!meter.tick());
             drop(guard);
-            assert_eq!(budget::snapshot().node_hits, hits);
-            assert_eq!(budget::abandoned(Phase::Hom), hits);
+            assert_eq!(budget::budget_snapshot().node_hits, hits);
+            assert_eq!(budget::budget_abandoned(Phase::Hom), hits);
         }
     }
 }

@@ -156,7 +156,7 @@ pub(crate) fn write_escaped(out: &mut String, s: &str) {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset of the error in the input.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Human-readable description.
     pub message: String,
 }

@@ -10,19 +10,19 @@
 //! * **Histograms** ([`Histogram`], [`histogram!`]) — log₂-bucketed
 //!   distributions for quantities whose spread matters (intermediate
 //!   relation sizes, per-check search nodes).
-//! * **Spans** ([`span`]) — RAII phase timers. Nested spans build a
+//! * **Spans** ([`span()`]) — RAII phase timers. Nested spans build a
 //!   phase tree (`corecover.run` → `corecover.set_cover` → …) aggregated
 //!   by path across the whole process.
-//! * **Reporters** ([`render_report`], [`json_report`],
-//!   [`report_to_stderr`], [`write_json_report`], [`prometheus_text`]) —
-//!   a human-readable phase tree, a machine-readable JSON dump, and a
-//!   Prometheus text exposition of everything.
+//! * **Reporters** ([`report_to_stderr`], [`write_json_report`],
+//!   [`write_prometheus`]) — a human-readable phase tree, a
+//!   machine-readable JSON dump, and a Prometheus text exposition of
+//!   everything.
 //! * **Traces** ([`trace::Trace`], [`trace_event!`]) — request-scoped
 //!   span trees with typed events, recorded on the thread that installed
 //!   the trace (a single-thread value); export as a Chrome trace or a
 //!   rendered tree. Snapshots of the registry ([`metrics_snapshot`])
 //!   subtract to isolate one request's share of the global counters.
-//! * **The request context** ([`ctx`]) — the one thread-local slot that
+//! * **The request context** — the one thread-local slot that
 //!   holds a request's budget, trace and policy word, confined to the
 //!   thread that installed it; one [`CtxGuard`] type restores it.
 //!
@@ -40,13 +40,16 @@
 //!     obs::counter!("demo.widgets").add(3);
 //! }
 //! assert_eq!(obs::counter_value("demo.widgets"), 3);
-//! assert!(obs::render_report().contains("demo.phase"));
+//! assert_eq!(obs::span_tree()[0].children[0].name, "demo.phase");
 //! obs::reset();
 //! obs::set_enabled(false);
 //! ```
 
-pub mod budget;
-pub mod ctx;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod budget;
+mod ctx;
 mod json;
 mod metrics;
 mod prometheus;
@@ -54,17 +57,20 @@ mod report;
 mod span;
 pub mod trace;
 
-pub use budget::{BudgetSpec, Completeness, Fault, FaultPoint, Meter, Phase};
-pub use ctx::CtxGuard;
-pub use json::{parse as parse_json, Json};
-pub use metrics::{
-    counter_value, counters, histogram_snapshot, histograms, metrics_snapshot, Counter, Histogram,
-    HistogramSnapshot, MetricsSnapshot,
+pub use budget::{
+    budget_abandoned, budget_active, budget_cancelled, budget_snapshot, completeness_since,
+    install_budget, BudgetSpec, Completeness, Fault, FaultPoint, HitSnapshot, Meter, Phase,
 };
-pub use prometheus::{prometheus_text, write_prometheus};
-pub use report::{json_report, render_report, report_to_stderr, write_json_report};
+pub use ctx::{policy, set_policy, CtxGuard};
+pub use json::{parse as parse_json, Json, ParseError as JsonParseError};
+pub use metrics::{
+    counter_value, counters, histogram_snapshot, histograms, metrics_snapshot, BucketCount,
+    Counter, Histogram, HistogramSnapshot, MetricsSnapshot,
+};
+pub use prometheus::write_prometheus;
+pub use report::{report_to_stderr, write_json_report};
 pub use span::{span, span_tree, Span, SpanNode};
-pub use trace::{validate_chrome_trace, AttrValue, Trace, TraceNode};
+pub use trace::{validate_chrome_trace, Trace};
 
 /// What [`trace::install`] returns, under the name it had when each part
 /// of the context had a guard type of its own.
@@ -188,7 +194,7 @@ mod tests {
         {
             let _s = span("test.json_span");
         }
-        let report = json_report();
+        let report = report::json_report();
         let parsed = parse_json(&report).expect("report is valid JSON");
         let counters = parsed.get("counters").expect("counters key");
         assert_eq!(
@@ -224,7 +230,7 @@ mod tests {
             let _inner = span("test.render_inner");
         }
         counter!("test.render_counter").add(4);
-        let report = render_report();
+        let report = report::render_report();
         let outer_at = report.find("test.render_outer").unwrap();
         let inner_at = report.find("test.render_inner").unwrap();
         assert!(outer_at < inner_at, "children render under parents");

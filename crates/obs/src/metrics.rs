@@ -1,9 +1,10 @@
 //! The metrics registry: named atomic counters and log₂ histograms.
 //!
-//! Instrumentation sites declare a `static` handle via [`counter!`] /
-//! [`histogram!`]; the handle resolves to a process-global atomic the
-//! first time it is touched while collection is enabled, so two call
-//! sites naming the same metric share one cell. Resolution is cached in
+//! Instrumentation sites declare a `static` handle via
+//! [`counter!`](crate::counter!) / [`histogram!`](crate::histogram!);
+//! the handle resolves to a process-global atomic the first time it is
+//! touched while collection is enabled, so two call sites naming the same
+//! metric share one cell. Resolution is cached in
 //! a `OnceLock`, keeping the steady-state cost of a bump at one enabled
 //! check plus one relaxed `fetch_add`.
 
@@ -12,7 +13,7 @@ use viewplan_sync::{AtomicU64, Mutex, Ordering};
 
 /// Buckets per histogram: one per power of two of a `u64`, plus bucket 0
 /// for the value 0.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 struct Registry {
     counters: Vec<(&'static str, &'static AtomicU64)>,
@@ -49,14 +50,14 @@ fn register_histogram(name: &'static str) -> &'static HistogramCell {
     cell
 }
 
-/// A named process-global counter. Declare via [`counter!`].
+/// A named process-global counter. Declare via [`counter!`](crate::counter!).
 pub struct Counter {
     name: &'static str,
     cell: OnceLock<&'static AtomicU64>,
 }
 
 impl Counter {
-    /// Const-constructs an unresolved handle (use the [`counter!`] macro
+    /// Const-constructs an unresolved handle (use the [`counter!`](crate::counter!) macro
     /// rather than calling this directly).
     pub const fn new(name: &'static str) -> Counter {
         Counter {
@@ -84,12 +85,6 @@ impl Counter {
     pub fn incr(&self) {
         self.add(1);
     }
-
-    /// Current value (0 if never resolved).
-    pub fn get(&self) -> u64 {
-        // ordering: monotone counter read; staleness only undercounts.
-        self.cell().load(Ordering::Relaxed)
-    }
 }
 
 /// Declares a `static` [`Counter`] for this call site and returns a
@@ -103,7 +98,7 @@ macro_rules! counter {
 }
 
 /// The shared storage behind a [`Histogram`].
-pub struct HistogramCell {
+pub(crate) struct HistogramCell {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -200,7 +195,7 @@ pub struct BucketCount {
     /// Smallest value landing in this bucket.
     pub lo: u64,
     /// Largest value landing in this bucket.
-    pub hi: u64,
+    pub(crate) hi: u64,
     /// Observations in `[lo, hi]`.
     pub count: u64,
 }
@@ -222,7 +217,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean observation (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -281,7 +276,7 @@ impl HistogramSnapshot {
     /// values instead of wrapping); `min`/`max` are **not** differential
     /// — they carry the later snapshot's whole-history bounds, which
     /// still bound every observation of the interval.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+    pub(crate) fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let earlier_count = |lo: u64| {
             earlier
                 .buckets
@@ -313,9 +308,9 @@ impl HistogramSnapshot {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values, sorted by name.
-    pub counters: Vec<(&'static str, u64)>,
+    pub(crate) counters: Vec<(&'static str, u64)>,
     /// Histogram snapshots, sorted by name.
-    pub histograms: Vec<(&'static str, HistogramSnapshot)>,
+    pub(crate) histograms: Vec<(&'static str, HistogramSnapshot)>,
 }
 
 /// Snapshots every registered counter and histogram.
@@ -344,8 +339,7 @@ impl MetricsSnapshot {
     }
 
     /// The per-name change since `earlier`: counters subtract
-    /// (saturating), histograms via
-    /// [`HistogramSnapshot::delta_since`]. Names registered only after
+    /// (saturating), histograms bucket by bucket. Names registered only after
     /// `earlier` was taken count from zero. Because counters are
     /// monotone while collection stays on, the delta of two snapshots
     /// equals exactly the events recorded between them — including
@@ -370,14 +364,14 @@ impl MetricsSnapshot {
     }
 }
 
-/// A named process-global log₂ histogram. Declare via [`histogram!`].
+/// A named process-global log₂ histogram. Declare via [`histogram!`](crate::histogram!).
 pub struct Histogram {
     name: &'static str,
     cell: OnceLock<&'static HistogramCell>,
 }
 
 impl Histogram {
-    /// Const-constructs an unresolved handle (use the [`histogram!`]
+    /// Const-constructs an unresolved handle (use the [`histogram!`](crate::histogram!)
     /// macro rather than calling this directly).
     pub const fn new(name: &'static str) -> Histogram {
         Histogram {
@@ -396,11 +390,6 @@ impl Histogram {
         if crate::enabled() {
             self.cell().record(value);
         }
-    }
-
-    /// Current snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.cell().snapshot()
     }
 }
 

@@ -35,7 +35,7 @@ fn mangle(name: &str) -> String {
 /// nonzero after a short run is a race. Histograms that never recorded
 /// an observation are still omitted — an empty histogram has no
 /// buckets, and no site touches one without recording.
-pub fn prometheus_text() -> String {
+pub(crate) fn prometheus_text() -> String {
     let mut out = String::new();
     for (name, value) in counters() {
         let m = mangle(name);
@@ -62,7 +62,8 @@ pub fn prometheus_text() -> String {
     out
 }
 
-/// Writes [`prometheus_text`] to `path`.
+/// Writes the Prometheus text exposition of every counter and histogram
+/// to `path`.
 pub fn write_prometheus(path: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(path, prometheus_text())
 }

@@ -35,7 +35,7 @@ fn render_span(out: &mut String, node: &SpanNode, depth: usize) {
 
 /// Renders the full report: phase tree, then counters, then histograms.
 /// Metrics that never fired are omitted.
-pub fn render_report() -> String {
+pub(crate) fn render_report() -> String {
     let mut out = String::new();
     let tree = span_tree();
     out.push_str("── phases ─────────────────────────────────────────────\n");
@@ -72,7 +72,7 @@ pub fn render_report() -> String {
     out
 }
 
-/// Prints [`render_report`] to stderr (stderr so piped stdout stays
+/// Prints the phase tree and every counter and histogram to stderr (stderr so piped stdout stays
 /// machine-readable).
 pub fn report_to_stderr() {
     eprint!("{}", render_report());
@@ -107,7 +107,7 @@ fn span_to_json(out: &mut String, node: &SpanNode) {
 ///              "children": [...]}]
 /// }
 /// ```
-pub fn json_report() -> String {
+pub(crate) fn json_report() -> String {
     let mut out = String::from("{\"counters\":{");
     for (i, (name, value)) in counters().into_iter().enumerate() {
         if i > 0 {
@@ -150,7 +150,8 @@ pub fn json_report() -> String {
     out
 }
 
-/// Writes [`json_report`] to `path`.
+/// Writes every counter, histogram and span as one JSON document to
+/// `path`.
 pub fn write_json_report(path: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(path, json_report())
 }

@@ -1,16 +1,16 @@
 //! Request-scoped tracing: per-request span trees with typed events.
 //!
-//! The metrics registry ([`crate::metrics`]) answers "how much, over the
+//! The metrics registry ([`crate::Counter`], [`crate::Histogram`]) answers "how much, over the
 //! whole process"; this module answers "what happened, in *this*
 //! request, in what order". A [`Trace`] is installed
 //! for the dynamic extent of one request (or one CLI command) and every
-//! [`crate::span`] opened while it is installed additionally records a
+//! [`crate::span()`] opened while it is installed additionally records a
 //! start/end pair into the trace; instrumentation sites attach typed
-//! events ([`trace_event!`]) — a view pruned, an MCD rejected, a cover
+//! events ([`trace_event!`](crate::trace_event!)) — a view pruned, an MCD rejected, a cover
 //! verified, a cache hit — to whatever span is open.
 //!
 //! **Threading.** The installed trace is part of the thread's
-//! [request context](crate::ctx), so it records that thread only, and a
+//! request context, so it records that thread only, and a
 //! [`Trace`] is a single-thread value (`Rc`, `Cell`, `RefCell`):
 //!
 //! ```compile_fail,E0277
@@ -19,8 +19,8 @@
 //! ```
 //!
 //! Each [`install`] tags its records with a trace-local `tid` of its
-//! own. Spans carry trace-unique ids and a parent id, from which
-//! [`Trace::tree`] builds the span tree.
+//! own. Spans carry trace-unique ids and a parent id, from which the
+//! span tree is built.
 //!
 //! **Exports.** [`Trace::chrome_json`] renders the records as a Chrome
 //! trace-event JSON array (load in `chrome://tracing` or Perfetto);
@@ -162,7 +162,7 @@ impl Trace {
     }
 
     /// Number of events recorded so far.
-    pub fn event_count(&self) -> usize {
+    fn event_count(&self) -> usize {
         self.count(|r| matches!(r, Record::Event { .. }))
     }
 
@@ -175,7 +175,7 @@ impl Trace {
     /// time (ties by id, i.e. allocation order); a span whose `End` was
     /// never recorded (trace exported while it was still open) reports a
     /// zero duration.
-    pub fn tree(&self) -> Vec<TraceNode> {
+    pub(crate) fn tree(&self) -> Vec<TraceNode> {
         // Each span with its parent's id.
         let mut spans: BTreeMap<u64, (u64, TraceNode)> = BTreeMap::new();
         for (tid, record) in self.inner.records.borrow().iter() {
@@ -203,15 +203,11 @@ impl Trace {
                     }
                 }
                 Record::Event {
-                    span,
-                    name,
-                    t_ns,
-                    attrs,
+                    span, name, attrs, ..
                 } => {
                     if let Some((_, node)) = spans.get_mut(span) {
                         node.events.push(TraceEvent {
                             name,
-                            t_ns: *t_ns,
                             attrs: attrs.clone(),
                         });
                     }
@@ -288,7 +284,7 @@ impl Trace {
         Json::Array(entries).render()
     }
 
-    /// A human-readable rendering of [`Trace::tree`]: one line per span
+    /// A human-readable rendering of the span tree: one line per span
     /// with duration and thread, events indented beneath the span they
     /// belong to.
     pub fn render_tree(&self) -> String {
@@ -400,34 +396,32 @@ fn render_node(out: &mut String, node: &TraceNode, depth: usize) {
 
 /// One stitched span of a [`Trace::tree`].
 #[derive(Clone, Debug)]
-pub struct TraceNode {
+pub(crate) struct TraceNode {
     /// Process-unique span id within the trace.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Span name (same names as the aggregate phase tree).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The trace-local id of the [`install`] the span opened under.
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// Start, nanoseconds since the trace epoch.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// End, nanoseconds since the trace epoch (= `start_ns` if the span
     /// never closed before export).
-    pub end_ns: u64,
+    pub(crate) end_ns: u64,
     /// Events recorded while this span was the innermost open one, in
     /// time order.
-    pub events: Vec<TraceEvent>,
+    pub(crate) events: Vec<TraceEvent>,
     /// Spans opened inside this one, in start order.
-    pub children: Vec<TraceNode>,
+    pub(crate) children: Vec<TraceNode>,
 }
 
 /// One typed event attached to a span.
 #[derive(Clone, Debug)]
-pub struct TraceEvent {
+pub(crate) struct TraceEvent {
     /// Event name (registered at exactly one site; see the xtask lint).
-    pub name: &'static str,
-    /// Nanoseconds since the trace epoch.
-    pub t_ns: u64,
+    pub(crate) name: &'static str,
     /// Typed attributes.
-    pub attrs: Attrs,
+    pub(crate) attrs: Attrs,
 }
 
 // ---------------------------------------------------------------------
@@ -483,8 +477,9 @@ impl TraceSlot {
 }
 
 /// Installs `trace` on this thread for the guard's lifetime: every
-/// subsequent [`crate::span`] and [`trace_event!`] on this thread
-/// records into it (while collection is [enabled](crate::enabled)),
+/// subsequent [`crate::span()`] and [`trace_event!`](crate::trace_event!)
+/// on this thread records into it (while collection is
+/// [enabled](crate::enabled)),
 /// under a `tid` of its own.
 pub fn install(trace: &Trace) -> CtxGuard {
     let next = &trace.inner.next_tid;
@@ -505,7 +500,7 @@ pub fn active() -> bool {
 /// Records a typed event on the innermost open span of this thread's
 /// installed trace. `attrs` is only evaluated when a trace is installed
 /// and collection is enabled, so call sites stay allocation-free in the
-/// untraced hot path. Use [`trace_event!`] rather than calling directly:
+/// untraced hot path. Use [`trace_event!`](crate::trace_event!) rather than calling directly:
 /// the macro is what the repo lint ratchets for single-site names.
 pub fn record_event(name: &'static str, attrs: impl FnOnce() -> Attrs) {
     if !crate::enabled() {

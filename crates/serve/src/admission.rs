@@ -62,7 +62,7 @@ pub enum ShedReason {
 
 impl ShedReason {
     /// Stable wire label for this reason.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ShedReason::QueueFull => "queue_full",
             ShedReason::DeadlineUnmeetable => "deadline_unmeetable",

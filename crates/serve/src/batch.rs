@@ -52,7 +52,7 @@ use viewplan_cost::{CostModel, Optimizer, PhysicalPlan, PlanError, PlannedRewrit
 use viewplan_cq::{Atom, ConjunctiveQuery, Spelled, Substitution, Symbol, Term, ViewSet};
 use viewplan_engine::{AnnotatedStep, Engine};
 use viewplan_obs as obs;
-use viewplan_obs::budget::BudgetSpec;
+use viewplan_obs::BudgetSpec;
 use viewplan_obs::Completeness;
 use viewplan_sync::{Mutex, MutexGuard};
 
@@ -155,17 +155,17 @@ impl CachedAnswer {
     }
 
     /// Generated rewritings, in canonical variables.
-    pub fn rewritings(&self) -> &[Rewriting] {
+    pub(crate) fn rewritings(&self) -> &[Rewriting] {
         &self.rewritings
     }
 
     /// The chosen (M1) plan, in canonical variables.
-    pub fn best(&self) -> Option<&PlannedRewriting> {
+    pub(crate) fn best(&self) -> Option<&PlannedRewriting> {
         self.best.as_ref()
     }
 
     /// Honesty marker for generation + planning.
-    pub fn completeness(&self) -> Completeness {
+    pub(crate) fn completeness(&self) -> Completeness {
         self.completeness
     }
 
@@ -225,9 +225,9 @@ impl ServedAnswer {
 #[derive(Clone, Debug)]
 pub struct WireAnswer {
     /// The catalog epoch of the snapshot that answered.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Whether any budget truncated the work behind this answer.
-    pub completeness: Completeness,
+    pub(crate) completeness: Completeness,
     /// Observability only: whether the answer came from the cache.
     pub from_cache: bool,
     /// The bytes [`ServedAnswer::render`] would print for this request.
@@ -288,7 +288,7 @@ impl BatchServer {
     /// set off the hot path, then builds the next server around the
     /// *same* cache so revalidated entries keep paying off across the
     /// epoch boundary.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         prepared: Arc<PreparedViews>,
         config: ServeConfig,
         cache: Option<Arc<RewritingCache>>,
@@ -311,7 +311,7 @@ impl BatchServer {
     }
 
     /// This server's configuration.
-    pub fn config(&self) -> &ServeConfig {
+    pub(crate) fn config(&self) -> &ServeConfig {
         &self.config
     }
 
@@ -327,7 +327,7 @@ impl BatchServer {
     }
 
     /// A shareable handle to the cache, for the live catalog's swap path.
-    pub fn cache_handle(&self) -> Option<Arc<RewritingCache>> {
+    pub(crate) fn cache_handle(&self) -> Option<Arc<RewritingCache>> {
         self.cache.clone()
     }
 
@@ -350,7 +350,7 @@ impl BatchServer {
     }
 
     /// [`BatchServer::serve`] under an explicit per-request budget spec.
-    pub fn serve_with_spec(
+    fn serve_with_spec(
         &self,
         query: &ConjunctiveQuery,
         spec: &BudgetSpec,
@@ -454,7 +454,7 @@ impl BatchServer {
         spec: &BudgetSpec,
     ) -> Result<CachedAnswer, PlanError> {
         let _span = obs::span("serve.compute");
-        let _budget = (!spec.is_unlimited()).then(|| obs::budget::install(*spec));
+        let _budget = (!spec.is_unlimited()).then(|| obs::install_budget(*spec));
         let generator = CoreCover::with_prepared_views(canonical, &self.prepared)
             .with_config(self.config.corecover.clone());
         let result = if self.config.all_minimal {
@@ -527,7 +527,7 @@ fn denormalize(
 mod tests {
     use super::*;
     use viewplan_cq::{parse_query, parse_views};
-    use viewplan_obs::budget::{Fault, FaultPoint};
+    use viewplan_obs::{Fault, FaultPoint};
 
     /// Example 4.1 of the paper.
     fn example41_views() -> ViewSet {
@@ -642,7 +642,7 @@ mod tests {
         let whole = server.serve_with_spec(&q, &BudgetSpec::new()).unwrap();
         assert_eq!(whole.completeness, Completeness::Complete);
         assert!(!whole.from_cache, "the truncated answer was not stored");
-        assert_eq!(obs::budget::snapshot(), Default::default());
+        assert_eq!(obs::budget_snapshot(), Default::default());
     }
 
     #[test]

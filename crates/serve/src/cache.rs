@@ -13,10 +13,10 @@
 //! that want `Rewriting`s.
 //!
 //! **Poisoning rule.** An answer whose completeness marker is anything
-//! but [`Completeness::Complete`] is *never* stored — a budget-truncated
-//! answer is an artifact of one request's deadline, and caching it would
-//! replay the degradation to every later (possibly unbudgeted) request.
-//! Rejections are counted, not silent.
+//! but [`Completeness::Complete`](viewplan_obs::Completeness::Complete) is
+//! *never* stored — a budget-truncated answer is an artifact of one request's
+//! deadline, and caching it would replay the degradation to every later
+//! (possibly unbudgeted) request. Rejections are counted, not silent.
 //!
 //! **Epochs and online DDL.** Under a live catalog (`add-view` /
 //! `drop-view` without draining traffic) an answer is only valid for the
@@ -168,11 +168,11 @@ pub struct CacheStats {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RetargetOutcome {
     /// Entries removed because the catalog change could affect them.
-    pub invalidated: u64,
+    pub(crate) invalidated: u64,
     /// Entries the change cannot affect, revalidated to the new epoch.
-    pub revalidated: u64,
+    pub(crate) revalidated: u64,
     /// Race leftovers (epoch older than the swap's source) removed.
-    pub stale_dropped: u64,
+    pub(crate) stale_dropped: u64,
 }
 
 /// Counter funnel for one cache lookup — the single registration site

@@ -19,9 +19,9 @@
 //! no request that observes a half-applied catalog.
 //!
 //! **Principled cache invalidation.** The swapped-in server shares the
-//! old server's [`RewritingCache`], so the writer must settle every
-//! cached entry for the new epoch. Evicting everything would be sound
-//! but wasteful; the point of the epoch design is that most entries are
+//! old server's [`RewritingCache`](crate::RewritingCache), so the writer must
+//! settle every cached entry for the new epoch. Evicting everything would be
+//! sound but wasteful; the point of the epoch design is that most entries are
 //! *provably* unaffected by a DDL step and can be revalidated in place:
 //!
 //! * `drop v`: an entry is affected iff its cached rewritings or chosen
@@ -91,13 +91,13 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use viewplan_core::cover::all_minimum_covers_counted;
+use viewplan_core::all_minimum_covers_counted;
 use viewplan_core::{
     body_signature, can_yield_tuples, core_masks, PreparedViews, Signature, ViewProgram,
 };
 use viewplan_cq::{ConjunctiveQuery, Symbol, View, ViewSet};
 use viewplan_obs as obs;
-use viewplan_obs::budget::FaultPoint;
+use viewplan_obs::FaultPoint;
 use viewplan_sync::{Mutex, RwLock};
 
 use crate::batch::{BatchServer, CachedAnswer, ServeConfig};
@@ -151,7 +151,7 @@ impl LiveCatalog {
     }
 
     /// The shared serving-layer fault arm.
-    pub fn faults(&self) -> &Arc<ServeFaults> {
+    pub(crate) fn faults(&self) -> &Arc<ServeFaults> {
         &self.faults
     }
 
@@ -367,7 +367,7 @@ fn keeps_its_covers(
 mod tests {
     use super::*;
     use viewplan_cq::{parse_query, parse_views};
-    use viewplan_obs::budget::Fault;
+    use viewplan_obs::Fault;
 
     fn example41_views() -> ViewSet {
         parse_views(

@@ -4,7 +4,7 @@
 //! of a search phase; this PR extends the same syntax to the network
 //! front-end (`accept`, `read`, `write`) and the live catalog (`swap`).
 //! Those points never pass through a search [`Meter`](
-//! viewplan_obs::budget::Meter) — [`FaultPoint::is_serving`] keeps them
+//! viewplan_obs::Meter) — [`FaultPoint::is_serving`] keeps them
 //! out of `fault_fires` — so the serving layer arms its own countdown
 //! here: one process-wide [`ServeFaults`] per server, decremented at
 //! each matching probe, firing exactly once when the countdown crosses
@@ -12,7 +12,7 @@
 //! assert "exactly one connection was sacrificed, everything else was
 //! answered".
 
-use viewplan_obs::budget::{Fault, FaultPoint};
+use viewplan_obs::{Fault, FaultPoint};
 use viewplan_sync::{AtomicU64, Ordering};
 
 /// An armed serving-layer fault: fires exactly once, at the `nth` probe
@@ -42,7 +42,7 @@ impl ServeFaults {
 
     /// Probes the countdown at `point`: true exactly once, at the nth
     /// matching probe. Never true for a non-matching point.
-    pub fn fires(&self, point: FaultPoint) -> bool {
+    pub(crate) fn fires(&self, point: FaultPoint) -> bool {
         if self.point != Some(point) {
             return false;
         }

@@ -20,14 +20,14 @@
 //! * [`AdmissionGate`] — bounded, deadline-aware admission with honest
 //!   load shedding ([`Completeness`](viewplan_obs::Completeness) on
 //!   every shed, never silence);
-//! * [`command`] — the one command grammar (`query` / `add-view` /
+//! * [`respond`] — the one command grammar (`query` / `add-view` /
 //!   `drop-view` / `epoch` / `ping` / `shutdown`), parsed and run in one
 //!   place for the TCP and stdin front-ends;
 //! * [`NetServer`] — a thread-per-connection TCP front-end framing that
 //!   grammar in the length-prefixed [`net`] protocol, with read/write
 //!   timeouts, idle-connection reaping, graceful drain on shutdown, and
-//!   serving-layer fault injection ([`fault`]);
-//! * [`loadgen`] — the closed-loop client that drives a [`NetServer`]
+//!   serving-layer fault injection ([`ServeFaults`]);
+//! * [`run_loadgen`] — the closed-loop client that drives a [`NetServer`]
 //!   over the same framing, with retries and an accounting identity.
 //!
 //! The correctness contract — a cached/batched answer is byte-identical
@@ -35,23 +35,27 @@
 //! established by construction (arrive in canonical space → compute/hit
 //! there → put the request's own names back, by filling the stored
 //! answer's template on the command path or by renaming its rewritings
-//! for library callers; see [`batch`]) and enforced end to end by the
+//! for library callers; see [`BatchServer`]) and enforced end to end by the
 //! workspace's differential tests.
 
-pub mod admission;
-pub mod batch;
-pub mod cache;
-pub mod catalog;
-pub mod command;
-pub mod fault;
-pub mod loadgen;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod admission;
+mod batch;
+mod cache;
+mod catalog;
+mod command;
+mod fault;
+mod loadgen;
 pub mod net;
 mod template;
 
-pub use admission::{AdmissionGate, ShedReason};
+pub use admission::{AdmissionGate, Permit, ShedReason};
 pub use batch::{BatchServer, CachedAnswer, ServeConfig, ServedAnswer, WireAnswer};
 pub use cache::{CacheProbe, CacheStats, FlightGuard, RetargetOutcome, RewritingCache};
 pub use catalog::{DdlOutcome, LiveCatalog};
 pub use command::{respond, Reply};
 pub use fault::ServeFaults;
+pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use net::{NetConfig, NetServer};

@@ -85,7 +85,7 @@ pub struct LoadgenReport {
     pub elapsed: Duration,
     /// Per-request latency, microseconds, successful (`ok`/`shed`/
     /// `error`-answered) requests only, unsorted.
-    pub latency_us: Vec<u64>,
+    pub(crate) latency_us: Vec<u64>,
 }
 
 impl LoadgenReport {

@@ -32,7 +32,7 @@
 //!   frame is written.
 //! * `bye` — acknowledging `shutdown`.
 //!
-//! The grammar and its executor live in [`crate::command`]; this module
+//! The grammar and its executor live in [`crate::respond`]; this module
 //! only frames them.
 //!
 //! # Threads
@@ -49,7 +49,7 @@
 //!
 //! # Fault injection
 //!
-//! `VIEWPLAN_FAULT=accept|read|write:nth` (see [`crate::fault`]) kills
+//! `VIEWPLAN_FAULT=accept|read|write:nth` (see [`crate::ServeFaults`]) kills
 //! the nth accepted connection / frame read / response write, exactly
 //! once — the chaos harness drives clients through these and asserts
 //! every request is still accounted for (answered, shed, or failed
@@ -60,7 +60,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketA
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viewplan_obs as obs;
-use viewplan_obs::budget::FaultPoint;
+use viewplan_obs::FaultPoint;
 use viewplan_sync::thread::{self, JoinHandle};
 use viewplan_sync::{AtomicBool, Mutex, Ordering};
 

@@ -34,7 +34,7 @@ use std::fmt;
 use std::ops::Range;
 use viewplan_core::Rewriting;
 use viewplan_cost::{write_plan, PlannedRewriting};
-use viewplan_cq::render::write_sorted;
+use viewplan_cq::write_sorted;
 use viewplan_cq::{write_atom, write_rule, Atom, ConjunctiveQuery, FirstSeen, Sink, Symbol};
 use viewplan_obs::Completeness;
 

@@ -33,15 +33,15 @@
 //! model-instrumented. Model programs spawn threads with
 //! [`model::spawn`] and communicate through facade locks and atomics.
 
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
 pub use std::sync::atomic::Ordering;
 
 /// Thread passthrough (not model-instrumented): inside [`model::check`]
 /// use [`model::spawn`] instead.
 pub mod thread {
-    pub use std::thread::{
-        available_parallelism, scope, sleep, spawn, yield_now, Builder, JoinHandle, Scope,
-        ScopedJoinHandle,
-    };
+    pub use std::thread::{scope, sleep, spawn, yield_now, Builder, JoinHandle};
 }
 
 pub mod model;
@@ -71,13 +71,6 @@ impl<T> Mutex<T> {
         Mutex {
             inner: StdMutex::new(value),
         }
-    }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -115,27 +108,6 @@ impl<T: ?Sized> Mutex<T> {
             lock: self,
             inner: ManuallyDrop::new(inner),
         }
-    }
-
-    /// Attempts the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        model::step();
-        match self.inner.try_lock() {
-            Ok(inner) => Some(MutexGuard {
-                lock: self,
-                inner: ManuallyDrop::new(inner),
-            }),
-            Err(TryLockError::Poisoned(poisoned)) => Some(MutexGuard {
-                lock: self,
-                inner: ManuallyDrop::new(poisoned.into_inner()),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -263,13 +235,6 @@ impl<T> RwLock<T> {
             inner: StdRwLock::new(value),
         }
     }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -333,43 +298,6 @@ impl<T: ?Sized> RwLock<T> {
             lock: self,
             inner: ManuallyDrop::new(inner),
         }
-    }
-
-    /// Attempts shared read access without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        model::step();
-        match self.inner.try_read() {
-            Ok(inner) => Some(RwLockReadGuard {
-                lock: self,
-                inner: ManuallyDrop::new(inner),
-            }),
-            Err(TryLockError::Poisoned(poisoned)) => Some(RwLockReadGuard {
-                lock: self,
-                inner: ManuallyDrop::new(poisoned.into_inner()),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts exclusive write access without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        model::step();
-        match self.inner.try_write() {
-            Ok(inner) => Some(RwLockWriteGuard {
-                lock: self,
-                inner: ManuallyDrop::new(inner),
-            }),
-            Err(TryLockError::Poisoned(poisoned)) => Some(RwLockWriteGuard {
-                lock: self,
-                inner: ManuallyDrop::new(poisoned.into_inner()),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -451,12 +379,6 @@ macro_rules! int_atomic {
                 self.0.store(value, order)
             }
 
-            /// Atomic swap, returning the previous value.
-            pub fn swap(&self, value: $prim, order: Ordering) -> $prim {
-                model::step();
-                self.0.swap(value, order)
-            }
-
             /// Atomic add, returning the previous value.
             pub fn fetch_add(&self, value: $prim, order: Ordering) -> $prim {
                 model::step();
@@ -481,18 +403,6 @@ macro_rules! int_atomic {
                 self.0.fetch_max(value, order)
             }
 
-            /// Atomic compare-exchange.
-            pub fn compare_exchange(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                model::step();
-                self.0.compare_exchange(current, new, success, failure)
-            }
-
             /// Atomic read-modify-write loop; `f` returning `None` aborts.
             pub fn fetch_update<F>(
                 &self,
@@ -510,10 +420,6 @@ macro_rules! int_atomic {
     };
 }
 
-int_atomic! {
-    /// Facade `AtomicU8`: each operation is a model yield point.
-    AtomicU8, u8
-}
 int_atomic! {
     /// Facade `AtomicU64`: each operation is a model yield point.
     AtomicU64, u64
@@ -557,15 +463,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mutex_round_trips_and_try_lock_contends() {
+    fn mutex_round_trips() {
         let m = Mutex::new(7u32);
         {
             let mut g = m.lock();
             *g += 1;
-            assert!(m.try_lock().is_none(), "held lock refuses try_lock");
         }
         assert_eq!(*m.lock(), 8);
-        assert_eq!(m.into_inner(), 8);
     }
 
     #[test]
@@ -574,7 +478,6 @@ mod tests {
         let r1 = l.read();
         let r2 = l.read();
         assert_eq!(*r1 + *r2, 2);
-        assert!(l.try_write().is_none(), "readers block the writer");
         drop((r1, r2));
         *l.write() = 5;
         assert_eq!(*l.read(), 5);

@@ -375,12 +375,6 @@ impl Config {
             random: Some((iterations, seed)),
         }
     }
-
-    /// Overrides the execution cap.
-    pub fn executions(mut self, n: u64) -> Config {
-        self.max_executions = n;
-        self
-    }
 }
 
 /// One schedule that violated an invariant (assertion panic), deadlocked,
@@ -975,7 +969,11 @@ mod tests {
 
     #[test]
     fn execution_cap_marks_report_non_exhaustive() {
-        let report = check(&Config::dfs(2).executions(2), || {
+        let capped = Config {
+            max_executions: 2,
+            ..Config::dfs(2)
+        };
+        let report = check(&capped, || {
             let counter = Arc::new(AtomicU64::new(0));
             let handles: Vec<_> = (0..2)
                 .map(|_| {

@@ -9,7 +9,7 @@ use viewplan_cq::{Atom, ConjunctiveQuery, Symbol};
 // any crate can load them into whatever store they use.
 
 /// A generated base relation: its name and integer rows.
-pub type GeneratedRelation = (Symbol, Vec<Vec<i64>>);
+pub(crate) type GeneratedRelation = (Symbol, Vec<Vec<i64>>);
 
 /// Generates `rows` random integer tuples over `0..domain` for every base
 /// relation mentioned in the query body, deterministically in the seed.

@@ -23,21 +23,21 @@ pub struct WorkloadConfig {
     /// Shape of the query and views.
     pub shape: Shape,
     /// Number of base relations available.
-    pub relations: usize,
+    pub(crate) relations: usize,
     /// Attributes per relation (chains force 2).
-    pub arity: usize,
+    pub(crate) arity: usize,
     /// Number of subgoals in the query (8 in the paper).
-    pub query_subgoals: usize,
+    pub(crate) query_subgoals: usize,
     /// Minimum subgoals per view (1 in the paper).
-    pub view_min_subgoals: usize,
+    pub(crate) view_min_subgoals: usize,
     /// Maximum subgoals per view (3 in the paper).
-    pub view_max_subgoals: usize,
+    pub(crate) view_max_subgoals: usize,
     /// Number of views to generate.
-    pub views: usize,
+    pub(crate) views: usize,
     /// Number of nondistinguished variables per query/view head (0 =
     /// "all variables distinguished"). Views with a single subgoal keep
     /// all variables distinguished, following §7.2.
-    pub nondistinguished: usize,
+    pub(crate) nondistinguished: usize,
     /// RNG seed; everything is deterministic in it.
     pub seed: u64,
 }

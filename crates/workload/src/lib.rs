@@ -13,8 +13,11 @@
 //! Everything is deterministic in the seed ([`rand::rngs::StdRng`]), so
 //! experiment CSVs are reproducible run to run.
 
-pub mod database;
-pub mod generator;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
+
+mod database;
+mod generator;
 
 pub use database::random_database;
 pub use generator::{generate, Shape, Workload, WorkloadConfig};

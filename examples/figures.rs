@@ -1,8 +1,11 @@
 //! Regenerates every table and figure of the paper's evaluation (§7).
 //!
-//! Writes `results/fig6a.csv` … `results/fig9b.csv` (plus `table2.txt`,
-//! `example61.txt`, and the baseline/ablation series) under the current
-//! directory and prints each to stdout, one query at a time. Run with:
+//! Writes `results/fig6a.csv`, `fig6b.csv`, `fig8a.csv` and `fig8b.csv`
+//! (plus `fig_random.csv`, `table2.txt`, `example61.txt`, and the
+//! baseline/ablation series) under the current directory and prints each
+//! to stdout, one query at a time. Each sweep is written once: Figures 7
+//! and 9 plot other columns of the sweeps behind Figures 6(a) and 8(a).
+//! Run with:
 //!
 //! ```text
 //! cargo run --release --example figures            # paper scale (40 queries/point)
@@ -48,23 +51,13 @@ fn main() -> Result<()> {
     });
     emit(
         "fig6a",
-        "Figure 6(a): star, time for all GMRs (all vars distinguished)",
+        "Figures 6(a), 7(a), 7(b): star, all vars distinguished",
         &to_csv(&star0),
     )?;
     emit(
         "fig6b",
         "Figure 6(b): star, time for all GMRs (1 nondistinguished)",
         &to_csv(&star1),
-    )?;
-    emit(
-        "fig7a",
-        "Figure 7(a): star, view equivalence classes",
-        &to_csv(&star0),
-    )?;
-    emit(
-        "fig7b",
-        "Figure 7(b): star, view tuples vs representatives",
-        &to_csv(&star0),
     )?;
 
     // ── Figures 8 & 9: chain queries ────────────────────────────────────
@@ -76,23 +69,13 @@ fn main() -> Result<()> {
     });
     emit(
         "fig8a",
-        "Figure 8(a): chain, time for all GMRs (all vars distinguished)",
+        "Figures 8(a), 9(a), 9(b): chain, all vars distinguished",
         &to_csv(&chain0),
     )?;
     emit(
         "fig8b",
         "Figure 8(b): chain, time for all GMRs (1 nondistinguished)",
         &to_csv(&chain1),
-    )?;
-    emit(
-        "fig9a",
-        "Figure 9(a): chain, view equivalence classes",
-        &to_csv(&chain0),
-    )?;
-    emit(
-        "fig9b",
-        "Figure 9(b): chain, view tuples vs representatives",
-        &to_csv(&chain0),
     )?;
 
     // ── Random queries (the third shape §7 mentions) ────────────────────

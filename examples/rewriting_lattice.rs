@@ -4,8 +4,7 @@
 //!
 //! Run with: `cargo run --example rewriting_lattice`
 
-use viewplan::core::lattice::is_minimal_as_query;
-use viewplan::core::{is_containment_minimal, lmr_partial_order};
+use viewplan::core::{is_containment_minimal, is_minimal_as_query, lmr_partial_order};
 use viewplan::prelude::*;
 
 fn main() {

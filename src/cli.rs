@@ -30,7 +30,7 @@
 //! `serve` is the interactive form: views from a file, requests on stdin
 //! (or over TCP with `--listen ADDR`, speaking a length-prefixed frame
 //! protocol with admission control and load shedding). Both front-ends
-//! take the commands of `viewplan_serve::command` (stdin also reads a
+//! take the commands of `viewplan_serve::respond` (stdin also reads a
 //! bare rule as a `query`), among them `add-view <rule>` / `drop-view
 //! <name>` DDL: the catalog swaps to a new epoch without stopping
 //! traffic, invalidating exactly the cached answers the change can
@@ -634,13 +634,13 @@ fn budget_arg(args: &[String], fault: Option<Fault>) -> Result<BudgetSpec, CliEr
 /// Installs the requested budget for the rest of the command (a no-op
 /// `None` when the spec constrains nothing). The deadline starts now.
 fn install_budget(spec: BudgetSpec) -> Option<CtxGuard> {
-    (!spec.is_unlimited()).then(|| crate::obs::budget::install(spec))
+    (!spec.is_unlimited()).then(|| crate::obs::install_budget(spec))
 }
 
 /// How completely the installed budget let the command run. Budgets are
 /// installed freshly per command, so counting hits from zero is exact.
 fn budget_outcome() -> Completeness {
-    crate::obs::budget::completeness_since(Default::default())
+    crate::obs::completeness_since(Default::default())
 }
 
 /// Prints the incomplete-result note when the budget fired. Exit stays 0:
@@ -1145,7 +1145,8 @@ fn duration_arg(
     u64_arg(args, name, default.as_millis() as u64).map(std::time::Duration::from_millis)
 }
 
-/// The network front-end flags, collected into a [`NetConfig`].
+/// The network front-end flags, collected into a
+/// [`NetConfig`](crate::serve::NetConfig).
 fn net_config(args: &[String]) -> Result<crate::serve::NetConfig, CliError> {
     let defaults = crate::serve::NetConfig::default();
     Ok(crate::serve::NetConfig {
@@ -1163,12 +1164,12 @@ fn net_config(args: &[String]) -> Result<crate::serve::NetConfig, CliError> {
 
 /// Interactive serving: views from a file, requests on stdin (or, with
 /// `--listen ADDR`, over TCP). Both front-ends hand each line or frame to
-/// `viewplan_serve::command`, so they accept the same commands and print
+/// `viewplan_serve::respond`, so they accept the same commands and print
 /// the same replies; stdin differs only in reading a bare rule as a
 /// `query`, skipping admission, and printing an answer as its rendering
 /// plus a blank line (errors go to stderr).
 fn serve(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), CliError> {
-    use crate::serve::{command, LiveCatalog, NetServer, Reply, ServeFaults};
+    use crate::serve::{respond, LiveCatalog, NetServer, Reply, ServeFaults};
     let listen = option(args, "--listen");
     if listen.is_some() && (flag(args, "--trace") || option(args, "--trace-json").is_some()) {
         return Err(CliError::input(
@@ -1206,8 +1207,8 @@ fn serve(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cl
         if src.is_empty() {
             continue;
         }
-        let reply = match command::respond(src, &catalog, None, None) {
-            Reply::Unknown(_) => command::respond(&format!("query {src}"), &catalog, None, None),
+        let reply = match respond(src, &catalog, None, None) {
+            Reply::Unknown(_) => respond(&format!("query {src}"), &catalog, None, None),
             reply => reply,
         };
         match reply {
@@ -1246,7 +1247,7 @@ fn serve(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cl
 /// request; a stale-epoch answer or an unaccounted request is a server
 /// bug (exit 1).
 fn loadgen(args: &[String], _: &Common, out: &mut dyn Write) -> Result<(), CliError> {
-    use crate::serve::loadgen::{run_loadgen, LoadgenConfig};
+    use crate::serve::{run_loadgen, LoadgenConfig};
     let addr = option(args, "--connect")
         .ok_or_else(|| CliError::input("loadgen needs --connect HOST:PORT"))?;
     let addr: std::net::SocketAddr = addr
@@ -1346,7 +1347,7 @@ fn soak(args: &[String], common: &Common, out: &mut dyn Write) -> Result<(), Cli
         // per-search anyway. The guard drops before verification so the
         // post-hoc equivalence checks run unbudgeted.
         let result = {
-            let _g = crate::obs::budget::install(spec);
+            let _g = crate::obs::install_budget(spec);
             CoreCover::new(&w.query, &w.views).try_run_all_minimal()
         }
         .map_err(|e| CliError::Internal(format!("generated workload rejected: {e}")))?;

@@ -5,7 +5,7 @@
 //! validate it empirically for M2 (and for M3's supplementary variant,
 //! whose GSRs are projections of the same intermediates).
 
-use viewplan::containment::homomorphism::HomomorphismSearch;
+use viewplan::containment::HomomorphismSearch;
 use viewplan::cost::{optimal_m2_order, ExactOracle};
 use viewplan::prelude::*;
 

@@ -175,7 +175,7 @@ fn the_search_returns_the_reference_covers_at_every_limit() {
 #[test]
 fn under_a_node_cap_the_search_keeps_a_longer_prefix() {
     let capped = |cap: u64, run: &dyn Fn() -> Vec<Vec<usize>>| {
-        let _g = obs::budget::install(BudgetSpec::new().phase_nodes(Phase::Cover, cap));
+        let _g = obs::install_budget(BudgetSpec::new().phase_nodes(Phase::Cover, cap));
         run()
     };
     let mut longer = 0;

@@ -224,7 +224,7 @@ proptest! {
         // process-wide, and unbudgeted work in between would hand the
         // budgeted search verdicts it could not have reached itself.
         let result = {
-            let _g = viewplan::obs::budget::install(BudgetSpec::new().node_budget(cap));
+            let _g = viewplan::obs::install_budget(BudgetSpec::new().node_budget(cap));
             run(&w, all_minimal, true)
         };
         for r in result.rewritings() {

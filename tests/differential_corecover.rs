@@ -550,11 +550,11 @@ fn compare(
     let mut masks = Vec::new();
     for tv in tuples.iter().cloned().chain(broken) {
         let core = {
-            let _g = obs::budget::install(spec);
+            let _g = obs::install_budget(spec);
             tuple_core(query, &tv, views)
         };
         let (expected, resolved) = {
-            let _g = obs::budget::install(spec);
+            let _g = obs::install_budget(spec);
             reference_tuple_core(query, &tv, views)
         };
         prop_assert_eq!(
@@ -614,7 +614,7 @@ fn run_path_agrees(
             ..CoreCoverConfig::default()
         };
         let result = {
-            let _g = obs::budget::install(spec);
+            let _g = obs::install_budget(spec);
             let run = CoreCover::new(query, views).with_config(config);
             if all_minimal {
                 run.run_all_minimal()
@@ -640,7 +640,7 @@ fn run_path_agrees(
         prop_assert_eq!(result.cores.len(), result.view_tuples.len());
         for (tv, core) in result.view_tuples.iter().zip(&result.cores) {
             let (expected, _) = {
-                let _g = obs::budget::install(spec);
+                let _g = obs::install_budget(spec);
                 reference_tuple_core(qm, tv, views)
             };
             prop_assert_eq!(
@@ -676,7 +676,7 @@ fn prepared_matches_fresh(w: &Workload) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The view prefilter (`viewplan::core::prune`) against what it
+/// The view prefilter (`crates/core/src/prune.rs`) against what it
 /// shortcuts: every view the catalog index drops has no tuple in the
 /// reference evaluation, the index keeps exactly what the linear
 /// `view_is_unusable` filter keeps, and `CoreCover` and `CoreCover*`

@@ -1,7 +1,7 @@
 //! Differential test, wire against structured.
 //!
 //! A served `query` never becomes a `ConjunctiveQuery` in the client's
-//! variable names: `command::respond` parses it into canonical variables,
+//! variable names: `respond` parses it into canonical variables,
 //! probes the cache, and fills the stored answer's template with the
 //! client's spellings. The library path does the same job structurally —
 //! `parse_query`, `BatchServer::serve` (canonicalize, compute, rename the
@@ -28,10 +28,10 @@ use std::collections::HashSet;
 use viewplan::containment::{canonical_key, canonicalize, CanonicalQuery};
 use viewplan::cost::{PhysicalPlan, PlannedRewriting};
 use viewplan::cq::{Substitution, Symbol, Term};
-use viewplan::obs::budget::{Fault, FaultPoint};
 use viewplan::obs::{BudgetSpec, Completeness};
+use viewplan::obs::{Fault, FaultPoint};
 use viewplan::prelude::*;
-use viewplan::serve::{command, CachedAnswer, LiveCatalog, Reply, ServedAnswer};
+use viewplan::serve::{respond, CachedAnswer, LiveCatalog, Reply, ServedAnswer};
 
 /// `text` with every variable respelled by `spell(position of its first
 /// occurrence, old spelling)`; predicates, constants, integers and
@@ -135,7 +135,7 @@ impl Pair {
             structured.completeness.label(),
             structured.render()
         );
-        let reply = command::respond(&format!("query {text}"), &self.catalog, None, None);
+        let reply = respond(&format!("query {text}"), &self.catalog, None, None);
         assert_eq!(reply.to_string(), expected, "query text: {text}");
         expected
     }
@@ -481,7 +481,7 @@ fn hand_built_answers_fill_as_they_render() {
 fn malformed_queries_are_refused_in_the_clients_own_words() {
     let views = parse_views("v1(A, B) :- a(A, B).").unwrap();
     let catalog = LiveCatalog::new(&views, ServeConfig::default());
-    let run = |line: &str| command::respond(line, &catalog, None, None).to_string();
+    let run = |line: &str| respond(line, &catalog, None, None).to_string();
     for src in [
         "q(Left, Right) :- a(Left, Middle)",
         "q(X) :- Foo(X)",
@@ -526,7 +526,7 @@ fn malformed_queries_are_refused_in_the_clients_own_words() {
         assert_eq!(run(line), reply);
     }
     assert!(matches!(
-        command::respond("query q(X) :- a(X, Y)", &catalog, None, None),
+        respond("query q(X) :- a(X, Y)", &catalog, None, None),
         Reply::Answer(_)
     ));
 }

@@ -21,7 +21,7 @@ use std::time::Duration;
 use viewplan::containment::{canonical_key, canonical_variable, canonicalize, parse_canonical};
 use viewplan::cq::Term;
 use viewplan::prelude::*;
-use viewplan::serve::command::respond;
+use viewplan::serve::respond;
 use viewplan::serve::LiveCatalog;
 
 /// Pieces of a command line, well-formed or not.

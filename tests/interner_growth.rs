@@ -24,7 +24,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use viewplan::core::PreparedViews;
 use viewplan::cq::Symbol;
 use viewplan::prelude::*;
-use viewplan::serve::{command, LiveCatalog, Reply, ServeConfig};
+use viewplan::serve::{respond, LiveCatalog, Reply, ServeConfig};
 
 /// Held by each test for its whole body.
 fn serial() -> MutexGuard<'static, ()> {
@@ -101,7 +101,7 @@ fn chain_query(order: usize, stem: &str) -> String {
 }
 
 fn answered(catalog: &LiveCatalog, line: &str) -> (bool, String) {
-    match command::respond(line, catalog, None, None) {
+    match respond(line, catalog, None, None) {
         Reply::Answer(answer) => (answer.from_cache, answer.body),
         other => panic!("`{line}` was not answered: {other}"),
     }
@@ -110,7 +110,7 @@ fn answered(catalog: &LiveCatalog, line: &str) -> (bool, String) {
 /// Ten thousand requests, each spelling its variables as no request
 /// before it did, half of them hits and half misses, intern nothing.
 ///
-/// Fails at the parent commit, where `command::respond` parses with
+/// Fails at the parent commit, where `respond` parses with
 /// `parse_query`: every spelling of every request is interned, and the
 /// table ends 80 000 symbols larger than it started.
 #[test]

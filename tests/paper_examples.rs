@@ -235,7 +235,7 @@ fn section_8_shape_check() {
 // `tuple_core` implements it) that needs one more condition when cores
 // overlap: the members' mappings must agree on the variables they
 // share. The instances below are the minimal witnesses; what CoreCover
-// does about them is in `viewplan_core::certificate`.
+// does about them is in `viewplan_core::certify`.
 
 const OVERLAP_QUERY: &str = "q(P, R) :- e(P, X), g(X, Y), f(Y, R)";
 

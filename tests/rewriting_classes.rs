@@ -1,8 +1,7 @@
 //! Figure 1 / Figure 2: the taxonomy of rewritings and the LMR partial
 //! order, exercised end to end on the paper's examples.
 
-use viewplan::core::lattice::is_minimal_as_query;
-use viewplan::core::{is_containment_minimal, lmr_partial_order};
+use viewplan::core::{is_containment_minimal, is_minimal_as_query, lmr_partial_order};
 use viewplan::prelude::*;
 
 fn carlocpart() -> (ConjunctiveQuery, ViewSet) {

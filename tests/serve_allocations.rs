@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use viewplan::prelude::*;
-use viewplan::serve::command::{respond, Reply};
 use viewplan::serve::LiveCatalog;
+use viewplan::serve::{respond, Reply};
 
 struct Counting;
 
